@@ -163,34 +163,52 @@ def to_document(g: Graph, phi: TotalColoring) -> dict:
     }
 
 
+def _is_int(value) -> bool:
+    """JSON integers only: booleans and floats, even integral ones, are not."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def from_document(doc: dict) -> tuple[Graph, TotalColoring]:
     """Rebuild (graph, colouring) from a document.
 
-    Shape faults raise DocumentError; stored ``verified`` flags are ignored,
-    callers recompute them. Improper colourings load fine.
+    Shape faults raise DocumentError, and so does any count, endpoint or
+    colour that is not a JSON integer (booleans and floats included).
+    Stored ``verified`` flags are ignored, callers recompute them. Improper
+    colourings load fine.
     """
     if not isinstance(doc, dict):
         raise DocumentError("document must be a JSON object")
     for key in ("n", "edges", "k", "vertex_colors", "edge_colors"):
         if key not in doc:
             raise DocumentError(f"document missing field {key!r}")
+    n = doc["n"]
+    if not _is_int(n):
+        raise DocumentError("n must be an integer")
+    for key in ("edges", "vertex_colors", "edge_colors"):
+        if not isinstance(doc[key], (list, tuple)):
+            raise DocumentError(f"{key} must be a list")
+    edges = []
+    for e in doc["edges"]:
+        if not (isinstance(e, (list, tuple)) and len(e) == 2 and all(map(_is_int, e))):
+            raise DocumentError(f"bad edge record: {e!r}")
+        edges.append(tuple(e))
     try:
-        g = Graph.build(int(doc["n"]), [tuple(e) for e in doc["edges"]])
-    except (TypeError, ValueError) as exc:
+        g = Graph.build(n, edges)
+    except ValueError as exc:
         raise DocumentError(f"bad graph data: {exc}") from None
     k = doc["k"]
-    if not isinstance(k, int) or k < 0:
+    if not _is_int(k) or k < 0:
         raise DocumentError("k must be a non-negative integer")
     vcs = doc["vertex_colors"]
-    if len(vcs) != g.n or not all(isinstance(c, int) for c in vcs):
+    if len(vcs) != g.n or not all(map(_is_int, vcs)):
         raise DocumentError("vertex_colors must list one integer per vertex")
     ecs: dict[Edge, int] = {}
     for item in doc["edge_colors"]:
-        try:
-            e = normalize_edge(int(item["u"]), int(item["v"]))
-            c = int(item["c"])
-        except (TypeError, KeyError, ValueError):
-            raise DocumentError(f"bad edge colour record: {item!r}") from None
+        if not (isinstance(item, dict)
+                and all(_is_int(item.get(key)) for key in ("u", "v", "c"))):
+            raise DocumentError(f"bad edge colour record: {item!r}")
+        e = normalize_edge(item["u"], item["v"])
+        c = item["c"]
         if e not in g.edge_set:
             raise DocumentError(f"edge colour for non-edge {e}")
         if e in ecs:

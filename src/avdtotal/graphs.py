@@ -239,6 +239,11 @@ def star_graph(leaves: int) -> Graph:
     return Graph.build(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
 
 
+# random_gnp draws its pair indicators in chunks of this many, so memory
+# stays bounded for large n while the stream matches one single draw
+_GNP_CHUNK = 1 << 20
+
+
 def _generator_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(int(seed))))
 
@@ -250,9 +255,17 @@ def random_gnp(n: int, p: float, seed: int) -> Graph:
     if not 0.0 <= p <= 1.0:
         raise ValueError("edge probability must lie in [0, 1]")
     rng = _generator_rng(seed)
-    pairs = list(itertools.combinations(range(n), 2))
-    mask = rng.random(len(pairs)) < p
-    return Graph.build(n, [e for e, hit in zip(pairs, mask) if hit])
+    # pair k of the lexicographic order (0,1), (0,2), .., (n-2,n-1) gets the
+    # k-th draw; row i holds (i, i+1) .. (i, n-1) and starts at offsets[i]
+    total = n * (n - 1) // 2
+    rows = np.arange(n, dtype=np.int64)
+    offsets = rows * (n - 1) - rows * (rows - 1) // 2
+    edges: list[Edge] = []
+    for start in range(0, total, _GNP_CHUNK):
+        hits = start + np.flatnonzero(rng.random(min(_GNP_CHUNK, total - start)) < p)
+        i = np.searchsorted(offsets, hits, side="right") - 1
+        edges.extend(zip(i.tolist(), (hits - offsets[i] + i + 1).tolist()))
+    return Graph.build(n, edges)
 
 
 def random_regular(n: int, d: int, seed: int) -> Graph:

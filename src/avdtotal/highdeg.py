@@ -15,9 +15,11 @@ round cap and a stall cap make failure a returned value, never an error.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable, Container
 
 import numpy as np
 
@@ -193,37 +195,79 @@ def cap_overloaded(g: Graph, selection: EdgeSelection, cap: int) -> EdgeSelectio
     return EdgeSelection.from_edges(g.n, kept)
 
 
-def _restricted_sets(g: Graph, phi: TotalColoring,
-                     deleted: frozenset[Edge]) -> list[frozenset[int]]:
-    """Colour sets after the deleted edges stop contributing."""
-    out: list[frozenset[int]] = []
-    for v in range(g.n):
-        cols = {phi.vertex_colors[v]}
-        for w in g.adjacency[v]:
-            e = normalize_edge(v, w)
-            if e not in deleted:
-                cols.add(phi.edge_colors[e])
-        out.append(frozenset(cols))
-    return out
+class _RestrictedSets:
+    """Colour sets after deleted edges stop contributing, computed on demand.
+
+    A vertex's incident (edge, colour) pairs are gathered on its first use
+    and kept for the whole search; its restricted set under one deleted-edge
+    set is computed on its first request in that check. A check thus pays
+    only for the vertices its events compare.
+    """
+
+    def __init__(self, g: Graph, phi: TotalColoring):
+        self.g, self.phi = g, phi
+        self.incident: dict[int, list[tuple[Edge, int]]] = {}
+
+    def under(self, deleted: Container[Edge]) -> Callable[[int], frozenset[int]]:
+        cache: dict[int, frozenset[int]] = {}
+
+        def restricted(v: int) -> frozenset[int]:
+            cols = cache.get(v)
+            if cols is None:
+                pairs = self.incident.get(v)
+                if pairs is None:
+                    colors = self.phi.edge_colors
+                    ends = [(v, w) if v < w else (w, v) for w in self.g.adjacency[v]]
+                    pairs = self.incident[v] = [(e, colors[e]) for e in ends]
+                seen = {c for e, c in pairs if e not in deleted}
+                seen.add(self.phi.vertex_colors[v])
+                cols = cache[v] = frozenset(seen)
+            return cols
+
+        return restricted
 
 
-def _bulk_violations(g: Graph, phi: TotalColoring, selection: EdgeSelection,
-                     m: int, d: int, eps: Fraction,
-                     high: frozenset[int]) -> list[BadEvent]:
-    deg_sel = selection.per_vertex_count
-    sets1 = _restricted_sets(g, phi, selection.edges)
-    events: list[BadEvent] = []
-    for u, v in g.edges:
-        if (u in high and v in high and g.degree(u) == g.degree(v)
-                and (deg_sel[u] >= m or deg_sel[v] >= m)
-                and len(sets1[u] ^ sets1[v]) < d):
-            events.append(BadEvent("A_pair", (u, v)))
-    threshold = eps * g.max_degree
-    for v in sorted(high):
-        count = sum(1 for u in g.adjacency[v] if deg_sel[u] < m)
-        if count > threshold:
-            events.append(BadEvent("B_vertex", (v,)))
-    return events
+class _BulkCheck:
+    """The bulk stage's bad events, with the per-graph work done once.
+
+    A_pair can only fire at an edge joining equal-degree high vertices, so
+    those edges are listed up front and restricted colour sets are computed
+    only at their endpoints, and only when a selection count lets the event
+    fire. B_vertex counts under-selected neighbours of every high vertex
+    with one bincount over their concatenated adjacency lists.
+    """
+
+    def __init__(self, g: Graph, phi: TotalColoring, high: frozenset[int],
+                 m: int, d: int, eps: Fraction):
+        self.m, self.d = m, d
+        self.sets = _RestrictedSets(g, phi)
+        degree = [len(a) for a in g.adjacency]
+        self.pairs = [(u, v) for u, v in g.edges
+                      if degree[u] == degree[v] and u in high and v in high]
+        self.pair_ends = np.array(self.pairs, dtype=np.int64).reshape(-1, 2)
+        self.high = sorted(high)
+        self.neighbours = np.fromiter(
+            itertools.chain.from_iterable(g.adjacency[v] for v in self.high),
+            dtype=np.int64, count=sum(degree[v] for v in self.high))
+        self.owner = np.repeat(np.arange(len(self.high)),
+                               [degree[v] for v in self.high])
+        # counts are integers, so count > eps*max_degree iff count > floor
+        self.limit = math.floor(eps * g.max_degree)
+
+    def events(self, selected: frozenset[Edge], deg_sel: np.ndarray) -> list[BadEvent]:
+        events: list[BadEvent] = []
+        hot = np.flatnonzero((deg_sel[self.pair_ends] >= self.m).any(axis=1))
+        if hot.size:
+            restricted = self.sets.under(selected)
+            for j in hot.tolist():
+                u, v = self.pairs[j]
+                if len(restricted(u) ^ restricted(v)) < self.d:
+                    events.append(BadEvent("A_pair", (u, v)))
+        under = np.bincount(self.owner[deg_sel[self.neighbours] < self.m],
+                            minlength=len(self.high))
+        for j in np.flatnonzero(under > self.limit).tolist():
+            events.append(BadEvent("B_vertex", (self.high[j],)))
+        return events
 
 
 def bulk_violations(g: Graph, phi: TotalColoring, selection: EdgeSelection,
@@ -245,7 +289,9 @@ def bulk_violations(g: Graph, phi: TotalColoring, selection: EdgeSelection,
             raise ValueError(f"edge ({u}, {v}) has no high-degree endpoint")
     if selection.per_vertex_count and max(selection.per_vertex_count) > resolved.M:
         raise ValueError(f"selection exceeds the per-vertex cap {resolved.M}")
-    return _bulk_violations(g, phi, selection, params.m, params.d, params.eps, high)
+    check = _BulkCheck(g, phi, high, params.m, params.d, params.eps)
+    return check.events(selection.edges,
+                        np.array(selection.per_vertex_count, dtype=np.int64))
 
 
 def find_bulk_deletion(g: Graph, phi: TotalColoring,
@@ -262,10 +308,26 @@ def find_bulk_deletion(g: Graph, phi: TotalColoring,
     resolved = params.resolve(g)
     high = degree_split(g).high
     cands = candidate_edges(g)
+    ends = np.array(cands, dtype=np.int64).reshape(-1, 2)
+    cu, cv = ends[:, 0], ends[:, 1]
     incident: list[list[int]] = [[] for _ in range(g.n)]
     for i, (u, v) in enumerate(cands):
         incident[u].append(i)
         incident[v].append(i)
+    near: dict[int, np.ndarray] = {}
+
+    def indicators_near(w: int) -> np.ndarray:
+        """Candidate indices at w's closed neighbourhood, first-seen order."""
+        if w not in near:
+            seen = dict.fromkeys(i for x in (w, *g.adjacency[w]) for i in incident[x])
+            near[w] = np.fromiter(seen, dtype=np.int64, count=len(seen))
+        return near[w]
+
+    def endpoint_counts(idx: np.ndarray) -> np.ndarray:
+        return (np.bincount(cu[idx], minlength=g.n)
+                + np.bincount(cv[idx], minlength=g.n))
+
+    check = _BulkCheck(g, phi, high, params.m, params.d, params.eps)
     rng = substream(params.seed, BULK_STREAM)
     mask = rng.random(len(cands)) < resolved.p if cands else np.zeros(0, dtype=bool)
 
@@ -273,18 +335,14 @@ def find_bulk_deletion(g: Graph, phi: TotalColoring,
     rounds = 0
     stall = 0
     while True:
-        counts = [0] * g.n
         chosen = np.flatnonzero(mask)
-        for i in chosen:
-            u, v = cands[i]
-            counts[u] += 1
-            counts[v] += 1
-        survivors = [cands[i] for i in chosen
-                     if counts[cands[i][0]] <= resolved.M
-                     and counts[cands[i][1]] <= resolved.M]
-        selection = EdgeSelection.from_edges(g.n, survivors)
-        violations = _bulk_violations(g, phi, selection,
-                                      params.m, params.d, params.eps, high)
+        counts = endpoint_counts(chosen)
+        kept = chosen[(counts[cu[chosen]] <= resolved.M)
+                      & (counts[cv[chosen]] <= resolved.M)]
+        deg_sel = endpoint_counts(kept)
+        selection = EdgeSelection(frozenset(map(cands.__getitem__, kept.tolist())),
+                                  tuple(deg_sel.tolist()))
+        violations = check.events(selection.edges, deg_sel)
         rounds += 1
         if not violations:
             return SelectionResult(selection, True, rounds, ())
@@ -297,15 +355,19 @@ def find_bulk_deletion(g: Graph, phi: TotalColoring,
             break
         if resolved.p >= 1.0 or resolved.p <= 0.0:
             break  # the draw is deterministic; resampling cannot change it
-        resample: dict[int, None] = {}
+        # witness order, then first occurrence, decides which draw each
+        # indicator gets
+        taken = np.zeros(len(cands), dtype=bool)
+        parts = []
         for event in violations:
             for w in event.witness:
-                for x in (w, *g.adjacency[w]):
-                    for i in incident[x]:
-                        resample[i] = None
-        if resample:
-            idx = np.fromiter(resample.keys(), dtype=np.int64)
-            mask[idx] = rng.random(len(idx)) < resolved.p
+                fresh = indicators_near(w)
+                fresh = fresh[~taken[fresh]]
+                taken[fresh] = True
+                parts.append(fresh)
+        idx = np.concatenate(parts)
+        if idx.size:
+            mask[idx] = rng.random(idx.size) < resolved.p
     _, selection, violations = best
     return SelectionResult(selection, False, rounds, violations)
 
@@ -349,20 +411,29 @@ def sample_patch(g: Graph, bulk: EdgeSelection, light: frozenset[int], B: int,
     return EdgeSelection.from_edges(g.n, picked)
 
 
-def _patch_violations(g: Graph, phi: TotalColoring, bulk_edges: frozenset[Edge],
-                      patch: EdgeSelection, light: frozenset[int],
-                      alpha: Fraction, B: int) -> list[BadEvent]:
-    events: list[BadEvent] = []
-    threshold = alpha * g.max_degree
-    for v in range(g.n):
-        if v not in light and g.degree(v) > threshold \
-                and patch.per_vertex_count[v] >= B:
-            events.append(BadEvent("A2_overload", (v,)))
-    sets2 = _restricted_sets(g, phi, bulk_edges | patch.edges)
-    for u, v in g.edges:
-        if u in light and v in light and sets2[u] == sets2[v]:
-            events.append(BadEvent("B2_pair", (u, v)))
-    return events
+class _PatchCheck:
+    """The patch stage's bad events, with the per-graph work done once.
+
+    A2_overload can only fire at the heavy non-light vertices and B2_pair
+    only at light-light edges, so both are listed up front.
+    """
+
+    def __init__(self, g: Graph, phi: TotalColoring, bulk_edges: frozenset[Edge],
+                 light: frozenset[int], alpha: Fraction, B: int):
+        self.bulk_edges, self.B = bulk_edges, B
+        threshold = alpha * g.max_degree
+        self.heavy = [v for v in range(g.n)
+                      if v not in light and g.degree(v) > threshold]
+        self.light_pairs = [(u, v) for u, v in g.edges if u in light and v in light]
+        self.sets = _RestrictedSets(g, phi)
+
+    def events(self, patch: EdgeSelection) -> list[BadEvent]:
+        events = [BadEvent("A2_overload", (v,)) for v in self.heavy
+                  if patch.per_vertex_count[v] >= self.B]
+        restricted = self.sets.under(self.bulk_edges | patch.edges)
+        events.extend(BadEvent("B2_pair", (u, v)) for u, v in self.light_pairs
+                      if restricted(u) == restricted(v))
+        return events
 
 
 def patch_violations(g: Graph, phi: TotalColoring, bulk: EdgeSelection,
@@ -388,8 +459,7 @@ def patch_violations(g: Graph, phi: TotalColoring, bulk: EdgeSelection,
     for u in sorted(light):
         if patch.per_vertex_count[u] != params.B:
             raise ValueError(f"light vertex {u} must hold exactly B={params.B} patch edges")
-    return _patch_violations(g, phi, bulk.edges, patch, light,
-                             params.alpha, params.B)
+    return _PatchCheck(g, phi, bulk.edges, light, params.alpha, params.B).events(patch)
 
 
 def find_patch_deletion(g: Graph, phi: TotalColoring, bulk: EdgeSelection,
@@ -424,6 +494,7 @@ def find_patch_deletion(g: Graph, phi: TotalColoring, bulk: EdgeSelection,
         return tuple(pool[i] for i in sorted(idx))
 
     draws = {u: draw(u) for u in order}
+    check = _PatchCheck(g, phi, bulk.edges, light, params.alpha, params.B)
     all_forced = all(len(avail[u]) == params.B for u in order)
     best: tuple[int, EdgeSelection, tuple[BadEvent, ...]] | None = None
     rounds = 0
@@ -431,8 +502,7 @@ def find_patch_deletion(g: Graph, phi: TotalColoring, bulk: EdgeSelection,
     while True:
         selection = EdgeSelection.from_edges(
             g.n, [e for u in order for e in draws[u]])
-        violations = _patch_violations(g, phi, bulk.edges, selection, light,
-                                       params.alpha, params.B)
+        violations = check.events(selection)
         rounds += 1
         if not violations:
             return SelectionResult(selection, True, rounds, ())

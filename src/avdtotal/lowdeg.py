@@ -32,7 +32,9 @@ def _forbidden(g: Graph, vertex_colors: list[int], phi: TotalColoring,
             extra = cw - edge_cols
             if len(extra) == 1:
                 out.update(extra)
-    assert len(out) <= 2 * g.degree(u)
+    if len(out) > 2 * g.degree(u):
+        raise RuntimeError(
+            f"vertex {u} has {len(out)} forbidden colours, above 2*deg = {2 * g.degree(u)}")
     return out
 
 
@@ -82,13 +84,15 @@ def distinguish_low_degree(g: Graph, phi: TotalColoring) -> TotalColoring:
         c = 1
         while c in bad:
             c += 1
-        assert c <= phi.k and c not in bad
+        if c > phi.k:
+            raise RuntimeError(f"no colour within k={phi.k} is free at vertex {target}")
         vcols[target] = c
         sets[target] = frozenset({c} | {
             phi.edge_colors[normalize_edge(target, w)] for w in g.adjacency[target]})
         steps += 1
         changed = True
-        assert steps <= len(low)
+        if steps > len(low):
+            raise RuntimeError("low-degree recolouring exceeded one step per low vertex")
 
     if not changed:
         return phi

@@ -46,52 +46,39 @@ def greedy_total(g: Graph, order: list[Element] | None = None) -> TotalColoring:
 
     Uses at most 2*max_degree + 1 colours. Not adjacent-vertex-
     distinguishing in general; it seeds the recolouring pipeline.
+
+    Colours live in a flat vertex list (0 = not yet coloured) and, per
+    vertex, a bitmask of the colours on its coloured edges. Bit 0 is set in
+    every mask, so an uncoloured vertex forbids nothing new and the lowest
+    clear bit of a forbidden mask is the first-fit colour, at least 1.
     """
     if order is None:
         order = default_order(g)
     else:
         _validate_order(g, order)
-    vcol: dict[int, int] = {}
+    adjacency = g.adjacency
+    vcol = [0] * g.n
+    emask = [1] * g.n
     ecol: dict[Edge, int] = {}
-
-    def forbidden(item: Element) -> set[int]:
-        if isinstance(item, int):
-            out = set()
-            for w in g.adjacency[item]:
-                if w in vcol:
-                    out.add(vcol[w])
-                e = normalize_edge(item, w)
-                if e in ecol:
-                    out.add(ecol[e])
-            return out
-        u, v = item
-        out = set()
-        for x in (u, v):
-            if x in vcol:
-                out.add(vcol[x])
-            for w in g.adjacency[x]:
-                e = normalize_edge(x, w)
-                if e in ecol:
-                    out.add(ecol[e])
-        return out
-
     for item in order:
-        bad = forbidden(item)
-        c = 1
-        while c in bad:
-            c += 1
         if isinstance(item, int):
-            vcol[item] = c
+            bad = emask[item]
+            for w in adjacency[item]:
+                bad |= 1 << vcol[w]
+            vcol[item] = (~bad & (bad + 1)).bit_length() - 1
         else:
-            ecol[normalize_edge(*item)] = c
+            u, v = item
+            bad = emask[u] | emask[v] | 1 << vcol[u] | 1 << vcol[v]
+            c = (~bad & (bad + 1)).bit_length() - 1
+            emask[u] |= 1 << c
+            emask[v] |= 1 << c
+            ecol[normalize_edge(u, v)] = c
 
-    used = max(list(vcol.values()) + list(ecol.values()), default=1)
-    assert used <= 2 * g.max_degree + 1
-    return TotalColoring(
-        vertex_colors=tuple(vcol[v] for v in range(g.n)),
-        edge_colors=ecol,
-        k=used,
-    )
+    used = max(max(vcol, default=1), max(ecol.values(), default=1))
+    if used > 2 * g.max_degree + 1:
+        raise RuntimeError(
+            f"greedy seeding used {used} colours, above 2*max_degree + 1")
+    return TotalColoring(vertex_colors=tuple(vcol), edge_colors=ecol, k=used)
 
 
 def import_total(g: Graph, doc_phi: TotalColoring) -> tuple[TotalColoring, dict[str, bool]]:

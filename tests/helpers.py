@@ -145,3 +145,69 @@ def enumerate_total_colorings(g: Graph, k: int):
         assignment[i] = 0
 
     yield from rec(0)
+
+
+def reference_greedy_total(g: Graph, order) -> TotalColoring:
+    """First fit along ``order``, rebuilding each forbidden set from scratch.
+
+    Vertices are ints and edges are endpoint pairs in either orientation.
+    Every element's forbidden set is every coloured element it clashes with,
+    found by scanning everything coloured so far.
+    """
+    colored: dict = {}
+    for item in order:
+        key = item if isinstance(item, int) else tuple(sorted(item))
+        banned = {c for other, c in colored.items() if elements_clash(g, key, other)}
+        c = 1
+        while c in banned:
+            c += 1
+        colored[key] = c
+    vertex_colors = tuple(colored[v] for v in range(g.n))
+    edge_colors = {e: colored[e] for e in g.edges}
+    k = max(colored.values(), default=1)
+    return TotalColoring(vertex_colors, edge_colors, k)
+
+
+def _restricted_set(g: Graph, phi: TotalColoring, deleted, v: int) -> frozenset[int]:
+    return frozenset({phi.vertex_colors[v]}
+                     | {phi.edge_colors[e] for e in g.incident_edges(v)
+                        if e not in deleted})
+
+
+def reference_bulk_events(g: Graph, phi: TotalColoring, selected, m: int,
+                          d: int, eps: Fraction) -> list[tuple]:
+    """Bulk-stage bad events, recounting every set and degree per query."""
+    high = {v for v in range(g.n) if 2 * g.degree(v) > g.max_degree}
+
+    def degsel(v):
+        return sum(1 for e in g.incident_edges(v) if e in selected)
+
+    events = []
+    for u, v in g.edges:
+        if (u in high and v in high and g.degree(u) == g.degree(v)
+                and (degsel(u) >= m or degsel(v) >= m)
+                and len(_restricted_set(g, phi, selected, u)
+                        ^ _restricted_set(g, phi, selected, v)) < d):
+            events.append(("A_pair", (u, v)))
+    for v in sorted(high):
+        count = sum(1 for u in g.neighbors(v) if degsel(u) < m)
+        if Fraction(count) > eps * g.max_degree:
+            events.append(("B_vertex", (v,)))
+    return events
+
+
+def reference_patch_events(g: Graph, phi: TotalColoring, bulk_edges, patch_edges,
+                           light, alpha: Fraction, B: int) -> list[tuple]:
+    """Patch-stage bad events, recounting every set and degree per query."""
+    deleted = set(bulk_edges) | set(patch_edges)
+    events = []
+    for v in range(g.n):
+        held = sum(1 for e in g.incident_edges(v) if e in patch_edges)
+        if v not in light and Fraction(g.degree(v)) > alpha * g.max_degree \
+                and held >= B:
+            events.append(("A2_overload", (v,)))
+    for u, v in g.edges:
+        if u in light and v in light and \
+                _restricted_set(g, phi, deleted, u) == _restricted_set(g, phi, deleted, v):
+            events.append(("B2_pair", (u, v)))
+    return events

@@ -235,6 +235,52 @@ class TestDocuments:
         with pytest.raises(DocumentError):
             from_document(doc)
 
+    @pytest.mark.parametrize("field, value", [
+        ("n", True), ("n", 3.0), ("n", "3"),
+        ("k", True), ("k", 3.0), ("k", 4.5),
+    ])
+    def test_non_integer_scalar_rejected(self, field, value):
+        g, phi = p3_coloring()
+        doc = to_document(g, phi)
+        doc[field] = value
+        with pytest.raises(DocumentError):
+            from_document(doc)
+
+    @pytest.mark.parametrize("value", [True, 1.0, 2.5, None, "1"])
+    def test_non_integer_vertex_color_rejected(self, value):
+        g, phi = p3_coloring()
+        doc = to_document(g, phi)
+        doc["vertex_colors"][0] = value
+        with pytest.raises(DocumentError):
+            from_document(doc)
+
+    @pytest.mark.parametrize("key, value", [
+        ("c", 3.9), ("c", True), ("c", 2.0), ("u", True), ("u", 0.0),
+        ("v", 1.5), ("v", "1"),
+    ])
+    def test_non_integer_edge_record_rejected(self, key, value):
+        g, phi = p3_coloring()
+        doc = to_document(g, phi)
+        doc["edge_colors"][0][key] = value
+        with pytest.raises(DocumentError):
+            from_document(doc)
+
+    @pytest.mark.parametrize("edge", [[0, True], [0.0, 1], [0], [0, 1, 2], "01"])
+    def test_non_integer_edge_rejected(self, edge):
+        g, phi = p3_coloring()
+        doc = to_document(g, phi)
+        doc["edges"][0] = edge
+        with pytest.raises(DocumentError):
+            from_document(doc)
+
+    @pytest.mark.parametrize("field", ["edges", "vertex_colors", "edge_colors"])
+    def test_non_list_field_rejected(self, field):
+        g, phi = p3_coloring()
+        doc = to_document(g, phi)
+        doc[field] = 7
+        with pytest.raises(DocumentError):
+            from_document(doc)
+
     def test_out_of_palette_rejected(self):
         g, phi = p3_coloring()
         doc = to_document(g, phi)

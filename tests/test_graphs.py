@@ -1,5 +1,6 @@
 """Graph container, formats, generators, and the degree split."""
 
+import hashlib
 import itertools
 
 import pytest
@@ -213,6 +214,29 @@ class TestGenerators:
     def test_gnp_seed_sensitivity(self):
         draws = {random_gnp(20, 0.4, s).edges for s in range(5)}
         assert len(draws) > 1
+
+    # SHA-256 of "n\n" followed by one "u v\n" line per edge, recorded from
+    # the generator that listed every vertex pair up front. Sizes above 1449
+    # span more than one draw chunk.
+    GNP_DIGESTS = {
+        (0, 0.5, 0): "9a271f2a916b0b6ee6cecb2426f0b3206ef074578be55d9bc94f6f3fe3ab86aa",
+        (1, 0.5, 0): "4355a46b19d348dc2f57c046f8ef63d4538ebb936000f3c9ee954a27460dd865",
+        (2, 0.5, 0): "1e7a4f32fb9185df1c6fd771a5cf931f03681ea1d0ee5e4efb66e78a58277eeb",
+        (2, 1.0, 1): "1e7a4f32fb9185df1c6fd771a5cf931f03681ea1d0ee5e4efb66e78a58277eeb",
+        (12, 0.35, 0): "8d01cf3540a6b41f82aa9c33e4cb1f3c6bf774f9d267be9b5025967b58c49115",
+        (12, 0.35, 7): "a4e1f261a7643f61c585a672462be679f2ed687e227c7f3c3afa8c8d3b358754",
+        (20, 0.0, 3): "5378796307535df3ec8d8b15a2e2dc5641419c3d3060cfe32238c0fa973f7aa3",
+        (20, 1.0, 3): "3bc8941d14acb6b88718558dd45a9645a137cd3f1dd1d7e354f4fb7fac1c442e",
+        (60, 0.5, 1): "cbb89613352d01b23f48131e2cec259e824f42ba7023d09586596c1eed5e05ac",
+        (300, 0.5, 0): "82a9a056b0f9b402884035ba4f76f3a5602d6b6a201dcf2c797d98ed664ed35b",
+        (2000, 0.004, 3): "7f598e06ffa450954816311fcbac8cab6a4b66281f22c44962a6ace696132d2b",
+    }
+
+    @pytest.mark.parametrize("n, p, seed", sorted(GNP_DIGESTS))
+    def test_gnp_edges_pinned(self, n, p, seed):
+        g = random_gnp(n, p, seed)
+        text = f"{g.n}\n" + "".join(f"{u} {v}\n" for u, v in g.edges)
+        assert hashlib.sha256(text.encode()).hexdigest() == self.GNP_DIGESTS[(n, p, seed)]
 
     def test_regular_degrees(self):
         g = random_regular(10, 3, 2)

@@ -15,6 +15,8 @@ from avdtotal import (BadEvent, EdgeSelection, Graph, InfeasibleSelectionError,
                       light_vertices, patch_violations, random_gnp,
                       sample_candidates, sample_patch, star_graph, substream)
 
+from helpers import reference_bulk_events, reference_patch_events
+
 BULK_STREAM = "bulk-deletion"
 PATCH_STREAM = "patch-deletion"
 
@@ -42,54 +44,6 @@ def k5_fixture():
         tuple((2 * v) % 5 + 1 for v in range(5)),
         {(i, j): (i + j) % 5 + 1 for i in range(5) for j in range(i + 1, 5)}, 5)
     return g, phi
-
-
-def naive_bulk_events(g, phi, selection, m, d, eps):
-    """Independent event check: recompute everything per query."""
-    high = {v for v in range(g.n) if 2 * g.degree(v) > g.max_degree}
-
-    def rset(v):
-        s = {phi.vertex_colors[v]}
-        for e in g.incident_edges(v):
-            if e not in selection.edges:
-                s.add(phi.edge_colors[e])
-        return frozenset(s)
-
-    def degsel(v):
-        return sum(1 for e in g.incident_edges(v) if e in selection.edges)
-
-    events = []
-    for u, v in g.edges:
-        if (u in high and v in high and g.degree(u) == g.degree(v)
-                and (degsel(u) >= m or degsel(v) >= m)
-                and len(rset(u) ^ rset(v)) < d):
-            events.append(("A_pair", (u, v)))
-    for v in sorted(high):
-        count = sum(1 for u in g.neighbors(v) if degsel(u) < m)
-        if Fraction(count) > eps * g.max_degree:
-            events.append(("B_vertex", (v,)))
-    return events
-
-
-def naive_patch_events(g, phi, bulk, patch, light, alpha, B):
-    deleted = bulk.edges | patch.edges
-
-    def rset(v):
-        s = {phi.vertex_colors[v]}
-        for e in g.incident_edges(v):
-            if e not in deleted:
-                s.add(phi.edge_colors[e])
-        return frozenset(s)
-
-    events = []
-    for v in range(g.n):
-        if v not in light and Fraction(g.degree(v)) > alpha * g.max_degree \
-                and patch.per_vertex_count[v] >= B:
-            events.append(("A2_overload", (v,)))
-    for u, v in g.edges:
-        if u in light and v in light and rset(u) == rset(v):
-            events.append(("B2_pair", (u, v)))
-    return events
 
 
 class TestPipelineParams:
@@ -301,7 +255,7 @@ class TestBulkViolations:
         mask = rng.random(len(cands)) < 0.5
         sel = EdgeSelection.from_edges(g.n, [e for e, k in zip(cands, mask) if k])
         got = [(e.kind, e.witness) for e in bulk_violations(g, phi, sel, params)]
-        assert got == naive_bulk_events(g, phi, sel, 6, 2, Fraction(2, 5))
+        assert got == reference_bulk_events(g, phi, sel.edges, 6, 2, Fraction(2, 5))
 
 
 class TestFindBulkDeletion:
@@ -469,8 +423,8 @@ class TestPatchViolations:
         params = PipelineParams(m=5, d=1)
         got = [(e.kind, e.witness)
                for e in patch_violations(g, phi, empty, patch, light, params)]
-        assert got == naive_patch_events(g, phi, empty, patch, light,
-                                         params.alpha, 2)
+        assert got == reference_patch_events(g, phi, empty.edges, patch.edges,
+                                             light, params.alpha, 2)
 
 
 class TestFindPatchDeletion:
@@ -535,6 +489,102 @@ class TestFindPatchDeletion:
         a = find_patch_deletion(g, phi, empty, frozenset({0, 1}), params)
         b = find_patch_deletion(g, phi, empty, frozenset({0, 1}), params)
         assert a == b
+
+
+def dense_graph(n, seed):
+    """K_n at even seeds, G(n, 0.8) at odd ones: dense, nearly all high."""
+    return complete_graph(n) if seed % 2 == 0 else random_gnp(n, 0.8, seed)
+
+
+# (m, d) pairs with m >= d + 4; small m lets dense selections reach it
+CHECK_SHAPES = [(5, 1), (6, 2), (8, 4)]
+
+
+class TestChecksAgainstReference:
+    """The stages' own checks against full recomputation on random inputs."""
+
+    @given(st.integers(5, 12), st.integers(0, 99), st.integers(0, 99),
+           st.sampled_from(CHECK_SHAPES), st.sampled_from([0.5, 0.8, 0.95]))
+    @settings(max_examples=80, deadline=None)
+    def test_bulk_check_on_dense_selections(self, n, seed, subset_seed, shape, q):
+        g = dense_graph(n, seed)
+        phi = greedy_total(g)
+        m, d = shape
+        params = PipelineParams(m=m, d=d, eps=Fraction(1, 3), lam=5.0, M=10_000)
+        cands = candidate_edges(g)
+        rng = np.random.Generator(np.random.Philox(subset_seed))
+        sel = EdgeSelection.from_edges(
+            g.n, [e for e, keep in zip(cands, rng.random(len(cands)) < q) if keep])
+        got = [(e.kind, e.witness) for e in bulk_violations(g, phi, sel, params)]
+        assert got == reference_bulk_events(g, phi, sel.edges, m, d, params.eps)
+
+    def test_bulk_check_fires_at_every_edge_of_a_full_selection(self):
+        # every vertex of K_9 is high, and selecting all edges gives each
+        # vertex 8 >= m selected edges; the restricted sets shrink to the
+        # two vertex colours, which differ in 2 < d places, so A_pair fires
+        # at every edge
+        g = complete_graph(9)
+        phi = greedy_total(g)
+        sel = EdgeSelection.from_edges(9, g.edges)
+        params = PipelineParams(m=8, d=4, lam=5.0, M=10_000)
+        got = [(e.kind, e.witness) for e in bulk_violations(g, phi, sel, params)]
+        expected = reference_bulk_events(g, phi, sel.edges, 8, 4, params.eps)
+        assert got == expected
+        assert [w for kind, w in expected if kind == "A_pair"] == list(g.edges)
+
+    @given(st.integers(5, 12), st.integers(0, 99), st.sampled_from(CHECK_SHAPES),
+           st.sampled_from([3.0, 5.0, 8.0]))
+    @settings(max_examples=40, deadline=None)
+    def test_bulk_search_reports_what_reference_sees(self, n, seed, shape, lam):
+        g = dense_graph(n, seed)
+        phi = greedy_total(g)
+        m, d = shape
+        params = PipelineParams(m=m, d=d, lam=lam, seed=seed, stall_rounds=6)
+        res = find_bulk_deletion(g, phi, params)
+        sel = res.selection
+        assert sel == EdgeSelection.from_edges(g.n, sel.edges)
+        expected = reference_bulk_events(g, phi, sel.edges, m, d, params.eps)
+        assert [(e.kind, e.witness) for e in res.violations] == expected
+        assert res.success == (not expected)
+
+    @given(st.integers(6, 12), st.integers(0, 99), st.integers(0, 99),
+           st.integers(0, 99), st.sampled_from([0.0, 0.3]))
+    @settings(max_examples=60, deadline=None)
+    def test_patch_check_on_dense_selections(self, n, seed, light_seed, draw_seed, q):
+        g = dense_graph(n, seed)
+        phi = greedy_total(g)
+        cands = candidate_edges(g)
+        rng = np.random.Generator(np.random.Philox(light_seed))
+        bulk = EdgeSelection.from_edges(
+            g.n, [e for e, keep in zip(cands, rng.random(len(cands)) < q) if keep])
+        high = sorted(degree_split(g).high)
+        light = frozenset(v for v in high if rng.random() < 0.4)
+        from avdtotal.highdeg import _available_edges
+        avail = _available_edges(g, bulk.edges, light)
+        assume(light and all(len(avail[u]) >= 2 for u in light))
+        patch = sample_patch(g, bulk, light, 2, substream(draw_seed, PATCH_STREAM))
+        params = PipelineParams(m=5, d=1)
+        got = [(e.kind, e.witness)
+               for e in patch_violations(g, phi, bulk, patch, light, params)]
+        assert got == reference_patch_events(g, phi, bulk.edges, patch.edges,
+                                             light, params.alpha, 2)
+
+    @given(st.integers(6, 12), st.integers(0, 99), st.integers(0, 99))
+    @settings(max_examples=40, deadline=None)
+    def test_patch_search_reports_what_reference_sees(self, n, seed, light_seed):
+        g = dense_graph(n, seed)
+        phi = greedy_total(g)
+        empty = EdgeSelection.from_edges(g.n, [])
+        rng = np.random.Generator(np.random.Philox(light_seed))
+        light = frozenset(v for v in sorted(degree_split(g).high) if rng.random() < 0.3)
+        assume(light)
+        params = PipelineParams(m=5, d=1, seed=seed, stall_rounds=4, max_rounds=30)
+        res = find_patch_deletion(g, phi, empty, light, params)
+        assume(res.infeasible_vertex is None)
+        expected = reference_patch_events(g, phi, frozenset(), res.selection.edges,
+                                          light, params.alpha, params.B)
+        assert [(e.kind, e.witness) for e in res.violations] == expected
+        assert res.success == (not expected)
 
 
 class TestStreamSeparation:
