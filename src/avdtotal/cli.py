@@ -22,8 +22,8 @@ import numpy as np
 
 from . import bounds as bounds_mod
 from .bounds import DomainError, derive_constants
-from .coloring import (DocumentError, avd_violations, from_document,
-                       properness_violations, to_document)
+from .coloring import (DocumentError, TotalColoring, avd_violations,
+                       from_document, properness_violations, to_document)
 from .exact import (CapacityError, check_conjecture, chi_at_exact,
                     chi_prime_exact, chi_total_exact)
 from .graphs import DimacsError, Graph, Graph6Error, parse_dimacs, parse_graph6
@@ -82,6 +82,15 @@ def _load_document(path: str | None):
     return from_document(doc)
 
 
+def _require_proper(g: Graph, phi: TotalColoring) -> TotalColoring:
+    """Reject an improper colouring document before a phase that trusts it."""
+    violations = properness_violations(g, phi)
+    if violations:
+        raise DocumentError(f"colouring document is not proper: "
+                            f"{violations[0].kind} at {violations[0].witness}")
+    return phi
+
+
 def _seed_value(args) -> int:
     return args.seed if args.seed is not None else 0
 
@@ -120,13 +129,8 @@ def _violations_json(violations) -> list[dict]:
 
 def cmd_color(args) -> int:
     g = _load_graph(args)
-    phi = None
-    if args.seed_coloring:
-        g_doc, phi = _load_document(args.seed_coloring)
-        if g_doc != g:
-            raise DocumentError("seed colouring document does not match the input graph")
-    params = _params_from(args)
-    colored, report = run_pipeline(g, phi, params)
+    phi = _seed_document(args, g)  # run_pipeline checks it is proper
+    colored, report = run_pipeline(g, phi, _params_from(args))
     doc = to_document(g, colored)
     doc["report"] = report.to_json(include_timings=False)
     if args.json:
@@ -164,7 +168,7 @@ def cmd_verify(args) -> int:
 
 def cmd_distinguish_low(args) -> int:
     g, phi = _load_document(args.infile)
-    result = distinguish_low_degree(g, phi)
+    result = distinguish_low_degree(g, _require_proper(g, phi))
     doc = to_document(g, result)
     if args.json:
         _emit(doc)
@@ -176,13 +180,20 @@ def cmd_distinguish_low(args) -> int:
     return 0
 
 
-def _seed_or_greedy(args, g: Graph):
-    if getattr(args, "seed_coloring", None):
-        g_doc, phi = _load_document(args.seed_coloring)
-        if g_doc != g:
-            raise DocumentError("seed colouring document does not match the input graph")
-        return phi
-    return greedy_total(g)
+def _seed_document(args, g: Graph) -> TotalColoring | None:
+    """The colouring in --seed-coloring, or None without that option."""
+    if not args.seed_coloring:
+        return None
+    g_doc, phi = _load_document(args.seed_coloring)
+    if g_doc != g:
+        raise DocumentError("seed colouring document does not match the input graph")
+    return phi
+
+
+def _seed_or_greedy(args, g: Graph) -> TotalColoring:
+    """A proper starting colouring: the checked seed document's, else greedy."""
+    phi = _seed_document(args, g)
+    return greedy_total(g) if phi is None else _require_proper(g, phi)
 
 
 def cmd_select_e1(args) -> int:

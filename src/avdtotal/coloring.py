@@ -10,6 +10,7 @@ adjacent vertices has distinct colour sets.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .graphs import Edge, Graph, normalize_edge
@@ -73,24 +74,35 @@ def check_total(g: Graph, phi: TotalColoring) -> None:
             raise ValueError(f"edge colour {c} outside palette 1..{phi.k}")
 
 
+def _colors_at(g: Graph, phi: TotalColoring, v: int) -> frozenset[int]:
+    return frozenset([phi.vertex_colors[v]]
+                     + [phi.edge_colors[normalize_edge(v, w)] for w in g.adjacency[v]])
+
+
 def color_set(g: Graph, phi: TotalColoring, v: int) -> ColorSet:
     """Colour set of one vertex; isolated vertices see only their own colour."""
     if not 0 <= v < g.n:
         raise ValueError(f"vertex {v} out of range")
-    cols = {phi.vertex_colors[v]}
-    for w in g.adjacency[v]:
-        cols.add(phi.edge_colors[normalize_edge(v, w)])
-    return ColorSet(owner=v, colors=frozenset(cols))
+    return ColorSet(owner=v, colors=_colors_at(g, phi, v))
 
 
 def color_sets(g: Graph, phi: TotalColoring) -> list[frozenset[int]]:
     """All colour sets at once; index by vertex."""
-    out = []
+    return [_colors_at(g, phi, v) for v in range(g.n)]
+
+
+def edge_clashes(g: Graph, edge_colors: dict[Edge, int]) -> list[tuple[Edge, Edge]]:
+    """Pairs of same-coloured edges sharing an endpoint, grouped by vertex."""
+    out: list[tuple[Edge, Edge]] = []
     for v in range(g.n):
-        cols = {phi.vertex_colors[v]}
+        by_color: dict[int, list[Edge]] = {}
         for w in g.adjacency[v]:
-            cols.add(phi.edge_colors[normalize_edge(v, w)])
-        out.append(frozenset(cols))
+            e = normalize_edge(v, w)
+            by_color.setdefault(edge_colors[e], []).append(e)
+        for group in by_color.values():
+            # adjacent edges share exactly one endpoint, so each clashing
+            # pair is reported at a single vertex
+            out.extend(itertools.combinations(group, 2))
     return out
 
 
@@ -107,17 +119,8 @@ def properness_violations(g: Graph, phi: TotalColoring) -> list[Violation]:
             out.append(Violation("vertex-edge", (u, (u, v))))
         if cv == ce:
             out.append(Violation("vertex-edge", (v, (u, v))))
-    for v in range(g.n):
-        by_color: dict[int, list[Edge]] = {}
-        for w in g.adjacency[v]:
-            e = normalize_edge(v, w)
-            by_color.setdefault(phi.edge_colors[e], []).append(e)
-        for group in by_color.values():
-            # adjacent edges share exactly one endpoint, so each clashing
-            # pair is reported at a single vertex
-            for i in range(len(group)):
-                for j in range(i + 1, len(group)):
-                    out.append(Violation("edge-edge", (group[i], group[j])))
+    out.extend(Violation("edge-edge", pair)
+               for pair in edge_clashes(g, phi.edge_colors))
     return out
 
 
@@ -126,9 +129,8 @@ def is_proper(g: Graph, phi: TotalColoring) -> bool:
 
 
 def avd_violations(g: Graph, phi: TotalColoring) -> list[Violation]:
-    """Adjacent pairs with identical colour sets; input must be proper."""
-    if properness_violations(g, phi):
-        raise ValueError("distinguishability is only defined for proper colourings")
+    """Adjacent pairs with identical colour sets; properness is not checked."""
+    check_total(g, phi)
     sets = color_sets(g, phi)
     return [Violation("undistinguished-pair", (u, v))
             for u, v in g.edges if sets[u] == sets[v]]
@@ -145,8 +147,7 @@ def palette_size(phi: TotalColoring) -> int:
 def verdict(g: Graph, phi: TotalColoring) -> dict[str, bool]:
     """Recomputed {proper, avd} flags; avd is False whenever properness fails."""
     proper = is_proper(g, phi)
-    avd = proper and not avd_violations(g, phi)
-    return {"proper": proper, "avd": avd}
+    return {"proper": proper, "avd": proper and not avd_violations(g, phi)}
 
 
 def to_document(g: Graph, phi: TotalColoring) -> dict:

@@ -24,7 +24,7 @@ from typing import Callable, Container
 import numpy as np
 
 from .bounds import derive_constants
-from .coloring import TotalColoring, properness_violations
+from .coloring import TotalColoring
 from .graphs import Edge, Graph, degree_split, normalize_edge
 from .rng import substream
 
@@ -277,11 +277,10 @@ def bulk_violations(g: Graph, phi: TotalColoring, selection: EdgeSelection,
     A_pair: adjacent equal-degree high vertices, at least one holding m or
     more selected edges, whose restricted colour sets differ in fewer than d
     elements. B_vertex: a high vertex more than eps*max_degree of whose
-    neighbours hold fewer than m selected edges.
+    neighbours hold fewer than m selected edges. phi must be a proper total
+    colouring of g.
     """
     params = params or PipelineParams()
-    if properness_violations(g, phi):
-        raise ValueError("colouring must be proper")
     resolved = params.resolve(g)
     high = degree_split(g).high
     for u, v in selection.edges:
@@ -300,11 +299,10 @@ def find_bulk_deletion(g: Graph, phi: TotalColoring,
 
     Each round rechecks; a violated round resamples only the candidate-edge
     indicators within distance one of the witnesses. On failure the best
-    selection seen (fewest events) is returned.
+    selection seen (fewest events) is returned. phi must be a proper total
+    colouring of g.
     """
     params = params or PipelineParams()
-    if properness_violations(g, phi):
-        raise ValueError("colouring must be proper")
     resolved = params.resolve(g)
     high = degree_split(g).high
     cands = candidate_edges(g)
@@ -446,11 +444,10 @@ def patch_violations(g: Graph, phi: TotalColoring, bulk: EdgeSelection,
     light vertices whose colour sets coincide once both stages' edges stop
     contributing. The selection must have the constructed shape: disjoint
     from the bulk set, exactly B edges per light vertex, every patch edge
-    joining a light vertex to a non-light one.
+    joining a light vertex to a non-light one. phi must be a proper total
+    colouring of g.
     """
     params = params or PipelineParams()
-    if properness_violations(g, phi):
-        raise ValueError("colouring must be proper")
     if patch.edges & bulk.edges:
         raise ValueError("patch edges must avoid the bulk selection")
     for u, v in patch.edges:
@@ -470,11 +467,10 @@ def find_patch_deletion(g: Graph, phi: TotalColoring, bulk: EdgeSelection,
     Structural infeasibility (a light vertex with fewer than B available
     edges) is detected up front and reported in the result. A violated round
     redraws the B-subsets of light vertices in the witnesses' closed
-    neighbourhoods, in witness order.
+    neighbourhoods, in witness order. phi must be a proper total colouring
+    of g.
     """
     params = params or PipelineParams()
-    if properness_violations(g, phi):
-        raise ValueError("colouring must be proper")
     threshold = params.alpha * g.max_degree
     for u in sorted(light):
         if not g.degree(u) > threshold:

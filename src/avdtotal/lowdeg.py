@@ -9,27 +9,27 @@ permanently: later steps only apply the same argument at other vertices.
 
 from __future__ import annotations
 
-from .coloring import TotalColoring, properness_violations
-from .graphs import Graph, degree_split, normalize_edge
+from .coloring import TotalColoring, color_sets
+from .graphs import Graph, degree_split
 
 
-def _forbidden(g: Graph, vertex_colors: list[int], phi: TotalColoring,
-               u: int, neighbour_sets: list[frozenset[int]] | None = None) -> set[int]:
+def _forbidden(g: Graph, vertex_colors: list[int], sets: list[frozenset[int]],
+               u: int) -> set[int]:
     """Colours u must avoid: neighbour vertex colours, incident edge colours,
-    and any colour whose adoption would replicate a neighbour's colour set."""
-    edge_cols = {phi.edge_colors[normalize_edge(u, w)] for w in g.adjacency[u]}
+    and any colour whose adoption would replicate a neighbour's colour set.
+
+    sets holds every vertex's current colour set; in a proper colouring u's
+    own colour is on none of its edges, so removing it leaves the edge
+    colours at u.
+    """
+    edge_cols = sets[u] - {vertex_colors[u]}
     out = set(edge_cols)
     for w in g.adjacency[u]:
         out.add(vertex_colors[w])
-        if neighbour_sets is not None:
-            cw = neighbour_sets[w]
-        else:
-            cw = frozenset({vertex_colors[w]} | {
-                phi.edge_colors[normalize_edge(w, x)] for x in g.adjacency[w]})
         # u taking colour i yields colour set {i} | edge_cols; avoid any i
-        # with cw == {i} | edge_cols
-        if edge_cols <= cw:
-            extra = cw - edge_cols
+        # with sets[w] == {i} | edge_cols
+        if edge_cols <= sets[w]:
+            extra = sets[w] - edge_cols
             if len(extra) == 1:
                 out.update(extra)
     if len(out) > 2 * g.degree(u):
@@ -39,60 +39,45 @@ def _forbidden(g: Graph, vertex_colors: list[int], phi: TotalColoring,
 
 
 def forbidden_colors(g: Graph, phi: TotalColoring, u: int) -> set[int]:
-    """Forbidden replacement vertex colours for the low-degree vertex u."""
+    """Forbidden replacement vertex colours for the low-degree vertex u.
+
+    phi must be a proper total colouring of g.
+    """
     split = degree_split(g)
     if u not in split.low:
         raise ValueError(f"vertex {u} is not low-degree (2*deg > max_degree)")
     if phi.k <= g.max_degree:
         raise ValueError(f"palette k={phi.k} must exceed max_degree={g.max_degree}")
-    if properness_violations(g, phi):
-        raise ValueError("colouring must be proper")
-    return _forbidden(g, list(phi.vertex_colors), phi, u)
+    return _forbidden(g, list(phi.vertex_colors), color_sets(g, phi), u)
 
 
 def distinguish_low_degree(g: Graph, phi: TotalColoring) -> TotalColoring:
     """Recolour low-degree vertices until each differs from all neighbours.
 
-    Edge colours and high-degree vertex colours are never touched; the
-    palette budget k stays fixed. Scans low vertices in ascending order and
-    gives the first undistinguished one the smallest allowed colour;
-    terminates within one recolouring per low vertex.
+    phi must be a proper total colouring of g. Edge colours and high-degree
+    vertex colours are never touched; the palette budget k stays fixed. One
+    ascending pass over the low vertices gives each undistinguished one the
+    smallest allowed colour. No recolouring can undo an earlier one, because
+    the forbidden set excludes every colour that would copy a neighbour's
+    colour set; so each low vertex is recoloured at most once.
     """
     if phi.k <= g.max_degree:
         raise ValueError(f"palette k={phi.k} must exceed max_degree={g.max_degree}")
-    if properness_violations(g, phi):
-        raise ValueError("colouring must be proper")
-    split = degree_split(g)
-    low = sorted(split.low)
     vcols = list(phi.vertex_colors)
-    sets: list[frozenset[int]] = []
-    for v in range(g.n):
-        sets.append(frozenset({vcols[v]} | {
-            phi.edge_colors[normalize_edge(v, w)] for w in g.adjacency[v]}))
-
-    steps = 0
+    sets = color_sets(g, phi)
     changed = False
-    while True:
-        target = -1
-        for u in low:
-            if any(sets[u] == sets[w] for w in g.adjacency[u]):
-                target = u
-                break
-        if target < 0:
-            break
-        bad = _forbidden(g, vcols, phi, target, sets)
+    for u in sorted(degree_split(g).low):
+        if all(sets[u] != sets[w] for w in g.adjacency[u]):
+            continue
+        bad = _forbidden(g, vcols, sets, u)
         c = 1
         while c in bad:
             c += 1
         if c > phi.k:
-            raise RuntimeError(f"no colour within k={phi.k} is free at vertex {target}")
-        vcols[target] = c
-        sets[target] = frozenset({c} | {
-            phi.edge_colors[normalize_edge(target, w)] for w in g.adjacency[target]})
-        steps += 1
+            raise RuntimeError(f"no colour within k={phi.k} is free at vertex {u}")
+        sets[u] = (sets[u] - {vcols[u]}) | {c}
+        vcols[u] = c
         changed = True
-        if steps > len(low):
-            raise RuntimeError("low-degree recolouring exceeded one step per low vertex")
 
     if not changed:
         return phi

@@ -14,7 +14,7 @@ import time
 from dataclasses import dataclass
 
 from .coloring import (TotalColoring, avd_violations, check_total,
-                       properness_violations, verdict)
+                       properness_violations)
 from .graphs import Graph, normalize_edge
 from .highdeg import (PipelineParams, find_bulk_deletion,
                       find_patch_deletion, light_vertices)
@@ -25,6 +25,17 @@ from .vizing import vizing_color
 
 class RepairError(RuntimeError):
     """The repair loop exceeded its round budget; indicates a defect."""
+
+
+def _exit_check(g: Graph, phi: TotalColoring) -> dict[str, bool]:
+    """Verdict on a pipeline result; RuntimeError names its first violation
+    unless it is proper and AVD. The phases trust their input, so this pass
+    is what stands behind the guarantee."""
+    violations = properness_violations(g, phi) or avd_violations(g, phi)
+    if violations:
+        raise RuntimeError(f"pipeline output is not a proper AVD colouring: "
+                           f"{violations[0].kind} at {violations[0].witness}")
+    return {"proper": True, "avd": True}
 
 
 @dataclass(frozen=True)
@@ -80,9 +91,8 @@ def recolor_union(g: Graph, phi: TotalColoring, bulk_edges, patch_edges) -> Tota
     max_degree(union) + 1 new colours, so the budget grows by at most that
     much and the result stays proper: fresh colours clash with nothing old,
     and clashes within the union are excluded by edge-properness there.
+    phi must be a proper total colouring of g.
     """
-    if properness_violations(g, phi):
-        raise ValueError("colouring must be proper")
     union = sorted({normalize_edge(u, v) for u, v in bulk_edges}
                    | {normalize_edge(u, v) for u, v in patch_edges})
     for e in union:
@@ -110,10 +120,9 @@ def repair_fallback(g: Graph, phi: TotalColoring) -> TotalColoring:
     endpoints have degree one) with a colour nobody else holds. That fixes
     the pair for good: a colour set containing a globally fresh colour can
     only collide with the other endpoint of the recoloured edge, and that
-    pair's status never changes. Bounded by one round per vertex.
+    pair's status never changes. Bounded by one round per vertex. phi must
+    be a proper total colouring of g.
     """
-    if properness_violations(g, phi):
-        raise ValueError("colouring must be proper")
     current = phi
     for _ in range(g.n):
         violations = avd_violations(g, current)
@@ -153,9 +162,10 @@ def run_pipeline(g: Graph, phi: TotalColoring | None = None,
                  ) -> tuple[TotalColoring, PipelineReport]:
     """Produce a distinguishing proper total colouring of g, with a report.
 
-    A supplied colouring must be proper total; otherwise a greedy seed is
-    built. Already-distinguishing inputs short-circuit unchanged. The
-    returned colouring always verifies as proper and distinguishing.
+    A supplied colouring must be proper total and is checked once here;
+    otherwise a greedy seed, proper by construction, is built. The phases
+    trust their input; already-distinguishing inputs short-circuit unchanged.
+    The result is verified on the way out (see ``_exit_check``).
     """
     params = params or PipelineParams()
     timings: dict[str, float] = {}
@@ -180,7 +190,7 @@ def run_pipeline(g: Graph, phi: TotalColoring | None = None,
             e1_success=None, e2_success=None, e2_infeasible_vertex=None,
             fresh_palette_size=0, fallback_repairs=0, final_k=input_k,
             lam=resolved.lam, M=resolved.M, p=resolved.p,
-            short_circuit=True, verified=verdict(g, phi),
+            short_circuit=True, verified=_exit_check(g, phi),
             phase_timings=timings)
         return phi, report
 
@@ -213,6 +223,6 @@ def run_pipeline(g: Graph, phi: TotalColoring | None = None,
         e2_infeasible_vertex=patch.infeasible_vertex,
         fresh_palette_size=fresh, fallback_repairs=repairs,
         final_k=repaired.k, lam=resolved.lam, M=resolved.M, p=resolved.p,
-        short_circuit=False, verified=verdict(g, repaired),
+        short_circuit=False, verified=_exit_check(g, repaired),
         phase_timings=timings)
     return repaired, report

@@ -1,4 +1,4 @@
-"""Starting colourings: a greedy proper total colouring and document import.
+"""Starting colourings: a greedy proper total colouring.
 
 The greedy seeder never needs more than 2*max_degree + 1 colours, because
 each element (vertex or edge) conflicts with at most 2*max_degree already
@@ -7,7 +7,7 @@ coloured neighbours in the total sense.
 
 from __future__ import annotations
 
-from .coloring import TotalColoring, verdict
+from .coloring import TotalColoring
 from .graphs import Edge, Graph, normalize_edge
 
 Element = int | Edge
@@ -79,8 +79,3 @@ def greedy_total(g: Graph, order: list[Element] | None = None) -> TotalColoring:
         raise RuntimeError(
             f"greedy seeding used {used} colours, above 2*max_degree + 1")
     return TotalColoring(vertex_colors=tuple(vcol), edge_colors=ecol, k=used)
-
-
-def import_total(g: Graph, doc_phi: TotalColoring) -> tuple[TotalColoring, dict[str, bool]]:
-    """Adopt an externally supplied colouring, reporting recomputed flags."""
-    return doc_phi, verdict(g, doc_phi)

@@ -211,3 +211,38 @@ def reference_patch_events(g: Graph, phi: TotalColoring, bulk_edges, patch_edges
                 _restricted_set(g, phi, deleted, u) == _restricted_set(g, phi, deleted, v):
             events.append(("B2_pair", (u, v)))
     return events
+
+
+def reference_distinguish_low_degree(g: Graph, phi: TotalColoring) -> TotalColoring:
+    """The low-degree phase as a rescan: after every recolour, scan again
+    from the first low vertex for one whose colour set equals a neighbour's.
+
+    Each candidate colour is tried against the rules directly: it must
+    differ from every neighbour's colour and every incident edge's, and must
+    not make u's colour set equal to a neighbour's.
+    """
+    low = [v for v in range(g.n) if 2 * g.degree(v) <= g.max_degree]
+    vertex_colors = list(phi.vertex_colors)
+
+    def colour_set(v):
+        return frozenset({vertex_colors[v]}
+                         | {phi.edge_colors[e] for e in g.incident_edges(v)})
+
+    for _ in range(len(low) + 1):
+        target = next((u for u in low
+                       if any(colour_set(u) == colour_set(w) for w in g.neighbors(u))),
+                      None)
+        if target is None:
+            break
+        edge_cols = {phi.edge_colors[e] for e in g.incident_edges(target)}
+        c = 1
+        while (c in edge_cols
+               or any(vertex_colors[w] == c for w in g.neighbors(target))
+               or any(frozenset(edge_cols | {c}) == colour_set(w)
+                      for w in g.neighbors(target))):
+            c += 1
+        assert c <= phi.k
+        vertex_colors[target] = c
+    else:
+        raise AssertionError("rescan recoloured more often than once per low vertex")
+    return TotalColoring(tuple(vertex_colors), phi.edge_colors, phi.k)

@@ -47,6 +47,18 @@ def clashing_doc(tmp_path):
     return str(p)
 
 
+@pytest.fixture
+def improper_k4_doc(tmp_path):
+    # vertices 0 and 1 share colour 1 across the edge (0, 1); the palette is
+    # wide enough that only properness can be at fault
+    g = complete_graph(4)
+    phi = greedy_total(g)
+    phi = TotalColoring((1, 1) + phi.vertex_colors[2:], phi.edge_colors, 10)
+    p = tmp_path / "k4-improper.json"
+    p.write_text(json.dumps(to_document(g, phi)))
+    return str(p)
+
+
 def run(argv, capsys):
     code = cli.main(argv)
     captured = capsys.readouterr()
@@ -200,6 +212,30 @@ class TestSelections:
         assert got["light"] == [0, 1, 2, 3, 4]
         assert got["patch"]["success"] is False
         assert got["patch"]["infeasible_vertex"] == 0
+
+
+class TestImproperInput:
+    """Every command that feeds a document to a phase rejects an improper one."""
+
+    @pytest.mark.parametrize("cmd", ["color", "select-e1", "select-e2"])
+    def test_seed_coloring_rejected(self, cmd, k4_file, improper_k4_doc, capsys):
+        code, out, err = run([cmd, "--in", k4_file, "--json",
+                              "--seed-coloring", improper_k4_doc], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "proper" in err
+
+    def test_distinguish_low_rejects(self, improper_k4_doc, capsys):
+        code, out, err = run(["distinguish-low", "--in", improper_k4_doc,
+                              "--json"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "proper" in err
+
+    def test_verify_still_reports(self, improper_k4_doc, capsys):
+        code, out, _ = run(["verify", "--in", improper_k4_doc, "--json"], capsys)
+        assert code == 1
+        assert json.loads(out)["verified"] == {"avd": False, "proper": False}
 
 
 class TestSmallTools:

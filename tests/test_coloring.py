@@ -121,10 +121,14 @@ class TestPropernessViolations:
 
 class TestAvdViolations:
     def test_requires_properness(self):
+        # the colour sets {1, 2} and {1, 2} clash too, but an improper
+        # colouring is never AVD, whatever its colour sets
         g = path_graph(2)
         phi = TotalColoring((1, 1), {(0, 1): 2}, 2)
-        with pytest.raises(ValueError):
-            avd_violations(g, phi)
+        assert verdict(g, phi) == {"proper": False, "avd": False}
+        distinct = TotalColoring((1, 2), {(0, 1): 2}, 2)
+        assert avd_violations(g, distinct) == []
+        assert verdict(g, distinct) == {"proper": False, "avd": False}
 
     def test_undistinguished_pair_on_k2(self):
         # both endpoints of K_2 see {1, 2} and {2, 3}? choose a clash:

@@ -237,13 +237,6 @@ class TestBulkViolations:
         with pytest.raises(ValueError):
             bulk_violations(g, phi, sel, PipelineParams(m=5, d=1, M=3))
 
-    def test_rejects_improper(self):
-        g, phi = two_hub_fixture()
-        bad = TotalColoring((1,) * 14, phi.edge_colors, 8)
-        with pytest.raises(ValueError):
-            bulk_violations(g, bad, EdgeSelection.from_edges(14, []),
-                            PipelineParams(m=5, d=1))
-
     @given(st.integers(4, 12), st.integers(0, 199), st.integers(0, 99))
     @settings(max_examples=80, deadline=None)
     def test_agrees_with_naive(self, n, seed, subset_seed):

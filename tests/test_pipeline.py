@@ -62,12 +62,6 @@ class TestRecolorUnion:
         b = recolor_union(g, phi, [(0, 2)], [])
         assert a == b
 
-    def test_rejects_improper_input(self):
-        g, _ = two_hub_graph()
-        bad = TotalColoring((1,) * 14, {e: 2 for e in g.edges}, 2)
-        with pytest.raises(ValueError):
-            recolor_union(g, bad, [(0, 1)], [])
-
     def test_rejects_foreign_edge(self):
         g, phi = two_hub_graph()
         with pytest.raises(ValueError):
@@ -87,12 +81,6 @@ class TestRepairFallback:
         g = star_graph(6)
         phi = greedy_total(g)
         assert repair_fallback(g, phi) is phi
-
-    def test_rejects_improper(self):
-        g = cycle_graph(4)
-        bad = TotalColoring((1, 1, 1, 1), {e: 2 for e in g.edges}, 2)
-        with pytest.raises(ValueError):
-            repair_fallback(g, bad)
 
 
 class TestRunPipeline:
@@ -189,6 +177,25 @@ class TestRunPipeline:
         bad = TotalColoring((1, 1, 1, 1), {e: 2 for e in g.edges}, 2)
         with pytest.raises(ValueError):
             run_pipeline(g, bad)
+
+    def test_exit_check_rejects_improper_result(self, monkeypatch):
+        def clash(g, phi):
+            vertex_colors = list(phi.vertex_colors)
+            vertex_colors[1] = vertex_colors[0]
+            return TotalColoring(tuple(vertex_colors), phi.edge_colors, phi.k)
+
+        monkeypatch.setattr("avdtotal.pipeline.distinguish_low_degree", clash)
+        with pytest.raises(RuntimeError, match="vertex-vertex"):
+            run_pipeline(cycle_graph(5))
+
+    def test_exit_check_rejects_undistinguished_result(self, monkeypatch):
+        # with every recolouring phase a no-op, the fully clashing input
+        # reaches the exit check unchanged
+        monkeypatch.setattr("avdtotal.pipeline.recolor_union", lambda g, phi, a, b: phi)
+        monkeypatch.setattr("avdtotal.pipeline.distinguish_low_degree", lambda g, phi: phi)
+        monkeypatch.setattr("avdtotal.pipeline.repair_fallback", lambda g, phi: phi)
+        with pytest.raises(RuntimeError, match="undistinguished-pair"):
+            run_pipeline(*cyclic_k5())
 
     def test_rejects_mismatched_shape(self):
         g = cycle_graph(4)

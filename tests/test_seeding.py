@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from avdtotal import (TotalColoring, complete_graph, cycle_graph,
-                      default_order, greedy_total, import_total, is_proper,
-                      palette_size, path_graph, random_gnp, star_graph)
+from avdtotal import (TotalColoring, check_total, complete_graph, cycle_graph,
+                      default_order, greedy_total, palette_size, path_graph,
+                      random_gnp, star_graph, verdict)
 
 from helpers import naive_is_proper, reference_greedy_total
 
@@ -104,21 +104,24 @@ class TestGreedy:
 
 
 class TestImport:
+    """Adopting a colouring built elsewhere: check_total, then verdict."""
+
     def test_import_valid(self):
         g = cycle_graph(5)
         phi = greedy_total(g)
-        imported, flags = import_total(g, phi)
-        assert imported == phi
-        assert flags["proper"] is True
+        check_total(g, phi)
+        assert verdict(g, phi)["proper"] is True
 
     def test_import_improper_flags_false(self):
         g = path_graph(2)
         phi = TotalColoring((1, 1), {(0, 1): 2}, 2)
-        imported, flags = import_total(g, phi)
-        assert flags == {"proper": False, "avd": False}
+        check_total(g, phi)
+        assert verdict(g, phi) == {"proper": False, "avd": False}
 
     def test_import_rejects_shape_mismatch(self):
         g = path_graph(3)
         phi = TotalColoring((1, 2), {(0, 1): 3}, 3)
         with pytest.raises(ValueError):
-            import_total(g, phi)
+            check_total(g, phi)
+        with pytest.raises(ValueError):
+            verdict(g, phi)
