@@ -86,19 +86,36 @@ def color_set(g: Graph, phi: TotalColoring, v: int) -> ColorSet:
     return ColorSet(owner=v, colors=_colors_at(g, phi, v))
 
 
+def _incident_colors(g: Graph, edge_colors: dict[Edge, int]) -> list[list[int]]:
+    """Colours of the edges at each vertex, in adjacency order.
+
+    One pass over the sorted edge list: a vertex meets its lower neighbours
+    in ascending order before its higher ones, as its adjacency lists them.
+    """
+    cols: list[list[int]] = [[] for _ in range(g.n)]
+    for (u, v), c in zip(g.edges, map(edge_colors.__getitem__, g.edges)):
+        cols[u].append(c)
+        cols[v].append(c)
+    return cols
+
+
 def color_sets(g: Graph, phi: TotalColoring) -> list[frozenset[int]]:
     """All colour sets at once; index by vertex."""
-    return [_colors_at(g, phi, v) for v in range(g.n)]
+    cols = _incident_colors(g, phi.edge_colors)
+    for v in range(g.n):
+        cols[v].append(phi.vertex_colors[v])
+    return [frozenset(x) for x in cols]
 
 
 def edge_clashes(g: Graph, edge_colors: dict[Edge, int]) -> list[tuple[Edge, Edge]]:
     """Pairs of same-coloured edges sharing an endpoint, grouped by vertex."""
     out: list[tuple[Edge, Edge]] = []
-    for v in range(g.n):
+    for v, cols in enumerate(_incident_colors(g, edge_colors)):
+        if len(set(cols)) == len(cols):
+            continue
         by_color: dict[int, list[Edge]] = {}
-        for w in g.adjacency[v]:
-            e = normalize_edge(v, w)
-            by_color.setdefault(edge_colors[e], []).append(e)
+        for w, c in zip(g.adjacency[v], cols):
+            by_color.setdefault(c, []).append(normalize_edge(v, w))
         for group in by_color.values():
             # adjacent edges share exactly one endpoint, so each clashing
             # pair is reported at a single vertex

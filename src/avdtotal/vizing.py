@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .coloring import edge_clashes
-from .graphs import Edge, Graph, normalize_edge
+from .graphs import Edge, Graph
 
 
 @dataclass(frozen=True)
@@ -36,80 +36,98 @@ def vizing_color(g: Graph) -> EdgeColoring:
     """Proper edge colouring of g using at most max_degree + 1 colours."""
     k = g.max_degree + 1
     color: dict[Edge, int] = {}
-    # at[x] maps each colour on an edge at x to the far endpoint
+    # used[x] has bit col set for each colour on an edge at x, and bit 0
+    # always, so the lowest zero bit is the smallest free colour; at[x]
+    # maps each of those colours to the far endpoint, for path walks
+    used = [1] * g.n
     at: list[dict[int, int]] = [{} for _ in range(g.n)]
 
     def free(x: int) -> int:
-        c = 1
-        while c in at[x]:
-            c += 1
-        return c
+        m = used[x]
+        return (~m & (m + 1)).bit_length() - 1
 
     def invert_path(u: int, c: int, d: int) -> None:
         # walk the maximal path through u on colours {c, d}; u misses c,
-        # so the walk is a path (never a cycle) and starts on a d edge
+        # so the walk is a path (never a cycle) and starts on a d edge.
+        # Inner path vertices keep both colours; each end swaps one for
+        # the other, so toggling both bits per path edge is exact
         path: list[tuple[int, int, int]] = []
         cur, want = u, d
-        while want in at[cur]:
+        while used[cur] >> want & 1:
             nxt = at[cur][want]
             path.append((cur, nxt, want))
             cur, want = nxt, (c if want == d else d)
+        both = 1 << c | 1 << d
         for x, y, col in path:
             del at[x][col]
             del at[y][col]
+            used[x] ^= both
+            used[y] ^= both
         for x, y, col in path:
             new = c if col == d else d
             at[x][new] = y
             at[y][new] = x
-            color[normalize_edge(x, y)] = new
+            color[(x, y) if x < y else (y, x)] = new
 
     for u, v in g.edges:
         # maximal fan around u starting at v: each next edge's colour is
-        # free at the previous fan vertex; smallest such colour each step
+        # free at the previous fan vertex and not yet in the fan; smallest
+        # such colour each step. fan_cols[j] is the colour of edge u-fan[j]
+        at_u = at[u]
         fan = [v]
-        fan_set = {v}
+        fan_cols = [0]
+        last = v
+        avail = used[u]  # colours at u not yet in the fan (and bit 0)
         while True:
-            last = fan[-1]
-            best: tuple[int, int] | None = None
-            for col, w in at[u].items():
-                if w not in fan_set and col not in at[last]:
-                    if best is None or col < best[0]:
-                        best = (col, w)
-            if best is None:
+            m = avail & ~used[last]
+            if not m:
                 break
-            fan.append(best[1])
-            fan_set.add(best[1])
+            bit = m & -m
+            col = bit.bit_length() - 1
+            last = at_u[col]
+            fan.append(last)
+            fan_cols.append(col)
+            avail ^= bit
 
         c = free(u)
-        d = free(fan[-1])
-        if d not in at[u]:
+        d = free(last)
+        if not used[u] >> d & 1:
             w_idx = len(fan) - 1
         else:
             invert_path(u, c, d)
+            # the inversion turned u's d edge into a c edge; no other
+            # edge at u changed
+            if not avail >> d & 1:
+                fan_cols[fan_cols.index(d)] = c
             w_idx = -1
             for j in range(len(fan)):
-                if j > 0 and color[normalize_edge(u, fan[j])] in at[fan[j - 1]]:
+                if j > 0 and used[fan[j - 1]] >> fan_cols[j] & 1:
                     break
-                if d not in at[fan[j]]:
+                if not used[fan[j]] >> d & 1:
                     w_idx = j
                     break
             if w_idx < 0:
                 # the inversion freed d at u, so some fan prefix always works
                 raise RuntimeError(f"no fan prefix of edge ({u}, {v}) can take colour {d}")
 
-        shifted = [color[normalize_edge(u, fan[i + 1])] for i in range(w_idx)]
-        for i in range(1, w_idx + 1):
-            col = color.pop(normalize_edge(u, fan[i]))
-            del at[u][col]
-            del at[fan[i]][col]
-        for i in range(w_idx):
-            e = normalize_edge(u, fan[i])
-            color[e] = shifted[i]
-            at[u][shifted[i]] = fan[i]
-            at[fan[i]][shifted[i]] = u
-        e = normalize_edge(u, fan[w_idx])
-        color[e] = d
-        at[u][d] = fan[w_idx]
-        at[fan[w_idx]][d] = u
+        # rotate: u-fan[i] takes the colour of u-fan[i + 1] for i < w_idx
+        # and u-fan[w_idx] takes d. The moved keys are deleted, then
+        # inserted in fan order, which fixes the order of ``color``
+        new_cols = fan_cols[1:w_idx + 1]
+        new_cols.append(d)
+        for x in fan[1:w_idx + 1]:
+            del color[(u, x) if u < x else (x, u)]
+        for i, x in enumerate(fan[:w_idx + 1]):
+            col = new_cols[i]
+            color[(u, x) if u < x else (x, u)] = col
+            at_u[col] = x
+            at_x = at[x]
+            at_x[col] = u
+            if i:
+                del at_x[fan_cols[i]]
+                used[x] ^= 1 << fan_cols[i] | 1 << col
+            else:
+                used[x] |= 1 << col
+        used[u] |= 1 << d
 
     return EdgeColoring(colors=color, k=k)

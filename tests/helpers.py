@@ -10,9 +10,11 @@ from __future__ import annotations
 
 import itertools
 import math
+import random
 from fractions import Fraction
 
-from avdtotal import Graph, TotalColoring
+from avdtotal import (Edge, EdgeColoring, Graph, TotalColoring, normalize_edge,
+                      random_gnp)
 
 
 def naive_is_proper(g: Graph, phi: TotalColoring) -> bool:
@@ -82,20 +84,27 @@ def canonical_form(n: int, edges: frozenset[tuple[int, int]]) -> int:
 
 
 def connected_graphs(n: int) -> list[Graph]:
-    """All connected graphs on n labelled vertices, one per isomorphism class."""
+    """All connected graphs on n labelled vertices, one per isomorphism class.
+
+    Edge subsets are scanned in bitmask order and each class is represented
+    by its first member. When one is found, all n! relabellings of it are
+    marked seen, so the rest of its class is skipped unexamined.
+    """
     pairs = list(itertools.combinations(range(n), 2))
+    bit = {pair: 1 << i for i, pair in enumerate(pairs)}
+    perms = list(itertools.permutations(range(n)))
     seen = set()
     out = []
     for bits in range(1 << len(pairs)):
-        edges = frozenset(pairs[i] for i in range(len(pairs)) if bits >> i & 1)
+        if bits in seen:
+            continue
+        edges = [pairs[i] for i in range(len(pairs)) if bits >> i & 1]
         g = Graph.build(n, edges)
         if not _connected(g):
             continue
-        key = canonical_form(n, edges)
-        if key in seen:
-            continue
-        seen.add(key)
         out.append(g)
+        for perm in perms:
+            seen.add(sum(bit[normalize_edge(perm[u], perm[v])] for u, v in edges))
     return out
 
 
@@ -111,6 +120,17 @@ def _connected(g: Graph) -> bool:
                 seen.add(w)
                 frontier.append(w)
     return len(seen) == g.n
+
+
+def hub_graph(seed, n, background_degree, hubs):
+    """Sparse random background plus hubs joined to a third of the vertices,
+    so almost every vertex is low and low neighbours often clash."""
+    edges = set(random_gnp(n, background_degree / (n - 1), seed).edges)
+    rng = random.Random(seed)
+    for h in range(hubs):
+        for v in rng.sample([v for v in range(n) if v != h], n // 3):
+            edges.add((min(h, v), max(h, v)))
+    return Graph.build(n, edges)
 
 
 def elements_clash(g: Graph, a, b) -> bool:
@@ -246,3 +266,109 @@ def reference_distinguish_low_degree(g: Graph, phi: TotalColoring) -> TotalColor
     else:
         raise AssertionError("rescan recoloured more often than once per low vertex")
     return TotalColoring(tuple(vertex_colors), phi.edge_colors, phi.k)
+
+
+def reference_vizing_color(g: Graph) -> EdgeColoring:
+    """Misra-Gries fan rotation with dict scans: each fan step scans every
+    coloured edge at u for the smallest colour free at the previous fan
+    vertex, and every colour is looked up by its normalized edge.
+
+    ``vizing_color`` makes the same choices on colour bitmasks, so its
+    colours, and the order of its ``colors`` dict, must equal these.
+    """
+    k = g.max_degree + 1
+    color: dict[Edge, int] = {}
+    # at[x] maps each colour on an edge at x to the far endpoint
+    at: list[dict[int, int]] = [{} for _ in range(g.n)]
+
+    def free(x: int) -> int:
+        c = 1
+        while c in at[x]:
+            c += 1
+        return c
+
+    def invert_path(u: int, c: int, d: int) -> None:
+        # walk the maximal path through u on colours {c, d}; u misses c,
+        # so the walk is a path (never a cycle) and starts on a d edge
+        path: list[tuple[int, int, int]] = []
+        cur, want = u, d
+        while want in at[cur]:
+            nxt = at[cur][want]
+            path.append((cur, nxt, want))
+            cur, want = nxt, (c if want == d else d)
+        for x, y, col in path:
+            del at[x][col]
+            del at[y][col]
+        for x, y, col in path:
+            new = c if col == d else d
+            at[x][new] = y
+            at[y][new] = x
+            color[normalize_edge(x, y)] = new
+
+    for u, v in g.edges:
+        # maximal fan around u starting at v: each next edge's colour is
+        # free at the previous fan vertex; smallest such colour each step
+        fan = [v]
+        fan_set = {v}
+        while True:
+            last = fan[-1]
+            best: tuple[int, int] | None = None
+            for col, w in at[u].items():
+                if w not in fan_set and col not in at[last]:
+                    if best is None or col < best[0]:
+                        best = (col, w)
+            if best is None:
+                break
+            fan.append(best[1])
+            fan_set.add(best[1])
+
+        c = free(u)
+        d = free(fan[-1])
+        if d not in at[u]:
+            w_idx = len(fan) - 1
+        else:
+            invert_path(u, c, d)
+            w_idx = -1
+            for j in range(len(fan)):
+                if j > 0 and color[normalize_edge(u, fan[j])] in at[fan[j - 1]]:
+                    break
+                if d not in at[fan[j]]:
+                    w_idx = j
+                    break
+            if w_idx < 0:
+                # the inversion freed d at u, so some fan prefix always works
+                raise RuntimeError(f"no fan prefix of edge ({u}, {v}) can take colour {d}")
+
+        shifted = [color[normalize_edge(u, fan[i + 1])] for i in range(w_idx)]
+        for i in range(1, w_idx + 1):
+            col = color.pop(normalize_edge(u, fan[i]))
+            del at[u][col]
+            del at[fan[i]][col]
+        for i in range(w_idx):
+            e = normalize_edge(u, fan[i])
+            color[e] = shifted[i]
+            at[u][shifted[i]] = fan[i]
+            at[fan[i]][shifted[i]] = u
+        e = normalize_edge(u, fan[w_idx])
+        color[e] = d
+        at[u][d] = fan[w_idx]
+        at[fan[w_idx]][d] = u
+
+    return EdgeColoring(colors=color, k=k)
+
+
+def reference_edge_clashes(g: Graph, edge_colors) -> list[tuple[Edge, Edge]]:
+    """Same-coloured edge pairs, grouping every vertex's edges by colour.
+
+    Walks each adjacency list and looks every colour up by its normalized
+    edge; the library must report the same pairs in the same order.
+    """
+    out: list[tuple[Edge, Edge]] = []
+    for v in range(g.n):
+        by_color: dict[int, list[Edge]] = {}
+        for w in g.adjacency[v]:
+            e = normalize_edge(v, w)
+            by_color.setdefault(edge_colors[e], []).append(e)
+        for group in by_color.values():
+            out.extend(itertools.combinations(group, 2))
+    return out

@@ -1,5 +1,7 @@
 """Colour sets, verifiers, and the JSON document round trip."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,9 +10,11 @@ from avdtotal import (DocumentError, TotalColoring, avd_violations,
                       check_total, color_set, color_sets, complete_graph,
                       cycle_graph, from_document, greedy_total, is_proper,
                       palette_size, path_graph, properness_violations,
-                      star_graph, to_document, verdict)
+                      random_gnp, star_graph, to_document, verdict)
+from avdtotal.coloring import edge_clashes
 
-from helpers import naive_color_set, naive_is_avd, naive_is_proper
+from helpers import (naive_color_set, naive_is_avd, naive_is_proper,
+                     reference_edge_clashes)
 
 
 def p3_coloring():
@@ -117,6 +121,17 @@ class TestPropernessViolations:
         phi = TotalColoring((1, 2, 2, 2), {(0, 1): 3, (0, 2): 3, (0, 3): 3}, 3)
         clashes = [v for v in properness_violations(g, phi) if v.kind == "edge-edge"]
         assert len(clashes) == 3  # three unordered pairs of the three edges
+
+    @given(st.integers(1, 40), st.floats(0.05, 1.0), st.integers(1, 8),
+           st.integers(0, 2**32 - 1))
+    @settings(max_examples=80, deadline=None)
+    def test_improper_colourings_match_reference(self, n, p, k, seed):
+        g = random_gnp(n, p, seed)
+        rng = random.Random(seed)
+        phi = TotalColoring(tuple(rng.randint(1, k) for _ in range(g.n)),
+                            {e: rng.randint(1, k) for e in g.edges}, k)
+        assert edge_clashes(g, phi.edge_colors) == reference_edge_clashes(g, phi.edge_colors)
+        assert color_sets(g, phi) == [naive_color_set(g, phi, v) for v in range(g.n)]
 
 
 class TestAvdViolations:

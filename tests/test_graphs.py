@@ -12,7 +12,7 @@ from avdtotal import (DimacsError, Graph, Graph6Error, complete_bipartite_graph,
                       normalize_edge, parse_dimacs, parse_graph6, path_graph,
                       random_gnp, random_regular, star_graph, write_graph6)
 
-from helpers import connected_graphs
+from helpers import canonical_form, connected_graphs
 
 
 def small_graphs(max_n=10):
@@ -261,7 +261,12 @@ class TestGenerators:
 
 def test_connected_enumeration_counts():
     # Classical counts of connected graphs up to isomorphism.
+    assert len(connected_graphs(1)) == 1
     assert len(connected_graphs(2)) == 1
     assert len(connected_graphs(3)) == 2
     assert len(connected_graphs(4)) == 6
     assert len(connected_graphs(5)) == 21
+    six = connected_graphs(6)
+    assert len(six) == 112
+    # pairwise non-isomorphic, so with the count every class appears once
+    assert len({canonical_form(6, g.edges) for g in six}) == 112

@@ -1,7 +1,5 @@
 """Deterministic recolouring of low-degree vertices."""
 
-import random
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,7 +11,7 @@ from avdtotal import (Graph, PipelineParams, TotalColoring, avd_violations,
                       is_proper, light_vertices, random_gnp, recolor_union,
                       star_graph)
 
-from helpers import naive_is_proper, reference_distinguish_low_degree
+from helpers import hub_graph, naive_is_proper, reference_distinguish_low_degree
 
 
 def two_low_clash():
@@ -108,17 +106,6 @@ class TestDistinguishLowDegree:
         for u in split.low:
             for w in g.neighbors(u):
                 assert sets[u] != sets[w]
-
-
-def hub_graph(seed, n, background_degree, hubs):
-    """Sparse random background plus hubs joined to a third of the vertices,
-    so almost every vertex is low and low neighbours often clash."""
-    edges = set(random_gnp(n, background_degree / (n - 1), seed).edges)
-    rng = random.Random(seed)
-    for h in range(hubs):
-        for v in rng.sample([v for v in range(n) if v != h], n // 3):
-            edges.add((min(h, v), max(h, v)))
-    return Graph.build(n, edges)
 
 
 def pipeline_state(g, seed):

@@ -4,11 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from avdtotal import (EdgeColoring, Graph, complete_bipartite_graph,
-                      complete_graph, cycle_graph, edge_properness_violations,
-                      path_graph, random_gnp, star_graph, vizing_color)
+import avdtotal.pipeline as pipeline
+from avdtotal import (EdgeColoring, Graph, PipelineParams,
+                      complete_bipartite_graph, complete_graph, cycle_graph,
+                      edge_properness_violations, path_graph, random_gnp,
+                      run_pipeline, star_graph, vizing_color)
 
-from helpers import connected_graphs
+from helpers import connected_graphs, hub_graph, reference_vizing_color
 
 
 def assert_valid(g, ec):
@@ -70,6 +72,46 @@ class TestVizing:
     def test_random_graphs(self, n, p, seed):
         g = random_gnp(n, p, seed)
         assert_valid(g, vizing_color(g))
+
+
+def assert_matches_reference(g):
+    ec, ref = vizing_color(g), reference_vizing_color(g)
+    assert ec.k == ref.k
+    # same colours, and the dict filled in the same order
+    assert list(ec.colors.items()) == list(ref.colors.items())
+
+
+class TestAgainstReference:
+    """The bitmask fan makes the dict-scan loop's choices in its order."""
+
+    def test_random_graphs_across_densities(self):
+        for p in (0.02, 0.05, 0.1, 0.2, 0.35, 0.5, 0.7, 0.9, 1.0):
+            for seed in range(12):
+                assert_matches_reference(random_gnp(10 + 4 * seed, p, seed))
+
+    def test_complete_bipartite_and_stars(self):
+        for n in range(1, 21):
+            assert_matches_reference(complete_graph(n))
+        for a in range(1, 7):
+            for b in range(1, 7):
+                assert_matches_reference(complete_bipartite_graph(a, b))
+        for leaves in range(1, 13):
+            assert_matches_reference(star_graph(leaves))
+
+    @pytest.mark.parametrize("g", [random_gnp(150, 0.5, 4), hub_graph(5, 400, 4, 3)],
+                             ids=["dense", "hub"])
+    def test_pipeline_union_subgraphs(self, g, monkeypatch):
+        unions = []
+
+        def capture(sub):
+            unions.append(sub)
+            return vizing_color(sub)
+
+        monkeypatch.setattr(pipeline, "vizing_color", capture)
+        run_pipeline(g, params=PipelineParams(seed=4))
+        assert unions and len(unions[0].edges) >= 100
+        for sub in unions:
+            assert_matches_reference(sub)
 
 
 class TestEdgePropernessViolations:
