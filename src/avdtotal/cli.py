@@ -16,6 +16,7 @@ import json
 import math
 import sys
 from fractions import Fraction
+from itertools import chain, compress, repeat
 from pathlib import Path
 
 import numpy as np
@@ -38,6 +39,7 @@ SEEDED_COMMANDS = {"color", "select-e1", "select-e2", "bench"}
 
 
 def _jsonable(x):
+    """A copy of x that json encodes as is, every dict key stringified."""
     if isinstance(x, Fraction):
         return str(x)
     if isinstance(x, np.integer):
@@ -53,8 +55,36 @@ def _jsonable(x):
     return x
 
 
+def _json_default(x):
+    """What json cannot encode itself, converted as _jsonable converts it."""
+    if isinstance(x, (Fraction, np.integer, np.floating, set, frozenset)):
+        return _jsonable(x)
+    raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
+
+
+def _str_keyed(x) -> bool:
+    """Whether every dict inside x has only str keys.
+
+    Searches dict values, lists and tuples one nesting level at a time, with
+    the per-element work done by C-level iterators.
+    """
+    level = [x]
+    while level:
+        dicts = list(compress(level, map(isinstance, level, repeat(dict))))
+        if not set(map(type, chain.from_iterable(dicts))) <= {str}:
+            return False
+        seqs = compress(level, map(isinstance, level, repeat((list, tuple))))
+        level = list(chain(chain.from_iterable(map(dict.values, dicts)),
+                           chain.from_iterable(seqs)))
+    return True
+
+
 def _emit(obj) -> None:
-    print(json.dumps(_jsonable(obj), sort_keys=True))
+    # sort_keys orders int keys numerically, so other keys are stringified
+    # first; the large documents have str keys only and skip the copy
+    if not _str_keyed(obj):
+        obj = _jsonable(obj)
+    print(json.dumps(obj, sort_keys=True, default=_json_default))
 
 
 def _read_text(path: str | None) -> str:

@@ -1,17 +1,29 @@
 """Exhaustive solvers for small graphs.
 
-Backtracking with two standard accelerations: elements are coloured in
-descending conflict-degree order, and colour classes are canonicalized by
+Every search colours its elements in descending conflict-degree order,
+tries colours in ascending order, and canonicalizes colour classes by
 allowing a brand-new colour index only once per level (first-use symmetry
-breaking). The distinguishing search additionally prunes as soon as any
-vertex whose closed star is fully coloured matches a completed same-degree
-neighbour.
+breaking).
+
+Edge and vertex colouring use a generic backtracker over conflict lists.
+Total colouring searches on closed-star bitmasks: ``smask[v]`` holds the
+colours on v and its edges, which are distinct in a proper partial
+colouring, so the colours banned at an edge uv are ``smask[u] | smask[v]``
+and at a vertex v ``smask[v]`` plus its neighbours' colours. The
+distinguishing search prunes as soon as a vertex whose closed star is fully
+coloured has the mask of a completed neighbour.
+
+``chi_at_exact`` starts its scan at max_degree + 2 when an edge joins two
+maximum-degree vertices and at max_degree + 1 otherwise (Zhang et al.,
+*On adjacent-vertex-distinguishing total coloring of graphs*, Sci. China
+Ser. A 48, 2005): with max_degree + 1 colours both closed stars hold the
+whole palette.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Iterable
 
 from .coloring import TotalColoring
 from .graphs import CapacityError, Graph, Graph6Error, parse_graph6
@@ -21,19 +33,10 @@ EDGE_GUARD = 40
 ELEMENT_GUARD = 40
 
 
-def _backtrack(t: int, conflict: list[list[int]], order: list[int], k: int,
-               on_assign: Callable[[int, int], bool] | None = None,
-               on_unassign: Callable[[int, int], None] | None = None,
-               color: list[int] | None = None) -> list[int] | None:
-    """First assignment of colours 1..k to all t elements, or None.
-
-    on_assign may reject an assignment (returning False) after recording it;
-    on_unassign must reverse whatever on_assign recorded. Hooks that need to
-    inspect partial assignments should supply (and capture) the colour
-    buffer, which uses 0 for not-yet-coloured.
-    """
-    if color is None:
-        color = [0] * t
+def _backtrack(t: int, conflict: list[list[int]], order: list[int],
+               k: int) -> list[int] | None:
+    """First assignment of colours 1..k to all t elements, or None."""
+    color = [0] * t
 
     def rec(i: int, max_used: int) -> bool:
         if i == t:
@@ -47,19 +50,16 @@ def _backtrack(t: int, conflict: list[list[int]], order: list[int], k: int,
             if banned >> c & 1:
                 continue
             color[e] = c
-            ok = on_assign(e, c) if on_assign else True
-            if ok and rec(i + 1, max_used if c <= max_used else c):
+            if rec(i + 1, max_used if c <= max_used else c):
                 return True
-            if on_unassign:
-                on_unassign(e, c)
             color[e] = 0
         return False
 
     return color if rec(0, 0) else None
 
 
-def _order_by_conflicts(conflict: list[list[int]], rank: list[int]) -> list[int]:
-    return sorted(range(len(conflict)), key=lambda e: (-len(conflict[e]), rank[e]))
+def _order_by_conflicts(conflict: list[list[int]]) -> list[int]:
+    return sorted(range(len(conflict)), key=lambda e: (-len(conflict[e]), e))
 
 
 # ---------------------------------------------------------------------------
@@ -84,7 +84,7 @@ def find_edge_coloring(g: Graph, k: int) -> EdgeColoring | None:
     if k < 0:
         raise ValueError("k must be non-negative")
     conflict = _edge_conflicts(g)
-    order = _order_by_conflicts(conflict, list(range(len(conflict))))
+    order = _order_by_conflicts(conflict)
     result = _backtrack(len(g.edges), conflict, order, k)
     if result is None:
         return None
@@ -112,7 +112,7 @@ def chi_vertex_exact(g: Graph) -> int:
     if g.n == 0:
         return 0
     conflict = [sorted(g.adjacency[v]) for v in range(g.n)]
-    order = _order_by_conflicts(conflict, list(range(g.n)))
+    order = _order_by_conflicts(conflict)
     for k in range(1, g.n + 1):
         if _backtrack(g.n, conflict, order, k) is not None:
             return k
@@ -122,41 +122,28 @@ def chi_vertex_exact(g: Graph) -> int:
 # ---------------------------------------------------------------------------
 # total colouring
 
-def _total_structure(g: Graph) -> tuple[list[list[int]], list[int]]:
-    """Conflict lists and search order over vertices then edges.
+def _total_order(g: Graph) -> list[int]:
+    """Search order over element ids: vertex v is v, edge j is n + j.
 
-    Element ids: vertex v is v; edge j (in sorted edge order) is n + j.
+    Descending conflict count (2 deg(v) for a vertex, deg(u) + deg(v) for an
+    edge uv), ties broken by rank: each vertex followed by its backward
+    edges, so closed stars tend to complete early for the distinguishing
+    prune.
     """
-    n, edges = g.n, g.edges
-    idx = {e: n + j for j, e in enumerate(edges)}
-    conflict: list[list[int]] = [[] for _ in range(n + len(edges))]
-    for v in range(n):
-        for w in g.adjacency[v]:
-            conflict[v].append(w)
-            conflict[v].append(idx[(v, w) if v < w else (w, v)])
-    for j, (u, v) in enumerate(edges):
-        e = n + j
-        conflict[e].append(u)
-        conflict[e].append(v)
-        for x in (u, v):
-            for w in g.adjacency[x]:
-                other = idx[(x, w) if x < w else (w, x)]
-                if other != e:
-                    conflict[e].append(other)
-    conflict = [sorted(set(c)) for c in conflict]
-    # tie-break rank: each vertex followed by its backward edges, so closed
-    # stars tend to complete early for the distinguishing prune
-    rank = [0] * (n + len(edges))
+    n, adj = g.n, g.adjacency
+    idx = {e: n + j for j, e in enumerate(g.edges)}
+    conflicts = [2 * len(adj[v]) for v in range(n)]
+    conflicts += [len(adj[u]) + len(adj[v]) for u, v in g.edges]
+    rank = [0] * len(conflicts)
     counter = 0
     for v in range(n):
         rank[v] = counter
         counter += 1
-        for u in sorted(g.adjacency[v]):
+        for u in adj[v]:
             if u < v:
                 rank[idx[(u, v)]] = counter
                 counter += 1
-    order = _order_by_conflicts(conflict, rank)
-    return conflict, order
+    return sorted(range(len(conflicts)), key=lambda e: (-conflicts[e], rank[e]))
 
 
 def find_total_coloring(g: Graph, k: int,
@@ -171,51 +158,82 @@ def find_total_coloring(g: Graph, k: int,
         raise CapacityError(f"{t} elements exceed the search guard {ELEMENT_GUARD}")
     if k < 0:
         raise ValueError("k must be non-negative")
-    conflict, order = _total_structure(g)
-    t_colors = [0] * t
-    on_assign = on_unassign = None
-    if distinguishing:
-        n = g.n
-        star: list[list[int]] = [[v] for v in range(n)]
-        touches: list[list[int]] = [[v] for v in range(n)] + [[] for _ in g.edges]
-        for j, (u, v) in enumerate(g.edges):
-            star[u].append(n + j)
-            star[v].append(n + j)
-            touches[n + j] = [u, v]
-        remaining = [len(star[v]) for v in range(n)]
+    n, edges, adj = g.n, g.edges, g.adjacency
+    order = _total_order(g)
+    ends = [(e,) if e < n else edges[e - n] for e in order]
+    # search position at which each closed star becomes fully coloured
+    done_at = [0] * n
+    for i, touched in enumerate(ends):
+        for v in touched:
+            done_at[v] = i
+    steps = []
+    for i, e in enumerate(order):
+        pairs = []
+        if distinguishing:
+            # stars completed here against neighbours' completed stars
+            # (each pair once); equal masks of complete stars imply equal
+            # degrees, since a proper colouring gives a star deg + 1 colours
+            for v in ends[i]:
+                if done_at[v] == i:
+                    pairs += [(v, w) for w in adj[v]
+                              if done_at[w] < i or (done_at[w] == i and v < w)]
+        steps.append((e, adj[e] if e < n else None, ends[i], pairs))
+    bit = [1] * t     # colour of each element as a bit; bit 0 while uncoloured
+    smask = [0] * n   # bits of the colours on v and its edges
+    palette = (2 << k) - 2
 
-        def star_set(v: int) -> frozenset[int]:
-            return frozenset(t_colors[e] for e in star[v])
-
-        def on_assign(e: int, c: int) -> bool:
-            ok = True
-            for v in touches[e]:
-                remaining[v] -= 1
-            for v in touches[e]:
-                if remaining[v] != 0:
-                    continue
-                mine = None
-                for w in g.adjacency[v]:
-                    if remaining[w] == 0 and len(star[w]) == len(star[v]):
-                        if mine is None:
-                            mine = star_set(v)
-                        if mine == star_set(w):
-                            ok = False
-                            break
-                if not ok:
+    def rec(i: int, top: int) -> bool:
+        """Colour positions i.. given top, the highest colour bit so far."""
+        if i == t:
+            return True
+        e, nbrs, touched, pairs = steps[i]
+        # first-use symmetry breaking: at most one colour above top
+        allowed = ((top << 2) - 2) & palette
+        # vertex and edge steps have their own loops, which keeps the
+        # per-candidate work to two or three list updates
+        if nbrs is not None:
+            banned = smask[e]
+            for w in nbrs:
+                banned |= bit[w]
+            free = allowed & ~banned
+            while free:
+                b = free & -free
+                free ^= b
+                bit[e] = b
+                smask[e] |= b
+                for x, y in pairs:
+                    if smask[x] == smask[y]:
+                        break
+                else:
+                    if rec(i + 1, top if b <= top else b):
+                        return True
+                smask[e] ^= b
+            bit[e] = 1
+            return False
+        u, v = touched
+        free = allowed & ~(smask[u] | smask[v])
+        while free:
+            b = free & -free
+            free ^= b
+            bit[e] = b
+            smask[u] |= b
+            smask[v] |= b
+            for x, y in pairs:
+                if smask[x] == smask[y]:
                     break
-            return ok
+            else:
+                if rec(i + 1, top if b <= top else b):
+                    return True
+            smask[u] ^= b
+            smask[v] ^= b
+        return False
 
-        def on_unassign(e: int, c: int) -> None:
-            for v in touches[e]:
-                remaining[v] += 1
-
-    result = _backtrack(t, conflict, order, k, on_assign, on_unassign, t_colors)
-    if result is None:
+    if not rec(0, 1):
         return None
+    color = [b.bit_length() - 1 for b in bit]
     return TotalColoring(
-        vertex_colors=tuple(result[: g.n]),
-        edge_colors={e: result[g.n + j] for j, e in enumerate(g.edges)},
+        vertex_colors=tuple(color[:n]),
+        edge_colors={e: color[n + j] for j, e in enumerate(edges)},
         k=k,
     )
 
@@ -233,18 +251,32 @@ def chi_total_exact(g: Graph) -> int:
     raise AssertionError("2*max_degree + 1 colours always suffice")
 
 
+def _chi_at_lower_bound(g: Graph) -> int:
+    """max_degree + 1, plus one if an edge joins two maximum-degree vertices.
+
+    chi_at >= chi_total >= max_degree + 1. With max_degree + 1 colours the
+    closed star of a maximum-degree vertex holds every colour, so two
+    adjacent ones share the whole palette as their colour set (Zhang et al.,
+    Sci. China Ser. A 48, 2005).
+    """
+    adj, delta = g.adjacency, g.max_degree
+    adjacent_pair = any(len(adj[u]) == delta == len(adj[v]) for u, v in g.edges)
+    return delta + 1 + adjacent_pair
+
+
 def chi_at_exact(g: Graph) -> int:
     """Distinguishing total chromatic number by exhaustive search.
 
-    Bounded above by the element count: all-distinct colours give every
-    vertex a colour set containing its private vertex colour.
+    The scan starts at _chi_at_lower_bound. It is bounded above by the
+    element count: all-distinct colours give every vertex a colour set
+    containing its private vertex colour.
     """
     t = g.n + len(g.edges)
     if t > ELEMENT_GUARD:
         raise CapacityError(f"{t} elements exceed the search guard {ELEMENT_GUARD}")
     if t == 0:
         return 0
-    for k in range(chi_total_exact(g), t + 1):
+    for k in range(_chi_at_lower_bound(g), t + 1):
         if find_total_coloring(g, k, distinguishing=True) is not None:
             return k
     raise AssertionError("all-distinct colours are always distinguishing")

@@ -372,3 +372,122 @@ def reference_edge_clashes(g: Graph, edge_colors) -> list[tuple[Edge, Edge]]:
         for group in by_color.values():
             out.extend(itertools.combinations(group, 2))
     return out
+
+
+def reference_find_total_coloring(g: Graph, k: int,
+                                  distinguishing: bool = False) -> TotalColoring | None:
+    """The hook-driven total-colouring search the star-mask search replaced.
+
+    Conflict lists, the search order, the backtracker with its
+    on_assign/on_unassign hooks and the frozenset distinguishing prune are
+    the previous library code, verbatim. The library must return the same
+    colouring, or None, for every (g, k, distinguishing).
+    """
+    conflict, order = _reference_total_structure(g)
+    t = g.n + len(g.edges)
+    t_colors = [0] * t
+    on_assign = on_unassign = None
+    if distinguishing:
+        n = g.n
+        star: list[list[int]] = [[v] for v in range(n)]
+        touches: list[list[int]] = [[v] for v in range(n)] + [[] for _ in g.edges]
+        for j, (u, v) in enumerate(g.edges):
+            star[u].append(n + j)
+            star[v].append(n + j)
+            touches[n + j] = [u, v]
+        remaining = [len(star[v]) for v in range(n)]
+
+        def star_set(v: int) -> frozenset[int]:
+            return frozenset(t_colors[e] for e in star[v])
+
+        def on_assign(e: int, c: int) -> bool:
+            ok = True
+            for v in touches[e]:
+                remaining[v] -= 1
+            for v in touches[e]:
+                if remaining[v] != 0:
+                    continue
+                mine = None
+                for w in g.adjacency[v]:
+                    if remaining[w] == 0 and len(star[w]) == len(star[v]):
+                        if mine is None:
+                            mine = star_set(v)
+                        if mine == star_set(w):
+                            ok = False
+                            break
+                if not ok:
+                    break
+            return ok
+
+        def on_unassign(e: int, c: int) -> None:
+            for v in touches[e]:
+                remaining[v] += 1
+
+    result = _reference_backtrack(t, conflict, order, k, on_assign, on_unassign,
+                                  t_colors)
+    if result is None:
+        return None
+    return TotalColoring(
+        vertex_colors=tuple(result[: g.n]),
+        edge_colors={e: result[g.n + j] for j, e in enumerate(g.edges)},
+        k=k,
+    )
+
+
+def _reference_backtrack(t, conflict, order, k, on_assign=None, on_unassign=None,
+                         color=None):
+    if color is None:
+        color = [0] * t
+
+    def rec(i: int, max_used: int) -> bool:
+        if i == t:
+            return True
+        e = order[i]
+        banned = 0
+        for f in conflict[e]:
+            banned |= 1 << color[f]
+        limit = min(k, max_used + 1)
+        for c in range(1, limit + 1):
+            if banned >> c & 1:
+                continue
+            color[e] = c
+            ok = on_assign(e, c) if on_assign else True
+            if ok and rec(i + 1, max_used if c <= max_used else c):
+                return True
+            if on_unassign:
+                on_unassign(e, c)
+            color[e] = 0
+        return False
+
+    return color if rec(0, 0) else None
+
+
+def _reference_total_structure(g: Graph) -> tuple[list[list[int]], list[int]]:
+    n, edges = g.n, g.edges
+    idx = {e: n + j for j, e in enumerate(edges)}
+    conflict: list[list[int]] = [[] for _ in range(n + len(edges))]
+    for v in range(n):
+        for w in g.adjacency[v]:
+            conflict[v].append(w)
+            conflict[v].append(idx[(v, w) if v < w else (w, v)])
+    for j, (u, v) in enumerate(edges):
+        e = n + j
+        conflict[e].append(u)
+        conflict[e].append(v)
+        for x in (u, v):
+            for w in g.adjacency[x]:
+                other = idx[(x, w) if x < w else (w, x)]
+                if other != e:
+                    conflict[e].append(other)
+    conflict = [sorted(set(c)) for c in conflict]
+    rank = [0] * (n + len(edges))
+    counter = 0
+    for v in range(n):
+        rank[v] = counter
+        counter += 1
+        for u in sorted(g.adjacency[v]):
+            if u < v:
+                rank[idx[(u, v)]] = counter
+                counter += 1
+    order = sorted(range(len(conflict)), key=lambda e: (-len(conflict[e]), rank[e]))
+    return conflict, order

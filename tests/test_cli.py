@@ -7,8 +7,12 @@ stderr can be captured byte for byte.
 import io
 import json
 import sys
+from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from avdtotal import (Graph, TotalColoring, cli, complete_graph, cycle_graph,
                       greedy_total, star_graph, to_document, write_graph6)
@@ -407,3 +411,48 @@ class TestBench:
         code, out, _ = run(["bench", "--in", str(p), "--runs", "1"], capsys)
         assert code == 0
         assert "all verified: True" in out
+
+
+_leaves = st.one_of(
+    st.integers(-10**6, 10**6), st.text(max_size=4), st.booleans(), st.none(),
+    st.floats(allow_nan=False), st.fractions(max_denominator=9),
+    st.integers(-99, 99).map(np.int64), st.floats(-9, 9).map(np.float32),
+    st.frozensets(st.fractions(max_denominator=9), max_size=4),
+    st.sets(st.integers(-99, 99).map(np.int64), max_size=4))
+_keys = st.one_of(st.text(max_size=3), st.integers(-20, 20), st.booleans())
+_documents = st.recursive(_leaves, lambda inner: st.one_of(
+    st.lists(inner, max_size=4), st.tuples(inner, inner),
+    st.dictionaries(st.text(max_size=3), inner, max_size=4),
+    st.dictionaries(_keys, inner, max_size=4)), max_leaves=20)
+
+
+class TestEmit:
+    """_emit writes the bytes of json.dumps over the full _jsonable copy."""
+
+    @given(_documents)
+    @settings(max_examples=100, deadline=None)
+    def test_same_bytes_as_full_copy(self, doc):
+        expected = json.dumps(cli._jsonable(doc), sort_keys=True) + "\n"
+        out = io.StringIO()
+        sys_stdout, sys.stdout = sys.stdout, out
+        try:
+            cli._emit(doc)
+        finally:
+            sys.stdout = sys_stdout
+        assert out.getvalue() == expected
+
+    def test_int_keys_sorted_as_strings(self, capsys):
+        cli._emit([{"a": {10: 1, 2: Fraction(1, 3), True: {5}}}])
+        assert capsys.readouterr().out == \
+            '[{"a": {"10": 1, "2": "1/3", "True": [5]}}]\n'
+        cli._emit({"t": ({20: 0, 3: 0},)})
+        assert capsys.readouterr().out == '{"t": [{"20": 0, "3": 0}]}\n'
+
+    def test_set_members_sorted_after_conversion(self, capsys):
+        cli._emit({"s": frozenset({Fraction(2), Fraction(10)}),
+                   "n": {np.int64(7), np.int64(-1)}})
+        assert capsys.readouterr().out == '{"n": [-1, 7], "s": ["10", "2"]}\n'
+
+    def test_unencodable_value_raises(self):
+        with pytest.raises(TypeError, match="object"):
+            cli._emit({"a": [object()]})

@@ -8,10 +8,11 @@ from avdtotal import (CapacityError, Graph, Graph6Error, check_conjecture,
                       chi_at_exact, chi_prime_exact, chi_total_exact,
                       chi_vertex_exact, complete_bipartite_graph,
                       complete_graph, cycle_graph, find_edge_coloring,
-                      find_total_coloring, path_graph, random_gnp, star_graph,
-                      verdict, write_graph6)
+                      find_total_coloring, parse_graph6, path_graph, random_gnp,
+                      star_graph, verdict, write_graph6)
 
-from helpers import connected_graphs, enumerate_total_colorings, naive_is_avd, naive_is_proper
+from helpers import (connected_graphs, enumerate_total_colorings, naive_is_avd,
+                     naive_is_proper, reference_find_total_coloring)
 
 
 def brute_chi_total(g):
@@ -149,6 +150,62 @@ class TestChiAt:
 
     def test_empty(self):
         assert chi_at_exact(Graph.build(2, [])) == 1
+
+
+def atlas():
+    """Every connected graph on at most 6 vertices."""
+    return [g for n in range(1, 7) for g in connected_graphs(n)]
+
+
+def has_adjacent_max_pair(g):
+    return any(g.degree(u) == g.max_degree == g.degree(v) for u, v in g.edges)
+
+
+def assert_matches_reference(g, ks):
+    for k in ks:
+        for distinguishing in (False, True):
+            got = find_total_coloring(g, k, distinguishing)
+            want = reference_find_total_coloring(g, k, distinguishing)
+            assert got == want, (write_graph6(g), k, distinguishing)
+
+
+class TestAgainstReference:
+    """The star-mask search returns the hook-driven search's colouring."""
+
+    def test_connected_graphs_up_to_6(self):
+        for g in atlas():
+            assert_matches_reference(g, range(g.max_degree + 1, chi_at_exact(g) + 1))
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_random_gnp(self, n):
+        for p in (0.3, 0.5):
+            for seed in range(4):
+                g = random_gnp(n, p, seed)
+                assert_matches_reference(
+                    g, range(g.max_degree + 1, chi_at_exact(g) + 1))
+
+    def test_exhaustive_failure(self):
+        # twelve vertices with an adjacent maximum-degree pair: the
+        # distinguishing search at k = 6 fails after a full search
+        g = parse_graph6("KcPFGgQ_P@l_")
+        assert g.max_degree == 5 and has_adjacent_max_pair(g)
+        assert find_total_coloring(g, 6, distinguishing=True) is None
+        assert_matches_reference(g, [6])
+
+
+class TestLowerBound:
+    def test_adjacent_max_pair_needs_two_more_colours(self):
+        pairs = [g for g in atlas() if has_adjacent_max_pair(g)]
+        assert len(pairs) == 73  # of 143
+        for g in pairs:
+            assert find_total_coloring(g, g.max_degree + 1, distinguishing=True) is None
+
+    def test_scan_from_chi_total_agrees(self):
+        for g in atlas():
+            k = chi_total_exact(g)
+            while find_total_coloring(g, k, distinguishing=True) is None:
+                k += 1
+            assert chi_at_exact(g) == k, write_graph6(g)
 
 
 class TestConjectureScan:
