@@ -10,37 +10,32 @@ from .bounds import (BoundReport, DerivedConstants, DomainError,
                      binom_lower_tail_bound, binom_lower_tail_log,
                      binom_upper_tail_bound, binom_upper_tail_log, compute_c0,
                      derive_constants, find_feasible_delta,
-                     lll_asymmetric_check, lll_symmetric_check)
-from .coloring import (ColorSet, DocumentError, TotalColoring, Violation,
-                       avd_violations, check_total, color_set, color_sets,
-                       from_document, is_proper, palette_size,
-                       properness_violations, to_document, verdict)
+                     lll_asymmetric_check)
+from .coloring import (DocumentError, TotalColoring, Violation,
+                       avd_violations, check_total, color_sets, from_document,
+                       is_proper, properness_violations, to_document, verdict)
 from .exact import (CapacityError, ConjectureReport, GraphRecord,
                     check_conjecture, chi_at_exact, chi_prime_exact,
-                    chi_total_exact, chi_vertex_exact, find_edge_coloring,
-                    find_total_coloring)
+                    chi_total_exact, find_edge_coloring, find_total_coloring)
 from .graphs import (DegreeSplit, DimacsError, Edge, Graph, Graph6Error,
                      complete_bipartite_graph, complete_graph, cycle_graph,
-                     degree_split, generate, normalize_edge, parse_dimacs,
-                     parse_graph6, path_graph, random_gnp, random_regular,
-                     star_graph, write_graph6)
-from .highdeg import (BadEvent, EdgeSelection, InfeasibleSelectionError,
-                      PipelineParams, ResolvedParams, SelectionResult,
-                      bulk_violations, candidate_edges, cap_overloaded,
-                      find_bulk_deletion, find_patch_deletion, light_vertices,
-                      patch_violations, sample_candidates, sample_patch)
-from .lowdeg import distinguish_low_degree, forbidden_colors
+                     degree_split, normalize_edge, parse_dimacs, parse_graph6,
+                     path_graph, random_gnp, random_regular, star_graph,
+                     write_graph6)
+from .highdeg import (BadEvent, EdgeSelection, PipelineParams, ResolvedParams,
+                      SelectionResult, candidate_edges, find_bulk_deletion,
+                      find_patch_deletion, light_vertices)
+from .lowdeg import distinguish_low_degree
 from .pipeline import (PipelineReport, RepairError, recolor_union,
                        repair_fallback, run_pipeline)
 from .rng import substream
-from .seeding import default_order, greedy_total
+from .seeding import greedy_total
 from .vizing import EdgeColoring, edge_properness_violations, vizing_color
 
 __all__ = [
     "BadEvent",
     "BoundReport",
     "CapacityError",
-    "ColorSet",
     "ConjectureReport",
     "DegreeSplit",
     "DerivedConstants",
@@ -53,7 +48,6 @@ __all__ = [
     "Graph",
     "Graph6Error",
     "GraphRecord",
-    "InfeasibleSelectionError",
     "PipelineParams",
     "PipelineReport",
     "RepairError",
@@ -66,22 +60,17 @@ __all__ = [
     "binom_lower_tail_log",
     "binom_upper_tail_bound",
     "binom_upper_tail_log",
-    "bulk_violations",
     "candidate_edges",
-    "cap_overloaded",
     "check_conjecture",
     "check_total",
     "chi_at_exact",
     "chi_prime_exact",
     "chi_total_exact",
-    "chi_vertex_exact",
-    "color_set",
     "color_sets",
     "complete_bipartite_graph",
     "complete_graph",
     "compute_c0",
     "cycle_graph",
-    "default_order",
     "degree_split",
     "derive_constants",
     "distinguish_low_degree",
@@ -91,19 +80,14 @@ __all__ = [
     "find_feasible_delta",
     "find_patch_deletion",
     "find_total_coloring",
-    "forbidden_colors",
     "from_document",
-    "generate",
     "greedy_total",
     "is_proper",
     "light_vertices",
     "lll_asymmetric_check",
-    "lll_symmetric_check",
     "normalize_edge",
-    "palette_size",
     "parse_dimacs",
     "parse_graph6",
-    "patch_violations",
     "path_graph",
     "properness_violations",
     "random_gnp",
@@ -111,8 +95,6 @@ __all__ = [
     "recolor_union",
     "repair_fallback",
     "run_pipeline",
-    "sample_candidates",
-    "sample_patch",
     "star_graph",
     "substream",
     "to_document",

@@ -158,15 +158,6 @@ def compute_c0(m: int, eps: Real, lam: float, M: int) -> BoundReport:
                        feasible=True, notes=tuple(notes), details=details)
 
 
-def lll_symmetric_check(p_event: float, d_dep: int) -> bool:
-    """Symmetric local-lemma condition: p * (d + 1) * e <= 1."""
-    if not 0 <= p_event <= 1:
-        raise DomainError("event probability must lie in [0, 1]")
-    if d_dep < 0:
-        raise DomainError("dependency degree must be non-negative")
-    return p_event * (d_dep + 1) * math.e <= 1.0
-
-
 def _pow_log1m(exponent: int, ln_delta: float, ln_gamma: float) -> float:
     """delta**exponent * ln(1 - gamma) with gamma given as ln_gamma.
 

@@ -15,6 +15,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from itertools import chain, compress, repeat
 from pathlib import Path
@@ -23,8 +24,9 @@ import numpy as np
 
 from . import bounds as bounds_mod
 from .bounds import DomainError, derive_constants
-from .coloring import (DocumentError, TotalColoring, avd_violations,
-                       from_document, properness_violations, to_document)
+from .coloring import (DocumentError, TotalColoring, _document_body,
+                       avd_violations, from_document, properness_violations,
+                       to_document)
 from .exact import (CapacityError, check_conjecture, chi_at_exact,
                     chi_prime_exact, chi_total_exact)
 from .graphs import DimacsError, Graph, Graph6Error, parse_dimacs, parse_graph6
@@ -127,11 +129,8 @@ def _seed_value(args) -> int:
 
 def _params_from(args) -> PipelineParams:
     kwargs = {"seed": _seed_value(args)}
-    for name in ("eps", "alpha", "beta"):
-        value = getattr(args, name, None)
-        if value is not None:
-            kwargs[name] = value
-    for name in ("m", "d", "B", "lam", "M", "max_rounds", "stall_rounds"):
+    for name in ("eps", "alpha", "m", "d", "B", "lam", "M", "max_rounds",
+                 "stall_rounds"):
         value = getattr(args, name, None)
         if value is not None:
             kwargs[name] = value
@@ -161,7 +160,7 @@ def cmd_color(args) -> int:
     g = _load_graph(args)
     phi = _seed_document(args, g)  # run_pipeline checks it is proper
     colored, report = run_pipeline(g, phi, _params_from(args))
-    doc = to_document(g, colored)
+    doc = _document_body(g, colored, report.verified)  # verified at exit
     doc["report"] = report.to_json(include_timings=False)
     if args.json:
         _emit(doc)
@@ -404,18 +403,15 @@ def cmd_bounds(args) -> int:
 
 def cmd_bench(args) -> int:
     g = _load_graph(args)
-    base_seed = _seed_value(args)
+    params = _params_from(args)
     rows = []
     all_ok = True
     for i in range(args.runs):
-        run_args = argparse.Namespace(**vars(args))
-        run_args.seed = base_seed + i
-        params = _params_from(run_args)
-        _, report = run_pipeline(g, None, params)
+        _, report = run_pipeline(g, None, replace(params, seed=params.seed + i))
         ok = report.verified["proper"] and report.verified["avd"]
         all_ok = all_ok and ok
         rows.append({
-            "seed": base_seed + i,
+            "seed": params.seed + i,
             "input_k": report.input_k,
             "final_k": report.final_k,
             "fresh_palette_size": report.fresh_palette_size,
@@ -483,7 +479,6 @@ def build_parser() -> argparse.ArgumentParser:
     tunables.add_argument("--m", type=int, default=None)
     tunables.add_argument("--d", type=int, default=None)
     tunables.add_argument("--alpha", type=Fraction, default=None)
-    tunables.add_argument("--beta", type=Fraction, default=None)
     tunables.add_argument("--B", type=int, default=None)
     tunables.add_argument("--lambda", dest="lam", type=float, default=None)
     tunables.add_argument("--M", type=int, default=None)

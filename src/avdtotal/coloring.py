@@ -30,17 +30,6 @@ class TotalColoring:
     def used_colors(self) -> frozenset[int]:
         return frozenset(self.vertex_colors) | frozenset(self.edge_colors.values())
 
-    def edge_color(self, u: int, v: int) -> int:
-        return self.edge_colors[normalize_edge(u, v)]
-
-
-@dataclass(frozen=True)
-class ColorSet:
-    """The colours visible at ``owner``: its own plus its incident edges'."""
-
-    owner: int
-    colors: frozenset[int]
-
 
 @dataclass(frozen=True)
 class Violation:
@@ -72,18 +61,6 @@ def check_total(g: Graph, phi: TotalColoring) -> None:
     for c in phi.edge_colors.values():
         if not 1 <= c <= phi.k:
             raise ValueError(f"edge colour {c} outside palette 1..{phi.k}")
-
-
-def _colors_at(g: Graph, phi: TotalColoring, v: int) -> frozenset[int]:
-    return frozenset([phi.vertex_colors[v]]
-                     + [phi.edge_colors[normalize_edge(v, w)] for w in g.adjacency[v]])
-
-
-def color_set(g: Graph, phi: TotalColoring, v: int) -> ColorSet:
-    """Colour set of one vertex; isolated vertices see only their own colour."""
-    if not 0 <= v < g.n:
-        raise ValueError(f"vertex {v} out of range")
-    return ColorSet(owner=v, colors=_colors_at(g, phi, v))
 
 
 def _incident_colors(g: Graph, edge_colors: dict[Edge, int]) -> list[list[int]]:
@@ -153,11 +130,6 @@ def avd_violations(g: Graph, phi: TotalColoring) -> list[Violation]:
             for u, v in g.edges if sets[u] == sets[v]]
 
 
-def palette_size(phi: TotalColoring) -> int:
-    """Number of distinct colours actually used (not the declared budget)."""
-    return len(phi.used_colors())
-
-
 # ---------------------------------------------------------------------------
 # JSON document format
 
@@ -169,7 +141,11 @@ def verdict(g: Graph, phi: TotalColoring) -> dict[str, bool]:
 
 def to_document(g: Graph, phi: TotalColoring) -> dict:
     """Serialize graph plus colouring with freshly verified flags."""
-    check_total(g, phi)
+    return _document_body(g, phi, verdict(g, phi))
+
+
+def _document_body(g: Graph, phi: TotalColoring, verified: dict[str, bool]) -> dict:
+    """The document of a total assignment phi, with flags already computed."""
     return {
         "n": g.n,
         "edges": [[u, v] for u, v in g.edges],
@@ -177,7 +153,7 @@ def to_document(g: Graph, phi: TotalColoring) -> dict:
         "vertex_colors": list(phi.vertex_colors),
         "edge_colors": [{"u": u, "v": v, "c": phi.edge_colors[(u, v)]}
                         for u, v in g.edges],
-        "verified": verdict(g, phi),
+        "verified": dict(verified),
     }
 
 

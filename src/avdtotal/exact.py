@@ -5,7 +5,7 @@ tries colours in ascending order, and canonicalizes colour classes by
 allowing a brand-new colour index only once per level (first-use symmetry
 breaking).
 
-Edge and vertex colouring use a generic backtracker over conflict lists.
+Edge colouring uses a generic backtracker over conflict lists.
 Total colouring searches on closed-star bitmasks: ``smask[v]`` holds the
 colours on v and its edges, which are distinct in a proper partial
 colouring, so the colours banned at an edge uv are ``smask[u] | smask[v]``
@@ -103,23 +103,6 @@ def chi_prime_exact(g: Graph) -> int:
 
 
 # ---------------------------------------------------------------------------
-# vertex colouring
-
-def chi_vertex_exact(g: Graph) -> int:
-    """Vertex chromatic number by exhaustive search."""
-    if g.n > ELEMENT_GUARD:
-        raise CapacityError(f"{g.n} vertices exceed the search guard {ELEMENT_GUARD}")
-    if g.n == 0:
-        return 0
-    conflict = [sorted(g.adjacency[v]) for v in range(g.n)]
-    order = _order_by_conflicts(conflict)
-    for k in range(1, g.n + 1):
-        if _backtrack(g.n, conflict, order, k) is not None:
-            return k
-    raise AssertionError("n colours always suffice")
-
-
-# ---------------------------------------------------------------------------
 # total colouring
 
 def _total_order(g: Graph) -> list[int]:
@@ -151,13 +134,17 @@ def find_total_coloring(g: Graph, k: int,
     """Proper total colouring with at most k colours, or None.
 
     With distinguishing=True the colouring must also give adjacent vertices
-    distinct colour sets.
+    distinct colour sets. Below the degree lower bound (max_degree + 1, or
+    _chi_at_lower_bound when distinguishing) the answer is None without a
+    search.
     """
     t = g.n + len(g.edges)
     if t > ELEMENT_GUARD:
         raise CapacityError(f"{t} elements exceed the search guard {ELEMENT_GUARD}")
     if k < 0:
         raise ValueError("k must be non-negative")
+    if t and k < (_chi_at_lower_bound(g) if distinguishing else g.max_degree + 1):
+        return None
     n, edges, adj = g.n, g.edges, g.adjacency
     order = _total_order(g)
     ends = [(e,) if e < n else edges[e - n] for e in order]

@@ -287,26 +287,3 @@ def random_regular(n: int, d: int, seed: int) -> Graph:
         if len(edges) == len(pairs) and all(u != v for u, v in edges):
             return Graph.build(n, edges)
     raise RuntimeError("pairing model failed to produce a simple graph")
-
-
-_FAMILIES = {
-    "path": path_graph,
-    "cycle": cycle_graph,
-    "complete": complete_graph,
-    "complete_bipartite": complete_bipartite_graph,
-    "star": star_graph,
-    "random_gnp": random_gnp,
-    "random_regular": random_regular,
-}
-
-
-def generate(family: str, **params) -> Graph:
-    """Dispatch to a named generator; unknown families or parameters raise."""
-    try:
-        fn = _FAMILIES[family]
-    except KeyError:
-        raise ValueError(f"unknown graph family {family!r}") from None
-    try:
-        return fn(**params)
-    except TypeError:
-        raise ValueError(f"invalid parameters for family {family!r}: {params}") from None

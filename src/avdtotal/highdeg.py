@@ -34,17 +34,6 @@ PATCH_STREAM = "patch-deletion"
 EVENT_KINDS = ("A_pair", "B_vertex", "A2_overload", "B2_pair")
 
 
-class InfeasibleSelectionError(ValueError):
-    """A patch vertex has fewer available edges than the draw size."""
-
-    def __init__(self, vertex: int, needed: int, available: int):
-        super().__init__(
-            f"vertex {vertex} has only {available} available edges, needs {needed}")
-        self.vertex = vertex
-        self.needed = needed
-        self.available = available
-
-
 def _fraction(value) -> Fraction:
     if isinstance(value, (Fraction, int, float, str)):
         return Fraction(value)
@@ -55,7 +44,7 @@ def _fraction(value) -> Fraction:
 class PipelineParams:
     """Tunable knobs for both deletion stages.
 
-    eps, alpha, beta are exact fractions so threshold comparisons like
+    eps and alpha are exact fractions so threshold comparisons like
     count > eps * max_degree never hit floating-point ties. lam and M
     default to the values derived from m and eps; overriding one leaves the
     other consistent (M follows an overridden lam unless also overridden).
@@ -65,7 +54,6 @@ class PipelineParams:
     m: int = 8
     d: int = 4
     alpha: Fraction = Fraction(1, 2)
-    beta: Fraction = Fraction(1, 3)
     B: int = 2
     lam: float | None = None
     M: int | None = None
@@ -76,15 +64,14 @@ class PipelineParams:
     def __post_init__(self):
         object.__setattr__(self, "eps", _fraction(self.eps))
         object.__setattr__(self, "alpha", _fraction(self.alpha))
-        object.__setattr__(self, "beta", _fraction(self.beta))
         if not (isinstance(self.m, int) and isinstance(self.d, int)):
             raise ValueError("m and d must be integers")
         if self.d < 1 or self.m < self.d + 4:
             raise ValueError(f"need d >= 1 and m >= d+4, got m={self.m}, d={self.d}")
         if not 0 < self.eps < 1:
             raise ValueError("eps must lie strictly between 0 and 1")
-        if not self.alpha > self.beta > 0:
-            raise ValueError("need alpha > beta > 0")
+        if not self.alpha > 0:
+            raise ValueError("alpha must be positive")
         if self.B < 2:
             raise ValueError("B must be at least 2")
         if self.lam is not None and not self.lam > 0:
@@ -134,9 +121,6 @@ class EdgeSelection:
             counts[v] += 1
         return cls(edges=normalized, per_vertex_count=tuple(counts))
 
-    def degree(self, v: int) -> int:
-        return self.per_vertex_count[v]
-
 
 @dataclass(frozen=True)
 class BadEvent:
@@ -168,31 +152,6 @@ def candidate_edges(g: Graph) -> list[Edge]:
     """Edges with at least one high-degree endpoint, in sorted order."""
     high = degree_split(g).high
     return [e for e in g.edges if e[0] in high or e[1] in high]
-
-
-def sample_candidates(g: Graph, p: float, rng: np.random.Generator) -> EdgeSelection:
-    """Include each candidate edge independently with probability p."""
-    if not 0 <= p <= 1:
-        raise ValueError("p must lie in [0, 1]")
-    cands = candidate_edges(g)
-    if not cands:
-        return EdgeSelection.from_edges(g.n, [])
-    mask = rng.random(len(cands)) < p
-    return EdgeSelection.from_edges(g.n, [e for e, keep in zip(cands, mask) if keep])
-
-
-def cap_overloaded(g: Graph, selection: EdgeSelection, cap: int) -> EdgeSelection:
-    """Drop every edge with an endpoint whose selection count exceeds cap.
-
-    Applying the cap at both endpoints guarantees every vertex ends up in at
-    most cap surviving edges.
-    """
-    if cap < 0:
-        raise ValueError("cap must be non-negative")
-    counts = selection.per_vertex_count
-    kept = [e for e in sorted(selection.edges)
-            if counts[e[0]] <= cap and counts[e[1]] <= cap]
-    return EdgeSelection.from_edges(g.n, kept)
 
 
 class _RestrictedSets:
@@ -229,6 +188,11 @@ class _RestrictedSets:
 
 class _BulkCheck:
     """The bulk stage's bad events, with the per-graph work done once.
+
+    A_pair: adjacent equal-degree high vertices, at least one holding m or
+    more selected edges, whose restricted colour sets differ in fewer than d
+    elements. B_vertex: a high vertex more than eps*max_degree of whose
+    neighbours hold fewer than m selected edges.
 
     A_pair can only fire at an edge joining equal-degree high vertices, so
     those edges are listed up front and restricted colour sets are computed
@@ -268,29 +232,6 @@ class _BulkCheck:
         for j in np.flatnonzero(under > self.limit).tolist():
             events.append(BadEvent("B_vertex", (self.high[j],)))
         return events
-
-
-def bulk_violations(g: Graph, phi: TotalColoring, selection: EdgeSelection,
-                    params: PipelineParams | None = None) -> list[BadEvent]:
-    """Bad events left by a bulk selection.
-
-    A_pair: adjacent equal-degree high vertices, at least one holding m or
-    more selected edges, whose restricted colour sets differ in fewer than d
-    elements. B_vertex: a high vertex more than eps*max_degree of whose
-    neighbours hold fewer than m selected edges. phi must be a proper total
-    colouring of g.
-    """
-    params = params or PipelineParams()
-    resolved = params.resolve(g)
-    high = degree_split(g).high
-    for u, v in selection.edges:
-        if u not in high and v not in high:
-            raise ValueError(f"edge ({u}, {v}) has no high-degree endpoint")
-    if selection.per_vertex_count and max(selection.per_vertex_count) > resolved.M:
-        raise ValueError(f"selection exceeds the per-vertex cap {resolved.M}")
-    check = _BulkCheck(g, phi, high, params.m, params.d, params.eps)
-    return check.events(selection.edges,
-                        np.array(selection.per_vertex_count, dtype=np.int64))
 
 
 def find_bulk_deletion(g: Graph, phi: TotalColoring,
@@ -388,29 +329,13 @@ def _available_edges(g: Graph, taken: frozenset[Edge],
     return out
 
 
-def sample_patch(g: Graph, bulk: EdgeSelection, light: frozenset[int], B: int,
-                 rng: np.random.Generator) -> EdgeSelection:
-    """Draw, per light vertex, a uniform B-subset of its available edges.
-
-    Available means: not already selected by the bulk stage, and leading to
-    a neighbour outside the light set. Raises InfeasibleSelectionError
-    naming the first vertex without enough available edges.
-    """
-    if B < 1:
-        raise ValueError("B must be positive")
-    avail = _available_edges(g, bulk.edges, light)
-    picked: list[Edge] = []
-    for u in sorted(light):
-        pool = avail[u]
-        if len(pool) < B:
-            raise InfeasibleSelectionError(u, B, len(pool))
-        idx = rng.choice(len(pool), size=B, replace=False)
-        picked.extend(pool[i] for i in sorted(idx))
-    return EdgeSelection.from_edges(g.n, picked)
-
-
 class _PatchCheck:
     """The patch stage's bad events, with the per-graph work done once.
+
+    A2_overload: a vertex outside the light set, of degree above
+    alpha*max_degree, incident to B or more patch edges. B2_pair: adjacent
+    light vertices whose colour sets coincide once both stages' edges stop
+    contributing.
 
     A2_overload can only fire at the heavy non-light vertices and B2_pair
     only at light-light edges, so both are listed up front.
@@ -432,31 +357,6 @@ class _PatchCheck:
         events.extend(BadEvent("B2_pair", (u, v)) for u, v in self.light_pairs
                       if restricted(u) == restricted(v))
         return events
-
-
-def patch_violations(g: Graph, phi: TotalColoring, bulk: EdgeSelection,
-                     patch: EdgeSelection, light: frozenset[int],
-                     params: PipelineParams | None = None) -> list[BadEvent]:
-    """Bad events left by a patch selection.
-
-    A2_overload: a vertex outside the light set, of degree above
-    alpha*max_degree, incident to B or more patch edges. B2_pair: adjacent
-    light vertices whose colour sets coincide once both stages' edges stop
-    contributing. The selection must have the constructed shape: disjoint
-    from the bulk set, exactly B edges per light vertex, every patch edge
-    joining a light vertex to a non-light one. phi must be a proper total
-    colouring of g.
-    """
-    params = params or PipelineParams()
-    if patch.edges & bulk.edges:
-        raise ValueError("patch edges must avoid the bulk selection")
-    for u, v in patch.edges:
-        if (u in light) == (v in light):
-            raise ValueError(f"patch edge ({u}, {v}) must join light to non-light")
-    for u in sorted(light):
-        if patch.per_vertex_count[u] != params.B:
-            raise ValueError(f"light vertex {u} must hold exactly B={params.B} patch edges")
-    return _PatchCheck(g, phi, bulk.edges, light, params.alpha, params.B).events(patch)
 
 
 def find_patch_deletion(g: Graph, phi: TotalColoring, bulk: EdgeSelection,

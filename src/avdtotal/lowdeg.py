@@ -38,19 +38,6 @@ def _forbidden(g: Graph, vertex_colors: list[int], sets: list[frozenset[int]],
     return out
 
 
-def forbidden_colors(g: Graph, phi: TotalColoring, u: int) -> set[int]:
-    """Forbidden replacement vertex colours for the low-degree vertex u.
-
-    phi must be a proper total colouring of g.
-    """
-    split = degree_split(g)
-    if u not in split.low:
-        raise ValueError(f"vertex {u} is not low-degree (2*deg > max_degree)")
-    if phi.k <= g.max_degree:
-        raise ValueError(f"palette k={phi.k} must exceed max_degree={g.max_degree}")
-    return _forbidden(g, list(phi.vertex_colors), color_sets(g, phi), u)
-
-
 def distinguish_low_degree(g: Graph, phi: TotalColoring) -> TotalColoring:
     """Recolour low-degree vertices until each differs from all neighbours.
 

@@ -8,41 +8,12 @@ coloured neighbours in the total sense.
 from __future__ import annotations
 
 from .coloring import TotalColoring
-from .graphs import Edge, Graph, normalize_edge
-
-Element = int | Edge
+from .graphs import Edge, Graph
 
 
-def default_order(g: Graph) -> list[Element]:
-    """Vertices ascending, then edges in lexicographic endpoint order."""
-    return list(range(g.n)) + list(g.edges)
-
-
-def _validate_order(g: Graph, order: list[Element]) -> None:
-    seen_v: set[int] = set()
-    seen_e: set[Edge] = set()
-    for item in order:
-        if isinstance(item, int) and not isinstance(item, bool):
-            if not 0 <= item < g.n:
-                raise ValueError(f"order contains unknown vertex {item}")
-            if item in seen_v:
-                raise ValueError(f"order repeats vertex {item}")
-            seen_v.add(item)
-        elif isinstance(item, tuple) and len(item) == 2:
-            e = normalize_edge(*item)
-            if e not in g.edge_set:
-                raise ValueError(f"order contains non-edge {item}")
-            if e in seen_e:
-                raise ValueError(f"order repeats edge {item}")
-            seen_e.add(e)
-        else:
-            raise ValueError(f"order contains unrecognized element {item!r}")
-    if len(seen_v) != g.n or len(seen_e) != len(g.edges):
-        raise ValueError("order must cover every vertex and edge exactly once")
-
-
-def greedy_total(g: Graph, order: list[Element] | None = None) -> TotalColoring:
-    """Proper total colouring by smallest-available colour along ``order``.
+def greedy_total(g: Graph) -> TotalColoring:
+    """Proper total colouring by smallest-available colour: vertices in
+    ascending order, then edges in lexicographic endpoint order.
 
     Uses at most 2*max_degree + 1 colours. Not adjacent-vertex-
     distinguishing in general; it seeds the recolouring pipeline.
@@ -52,27 +23,21 @@ def greedy_total(g: Graph, order: list[Element] | None = None) -> TotalColoring:
     every mask, so an uncoloured vertex forbids nothing new and the lowest
     clear bit of a forbidden mask is the first-fit colour, at least 1.
     """
-    if order is None:
-        order = default_order(g)
-    else:
-        _validate_order(g, order)
     adjacency = g.adjacency
     vcol = [0] * g.n
     emask = [1] * g.n
     ecol: dict[Edge, int] = {}
-    for item in order:
-        if isinstance(item, int):
-            bad = emask[item]
-            for w in adjacency[item]:
-                bad |= 1 << vcol[w]
-            vcol[item] = (~bad & (bad + 1)).bit_length() - 1
-        else:
-            u, v = item
-            bad = emask[u] | emask[v] | 1 << vcol[u] | 1 << vcol[v]
-            c = (~bad & (bad + 1)).bit_length() - 1
-            emask[u] |= 1 << c
-            emask[v] |= 1 << c
-            ecol[normalize_edge(u, v)] = c
+    for v in range(g.n):
+        bad = 1  # no edge is coloured yet
+        for w in adjacency[v]:
+            bad |= 1 << vcol[w]
+        vcol[v] = (~bad & (bad + 1)).bit_length() - 1
+    for u, v in g.edges:
+        bad = emask[u] | emask[v] | 1 << vcol[u] | 1 << vcol[v]
+        c = (~bad & (bad + 1)).bit_length() - 1
+        emask[u] |= 1 << c
+        emask[v] |= 1 << c
+        ecol[(u, v)] = c
 
     used = max(max(vcol, default=1), max(ecol.values(), default=1))
     if used > 2 * g.max_degree + 1:

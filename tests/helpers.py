@@ -14,7 +14,7 @@ import random
 from fractions import Fraction
 
 from avdtotal import (Edge, EdgeColoring, Graph, TotalColoring, normalize_edge,
-                      random_gnp)
+                      random_gnp, substream)
 
 
 def naive_is_proper(g: Graph, phi: TotalColoring) -> bool:
@@ -192,6 +192,42 @@ def _restricted_set(g: Graph, phi: TotalColoring, deleted, v: int) -> frozenset[
     return frozenset({phi.vertex_colors[v]}
                      | {phi.edge_colors[e] for e in g.incident_edges(v)
                         if e not in deleted})
+
+
+def reference_bulk_first_round(g: Graph, p: float, M: int, seed: int) -> frozenset[Edge]:
+    """The bulk stage's first selection: every edge with an endpoint of
+    degree above max_degree/2 kept when its draw from the bulk stream is
+    below p, then every kept edge at a vertex holding more than M dropped."""
+    high = {v for v in range(g.n) if 2 * g.degree(v) > g.max_degree}
+    cands = [(u, v) for u, v in sorted(g.edges) if u in high or v in high]
+    draws = substream(seed, "bulk-deletion").random(len(cands))
+    drawn = [e for e, x in zip(cands, draws) if x < p]
+    held: dict[int, int] = {}
+    for u, v in drawn:
+        held[u] = held.get(u, 0) + 1
+        held[v] = held.get(v, 0) + 1
+    return frozenset(e for e in drawn if held[e[0]] <= M and held[e[1]] <= M)
+
+
+def reference_patch_first_draw(g: Graph, bulk, light, B: int,
+                               seed: int) -> frozenset[Edge] | None:
+    """The patch stage's first selection, or None when some light vertex
+    has fewer than B available edges.
+
+    Each light vertex, in ascending order, draws B distinct positions from
+    the patch stream into its pool: its edges to non-light neighbours
+    outside ``bulk``, by ascending neighbour.
+    """
+    pools = {u: [tuple(sorted((u, w))) for w in sorted(g.neighbors(u))
+                 if w not in light and tuple(sorted((u, w))) not in bulk]
+             for u in sorted(light)}
+    if any(len(pool) < B for pool in pools.values()):
+        return None
+    rng = substream(seed, "patch-deletion")
+    picked: set[Edge] = set()
+    for u in sorted(light):
+        picked.update(pools[u][i] for i in rng.choice(len(pools[u]), B, replace=False))
+    return frozenset(picked)
 
 
 def reference_bulk_events(g: Graph, phi: TotalColoring, selected, m: int,

@@ -16,8 +16,7 @@ from hypothesis import strategies as st
 from avdtotal import (DomainError, binom_lower_tail_bound,
                       binom_lower_tail_log, binom_upper_tail_bound,
                       binom_upper_tail_log, compute_c0, derive_constants,
-                      find_feasible_delta, lll_asymmetric_check,
-                      lll_symmetric_check)
+                      find_feasible_delta, lll_asymmetric_check)
 
 from helpers import exact_lower_tail, exact_upper_tail
 
@@ -177,23 +176,6 @@ class TestComputeC0:
     def test_domain(self, kwargs):
         with pytest.raises(DomainError):
             compute_c0(**kwargs)
-
-
-class TestSymmetricLll:
-    def test_boundary(self):
-        d = 4
-        at = 1.0 / (math.e * (d + 1))
-        assert lll_symmetric_check(at * 0.999, d)
-        assert not lll_symmetric_check(at * 1.001, d)
-
-    def test_zero_probability(self):
-        assert lll_symmetric_check(0.0, 1000)
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            lll_symmetric_check(1.5, 3)
-        with pytest.raises(DomainError):
-            lll_symmetric_check(0.5, -1)
 
 
 class TestAsymmetricLll:

@@ -16,6 +16,8 @@ from hypothesis import strategies as st
 
 from avdtotal import (Graph, TotalColoring, cli, complete_graph, cycle_graph,
                       greedy_total, star_graph, to_document, write_graph6)
+from avdtotal import coloring as coloring_mod
+from avdtotal import pipeline as pipeline_mod
 
 
 @pytest.fixture
@@ -134,6 +136,21 @@ class TestColor:
         monkeypatch.setattr(sys, "stdin", io.StringIO("C~\n"))
         code, out, _ = run(["color", "--json"], capsys)
         assert code == 0 and json.loads(out)["n"] == 4
+
+    def test_one_properness_pass(self, k5_file, capsys, monkeypatch):
+        # run_pipeline's exit check is the only one; the document reuses
+        # its verdict instead of verifying again
+        calls = []
+        original = coloring_mod.properness_violations
+
+        def counting(g, phi):
+            calls.append(1)
+            return original(g, phi)
+
+        for module in (coloring_mod, pipeline_mod, cli):
+            monkeypatch.setattr(module, "properness_violations", counting)
+        code, out, _ = run(["color", "--in", k5_file, "--json"], capsys)
+        assert code == 0 and len(calls) == 1
 
 
 class TestVerify:

@@ -7,10 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from avdtotal import (DocumentError, TotalColoring, avd_violations,
-                      check_total, color_set, color_sets, complete_graph,
-                      cycle_graph, from_document, greedy_total, is_proper,
-                      palette_size, path_graph, properness_violations,
-                      random_gnp, star_graph, to_document, verdict)
+                      check_total, color_sets, complete_graph, cycle_graph,
+                      from_document, greedy_total, is_proper, path_graph,
+                      properness_violations, random_gnp, star_graph,
+                      to_document, verdict)
 from avdtotal.coloring import edge_clashes
 
 from helpers import (naive_color_set, naive_is_avd, naive_is_proper,
@@ -64,30 +64,20 @@ class TestCheckTotal:
 class TestColorSets:
     def test_color_set_matches_naive(self):
         g, phi = p3_coloring()
+        sets = color_sets(g, phi)
         for v in range(3):
-            assert color_set(g, phi, v).colors == naive_color_set(g, phi, v)
-
-    def test_color_set_owner(self):
-        g, phi = p3_coloring()
-        assert color_set(g, phi, 1).owner == 1
-
-    def test_color_set_out_of_range(self):
-        g, phi = p3_coloring()
-        with pytest.raises(ValueError):
-            color_set(g, phi, 3)
+            assert sets[v] == naive_color_set(g, phi, v)
 
     def test_proper_set_size_is_degree_plus_one(self):
         g = complete_graph(4)
         phi = greedy_total(g)
-        for v in range(g.n):
-            assert len(color_set(g, phi, v).colors) == g.degree(v) + 1
+        for v, cols in enumerate(color_sets(g, phi)):
+            assert len(cols) == g.degree(v) + 1
 
     def test_color_sets_batch_agrees(self):
         g = cycle_graph(5)
         phi = greedy_total(g)
-        batch = color_sets(g, phi)
-        for v in range(g.n):
-            assert batch[v] == color_set(g, phi, v).colors
+        assert color_sets(g, phi) == [naive_color_set(g, phi, v) for v in range(g.n)]
 
 
 class TestPropernessViolations:
@@ -182,16 +172,11 @@ class TestPalette:
     def test_palette_size_counts_used_not_declared(self):
         g, phi = p3_coloring()
         wide = TotalColoring(phi.vertex_colors, phi.edge_colors, 99)
-        assert palette_size(wide) == 4
+        assert len(wide.used_colors()) == 4
 
     def test_used_colors(self):
         g, phi = p3_coloring()
         assert phi.used_colors() == frozenset({1, 2, 3, 4})
-
-    def test_edge_color_either_order(self):
-        g, phi = p3_coloring()
-        assert phi.edge_color(1, 0) == 3
-        assert phi.edge_color(0, 1) == 3
 
 
 class TestDocuments:

@@ -1,15 +1,17 @@
 """Exhaustive solvers cross-checked against brute enumeration."""
 
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from avdtotal import (CapacityError, Graph, Graph6Error, check_conjecture,
                       chi_at_exact, chi_prime_exact, chi_total_exact,
-                      chi_vertex_exact, complete_bipartite_graph,
-                      complete_graph, cycle_graph, find_edge_coloring,
-                      find_total_coloring, parse_graph6, path_graph, random_gnp,
-                      star_graph, verdict, write_graph6)
+                      complete_bipartite_graph, complete_graph, cycle_graph,
+                      exact, find_edge_coloring, find_total_coloring,
+                      parse_graph6, path_graph, random_gnp, star_graph,
+                      verdict, write_graph6)
 
 from helpers import (connected_graphs, enumerate_total_colorings, naive_is_avd,
                      naive_is_proper, reference_find_total_coloring)
@@ -79,7 +81,12 @@ class TestChiVertex:
         (complete_bipartite_graph(2, 3), 2),
     ])
     def test_known(self, g, expected):
-        assert chi_vertex_exact(g) == expected
+        # the backtracker behind find_edge_coloring, on vertex conflicts:
+        # the first k it colours with is the chromatic number
+        conflict = [list(g.adjacency[v]) for v in range(g.n)]
+        order = exact._order_by_conflicts(conflict)
+        assert min(k for k in range(1, g.n + 1)
+                   if exact._backtrack(g.n, conflict, order, k) is not None) == expected
 
 
 class TestChiTotal:
@@ -199,6 +206,32 @@ class TestLowerBound:
         assert len(pairs) == 73  # of 143
         for g in pairs:
             assert find_total_coloring(g, g.max_degree + 1, distinguishing=True) is None
+
+    def test_below_bound_agrees_with_reference(self):
+        # up to the bound the answer is None without a search, and the
+        # full search agrees; at the bound both search
+        for g in connected_graphs(5):
+            for distinguishing in (False, True):
+                bound = (exact._chi_at_lower_bound(g) if distinguishing
+                         else g.max_degree + 1)
+                for k in range(bound + 1):
+                    got = find_total_coloring(g, k, distinguishing)
+                    assert got == reference_find_total_coloring(g, k, distinguishing)
+                    if k < bound:
+                        assert got is None
+
+    def test_below_bound_returns_at_once(self):
+        # max degree 7 with an adjacent pair of degree-7 vertices: the
+        # bound is 9, and an exhaustive search at k = 8 runs for tens of
+        # seconds
+        g = random_gnp(8, 0.8, 1)
+        assert exact._chi_at_lower_bound(g) == 9
+        start = time.perf_counter()
+        assert find_total_coloring(g, 8, distinguishing=True) is None
+        assert time.perf_counter() - start < 1.0
+
+    def test_empty_graph_any_k(self):
+        assert find_total_coloring(Graph.build(0, []), 0) is not None
 
     def test_scan_from_chi_total_agrees(self):
         for g in atlas():

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from avdtotal import (DimacsError, Graph, Graph6Error, complete_bipartite_graph,
-                      complete_graph, cycle_graph, degree_split, generate,
+                      complete_graph, cycle_graph, degree_split,
                       normalize_edge, parse_dimacs, parse_graph6, path_graph,
                       random_gnp, random_regular, star_graph, write_graph6)
 
@@ -245,18 +245,6 @@ class TestGenerators:
     def test_regular_parity_rejected(self):
         with pytest.raises(ValueError):
             random_regular(5, 3, 0)
-
-    def test_generate_dispatch(self):
-        g = generate("cycle", n=5)
-        assert g.edges == cycle_graph(5).edges
-
-    def test_generate_unknown_family(self):
-        with pytest.raises(ValueError):
-            generate("hypercube", n=3)
-
-    def test_generate_bad_params(self):
-        with pytest.raises(ValueError):
-            generate("cycle", vertices=5)
 
 
 def test_connected_enumeration_counts():

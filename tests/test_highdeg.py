@@ -7,15 +7,15 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from avdtotal import (BadEvent, EdgeSelection, Graph, InfeasibleSelectionError,
-                      PipelineParams, TotalColoring, bulk_violations,
-                      candidate_edges, cap_overloaded, complete_graph,
+from avdtotal import (BadEvent, EdgeSelection, Graph, PipelineParams,
+                      TotalColoring, candidate_edges, complete_graph,
                       cycle_graph, degree_split, find_bulk_deletion,
-                      find_patch_deletion, greedy_total, is_proper,
-                      light_vertices, patch_violations, random_gnp,
-                      sample_candidates, sample_patch, star_graph, substream)
+                      find_patch_deletion, greedy_total, light_vertices,
+                      random_gnp, star_graph, substream)
+from avdtotal.highdeg import _BulkCheck, _PatchCheck
 
-from helpers import reference_bulk_events, reference_patch_events
+from helpers import (reference_bulk_events, reference_bulk_first_round,
+                     reference_patch_events, reference_patch_first_draw)
 
 BULK_STREAM = "bulk-deletion"
 PATCH_STREAM = "patch-deletion"
@@ -37,6 +37,28 @@ def two_hub_fixture():
     return g, phi
 
 
+def bulk_events(g, phi, sel, params):
+    """The events find_bulk_deletion's own check reports for sel."""
+    check = _BulkCheck(g, phi, degree_split(g).high, params.m, params.d, params.eps)
+    return check.events(sel.edges, np.array(sel.per_vertex_count, dtype=np.int64))
+
+
+def patch_events(g, phi, bulk, patch, light, params):
+    """The events find_patch_deletion's own check reports for patch."""
+    return _PatchCheck(g, phi, bulk.edges, light, params.alpha, params.B).events(patch)
+
+
+def first_bulk_round(g, phi, **kwargs):
+    """find_bulk_deletion's selection after its first draw."""
+    return find_bulk_deletion(g, phi, PipelineParams(max_rounds=1, **kwargs)).selection
+
+
+def first_patch_draw(g, phi, bulk, light, **kwargs):
+    """find_patch_deletion's selection after its first draw."""
+    params = PipelineParams(m=5, d=1, max_rounds=1, **kwargs)
+    return find_patch_deletion(g, phi, bulk, light, params).selection
+
+
 def k5_fixture():
     """K_5 with the cyclic colouring: every vertex sees all of 1..5."""
     g = complete_graph(5)
@@ -49,22 +71,21 @@ def k5_fixture():
 class TestPipelineParams:
     def test_defaults(self):
         p = PipelineParams()
-        assert (p.eps, p.m, p.d, p.alpha, p.beta, p.B) == (
-            Fraction(1, 3), 8, 4, Fraction(1, 2), Fraction(1, 3), 2)
+        assert (p.eps, p.m, p.d, p.alpha, p.B) == (
+            Fraction(1, 3), 8, 4, Fraction(1, 2), 2)
 
     def test_fraction_coercion(self):
-        p = PipelineParams(eps="1/4", alpha=0.75, beta="0.25")
+        p = PipelineParams(eps="1/4", alpha=0.75)
         assert p.eps == Fraction(1, 4)
         assert p.alpha == Fraction(3, 4)
-        assert p.beta == Fraction(1, 4)
 
     @pytest.mark.parametrize("kwargs", [
         dict(m=7, d=4),           # m < d + 4
         dict(d=0),
         dict(eps=Fraction(0)),
         dict(eps=Fraction(1)),
-        dict(alpha=Fraction(1, 3), beta=Fraction(1, 2)),
-        dict(beta=Fraction(0)),
+        dict(alpha=Fraction(0)),
+        dict(alpha=Fraction(-1, 2)),
         dict(B=1),
         dict(lam=0.0),
         dict(M=0),
@@ -111,7 +132,7 @@ class TestEdgeSelection:
 
     def test_counts(self):
         s = EdgeSelection.from_edges(4, [(0, 1), (0, 2), (0, 3)])
-        assert s.degree(0) == 3 and s.degree(2) == 1
+        assert s.per_vertex_count[0] == 3 and s.per_vertex_count[2] == 1
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
@@ -134,65 +155,77 @@ class TestCandidatesAndSampling:
         assert candidate_edges(g) == list(g.edges)
 
     def test_sample_extremes(self):
+        # K_5 has max degree 4 < lam, so p = 1; a tiny lam makes p ~ 1e-13
         g = complete_graph(5)
-        rng = substream(0, BULK_STREAM)
-        assert sample_candidates(g, 0.0, rng).edges == frozenset()
-        assert sample_candidates(g, 1.0, rng).edges == g.edge_set
+        phi = greedy_total(g)
+        assert first_bulk_round(g, phi).edges == g.edge_set
+        assert first_bulk_round(g, phi, lam=1e-12).edges == frozenset()
 
     def test_sample_rejects_bad_p(self):
-        g = complete_graph(4)
+        # p = min(1, lam / max_degree) with lam > 0 enforced, so the
+        # sampling probability is always in (0, 1]
         with pytest.raises(ValueError):
-            sample_candidates(g, 1.5, substream(0, BULK_STREAM))
+            PipelineParams(lam=-0.5)
+        assert PipelineParams(lam=1e9).resolve(complete_graph(5)).p == 1.0
+        assert 0 < PipelineParams(lam=1e-9).resolve(complete_graph(5)).p < 1
 
     def test_sample_deterministic_per_seed(self):
         g = complete_graph(10)
-        a = sample_candidates(g, 0.5, substream(11, BULK_STREAM))
-        b = sample_candidates(g, 0.5, substream(11, BULK_STREAM))
+        phi = greedy_total(g)
+        kwargs = dict(lam=4.5, M=10_000)  # p = 1/2
+        a = first_bulk_round(g, phi, seed=11, **kwargs)
+        b = first_bulk_round(g, phi, seed=11, **kwargs)
         assert a == b
-        c = sample_candidates(g, 0.5, substream(12, BULK_STREAM))
+        c = first_bulk_round(g, phi, seed=12, **kwargs)
         assert a != c
 
     def test_sample_mean_matches_expectation(self):
-        # fixed stream makes this check deterministic; the tolerance is
-        # seven standard errors of the 800-draw mean
+        # fixed seeds make this check deterministic; the tolerance is seven
+        # standard errors of the 800-draw mean
         g = complete_graph(51)
+        phi = greedy_total(g)
         r = PipelineParams().resolve(g)
         cands = candidate_edges(g)
-        rng = substream(123, BULK_STREAM)
         draws = 800
-        total = sum(len(sample_candidates(g, r.p, rng).edges)
-                    for _ in range(draws))
+        # the draw does not depend on m once lam and M are fixed; an m above
+        # every count keeps A_pair, and so the round's check, cheap
+        total = sum(len(first_bulk_round(g, phi, seed=seed, m=100, lam=r.lam,
+                                         M=r.M).edges)
+                    for seed in range(draws))
         expected = len(cands) * r.p
         sigma = (len(cands) * r.p * (1 - r.p) / draws) ** 0.5
         assert abs(total / draws - expected) < 7 * sigma
 
     def test_cap_drops_both_sides(self):
         g = star_graph(4)
-        s = EdgeSelection.from_edges(5, g.edges)
-        capped = cap_overloaded(g, s, 3)
-        assert capped.edges == frozenset()  # centre holds 4 > 3, all dropped
+        phi = greedy_total(g)
+        # p = 1 selects all four edges; the centre holds 4 > 3, so all go
+        assert first_bulk_round(g, phi, M=3).edges == frozenset()
 
     def test_cap_keeps_at_cap(self):
         g = star_graph(4)
-        s = EdgeSelection.from_edges(5, g.edges)
-        assert cap_overloaded(g, s, 4).edges == g.edge_set
+        phi = greedy_total(g)
+        assert first_bulk_round(g, phi, M=4).edges == g.edge_set
 
     def test_cap_rejects_negative(self):
-        g = star_graph(2)
         with pytest.raises(ValueError):
-            cap_overloaded(g, EdgeSelection.from_edges(3, []), -1)
+            PipelineParams(M=-1)
 
-    @given(st.integers(4, 12), st.integers(0, 99), st.integers(0, 6))
+    @given(st.integers(4, 12), st.integers(0, 99), st.integers(1, 6))
     @settings(max_examples=60, deadline=None)
     def test_cap_property(self, n, seed, cap):
         g = random_gnp(n, 0.6, seed)
-        s = sample_candidates(g, 0.7, substream(seed, BULK_STREAM))
-        capped = cap_overloaded(g, s, cap)
-        assert capped.edges <= s.edges
+        params = PipelineParams(lam=0.7 * max(g.max_degree, 1), M=cap, seed=seed,
+                                max_rounds=1)
+        capped = find_bulk_deletion(g, greedy_total(g), params).selection
+        # the uncapped draw: M at least the largest possible count
+        drawn = reference_bulk_first_round(g, params.resolve(g).p, g.n, seed)
+        held = EdgeSelection.from_edges(g.n, drawn).per_vertex_count
+        assert capped.edges <= drawn
         assert all(c <= cap for c in capped.per_vertex_count)
         # only edges with an overloaded endpoint disappear
-        for e in s.edges - capped.edges:
-            assert s.per_vertex_count[e[0]] > cap or s.per_vertex_count[e[1]] > cap
+        for e in drawn - capped.edges:
+            assert held[e[0]] > cap or held[e[1]] > cap
 
 
 class TestBulkViolations:
@@ -201,8 +234,8 @@ class TestBulkViolations:
         sel = EdgeSelection.from_edges(14, [
             (0, 3), (0, 4), (0, 5), (0, 6), (0, 7),
             (1, 9), (1, 10), (1, 11), (1, 12), (1, 13)])
-        events = bulk_violations(g, phi, sel,
-                                 PipelineParams(m=5, d=1, eps=Fraction(9, 10)))
+        events = bulk_events(g, phi, sel,
+                             PipelineParams(m=5, d=1, eps=Fraction(9, 10)))
         assert [(e.kind, e.witness) for e in events] == [("A_pair", (0, 1))]
 
     def test_b_vertex_joins_at_smaller_eps(self):
@@ -210,7 +243,7 @@ class TestBulkViolations:
         sel = EdgeSelection.from_edges(14, [
             (0, 3), (0, 4), (0, 5), (0, 6), (0, 7),
             (1, 9), (1, 10), (1, 11), (1, 12), (1, 13)])
-        events = bulk_violations(g, phi, sel, PipelineParams(m=5, d=1))
+        events = bulk_events(g, phi, sel, PipelineParams(m=5, d=1))
         assert [(e.kind, e.witness) for e in events] == [
             ("A_pair", (0, 1)), ("B_vertex", (0,)), ("B_vertex", (1,))]
 
@@ -219,23 +252,25 @@ class TestBulkViolations:
         # but now every neighbour is under-selected, so both hubs trip B
         g, phi = two_hub_fixture()
         sel = EdgeSelection.from_edges(14, [])
-        events = bulk_violations(g, phi, sel,
-                                 PipelineParams(m=5, d=1, eps=Fraction(9, 10)))
+        events = bulk_events(g, phi, sel,
+                             PipelineParams(m=5, d=1, eps=Fraction(9, 10)))
         assert [(e.kind, e.witness) for e in events] == [
             ("B_vertex", (0,)), ("B_vertex", (1,))]
 
     def test_rejects_low_low_edge(self):
+        # the stage draws only candidate edges, so even at p = 1 the edge
+        # joining two leaves is never selected
         g, phi = two_hub_fixture()
         g2 = Graph.build(14, list(g.edges) + [(2, 8)])
-        sel = EdgeSelection.from_edges(14, [(2, 8)])
-        with pytest.raises(ValueError):
-            bulk_violations(g2, greedy_total(g2), sel, PipelineParams(m=5, d=1))
+        sel = first_bulk_round(g2, greedy_total(g2), m=5, d=1)
+        assert sel.edges == g.edge_set
 
     def test_rejects_over_cap(self):
+        # p = 1 selects every edge; both hubs hold 7 > M, so all their
+        # edges, which are all edges, are dropped
         g, phi = two_hub_fixture()
-        sel = EdgeSelection.from_edges(14, g.edges)
-        with pytest.raises(ValueError):
-            bulk_violations(g, phi, sel, PipelineParams(m=5, d=1, M=3))
+        sel = first_bulk_round(g, phi, m=5, d=1, M=3)
+        assert sel.edges == frozenset()
 
     @given(st.integers(4, 12), st.integers(0, 199), st.integers(0, 99))
     @settings(max_examples=80, deadline=None)
@@ -247,7 +282,7 @@ class TestBulkViolations:
         rng = np.random.Generator(np.random.Philox(subset_seed))
         mask = rng.random(len(cands)) < 0.5
         sel = EdgeSelection.from_edges(g.n, [e for e, k in zip(cands, mask) if k])
-        got = [(e.kind, e.witness) for e in bulk_violations(g, phi, sel, params)]
+        got = [(e.kind, e.witness) for e in bulk_events(g, phi, sel, params)]
         assert got == reference_bulk_events(g, phi, sel.edges, 6, 2, Fraction(2, 5))
 
 
@@ -271,7 +306,7 @@ class TestFindBulkDeletion:
         params = PipelineParams(m=6, d=1, eps=Fraction(1, 3), lam=6.0, seed=7)
         res = find_bulk_deletion(g, phi, params)
         assert res.success and res.rounds == 5
-        assert bulk_violations(g, phi, res.selection, params) == []
+        assert bulk_events(g, phi, res.selection, params) == []
 
     def test_deterministic_per_seed(self):
         g = complete_graph(12)
@@ -289,7 +324,7 @@ class TestFindBulkDeletion:
         r = params.resolve(g)
         assert max(res.selection.per_vertex_count) <= r.M
         if res.success:
-            assert bulk_violations(g, phi, res.selection, params) == []
+            assert bulk_events(g, phi, res.selection, params) == []
 
     def test_edgeless_graph(self):
         g = Graph.build(4, [])
@@ -317,20 +352,10 @@ class TestLightVertices:
 
 
 class TestSamplePatch:
-    def test_infeasible_raises_with_attributes(self):
-        from avdtotal import path_graph
-        g = path_graph(3)
-        empty = EdgeSelection.from_edges(3, [])
-        with pytest.raises(InfeasibleSelectionError) as exc:
-            sample_patch(g, empty, frozenset({1}), 3, substream(0, PATCH_STREAM))
-        assert exc.value.vertex == 1
-        assert exc.value.needed == 3
-        assert exc.value.available == 2
-
     def test_draws_exactly_b_per_light_vertex(self):
         g, phi = k5_fixture()
         empty = EdgeSelection.from_edges(5, [])
-        sel = sample_patch(g, empty, frozenset({0, 1}), 2, substream(5, PATCH_STREAM))
+        sel = first_patch_draw(g, phi, empty, frozenset({0, 1}), seed=5)
         assert sel.per_vertex_count[0] == 2 and sel.per_vertex_count[1] == 2
         for u, v in sel.edges:
             assert (u in {0, 1}) != (v in {0, 1})
@@ -338,18 +363,17 @@ class TestSamplePatch:
     def test_avoids_bulk_edges(self):
         g, phi = k5_fixture()
         bulk = EdgeSelection.from_edges(5, [(0, 2), (0, 3)])
-        sel = sample_patch(g, bulk, frozenset({0}), 2, substream(5, PATCH_STREAM))
+        sel = first_patch_draw(g, phi, bulk, frozenset({0}), seed=5)
         assert sel.edges == frozenset({(0, 1), (0, 4)})  # the only pool left
 
     def test_uniform_over_pairs(self):
-        # 6 possible 2-subsets of vertex 0's four edges; fixed stream, so
+        # 6 possible 2-subsets of vertex 0's four edges; fixed seeds, so
         # the observed counts are reproducible
         g, phi = k5_fixture()
         empty = EdgeSelection.from_edges(5, [])
-        rng = substream(42, PATCH_STREAM)
         counts: dict = {}
-        for _ in range(3000):
-            sel = sample_patch(g, empty, frozenset({0}), 2, rng)
+        for seed in range(3000):
+            sel = first_patch_draw(g, phi, empty, frozenset({0}), seed=seed)
             key = tuple(sorted(sel.edges))
             counts[key] = counts.get(key, 0) + 1
         assert len(counts) == 6
@@ -361,8 +385,8 @@ class TestPatchViolations:
         g, phi = k5_fixture()
         empty = EdgeSelection.from_edges(5, [])
         patch = EdgeSelection.from_edges(5, [(0, 3), (0, 4), (1, 2), (1, 3)])
-        events = patch_violations(g, phi, empty, patch, frozenset({0, 1}),
-                                  PipelineParams(m=5, d=1))
+        events = patch_events(g, phi, empty, patch, frozenset({0, 1}),
+                              PipelineParams(m=5, d=1))
         assert [(e.kind, e.witness) for e in events] == [
             ("A2_overload", (3,)), ("B2_pair", (0, 1))]
 
@@ -370,34 +394,36 @@ class TestPatchViolations:
         g, phi = k5_fixture()
         empty = EdgeSelection.from_edges(5, [])
         patch = EdgeSelection.from_edges(5, [(0, 2), (0, 3), (1, 2), (1, 3)])
-        events = patch_violations(g, phi, empty, patch, frozenset({0, 1}),
-                                  PipelineParams(m=5, d=1))
+        events = patch_events(g, phi, empty, patch, frozenset({0, 1}),
+                              PipelineParams(m=5, d=1))
         assert [(e.kind, e.witness) for e in events] == [
             ("A2_overload", (2,)), ("A2_overload", (3,))]
+
+    # the stage's draws have the shape the events assume; these check it
+    # on its own output over many seeds
 
     def test_rejects_overlap_with_bulk(self):
         g, phi = k5_fixture()
         bulk = EdgeSelection.from_edges(5, [(0, 3)])
-        patch = EdgeSelection.from_edges(5, [(0, 3), (0, 4), (1, 2), (1, 3)])
-        with pytest.raises(ValueError):
-            patch_violations(g, phi, bulk, patch, frozenset({0, 1}),
-                             PipelineParams(m=5, d=1))
+        for seed in range(50):
+            sel = first_patch_draw(g, phi, bulk, frozenset({0, 1}), seed=seed)
+            assert not sel.edges & bulk.edges
 
     def test_rejects_light_light_edge(self):
         g, phi = k5_fixture()
         empty = EdgeSelection.from_edges(5, [])
-        patch = EdgeSelection.from_edges(5, [(0, 1), (0, 4), (1, 2), (1, 3)])
-        with pytest.raises(ValueError):
-            patch_violations(g, phi, empty, patch, frozenset({0, 1}),
-                             PipelineParams(m=5, d=1))
+        for seed in range(50):
+            sel = first_patch_draw(g, phi, empty, frozenset({0, 1}), seed=seed)
+            assert all((u in {0, 1}) != (v in {0, 1}) for u, v in sel.edges)
 
     def test_rejects_wrong_count(self):
-        g, phi = k5_fixture()
-        empty = EdgeSelection.from_edges(5, [])
-        patch = EdgeSelection.from_edges(5, [(0, 3), (1, 2), (1, 3)])
-        with pytest.raises(ValueError):
-            patch_violations(g, phi, empty, patch, frozenset({0, 1}),
-                             PipelineParams(m=5, d=1))
+        g = complete_graph(7)
+        phi = greedy_total(g)
+        empty = EdgeSelection.from_edges(7, [])
+        light = frozenset({0, 2, 5})
+        for seed in range(50):
+            sel = first_patch_draw(g, phi, empty, light, seed=seed, B=3)
+            assert [sel.per_vertex_count[u] for u in sorted(light)] == [3, 3, 3]
 
     @given(st.integers(5, 12), st.integers(0, 99), st.integers(0, 99))
     @settings(max_examples=60, deadline=None)
@@ -409,13 +435,12 @@ class TestPatchViolations:
         # high vertices so non-light neighbours stay plentiful
         high = sorted(degree_split(g).high)
         light = frozenset(high[: len(high) // 3])
-        from avdtotal.highdeg import _available_edges
-        avail = _available_edges(g, empty.edges, light)
-        assume(light and all(len(avail[u]) >= 2 for u in light))
-        patch = sample_patch(g, empty, light, 2, substream(draw_seed, PATCH_STREAM))
+        drawn = reference_patch_first_draw(g, empty.edges, light, 2, draw_seed)
+        assume(light and drawn is not None)
+        patch = EdgeSelection.from_edges(g.n, drawn)
         params = PipelineParams(m=5, d=1)
         got = [(e.kind, e.witness)
-               for e in patch_violations(g, phi, empty, patch, light, params)]
+               for e in patch_events(g, phi, empty, patch, light, params)]
         assert got == reference_patch_events(g, phi, empty.edges, patch.edges,
                                              light, params.alpha, 2)
 
@@ -508,7 +533,7 @@ class TestChecksAgainstReference:
         rng = np.random.Generator(np.random.Philox(subset_seed))
         sel = EdgeSelection.from_edges(
             g.n, [e for e, keep in zip(cands, rng.random(len(cands)) < q) if keep])
-        got = [(e.kind, e.witness) for e in bulk_violations(g, phi, sel, params)]
+        got = [(e.kind, e.witness) for e in bulk_events(g, phi, sel, params)]
         assert got == reference_bulk_events(g, phi, sel.edges, m, d, params.eps)
 
     def test_bulk_check_fires_at_every_edge_of_a_full_selection(self):
@@ -520,7 +545,7 @@ class TestChecksAgainstReference:
         phi = greedy_total(g)
         sel = EdgeSelection.from_edges(9, g.edges)
         params = PipelineParams(m=8, d=4, lam=5.0, M=10_000)
-        got = [(e.kind, e.witness) for e in bulk_violations(g, phi, sel, params)]
+        got = [(e.kind, e.witness) for e in bulk_events(g, phi, sel, params)]
         expected = reference_bulk_events(g, phi, sel.edges, 8, 4, params.eps)
         assert got == expected
         assert [w for kind, w in expected if kind == "A_pair"] == list(g.edges)
@@ -552,13 +577,12 @@ class TestChecksAgainstReference:
             g.n, [e for e, keep in zip(cands, rng.random(len(cands)) < q) if keep])
         high = sorted(degree_split(g).high)
         light = frozenset(v for v in high if rng.random() < 0.4)
-        from avdtotal.highdeg import _available_edges
-        avail = _available_edges(g, bulk.edges, light)
-        assume(light and all(len(avail[u]) >= 2 for u in light))
-        patch = sample_patch(g, bulk, light, 2, substream(draw_seed, PATCH_STREAM))
+        drawn = reference_patch_first_draw(g, bulk.edges, light, 2, draw_seed)
+        assume(light and drawn is not None)
+        patch = EdgeSelection.from_edges(g.n, drawn)
         params = PipelineParams(m=5, d=1)
         got = [(e.kind, e.witness)
-               for e in patch_violations(g, phi, bulk, patch, light, params)]
+               for e in patch_events(g, phi, bulk, patch, light, params)]
         assert got == reference_patch_events(g, phi, bulk.edges, patch.edges,
                                              light, params.alpha, 2)
 
@@ -578,6 +602,43 @@ class TestChecksAgainstReference:
                                           light, params.alpha, params.B)
         assert [(e.kind, e.witness) for e in res.violations] == expected
         assert res.success == (not expected)
+
+
+class TestFirstDrawAgainstReference:
+    """Each stage's first selection against a plain-set rederivation of the
+    draw it makes from its stream."""
+
+    @given(st.integers(2, 12), st.sampled_from([0.3, 0.6, 0.9]), st.integers(0, 99),
+           st.integers(0, 999), st.sampled_from([2.0, 4.0, 8.0]), st.integers(1, 8))
+    @settings(max_examples=100, deadline=None)
+    def test_bulk_first_round(self, n, q, graph_seed, seed, lam, cap):
+        g = random_gnp(n, q, graph_seed)
+        params = PipelineParams(lam=lam, M=cap, seed=seed, max_rounds=1)
+        res = find_bulk_deletion(g, greedy_total(g), params)
+        expected = reference_bulk_first_round(g, params.resolve(g).p, cap, seed)
+        assert res.rounds == 1
+        assert res.selection == EdgeSelection.from_edges(g.n, expected)
+
+    @given(st.integers(5, 12), st.integers(0, 99), st.integers(0, 99),
+           st.integers(0, 999), st.sampled_from([0.0, 0.3]), st.sampled_from([2, 3]))
+    @settings(max_examples=100, deadline=None)
+    def test_patch_first_draw(self, n, graph_seed, light_seed, seed, q, B):
+        g = dense_graph(n, graph_seed)
+        phi = greedy_total(g)
+        cands = candidate_edges(g)
+        rng = np.random.Generator(np.random.Philox(light_seed))
+        bulk = EdgeSelection.from_edges(
+            g.n, [e for e, keep in zip(cands, rng.random(len(cands)) < q) if keep])
+        light = frozenset(v for v in sorted(degree_split(g).high) if rng.random() < 0.4)
+        assume(light)
+        params = PipelineParams(m=5, d=1, B=B, seed=seed, max_rounds=1)
+        res = find_patch_deletion(g, phi, bulk, light, params)
+        expected = reference_patch_first_draw(g, bulk.edges, light, B, seed)
+        if expected is None:
+            assert res.infeasible_vertex is not None and res.rounds == 0
+        else:
+            assert res.infeasible_vertex is None and res.rounds == 1
+            assert res.selection == EdgeSelection.from_edges(g.n, expected)
 
 
 class TestStreamSeparation:

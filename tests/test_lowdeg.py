@@ -7,9 +7,11 @@ from hypothesis import strategies as st
 from avdtotal import (Graph, PipelineParams, TotalColoring, avd_violations,
                       color_sets, complete_graph, degree_split,
                       distinguish_low_degree, find_bulk_deletion,
-                      find_patch_deletion, forbidden_colors, greedy_total,
+                      find_patch_deletion, greedy_total,
                       is_proper, light_vertices, random_gnp, recolor_union,
                       star_graph)
+
+from avdtotal.lowdeg import _forbidden
 
 from helpers import hub_graph, naive_is_proper, reference_distinguish_low_degree
 
@@ -27,33 +29,41 @@ def two_low_clash():
     return g, phi
 
 
+def forbidden(g, phi, u):
+    """The forbidden set distinguish_low_degree computes for u."""
+    return _forbidden(g, list(phi.vertex_colors), color_sets(g, phi), u)
+
+
 class TestForbiddenColors:
     def test_rejects_high_degree_vertex(self):
-        g, phi = two_low_clash()
-        with pytest.raises(ValueError):
-            forbidden_colors(g, phi, 2)
+        # forbidden sets are computed for low vertices only: whatever the
+        # clashes, the phase leaves every high vertex's colour alone
+        for seed in range(20):
+            g = random_gnp(12, 0.4, seed)
+            phi = greedy_total(g)
+            out = distinguish_low_degree(g, phi)
+            assert all(out.vertex_colors[v] == phi.vertex_colors[v]
+                       for v in degree_split(g).high)
 
     def test_rejects_small_palette(self):
+        # the palette check sits in the phase that computes forbidden sets
         g = star_graph(2)
-        phi = TotalColoring((1, 2, 2), {(0, 1): 3, (0, 2): 4}, 4)
-        squeezed = TotalColoring(phi.vertex_colors, phi.edge_colors, 4)
-        # k == 4 > max_degree == 2 is fine; force the failure with a lie
-        ok = forbidden_colors(g, squeezed, 1)
-        assert isinstance(ok, set)
+        squeezed = TotalColoring((1, 2, 2), {(0, 1): 3, (0, 2): 4}, 4)
+        assert distinguish_low_degree(g, squeezed).k == 4  # 4 > max_degree 2
         tight = TotalColoring((1, 2, 2), {(0, 1): 1, (0, 2): 2}, 2)
         with pytest.raises(ValueError):
-            forbidden_colors(g, tight, 1)
+            distinguish_low_degree(g, tight)
 
     def test_hand_example(self):
         g, phi = two_low_clash()
         # edges at 0 give {1, 3}; neighbour colours give {3, 4}; adopting 2
         # would replicate vertex 1's set {1, 2, 3}
-        assert forbidden_colors(g, phi, 0) == {1, 2, 3, 4}
+        assert forbidden(g, phi, 0) == {1, 2, 3, 4}
 
     def test_size_bound(self):
         g, phi = two_low_clash()
         for u in sorted(degree_split(g).low):
-            assert len(forbidden_colors(g, phi, u)) <= 2 * g.degree(u)
+            assert len(forbidden(g, phi, u)) <= 2 * g.degree(u)
 
 
 class TestDistinguishLowDegree:

@@ -5,16 +5,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from avdtotal import (TotalColoring, check_total, complete_graph, cycle_graph,
-                      default_order, greedy_total, palette_size, path_graph,
-                      random_gnp, star_graph, verdict)
+                      greedy_total, path_graph, random_gnp, star_graph, verdict)
 
 from helpers import naive_is_proper, reference_greedy_total
+
+
+def vertices_then_edges(g):
+    return list(range(g.n)) + list(g.edges)
 
 
 class TestDefaultOrder:
     def test_vertices_then_edges(self):
         g = path_graph(3)
-        assert default_order(g) == [0, 1, 2, (0, 1), (1, 2)]
+        assert greedy_total(g) == reference_greedy_total(g, [0, 1, 2, (0, 1), (1, 2)])
 
 
 class TestGreedy:
@@ -50,57 +53,14 @@ class TestGreedy:
         g = random_gnp(n, p, seed)
         phi = greedy_total(g)
         assert naive_is_proper(g, phi)
-        assert palette_size(phi) <= 2 * g.max_degree + 1
+        assert len(phi.used_colors()) <= 2 * g.max_degree + 1
         assert phi.k >= 1
 
     @given(st.integers(0, 10), st.floats(0.0, 1.0), st.integers(0, 999))
     @settings(max_examples=80, deadline=None)
     def test_matches_reference_first_fit(self, n, p, seed):
         g = random_gnp(n, p, seed)
-        assert greedy_total(g) == reference_greedy_total(g, default_order(g))
-
-    @given(st.integers(1, 9), st.floats(0.2, 1.0), st.integers(0, 999),
-           st.randoms(use_true_random=False))
-    @settings(max_examples=80, deadline=None)
-    def test_matches_reference_on_permuted_orders(self, n, p, seed, rnd):
-        # any interleaving, vertices after their edges included, and edges
-        # named in either orientation
-        g = random_gnp(n, p, seed)
-        order = default_order(g)
-        rnd.shuffle(order)
-        order = [(e[1], e[0]) if isinstance(e, tuple) and rnd.random() < 0.5 else e
-                 for e in order]
-        assert greedy_total(g, order) == reference_greedy_total(g, order)
-
-    def test_vertices_after_edges_by_hand(self):
-        # edges first take 1, 2; then vertex 1 must avoid both, vertex 0 and
-        # vertex 2 must avoid their edge colour and vertex 1's colour
-        g = path_graph(3)
-        phi = greedy_total(g, [(0, 1), (1, 2), 1, 0, 2])
-        assert phi.edge_colors == {(0, 1): 1, (1, 2): 2}
-        assert phi.vertex_colors == (2, 3, 1)
-
-    def test_custom_order_changes_result(self):
-        g = path_graph(3)
-        inverted = [(1, 2), (0, 1), 2, 1, 0]
-        phi = greedy_total(g, inverted)
-        assert naive_is_proper(g, phi)
-        assert phi.edge_colors[(1, 2)] == 1
-
-    def test_order_must_cover_everything(self):
-        g = path_graph(3)
-        with pytest.raises(ValueError):
-            greedy_total(g, [0, 1, 2, (0, 1)])
-
-    def test_order_rejects_repeats(self):
-        g = path_graph(3)
-        with pytest.raises(ValueError):
-            greedy_total(g, [0, 0, 1, 2, (0, 1), (1, 2)])
-
-    def test_order_rejects_foreign_edge(self):
-        g = path_graph(3)
-        with pytest.raises(ValueError):
-            greedy_total(g, [0, 1, 2, (0, 2), (1, 2)])
+        assert greedy_total(g) == reference_greedy_total(g, vertices_then_edges(g))
 
 
 class TestImport:

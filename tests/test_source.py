@@ -5,12 +5,54 @@ from pathlib import Path
 
 import avdtotal
 
+SOURCES = sorted(Path(avdtotal.__file__).parent.glob("*.py"))
+
 
 def test_no_assert_statements():
     # invariants must hold under python -O, which strips assert statements
     found = []
-    for path in sorted(Path(avdtotal.__file__).parent.glob("*.py")):
+    for path in SOURCES:
         tree = ast.parse(path.read_text(), filename=str(path))
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                   if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def _unused_imports(tree: ast.Module) -> list[str]:
+    """Names bound by an import and never read; ``__all__`` entries count
+    as reads, so re-exports are used."""
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = node.lineno
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(getattr(t, "id", None) == "__all__" for t in node.targets)):
+            read |= set(ast.literal_eval(node.value))
+    return [f"{name} (line {line})" for name, line in imported.items()
+            if name not in read]
+
+
+def test_no_unused_imports():
+    found = {}
+    for path in SOURCES:
+        unused = _unused_imports(ast.parse(path.read_text(), filename=str(path)))
+        if unused:
+            found[path.name] = unused
+    assert found == {}
+
+
+def test_unused_import_scan_sees_a_dead_import():
+    tree = ast.parse("import os\nfrom math import pi, tau\nx = pi\n")
+    assert _unused_imports(tree) == ["os (line 1)", "tau (line 2)"]
+
+
+def test_all_is_sorted_unique_and_resolves():
+    names = avdtotal.__all__
+    assert names == sorted(set(names))
+    assert [n for n in names if not hasattr(avdtotal, n)] == []
