@@ -3,17 +3,19 @@
 Run: python3 demos/coloring_walkthrough.py
 """
 
-from avdtotal import (Graph, TotalColoring, avd_violations, color_sets,
-                      degree_split, distinguish_low_degree, greedy_total,
-                      properness_violations)
+from avdtotal import (Graph, TotalColoring, avd_violations, degree_split,
+                      distinguish_low_degree, greedy_total,
+                      properness_violations, star_masks)
 
 
 def show(g, phi, label):
-    sets = color_sets(g, phi)
+    # bit c of a closed-star mask is set when v or an edge at v has colour c
+    masks = star_masks(g, phi)
     print(f"{label}: k={phi.k}")
     for v in range(g.n):
+        colours = [c for c in range(1, phi.k + 1) if masks[v] >> c & 1]
         print(f"  vertex {v} (deg {g.degree(v)}): colour {phi.vertex_colors[v]}, "
-              f"set {sorted(sets[v])}")
+              f"set {colours} (mask {masks[v]:#b})")
 
 
 def main():

@@ -12,8 +12,9 @@ from .bounds import (BoundReport, DerivedConstants, DomainError,
                      derive_constants, find_feasible_delta,
                      lll_asymmetric_check)
 from .coloring import (DocumentError, TotalColoring, Violation,
-                       avd_violations, check_total, color_sets, from_document,
-                       is_proper, properness_violations, to_document, verdict)
+                       avd_violations, check_total, from_document,
+                       is_proper, properness_violations, star_masks,
+                       to_document, verdict)
 from .exact import (CapacityError, ConjectureReport, GraphRecord,
                     check_conjecture, chi_at_exact, chi_prime_exact,
                     chi_total_exact, find_edge_coloring, find_total_coloring)
@@ -66,7 +67,6 @@ __all__ = [
     "chi_at_exact",
     "chi_prime_exact",
     "chi_total_exact",
-    "color_sets",
     "complete_bipartite_graph",
     "complete_graph",
     "compute_c0",
@@ -96,6 +96,7 @@ __all__ = [
     "repair_fallback",
     "run_pipeline",
     "star_graph",
+    "star_masks",
     "substream",
     "to_document",
     "verdict",

@@ -17,7 +17,6 @@ import math
 import sys
 from dataclasses import replace
 from fractions import Fraction
-from itertools import chain, compress, repeat
 from pathlib import Path
 
 import numpy as np
@@ -40,52 +39,24 @@ from .vizing import vizing_color
 SEEDED_COMMANDS = {"color", "select-e1", "select-e2", "bench"}
 
 
-def _jsonable(x):
-    """A copy of x that json encodes as is, every dict key stringified."""
+_SCALARS = (Fraction, np.integer, np.floating)
+
+
+def _json_default(x):
+    """What json cannot encode itself: Fraction as str, numpy scalars as
+    numbers, sets as lists sorted once their members are converted."""
     if isinstance(x, Fraction):
         return str(x)
     if isinstance(x, np.integer):
         return int(x)
     if isinstance(x, np.floating):
         return float(x)
-    if isinstance(x, dict):
-        return {str(k): _jsonable(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [_jsonable(v) for v in x]
     if isinstance(x, (set, frozenset)):
-        return sorted(_jsonable(v) for v in x)
-    return x
-
-
-def _json_default(x):
-    """What json cannot encode itself, converted as _jsonable converts it."""
-    if isinstance(x, (Fraction, np.integer, np.floating, set, frozenset)):
-        return _jsonable(x)
+        return sorted(_json_default(v) if isinstance(v, _SCALARS) else v for v in x)
     raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
 
 
-def _str_keyed(x) -> bool:
-    """Whether every dict inside x has only str keys.
-
-    Searches dict values, lists and tuples one nesting level at a time, with
-    the per-element work done by C-level iterators.
-    """
-    level = [x]
-    while level:
-        dicts = list(compress(level, map(isinstance, level, repeat(dict))))
-        if not set(map(type, chain.from_iterable(dicts))) <= {str}:
-            return False
-        seqs = compress(level, map(isinstance, level, repeat((list, tuple))))
-        level = list(chain(chain.from_iterable(map(dict.values, dicts)),
-                           chain.from_iterable(seqs)))
-    return True
-
-
 def _emit(obj) -> None:
-    # sort_keys orders int keys numerically, so other keys are stringified
-    # first; the large documents have str keys only and skip the copy
-    if not _str_keyed(obj):
-        obj = _jsonable(obj)
     print(json.dumps(obj, sort_keys=True, default=_json_default))
 
 
@@ -150,7 +121,7 @@ def _selection_json(result) -> dict:
 
 
 def _violations_json(violations) -> list[dict]:
-    return [{"kind": v.kind, "witness": _jsonable(v.witness)} for v in violations]
+    return [{"kind": v.kind, "witness": v.witness} for v in violations]
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ proper when adjacent vertices differ, adjacent edges differ, and every
 vertex differs from its incident edges. The colour set of a vertex v is
 its own colour together with the colours of its incident edges; a proper
 total colouring is adjacent-vertex-distinguishing (AVD) when every pair of
-adjacent vertices has distinct colour sets.
+adjacent vertices has distinct colour sets, held as ``star_masks`` bitmasks.
 """
 
 from __future__ import annotations
@@ -63,36 +63,35 @@ def check_total(g: Graph, phi: TotalColoring) -> None:
             raise ValueError(f"edge colour {c} outside palette 1..{phi.k}")
 
 
-def _incident_colors(g: Graph, edge_colors: dict[Edge, int]) -> list[list[int]]:
-    """Colours of the edges at each vertex, in adjacency order.
-
-    One pass over the sorted edge list: a vertex meets its lower neighbours
-    in ascending order before its higher ones, as its adjacency lists them.
-    """
-    cols: list[list[int]] = [[] for _ in range(g.n)]
+def _edge_masks(g: Graph, edge_colors: dict[Edge, int]) -> list[int]:
+    """Bitmask of the edge colours at each vertex: bit c set when an edge
+    at v has colour c. One pass over the sorted edge list."""
+    masks = [0] * g.n
     for (u, v), c in zip(g.edges, map(edge_colors.__getitem__, g.edges)):
-        cols[u].append(c)
-        cols[v].append(c)
-    return cols
+        bit = 1 << c
+        masks[u] |= bit
+        masks[v] |= bit
+    return masks
 
 
-def color_sets(g: Graph, phi: TotalColoring) -> list[frozenset[int]]:
-    """All colour sets at once; index by vertex."""
-    cols = _incident_colors(g, phi.edge_colors)
-    for v in range(g.n):
-        cols[v].append(phi.vertex_colors[v])
-    return [frozenset(x) for x in cols]
+def star_masks(g: Graph, phi: TotalColoring) -> list[int]:
+    """Every colour set as a closed-star bitmask, indexed by vertex: bit c
+    of the mask of v is set when v or an edge at v has colour c."""
+    return [m | 1 << c for m, c in zip(_edge_masks(g, phi.edge_colors),
+                                       phi.vertex_colors)]
 
 
 def edge_clashes(g: Graph, edge_colors: dict[Edge, int]) -> list[tuple[Edge, Edge]]:
     """Pairs of same-coloured edges sharing an endpoint, grouped by vertex."""
     out: list[tuple[Edge, Edge]] = []
-    for v, cols in enumerate(_incident_colors(g, edge_colors)):
-        if len(set(cols)) == len(cols):
+    for v, mask in enumerate(_edge_masks(g, edge_colors)):
+        # fewer distinct colours than edges at v means a clash there
+        if mask.bit_count() == len(g.adjacency[v]):
             continue
         by_color: dict[int, list[Edge]] = {}
-        for w, c in zip(g.adjacency[v], cols):
-            by_color.setdefault(c, []).append(normalize_edge(v, w))
+        for w in g.adjacency[v]:
+            e = normalize_edge(v, w)
+            by_color.setdefault(edge_colors[e], []).append(e)
         for group in by_color.values():
             # adjacent edges share exactly one endpoint, so each clashing
             # pair is reported at a single vertex
@@ -125,9 +124,9 @@ def is_proper(g: Graph, phi: TotalColoring) -> bool:
 def avd_violations(g: Graph, phi: TotalColoring) -> list[Violation]:
     """Adjacent pairs with identical colour sets; properness is not checked."""
     check_total(g, phi)
-    sets = color_sets(g, phi)
+    masks = star_masks(g, phi)
     return [Violation("undistinguished-pair", (u, v))
-            for u, v in g.edges if sets[u] == sets[v]]
+            for u, v in g.edges if masks[u] == masks[v]]
 
 
 # ---------------------------------------------------------------------------

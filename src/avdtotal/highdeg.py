@@ -19,6 +19,8 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from operator import or_
 from typing import Callable, Container
 
 import numpy as np
@@ -155,33 +157,33 @@ def candidate_edges(g: Graph) -> list[Edge]:
 
 
 class _RestrictedSets:
-    """Colour sets after deleted edges stop contributing, computed on demand.
+    """Closed-star masks after deleted edges stop contributing, on demand.
 
-    A vertex's incident (edge, colour) pairs are gathered on its first use
-    and kept for the whole search; its restricted set under one deleted-edge
-    set is computed on its first request in that check. A check thus pays
-    only for the vertices its events compare.
+    A vertex's incident (edge, colour bit) pairs are gathered on its first
+    use and kept for the whole search; its restricted mask under one
+    deleted-edge set is computed on its first request in that check. A
+    check thus pays only for the vertices its events compare.
     """
 
     def __init__(self, g: Graph, phi: TotalColoring):
         self.g, self.phi = g, phi
         self.incident: dict[int, list[tuple[Edge, int]]] = {}
 
-    def under(self, deleted: Container[Edge]) -> Callable[[int], frozenset[int]]:
-        cache: dict[int, frozenset[int]] = {}
+    def under(self, deleted: Container[Edge]) -> Callable[[int], int]:
+        cache: dict[int, int] = {}
 
-        def restricted(v: int) -> frozenset[int]:
-            cols = cache.get(v)
-            if cols is None:
+        def restricted(v: int) -> int:
+            mask = cache.get(v)
+            if mask is None:
                 pairs = self.incident.get(v)
                 if pairs is None:
                     colors = self.phi.edge_colors
                     ends = [(v, w) if v < w else (w, v) for w in self.g.adjacency[v]]
-                    pairs = self.incident[v] = [(e, colors[e]) for e in ends]
-                seen = {c for e, c in pairs if e not in deleted}
-                seen.add(self.phi.vertex_colors[v])
-                cols = cache[v] = frozenset(seen)
-            return cols
+                    pairs = self.incident[v] = [(e, 1 << colors[e]) for e in ends]
+                mask = cache[v] = reduce(
+                    or_, [bit for e, bit in pairs if e not in deleted],
+                    1 << self.phi.vertex_colors[v])
+            return mask
 
         return restricted
 
@@ -191,7 +193,7 @@ class _BulkCheck:
 
     A_pair: adjacent equal-degree high vertices, at least one holding m or
     more selected edges, whose restricted colour sets differ in fewer than d
-    elements. B_vertex: a high vertex more than eps*max_degree of whose
+    colours. B_vertex: a high vertex more than eps*max_degree of whose
     neighbours hold fewer than m selected edges.
 
     A_pair can only fire at an edge joining equal-degree high vertices, so
@@ -225,7 +227,7 @@ class _BulkCheck:
             restricted = self.sets.under(selected)
             for j in hot.tolist():
                 u, v = self.pairs[j]
-                if len(restricted(u) ^ restricted(v)) < self.d:
+                if (restricted(u) ^ restricted(v)).bit_count() < self.d:
                     events.append(BadEvent("A_pair", (u, v)))
         under = np.bincount(self.owner[deg_sel[self.neighbours] < self.m],
                             minlength=len(self.high))

@@ -9,32 +9,31 @@ permanently: later steps only apply the same argument at other vertices.
 
 from __future__ import annotations
 
-from .coloring import TotalColoring, color_sets
+from .coloring import TotalColoring, star_masks
 from .graphs import Graph, degree_split
 
 
-def _forbidden(g: Graph, vertex_colors: list[int], sets: list[frozenset[int]],
-               u: int) -> set[int]:
-    """Colours u must avoid: neighbour vertex colours, incident edge colours,
-    and any colour whose adoption would replicate a neighbour's colour set.
+def _forbidden(g: Graph, vertex_colors: list[int], masks: list[int], u: int) -> int:
+    """Mask of the colours u must avoid: neighbour vertex colours, incident
+    edge colours, and any colour whose adoption would replicate a
+    neighbour's colour set.
 
-    sets holds every vertex's current colour set; in a proper colouring u's
-    own colour is on none of its edges, so removing it leaves the edge
-    colours at u.
+    masks holds every vertex's current closed-star mask; in a proper
+    colouring u's own colour is on none of its edges, so clearing its bit
+    leaves the edge colours at u.
     """
-    edge_cols = sets[u] - {vertex_colors[u]}
-    out = set(edge_cols)
+    edge_cols = masks[u] ^ 1 << vertex_colors[u]
+    out = edge_cols
     for w in g.adjacency[u]:
-        out.add(vertex_colors[w])
-        # u taking colour i yields colour set {i} | edge_cols; avoid any i
-        # with sets[w] == {i} | edge_cols
-        if edge_cols <= sets[w]:
-            extra = sets[w] - edge_cols
-            if len(extra) == 1:
-                out.update(extra)
-    if len(out) > 2 * g.degree(u):
-        raise RuntimeError(
-            f"vertex {u} has {len(out)} forbidden colours, above 2*deg = {2 * g.degree(u)}")
+        out |= 1 << vertex_colors[w]
+        # u taking colour i yields the mask edge_cols | 1 << i; avoid any i
+        # with masks[w] equal to that
+        extra = masks[w] ^ edge_cols
+        if masks[w] & edge_cols == edge_cols and extra.bit_count() == 1:
+            out |= extra
+    if out.bit_count() > 2 * g.degree(u):
+        raise RuntimeError(f"vertex {u} has {out.bit_count()} forbidden colours, "
+                           f"above 2*deg = {2 * g.degree(u)}")
     return out
 
 
@@ -51,18 +50,20 @@ def distinguish_low_degree(g: Graph, phi: TotalColoring) -> TotalColoring:
     if phi.k <= g.max_degree:
         raise ValueError(f"palette k={phi.k} must exceed max_degree={g.max_degree}")
     vcols = list(phi.vertex_colors)
-    sets = color_sets(g, phi)
+    masks = star_masks(g, phi)
     changed = False
     for u in sorted(degree_split(g).low):
-        if all(sets[u] != sets[w] for w in g.adjacency[u]):
+        if all(masks[u] != masks[w] for w in g.adjacency[u]):
             continue
-        bad = _forbidden(g, vcols, sets, u)
-        c = 1
-        while c in bad:
-            c += 1
+        # colours start at 1, so bit 0 counts as taken; the lowest clear
+        # bit is the smallest allowed colour
+        bad = _forbidden(g, vcols, masks, u) | 1
+        c = ((bad + 1) & ~bad).bit_length() - 1
         if c > phi.k:
             raise RuntimeError(f"no colour within k={phi.k} is free at vertex {u}")
-        sets[u] = (sets[u] - {vcols[u]}) | {c}
+        # u's set equals a neighbour's, so its own colour is forbidden and
+        # c differs from it
+        masks[u] ^= 1 << vcols[u] | 1 << c
         vcols[u] = c
         changed = True
 

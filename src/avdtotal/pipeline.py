@@ -14,8 +14,8 @@ import time
 from dataclasses import dataclass
 
 from .coloring import (TotalColoring, avd_violations, check_total,
-                       properness_violations)
-from .graphs import Graph, normalize_edge
+                       properness_violations, star_masks)
+from .graphs import Edge, Graph, normalize_edge
 from .highdeg import (PipelineParams, find_bulk_deletion,
                       find_patch_deletion, light_vertices)
 from .lowdeg import distinguish_low_degree
@@ -24,7 +24,7 @@ from .vizing import vizing_color
 
 
 class RepairError(RuntimeError):
-    """The repair loop exceeded its round budget; indicates a defect."""
+    """The repair scan left an undistinguished pair; indicates a defect."""
 
 
 def _exit_check(g: Graph, phi: TotalColoring) -> dict[str, bool]:
@@ -113,48 +113,45 @@ def recolor_union(g: Graph, phi: TotalColoring, bulk_edges, patch_edges) -> Tota
 
 
 def repair_fallback(g: Graph, phi: TotalColoring) -> TotalColoring:
-    """Force the distinguishing property with one brand-new colour per round.
+    """Force the distinguishing property with one brand-new colour per pair.
 
-    Each round takes the first undistinguished adjacent pair and recolours
-    one edge at its first endpoint (or the endpoint vertex itself when both
+    One scan of the edges in order: each undistinguished pair recolours one
+    edge at its first endpoint (or the endpoint vertex itself when both
     endpoints have degree one) with a colour nobody else holds. That fixes
-    the pair for good: a colour set containing a globally fresh colour can
-    only collide with the other endpoint of the recoloured edge, and that
-    pair's status never changes. Bounded by one round per vertex. phi must
-    be a proper total colouring of g.
+    the pair for good and makes no new equal pair: a colour set containing
+    a globally fresh colour can only collide with the other endpoint of the
+    recoloured edge, and that pair's status never changes. So the scan
+    repairs, in order, the pairs a rescan after every repair would find
+    first. phi must be a proper total colouring of g.
     """
-    current = phi
-    for _ in range(g.n):
-        violations = avd_violations(g, current)
-        if not violations:
-            return current
-        u, v = violations[0].witness
-        fresh = current.k + 1
-        edge = None
-        for w in g.adjacency[u]:
-            if w != v:
-                edge = normalize_edge(u, w)
-                break
-        if edge is None:
-            for w in g.adjacency[v]:
-                if w != u:
-                    edge = normalize_edge(v, w)
-                    break
-        if edge is not None:
-            edge_colors = dict(current.edge_colors)
-            edge_colors[edge] = fresh
-            current = TotalColoring(vertex_colors=current.vertex_colors,
-                                    edge_colors=edge_colors, k=fresh)
-        else:
+    masks = star_masks(g, phi)
+    vertex_colors = list(phi.vertex_colors)
+    recoloured: dict[Edge, int] = {}
+    k = phi.k
+    for u, v in g.edges:
+        if masks[u] != masks[v]:
+            continue
+        k += 1
+        end, other = next(((x, w) for x, y in ((u, v), (v, u))
+                           for w in g.adjacency[x] if w != y), (u, None))
+        if other is None:
             # both endpoints have degree one; unreachable for proper inputs
             # since their colour sets then differ in the vertex colours
-            vertex_colors = list(current.vertex_colors)
-            vertex_colors[u] = fresh
-            current = TotalColoring(vertex_colors=tuple(vertex_colors),
-                                    edge_colors=current.edge_colors, k=fresh)
-    if avd_violations(g, current):
-        raise RepairError(f"violations persist after {g.n} repair rounds")
-    return current
+            masks[u] ^= 1 << vertex_colors[u] | 1 << k
+            vertex_colors[u] = k
+            continue
+        edge = normalize_edge(end, other)
+        flip = 1 << recoloured.get(edge, phi.edge_colors[edge]) | 1 << k
+        masks[end] ^= flip
+        masks[other] ^= flip
+        recoloured[edge] = k
+    if k == phi.k:
+        return phi
+    out = TotalColoring(vertex_colors=tuple(vertex_colors),
+                        edge_colors={**phi.edge_colors, **recoloured}, k=k)
+    if avd_violations(g, out):
+        raise RepairError(f"violations persist after {k - phi.k} repairs")
+    return out
 
 
 def run_pipeline(g: Graph, phi: TotalColoring | None = None,

@@ -29,6 +29,8 @@ def edge_properness_violations(g: Graph, ec: EdgeColoring) -> list[tuple[Edge, E
     """Pairs of same-coloured edges sharing an endpoint."""
     if set(ec.colors) != g.edge_set:
         raise ValueError("edge colours do not cover the edge set exactly")
+    if min(ec.colors.values(), default=1) < 1:
+        raise ValueError("edge colours must be positive integers")
     return edge_clashes(g, ec.colors)
 
 

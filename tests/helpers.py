@@ -36,6 +36,16 @@ def naive_color_set(g: Graph, phi: TotalColoring, v: int) -> frozenset[int]:
                      | {phi.edge_colors[e] for e in g.incident_edges(v)})
 
 
+def mask_of(colours) -> int:
+    """The bitmask with bit c set for each colour c."""
+    return sum(1 << c for c in set(colours))
+
+
+def colours_of(mask: int) -> set[int]:
+    """The colours whose bits are set in mask."""
+    return {c for c in range(mask.bit_length()) if mask >> c & 1}
+
+
 def naive_is_avd(g: Graph, phi: TotalColoring) -> bool:
     if not naive_is_proper(g, phi):
         return False
@@ -302,6 +312,46 @@ def reference_distinguish_low_degree(g: Graph, phi: TotalColoring) -> TotalColor
     else:
         raise AssertionError("rescan recoloured more often than once per low vertex")
     return TotalColoring(tuple(vertex_colors), phi.edge_colors, phi.k)
+
+
+def reference_repair_fallback(g: Graph, phi: TotalColoring) -> TotalColoring:
+    """The repair phase as a round loop: every round recomputes all colour
+    sets, takes the first undistinguished adjacent pair in edge order, and
+    recolours one edge at its first endpoint (else one at its second, else
+    the first endpoint itself) with the new colour k + 1."""
+    current = phi
+    for _ in range(g.n):
+        clash = next(((u, v) for u, v in g.edges
+                      if naive_color_set(g, current, u) == naive_color_set(g, current, v)),
+                     None)
+        if clash is None:
+            return current
+        u, v = clash
+        fresh = current.k + 1
+        edge = None
+        for w in g.adjacency[u]:
+            if w != v:
+                edge = normalize_edge(u, w)
+                break
+        if edge is None:
+            for w in g.adjacency[v]:
+                if w != u:
+                    edge = normalize_edge(v, w)
+                    break
+        if edge is not None:
+            edge_colors = dict(current.edge_colors)
+            edge_colors[edge] = fresh
+            current = TotalColoring(vertex_colors=current.vertex_colors,
+                                    edge_colors=edge_colors, k=fresh)
+        else:
+            vertex_colors = list(current.vertex_colors)
+            vertex_colors[u] = fresh
+            current = TotalColoring(vertex_colors=tuple(vertex_colors),
+                                    edge_colors=current.edge_colors, k=fresh)
+    if any(naive_color_set(g, current, u) == naive_color_set(g, current, v)
+           for u, v in g.edges):
+        raise RuntimeError(f"violations persist after {g.n} repair rounds")
+    return current
 
 
 def reference_vizing_color(g: Graph) -> EdgeColoring:

@@ -7,13 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from avdtotal import (DocumentError, TotalColoring, avd_violations,
-                      check_total, color_sets, complete_graph, cycle_graph,
+                      check_total, complete_graph, cycle_graph,
                       from_document, greedy_total, is_proper, path_graph,
                       properness_violations, random_gnp, star_graph,
-                      to_document, verdict)
+                      star_masks, to_document, verdict)
 from avdtotal.coloring import edge_clashes
 
-from helpers import (naive_color_set, naive_is_avd, naive_is_proper,
+from helpers import (mask_of, naive_color_set, naive_is_avd, naive_is_proper,
                      reference_edge_clashes)
 
 
@@ -62,22 +62,26 @@ class TestCheckTotal:
 
 
 class TestColorSets:
+    """Colour sets as the closed-star masks every phase reads."""
+
     def test_color_set_matches_naive(self):
         g, phi = p3_coloring()
-        sets = color_sets(g, phi)
+        masks = star_masks(g, phi)
+        assert masks == [0b1010, 0b11100, 0b10010]
         for v in range(3):
-            assert sets[v] == naive_color_set(g, phi, v)
+            assert masks[v] == mask_of(naive_color_set(g, phi, v))
 
     def test_proper_set_size_is_degree_plus_one(self):
-        g = complete_graph(4)
-        phi = greedy_total(g)
-        for v, cols in enumerate(color_sets(g, phi)):
-            assert len(cols) == g.degree(v) + 1
+        for g in (complete_graph(4), random_gnp(30, 0.3, 5)):
+            phi = greedy_total(g)
+            for v, mask in enumerate(star_masks(g, phi)):
+                assert mask.bit_count() == g.degree(v) + 1
 
     def test_color_sets_batch_agrees(self):
         g = cycle_graph(5)
         phi = greedy_total(g)
-        assert color_sets(g, phi) == [naive_color_set(g, phi, v) for v in range(g.n)]
+        assert star_masks(g, phi) == [mask_of(naive_color_set(g, phi, v))
+                                      for v in range(g.n)]
 
 
 class TestPropernessViolations:
@@ -121,7 +125,8 @@ class TestPropernessViolations:
         phi = TotalColoring(tuple(rng.randint(1, k) for _ in range(g.n)),
                             {e: rng.randint(1, k) for e in g.edges}, k)
         assert edge_clashes(g, phi.edge_colors) == reference_edge_clashes(g, phi.edge_colors)
-        assert color_sets(g, phi) == [naive_color_set(g, phi, v) for v in range(g.n)]
+        assert star_masks(g, phi) == [mask_of(naive_color_set(g, phi, v))
+                                      for v in range(g.n)]
 
 
 class TestAvdViolations:

@@ -1,7 +1,6 @@
 """Graph container, formats, generators, and the degree split."""
 
 import hashlib
-import itertools
 
 import pytest
 from hypothesis import given, settings

@@ -5,15 +5,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from avdtotal import (Graph, PipelineParams, TotalColoring, avd_violations,
-                      color_sets, complete_graph, degree_split,
+                      complete_graph, degree_split,
                       distinguish_low_degree, find_bulk_deletion,
                       find_patch_deletion, greedy_total,
                       is_proper, light_vertices, random_gnp, recolor_union,
-                      star_graph)
+                      star_graph, star_masks)
 
 from avdtotal.lowdeg import _forbidden
 
-from helpers import hub_graph, naive_is_proper, reference_distinguish_low_degree
+from helpers import (colours_of, hub_graph, naive_is_proper,
+                     reference_distinguish_low_degree)
 
 
 def two_low_clash():
@@ -30,8 +31,9 @@ def two_low_clash():
 
 
 def forbidden(g, phi, u):
-    """The forbidden set distinguish_low_degree computes for u."""
-    return _forbidden(g, list(phi.vertex_colors), color_sets(g, phi), u)
+    """The forbidden set distinguish_low_degree computes for u, read from
+    the mask _forbidden returns."""
+    return colours_of(_forbidden(g, list(phi.vertex_colors), star_masks(g, phi), u))
 
 
 class TestForbiddenColors:
@@ -75,7 +77,7 @@ class TestDistinguishLowDegree:
         assert out.edge_colors == phi.edge_colors
         assert out.k == phi.k
         assert is_proper(g, out)
-        sets = color_sets(g, out)
+        sets = star_masks(g, out)
         for u in sorted(degree_split(g).low):
             assert all(sets[u] != sets[w] for w in g.neighbors(u))
 
@@ -112,7 +114,7 @@ class TestDistinguishLowDegree:
         split = degree_split(g)
         for v in split.high:
             assert out.vertex_colors[v] == phi.vertex_colors[v]
-        sets = color_sets(g, out)
+        sets = star_masks(g, out)
         for u in split.low:
             for w in g.neighbors(u):
                 assert sets[u] != sets[w]

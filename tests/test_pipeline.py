@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 from avdtotal import (Graph, PipelineParams, TotalColoring, avd_violations,
                       complete_graph, cycle_graph, greedy_total,
                       properness_violations, random_gnp, recolor_union,
-                      repair_fallback, run_pipeline, star_graph, verdict)
+                      repair_fallback, run_pipeline, star_graph)
+
+from helpers import reference_repair_fallback
 
 
 def two_hub_graph():
@@ -81,6 +83,27 @@ class TestRepairFallback:
         g = star_graph(6)
         phi = greedy_total(g)
         assert repair_fallback(g, phi) is phi
+
+    def test_corpus_with_many_rounds(self):
+        rounds = []
+        for seed in range(20):
+            g = random_gnp(60 + 10 * seed, Fraction(1, 40), seed)
+            phi = greedy_total(g)
+            out = repair_fallback(g, phi)
+            assert out == reference_repair_fallback(g, phi)
+            assert avd_violations(g, out) == []
+            assert properness_violations(g, out) == []
+            rounds.append(out.k - phi.k)
+        # the comparison means little unless runs take many rounds
+        assert sum(rounds) >= 100 and max(rounds) > 3
+
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(10, 150), st.integers(1, 4))
+    @settings(max_examples=60, deadline=None)
+    def test_equals_round_loop_on_sparse_greedy_seeds(self, seed, n, mean_degree):
+        g = random_gnp(n, Fraction(mean_degree, n), seed)
+        phi = greedy_total(g)
+        out = repair_fallback(g, phi)
+        assert out == reference_repair_fallback(g, phi)
 
 
 class TestRunPipeline:

@@ -6,6 +6,7 @@ from pathlib import Path
 import avdtotal
 
 SOURCES = sorted(Path(avdtotal.__file__).parent.glob("*.py"))
+TESTS = sorted(Path(__file__).parent.glob("*.py"))
 
 
 def test_no_assert_statements():
@@ -40,7 +41,7 @@ def _unused_imports(tree: ast.Module) -> list[str]:
 
 def test_no_unused_imports():
     found = {}
-    for path in SOURCES:
+    for path in SOURCES + TESTS:
         unused = _unused_imports(ast.parse(path.read_text(), filename=str(path)))
         if unused:
             found[path.name] = unused

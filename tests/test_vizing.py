@@ -126,6 +126,12 @@ class TestEdgePropernessViolations:
         vs = edge_properness_violations(g, ec)
         assert vs == [((0, 1), (1, 2))]
 
+    def test_non_positive_colour_raises(self):
+        g = path_graph(3)
+        for bad in (0, -1):
+            with pytest.raises(ValueError, match="positive"):
+                edge_properness_violations(g, EdgeColoring({(0, 1): bad, (1, 2): 1}, 1))
+
     def test_coverage_mismatch_raises(self):
         g = path_graph(3)
         ec = EdgeColoring({(0, 1): 1}, 1)
