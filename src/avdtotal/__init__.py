@@ -13,8 +13,8 @@ from .bounds import (BoundReport, DerivedConstants, DomainError,
                      lll_asymmetric_check)
 from .coloring import (DocumentError, TotalColoring, Violation,
                        avd_violations, check_total, from_document,
-                       is_proper, properness_violations, star_masks,
-                       to_document, verdict)
+                       properness_violations, star_masks, to_document,
+                       verdict, violations)
 from .exact import (CapacityError, ConjectureReport, GraphRecord,
                     check_conjecture, chi_at_exact, chi_prime_exact,
                     chi_total_exact, find_edge_coloring, find_total_coloring)
@@ -82,7 +82,6 @@ __all__ = [
     "find_total_coloring",
     "from_document",
     "greedy_total",
-    "is_proper",
     "light_vertices",
     "lll_asymmetric_check",
     "normalize_edge",
@@ -100,6 +99,7 @@ __all__ = [
     "substream",
     "to_document",
     "verdict",
+    "violations",
     "vizing_color",
     "write_graph6",
 ]

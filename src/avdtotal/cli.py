@@ -23,9 +23,8 @@ import numpy as np
 
 from . import bounds as bounds_mod
 from .bounds import DomainError, derive_constants
-from .coloring import (DocumentError, TotalColoring, _document_body,
-                       avd_violations, from_document, properness_violations,
-                       to_document)
+from .coloring import (DocumentError, TotalColoring, _document_body, _proper,
+                       from_document, to_document, violations)
 from .exact import (CapacityError, check_conjecture, chi_at_exact,
                     chi_prime_exact, chi_total_exact)
 from .graphs import DimacsError, Graph, Graph6Error, parse_dimacs, parse_graph6
@@ -87,19 +86,15 @@ def _load_document(path: str | None):
 
 def _require_proper(g: Graph, phi: TotalColoring) -> TotalColoring:
     """Reject an improper colouring document before a phase that trusts it."""
-    violations = properness_violations(g, phi)
-    if violations:
+    found = violations(g, phi)
+    if not _proper(found):
         raise DocumentError(f"colouring document is not proper: "
-                            f"{violations[0].kind} at {violations[0].witness}")
+                            f"{found[0].kind} at {found[0].witness}")
     return phi
 
 
-def _seed_value(args) -> int:
-    return args.seed if args.seed is not None else 0
-
-
 def _params_from(args) -> PipelineParams:
-    kwargs = {"seed": _seed_value(args)}
+    kwargs = {"seed": args.seed if args.seed is not None else 0}
     for name in ("eps", "alpha", "m", "d", "B", "lam", "M", "max_rounds",
                  "stall_rounds"):
         value = getattr(args, name, None)
@@ -120,10 +115,6 @@ def _selection_json(result) -> dict:
     }
 
 
-def _violations_json(violations) -> list[dict]:
-    return [{"kind": v.kind, "witness": v.witness} for v in violations]
-
-
 # ---------------------------------------------------------------------------
 # subcommand handlers
 
@@ -132,7 +123,7 @@ def cmd_color(args) -> int:
     phi = _seed_document(args, g)  # run_pipeline checks it is proper
     colored, report = run_pipeline(g, phi, _params_from(args))
     doc = _document_body(g, colored, report.verified)  # verified at exit
-    doc["report"] = report.to_json(include_timings=False)
+    doc["report"] = report.to_json()
     if args.json:
         _emit(doc)
     else:
@@ -148,22 +139,20 @@ def cmd_color(args) -> int:
 
 def cmd_verify(args) -> int:
     g, phi = _load_document(args.infile)
-    proper = properness_violations(g, phi)
-    distinguishing = avd_violations(g, phi) if not proper else []
-    ok = not proper and not distinguishing
+    found = violations(g, phi)
     out = {
-        "verified": {"proper": not proper, "avd": ok},
-        "violations": _violations_json(proper + distinguishing),
+        "verified": {"proper": _proper(found), "avd": not found},
+        "violations": [{"kind": v.kind, "witness": v.witness} for v in found],
         "k": phi.k,
         "n": g.n,
     }
     if args.json:
         _emit(out)
     else:
-        print(f"proper: {not proper}  avd: {ok}")
-        for v in proper + distinguishing:
+        print(f"proper: {_proper(found)}  avd: {not found}")
+        for v in found:
             print(f"  {v.kind}: {v.witness}")
-    return 0 if ok else 1
+    return 0 if not found else 1
 
 
 def cmd_distinguish_low(args) -> int:
@@ -373,6 +362,8 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    if args.runs < 1:
+        raise ValueError(f"--runs must be at least 1, got {args.runs}")
     g = _load_graph(args)
     params = _params_from(args)
     rows = []

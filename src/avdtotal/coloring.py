@@ -1,4 +1,4 @@
-"""Total colourings, colour sets, verifiers, and the JSON document format.
+"""Total colourings, colour sets, the one verifier, and the JSON document format.
 
 A total colouring assigns a colour to every vertex and every edge. It is
 proper when adjacent vertices differ, adjacent edges differ, and every
@@ -81,10 +81,12 @@ def star_masks(g: Graph, phi: TotalColoring) -> list[int]:
                                        phi.vertex_colors)]
 
 
-def edge_clashes(g: Graph, edge_colors: dict[Edge, int]) -> list[tuple[Edge, Edge]]:
-    """Pairs of same-coloured edges sharing an endpoint, grouped by vertex."""
+def edge_clashes(g: Graph, edge_colors: dict[Edge, int],
+                 masks: list[int] | None = None) -> list[tuple[Edge, Edge]]:
+    """Pairs of same-coloured edges sharing an endpoint, grouped by vertex;
+    masks, when given, are the ``_edge_masks`` of edge_colors."""
     out: list[tuple[Edge, Edge]] = []
-    for v, mask in enumerate(_edge_masks(g, edge_colors)):
+    for v, mask in enumerate(masks or _edge_masks(g, edge_colors)):
         # fewer distinct colours than edges at v means a clash there
         if mask.bit_count() == len(g.adjacency[v]):
             continue
@@ -99,9 +101,7 @@ def edge_clashes(g: Graph, edge_colors: dict[Edge, int]) -> list[tuple[Edge, Edg
     return out
 
 
-def properness_violations(g: Graph, phi: TotalColoring) -> list[Violation]:
-    """Every properness offence, one Violation per offending pair."""
-    check_total(g, phi)
+def _witnesses(g: Graph, phi: TotalColoring, masks: list[int]) -> list[Violation]:
     out: list[Violation] = []
     for u, v in g.edges:
         cu, cv = phi.vertex_colors[u], phi.vertex_colors[v]
@@ -113,20 +113,49 @@ def properness_violations(g: Graph, phi: TotalColoring) -> list[Violation]:
         if cv == ce:
             out.append(Violation("vertex-edge", (v, (u, v))))
     out.extend(Violation("edge-edge", pair)
-               for pair in edge_clashes(g, phi.edge_colors))
+               for pair in edge_clashes(g, phi.edge_colors, masks))
     return out
 
 
-def is_proper(g: Graph, phi: TotalColoring) -> bool:
-    return not properness_violations(g, phi)
+def _undistinguished(g: Graph, stars: list[int]) -> list[Violation]:
+    return [Violation("undistinguished-pair", (u, v))
+            for u, v in g.edges if stars[u] == stars[v]]
+
+
+def violations(g: Graph, phi: TotalColoring) -> list[Violation]:
+    """The one verifier: every properness offence, or on a proper colouring
+    every undistinguished pair; empty exactly when phi is proper and AVD.
+
+    One edge-mask pass decides both. A closed star holds deg(v) + 1 colours
+    exactly when v's edges and v itself are coloured pairwise differently,
+    so properness is that popcount at every vertex plus distinct vertex
+    colours across every edge; witnesses are listed only when it fails.
+    """
+    check_total(g, phi)
+    masks = _edge_masks(g, phi.edge_colors)
+    vc = phi.vertex_colors
+    stars = [m | 1 << c for m, c in zip(masks, vc)]
+    if (any(s.bit_count() != len(nbrs) + 1 for s, nbrs in zip(stars, g.adjacency))
+            or any(vc[u] == vc[v] for u, v in g.edges)):
+        return _witnesses(g, phi, masks)
+    return _undistinguished(g, stars)
+
+
+def _proper(found: list[Violation]) -> bool:
+    """Whether a ``violations`` list belongs to a proper colouring."""
+    return not found or found[0].kind == "undistinguished-pair"
+
+
+def properness_violations(g: Graph, phi: TotalColoring) -> list[Violation]:
+    """Every properness offence, one Violation per offending pair."""
+    check_total(g, phi)
+    return _witnesses(g, phi, _edge_masks(g, phi.edge_colors))
 
 
 def avd_violations(g: Graph, phi: TotalColoring) -> list[Violation]:
     """Adjacent pairs with identical colour sets; properness is not checked."""
     check_total(g, phi)
-    masks = star_masks(g, phi)
-    return [Violation("undistinguished-pair", (u, v))
-            for u, v in g.edges if masks[u] == masks[v]]
+    return _undistinguished(g, star_masks(g, phi))
 
 
 # ---------------------------------------------------------------------------
@@ -134,8 +163,8 @@ def avd_violations(g: Graph, phi: TotalColoring) -> list[Violation]:
 
 def verdict(g: Graph, phi: TotalColoring) -> dict[str, bool]:
     """Recomputed {proper, avd} flags; avd is False whenever properness fails."""
-    proper = is_proper(g, phi)
-    return {"proper": proper, "avd": proper and not avd_violations(g, phi)}
+    found = violations(g, phi)
+    return {"proper": _proper(found), "avd": not found}
 
 
 def to_document(g: Graph, phi: TotalColoring) -> dict:

@@ -11,10 +11,9 @@ palette accounting in the report is exact by construction.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
-from .coloring import (TotalColoring, avd_violations, check_total,
-                       properness_violations, star_masks)
+from .coloring import TotalColoring, _proper, avd_violations, star_masks, violations
 from .graphs import Edge, Graph, normalize_edge
 from .highdeg import (PipelineParams, find_bulk_deletion,
                       find_patch_deletion, light_vertices)
@@ -31,10 +30,10 @@ def _exit_check(g: Graph, phi: TotalColoring) -> dict[str, bool]:
     """Verdict on a pipeline result; RuntimeError names its first violation
     unless it is proper and AVD. The phases trust their input, so this pass
     is what stands behind the guarantee."""
-    violations = properness_violations(g, phi) or avd_violations(g, phi)
-    if violations:
+    found = violations(g, phi)
+    if found:
         raise RuntimeError(f"pipeline output is not a proper AVD colouring: "
-                           f"{violations[0].kind} at {violations[0].witness}")
+                           f"{found[0].kind} at {found[0].witness}")
     return {"proper": True, "avd": True}
 
 
@@ -62,25 +61,10 @@ class PipelineReport:
     verified: dict
     phase_timings: dict
 
-    def to_json(self, include_timings: bool = False) -> dict:
-        out = {
-            "input_k": self.input_k,
-            "e1_rounds": self.e1_rounds,
-            "e2_rounds": self.e2_rounds,
-            "e1_success": self.e1_success,
-            "e2_success": self.e2_success,
-            "e2_infeasible_vertex": self.e2_infeasible_vertex,
-            "fresh_palette_size": self.fresh_palette_size,
-            "fallback_repairs": self.fallback_repairs,
-            "final_k": self.final_k,
-            "lam": self.lam,
-            "M": self.M,
-            "p": self.p,
-            "short_circuit": self.short_circuit,
-            "verified": dict(self.verified),
-        }
-        if include_timings:
-            out["phase_timings"] = dict(self.phase_timings)
+    def to_json(self) -> dict:
+        """Every field but the wall-clock ``phase_timings``, in field order."""
+        out = asdict(self)
+        del out["phase_timings"]
         return out
 
 
@@ -100,16 +84,11 @@ def recolor_union(g: Graph, phi: TotalColoring, bulk_edges, patch_edges) -> Tota
             raise ValueError(f"selected edge {e} is not in the graph")
     if not union:
         return phi
-    verts = sorted({x for e in union for x in e})
-    remap = {x: i for i, x in enumerate(verts)}
-    sub = Graph.build(len(verts), [(remap[u], remap[v]) for u, v in union])
-    sub_colors = vizing_color(sub).colors
-    growth = max(sub_colors.values())
-    edge_colors = dict(phi.edge_colors)
-    for u, v in union:
-        edge_colors[(u, v)] = phi.k + sub_colors[normalize_edge(remap[u], remap[v])]
+    sub_colors = vizing_color(Graph.build(g.n, union)).colors
+    fresh = {e: phi.k + c for e, c in sub_colors.items()}
     return TotalColoring(vertex_colors=phi.vertex_colors,
-                         edge_colors=edge_colors, k=phi.k + growth)
+                         edge_colors={**phi.edge_colors, **fresh},
+                         k=phi.k + max(sub_colors.values()))
 
 
 def repair_fallback(g: Graph, phi: TotalColoring) -> TotalColoring:
@@ -159,10 +138,10 @@ def run_pipeline(g: Graph, phi: TotalColoring | None = None,
                  ) -> tuple[TotalColoring, PipelineReport]:
     """Produce a distinguishing proper total colouring of g, with a report.
 
-    A supplied colouring must be proper total and is checked once here;
-    otherwise a greedy seed, proper by construction, is built. The phases
-    trust their input; already-distinguishing inputs short-circuit unchanged.
-    The result is verified on the way out (see ``_exit_check``).
+    The seed, supplied or greedy, gets one ``violations`` pass here: it must
+    be proper total, and if it is already distinguishing it is returned
+    unchanged with that pass as its verdict. The phases trust their input;
+    any other result is verified on the way out (see ``_exit_check``).
     """
     params = params or PipelineParams()
     timings: dict[str, float] = {}
@@ -170,24 +149,23 @@ def run_pipeline(g: Graph, phi: TotalColoring | None = None,
     start = time.perf_counter()
     if phi is None:
         phi = greedy_total(g)
-    else:
-        check_total(g, phi)
-        if properness_violations(g, phi):
-            raise ValueError("supplied colouring must be proper")
     timings["seed"] = time.perf_counter() - start
-    input_k = phi.k
-    resolved = params.resolve(g)
 
     start = time.perf_counter()
-    already = not avd_violations(g, phi)
+    found = violations(g, phi)
     timings["verify_input"] = time.perf_counter() - start
-    if already:
+    if not _proper(found):
+        raise ValueError(f"seed colouring must be proper: "
+                         f"{found[0].kind} at {found[0].witness}")
+    input_k = phi.k
+    resolved = params.resolve(g)
+    if not found:
         report = PipelineReport(
             input_k=input_k, e1_rounds=0, e2_rounds=0,
             e1_success=None, e2_success=None, e2_infeasible_vertex=None,
             fresh_palette_size=0, fallback_repairs=0, final_k=input_k,
             lam=resolved.lam, M=resolved.M, p=resolved.p,
-            short_circuit=True, verified=_exit_check(g, phi),
+            short_circuit=True, verified={"proper": True, "avd": True},
             phase_timings=timings)
         return phi, report
 

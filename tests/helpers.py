@@ -13,8 +13,8 @@ import math
 import random
 from fractions import Fraction
 
-from avdtotal import (Edge, EdgeColoring, Graph, TotalColoring, normalize_edge,
-                      random_gnp, substream)
+from avdtotal import (Edge, EdgeColoring, Graph, TotalColoring, Violation,
+                      normalize_edge, random_gnp, substream)
 
 
 def naive_is_proper(g: Graph, phi: TotalColoring) -> bool:
@@ -457,6 +457,25 @@ def reference_edge_clashes(g: Graph, edge_colors) -> list[tuple[Edge, Edge]]:
             by_color.setdefault(edge_colors[e], []).append(e)
         for group in by_color.values():
             out.extend(itertools.combinations(group, 2))
+    return out
+
+
+def reference_properness_violations(g: Graph, phi: TotalColoring) -> list[Violation]:
+    """Every properness offence as the per-edge loop listed them before the
+    closed-star test: the loop verbatim, then ``reference_edge_clashes``.
+    The library's verifier must return the same list in the same order."""
+    out: list[Violation] = []
+    for u, v in g.edges:
+        cu, cv = phi.vertex_colors[u], phi.vertex_colors[v]
+        ce = phi.edge_colors[(u, v)]
+        if cu == cv:
+            out.append(Violation("vertex-vertex", (u, v)))
+        if cu == ce:
+            out.append(Violation("vertex-edge", (u, (u, v))))
+        if cv == ce:
+            out.append(Violation("vertex-edge", (v, (u, v))))
+    out.extend(Violation("edge-edge", pair)
+               for pair in reference_edge_clashes(g, phi.edge_colors))
     return out
 
 

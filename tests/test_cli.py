@@ -7,6 +7,7 @@ stderr can be captured byte for byte.
 import io
 import json
 import sys
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -63,6 +64,22 @@ def improper_k4_doc(tmp_path):
     p = tmp_path / "k4-improper.json"
     p.write_text(json.dumps(to_document(g, phi)))
     return str(p)
+
+
+def count_verifier_calls(monkeypatch) -> Counter:
+    """Count the verifier and its building blocks in every module that binds
+    them, so calls across modules are seen too."""
+    calls = Counter()
+    for name in ("violations", "check_total", "properness_violations",
+                 "avd_violations"):
+        def counting(*args, _name=name, _original=getattr(coloring_mod, name)):
+            calls[_name] += 1
+            return _original(*args)
+
+        for module in (coloring_mod, pipeline_mod, cli):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counting)
+    return calls
 
 
 def run(argv, capsys):
@@ -138,19 +155,22 @@ class TestColor:
         assert code == 0 and json.loads(out)["n"] == 4
 
     def test_one_properness_pass(self, k5_file, capsys, monkeypatch):
-        # run_pipeline's exit check is the only one; the document reuses
-        # its verdict instead of verifying again
-        calls = []
-        original = coloring_mod.properness_violations
-
-        def counting(g, phi):
-            calls.append(1)
-            return original(g, phi)
-
-        for module in (coloring_mod, pipeline_mod, cli):
-            monkeypatch.setattr(module, "properness_violations", counting)
+        # one verifier pass on the seed and one at the exit; the document
+        # reuses the exit verdict instead of verifying again, and no
+        # witness lister runs on a proper colouring
+        calls = count_verifier_calls(monkeypatch)
         code, out, _ = run(["color", "--in", k5_file, "--json"], capsys)
-        assert code == 0 and len(calls) == 1
+        assert code == 0 and json.loads(out)["report"]["short_circuit"] is False
+        assert calls == {"violations": 2, "check_total": 2}
+
+    def test_short_circuit_reuses_entry_pass(self, k4_file, clean_doc, capsys,
+                                             monkeypatch):
+        calls = count_verifier_calls(monkeypatch)
+        code, out, _ = run(["color", "--in", k4_file, "--json",
+                            "--seed-coloring", clean_doc], capsys)
+        assert code == 0 and json.loads(out)["report"]["short_circuit"] is True
+        # from_document checks the seed document once more on loading
+        assert calls == {"violations": 1, "check_total": 2}
 
 
 class TestVerify:
@@ -201,6 +221,14 @@ class TestDistinguishLow:
         doc = json.loads(out)
         assert doc["vertex_colors"][0] == 5
         assert doc["verified"]["proper"] is True
+
+    def test_one_verifier_pass_each_side(self, clean_doc, capsys, monkeypatch):
+        # the input check and the output flags are one violations call each;
+        # the third check_total is from_document's, on loading
+        calls = count_verifier_calls(monkeypatch)
+        code, _, _ = run(["distinguish-low", "--in", clean_doc, "--json"], capsys)
+        assert code == 0
+        assert calls == {"violations": 2, "check_total": 3}
 
 
 class TestSelections:
@@ -421,6 +449,12 @@ class TestBench:
         p.write_text("D~{\n")
         argv = ["bench", "--in", str(p), "--runs", "3", "--seed", "1", "--json"]
         assert run(argv, capsys) == run(argv, capsys)
+
+    @pytest.mark.parametrize("runs", ["0", "-2"])
+    def test_rejects_fewer_than_one_run(self, k5_file, runs, capsys):
+        code, out, err = run(["bench", "--in", k5_file, "--runs", runs], capsys)
+        assert code == 2 and out == ""
+        assert err == f"error: --runs must be at least 1, got {runs}\n"
 
     def test_human_mode_reports_timing(self, tmp_path, capsys):
         p = tmp_path / "k5.g6"

@@ -6,15 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from avdtotal import (DocumentError, TotalColoring, avd_violations,
-                      check_total, complete_graph, cycle_graph,
-                      from_document, greedy_total, is_proper, path_graph,
+from avdtotal import (DocumentError, Graph, TotalColoring, Violation,
+                      avd_violations, check_total, complete_graph,
+                      cycle_graph, from_document, greedy_total, path_graph,
                       properness_violations, random_gnp, star_graph,
-                      star_masks, to_document, verdict)
+                      star_masks, to_document, verdict, violations)
 from avdtotal.coloring import edge_clashes
 
 from helpers import (mask_of, naive_color_set, naive_is_avd, naive_is_proper,
-                     reference_edge_clashes)
+                     reference_edge_clashes, reference_properness_violations)
 
 
 def p3_coloring():
@@ -88,7 +88,7 @@ class TestPropernessViolations:
     def test_clean_coloring_no_violations(self):
         g, phi = p3_coloring()
         assert properness_violations(g, phi) == []
-        assert is_proper(g, phi)
+        assert verdict(g, phi)["proper"]
 
     def test_vertex_vertex_clash(self):
         g = path_graph(2)
@@ -173,6 +173,80 @@ class TestAvdViolations:
         assert v == {"proper": True, "avd": False}
 
 
+def fresh_fault(phi: TotalColoring, edge, fault: str) -> TotalColoring:
+    """phi with one fault made of the brand-new colour k + 1 at edge uv.
+
+    ``vertex-edge`` gives u and uv that colour: u's star loses a colour and
+    nothing else clashes. ``vertex-vertex`` gives it to u and v: every star
+    keeps deg + 1 colours, only the vertex colours across uv agree.
+    """
+    u, v = edge
+    k = phi.k + 1
+    vertex_colors = list(phi.vertex_colors)
+    edge_colors = dict(phi.edge_colors)
+    vertex_colors[u] = k
+    if fault == "vertex-edge":
+        edge_colors[edge] = k
+    else:
+        vertex_colors[v] = k
+    return TotalColoring(tuple(vertex_colors), edge_colors, k)
+
+
+@st.composite
+def graphs_and_colourings(draw):
+    """Small graphs, edgeless ones and isolated vertices included, with a
+    colouring that is random, greedy, or greedy plus one fresh fault."""
+    n = draw(st.integers(0, 9))
+    pairs = [(u, v) for v in range(n) for u in range(v)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    g = Graph.build(n, [e for e, kept in zip(pairs, keep) if kept])
+    kind = draw(st.sampled_from(["random", "greedy", "vertex-edge", "vertex-vertex"]))
+    if kind == "random":
+        k = draw(st.integers(1, 2 * g.max_degree + 2))
+        colour = st.integers(1, k)
+        return g, TotalColoring(tuple(draw(colour) for _ in range(n)),
+                                {e: draw(colour) for e in g.edges}, k)
+    phi = greedy_total(g)
+    if kind == "greedy" or not g.edges:
+        return g, phi
+    return g, fresh_fault(phi, draw(st.sampled_from(g.edges)), kind)
+
+
+class TestViolations:
+    """The one verifier against the witness loop it replaced and the naive sets."""
+
+    @given(graphs_and_colourings())
+    @settings(max_examples=400, deadline=None)
+    def test_properness_list_or_else_avd_list(self, case):
+        g, phi = case
+        improper = reference_properness_violations(g, phi)
+        undistinguished = [Violation("undistinguished-pair", (u, v)) for u, v in g.edges
+                           if naive_color_set(g, phi, u) == naive_color_set(g, phi, v)]
+        found = violations(g, phi)
+        assert found == (improper or undistinguished)
+        assert properness_violations(g, phi) == improper
+        assert verdict(g, phi) == {"proper": naive_is_proper(g, phi),
+                                   "avd": naive_is_avd(g, phi)}
+
+    @pytest.mark.parametrize("fault", ["vertex-edge", "vertex-vertex"])
+    def test_single_fresh_fault_is_the_only_witness(self, fault):
+        g = random_gnp(12, 0.4, 3)
+        edge = g.edges[len(g.edges) // 2]
+        phi = fresh_fault(greedy_total(g), edge, fault)
+        witness = (edge[0], edge) if fault == "vertex-edge" else edge
+        assert violations(g, phi) == [Violation(fault, witness)]
+        assert verdict(g, phi) == {"proper": False, "avd": False}
+
+    def test_edgeless_and_isolated_vertices(self):
+        assert violations(Graph.build(0, []), TotalColoring((), {}, 0)) == []
+        edgeless = Graph.build(3, [])
+        assert violations(edgeless, TotalColoring((1, 1, 1), {}, 1)) == []
+        g = Graph.build(4, [(1, 2)])  # 0 and 3 isolated
+        phi = TotalColoring((1, 1, 2, 1), {(1, 2): 3}, 3)
+        assert violations(g, phi) == []
+        assert verdict(g, phi) == {"proper": True, "avd": True}
+
+
 class TestPalette:
     def test_palette_size_counts_used_not_declared(self):
         g, phi = p3_coloring()
@@ -208,7 +282,7 @@ class TestDocuments:
             "edge_colors": [{"u": 0, "v": 1, "c": 2}],
         }
         g2, phi2 = from_document(doc)
-        assert not is_proper(g2, phi2)
+        assert not verdict(g2, phi2)["proper"]
 
     @pytest.mark.parametrize("missing", ["n", "edges", "k", "vertex_colors",
                                          "edge_colors"])
@@ -304,6 +378,6 @@ def test_greedy_verifiers_agree_with_naive(n, salt):
     from avdtotal import random_gnp
     g = random_gnp(n, 0.5, salt)
     phi = greedy_total(g)
-    assert is_proper(g, phi) == naive_is_proper(g, phi)
+    assert verdict(g, phi)["proper"] == naive_is_proper(g, phi)
     assert naive_is_proper(g, phi)
     assert (not avd_violations(g, phi)) == naive_is_avd(g, phi)

@@ -8,8 +8,8 @@ from avdtotal import (Graph, PipelineParams, TotalColoring, avd_violations,
                       complete_graph, degree_split,
                       distinguish_low_degree, find_bulk_deletion,
                       find_patch_deletion, greedy_total,
-                      is_proper, light_vertices, random_gnp, recolor_union,
-                      star_graph, star_masks)
+                      light_vertices, random_gnp, recolor_union,
+                      star_graph, star_masks, verdict)
 
 from avdtotal.lowdeg import _forbidden
 
@@ -76,7 +76,7 @@ class TestDistinguishLowDegree:
         assert out.vertex_colors == (5, 3, 4, 2, 1, 1, 1, 1)
         assert out.edge_colors == phi.edge_colors
         assert out.k == phi.k
-        assert is_proper(g, out)
+        assert verdict(g, out)["proper"]
         sets = star_masks(g, out)
         for u in sorted(degree_split(g).low):
             assert all(sets[u] != sets[w] for w in g.neighbors(u))
