@@ -72,7 +72,7 @@ def _load_graph(args) -> Graph:
     for line in text.splitlines():
         if line.strip():
             return parse_graph6(line.strip())
-    raise Graph6Error("no graph6 line found in input")
+    raise Graph6Error("no graph6 line found in input", 0)
 
 
 def _load_document(path: str | None):

@@ -17,16 +17,17 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from operator import or_
-from typing import Callable, Container
+from numbers import Real
+from typing import Callable
 
 import numpy as np
 
 from .bounds import derive_constants
-from .coloring import TotalColoring
+from .coloring import TotalColoring, star_masks
 from .graphs import Edge, Graph, degree_split, normalize_edge
 from .rng import substream
 
@@ -36,10 +37,26 @@ PATCH_STREAM = "patch-deletion"
 EVENT_KINDS = ("A_pair", "B_vertex", "A2_overload", "B2_pair")
 
 
-def _fraction(value) -> Fraction:
-    if isinstance(value, (Fraction, int, float, str)):
-        return Fraction(value)
-    raise TypeError(f"cannot interpret {value!r} as a fraction")
+def _fraction(name: str, value) -> Fraction:
+    """value as an exact Fraction; ValueError naming the field for anything
+    else, bools and non-finite floats included."""
+    if isinstance(value, (Fraction, int, float, str)) and not isinstance(value, bool):
+        try:
+            return Fraction(value)
+        except (ValueError, OverflowError, ZeroDivisionError):
+            pass
+    raise ValueError(f"{name} must be a fraction, got {value!r}")
+
+
+def _integer(name: str, value) -> int:
+    """value as an int when it is an integer (anything ``operator.index``
+    takes, bool excluded); ValueError naming the field otherwise."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -64,10 +81,12 @@ class PipelineParams:
     stall_rounds: int = 200
 
     def __post_init__(self):
-        object.__setattr__(self, "eps", _fraction(self.eps))
-        object.__setattr__(self, "alpha", _fraction(self.alpha))
-        if not (isinstance(self.m, int) and isinstance(self.d, int)):
-            raise ValueError("m and d must be integers")
+        object.__setattr__(self, "eps", _fraction("eps", self.eps))
+        object.__setattr__(self, "alpha", _fraction("alpha", self.alpha))
+        for name in ("m", "d", "B", "seed", "max_rounds", "stall_rounds"):
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
+        if self.M is not None:
+            object.__setattr__(self, "M", _integer("M", self.M))
         if self.d < 1 or self.m < self.d + 4:
             raise ValueError(f"need d >= 1 and m >= d+4, got m={self.m}, d={self.d}")
         if not 0 < self.eps < 1:
@@ -76,14 +95,24 @@ class PipelineParams:
             raise ValueError("alpha must be positive")
         if self.B < 2:
             raise ValueError("B must be at least 2")
-        if self.lam is not None and not self.lam > 0:
-            raise ValueError("lam override must be positive")
+        if self.lam is not None:
+            if isinstance(self.lam, bool) or not isinstance(self.lam, Real):
+                raise ValueError(f"lam override must be a real number, got {self.lam!r}")
+            # resolve takes M = ceil(2e*lam), which must be a finite integer
+            try:
+                cap = 2.0 * math.e * float(self.lam)
+            except OverflowError:
+                cap = math.inf
+            if not (cap > 0 and math.isfinite(cap)):
+                raise ValueError(f"lam override must be positive with 2e*lam "
+                                 f"finite, got {self.lam!r}")
         if self.M is not None and self.M < 1:
             raise ValueError("M override must be a positive integer")
         if not 0 <= self.seed < 2 ** 64:
             raise ValueError("seed must fit in an unsigned 64-bit integer")
-        if self.max_rounds < 1 or self.stall_rounds < 1:
-            raise ValueError("round caps must be positive")
+        for name in ("max_rounds", "stall_rounds"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
 
     def resolve(self, g: Graph) -> "ResolvedParams":
         """Fix lam, M, and the sampling probability for one graph."""
@@ -94,7 +123,7 @@ class PipelineParams:
             lam = derive_constants(self.m, self.d, self.eps, max(delta, 1)).lam
         big_m = self.M if self.M is not None else math.ceil(2.0 * math.e * lam)
         p = 1.0 if delta == 0 else min(1.0, lam / delta)
-        return ResolvedParams(delta=delta, lam=lam, M=int(big_m), p=p)
+        return ResolvedParams(delta=delta, lam=lam, M=big_m, p=p)
 
 
 @dataclass(frozen=True)
@@ -156,33 +185,44 @@ def candidate_edges(g: Graph) -> list[Edge]:
     return [e for e in g.edges if e[0] in high or e[1] in high]
 
 
-class _RestrictedSets:
-    """Closed-star masks after deleted edges stop contributing, on demand.
+class _StarSets:
+    """Restricted colour sets over one indexed edge list.
 
-    A vertex's incident (edge, colour bit) pairs are gathered on its first
-    use and kept for the whole search; its restricted mask under one
-    deleted-edge set is computed on its first request in that check. A
-    check thus pays only for the vertices its events compare.
+    A vertex's restricted set is its ``star_masks`` closed-star mask with
+    the colours of its deleted edges cleared. phi is proper, so the colours
+    of a closed star are distinct and each deleted edge's colour is set
+    there exactly once: clearing them is one XOR with their OR. ``deleted``
+    is a boolean array over ``edges``; the set is exact at every vertex all
+    of whose edges are listed.
     """
 
-    def __init__(self, g: Graph, phi: TotalColoring):
+    def __init__(self, g: Graph, phi: TotalColoring, edges: list[Edge]):
         self.g, self.phi = g, phi
-        self.incident: dict[int, list[tuple[Edge, int]]] = {}
+        self.bits = [1 << c for c in map(phi.edge_colors.__getitem__, edges)]
+        self.incident: list[list[int]] = [[] for _ in range(g.n)]
+        for i, (u, v) in enumerate(edges):
+            self.incident[u].append(i)
+            self.incident[v].append(i)
+        self.stars: list[int] | None = None
+        self.arrays: dict[int, np.ndarray] = {}
 
-    def under(self, deleted: Container[Edge]) -> Callable[[int], int]:
+    def under(self, deleted: np.ndarray) -> Callable[[int], int]:
+        """Restricted sets under one deleted-edge array, each computed on
+        its first request."""
+        if self.stars is None:
+            self.stars = star_masks(self.g, self.phi)
+        stars, bits, arrays = self.stars, self.bits, self.arrays
         cache: dict[int, int] = {}
 
         def restricted(v: int) -> int:
             mask = cache.get(v)
             if mask is None:
-                pairs = self.incident.get(v)
-                if pairs is None:
-                    colors = self.phi.edge_colors
-                    ends = [(v, w) if v < w else (w, v) for w in self.g.adjacency[v]]
-                    pairs = self.incident[v] = [(e, 1 << colors[e]) for e in ends]
+                idx = arrays.get(v)
+                if idx is None:
+                    idx = arrays[v] = np.array(self.incident[v], dtype=np.int64)
                 mask = cache[v] = reduce(
-                    or_, [bit for e, bit in pairs if e not in deleted],
-                    1 << self.phi.vertex_colors[v])
+                    operator.or_, map(bits.__getitem__, idx[deleted[idx]].tolist()),
+                    0) ^ stars[v]
             return mask
 
         return restricted
@@ -196,17 +236,20 @@ class _BulkCheck:
     colours. B_vertex: a high vertex more than eps*max_degree of whose
     neighbours hold fewer than m selected edges.
 
-    A_pair can only fire at an edge joining equal-degree high vertices, so
-    those edges are listed up front and restricted colour sets are computed
-    only at their endpoints, and only when a selection count lets the event
-    fire. B_vertex counts under-selected neighbours of every high vertex
-    with one bincount over their concatenated adjacency lists.
+    A selection is a boolean array over the candidate edges ``cands`` with
+    its per-vertex counts. A_pair can only fire at an edge joining
+    equal-degree high vertices, so those edges are listed up front and
+    restricted colour sets are computed only at their endpoints, and only
+    when a selection count lets the event fire; every edge at a high vertex
+    is a candidate, so the candidate indices cover those stars. B_vertex
+    counts under-selected neighbours of every high vertex with one bincount
+    over their concatenated adjacency lists.
     """
 
     def __init__(self, g: Graph, phi: TotalColoring, high: frozenset[int],
-                 m: int, d: int, eps: Fraction):
+                 cands: list[Edge], m: int, d: int, eps: Fraction):
         self.m, self.d = m, d
-        self.sets = _RestrictedSets(g, phi)
+        self.sets = _StarSets(g, phi, cands)
         degree = [len(a) for a in g.adjacency]
         self.pairs = [(u, v) for u, v in g.edges
                       if degree[u] == degree[v] and u in high and v in high]
@@ -220,7 +263,7 @@ class _BulkCheck:
         # counts are integers, so count > eps*max_degree iff count > floor
         self.limit = math.floor(eps * g.max_degree)
 
-    def events(self, selected: frozenset[Edge], deg_sel: np.ndarray) -> list[BadEvent]:
+    def events(self, selected: np.ndarray, deg_sel: np.ndarray) -> list[BadEvent]:
         events: list[BadEvent] = []
         hot = np.flatnonzero((deg_sel[self.pair_ends] >= self.m).any(axis=1))
         if hot.size:
@@ -242,19 +285,18 @@ def find_bulk_deletion(g: Graph, phi: TotalColoring,
 
     Each round rechecks; a violated round resamples only the candidate-edge
     indicators within distance one of the witnesses. On failure the best
-    selection seen (fewest events) is returned. phi must be a proper total
-    colouring of g.
+    selection seen (fewest events) is returned. Rounds hold their selection
+    as a boolean array over the candidate edges; only the returned one
+    becomes an EdgeSelection. phi must be a proper total colouring of g.
     """
     params = params or PipelineParams()
     resolved = params.resolve(g)
-    high = degree_split(g).high
     cands = candidate_edges(g)
+    check = _BulkCheck(g, phi, degree_split(g).high, cands,
+                       params.m, params.d, params.eps)
     ends = np.array(cands, dtype=np.int64).reshape(-1, 2)
     cu, cv = ends[:, 0], ends[:, 1]
-    incident: list[list[int]] = [[] for _ in range(g.n)]
-    for i, (u, v) in enumerate(cands):
-        incident[u].append(i)
-        incident[v].append(i)
+    incident = check.sets.incident
     near: dict[int, np.ndarray] = {}
 
     def indicators_near(w: int) -> np.ndarray:
@@ -268,27 +310,28 @@ def find_bulk_deletion(g: Graph, phi: TotalColoring,
         return (np.bincount(cu[idx], minlength=g.n)
                 + np.bincount(cv[idx], minlength=g.n))
 
-    check = _BulkCheck(g, phi, high, params.m, params.d, params.eps)
     rng = substream(params.seed, BULK_STREAM)
     mask = rng.random(len(cands)) < resolved.p if cands else np.zeros(0, dtype=bool)
 
-    best: tuple[int, EdgeSelection, tuple[BadEvent, ...]] | None = None
+    def selection(kept: np.ndarray, deg_sel: np.ndarray) -> EdgeSelection:
+        return EdgeSelection(frozenset(map(cands.__getitem__, kept.tolist())),
+                             tuple(deg_sel.tolist()))
+
+    best: tuple[int, np.ndarray, np.ndarray, tuple[BadEvent, ...]] | None = None
+    last_witnesses: list[int] | None = None
     rounds = 0
     stall = 0
     while True:
-        chosen = np.flatnonzero(mask)
-        counts = endpoint_counts(chosen)
-        kept = chosen[(counts[cu[chosen]] <= resolved.M)
-                      & (counts[cv[chosen]] <= resolved.M)]
+        counts = endpoint_counts(np.flatnonzero(mask))
+        keep = mask & (counts[cu] <= resolved.M) & (counts[cv] <= resolved.M)
+        kept = np.flatnonzero(keep)
         deg_sel = endpoint_counts(kept)
-        selection = EdgeSelection(frozenset(map(cands.__getitem__, kept.tolist())),
-                                  tuple(deg_sel.tolist()))
-        violations = check.events(selection.edges, deg_sel)
+        violations = check.events(keep, deg_sel)
         rounds += 1
         if not violations:
-            return SelectionResult(selection, True, rounds, ())
+            return SelectionResult(selection(kept, deg_sel), True, rounds, ())
         if best is None or len(violations) < best[0]:
-            best = (len(violations), selection, tuple(violations))
+            best = (len(violations), kept, deg_sel, tuple(violations))
             stall = 0
         else:
             stall += 1
@@ -297,20 +340,22 @@ def find_bulk_deletion(g: Graph, phi: TotalColoring,
         if resolved.p >= 1.0 or resolved.p <= 0.0:
             break  # the draw is deterministic; resampling cannot change it
         # witness order, then first occurrence, decides which draw each
-        # indicator gets
-        taken = np.zeros(len(cands), dtype=bool)
-        parts = []
-        for event in violations:
-            for w in event.witness:
+        # indicator gets; a stalled search tends to meet the same witnesses
+        # round after round, so their index list is kept until they change
+        witnesses = [w for event in violations for w in event.witness]
+        if witnesses != last_witnesses:
+            taken = np.zeros(len(cands), dtype=bool)
+            parts = []
+            for w in witnesses:
                 fresh = indicators_near(w)
                 fresh = fresh[~taken[fresh]]
                 taken[fresh] = True
                 parts.append(fresh)
-        idx = np.concatenate(parts)
+            idx, last_witnesses = np.concatenate(parts), witnesses
         if idx.size:
             mask[idx] = rng.random(idx.size) < resolved.p
-    _, selection, violations = best
-    return SelectionResult(selection, False, rounds, violations)
+    _, kept, deg_sel, violations = best
+    return SelectionResult(selection(kept, deg_sel), False, rounds, violations)
 
 
 # ---------------------------------------------------------------------------
@@ -340,24 +385,34 @@ class _PatchCheck:
     contributing.
 
     A2_overload can only fire at the heavy non-light vertices and B2_pair
-    only at light-light edges, so both are listed up front.
+    only at light-light edges, so both are listed up front. Restricted
+    colour sets index the edges at light vertices; the bulk edges among
+    them are marked once, and each check adds its patch edges.
     """
 
     def __init__(self, g: Graph, phi: TotalColoring, bulk_edges: frozenset[Edge],
                  light: frozenset[int], alpha: Fraction, B: int):
-        self.bulk_edges, self.B = bulk_edges, B
+        self.B = B
         threshold = alpha * g.max_degree
         self.heavy = [v for v in range(g.n)
                       if v not in light and g.degree(v) > threshold]
         self.light_pairs = [(u, v) for u, v in g.edges if u in light and v in light]
-        self.sets = _RestrictedSets(g, phi)
+        edges = list(dict.fromkeys(normalize_edge(u, w) for u in sorted(light)
+                                   for w in g.adjacency[u]))
+        self.sets = _StarSets(g, phi, edges)
+        self.index = {e: i for i, e in enumerate(edges)}
+        self.bulk = np.zeros(len(edges), dtype=bool)
+        self.bulk[[i for e, i in self.index.items() if e in bulk_edges]] = True
 
     def events(self, patch: EdgeSelection) -> list[BadEvent]:
         events = [BadEvent("A2_overload", (v,)) for v in self.heavy
                   if patch.per_vertex_count[v] >= self.B]
-        restricted = self.sets.under(self.bulk_edges | patch.edges)
-        events.extend(BadEvent("B2_pair", (u, v)) for u, v in self.light_pairs
-                      if restricted(u) == restricted(v))
+        if self.light_pairs:
+            deleted = self.bulk.copy()
+            deleted[[self.index[e] for e in patch.edges if e in self.index]] = True
+            restricted = self.sets.under(deleted)
+            events.extend(BadEvent("B2_pair", (u, v)) for u, v in self.light_pairs
+                          if restricted(u) == restricted(v))
         return events
 
 

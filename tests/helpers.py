@@ -13,7 +13,10 @@ import math
 import random
 from fractions import Fraction
 
-from avdtotal import (Edge, EdgeColoring, Graph, TotalColoring, Violation,
+import numpy as np
+
+from avdtotal import (BadEvent, Edge, EdgeColoring, EdgeSelection, Graph,
+                      PipelineParams, SelectionResult, TotalColoring, Violation,
                       normalize_edge, random_gnp, substream)
 
 
@@ -260,6 +263,74 @@ def reference_bulk_events(g: Graph, phi: TotalColoring, selected, m: int,
         if Fraction(count) > eps * g.max_degree:
             events.append(("B_vertex", (v,)))
     return events
+
+
+def reference_find_bulk_deletion(g: Graph, phi: TotalColoring,
+                                 params: PipelineParams) -> SelectionResult:
+    """find_bulk_deletion's draw, cap and resampling loop, each round's
+    events recounted by ``reference_bulk_events`` on plain edge sets."""
+    resolved = params.resolve(g)
+    high = {v for v in range(g.n) if 2 * g.degree(v) > g.max_degree}
+    cands = [(u, v) for u, v in g.edges if u in high or v in high]
+    ends = np.array(cands, dtype=np.int64).reshape(-1, 2)
+    cu, cv = ends[:, 0], ends[:, 1]
+    incident: list[list[int]] = [[] for _ in range(g.n)]
+    for i, (u, v) in enumerate(cands):
+        incident[u].append(i)
+        incident[v].append(i)
+    near: dict[int, np.ndarray] = {}
+
+    def indicators_near(w: int) -> np.ndarray:
+        if w not in near:
+            seen = dict.fromkeys(i for x in (w, *g.adjacency[w]) for i in incident[x])
+            near[w] = np.fromiter(seen, dtype=np.int64, count=len(seen))
+        return near[w]
+
+    def endpoint_counts(idx: np.ndarray) -> np.ndarray:
+        return (np.bincount(cu[idx], minlength=g.n)
+                + np.bincount(cv[idx], minlength=g.n))
+
+    rng = substream(params.seed, "bulk-deletion")
+    mask = rng.random(len(cands)) < resolved.p if cands else np.zeros(0, dtype=bool)
+
+    best = None
+    rounds = 0
+    stall = 0
+    while True:
+        chosen = np.flatnonzero(mask)
+        counts = endpoint_counts(chosen)
+        kept = chosen[(counts[cu[chosen]] <= resolved.M)
+                      & (counts[cv[chosen]] <= resolved.M)]
+        deg_sel = endpoint_counts(kept)
+        selection = EdgeSelection(frozenset(map(cands.__getitem__, kept.tolist())),
+                                  tuple(deg_sel.tolist()))
+        violations = [BadEvent(kind, w) for kind, w in reference_bulk_events(
+            g, phi, selection.edges, params.m, params.d, params.eps)]
+        rounds += 1
+        if not violations:
+            return SelectionResult(selection, True, rounds, ())
+        if best is None or len(violations) < best[0]:
+            best = (len(violations), selection, tuple(violations))
+            stall = 0
+        else:
+            stall += 1
+        if rounds >= params.max_rounds or stall >= params.stall_rounds:
+            break
+        if resolved.p >= 1.0 or resolved.p <= 0.0:
+            break
+        taken = np.zeros(len(cands), dtype=bool)
+        parts = []
+        for event in violations:
+            for w in event.witness:
+                fresh = indicators_near(w)
+                fresh = fresh[~taken[fresh]]
+                taken[fresh] = True
+                parts.append(fresh)
+        idx = np.concatenate(parts)
+        if idx.size:
+            mask[idx] = rng.random(idx.size) < resolved.p
+    _, selection, violations = best
+    return SelectionResult(selection, False, rounds, violations)
 
 
 def reference_patch_events(g: Graph, phi: TotalColoring, bulk_edges, patch_edges,

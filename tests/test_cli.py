@@ -154,6 +154,18 @@ class TestColor:
         code, out, _ = run(["color", "--json"], capsys)
         assert code == 0 and json.loads(out)["n"] == 4
 
+    @pytest.mark.parametrize("text", ["", "\n  \n"])
+    def test_empty_input_is_parse_error(self, text, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+        code, _, err = run(["color", "--json"], capsys)
+        assert code == 2
+        assert err == "error: no graph6 line found in input (byte 0)\n"
+
+    def test_infinite_lambda_is_domain_error(self, k4_file, capsys):
+        code, _, err = run(["color", "--in", k4_file, "--lambda", "inf"], capsys)
+        assert code == 2
+        assert err.startswith("error: lam override")
+
     def test_one_properness_pass(self, k5_file, capsys, monkeypatch):
         # one verifier pass on the seed and one at the exit; the document
         # reuses the exit verdict instead of verifying again, and no

@@ -15,7 +15,9 @@ from avdtotal import (BadEvent, EdgeSelection, Graph, PipelineParams,
 from avdtotal.highdeg import _BulkCheck, _PatchCheck
 
 from helpers import (reference_bulk_events, reference_bulk_first_round,
-                     reference_patch_events, reference_patch_first_draw)
+                     reference_find_bulk_deletion, reference_patch_events,
+                     reference_patch_first_draw)
+from test_golden import hub_edges
 
 BULK_STREAM = "bulk-deletion"
 PATCH_STREAM = "patch-deletion"
@@ -38,9 +40,13 @@ def two_hub_fixture():
 
 
 def bulk_events(g, phi, sel, params):
-    """The events find_bulk_deletion's own check reports for sel."""
-    check = _BulkCheck(g, phi, degree_split(g).high, params.m, params.d, params.eps)
-    return check.events(sel.edges, np.array(sel.per_vertex_count, dtype=np.int64))
+    """The events find_bulk_deletion's own check reports for sel, given to
+    it as a boolean array over the candidate edges."""
+    cands = candidate_edges(g)
+    check = _BulkCheck(g, phi, degree_split(g).high, cands,
+                       params.m, params.d, params.eps)
+    selected = np.array([e in sel.edges for e in cands], dtype=bool)
+    return check.events(selected, np.array(sel.per_vertex_count, dtype=np.int64))
 
 
 def patch_events(g, phi, bulk, patch, light, params):
@@ -93,10 +99,33 @@ class TestPipelineParams:
         dict(seed=2 ** 64),
         dict(max_rounds=0),
         dict(stall_rounds=0),
+        dict(lam=float("inf")),   # ceil(2e*lam) would overflow in resolve
+        dict(lam=1e308),          # finite, but 2e*lam is not
+        dict(lam=float("nan")),
+        dict(lam=True),
+        dict(M=2.5),
+        dict(M=True),
+        dict(seed=1.5),
+        dict(m=9.0),
+        dict(d=True),
+        dict(B="2"),
+        dict(max_rounds=1.5),
+        dict(stall_rounds=None),
+        dict(eps=float("inf")),
+        dict(alpha=float("nan")),
+        dict(alpha=True),
+        dict(eps=None),
+        dict(eps="1/0"),
     ])
     def test_rejects(self, kwargs):
-        with pytest.raises(ValueError):
+        # the message names the offending field
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
             PipelineParams(**kwargs)
+
+    def test_accepts_index_integers(self):
+        p = PipelineParams(m=np.int64(9), seed=np.uint64(5), M=np.int32(30))
+        assert (p.m, p.seed, p.M) == (9, 5, 30)
+        assert all(type(x) is int for x in (p.m, p.seed, p.M))
 
     def test_resolve_defaults(self):
         r = PipelineParams().resolve(complete_graph(51))
@@ -639,6 +668,79 @@ class TestFirstDrawAgainstReference:
         else:
             assert res.infeasible_vertex is None and res.rounds == 1
             assert res.selection == EdgeSelection.from_edges(g.n, expected)
+
+
+def golden_hub_graph(n, hubs, hub_degree, seed):
+    """test_golden's hub graph: hubs of equal degree form a clique over a
+    sparse background of 2n edges. B_vertex fires at every hub whatever is
+    drawn, so the search ends at its stall cap; the hub clique gives
+    A_pair live edges."""
+    return Graph.build(*hub_edges(n=n, hubs=hubs, hub_degree=hub_degree,
+                                  m=2 * n, seed=seed))
+
+
+def assert_bulk_search_matches_reference(g, params):
+    phi = greedy_total(g)
+    res = find_bulk_deletion(g, phi, params)
+    assert res == reference_find_bulk_deletion(g, phi, params)
+    return res
+
+
+# (m, d) pairs under which hub A_pair events fire at p near 1
+HUB_SHAPES = [(8, 4), (10, 6), (12, 8)]
+
+
+class TestBulkSearchAgainstReference:
+    """find_bulk_deletion's whole result (selection, success, rounds,
+    violations) against its loop rerun with plain-set checks every round."""
+
+    @given(st.integers(0, 999), st.integers(2, 5), st.sampled_from([20, 30]),
+           st.sampled_from([0.85, 0.95]), st.sampled_from(HUB_SHAPES),
+           st.sampled_from([3, 6, 10]))
+    @settings(max_examples=40, deadline=None)
+    def test_hub_graphs(self, seed, hubs, hub_degree, q, shape, stall):
+        m, d = shape
+        g = golden_hub_graph(80, hubs, hub_degree, seed)
+        params = PipelineParams(m=m, d=d, lam=q * hub_degree, seed=seed,
+                                stall_rounds=stall)
+        assert params.resolve(g).p < 1
+        assert_bulk_search_matches_reference(g, params)
+
+    @given(st.integers(6, 16), st.sampled_from([0.5, 0.8, 1.0]), st.integers(0, 999),
+           st.sampled_from(CHECK_SHAPES), st.sampled_from([3.0, 5.0, 8.0]))
+    @settings(max_examples=40, deadline=None)
+    def test_gnp_graphs(self, n, q, seed, shape, lam):
+        m, d = shape
+        g = random_gnp(n, q, seed)
+        assume(g.max_degree > lam)
+        params = PipelineParams(m=m, d=d, lam=lam, seed=seed, stall_rounds=6)
+        assert params.resolve(g).p < 1
+        assert_bulk_search_matches_reference(g, params)
+
+    @pytest.mark.parametrize("g", [
+        complete_graph(9), random_gnp(30, 0.5, 3), star_graph(12),
+        Graph.build(5, []), Graph.build(0, [])])
+    def test_saturated_p_and_edgeless(self, g):
+        params = PipelineParams(m=5, d=1, seed=4)
+        assert params.resolve(g).p == 1.0
+        res = assert_bulk_search_matches_reference(g, params)
+        assert res.rounds == 1
+
+    def test_corpus_resamples_to_success_and_to_the_stall_cap(self):
+        results = [assert_bulk_search_matches_reference(g, params) for g, params in [
+            (golden_hub_graph(80, 4, 30, 1),
+             PipelineParams(m=10, d=6, lam=28.5, seed=1, stall_rounds=10)),
+            (golden_hub_graph(80, 4, 30, 2),
+             PipelineParams(m=12, d=8, lam=28.5, seed=2, stall_rounds=10)),
+            (random_gnp(14, 0.8, 2), PipelineParams(m=5, d=1, lam=5.0, seed=2)),
+            (complete_graph(12), PipelineParams(m=6, d=1, lam=6.0, seed=7)),
+        ]]
+        assert max(r.rounds for r in results) >= 20
+        assert any(r.success and r.rounds > 1 for r in results)
+        # neither cap on rounds was reached, so the stall cap ended the search
+        assert any(not r.success and r.rounds < PipelineParams().max_rounds
+                   and any(e.kind == "A_pair" for e in r.violations)
+                   for r in results)
 
 
 class TestStreamSeparation:
