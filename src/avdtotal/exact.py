@@ -5,13 +5,21 @@ tries colours in ascending order, and canonicalizes colour classes by
 allowing a brand-new colour index only once per level (first-use symmetry
 breaking).
 
-Edge colouring uses a generic backtracker over conflict lists.
+Edge colouring uses a generic backtracker over conflict lists, after
+counting exits: k below max_degree, or k matchings of at most n // 2 edges
+each too few for the edge count.
 Total colouring searches on closed-star bitmasks: ``smask[v]`` holds the
 colours on v and its edges, which are distinct in a proper partial
 colouring, so the colours banned at an edge uv are ``smask[u] | smask[v]``
 and at a vertex v ``smask[v]`` plus its neighbours' colours. The
 distinguishing search prunes as soon as a vertex whose closed star is fully
-coloured has the mask of a completed neighbour.
+coloured has the mask of a completed neighbour. It also looks ahead: when
+one element f of v's closed star is left and v has an equal-degree
+neighbour w with a complete star, every colour f may still take (any of
+1..k the partial colouring allows) that would give v the set of such a w
+is ruled out, and if none is left the subtree is cut. The cut subtree holds
+no distinguishing completion, and the order of positions and colours is
+unchanged, so the search returns the same first colouring, or None.
 
 ``chi_at_exact`` starts its scan at max_degree + 2 when an edge joins two
 maximum-degree vertices and at max_degree + 1 otherwise (Zhang et al.,
@@ -78,11 +86,18 @@ def _edge_conflicts(g: Graph) -> list[list[int]]:
 
 
 def find_edge_coloring(g: Graph, k: int) -> EdgeColoring | None:
-    """Proper edge colouring with at most k colours by exhaustive search."""
+    """Proper edge colouring with at most k colours by exhaustive search.
+
+    Below the counting bounds the answer is None without a search: a
+    vertex needs max_degree colours, and each colour class is a matching of
+    at most n // 2 edges.
+    """
     if len(g.edges) > EDGE_GUARD:
         raise CapacityError(f"{len(g.edges)} edges exceed the search guard {EDGE_GUARD}")
     if k < 0:
         raise ValueError("k must be non-negative")
+    if k < g.max_degree or k * (g.n // 2) < len(g.edges):
+        return None
     conflict = _edge_conflicts(g)
     order = _order_by_conflicts(conflict)
     result = _backtrack(len(g.edges), conflict, order, k)
@@ -129,6 +144,71 @@ def _total_order(g: Graph) -> list[int]:
     return sorted(range(len(conflicts)), key=lambda e: (-conflicts[e], rank[e]))
 
 
+def _twin_checks(g: Graph, order: list[int], ends: list[tuple[int, ...]],
+                 star_at: list[list[int]], done_at: list[int]) -> list[list[tuple]]:
+    """The look-ahead checks of each search position.
+
+    Between its second-last and last star positions a vertex v has one
+    uncoloured star element f. A check (v, y, xs, twins) at position i
+    lists the equal-degree neighbours w of v whose stars are complete by i;
+    f's colour must avoid ``smask[v] | smask[y]`` and the colours of the
+    vertices xs (f = vy gives y and no xs, f = v gives y = v and xs = v's
+    neighbours). A check is listed only where what it reads can change: v
+    enters the one-left state, a twin completes, or the element coloured
+    touches y or is a vertex in xs.
+    """
+    n, adj = g.n, g.adjacency
+    checks: list[list[tuple]] = [[] for _ in order]
+    for v in range(n):
+        last = done_at[v]
+        twins = [w for w in adj[v]
+                 if len(adj[w]) == len(adj[v]) and done_at[w] < last]
+        if not twins:
+            continue
+        first = star_at[v][-2]
+        if order[last] < n:
+            y, xs = v, adj[v]
+            moved = [i for i in range(first + 1, last) if order[i] in xs]
+        else:
+            a, b = ends[last]
+            y, xs = (a if b == v else b), ()
+            moved = [i for i in range(first + 1, last) if y in ends[i]]
+        at = {first, *moved, *(done_at[w] for w in twins if done_at[w] > first)}
+        for i in sorted(at):
+            ready = [w for w in twins if done_at[w] <= i]
+            if ready:
+                checks[i].append((v, y, xs, ready))
+    return checks
+
+
+def _last_colour_left(ahead: list[tuple], smask: list[int], bit: list[int],
+                      palette: int) -> bool:
+    """False if some star's last element has no colour that avoids a twin.
+
+    A colour c is free for f if the partial colouring allows it; every
+    colour up to k counts, since the first-use cap can still rise before
+    f's position. c is dropped if it would complete v's set as that of a
+    complete twin w, which needs S(v) to be a subset of S(w) (then S(w)
+    minus S(v) is the single colour c, as |S(w)| = |S(v)| + 1). Dropped
+    colours are in use, and a colour not yet in use is free, so a check
+    can fail only once all k colours are in use.
+    """
+    for v, y, xs, twins in ahead:
+        sv = smask[v]
+        drop = 0
+        for w in twins:
+            sw = smask[w]
+            if sw & sv == sv:
+                drop |= sw ^ sv
+        if drop:
+            free = palette & ~(sv | smask[y] | drop)
+            for x in xs:
+                free &= ~bit[x]
+            if not free:
+                return False
+    return True
+
+
 def find_total_coloring(g: Graph, k: int,
                         distinguishing: bool = False) -> TotalColoring | None:
     """Proper total colouring with at most k colours, or None.
@@ -148,11 +228,14 @@ def find_total_coloring(g: Graph, k: int,
     n, edges, adj = g.n, g.edges, g.adjacency
     order = _total_order(g)
     ends = [(e,) if e < n else edges[e - n] for e in order]
-    # search position at which each closed star becomes fully coloured
-    done_at = [0] * n
+    # search positions of each closed star's elements, in order
+    star_at: list[list[int]] = [[] for _ in range(n)]
     for i, touched in enumerate(ends):
         for v in touched:
-            done_at[v] = i
+            star_at[v].append(i)
+    done_at = [at[-1] if at else 0 for at in star_at]
+    checks = (_twin_checks(g, order, ends, star_at, done_at) if distinguishing
+              else [()] * t)
     steps = []
     for i, e in enumerate(order):
         pairs = []
@@ -164,7 +247,7 @@ def find_total_coloring(g: Graph, k: int,
                 if done_at[v] == i:
                     pairs += [(v, w) for w in adj[v]
                               if done_at[w] < i or (done_at[w] == i and v < w)]
-        steps.append((e, adj[e] if e < n else None, ends[i], pairs))
+        steps.append((e, adj[e] if e < n else None, ends[i], pairs, checks[i]))
     bit = [1] * t     # colour of each element as a bit; bit 0 while uncoloured
     smask = [0] * n   # bits of the colours on v and its edges
     palette = (2 << k) - 2
@@ -173,7 +256,7 @@ def find_total_coloring(g: Graph, k: int,
         """Colour positions i.. given top, the highest colour bit so far."""
         if i == t:
             return True
-        e, nbrs, touched, pairs = steps[i]
+        e, nbrs, touched, pairs, ahead = steps[i]
         # first-use symmetry breaking: at most one colour above top
         allowed = ((top << 2) - 2) & palette
         # vertex and edge steps have their own loops, which keeps the
@@ -192,7 +275,8 @@ def find_total_coloring(g: Graph, k: int,
                     if smask[x] == smask[y]:
                         break
                 else:
-                    if rec(i + 1, top if b <= top else b):
+                    if (not ahead or _last_colour_left(ahead, smask, bit, palette)) and \
+                            rec(i + 1, top if b <= top else b):
                         return True
                 smask[e] ^= b
             bit[e] = 1
@@ -209,7 +293,8 @@ def find_total_coloring(g: Graph, k: int,
                 if smask[x] == smask[y]:
                     break
             else:
-                if rec(i + 1, top if b <= top else b):
+                if (not ahead or _last_colour_left(ahead, smask, bit, palette)) and \
+                        rec(i + 1, top if b <= top else b):
                     return True
             smask[u] ^= b
             smask[v] ^= b

@@ -181,7 +181,10 @@ class SelectionResult:
 
 def candidate_edges(g: Graph) -> list[Edge]:
     """Edges with at least one high-degree endpoint, in sorted order."""
-    high = degree_split(g).high
+    return _edges_at(g, degree_split(g).high)
+
+
+def _edges_at(g: Graph, high: frozenset[int]) -> list[Edge]:
     return [e for e in g.edges if e[0] in high or e[1] in high]
 
 
@@ -291,8 +294,9 @@ def find_bulk_deletion(g: Graph, phi: TotalColoring,
     """
     params = params or PipelineParams()
     resolved = params.resolve(g)
-    cands = candidate_edges(g)
-    check = _BulkCheck(g, phi, degree_split(g).high, cands,
+    high = degree_split(g).high
+    cands = _edges_at(g, high)
+    check = _BulkCheck(g, phi, high, cands,
                        params.m, params.d, params.eps)
     ends = np.array(cands, dtype=np.int64).reshape(-1, 2)
     cu, cv = ends[:, 0], ends[:, 1]

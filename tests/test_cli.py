@@ -333,6 +333,16 @@ class TestSmallTools:
         assert code == 0
         assert json.loads(out)["value"] == 3
 
+    def test_exact_chi_prime_k9(self, tmp_path, capsys):
+        # 36 edges, inside the search guard; answered by the counting exit
+        p = tmp_path / "k9.g6"
+        p.write_text(write_graph6(complete_graph(9)) + "\n")
+        code, out, _ = run(["exact", "--in", str(p), "--stat", "chi_prime",
+                            "--json"], capsys)
+        assert code == 0
+        assert json.loads(out) == {"stat": "chi_prime", "value": 9, "n": 9,
+                                   "edges": 36, "max_degree": 8}
+
     def test_bad_graph6(self, tmp_path, capsys):
         p = tmp_path / "bad.g6"
         p.write_text("C~!!!\n")

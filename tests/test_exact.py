@@ -71,6 +71,36 @@ class TestEdgeColoring:
         with pytest.raises(CapacityError):
             chi_prime_exact(complete_graph(10))  # 45 edges
 
+    def test_counting_exit_matches_search(self):
+        # the counting exits return what the full backtracker returns, on
+        # conflict lists built here from shared endpoints
+        for g in atlas():
+            m = len(g.edges)
+            conflict = [[j for j, f in enumerate(g.edges) if j != i and set(e) & set(f)]
+                        for i, e in enumerate(g.edges)]
+            order = exact._order_by_conflicts(conflict)
+            for k in range(chi_prime_exact(g) + 1):
+                want = exact._backtrack(m, conflict, order, k)
+                got = find_edge_coloring(g, k)
+                if want is None:
+                    assert got is None, (write_graph6(g), k)
+                else:
+                    assert got is not None, (write_graph6(g), k)
+                    assert got.colors == dict(zip(g.edges, want)) and got.k == k
+
+    @pytest.mark.parametrize("n", [3, 5, 7, 9])
+    def test_odd_cliques_and_cycles_exit_at_max_degree(self, n):
+        assert find_edge_coloring(complete_graph(n), n - 1) is None
+        assert find_edge_coloring(cycle_graph(n), 2) is None
+
+    def test_k9_returns_at_once(self):
+        # 36 edges: without the counting exit the search at k = 8 runs
+        # for more than a minute
+        start = time.perf_counter()
+        assert chi_prime_exact(complete_graph(9)) == 9
+        assert find_edge_coloring(complete_graph(9), 9) is not None
+        assert time.perf_counter() - start < 1.0
+
 
 class TestChiVertex:
     @pytest.mark.parametrize("g,expected", [
@@ -191,6 +221,14 @@ class TestAgainstReference:
                 assert_matches_reference(
                     g, range(g.max_degree + 1, chi_at_exact(g) + 1))
 
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_random_gnp_dense(self, n):
+        # test_random_gnp at p = 0.7; at n = 8 the reference takes 12 s on
+        # seed 1
+        for seed in range(4):
+            g = random_gnp(n, 0.7, seed)
+            assert_matches_reference(g, range(g.max_degree + 1, chi_at_exact(g) + 1))
+
     def test_exhaustive_failure(self):
         # twelve vertices with an adjacent maximum-degree pair: the
         # distinguishing search at k = 6 fails after a full search
@@ -198,6 +236,24 @@ class TestAgainstReference:
         assert g.max_degree == 5 and has_adjacent_max_pair(g)
         assert find_total_coloring(g, 6, distinguishing=True) is None
         assert_matches_reference(g, [6])
+
+
+class TestTwinLookAhead:
+    """The last-element look-ahead cuts only subtrees without a completion."""
+
+    def test_tail_graph_matches_reference(self):
+        # 317 570 search nodes before the look-ahead, 44 with it
+        g = random_gnp(12, 0.35, 1)
+        got = find_total_coloring(g, 8, True)
+        assert got is not None and naive_is_avd(g, got)
+        assert got == reference_find_total_coloring(g, 8, True)
+
+    def test_tail_graph_returns_at_once(self):
+        # about 3 s without the look-ahead, most of it at k = 8
+        g = random_gnp(10, 0.5, 16)
+        start = time.perf_counter()
+        assert chi_at_exact(g) == 8
+        assert time.perf_counter() - start < 1.0
 
 
 class TestLowerBound:

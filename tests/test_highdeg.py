@@ -12,6 +12,7 @@ from avdtotal import (BadEvent, EdgeSelection, Graph, PipelineParams,
                       cycle_graph, degree_split, find_bulk_deletion,
                       find_patch_deletion, greedy_total, light_vertices,
                       random_gnp, star_graph, substream)
+from avdtotal import highdeg
 from avdtotal.highdeg import _BulkCheck, _PatchCheck
 
 from helpers import (reference_bulk_events, reference_bulk_first_round,
@@ -182,6 +183,18 @@ class TestCandidatesAndSampling:
     def test_candidates_regular_graph_all(self):
         g = cycle_graph(5)
         assert candidate_edges(g) == list(g.edges)
+
+    def test_one_degree_split_per_bulk_search(self, monkeypatch):
+        calls = []
+
+        def counted(g):
+            calls.append(g)
+            return degree_split(g)
+
+        monkeypatch.setattr(highdeg, "degree_split", counted)
+        g = random_gnp(60, 0.5, 0)
+        find_bulk_deletion(g, greedy_total(g), PipelineParams(seed=0))
+        assert len(calls) == 1
 
     def test_sample_extremes(self):
         # K_5 has max degree 4 < lam, so p = 1; a tiny lam makes p ~ 1e-13
