@@ -127,8 +127,8 @@ def compute_c0(m: int, eps: Real, lam: float, M: int) -> BoundReport:
         raise DomainError("m and M must be positive integers")
     if not 0 < eps < 1:
         raise DomainError("eps must lie strictly between 0 and 1")
-    if not lam > 0:
-        raise DomainError("lam must be positive")
+    if not 0 < lam < math.inf:
+        raise DomainError(f"lam must be positive and finite, got {lam}")
     eps_f = _as_float(eps)
     third = eps_f / 3.0
     ln_lam, ln_m_cap = math.log(lam), math.log(M)
@@ -190,11 +190,11 @@ def lll_asymmetric_check(m: int, d: int, eps: Real, lam: float, M: int,
     if (delta is None) == (ln_delta is None):
         raise DomainError("supply exactly one of delta or ln_delta")
     if ln_delta is None:
-        if delta < 2:
-            raise DomainError("delta must be at least 2")
+        if not 2 <= delta < math.inf:
+            raise DomainError(f"delta must be finite and at least 2, got {delta}")
         ln_delta = math.log(delta)
-    elif ln_delta < LN2:
-        raise DomainError("ln_delta must be at least ln 2")
+    elif not LN2 <= ln_delta < math.inf:
+        raise DomainError(f"ln_delta must be finite and at least ln 2, got {ln_delta}")
     if m - d + 1 < 5:
         raise DomainError(f"need m - d + 1 >= 5, got m={m}, d={d}")
     inputs = {"m": m, "d": d, "eps": eps, "lam": lam, "M": M,
@@ -245,8 +245,8 @@ def find_feasible_delta(m: int, d: int, eps: Real, lam: float, M: int,
     range: infeasible at lo, feasible at hi. Returns the bracketing result in
     details["ln_delta_star"].
     """
-    if not LN2 <= lo_ln_delta < hi_ln_delta:
-        raise DomainError("need ln2 <= lo_ln_delta < hi_ln_delta")
+    if not LN2 <= lo_ln_delta < hi_ln_delta < math.inf:
+        raise DomainError("need ln2 <= lo_ln_delta < hi_ln_delta, both finite")
 
     def feasible_at(ld: float) -> bool:
         return bool(lll_asymmetric_check(m, d, eps, lam, M, ln_delta=ld).feasible)

@@ -314,6 +314,8 @@ def cmd_bounds(args) -> int:
 
     if args.cmd == "constants":
         delta = args.delta if args.delta is not None else 1
+        if not float(delta).is_integer():
+            raise DomainError(f"constants needs an integral --delta, got {delta}")
         derived = derive_constants(m, d, eps, int(delta))
         out = {"lam": derived.lam, "M": derived.M, "p": derived.p,
                "m": m, "d": d, "eps": str(eps), "delta": int(delta)}

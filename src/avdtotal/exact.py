@@ -1,25 +1,26 @@
 """Exhaustive solvers for small graphs.
 
-Every search colours its elements in descending conflict-degree order,
-tries colours in ascending order, and canonicalizes colour classes by
-allowing a brand-new colour index only once per level (first-use symmetry
-breaking).
+One backtracker, ``_search``, serves edge and total colouring. It colours
+a list of steps in order, tries colours in ascending order, and
+canonicalizes colour classes by allowing a brand-new colour index only
+once per level (first-use symmetry breaking). It keeps closed-star
+bitmasks: ``smask[v]`` holds the colours on v and its edges, which are
+distinct in a proper partial colouring, so the colours banned at an edge
+uv are ``smask[u] | smask[v]`` and at a vertex v ``smask[v]`` plus its
+neighbours' colours. Edge colouring gives it edge steps only, in
+descending deg(u) + deg(v) order, after counting exits: k below
+max_degree, or k matchings of at most n // 2 edges each too few for the
+edge count.
 
-Edge colouring uses a generic backtracker over conflict lists, after
-counting exits: k below max_degree, or k matchings of at most n // 2 edges
-each too few for the edge count.
-Total colouring searches on closed-star bitmasks: ``smask[v]`` holds the
-colours on v and its edges, which are distinct in a proper partial
-colouring, so the colours banned at an edge uv are ``smask[u] | smask[v]``
-and at a vertex v ``smask[v]`` plus its neighbours' colours. The
-distinguishing search prunes as soon as a vertex whose closed star is fully
-coloured has the mask of a completed neighbour. It also looks ahead: when
-one element f of v's closed star is left and v has an equal-degree
-neighbour w with a complete star, every colour f may still take (any of
-1..k the partial colouring allows) that would give v the set of such a w
-is ruled out, and if none is left the subtree is cut. The cut subtree holds
-no distinguishing completion, and the order of positions and colours is
-unchanged, so the search returns the same first colouring, or None.
+The distinguishing total-colouring search prunes as soon as a vertex whose
+closed star is fully coloured has the mask of a completed neighbour. It
+also looks ahead: when one element f of v's closed star is left and v has
+an equal-degree neighbour w with a complete star, every colour f may still
+take (any of 1..k the partial colouring allows) that would give v the set
+of such a w is ruled out, and if none is left the subtree is cut. The cut
+subtree holds no distinguishing completion, and the order of positions and
+colours is unchanged, so the search returns the same first colouring, or
+None.
 
 ``chi_at_exact`` starts its scan at max_degree + 2 when an edge joins two
 maximum-degree vertices and at max_degree + 1 otherwise (Zhang et al.,
@@ -41,49 +42,77 @@ EDGE_GUARD = 40
 ELEMENT_GUARD = 40
 
 
-def _backtrack(t: int, conflict: list[list[int]], order: list[int],
-               k: int) -> list[int] | None:
-    """First assignment of colours 1..k to all t elements, or None."""
-    color = [0] * t
+def _search(steps: list[tuple], n: int, k: int) -> list[int] | None:
+    """The first colouring of the steps' elements with colours 1..k, or None.
 
-    def rec(i: int, max_used: int) -> bool:
+    A step is (e, nbrs, touched, pairs, ahead): the element id e, with ids
+    0..len(steps) - 1 and vertex v's id v; for a vertex its neighbours,
+    None for an edge; the vertices whose closed stars hold e; the vertex
+    pairs whose masks must differ once e is coloured; and the look-ahead
+    checks of ``_twin_checks``. The result lists the colour of each id.
+    """
+    t = len(steps)
+    bit = [1] * t     # colour of each element as a bit; bit 0 while uncoloured
+    smask = [0] * n   # bits of the colours on v and its edges
+    # first-use symmetry breaking never colours above t, so colours t + 1..k
+    # can be left out: no step could take them, nor pass a look-ahead with them
+    palette = (2 << min(k, t)) - 2
+
+    def rec(i: int, top: int) -> bool:
+        """Colour positions i.. given top, the highest colour bit so far."""
         if i == t:
             return True
-        e = order[i]
-        banned = 0
-        for f in conflict[e]:
-            banned |= 1 << color[f]
-        limit = min(k, max_used + 1)
-        for c in range(1, limit + 1):
-            if banned >> c & 1:
-                continue
-            color[e] = c
-            if rec(i + 1, max_used if c <= max_used else c):
-                return True
-            color[e] = 0
+        e, nbrs, touched, pairs, ahead = steps[i]
+        # first-use symmetry breaking: at most one colour above top
+        allowed = ((top << 2) - 2) & palette
+        # vertex and edge steps have their own loops, which keeps the
+        # per-candidate work to two or three list updates
+        if nbrs is not None:
+            banned = smask[e]
+            for w in nbrs:
+                banned |= bit[w]
+            free = allowed & ~banned
+            while free:
+                b = free & -free
+                free ^= b
+                bit[e] = b
+                smask[e] |= b
+                for x, y in pairs:
+                    if smask[x] == smask[y]:
+                        break
+                else:
+                    if (not ahead or _last_colour_left(ahead, smask, bit, palette)) and \
+                            rec(i + 1, top if b <= top else b):
+                        return True
+                smask[e] ^= b
+            bit[e] = 1
+            return False
+        u, v = touched
+        free = allowed & ~(smask[u] | smask[v])
+        while free:
+            b = free & -free
+            free ^= b
+            bit[e] = b
+            smask[u] |= b
+            smask[v] |= b
+            for x, y in pairs:
+                if smask[x] == smask[y]:
+                    break
+            else:
+                if (not ahead or _last_colour_left(ahead, smask, bit, palette)) and \
+                        rec(i + 1, top if b <= top else b):
+                    return True
+            smask[u] ^= b
+            smask[v] ^= b
         return False
 
-    return color if rec(0, 0) else None
-
-
-def _order_by_conflicts(conflict: list[list[int]]) -> list[int]:
-    return sorted(range(len(conflict)), key=lambda e: (-len(conflict[e]), e))
+    if not rec(0, 1):
+        return None
+    return [b.bit_length() - 1 for b in bit]
 
 
 # ---------------------------------------------------------------------------
 # edge colouring
-
-def _edge_conflicts(g: Graph) -> list[list[int]]:
-    idx = {e: j for j, e in enumerate(g.edges)}
-    conflict: list[list[int]] = [[] for _ in g.edges]
-    for j, (u, v) in enumerate(g.edges):
-        for x in (u, v):
-            for w in g.adjacency[x]:
-                other = idx[(x, w) if x < w else (w, x)]
-                if other != j:
-                    conflict[j].append(other)
-    return [sorted(set(c)) for c in conflict]
-
 
 def find_edge_coloring(g: Graph, k: int) -> EdgeColoring | None:
     """Proper edge colouring with at most k colours by exhaustive search.
@@ -98,12 +127,13 @@ def find_edge_coloring(g: Graph, k: int) -> EdgeColoring | None:
         raise ValueError("k must be non-negative")
     if k < g.max_degree or k * (g.n // 2) < len(g.edges):
         return None
-    conflict = _edge_conflicts(g)
-    order = _order_by_conflicts(conflict)
-    result = _backtrack(len(g.edges), conflict, order, k)
-    if result is None:
+    edges, degree = g.edges, g.degree
+    order = sorted(range(len(edges)),
+                   key=lambda j: (-degree(edges[j][0]) - degree(edges[j][1]), j))
+    color = _search([(j, None, edges[j], (), ()) for j in order], g.n, k)
+    if color is None:
         return None
-    return EdgeColoring(colors={e: result[j] for j, e in enumerate(g.edges)}, k=k)
+    return EdgeColoring(colors=dict(zip(edges, color)), k=k)
 
 
 def chi_prime_exact(g: Graph) -> int:
@@ -186,12 +216,12 @@ def _last_colour_left(ahead: list[tuple], smask: list[int], bit: list[int],
     """False if some star's last element has no colour that avoids a twin.
 
     A colour c is free for f if the partial colouring allows it; every
-    colour up to k counts, since the first-use cap can still rise before
+    palette colour counts, since the first-use cap can still rise before
     f's position. c is dropped if it would complete v's set as that of a
     complete twin w, which needs S(v) to be a subset of S(w) (then S(w)
     minus S(v) is the single colour c, as |S(w)| = |S(v)| + 1). Dropped
     colours are in use, and a colour not yet in use is free, so a check
-    can fail only once all k colours are in use.
+    can fail only once every palette colour is in use.
     """
     for v, y, xs, twins in ahead:
         sv = smask[v]
@@ -248,61 +278,9 @@ def find_total_coloring(g: Graph, k: int,
                     pairs += [(v, w) for w in adj[v]
                               if done_at[w] < i or (done_at[w] == i and v < w)]
         steps.append((e, adj[e] if e < n else None, ends[i], pairs, checks[i]))
-    bit = [1] * t     # colour of each element as a bit; bit 0 while uncoloured
-    smask = [0] * n   # bits of the colours on v and its edges
-    palette = (2 << k) - 2
-
-    def rec(i: int, top: int) -> bool:
-        """Colour positions i.. given top, the highest colour bit so far."""
-        if i == t:
-            return True
-        e, nbrs, touched, pairs, ahead = steps[i]
-        # first-use symmetry breaking: at most one colour above top
-        allowed = ((top << 2) - 2) & palette
-        # vertex and edge steps have their own loops, which keeps the
-        # per-candidate work to two or three list updates
-        if nbrs is not None:
-            banned = smask[e]
-            for w in nbrs:
-                banned |= bit[w]
-            free = allowed & ~banned
-            while free:
-                b = free & -free
-                free ^= b
-                bit[e] = b
-                smask[e] |= b
-                for x, y in pairs:
-                    if smask[x] == smask[y]:
-                        break
-                else:
-                    if (not ahead or _last_colour_left(ahead, smask, bit, palette)) and \
-                            rec(i + 1, top if b <= top else b):
-                        return True
-                smask[e] ^= b
-            bit[e] = 1
-            return False
-        u, v = touched
-        free = allowed & ~(smask[u] | smask[v])
-        while free:
-            b = free & -free
-            free ^= b
-            bit[e] = b
-            smask[u] |= b
-            smask[v] |= b
-            for x, y in pairs:
-                if smask[x] == smask[y]:
-                    break
-            else:
-                if (not ahead or _last_colour_left(ahead, smask, bit, palette)) and \
-                        rec(i + 1, top if b <= top else b):
-                    return True
-            smask[u] ^= b
-            smask[v] ^= b
-        return False
-
-    if not rec(0, 1):
+    color = _search(steps, n, k)
+    if color is None:
         return None
-    color = [b.bit_length() - 1 for b in bit]
     return TotalColoring(
         vertex_colors=tuple(color[:n]),
         edge_colors={e: color[n + j] for j, e in enumerate(edges)},

@@ -8,9 +8,11 @@ d places, and must leave few under-selected neighbours anywhere. The patch
 stage draws, for every high vertex left with fewer than m selected edges, a
 uniform B-subset of its remaining edges to untroubled neighbours.
 
-Both stages check their bad events explicitly and resample only the random
-variables within distance one of a violated witness, in witness order. A
-round cap and a stall cap make failure a returned value, never an error.
+Both stages run one round loop, ``_resample``: check the bad events
+explicitly and resample only the random variables within distance one of a
+violated witness, in witness order. A round cap and a stall cap make
+failure a returned value, never an error. Rounds hold their draws as edge
+indices; only the returned round becomes an EdgeSelection.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import partial, reduce
 from numbers import Real
 from typing import Callable
 
@@ -176,6 +178,41 @@ class SelectionResult:
     infeasible_vertex: int | None = None
 
 
+def _selection(edges: list[Edge], idx: np.ndarray, counts: np.ndarray) -> EdgeSelection:
+    return EdgeSelection(frozenset(map(edges.__getitem__, idx.tolist())),
+                         tuple(counts.tolist()))
+
+
+def _resample(evaluate: Callable[[], tuple[Callable[[], EdgeSelection], list]],
+              resample: Callable[[list[BadEvent]], None],
+              params: PipelineParams, fixed: bool) -> SelectionResult:
+    """The round loop of both stages.
+
+    evaluate() checks the current draw: it returns the draw's bad events
+    and a function building its EdgeSelection, called only for the round
+    returned. The first round without events is returned; otherwise the
+    earliest round with the fewest events is, once the round cap or the
+    stall cap is reached or at once when the draw is fixed. Every other
+    round ends with resample(events).
+    """
+    best: tuple[Callable[[], EdgeSelection], tuple[BadEvent, ...]] | None = None
+    rounds = 0
+    stall = 0
+    while True:
+        selection, violations = evaluate()
+        rounds += 1
+        if not violations:
+            return SelectionResult(selection(), True, rounds, ())
+        if best is None or len(violations) < len(best[1]):
+            best = (selection, tuple(violations))
+            stall = 0
+        else:
+            stall += 1
+        if rounds >= params.max_rounds or stall >= params.stall_rounds or fixed:
+            return SelectionResult(best[0](), False, rounds, best[1])
+        resample(violations)
+
+
 # ---------------------------------------------------------------------------
 # bulk stage
 
@@ -317,37 +354,22 @@ def find_bulk_deletion(g: Graph, phi: TotalColoring,
     rng = substream(params.seed, BULK_STREAM)
     mask = rng.random(len(cands)) < resolved.p if cands else np.zeros(0, dtype=bool)
 
-    def selection(kept: np.ndarray, deg_sel: np.ndarray) -> EdgeSelection:
-        return EdgeSelection(frozenset(map(cands.__getitem__, kept.tolist())),
-                             tuple(deg_sel.tolist()))
-
-    best: tuple[int, np.ndarray, np.ndarray, tuple[BadEvent, ...]] | None = None
-    last_witnesses: list[int] | None = None
-    rounds = 0
-    stall = 0
-    while True:
+    def evaluate():
         counts = endpoint_counts(np.flatnonzero(mask))
         keep = mask & (counts[cu] <= resolved.M) & (counts[cv] <= resolved.M)
         kept = np.flatnonzero(keep)
         deg_sel = endpoint_counts(kept)
-        violations = check.events(keep, deg_sel)
-        rounds += 1
-        if not violations:
-            return SelectionResult(selection(kept, deg_sel), True, rounds, ())
-        if best is None or len(violations) < best[0]:
-            best = (len(violations), kept, deg_sel, tuple(violations))
-            stall = 0
-        else:
-            stall += 1
-        if rounds >= params.max_rounds or stall >= params.stall_rounds:
-            break
-        if resolved.p >= 1.0 or resolved.p <= 0.0:
-            break  # the draw is deterministic; resampling cannot change it
-        # witness order, then first occurrence, decides which draw each
-        # indicator gets; a stalled search tends to meet the same witnesses
-        # round after round, so their index list is kept until they change
+        return partial(_selection, cands, kept, deg_sel), check.events(keep, deg_sel)
+
+    # witness order, then first occurrence, decides which draw each
+    # indicator gets; a stalled search tends to meet the same witnesses
+    # round after round, so their index list is kept until they change
+    last: tuple[list[int], np.ndarray | None] = ([], None)
+
+    def resample(violations: list[BadEvent]) -> None:
+        nonlocal last
         witnesses = [w for event in violations for w in event.witness]
-        if witnesses != last_witnesses:
+        if witnesses != last[0]:
             taken = np.zeros(len(cands), dtype=bool)
             parts = []
             for w in witnesses:
@@ -355,11 +377,14 @@ def find_bulk_deletion(g: Graph, phi: TotalColoring,
                 fresh = fresh[~taken[fresh]]
                 taken[fresh] = True
                 parts.append(fresh)
-            idx, last_witnesses = np.concatenate(parts), witnesses
+            last = (witnesses, np.concatenate(parts))
+        idx = last[1]
         if idx.size:
             mask[idx] = rng.random(idx.size) < resolved.p
-    _, kept, deg_sel, violations = best
-    return SelectionResult(selection(kept, deg_sel), False, rounds, violations)
+
+    # at p = 0 or 1 the draw is deterministic; resampling cannot change it
+    return _resample(evaluate, resample, params,
+                     fixed=resolved.p >= 1.0 or resolved.p <= 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -371,15 +396,6 @@ def light_vertices(g: Graph, selection: EdgeSelection, m: int) -> frozenset[int]
     return frozenset(v for v in high if selection.per_vertex_count[v] < m)
 
 
-def _available_edges(g: Graph, taken: frozenset[Edge],
-                     light: frozenset[int]) -> dict[int, list[Edge]]:
-    out: dict[int, list[Edge]] = {}
-    for u in sorted(light):
-        out[u] = [normalize_edge(u, w) for w in g.adjacency[u]
-                  if w not in light and normalize_edge(u, w) not in taken]
-    return out
-
-
 class _PatchCheck:
     """The patch stage's bad events, with the per-graph work done once.
 
@@ -389,31 +405,33 @@ class _PatchCheck:
     contributing.
 
     A2_overload can only fire at the heavy non-light vertices and B2_pair
-    only at light-light edges, so both are listed up front. Restricted
-    colour sets index the edges at light vertices; the bulk edges among
-    them are marked once, and each check adds its patch edges.
+    only at light-light edges, so both are listed up front. A patch
+    selection is an index array over ``edges``, the edges at light
+    vertices, with its per-vertex counts. Restricted colour sets index the
+    same list; the bulk edges among them are marked once, and each check
+    adds its patch edges.
     """
 
     def __init__(self, g: Graph, phi: TotalColoring, bulk_edges: frozenset[Edge],
                  light: frozenset[int], alpha: Fraction, B: int):
         self.B = B
         threshold = alpha * g.max_degree
-        self.heavy = [v for v in range(g.n)
-                      if v not in light and g.degree(v) > threshold]
+        self.heavy = np.array([v for v in range(g.n)
+                               if v not in light and g.degree(v) > threshold],
+                              dtype=np.int64)
         self.light_pairs = [(u, v) for u, v in g.edges if u in light and v in light]
-        edges = list(dict.fromkeys(normalize_edge(u, w) for u in sorted(light)
-                                   for w in g.adjacency[u]))
-        self.sets = _StarSets(g, phi, edges)
-        self.index = {e: i for i, e in enumerate(edges)}
-        self.bulk = np.zeros(len(edges), dtype=bool)
-        self.bulk[[i for e, i in self.index.items() if e in bulk_edges]] = True
+        self.edges = list(dict.fromkeys(normalize_edge(u, w) for u in sorted(light)
+                                        for w in g.adjacency[u]))
+        self.sets = _StarSets(g, phi, self.edges)
+        self.bulk = np.array([e in bulk_edges for e in self.edges], dtype=bool)
 
-    def events(self, patch: EdgeSelection) -> list[BadEvent]:
-        events = [BadEvent("A2_overload", (v,)) for v in self.heavy
-                  if patch.per_vertex_count[v] >= self.B]
+    def events(self, chosen: np.ndarray, counts: np.ndarray) -> list[BadEvent]:
+        heavy = self.heavy
+        events = [BadEvent("A2_overload", (v,))
+                  for v in heavy[counts[heavy] >= self.B].tolist()]
         if self.light_pairs:
             deleted = self.bulk.copy()
-            deleted[[self.index[e] for e in patch.edges if e in self.index]] = True
+            deleted[chosen] = True
             restricted = self.sets.under(deleted)
             events.extend(BadEvent("B2_pair", (u, v)) for u, v in self.light_pairs
                           if restricted(u) == restricted(v))
@@ -425,62 +443,54 @@ def find_patch_deletion(g: Graph, phi: TotalColoring, bulk: EdgeSelection,
                         params: PipelineParams | None = None) -> SelectionResult:
     """Search for a patch selection with no bad events by resampling.
 
-    Structural infeasibility (a light vertex with fewer than B available
-    edges) is detected up front and reported in the result. A violated round
-    redraws the B-subsets of light vertices in the witnesses' closed
-    neighbourhoods, in witness order. phi must be a proper total colouring
-    of g.
+    Each light vertex draws B of its available edges: those to non-light
+    neighbours outside the bulk selection. Structural infeasibility (a
+    light vertex with fewer than B available edges) is detected up front
+    and reported in the result. A violated round redraws the B-subsets of
+    light vertices in the witnesses' closed neighbourhoods, in witness
+    order. Rounds hold their draws as indices into ``_PatchCheck.edges``;
+    only the returned one becomes an EdgeSelection. phi must be a proper
+    total colouring of g.
     """
     params = params or PipelineParams()
     threshold = params.alpha * g.max_degree
-    for u in sorted(light):
+    order = sorted(light)
+    for u in order:
         if not g.degree(u) > threshold:
             raise ValueError(f"light vertex {u} is not above the alpha threshold")
-    empty = EdgeSelection.from_edges(g.n, [])
-    avail = _available_edges(g, bulk.edges, light)
-    for u in sorted(light):
-        if len(avail[u]) < params.B:
-            return SelectionResult(empty, False, 0, (), infeasible_vertex=u)
+    check = _PatchCheck(g, phi, bulk.edges, light, params.alpha, params.B)
+    edges, incident = check.edges, check.sets.incident
+    # by ascending neighbour: the edges at u are listed in adjacency order,
+    # and those to non-light neighbours are all listed from u
+    pools = [np.array([i for i in incident[u]
+                       if not (check.bulk[i] or light.issuperset(edges[i]))],
+                      dtype=np.int64) for u in order]
+    for u, pool in zip(order, pools):
+        if pool.size < params.B:
+            return SelectionResult(EdgeSelection.from_edges(g.n, []), False, 0, (),
+                                   infeasible_vertex=u)
 
     rng = substream(params.seed, PATCH_STREAM)
-    order = sorted(light)
+    ends = np.array(edges, dtype=np.int64).reshape(-1, 2)
+    row = {u: r for r, u in enumerate(order)}
 
-    def draw(u: int) -> tuple[Edge, ...]:
-        pool = avail[u]
-        idx = rng.choice(len(pool), size=params.B, replace=False)
-        return tuple(pool[i] for i in sorted(idx))
+    def draw(r: int) -> np.ndarray:
+        pool = pools[r]
+        return pool[np.sort(rng.choice(pool.size, size=params.B, replace=False))]
 
-    draws = {u: draw(u) for u in order}
-    check = _PatchCheck(g, phi, bulk.edges, light, params.alpha, params.B)
-    all_forced = all(len(avail[u]) == params.B for u in order)
-    best: tuple[int, EdgeSelection, tuple[BadEvent, ...]] | None = None
-    rounds = 0
-    stall = 0
-    while True:
-        selection = EdgeSelection.from_edges(
-            g.n, [e for u in order for e in draws[u]])
-        violations = check.events(selection)
-        rounds += 1
-        if not violations:
-            return SelectionResult(selection, True, rounds, ())
-        if best is None or len(violations) < best[0]:
-            best = (len(violations), selection, tuple(violations))
-            stall = 0
-        else:
-            stall += 1
-        if rounds >= params.max_rounds or stall >= params.stall_rounds:
-            break
-        if all_forced:
-            break  # every draw is the unique B-subset; nothing can change
-        resample: dict[int, None] = {}
-        for event in violations:
-            for w in event.witness:
-                if w in light:
-                    resample[w] = None
-                for x in g.adjacency[w]:
-                    if x in light:
-                        resample[x] = None
-        for u in resample:
-            draws[u] = draw(u)
-    _, selection, violations = best
-    return SelectionResult(selection, False, rounds, violations)
+    picks = np.array([draw(r) for r in range(len(order))], dtype=np.int64)
+
+    def evaluate():
+        chosen = picks.ravel().copy()
+        counts = np.bincount(ends[chosen].ravel(), minlength=g.n)
+        return partial(_selection, edges, chosen, counts), check.events(chosen, counts)
+
+    def resample(violations: list[BadEvent]) -> None:
+        redraw = dict.fromkeys(row[x] for event in violations for w in event.witness
+                               for x in (w, *g.adjacency[w]) if x in row)
+        for r in redraw:
+            picks[r] = draw(r)
+
+    # when every pool holds exactly B edges each draw is forced
+    return _resample(evaluate, resample, params,
+                     fixed=all(pool.size == params.B for pool in pools))

@@ -350,6 +350,62 @@ def reference_patch_events(g: Graph, phi: TotalColoring, bulk_edges, patch_edges
     return events
 
 
+def reference_find_patch_deletion(g: Graph, phi: TotalColoring, bulk: EdgeSelection,
+                                  light, params: PipelineParams) -> SelectionResult:
+    """find_patch_deletion's draws and resampling loop on plain edge sets,
+    each round's events recounted by ``reference_patch_events``.
+
+    Each light vertex's pool is its edges to non-light neighbours outside
+    the bulk selection, by ascending neighbour; a draw is B distinct pool
+    positions from the patch stream, in ascending order. A violated round
+    redraws, in witness order and once each, the light vertices among every
+    witness and its neighbours.
+    """
+    order = sorted(light)
+    pools = {u: [normalize_edge(u, w) for w in sorted(g.neighbors(u))
+                 if w not in light and normalize_edge(u, w) not in bulk.edges]
+             for u in order}
+    for u in order:
+        if len(pools[u]) < params.B:
+            return SelectionResult(EdgeSelection.from_edges(g.n, []), False, 0, (),
+                                   infeasible_vertex=u)
+    rng = substream(params.seed, "patch-deletion")
+
+    def draw(u):
+        picks = rng.choice(len(pools[u]), size=params.B, replace=False)
+        return [pools[u][i] for i in sorted(picks)]
+
+    draws = {u: draw(u) for u in order}
+    best = None
+    rounds = 0
+    stall = 0
+    while True:
+        selection = EdgeSelection.from_edges(g.n, [e for u in order for e in draws[u]])
+        violations = tuple(BadEvent(kind, w) for kind, w in reference_patch_events(
+            g, phi, bulk.edges, selection.edges, light, params.alpha, params.B))
+        rounds += 1
+        if not violations:
+            return SelectionResult(selection, True, rounds, ())
+        if best is None or len(violations) < len(best[1]):
+            best = (selection, violations)
+            stall = 0
+        else:
+            stall += 1
+        if rounds >= params.max_rounds or stall >= params.stall_rounds:
+            break
+        if all(len(pools[u]) == params.B for u in order):
+            break
+        redraw = []
+        for event in violations:
+            for w in event.witness:
+                for x in (w, *sorted(g.neighbors(w))):
+                    if x in light and x not in redraw:
+                        redraw.append(x)
+        for u in redraw:
+            draws[u] = draw(u)
+    return SelectionResult(best[0], False, rounds, best[1])
+
+
 def reference_distinguish_low_degree(g: Graph, phi: TotalColoring) -> TotalColoring:
     """The low-degree phase as a rescan: after every recolour, scan again
     from the first low vertex for one whose colour set equals a neighbour's.

@@ -172,6 +172,8 @@ class TestComputeC0:
         dict(m=8, eps=Fraction(1, 3), lam=10.0, M=0),
         dict(m=8, eps=Fraction(0), lam=10.0, M=50),
         dict(m=8, eps=Fraction(1, 3), lam=0.0, M=50),
+        dict(m=8, eps=Fraction(1, 3), lam=math.inf, M=50),
+        dict(m=8, eps=Fraction(1, 3), lam=math.nan, M=50),
     ])
     def test_domain(self, kwargs):
         with pytest.raises(DomainError):
@@ -212,6 +214,13 @@ class TestAsymmetricLll:
             lll_asymmetric_check(8, 4, Fraction(1, 3), 34.0, 81, delta=1)
         with pytest.raises(DomainError):
             lll_asymmetric_check(8, 4, Fraction(1, 3), 34.0, 81, ln_delta=0.5)
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(delta=math.inf), dict(delta=math.nan),
+        dict(ln_delta=math.inf), dict(ln_delta=math.nan)])
+    def test_non_finite_delta(self, kwargs):
+        with pytest.raises(DomainError, match="finite"):
+            lll_asymmetric_check(8, 4, Fraction(1, 3), 34.0, 81, **kwargs)
 
     def test_parameter_domain(self):
         with pytest.raises(DomainError):
@@ -272,6 +281,11 @@ class TestFindFeasibleDelta:
     def test_bad_bracket(self):
         with pytest.raises(DomainError):
             find_feasible_delta(8, 4, Fraction(1, 3), 34.0, 81, 10.0, 5.0)
+
+    @pytest.mark.parametrize("lo,hi", [(1.0, math.inf), (math.nan, 5.0), (1.0, math.nan)])
+    def test_non_finite_bracket(self, lo, hi):
+        with pytest.raises(DomainError):
+            find_feasible_delta(8, 4, Fraction(1, 3), 34.0, 81, lo, hi)
 
 
 @given(st.integers(2, 200), st.integers(1, 99))

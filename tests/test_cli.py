@@ -451,6 +451,20 @@ class TestBounds:
             2.3058441495519104e+17, rel=1e-4)
 
 
+    @pytest.mark.parametrize("args", [
+        ["lll", "--delta", "inf"], ["lll", "--delta", "nan"],
+        ["lll", "--ln-delta", "nan"], ["lll", "--ln-delta", "inf"],
+        ["lll", "--search-lo", "1", "--search-hi", "inf"],
+        ["c0", "--lambda", "inf"],
+        ["constants", "--delta", "inf"], ["constants", "--delta", "2.7"]])
+    def test_rejects_non_finite_and_fractional_input(self, args, capsys):
+        # each printed NaN or Infinity, truncated 2.7 to 2, or died with
+        # an OverflowError traceback
+        code, out, err = run(["bounds", "--cmd", *args, "--json"], capsys)
+        assert code == 2
+        assert out == "" and err.startswith("error: ")
+
+
 class TestBench:
     def test_rows_and_summary(self, tmp_path, capsys):
         p = tmp_path / "s6.g6"

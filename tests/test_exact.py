@@ -1,6 +1,7 @@
 """Exhaustive solvers cross-checked against brute enumeration."""
 
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -13,8 +14,24 @@ from avdtotal import (CapacityError, Graph, Graph6Error, check_conjecture,
                       parse_graph6, path_graph, random_gnp, star_graph,
                       verdict, write_graph6)
 
-from helpers import (connected_graphs, enumerate_total_colorings, naive_is_avd,
-                     naive_is_proper, reference_find_total_coloring)
+from helpers import (_reference_backtrack, connected_graphs,
+                     enumerate_total_colorings, naive_is_avd, naive_is_proper,
+                     reference_find_total_coloring)
+
+
+def assert_edge_coloring_matches_reference(g, ks):
+    m = len(g.edges)
+    conflict = [[j for j, f in enumerate(g.edges) if j != i and set(e) & set(f)]
+                for i, e in enumerate(g.edges)]
+    order = sorted(range(m), key=lambda j: (-len(conflict[j]), j))
+    for k in ks:
+        want = _reference_backtrack(m, conflict, order, k)
+        got = find_edge_coloring(g, k)
+        if want is None:
+            assert got is None, (write_graph6(g), k)
+        else:
+            assert got is not None, (write_graph6(g), k)
+            assert got.colors == dict(zip(g.edges, want)) and got.k == k
 
 
 def brute_chi_total(g):
@@ -72,21 +89,20 @@ class TestEdgeColoring:
             chi_prime_exact(complete_graph(10))  # 45 edges
 
     def test_counting_exit_matches_search(self):
-        # the counting exits return what the full backtracker returns, on
-        # conflict lists built here from shared endpoints
+        # the counting exits and the star-mask search return what the
+        # conflict-list backtracker returns, on conflict lists built here
+        # from shared endpoints
         for g in atlas():
-            m = len(g.edges)
-            conflict = [[j for j, f in enumerate(g.edges) if j != i and set(e) & set(f)]
-                        for i, e in enumerate(g.edges)]
-            order = exact._order_by_conflicts(conflict)
-            for k in range(chi_prime_exact(g) + 1):
-                want = exact._backtrack(m, conflict, order, k)
-                got = find_edge_coloring(g, k)
-                if want is None:
-                    assert got is None, (write_graph6(g), k)
-                else:
-                    assert got is not None, (write_graph6(g), k)
-                    assert got.colors == dict(zip(g.edges, want)) and got.k == k
+            assert_edge_coloring_matches_reference(g, range(g.max_degree + 2))
+
+    @pytest.mark.parametrize("p", [0.3, 0.5])
+    def test_random_gnp_matches_reference(self, p):
+        for n in range(4, 13):
+            for seed in range(8):
+                g = random_gnp(n, p, seed)
+                if len(g.edges) <= exact.EDGE_GUARD:
+                    assert_edge_coloring_matches_reference(
+                        g, [g.max_degree, g.max_degree + 1])
 
     @pytest.mark.parametrize("n", [3, 5, 7, 9])
     def test_odd_cliques_and_cycles_exit_at_max_degree(self, n):
@@ -100,23 +116,6 @@ class TestEdgeColoring:
         assert chi_prime_exact(complete_graph(9)) == 9
         assert find_edge_coloring(complete_graph(9), 9) is not None
         assert time.perf_counter() - start < 1.0
-
-
-class TestChiVertex:
-    @pytest.mark.parametrize("g,expected", [
-        (Graph.build(3, []), 1),
-        (path_graph(4), 2),
-        (cycle_graph(5), 3),
-        (complete_graph(4), 4),
-        (complete_bipartite_graph(2, 3), 2),
-    ])
-    def test_known(self, g, expected):
-        # the backtracker behind find_edge_coloring, on vertex conflicts:
-        # the first k it colours with is the chromatic number
-        conflict = [list(g.adjacency[v]) for v in range(g.n)]
-        order = exact._order_by_conflicts(conflict)
-        assert min(k for k in range(1, g.n + 1)
-                   if exact._backtrack(g.n, conflict, order, k) is not None) == expected
 
 
 class TestChiTotal:
@@ -285,6 +284,24 @@ class TestLowerBound:
         start = time.perf_counter()
         assert find_total_coloring(g, 8, distinguishing=True) is None
         assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("search", [
+        find_edge_coloring, find_total_coloring,
+        lambda g, k: find_total_coloring(g, k, distinguishing=True)],
+        ids=["edge", "total", "distinguishing"])
+    def test_huge_k_costs_no_memory(self, search):
+        # first-use symmetry breaking never colours above the element
+        # count, so the palette stops there; a k-bit palette peaked at
+        # 2.5 MB on this five-element graph
+        g = path_graph(3)
+        tracemalloc.start()
+        try:
+            result = search(g, 10 ** 7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result is not None and result.k == 10 ** 7
+        assert peak < 64_000
 
     def test_empty_graph_any_k(self):
         assert find_total_coloring(Graph.build(0, []), 0) is not None

@@ -16,8 +16,8 @@ from avdtotal import highdeg
 from avdtotal.highdeg import _BulkCheck, _PatchCheck
 
 from helpers import (reference_bulk_events, reference_bulk_first_round,
-                     reference_find_bulk_deletion, reference_patch_events,
-                     reference_patch_first_draw)
+                     reference_find_bulk_deletion, reference_find_patch_deletion,
+                     reference_patch_events, reference_patch_first_draw)
 from test_golden import hub_edges
 
 BULK_STREAM = "bulk-deletion"
@@ -51,8 +51,12 @@ def bulk_events(g, phi, sel, params):
 
 
 def patch_events(g, phi, bulk, patch, light, params):
-    """The events find_patch_deletion's own check reports for patch."""
-    return _PatchCheck(g, phi, bulk.edges, light, params.alpha, params.B).events(patch)
+    """The events find_patch_deletion's own check reports for patch, given
+    to it as an index array over the check's light-vertex edges."""
+    check = _PatchCheck(g, phi, bulk.edges, light, params.alpha, params.B)
+    index = {e: i for i, e in enumerate(check.edges)}
+    chosen = np.array([index[e] for e in patch.edges], dtype=np.int64)
+    return check.events(chosen, np.array(patch.per_vertex_count, dtype=np.int64))
 
 
 def first_bulk_round(g, phi, **kwargs):
@@ -66,13 +70,20 @@ def first_patch_draw(g, phi, bulk, light, **kwargs):
     return find_patch_deletion(g, phi, bulk, light, params).selection
 
 
+def cyclic_clique(n):
+    """K_n, n odd, with the cyclic colouring: every vertex sees all of
+    1..n, so two light vertices keep equal sets whenever their patch edges
+    carry the same colours."""
+    g = complete_graph(n)
+    phi = TotalColoring(
+        tuple((2 * v) % n + 1 for v in range(n)),
+        {(i, j): (i + j) % n + 1 for i in range(n) for j in range(i + 1, n)}, n)
+    return g, phi
+
+
 def k5_fixture():
     """K_5 with the cyclic colouring: every vertex sees all of 1..5."""
-    g = complete_graph(5)
-    phi = TotalColoring(
-        tuple((2 * v) % 5 + 1 for v in range(5)),
-        {(i, j): (i + j) % 5 + 1 for i in range(5) for j in range(i + 1, 5)}, 5)
-    return g, phi
+    return cyclic_clique(5)
 
 
 class TestPipelineParams:
@@ -754,6 +765,61 @@ class TestBulkSearchAgainstReference:
         assert any(not r.success and r.rounds < PipelineParams().max_rounds
                    and any(e.kind == "A_pair" for e in r.violations)
                    for r in results)
+
+
+def assert_patch_search_matches_reference(g, phi, bulk, light, params):
+    res = find_patch_deletion(g, phi, bulk, light, params)
+    assert res == reference_find_patch_deletion(g, phi, bulk, light, params)
+    return res
+
+
+class TestPatchSearchAgainstReference:
+    """find_patch_deletion's whole result against its loop rerun on plain
+    edge sets with plain-set checks every round."""
+
+    @given(st.integers(5, 11), st.integers(0, 999), st.integers(0, 999),
+           st.sampled_from([0.0, 0.3]), st.sampled_from([2, 3]),
+           st.sampled_from([3, 6]))
+    @settings(max_examples=60, deadline=None)
+    def test_random_inputs(self, n, graph_seed, seed, q, B, stall):
+        # odd cliques take the cyclic colouring, under which B2_pair fires
+        if n % 2 and graph_seed % 2:
+            g, phi = cyclic_clique(n)
+        else:
+            g = dense_graph(n, graph_seed)
+            phi = greedy_total(g)
+        rng = np.random.Generator(np.random.Philox(graph_seed))
+        cands = candidate_edges(g)
+        bulk = EdgeSelection.from_edges(
+            g.n, [e for e, keep in zip(cands, rng.random(len(cands)) < q) if keep])
+        light = frozenset(v for v in sorted(degree_split(g).high) if rng.random() < 0.4)
+        assume(light)
+        params = PipelineParams(m=5, d=1, B=B, seed=seed, stall_rounds=stall,
+                                max_rounds=40)
+        assert_patch_search_matches_reference(g, phi, bulk, light, params)
+
+    def test_corpus_resamples_to_success_and_to_both_caps(self):
+        empty7 = EdgeSelection.from_edges(7, [])
+        k7, phi7 = cyclic_clique(7)
+        cases = [
+            (k7, phi7, empty7, frozenset({0, 1}), PipelineParams(m=5, d=1, seed=3)),
+            (k7, phi7, empty7, frozenset({3, 5}),
+             PipelineParams(m=5, d=1, seed=2, stall_rounds=4)),
+            (*cyclic_clique(9), EdgeSelection.from_edges(9, []), frozenset({0, 1, 2, 3}),
+             PipelineParams(m=5, d=1, seed=1, max_rounds=5)),
+            (star_graph(4), greedy_total(star_graph(4)), EdgeSelection.from_edges(5, []),
+             frozenset({0}), PipelineParams(m=5, d=1, B=4)),
+            (cycle_graph(5), greedy_total(cycle_graph(5)), EdgeSelection.from_edges(5, []),
+             frozenset(range(5)), PipelineParams(m=5, d=1)),
+        ]
+        success, stalled, capped, forced, infeasible = (
+            assert_patch_search_matches_reference(*case) for case in cases)
+        assert success.success and success.rounds == 4
+        assert not stalled.success and stalled.rounds == 6
+        assert [e.kind for e in stalled.violations] == ["B2_pair"]
+        assert not capped.success and capped.rounds == 5
+        assert forced.success and forced.rounds == 1
+        assert infeasible.infeasible_vertex == 0 and infeasible.rounds == 0
 
 
 class TestStreamSeparation:
