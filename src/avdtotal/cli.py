@@ -5,8 +5,9 @@ edge-color, seed-color, exact, check-conjecture, bounds, bench.
 
 Exit codes: 0 success, 1 verification or search failure, 2 usage, parse,
 or domain errors. With --json all machine output is a single JSON value
-per line on stdout, serialized with sorted keys and no timing fields, so
-reruns with the same inputs and seed are byte-identical.
+per line on stdout, serialized as strict JSON (no NaN or Infinity) with
+sorted keys and no timing fields, so reruns with the same inputs and seed
+are byte-identical.
 """
 
 from __future__ import annotations
@@ -27,7 +28,8 @@ from .coloring import (DocumentError, TotalColoring, _document_body, _proper,
                        from_document, to_document, violations)
 from .exact import (CapacityError, check_conjecture, chi_at_exact,
                     chi_prime_exact, chi_total_exact)
-from .graphs import DimacsError, Graph, Graph6Error, parse_dimacs, parse_graph6
+from .graphs import (DimacsError, Graph, Graph6Error, degree_split, parse_dimacs,
+                     parse_graph6)
 from .highdeg import (PipelineParams, find_bulk_deletion, find_patch_deletion,
                       light_vertices)
 from .lowdeg import distinguish_low_degree
@@ -56,7 +58,7 @@ def _json_default(x):
 
 
 def _emit(obj) -> None:
-    print(json.dumps(obj, sort_keys=True, default=_json_default))
+    print(json.dumps(obj, sort_keys=True, default=_json_default, allow_nan=False))
 
 
 def _read_text(path: str | None) -> str:
@@ -112,6 +114,7 @@ def _selection_json(result) -> dict:
         "violations": [{"kind": ev.kind, "witness": list(ev.witness)}
                        for ev in result.violations],
         "infeasible_vertex": result.infeasible_vertex,
+        "forced": list(result.forced),
     }
 
 
@@ -206,8 +209,9 @@ def cmd_select_e2(args) -> int:
     g = _load_graph(args)
     phi = _seed_or_greedy(args, g)
     params = _params_from(args)
-    bulk = find_bulk_deletion(g, phi, params)
-    light = light_vertices(g, bulk.selection, params.m)
+    split = degree_split(g)
+    bulk = find_bulk_deletion(g, phi, params, split=split)
+    light = light_vertices(g, bulk.selection, params.m, split=split)
     patch = find_patch_deletion(g, phi, bulk.selection, light, params)
     out = {
         "bulk": _selection_json(bulk),
@@ -290,6 +294,14 @@ def cmd_check_conjecture(args) -> int:
     return 0 if not report.violations else 1
 
 
+def _finite_or_null(x):
+    """x with every non-finite float, in dicts at any depth, as None: JSON
+    has no infinity, and a margin is +inf once delta overflows a float."""
+    if isinstance(x, dict):
+        return {k: _finite_or_null(v) for k, v in x.items()}
+    return None if isinstance(x, float) and not math.isfinite(x) else x
+
+
 def cmd_bounds(args) -> int:
     if args.cmd == "tail":
         for name in ("n", "p", "m"):
@@ -345,14 +357,14 @@ def cmd_bounds(args) -> int:
         report = bounds_mod.lll_asymmetric_check(m, d, eps, lam, big_m,
                                                  delta=args.delta,
                                                  ln_delta=args.ln_delta)
-    out = {
+    out = _finite_or_null({
         "inputs": report.inputs,
         "value": report.value,
         "log_value": report.log_value,
         "feasible": report.feasible,
         "notes": list(report.notes),
         "details": report.details,
-    }
+    })
     if args.json:
         _emit(out)
     else:

@@ -10,9 +10,11 @@ uniform B-subset of its remaining edges to untroubled neighbours.
 
 Both stages run one round loop, ``_resample``: check the bad events
 explicitly and resample only the random variables within distance one of a
-violated witness, in witness order. A round cap and a stall cap make
-failure a returned value, never an error. Rounds hold their draws as edge
-indices; only the returned round becomes an EdgeSelection.
+violated witness, in witness order. It stops at the round cap, the stall
+cap, a fixed draw, or the forced floor, a lower bound on every round's
+event count; failure is a returned value, never an error. Rounds hold
+their draws as edge indices; only the returned round becomes an
+EdgeSelection.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import partial, reduce
 from numbers import Real
@@ -30,7 +32,7 @@ import numpy as np
 
 from .bounds import derive_constants
 from .coloring import TotalColoring, star_masks
-from .graphs import Edge, Graph, degree_split, normalize_edge
+from .graphs import DegreeSplit, Edge, Graph, degree_split, normalize_edge
 from .rng import substream
 
 BULK_STREAM = "bulk-deletion"
@@ -176,6 +178,7 @@ class SelectionResult:
     rounds: int
     violations: tuple[BadEvent, ...]
     infeasible_vertex: int | None = None
+    forced: tuple[int, ...] = ()
 
 
 def _selection(edges: list[Edge], idx: np.ndarray, counts: np.ndarray) -> EdgeSelection:
@@ -185,15 +188,16 @@ def _selection(edges: list[Edge], idx: np.ndarray, counts: np.ndarray) -> EdgeSe
 
 def _resample(evaluate: Callable[[], tuple[Callable[[], EdgeSelection], list]],
               resample: Callable[[list[BadEvent]], None],
-              params: PipelineParams, fixed: bool) -> SelectionResult:
+              params: PipelineParams, fixed: bool, floor: int) -> SelectionResult:
     """The round loop of both stages.
 
     evaluate() checks the current draw: it returns the draw's bad events
     and a function building its EdgeSelection, called only for the round
     returned. The first round without events is returned; otherwise the
-    earliest round with the fewest events is, once the round cap or the
-    stall cap is reached or at once when the draw is fixed. Every other
-    round ends with resample(events).
+    earliest round with the fewest events is, once the search stops: at the
+    round cap, the stall cap, a fixed draw, or the forced floor. floor is a
+    lower bound on every round's event count, so a best round that reaches
+    it can never be replaced. Every other round ends with resample(events).
     """
     best: tuple[Callable[[], EdgeSelection], tuple[BadEvent, ...]] | None = None
     rounds = 0
@@ -208,7 +212,8 @@ def _resample(evaluate: Callable[[], tuple[Callable[[], EdgeSelection], list]],
             stall = 0
         else:
             stall += 1
-        if rounds >= params.max_rounds or stall >= params.stall_rounds or fixed:
+        if (rounds >= params.max_rounds or stall >= params.stall_rounds or fixed
+                or len(best[1]) <= floor):
             return SelectionResult(best[0](), False, rounds, best[1])
         resample(violations)
 
@@ -284,6 +289,10 @@ class _BulkCheck:
     is a candidate, so the candidate indices cover those stars. B_vertex
     counts under-selected neighbours of every high vertex with one bincount
     over their concatenated adjacency lists.
+
+    A vertex holds at most its candidate edges, so B_vertex fires in every
+    round at the high vertices in ``forced``: those it fires at when every
+    candidate edge is kept.
     """
 
     def __init__(self, g: Graph, phi: TotalColoring, high: frozenset[int],
@@ -302,6 +311,15 @@ class _BulkCheck:
                                [degree[v] for v in self.high])
         # counts are integers, so count > eps*max_degree iff count > floor
         self.limit = math.floor(eps * g.max_degree)
+        held = np.fromiter(map(len, self.sets.incident), dtype=np.int64, count=g.n)
+        self.forced = tuple(self._starved(held))
+
+    def _starved(self, deg_sel: np.ndarray) -> list[int]:
+        """High vertices with more than eps*max_degree neighbours holding
+        fewer than m of the counted edges, in ascending order."""
+        under = np.bincount(self.owner[deg_sel[self.neighbours] < self.m],
+                            minlength=len(self.high))
+        return [self.high[j] for j in np.flatnonzero(under > self.limit).tolist()]
 
     def events(self, selected: np.ndarray, deg_sel: np.ndarray) -> list[BadEvent]:
         events: list[BadEvent] = []
@@ -312,26 +330,27 @@ class _BulkCheck:
                 u, v = self.pairs[j]
                 if (restricted(u) ^ restricted(v)).bit_count() < self.d:
                     events.append(BadEvent("A_pair", (u, v)))
-        under = np.bincount(self.owner[deg_sel[self.neighbours] < self.m],
-                            minlength=len(self.high))
-        for j in np.flatnonzero(under > self.limit).tolist():
-            events.append(BadEvent("B_vertex", (self.high[j],)))
+        events.extend(BadEvent("B_vertex", (v,)) for v in self._starved(deg_sel))
         return events
 
 
 def find_bulk_deletion(g: Graph, phi: TotalColoring,
-                       params: PipelineParams | None = None) -> SelectionResult:
+                       params: PipelineParams | None = None, *,
+                       split: DegreeSplit | None = None) -> SelectionResult:
     """Search for a bulk selection with no bad events by resampling.
 
     Each round rechecks; a violated round resamples only the candidate-edge
     indicators within distance one of the witnesses. On failure the best
-    selection seen (fewest events) is returned. Rounds hold their selection
-    as a boolean array over the candidate edges; only the returned one
-    becomes an EdgeSelection. phi must be a proper total colouring of g.
+    selection seen (fewest events) is returned. The result's ``forced``
+    lists the high vertices whose B_vertex event no draw can avoid; the
+    search stops once the best round has no other event. Rounds hold their
+    selection as a boolean array over the candidate edges; only the
+    returned one becomes an EdgeSelection. phi must be a proper total
+    colouring of g; split, when given, must be ``degree_split(g)``.
     """
     params = params or PipelineParams()
     resolved = params.resolve(g)
-    high = degree_split(g).high
+    high = (split or degree_split(g)).high
     cands = _edges_at(g, high)
     check = _BulkCheck(g, phi, high, cands,
                        params.m, params.d, params.eps)
@@ -383,16 +402,20 @@ def find_bulk_deletion(g: Graph, phi: TotalColoring,
             mask[idx] = rng.random(idx.size) < resolved.p
 
     # at p = 0 or 1 the draw is deterministic; resampling cannot change it
-    return _resample(evaluate, resample, params,
-                     fixed=resolved.p >= 1.0 or resolved.p <= 0.0)
+    result = _resample(evaluate, resample, params,
+                       fixed=resolved.p >= 1.0 or resolved.p <= 0.0,
+                       floor=len(check.forced))
+    return replace(result, forced=check.forced)
 
 
 # ---------------------------------------------------------------------------
 # patch stage
 
-def light_vertices(g: Graph, selection: EdgeSelection, m: int) -> frozenset[int]:
-    """High vertices holding fewer than m selected edges."""
-    high = degree_split(g).high
+def light_vertices(g: Graph, selection: EdgeSelection, m: int, *,
+                   split: DegreeSplit | None = None) -> frozenset[int]:
+    """High vertices holding fewer than m selected edges; split, when
+    given, must be ``degree_split(g)``."""
+    high = (split or degree_split(g)).high
     return frozenset(v for v in high if selection.per_vertex_count[v] < m)
 
 
@@ -493,4 +516,4 @@ def find_patch_deletion(g: Graph, phi: TotalColoring, bulk: EdgeSelection,
 
     # when every pool holds exactly B edges each draw is forced
     return _resample(evaluate, resample, params,
-                     fixed=all(pool.size == params.B for pool in pools))
+                     fixed=all(pool.size == params.B for pool in pools), floor=0)

@@ -265,13 +265,30 @@ def reference_bulk_events(g: Graph, phi: TotalColoring, selected, m: int,
     return events
 
 
-def reference_find_bulk_deletion(g: Graph, phi: TotalColoring,
-                                 params: PipelineParams) -> SelectionResult:
+def reference_forced(g: Graph, m: int, eps: Fraction) -> tuple[int, ...]:
+    """High vertices more than eps*max_degree of whose neighbours lie on
+    fewer than m candidate edges, so hold fewer than m in any selection."""
+    high = {v for v in range(g.n) if 2 * g.degree(v) > g.max_degree}
+    held = {v: sum(1 for w in g.neighbors(v) if v in high or w in high)
+            for v in range(g.n)}
+    return tuple(v for v in sorted(high)
+                 if Fraction(sum(1 for w in g.neighbors(v) if held[w] < m))
+                 > eps * g.max_degree)
+
+
+def reference_find_bulk_deletion(g: Graph, phi: TotalColoring, params: PipelineParams,
+                                 stop_at_floor: bool = True) -> SelectionResult:
     """find_bulk_deletion's draw, cap and resampling loop, each round's
-    events recounted by ``reference_bulk_events`` on plain edge sets."""
+    events recounted by ``reference_bulk_events`` on plain edge sets.
+
+    With stop_at_floor the loop also ends once its best round has no
+    event beyond the forced B_vertex ones; without it, only the round cap,
+    the stall cap or a fixed draw ends it."""
     resolved = params.resolve(g)
     high = {v for v in range(g.n) if 2 * g.degree(v) > g.max_degree}
     cands = [(u, v) for u, v in g.edges if u in high or v in high]
+    forced = reference_forced(g, params.m, params.eps)
+    floor = len(forced) if stop_at_floor else 0
     ends = np.array(cands, dtype=np.int64).reshape(-1, 2)
     cu, cv = ends[:, 0], ends[:, 1]
     incident: list[list[int]] = [[] for _ in range(g.n)]
@@ -308,13 +325,15 @@ def reference_find_bulk_deletion(g: Graph, phi: TotalColoring,
             g, phi, selection.edges, params.m, params.d, params.eps)]
         rounds += 1
         if not violations:
-            return SelectionResult(selection, True, rounds, ())
+            return SelectionResult(selection, True, rounds, (), forced=forced)
         if best is None or len(violations) < best[0]:
             best = (len(violations), selection, tuple(violations))
             stall = 0
         else:
             stall += 1
         if rounds >= params.max_rounds or stall >= params.stall_rounds:
+            break
+        if best[0] <= floor:
             break
         if resolved.p >= 1.0 or resolved.p <= 0.0:
             break
@@ -330,7 +349,7 @@ def reference_find_bulk_deletion(g: Graph, phi: TotalColoring,
         if idx.size:
             mask[idx] = rng.random(idx.size) < resolved.p
     _, selection, violations = best
-    return SelectionResult(selection, False, rounds, violations)
+    return SelectionResult(selection, False, rounds, violations, forced=forced)
 
 
 def reference_patch_events(g: Graph, phi: TotalColoring, bulk_edges, patch_edges,

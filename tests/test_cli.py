@@ -6,6 +6,7 @@ stderr can be captured byte for byte.
 
 import io
 import json
+import math
 import sys
 from collections import Counter
 from fractions import Fraction
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 
 from avdtotal import (Graph, TotalColoring, cli, complete_graph, cycle_graph,
                       greedy_total, star_graph, to_document, write_graph6)
+from avdtotal import bounds as bounds_mod
 from avdtotal import coloring as coloring_mod
 from avdtotal import pipeline as pipeline_mod
 
@@ -253,7 +255,7 @@ class TestSelections:
         assert code == 0
         got = json.loads(out)
         assert got["success"] is True and got["rounds"] == 5
-        assert got["M"] == 33 and got["violations"] == []
+        assert got["M"] == 33 and got["violations"] == [] and got["forced"] == []
 
     def test_bulk_failure_exit_one(self, k4_file, capsys):
         # K_4 is too sparse for the deletion thresholds, so the stage
@@ -263,6 +265,8 @@ class TestSelections:
         got = json.loads(out)
         assert got["success"] is False
         assert all(v["kind"] in ("A_pair", "B_vertex") for v in got["violations"])
+        # each vertex lies on 3 < m = 8 edges, so B_vertex is forced everywhere
+        assert got["forced"] == [0, 1, 2, 3]
 
     def test_both_stages_reported(self, k5_file, capsys):
         code, out, _ = run(["select-e2", "--in", k5_file, "--seed", "0",
@@ -271,7 +275,8 @@ class TestSelections:
         got = json.loads(out)
         assert set(got) == {"bulk", "light", "patch"}
         assert got["light"] == [0, 1, 2, 3, 4]
-        assert got["patch"]["success"] is False
+        assert got["bulk"]["forced"] == [0, 1, 2, 3, 4]
+        assert got["patch"]["success"] is False and got["patch"]["forced"] == []
         assert got["patch"]["infeasible_vertex"] == 0
 
 
@@ -464,6 +469,24 @@ class TestBounds:
         assert code == 2
         assert out == "" and err.startswith("error: ")
 
+    @pytest.mark.parametrize("ln_delta", ["710", "3e17"])
+    def test_overflowing_margin_prints_null(self, ln_delta, capsys):
+        # delta = exp(ln_delta) overflows a float, so the vertex margin is
+        # +inf, for which JSON has no token
+        assert math.isinf(bounds_mod.lll_asymmetric_check(
+            8, 4, Fraction(1, 3), 49.0, 268,
+            ln_delta=float(ln_delta)).details["margin_vertex"])
+        code, out, _ = run(["bounds", "--cmd", "lll", "--ln-delta", ln_delta,
+                            "--json"], capsys)
+        assert code == 0
+
+        def reject(token):
+            raise ValueError(f"non-JSON constant {token}")
+
+        got = json.loads(out, parse_constant=reject)
+        assert got["details"]["margin_vertex"] is None
+        assert math.isfinite(got["log_value"])
+
 
 class TestBench:
     def test_rows_and_summary(self, tmp_path, capsys):
@@ -530,16 +553,23 @@ def _converted(x):
 
 
 class TestEmit:
-    """_emit writes the bytes of json.dumps over a fully converted copy."""
+    """_emit writes the bytes of strict json.dumps over a fully converted copy."""
 
     @given(_documents)
     @settings(max_examples=100, deadline=None)
     def test_same_bytes_as_full_copy(self, doc):
-        expected = json.dumps(_converted(doc), sort_keys=True) + "\n"
+        # strict JSON has no infinity: where the copy holds one, both raise
+        try:
+            expected = json.dumps(_converted(doc), sort_keys=True, allow_nan=False) + "\n"
+        except ValueError:
+            expected = None
         out = io.StringIO()
         sys_stdout, sys.stdout = sys.stdout, out
         try:
             cli._emit(doc)
+        except ValueError:
+            assert expected is None
+            return
         finally:
             sys.stdout = sys_stdout
         assert out.getvalue() == expected

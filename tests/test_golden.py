@@ -1,9 +1,12 @@
-"""Byte identity of ``avdtotal color --json`` on three fixed inputs.
+"""Byte identity of ``avdtotal color --json`` on four fixed inputs.
 
 The digests are SHA-256 of the exact stdout bytes, recorded before the
 seeding and deletion-stage fast paths replaced the set-based code. Any
 change to first-fit order, to which random draw each resampled indicator
-gets, or to the output format shows up here.
+gets, or to the output format shows up here. ``hub_dimacs`` was recorded
+again when the bulk search began stopping at its forced floor, which
+changed only its ``e1_rounds`` (7 to 1); ``hub_resampling`` was recorded
+before that change and still resamples for 23 rounds.
 """
 
 import hashlib
@@ -29,9 +32,9 @@ def sparse_edges(n=400, m=800, seed=11):
 def hub_edges(n=300, hubs=4, hub_degree=80, m=600, seed=5):
     """A sparse background plus a clique of equal-degree hubs.
 
-    Hub neighbours are mostly low, so B_vertex keeps firing and the bulk
-    stage resamples until its stall cap; the hub clique gives A_pair live
-    edges to check.
+    Hub neighbours are mostly low, so with the default m B_vertex fires at
+    every hub whatever is drawn and the bulk stage stops in round 1; the
+    hub clique gives A_pair live edges to check.
     """
     rnd = random.Random(seed)
     edges = set()
@@ -63,7 +66,15 @@ CASES = {
     "hub_dimacs": (
         lambda: dimacs(*hub_edges()),
         ["--format", "dimacs", "--seed", "1", "--stall-rounds", "6"],
-        "621b9a391bd3ff122fb9a792c510b11d22ac9f4d24fb0c7b5e78e91bd1fffde8"),
+        "d5ea4a27c2812769d1b5a1e3886af1cea084c8684f79e63580626fb969b2128d"),
+    # a larger m and lam close to the hub degree: A_pair fires at the hub
+    # clique on top of the forced B_vertex events, so the bulk stage
+    # resamples until its stall cap
+    "hub_resampling": (
+        lambda: dimacs(*hub_edges(n=80, hubs=4, hub_degree=30, m=160, seed=1)),
+        ["--format", "dimacs", "--m", "10", "--d", "6", "--lambda", "28.5",
+         "--seed", "1", "--stall-rounds", "10"],
+        "18c2963b5e02f4f2c622c740d1aab17f095dd3885852b11fe84a70caff138479"),
 }
 
 
@@ -78,6 +89,8 @@ def test_color_json_bytes(name, tmp_path, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
     report = json.loads(out)["report"]
     if name == "hub_dimacs":
+        assert report["e1_rounds"] == 1
+    if name == "hub_resampling":
         assert report["e1_rounds"] > 1
     if name == "sparse_dimacs":
         assert report["p"] == 1.0

@@ -11,13 +11,14 @@ from avdtotal import (BadEvent, EdgeSelection, Graph, PipelineParams,
                       TotalColoring, candidate_edges, complete_graph,
                       cycle_graph, degree_split, find_bulk_deletion,
                       find_patch_deletion, greedy_total, light_vertices,
-                      random_gnp, star_graph, substream)
-from avdtotal import highdeg
+                      random_gnp, run_pipeline, star_graph, substream)
+from avdtotal import highdeg, lowdeg, pipeline
 from avdtotal.highdeg import _BulkCheck, _PatchCheck
 
-from helpers import (reference_bulk_events, reference_bulk_first_round,
+from helpers import (hub_graph, reference_bulk_events, reference_bulk_first_round,
                      reference_find_bulk_deletion, reference_find_patch_deletion,
-                     reference_patch_events, reference_patch_first_draw)
+                     reference_forced, reference_patch_events,
+                     reference_patch_first_draw)
 from test_golden import hub_edges
 
 BULK_STREAM = "bulk-deletion"
@@ -202,9 +203,15 @@ class TestCandidatesAndSampling:
             calls.append(g)
             return degree_split(g)
 
-        monkeypatch.setattr(highdeg, "degree_split", counted)
+        for module in (highdeg, lowdeg, pipeline):
+            monkeypatch.setattr(module, "degree_split", counted)
         g = random_gnp(60, 0.5, 0)
         find_bulk_deletion(g, greedy_total(g), PipelineParams(seed=0))
+        assert len(calls) == 1
+        # the pipeline splits once and hands the split to every phase
+        calls.clear()
+        _, report = run_pipeline(g, params=PipelineParams(seed=0))
+        assert not report.short_circuit
         assert len(calls) == 1
 
     def test_sample_extremes(self):
@@ -704,9 +711,15 @@ def golden_hub_graph(n, hubs, hub_degree, seed):
 
 
 def assert_bulk_search_matches_reference(g, params):
+    """The search against its reference, and the stop at the forced floor
+    against the loop without it: the same returned round, no more rounds."""
     phi = greedy_total(g)
     res = find_bulk_deletion(g, phi, params)
     assert res == reference_find_bulk_deletion(g, phi, params)
+    uncapped = reference_find_bulk_deletion(g, phi, params, stop_at_floor=False)
+    assert (res.selection, res.success, res.violations) == (
+        uncapped.selection, uncapped.success, uncapped.violations)
+    assert res.rounds <= uncapped.rounds
     return res
 
 
@@ -765,6 +778,47 @@ class TestBulkSearchAgainstReference:
         assert any(not r.success and r.rounds < PipelineParams().max_rounds
                    and any(e.kind == "A_pair" for e in r.violations)
                    for r in results)
+
+
+class TestForcedFloor:
+    """The B_vertex events candidate-edge counts alone force, and the stop
+    once the best round has no other event."""
+
+    @given(st.integers(0, 999), st.booleans(), st.sampled_from(HUB_SHAPES),
+           st.sampled_from([0.3, 0.85]))
+    @settings(max_examples=40, deadline=None)
+    def test_forced_is_what_every_selection_fires(self, seed, hubs, shape, q):
+        m, d = shape
+        g = (golden_hub_graph(80, 4, 30, seed) if hubs
+             else random_gnp(14 + seed % 10, 0.5, seed))
+        phi = greedy_total(g)
+        params = PipelineParams(m=m, d=d, lam=q * g.max_degree, seed=seed,
+                                stall_rounds=4)
+        res = find_bulk_deletion(g, phi, params)
+        # keeping every candidate edge maximises every count, so B_vertex
+        # fires there exactly at the vertices where it fires in every round
+        everything = frozenset(candidate_edges(g))
+        full = [w[0] for kind, w in reference_bulk_events(
+            g, phi, everything, m, d, params.eps) if kind == "B_vertex"]
+        assert res.forced == reference_forced(g, m, params.eps) == tuple(full)
+        fired = {e.witness[0] for e in res.violations if e.kind == "B_vertex"}
+        assert set(res.forced) <= fired
+        assert not (res.success and res.forced)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_hub_graphs_stop_in_round_one(self, seed):
+        # hubs joined to a third of a sparse graph: nearly every hub
+        # neighbour lies on fewer than m candidate edges
+        g = hub_graph(seed, 600, 4, 5)
+        params = PipelineParams(seed=seed, stall_rounds=20)
+        assert 0 < params.resolve(g).p < 1
+        res = assert_bulk_search_matches_reference(g, params)
+        assert res.rounds == 1 and not res.success
+        assert res.forced == tuple(range(5))
+        assert res.violations == tuple(BadEvent("B_vertex", (h,)) for h in range(5))
+        uncapped = reference_find_bulk_deletion(g, greedy_total(g), params,
+                                                stop_at_floor=False)
+        assert uncapped.rounds == params.stall_rounds + 1
 
 
 def assert_patch_search_matches_reference(g, phi, bulk, light, params):

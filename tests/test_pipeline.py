@@ -203,7 +203,7 @@ class TestRunPipeline:
             run_pipeline(g, bad)
 
     def test_exit_check_rejects_improper_result(self, monkeypatch):
-        def clash(g, phi):
+        def clash(g, phi, **_):
             vertex_colors = list(phi.vertex_colors)
             vertex_colors[1] = vertex_colors[0]
             return TotalColoring(tuple(vertex_colors), phi.edge_colors, phi.k)
@@ -216,7 +216,8 @@ class TestRunPipeline:
         # with every recolouring phase a no-op, the fully clashing input
         # reaches the exit check unchanged
         monkeypatch.setattr("avdtotal.pipeline.recolor_union", lambda g, phi, a, b: phi)
-        monkeypatch.setattr("avdtotal.pipeline.distinguish_low_degree", lambda g, phi: phi)
+        monkeypatch.setattr("avdtotal.pipeline.distinguish_low_degree",
+                            lambda g, phi, **_: phi)
         monkeypatch.setattr("avdtotal.pipeline.repair_fallback", lambda g, phi: phi)
         with pytest.raises(RuntimeError, match="undistinguished-pair"):
             run_pipeline(*cyclic_k5())
