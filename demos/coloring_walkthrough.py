@@ -3,9 +3,9 @@
 Run: python3 demos/coloring_walkthrough.py
 """
 
-from avdtotal import (Graph, TotalColoring, avd_violations, degree_split,
-                      distinguish_low_degree, greedy_total,
-                      properness_violations, star_masks)
+from avdtotal import (Graph, TotalColoring, degree_split,
+                      distinguish_low_degree, greedy_total, star_masks,
+                      verdict, violations)
 
 
 def show(g, phi, label):
@@ -28,17 +28,17 @@ def main():
         (2, 3, 4, 2, 1, 1, 1, 1),
         {(0, 1): 1, (0, 2): 3, (1, 7): 2, (2, 3): 1, (2, 4): 2,
          (2, 5): 5, (2, 6): 6}, 6)
-    assert properness_violations(g, phi) == []
+    assert verdict(g, phi)["proper"]  # so violations lists only clashes
     show(g, phi, "hand-built proper colouring")
-    print("clashes:", [v.witness for v in avd_violations(g, phi)])
+    print("clashes:", [v.witness for v in violations(g, phi)])
 
     fixed = distinguish_low_degree(g, phi)
     show(g, fixed, "after recolouring low-degree vertices")
-    print("clashes:", [v.witness for v in avd_violations(g, fixed)])
+    print("clashes:", [v.witness for v in violations(g, fixed)])
 
     print("\ngreedy seed on the same graph needs no fix:")
     seed = greedy_total(g)
-    print("  k =", seed.k, " clashes:", len(avd_violations(g, seed)))
+    print("  k =", seed.k, " clashes:", len(violations(g, seed)))
 
 
 if __name__ == "__main__":

@@ -11,10 +11,9 @@ from .bounds import (BoundReport, DerivedConstants, DomainError,
                      binom_upper_tail_bound, binom_upper_tail_log, compute_c0,
                      derive_constants, find_feasible_delta,
                      lll_asymmetric_check)
-from .coloring import (DocumentError, TotalColoring, Violation,
-                       avd_violations, check_total, from_document,
-                       properness_violations, star_masks, to_document,
-                       verdict, violations)
+from .coloring import (DocumentError, TotalColoring, Violation, check_total,
+                       from_document, star_masks, to_document, verdict,
+                       violations)
 from .exact import (CapacityError, ConjectureReport, GraphRecord,
                     check_conjecture, chi_at_exact, chi_prime_exact,
                     chi_total_exact, find_edge_coloring, find_total_coloring)
@@ -23,15 +22,15 @@ from .graphs import (DegreeSplit, DimacsError, Edge, Graph, Graph6Error,
                      degree_split, normalize_edge, parse_dimacs, parse_graph6,
                      path_graph, random_gnp, random_regular, star_graph,
                      write_graph6)
-from .highdeg import (BadEvent, EdgeSelection, PipelineParams, ResolvedParams,
-                      SelectionResult, candidate_edges, find_bulk_deletion,
-                      find_patch_deletion, light_vertices)
+from .highdeg import (BadEvent, EdgeSelection, PipelineParams, SelectionResult,
+                      candidate_edges, find_bulk_deletion, find_patch_deletion,
+                      light_vertices)
 from .lowdeg import distinguish_low_degree
 from .pipeline import (PipelineReport, RepairError, recolor_union,
                        repair_fallback, run_pipeline)
 from .rng import substream
 from .seeding import greedy_total
-from .vizing import EdgeColoring, edge_properness_violations, vizing_color
+from .vizing import EdgeColoring, vizing_color
 
 __all__ = [
     "BadEvent",
@@ -52,11 +51,9 @@ __all__ = [
     "PipelineParams",
     "PipelineReport",
     "RepairError",
-    "ResolvedParams",
     "SelectionResult",
     "TotalColoring",
     "Violation",
-    "avd_violations",
     "binom_lower_tail_bound",
     "binom_lower_tail_log",
     "binom_upper_tail_bound",
@@ -74,7 +71,6 @@ __all__ = [
     "degree_split",
     "derive_constants",
     "distinguish_low_degree",
-    "edge_properness_violations",
     "find_bulk_deletion",
     "find_edge_coloring",
     "find_feasible_delta",
@@ -88,7 +84,6 @@ __all__ = [
     "parse_dimacs",
     "parse_graph6",
     "path_graph",
-    "properness_violations",
     "random_gnp",
     "random_regular",
     "recolor_union",

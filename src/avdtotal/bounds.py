@@ -108,8 +108,14 @@ def derive_constants(m: int, d: int, eps: Real, delta: int) -> DerivedConstants:
         raise DomainError("eps must lie strictly between 0 and 1")
     if delta < 1:
         raise DomainError("delta must be at least 1")
-    lam = 2.0 * (1.0 + math.sqrt(2.0)) * (m + math.log(3.0 / _as_float(eps)))
-    big_m = math.ceil(2.0 * math.e * lam)
+    eps_f = _as_float(eps)
+    if eps_f == 0 or 3.0 / eps_f == math.inf:
+        raise DomainError("eps is too small: 3/eps overflows a float")
+    try:
+        lam = 2.0 * (1.0 + math.sqrt(2.0)) * (m + math.log(3.0 / eps_f))
+        big_m = math.ceil(2.0 * math.e * lam)
+    except OverflowError:
+        raise DomainError("m is too large: M = ceil(2e*lam) overflows a float") from None
     p = min(1.0, lam / delta)
     return DerivedConstants(lam=lam, M=big_m, p=p)
 
@@ -129,16 +135,23 @@ def compute_c0(m: int, eps: Real, lam: float, M: int) -> BoundReport:
         raise DomainError("eps must lie strictly between 0 and 1")
     if not 0 < lam < math.inf:
         raise DomainError(f"lam must be positive and finite, got {lam}")
+    try:
+        divisors = (float(M), float(M) ** 3, float(m))
+    except OverflowError:
+        raise DomainError("m or M is too large: m and M**3 must be finite floats") from None
     eps_f = _as_float(eps)
     third = eps_f / 3.0
     ln_lam, ln_m_cap = math.log(lam), math.log(M)
     # tails in log-space; each exponentiation may harmlessly underflow to 0
     ln_tail_cap = (M - lam / 2.0) + M * (ln_lam - ln_m_cap)
     ln_tail_neighbour = ln_lam - lam / 2.0 + M * (1.0 + ln_lam - ln_m_cap)
-    ln_tail_under = -((m - lam / 2.0) ** 2) / lam
+    shortfall = m - lam / 2.0
+    try:
+        ln_tail_under = -(shortfall ** 2) / lam
+    except OverflowError:  # the square leaves float range, the quotient may not
+        ln_tail_under = -shortfall * (shortfall / lam)
     names = ("cap-excess", "neighbour-cap-loss", "undersample")
     ln_tails = (ln_tail_cap, ln_tail_neighbour, ln_tail_under)
-    divisors = (float(M), float(M) ** 3, float(m))
     deficits = tuple(third - math.exp(min(lt, 700.0)) for lt in ln_tails)
     notes = ["the undersample tail uses the squared-exponent lower-tail form"]
     details = {

@@ -320,9 +320,9 @@ def cmd_bounds(args) -> int:
                   f"(log {log_bound:.6f})")
         return 0
 
-    eps = args.eps if args.eps is not None else Fraction(1, 3)
-    m = args.m if args.m is not None else 8
-    d = args.d if args.d is not None else 4
+    eps = args.eps if args.eps is not None else PipelineParams.eps
+    m = args.m if args.m is not None else PipelineParams.m
+    d = args.d if args.d is not None else PipelineParams.d
 
     if args.cmd == "constants":
         delta = args.delta if args.delta is not None else 1

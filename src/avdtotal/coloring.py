@@ -81,12 +81,12 @@ def star_masks(g: Graph, phi: TotalColoring) -> list[int]:
                                        phi.vertex_colors)]
 
 
-def edge_clashes(g: Graph, edge_colors: dict[Edge, int],
-                 masks: list[int] | None = None) -> list[tuple[Edge, Edge]]:
+def _edge_clashes(g: Graph, edge_colors: dict[Edge, int],
+                  masks: list[int]) -> list[tuple[Edge, Edge]]:
     """Pairs of same-coloured edges sharing an endpoint, grouped by vertex;
-    masks, when given, are the ``_edge_masks`` of edge_colors."""
+    masks are the ``_edge_masks`` of edge_colors."""
     out: list[tuple[Edge, Edge]] = []
-    for v, mask in enumerate(masks or _edge_masks(g, edge_colors)):
+    for v, mask in enumerate(masks):
         # fewer distinct colours than edges at v means a clash there
         if mask.bit_count() == len(g.adjacency[v]):
             continue
@@ -113,13 +113,8 @@ def _witnesses(g: Graph, phi: TotalColoring, masks: list[int]) -> list[Violation
         if cv == ce:
             out.append(Violation("vertex-edge", (v, (u, v))))
     out.extend(Violation("edge-edge", pair)
-               for pair in edge_clashes(g, phi.edge_colors, masks))
+               for pair in _edge_clashes(g, phi.edge_colors, masks))
     return out
-
-
-def _undistinguished(g: Graph, stars: list[int]) -> list[Violation]:
-    return [Violation("undistinguished-pair", (u, v))
-            for u, v in g.edges if stars[u] == stars[v]]
 
 
 def violations(g: Graph, phi: TotalColoring) -> list[Violation]:
@@ -138,24 +133,13 @@ def violations(g: Graph, phi: TotalColoring) -> list[Violation]:
     if (any(s.bit_count() != len(nbrs) + 1 for s, nbrs in zip(stars, g.adjacency))
             or any(vc[u] == vc[v] for u, v in g.edges)):
         return _witnesses(g, phi, masks)
-    return _undistinguished(g, stars)
+    return [Violation("undistinguished-pair", (u, v))
+            for u, v in g.edges if stars[u] == stars[v]]
 
 
 def _proper(found: list[Violation]) -> bool:
     """Whether a ``violations`` list belongs to a proper colouring."""
     return not found or found[0].kind == "undistinguished-pair"
-
-
-def properness_violations(g: Graph, phi: TotalColoring) -> list[Violation]:
-    """Every properness offence, one Violation per offending pair."""
-    check_total(g, phi)
-    return _witnesses(g, phi, _edge_masks(g, phi.edge_colors))
-
-
-def avd_violations(g: Graph, phi: TotalColoring) -> list[Violation]:
-    """Adjacent pairs with identical colour sets; properness is not checked."""
-    check_total(g, phi)
-    return _undistinguished(g, star_masks(g, phi))
 
 
 # ---------------------------------------------------------------------------

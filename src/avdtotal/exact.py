@@ -138,8 +138,6 @@ def find_edge_coloring(g: Graph, k: int) -> EdgeColoring | None:
 
 def chi_prime_exact(g: Graph) -> int:
     """Edge chromatic number; the answer is max_degree or max_degree + 1."""
-    if len(g.edges) > EDGE_GUARD:
-        raise CapacityError(f"{len(g.edges)} edges exceed the search guard {EDGE_GUARD}")
     if not g.edges:
         return 0
     if find_edge_coloring(g, g.max_degree) is not None:
@@ -290,10 +288,7 @@ def find_total_coloring(g: Graph, k: int,
 
 def chi_total_exact(g: Graph) -> int:
     """Total chromatic number; at least max_degree + 1 on non-empty graphs."""
-    t = g.n + len(g.edges)
-    if t > ELEMENT_GUARD:
-        raise CapacityError(f"{t} elements exceed the search guard {ELEMENT_GUARD}")
-    if t == 0:
+    if g.n == 0:
         return 0
     for k in range(g.max_degree + 1, 2 * g.max_degree + 2):
         if find_total_coloring(g, k) is not None:
@@ -322,8 +317,6 @@ def chi_at_exact(g: Graph) -> int:
     containing its private vertex colour.
     """
     t = g.n + len(g.edges)
-    if t > ELEMENT_GUARD:
-        raise CapacityError(f"{t} elements exceed the search guard {ELEMENT_GUARD}")
     if t == 0:
         return 0
     for k in range(_chi_at_lower_bound(g), t + 1):

@@ -30,7 +30,7 @@ from typing import Callable
 
 import numpy as np
 
-from .bounds import derive_constants
+from .bounds import DerivedConstants, derive_constants
 from .coloring import TotalColoring, star_masks
 from .graphs import DegreeSplit, Edge, Graph, degree_split, normalize_edge
 from .rng import substream
@@ -95,6 +95,8 @@ class PipelineParams:
             raise ValueError(f"need d >= 1 and m >= d+4, got m={self.m}, d={self.d}")
         if not 0 < self.eps < 1:
             raise ValueError("eps must lie strictly between 0 and 1")
+        if self.lam is None:  # resolve derives lam and M from m and eps
+            derive_constants(self.m, self.d, self.eps, 1)
         if not self.alpha > 0:
             raise ValueError("alpha must be positive")
         if self.B < 2:
@@ -118,7 +120,7 @@ class PipelineParams:
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
 
-    def resolve(self, g: Graph) -> "ResolvedParams":
+    def resolve(self, g: Graph) -> DerivedConstants:
         """Fix lam, M, and the sampling probability for one graph."""
         delta = g.max_degree
         if self.lam is not None:
@@ -127,15 +129,7 @@ class PipelineParams:
             lam = derive_constants(self.m, self.d, self.eps, max(delta, 1)).lam
         big_m = self.M if self.M is not None else math.ceil(2.0 * math.e * lam)
         p = 1.0 if delta == 0 else min(1.0, lam / delta)
-        return ResolvedParams(delta=delta, lam=lam, M=big_m, p=p)
-
-
-@dataclass(frozen=True)
-class ResolvedParams:
-    delta: int
-    lam: float
-    M: int
-    p: float
+        return DerivedConstants(lam=lam, M=big_m, p=p)
 
 
 @dataclass(frozen=True)

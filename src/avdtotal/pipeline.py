@@ -13,7 +13,7 @@ from __future__ import annotations
 import time
 from dataclasses import asdict, dataclass
 
-from .coloring import TotalColoring, _proper, avd_violations, star_masks, violations
+from .coloring import TotalColoring, _proper, star_masks, violations
 from .graphs import Edge, Graph, degree_split, normalize_edge
 from .highdeg import (PipelineParams, find_bulk_deletion,
                       find_patch_deletion, light_vertices)
@@ -23,7 +23,7 @@ from .vizing import vizing_color
 
 
 class RepairError(RuntimeError):
-    """The repair scan left an undistinguished pair; indicates a defect."""
+    """The repaired colouring fails the verifier; indicates a defect."""
 
 
 def _exit_check(g: Graph, phi: TotalColoring) -> dict[str, bool]:
@@ -128,8 +128,10 @@ def repair_fallback(g: Graph, phi: TotalColoring) -> TotalColoring:
         return phi
     out = TotalColoring(vertex_colors=tuple(vertex_colors),
                         edge_colors={**phi.edge_colors, **recoloured}, k=k)
-    if avd_violations(g, out):
-        raise RepairError(f"violations persist after {k - phi.k} repairs")
+    found = violations(g, out)
+    if found:
+        raise RepairError(f"violations persist after {k - phi.k} repairs: "
+                          f"{found[0].kind} at {found[0].witness}")
     return out
 
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .coloring import edge_clashes
 from .graphs import Edge, Graph
 
 
@@ -23,15 +22,6 @@ class EdgeColoring:
 
     def used_colors(self) -> frozenset[int]:
         return frozenset(self.colors.values())
-
-
-def edge_properness_violations(g: Graph, ec: EdgeColoring) -> list[tuple[Edge, Edge]]:
-    """Pairs of same-coloured edges sharing an endpoint."""
-    if set(ec.colors) != g.edge_set:
-        raise ValueError("edge colours do not cover the edge set exactly")
-    if min(ec.colors.values(), default=1) < 1:
-        raise ValueError("edge colours must be positive integers")
-    return edge_clashes(g, ec.colors)
 
 
 def vizing_color(g: Graph) -> EdgeColoring:

@@ -49,6 +49,12 @@ def colours_of(mask: int) -> set[int]:
     return {c for c in range(mask.bit_length()) if mask >> c & 1}
 
 
+def with_private_vertex_colours(g: Graph, ec: EdgeColoring) -> TotalColoring:
+    """ec with a fresh colour of its own on every vertex, so the only
+    ``violations`` the total colouring can have are ec's edge clashes."""
+    return TotalColoring(tuple(range(ec.k + 1, ec.k + 1 + g.n)), ec.colors, ec.k + g.n)
+
+
 def naive_is_avd(g: Graph, phi: TotalColoring) -> bool:
     if not naive_is_proper(g, phi):
         return False

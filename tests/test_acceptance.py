@@ -11,16 +11,16 @@ from fractions import Fraction
 
 import pytest
 
-from avdtotal import (PipelineParams, avd_violations, check_conjecture,
-                      chi_at_exact, chi_prime_exact, cli, complete_graph,
-                      degree_split, derive_constants, distinguish_low_degree,
-                      edge_properness_violations, binom_lower_tail_bound,
-                      binom_upper_tail_bound, greedy_total,
-                      lll_asymmetric_check, properness_violations, random_gnp,
-                      run_pipeline, vizing_color, write_graph6, Graph,
-                      TotalColoring)
+from avdtotal import (PipelineParams, check_conjecture, chi_at_exact,
+                      chi_prime_exact, cli, complete_graph, degree_split,
+                      derive_constants, distinguish_low_degree,
+                      binom_lower_tail_bound, binom_upper_tail_bound,
+                      greedy_total, lll_asymmetric_check, random_gnp,
+                      run_pipeline, verdict, violations, vizing_color,
+                      write_graph6, Graph, TotalColoring)
 
-from helpers import connected_graphs, exact_lower_tail, exact_upper_tail
+from helpers import (connected_graphs, exact_lower_tail, exact_upper_tail,
+                     with_private_vertex_colours)
 
 
 @pytest.fixture(scope="module")
@@ -77,13 +77,13 @@ def test_criterion_3_low_degree_phase_property_suite():
         phi = greedy_total(g)
         out = distinguish_low_degree(g, phi)
         split = degree_split(g)
-        assert properness_violations(g, out) == []
+        assert verdict(g, out)["proper"]
         assert out.edge_colors == phi.edge_colors
         assert out.k == phi.k
         assert all(1 <= c <= out.k for c in out.vertex_colors)
         for v in split.high:
             assert out.vertex_colors[v] == phi.vertex_colors[v]
-        for viol in avd_violations(g, out):
+        for viol in violations(g, out):
             u, v = viol.witness
             assert u not in split.low and v not in split.low
     elapsed = time.perf_counter() - t0
@@ -96,8 +96,7 @@ def test_criterion_3_low_degree_phase_property_suite():
 def test_criterion_4_pipeline_unconditional_guarantee(dense_runs):
     t0 = time.perf_counter()
     for g, out, report in dense_runs:
-        assert properness_violations(g, out) == []
-        assert avd_violations(g, out) == []
+        assert violations(g, out) == []
         assert report.verified == {"proper": True, "avd": True}
         assert (report.final_k - report.input_k
                 == report.fresh_palette_size + report.fallback_repairs)
@@ -170,7 +169,7 @@ def test_criterion_7_edge_coloring_budget_and_near_optimality():
         n = 2 + (seed * 11) % 59
         g = random_gnp(n, Fraction(1 + seed % 8, 10), seed)
         ec = vizing_color(g)
-        assert edge_properness_violations(g, ec) == []
+        assert violations(g, with_private_vertex_colours(g, ec)) == []
         assert set(ec.colors) == set(g.edges)
         assert all(1 <= c <= g.max_degree + 1 for c in ec.colors.values())
     mid = time.perf_counter()

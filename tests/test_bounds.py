@@ -128,6 +128,17 @@ class TestDeriveConstants:
         with pytest.raises(DomainError):
             derive_constants(**kwargs)
 
+    @pytest.mark.parametrize("field,kwargs", [
+        ("m", dict(m=10 ** 400)),                # not a float at all
+        ("m", dict(m=10 ** 308)),                # a float, but 2e*lam is not
+        ("eps", dict(eps=Fraction(1, 10 ** 400))),  # a float only as 0.0
+        ("eps", dict(eps=Fraction(1, 10 ** 310))),  # 3/eps overflows
+    ])
+    def test_beyond_float_range_names_field(self, field, kwargs):
+        args = dict(m=8, d=4, eps=Fraction(1, 3), delta=10) | kwargs
+        with pytest.raises(DomainError, match=f"^{field} "):
+            derive_constants(**args)
+
     def test_rejects_non_integer(self):
         with pytest.raises(DomainError):
             derive_constants(8.0, 4, Fraction(1, 3), 10)
@@ -178,6 +189,23 @@ class TestComputeC0:
     def test_domain(self, kwargs):
         with pytest.raises(DomainError):
             compute_c0(**kwargs)
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(m=10 ** 400, M=268),
+        dict(m=8, M=10 ** 400),
+        dict(m=8, M=10 ** 103),  # a float, but M**3 is not
+    ])
+    def test_beyond_float_range_names_field(self, kwargs):
+        with pytest.raises(DomainError, match="^m or M "):
+            compute_c0(eps=Fraction(1, 3), lam=49.0, **kwargs)
+
+    def test_huge_lam_evaluates(self):
+        # (m - lam/2)**2 overflows a float; the tail's log, -2.5e299, does not
+        rep = compute_c0(8, Fraction(1, 3), 1e300, 268)
+        assert rep.feasible is True
+        assert rep.details["ln_tails"]["undersample"] == pytest.approx(-2.5e299)
+        lll = lll_asymmetric_check(8, 4, Fraction(1, 3), 1e300, 268, delta=100)
+        assert lll.feasible is False and math.isfinite(lll.log_value)
 
 
 class TestAsymmetricLll:

@@ -72,8 +72,7 @@ def count_verifier_calls(monkeypatch) -> Counter:
     """Count the verifier and its building blocks in every module that binds
     them, so calls across modules are seen too."""
     calls = Counter()
-    for name in ("violations", "check_total", "properness_violations",
-                 "avd_violations"):
+    for name in ("violations", "check_total"):
         def counting(*args, _name=name, _original=getattr(coloring_mod, name)):
             calls[_name] += 1
             return _original(*args)
@@ -82,6 +81,14 @@ def count_verifier_calls(monkeypatch) -> Counter:
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, counting)
     return calls
+
+
+def strict_loads(text):
+    """json.loads that rejects the NaN and Infinity tokens strict JSON lacks."""
+    def reject(token):
+        raise ValueError(f"non-JSON constant {token}")
+
+    return json.loads(text, parse_constant=reject)
 
 
 def run(argv, capsys):
@@ -479,13 +486,38 @@ class TestBounds:
         code, out, _ = run(["bounds", "--cmd", "lll", "--ln-delta", ln_delta,
                             "--json"], capsys)
         assert code == 0
-
-        def reject(token):
-            raise ValueError(f"non-JSON constant {token}")
-
-        got = json.loads(out, parse_constant=reject)
+        got = strict_loads(out)
         assert got["details"]["margin_vertex"] is None
         assert math.isfinite(got["log_value"])
+
+
+HUGE = str(10 ** 400)
+
+
+class TestExtremeFiniteInput:
+    """Finite numbers beyond float range are evaluated or rejected by name."""
+
+    @pytest.mark.parametrize("args", [
+        ["bounds", "--cmd", "c0", "--lambda", "1e300"],
+        ["bounds", "--cmd", "c0", "--M", HUGE],
+        ["bounds", "--cmd", "lll", "--lambda", "1e300", "--delta", "100"],
+        ["bounds", "--cmd", "lll", "--M", HUGE, "--delta", "100"],
+        ["bounds", "--cmd", "constants", "--m", HUGE],
+        ["select-e1", "--m", HUGE],
+        ["color", "--eps", "1/" + HUGE],
+    ], ids=["c0-lambda", "c0-M", "lll-lambda", "lll-M", "constants-m",
+            "select-e1-m", "color-eps"])
+    def test_exit_code_and_strict_json(self, args, k5_file, capsys):
+        # each of these died with an OverflowError or ZeroDivisionError
+        # traceback
+        if args[0] != "bounds":
+            args = [*args, "--in", k5_file]
+        code, out, err = run([*args, "--json"], capsys)
+        assert code in (0, 2)
+        if code == 0:
+            strict_loads(out)
+        else:
+            assert out == "" and err.startswith("error: ")
 
 
 class TestBench:

@@ -7,14 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from avdtotal import (DocumentError, Graph, TotalColoring, Violation,
-                      avd_violations, check_total, complete_graph,
-                      cycle_graph, from_document, greedy_total, path_graph,
-                      properness_violations, random_gnp, star_graph,
+                      check_total, complete_graph, cycle_graph, from_document,
+                      greedy_total, path_graph, random_gnp, star_graph,
                       star_masks, to_document, verdict, violations)
-from avdtotal.coloring import edge_clashes
 
 from helpers import (mask_of, naive_color_set, naive_is_avd, naive_is_proper,
-                     reference_edge_clashes, reference_properness_violations)
+                     reference_properness_violations)
 
 
 def p3_coloring():
@@ -85,35 +83,37 @@ class TestColorSets:
 
 
 class TestPropernessViolations:
+    """The properness witnesses ``violations`` lists on improper colourings."""
+
     def test_clean_coloring_no_violations(self):
         g, phi = p3_coloring()
-        assert properness_violations(g, phi) == []
+        assert violations(g, phi) == []
         assert verdict(g, phi)["proper"]
 
     def test_vertex_vertex_clash(self):
         g = path_graph(2)
         phi = TotalColoring((1, 1), {(0, 1): 2}, 2)
-        vs = properness_violations(g, phi)
+        vs = violations(g, phi)
         assert [v.kind for v in vs] == ["vertex-vertex"]
         assert vs[0].witness == (0, 1)
 
     def test_vertex_edge_clash_reports_each_side(self):
         g = path_graph(2)
         phi = TotalColoring((1, 1), {(0, 1): 1}, 1)
-        kinds = sorted(v.kind for v in properness_violations(g, phi))
+        kinds = sorted(v.kind for v in violations(g, phi))
         assert kinds == ["vertex-edge", "vertex-edge", "vertex-vertex"]
 
     def test_edge_edge_clash(self):
         g = path_graph(3)
         phi = TotalColoring((1, 2, 1), {(0, 1): 3, (1, 2): 3}, 3)
-        vs = properness_violations(g, phi)
+        vs = violations(g, phi)
         assert [v.kind for v in vs] == ["edge-edge"]
         assert vs[0].witness == ((0, 1), (1, 2))
 
     def test_edge_edge_reported_once_per_pair(self):
         g = star_graph(3)
         phi = TotalColoring((1, 2, 2, 2), {(0, 1): 3, (0, 2): 3, (0, 3): 3}, 3)
-        clashes = [v for v in properness_violations(g, phi) if v.kind == "edge-edge"]
+        clashes = [v for v in violations(g, phi) if v.kind == "edge-edge"]
         assert len(clashes) == 3  # three unordered pairs of the three edges
 
     @given(st.integers(1, 40), st.floats(0.05, 1.0), st.integers(1, 8),
@@ -124,12 +124,19 @@ class TestPropernessViolations:
         rng = random.Random(seed)
         phi = TotalColoring(tuple(rng.randint(1, k) for _ in range(g.n)),
                             {e: rng.randint(1, k) for e in g.edges}, k)
-        assert edge_clashes(g, phi.edge_colors) == reference_edge_clashes(g, phi.edge_colors)
+        improper = reference_properness_violations(g, phi)
+        found = violations(g, phi)
+        if improper:
+            assert found == improper
+        else:
+            assert all(v.kind == "undistinguished-pair" for v in found)
         assert star_masks(g, phi) == [mask_of(naive_color_set(g, phi, v))
                                       for v in range(g.n)]
 
 
 class TestAvdViolations:
+    """The undistinguished pairs ``violations`` lists on proper colourings."""
+
     def test_requires_properness(self):
         # the colour sets {1, 2} and {1, 2} clash too, but an improper
         # colouring is never AVD, whatever its colour sets
@@ -137,7 +144,6 @@ class TestAvdViolations:
         phi = TotalColoring((1, 1), {(0, 1): 2}, 2)
         assert verdict(g, phi) == {"proper": False, "avd": False}
         distinct = TotalColoring((1, 2), {(0, 1): 2}, 2)
-        assert avd_violations(g, distinct) == []
         assert verdict(g, distinct) == {"proper": False, "avd": False}
 
     def test_undistinguished_pair_on_k2(self):
@@ -145,14 +151,14 @@ class TestAvdViolations:
         g = path_graph(2)
         phi = TotalColoring((1, 2), {(0, 1): 3}, 3)
         # C(0) = {1,3}, C(1) = {2,3}: distinguished
-        assert avd_violations(g, phi) == []
+        assert violations(g, phi) == []
 
     def test_cycle_clash(self):
         # C_4 colouring where vertices 0 and 1 both see {1, 2, 3}.
         g = cycle_graph(4)
         phi = TotalColoring((1, 2, 4, 3),
                             {(0, 1): 3, (1, 2): 1, (2, 3): 5, (0, 3): 2}, 5)
-        vs = avd_violations(g, phi)
+        vs = violations(g, phi)
         assert [v.kind for v in vs] == ["undistinguished-pair"]
         assert vs[0].witness == (0, 1)
 
@@ -161,7 +167,7 @@ class TestAvdViolations:
         g = cycle_graph(4)
         phi = TotalColoring((1, 2, 1, 2),
                             {(0, 1): 3, (1, 2): 4, (2, 3): 3, (0, 3): 4}, 4)
-        assert avd_violations(g, phi) == []
+        assert violations(g, phi) == []
 
     def test_verdict_matches_naive(self):
         g = cycle_graph(4)
@@ -224,7 +230,7 @@ class TestViolations:
                            if naive_color_set(g, phi, u) == naive_color_set(g, phi, v)]
         found = violations(g, phi)
         assert found == (improper or undistinguished)
-        assert properness_violations(g, phi) == improper
+        assert [v for v in found if v.kind != "undistinguished-pair"] == improper
         assert verdict(g, phi) == {"proper": naive_is_proper(g, phi),
                                    "avd": naive_is_avd(g, phi)}
 
@@ -380,4 +386,4 @@ def test_greedy_verifiers_agree_with_naive(n, salt):
     phi = greedy_total(g)
     assert verdict(g, phi)["proper"] == naive_is_proper(g, phi)
     assert naive_is_proper(g, phi)
-    assert (not avd_violations(g, phi)) == naive_is_avd(g, phi)
+    assert (not violations(g, phi)) == naive_is_avd(g, phi)

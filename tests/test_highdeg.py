@@ -129,6 +129,8 @@ class TestPipelineParams:
         dict(alpha=True),
         dict(eps=None),
         dict(eps="1/0"),
+        dict(m=10 ** 400),        # resolve's lam would not be a float
+        dict(eps=Fraction(1, 10 ** 400)),  # nor would ln(3/eps)
     ])
     def test_rejects(self, kwargs):
         # the message names the offending field
@@ -141,8 +143,9 @@ class TestPipelineParams:
         assert all(type(x) is int for x in (p.m, p.seed, p.M))
 
     def test_resolve_defaults(self):
-        r = PipelineParams().resolve(complete_graph(51))
-        assert r.delta == 50
+        g = complete_graph(51)
+        r = PipelineParams().resolve(g)
+        assert g.max_degree == 50
         assert r.lam == pytest.approx(49.23655574633871, abs=1e-9)
         assert r.M == 268
         assert r.p == pytest.approx(r.lam / 50)
@@ -152,8 +155,9 @@ class TestPipelineParams:
         assert r.p == 1.0
 
     def test_resolve_edgeless(self):
-        r = PipelineParams().resolve(Graph.build(3, []))
-        assert r.delta == 0 and r.p == 1.0
+        g = Graph.build(3, [])
+        r = PipelineParams().resolve(g)
+        assert g.max_degree == 0 and r.p == 1.0
 
     def test_resolve_lam_override_recomputes_cap(self):
         r = PipelineParams(lam=34.0).resolve(complete_graph(51))

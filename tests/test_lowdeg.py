@@ -4,12 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from avdtotal import (Graph, PipelineParams, TotalColoring, avd_violations,
-                      complete_graph, degree_split,
-                      distinguish_low_degree, find_bulk_deletion,
-                      find_patch_deletion, greedy_total,
-                      light_vertices, random_gnp, recolor_union,
-                      star_graph, star_masks, verdict)
+from avdtotal import (Graph, PipelineParams, TotalColoring, complete_graph,
+                      degree_split, distinguish_low_degree, find_bulk_deletion,
+                      find_patch_deletion, greedy_total, light_vertices,
+                      random_gnp, recolor_union, star_graph, star_masks,
+                      verdict, violations)
 
 from avdtotal.lowdeg import _forbidden
 
@@ -92,7 +91,7 @@ class TestDistinguishLowDegree:
         # is high, so this phase must not touch anything
         g = complete_graph(3)
         phi = greedy_total(g)
-        assert len(avd_violations(g, phi)) == 3
+        assert [v.kind for v in violations(g, phi)] == ["undistinguished-pair"] * 3
         assert distinguish_low_degree(g, phi) is phi
 
     def test_rejects_small_palette(self):

@@ -6,10 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from avdtotal import (Graph, PipelineParams, TotalColoring, avd_violations,
-                      complete_graph, cycle_graph, greedy_total,
-                      properness_violations, random_gnp, recolor_union,
-                      repair_fallback, run_pipeline, star_graph)
+import avdtotal.pipeline as pipeline
+from avdtotal import (Graph, PipelineParams, RepairError, TotalColoring,
+                      Violation, complete_graph, cycle_graph, greedy_total,
+                      random_gnp, recolor_union, repair_fallback, run_pipeline,
+                      star_graph, verdict, violations)
 
 from helpers import reference_repair_fallback
 
@@ -49,7 +50,7 @@ class TestRecolorUnion:
             if e not in picked:
                 assert out.edge_colors[e] == phi.edge_colors[e]
         assert out.vertex_colors == phi.vertex_colors
-        assert properness_violations(g, out) == []
+        assert verdict(g, out)["proper"]
 
     def test_growth_matches_union_edge_coloring(self):
         g, phi = two_hub_graph()
@@ -73,16 +74,25 @@ class TestRecolorUnion:
 class TestRepairFallback:
     def test_fixes_fully_clashing_clique(self):
         g, phi = cyclic_k5()
-        assert len(avd_violations(g, phi)) == 10
+        assert [v.kind for v in violations(g, phi)] == ["undistinguished-pair"] * 10
         out = repair_fallback(g, phi)
         assert out.k == 8  # three rounds, one fresh colour each
-        assert avd_violations(g, out) == []
-        assert properness_violations(g, out) == []
+        assert violations(g, out) == []
 
     def test_clean_input_untouched(self):
         g = star_graph(6)
         phi = greedy_total(g)
         assert repair_fallback(g, phi) is phi
+
+    def test_self_check_raises_on_reported_violation(self, monkeypatch):
+        # the scan cannot leave a violation behind, so a stand-in verifier
+        # reports one to reach the check
+        def verifier(g, phi):
+            return [Violation("undistinguished-pair", g.edges[0])]
+
+        monkeypatch.setattr(pipeline, "violations", verifier)
+        with pytest.raises(RepairError, match="after 3 repairs"):
+            repair_fallback(*cyclic_k5())
 
     def test_corpus_with_many_rounds(self):
         rounds = []
@@ -91,8 +101,7 @@ class TestRepairFallback:
             phi = greedy_total(g)
             out = repair_fallback(g, phi)
             assert out == reference_repair_fallback(g, phi)
-            assert avd_violations(g, out) == []
-            assert properness_violations(g, out) == []
+            assert violations(g, out) == []
             rounds.append(out.k - phi.k)
         # the comparison means little unless runs take many rounds
         assert sum(rounds) >= 100 and max(rounds) > 3
@@ -133,7 +142,7 @@ class TestRunPipeline:
         assert report.input_k == 4 and report.final_k == 7
         assert report.fresh_palette_size == 3 and report.fallback_repairs == 0
         assert report.verified == {"proper": True, "avd": True}
-        assert avd_violations(g, out) == []
+        assert violations(g, out) == []
 
     def test_fully_clashing_clique(self):
         g, phi = cyclic_k5()
@@ -235,8 +244,7 @@ def test_pipeline_always_lands_distinguishing(seed, n):
     g = random_gnp(n, Fraction(1, 2), seed)
     out, report = run_pipeline(g, params=PipelineParams(seed=seed))
     assert report.verified == {"proper": True, "avd": True}
-    assert properness_violations(g, out) == []
-    assert avd_violations(g, out) == []
+    assert violations(g, out) == []
     assert (report.final_k - report.input_k
             == report.fresh_palette_size + report.fallback_repairs)
     assert out.k == report.final_k

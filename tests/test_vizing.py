@@ -5,12 +5,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import avdtotal.pipeline as pipeline
-from avdtotal import (EdgeColoring, Graph, PipelineParams,
+from avdtotal import (EdgeColoring, Graph, PipelineParams, Violation,
                       complete_bipartite_graph, complete_graph, cycle_graph,
-                      edge_properness_violations, path_graph, random_gnp,
-                      run_pipeline, star_graph, vizing_color)
+                      path_graph, random_gnp, run_pipeline, star_graph,
+                      violations, vizing_color)
 
-from helpers import connected_graphs, hub_graph, reference_vizing_color
+from helpers import (connected_graphs, hub_graph, reference_vizing_color,
+                     with_private_vertex_colours)
 
 
 def assert_valid(g, ec):
@@ -115,25 +116,15 @@ class TestAgainstReference:
 
 
 class TestEdgePropernessViolations:
+    """Edge clashes as ``violations`` reports them on private vertex colours."""
+
     def test_clean(self):
         g = path_graph(3)
         ec = EdgeColoring({(0, 1): 1, (1, 2): 2}, 2)
-        assert edge_properness_violations(g, ec) == []
+        assert violations(g, with_private_vertex_colours(g, ec)) == []
 
     def test_clash_detected(self):
         g = path_graph(3)
         ec = EdgeColoring({(0, 1): 1, (1, 2): 1}, 1)
-        vs = edge_properness_violations(g, ec)
-        assert vs == [((0, 1), (1, 2))]
-
-    def test_non_positive_colour_raises(self):
-        g = path_graph(3)
-        for bad in (0, -1):
-            with pytest.raises(ValueError, match="positive"):
-                edge_properness_violations(g, EdgeColoring({(0, 1): bad, (1, 2): 1}, 1))
-
-    def test_coverage_mismatch_raises(self):
-        g = path_graph(3)
-        ec = EdgeColoring({(0, 1): 1}, 1)
-        with pytest.raises(ValueError):
-            edge_properness_violations(g, ec)
+        vs = violations(g, with_private_vertex_colours(g, ec))
+        assert vs == [Violation("edge-edge", ((0, 1), (1, 2)))]
