@@ -116,7 +116,10 @@ def derive_constants(m: int, d: int, eps: Real, delta: int) -> DerivedConstants:
         big_m = math.ceil(2.0 * math.e * lam)
     except OverflowError:
         raise DomainError("m is too large: M = ceil(2e*lam) overflows a float") from None
-    p = min(1.0, lam / delta)
+    try:
+        p = min(1.0, lam / delta)
+    except OverflowError:  # an integer delta beyond float range
+        p = float(Fraction(lam) / delta)
     return DerivedConstants(lam=lam, M=big_m, p=p)
 
 
@@ -166,6 +169,8 @@ def compute_c0(m: int, eps: Real, lam: float, M: int) -> BoundReport:
                            feasible=False, notes=tuple(notes), details=details)
     candidates = [t * t / dv for t, dv in zip(deficits, divisors)]
     c0 = (3.0 / (8.0 * eps_f)) * min(candidates)
+    if c0 == 0.0:
+        raise DomainError("eps is too small for m and M: c0 underflows a float")
     details["dominant"] = names[candidates.index(min(candidates))]
     return BoundReport(inputs=inputs, value=c0, log_value=math.log(c0),
                        feasible=True, notes=tuple(notes), details=details)

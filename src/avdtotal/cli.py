@@ -20,16 +20,12 @@ from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
-import numpy as np
-
 from . import bounds as bounds_mod
-from .bounds import DomainError, derive_constants
+from .bounds import DomainError
 from .coloring import (DocumentError, TotalColoring, _document_body, _proper,
                        from_document, to_document, violations)
-from .exact import (CapacityError, check_conjecture, chi_at_exact,
-                    chi_prime_exact, chi_total_exact)
-from .graphs import (DimacsError, Graph, Graph6Error, degree_split, parse_dimacs,
-                     parse_graph6)
+from .exact import check_conjecture, chi_at_exact, chi_prime_exact, chi_total_exact
+from .graphs import Graph, Graph6Error, parse_dimacs, parse_graph6
 from .highdeg import (PipelineParams, find_bulk_deletion, find_patch_deletion,
                       light_vertices)
 from .lowdeg import distinguish_low_degree
@@ -40,25 +36,8 @@ from .vizing import vizing_color
 SEEDED_COMMANDS = {"color", "select-e1", "select-e2", "bench"}
 
 
-_SCALARS = (Fraction, np.integer, np.floating)
-
-
-def _json_default(x):
-    """What json cannot encode itself: Fraction as str, numpy scalars as
-    numbers, sets as lists sorted once their members are converted."""
-    if isinstance(x, Fraction):
-        return str(x)
-    if isinstance(x, np.integer):
-        return int(x)
-    if isinstance(x, np.floating):
-        return float(x)
-    if isinstance(x, (set, frozenset)):
-        return sorted(_json_default(v) if isinstance(v, _SCALARS) else v for v in x)
-    raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
-
-
 def _emit(obj) -> None:
-    print(json.dumps(obj, sort_keys=True, default=_json_default, allow_nan=False))
+    print(json.dumps(obj, sort_keys=True, allow_nan=False))
 
 
 def _read_text(path: str | None) -> str:
@@ -96,8 +75,8 @@ def _require_proper(g: Graph, phi: TotalColoring) -> TotalColoring:
 
 
 def _params_from(args) -> PipelineParams:
-    kwargs = {"seed": args.seed if args.seed is not None else 0}
-    for name in ("eps", "alpha", "m", "d", "B", "lam", "M", "max_rounds",
+    kwargs = {}
+    for name in ("seed", "eps", "alpha", "m", "d", "B", "lam", "M", "max_rounds",
                  "stall_rounds"):
         value = getattr(args, name, None)
         if value is not None:
@@ -209,9 +188,8 @@ def cmd_select_e2(args) -> int:
     g = _load_graph(args)
     phi = _seed_or_greedy(args, g)
     params = _params_from(args)
-    split = degree_split(g)
-    bulk = find_bulk_deletion(g, phi, params, split=split)
-    light = light_vertices(g, bulk.selection, params.m, split=split)
+    bulk = find_bulk_deletion(g, phi, params)
+    light = light_vertices(g, bulk.selection, params.m)
     patch = find_patch_deletion(g, phi, bulk.selection, light, params)
     out = {
         "bulk": _selection_json(bulk),
@@ -295,10 +273,12 @@ def cmd_check_conjecture(args) -> int:
 
 
 def _finite_or_null(x):
-    """x with every non-finite float, in dicts at any depth, as None: JSON
-    has no infinity, and a margin is +inf once delta overflows a float."""
+    """x with, in dicts at any depth, every Fraction as its string and every
+    non-finite float (a margin once delta overflows a float) as None."""
     if isinstance(x, dict):
         return {k: _finite_or_null(v) for k, v in x.items()}
+    if isinstance(x, Fraction):
+        return str(x)
     return None if isinstance(x, float) and not math.isfinite(x) else x
 
 
@@ -320,15 +300,14 @@ def cmd_bounds(args) -> int:
                   f"(log {log_bound:.6f})")
         return 0
 
-    eps = args.eps if args.eps is not None else PipelineParams.eps
-    m = args.m if args.m is not None else PipelineParams.m
-    d = args.d if args.d is not None else PipelineParams.d
+    params = _params_from(args)
+    m, d, eps = params.m, params.d, params.eps
 
     if args.cmd == "constants":
         delta = args.delta if args.delta is not None else 1
-        if not float(delta).is_integer():
-            raise DomainError(f"constants needs an integral --delta, got {delta}")
-        derived = derive_constants(m, d, eps, int(delta))
+        if not (float(delta).is_integer() and delta >= 1):
+            raise DomainError(f"constants needs an integral --delta >= 1, got {delta}")
+        derived = params._constants(int(delta))
         out = {"lam": derived.lam, "M": derived.M, "p": derived.p,
                "m": m, "d": d, "eps": str(eps), "delta": int(delta)}
         if args.json:
@@ -337,24 +316,18 @@ def cmd_bounds(args) -> int:
             print(f"lam={derived.lam:.6f} M={derived.M} p={derived.p:.6f}")
         return 0
 
-    lam = args.lam
-    big_m = args.M
-    if lam is None or big_m is None:
-        derived = derive_constants(m, d, eps, 1)
-        lam = lam if lam is not None else derived.lam
-        big_m = big_m if big_m is not None else derived.M
-
+    derived = params._constants(1)  # lam and M do not depend on delta
     if args.cmd == "c0":
-        report = bounds_mod.compute_c0(m, eps, lam, big_m)
+        report = bounds_mod.compute_c0(m, eps, derived.lam, derived.M)
     elif args.search_lo is not None or args.search_hi is not None:
         if args.search_lo is None or args.search_hi is None:
             raise DomainError("searching requires both --search-lo and --search-hi")
-        report = bounds_mod.find_feasible_delta(m, d, eps, lam, big_m,
+        report = bounds_mod.find_feasible_delta(m, d, eps, derived.lam, derived.M,
                                                 args.search_lo, args.search_hi)
     else:
         if args.delta is None and args.ln_delta is None:
             raise DomainError("lll requires --delta or --ln-delta (or a search range)")
-        report = bounds_mod.lll_asymmetric_check(m, d, eps, lam, big_m,
+        report = bounds_mod.lll_asymmetric_check(m, d, eps, derived.lam, derived.M,
                                                  delta=args.delta,
                                                  ln_delta=args.ln_delta)
     out = _finite_or_null({
@@ -543,10 +516,10 @@ def main(argv=None) -> int:
         return 2
     if args.seed is not None and args.cmd_name not in SEEDED_COMMANDS:
         print(f"warning: --seed has no effect for {args.cmd_name}", file=sys.stderr)
+        args.seed = None
     try:
         return args.func(args)
-    except (Graph6Error, DimacsError, DocumentError, DomainError,
-            CapacityError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable
 
 import numpy as np
@@ -39,7 +40,8 @@ class Graph:
     """Simple undirected graph on vertices ``0 .. n-1``.
 
     ``edges`` is a sorted tuple of sorted pairs; adjacency lists and the
-    maximum degree are built once at construction. Instances are immutable.
+    maximum degree are built once at construction, the degree split on its
+    first request. Instances are immutable.
     """
 
     n: int
@@ -81,6 +83,12 @@ class Graph:
     def incident_edges(self, v: int) -> list[Edge]:
         return [normalize_edge(v, w) for w in self.adjacency[v]]
 
+    @cached_property
+    def _split(self) -> DegreeSplit:
+        low = frozenset(v for v in range(self.n)
+                        if 2 * self.degree(v) <= self.max_degree)
+        return DegreeSplit(low=low, high=frozenset(range(self.n)) - low)
+
 
 @dataclass(frozen=True)
 class DegreeSplit:
@@ -94,10 +102,10 @@ def degree_split(g: Graph) -> DegreeSplit:
     """Split by the exact integer test: v is low iff 2*deg(v) <= max degree.
 
     An edgeless graph has every vertex low; any vertex of maximum degree
-    at least one is high.
+    at least one is high. Each graph computes its split once; later calls
+    return the same object.
     """
-    low = frozenset(v for v in range(g.n) if 2 * g.degree(v) <= g.max_degree)
-    return DegreeSplit(low=low, high=frozenset(range(g.n)) - low)
+    return g._split
 
 
 # ---------------------------------------------------------------------------

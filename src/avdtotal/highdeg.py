@@ -32,7 +32,7 @@ import numpy as np
 
 from .bounds import DerivedConstants, derive_constants
 from .coloring import TotalColoring, star_masks
-from .graphs import DegreeSplit, Edge, Graph, degree_split, normalize_edge
+from .graphs import Edge, Graph, degree_split, normalize_edge
 from .rng import substream
 
 BULK_STREAM = "bulk-deletion"
@@ -68,8 +68,9 @@ class PipelineParams:
     """Tunable knobs for both deletion stages.
 
     eps and alpha are exact fractions so threshold comparisons like
-    count > eps * max_degree never hit floating-point ties. lam and M
-    default to the values derived from m and eps; overriding one leaves the
+    count > eps * max_degree never hit floating-point ties; alpha <= 1/2
+    keeps every high vertex above alpha * max_degree. lam and M default
+    to the values derived from m and eps; overriding one leaves the
     other consistent (M follows an overridden lam unless also overridden).
     """
 
@@ -97,8 +98,8 @@ class PipelineParams:
             raise ValueError("eps must lie strictly between 0 and 1")
         if self.lam is None:  # resolve derives lam and M from m and eps
             derive_constants(self.m, self.d, self.eps, 1)
-        if not self.alpha > 0:
-            raise ValueError("alpha must be positive")
+        if not 0 < self.alpha <= Fraction(1, 2):
+            raise ValueError(f"alpha must lie in (0, 1/2], got {self.alpha}")
         if self.B < 2:
             raise ValueError("B must be at least 2")
         if self.lam is not None:
@@ -122,7 +123,10 @@ class PipelineParams:
 
     def resolve(self, g: Graph) -> DerivedConstants:
         """Fix lam, M, and the sampling probability for one graph."""
-        delta = g.max_degree
+        return self._constants(g.max_degree)
+
+    def _constants(self, delta: int) -> DerivedConstants:
+        """lam, M, and the sampling probability at max degree delta."""
         if self.lam is not None:
             lam = float(self.lam)
         else:
@@ -217,10 +221,7 @@ def _resample(evaluate: Callable[[], tuple[Callable[[], EdgeSelection], list]],
 
 def candidate_edges(g: Graph) -> list[Edge]:
     """Edges with at least one high-degree endpoint, in sorted order."""
-    return _edges_at(g, degree_split(g).high)
-
-
-def _edges_at(g: Graph, high: frozenset[int]) -> list[Edge]:
+    high = degree_split(g).high
     return [e for e in g.edges if e[0] in high or e[1] in high]
 
 
@@ -329,8 +330,7 @@ class _BulkCheck:
 
 
 def find_bulk_deletion(g: Graph, phi: TotalColoring,
-                       params: PipelineParams | None = None, *,
-                       split: DegreeSplit | None = None) -> SelectionResult:
+                       params: PipelineParams | None = None) -> SelectionResult:
     """Search for a bulk selection with no bad events by resampling.
 
     Each round rechecks; a violated round resamples only the candidate-edge
@@ -340,13 +340,12 @@ def find_bulk_deletion(g: Graph, phi: TotalColoring,
     search stops once the best round has no other event. Rounds hold their
     selection as a boolean array over the candidate edges; only the
     returned one becomes an EdgeSelection. phi must be a proper total
-    colouring of g; split, when given, must be ``degree_split(g)``.
+    colouring of g.
     """
     params = params or PipelineParams()
     resolved = params.resolve(g)
-    high = (split or degree_split(g)).high
-    cands = _edges_at(g, high)
-    check = _BulkCheck(g, phi, high, cands,
+    cands = candidate_edges(g)
+    check = _BulkCheck(g, phi, degree_split(g).high, cands,
                        params.m, params.d, params.eps)
     ends = np.array(cands, dtype=np.int64).reshape(-1, 2)
     cu, cv = ends[:, 0], ends[:, 1]
@@ -405,12 +404,10 @@ def find_bulk_deletion(g: Graph, phi: TotalColoring,
 # ---------------------------------------------------------------------------
 # patch stage
 
-def light_vertices(g: Graph, selection: EdgeSelection, m: int, *,
-                   split: DegreeSplit | None = None) -> frozenset[int]:
-    """High vertices holding fewer than m selected edges; split, when
-    given, must be ``degree_split(g)``."""
-    high = (split or degree_split(g)).high
-    return frozenset(v for v in high if selection.per_vertex_count[v] < m)
+def light_vertices(g: Graph, selection: EdgeSelection, m: int) -> frozenset[int]:
+    """High vertices holding fewer than m selected edges."""
+    return frozenset(v for v in degree_split(g).high
+                     if selection.per_vertex_count[v] < m)
 
 
 class _PatchCheck:

@@ -10,7 +10,7 @@ permanently: later steps only apply the same argument at other vertices.
 from __future__ import annotations
 
 from .coloring import TotalColoring, star_masks
-from .graphs import DegreeSplit, Graph, degree_split
+from .graphs import Graph, degree_split
 
 
 def _forbidden(g: Graph, vertex_colors: list[int], masks: list[int], u: int) -> int:
@@ -37,12 +37,11 @@ def _forbidden(g: Graph, vertex_colors: list[int], masks: list[int], u: int) -> 
     return out
 
 
-def distinguish_low_degree(g: Graph, phi: TotalColoring, *,
-                           split: DegreeSplit | None = None) -> TotalColoring:
+def distinguish_low_degree(g: Graph, phi: TotalColoring) -> TotalColoring:
     """Recolour low-degree vertices until each differs from all neighbours.
 
-    phi must be a proper total colouring of g; split, when given, must be
-    ``degree_split(g)``. Edge colours and high-degree vertex colours are
+    phi must be a proper total colouring of g; the low vertices are those
+    of ``degree_split(g)``. Edge colours and high-degree vertex colours are
     never touched; the palette budget k stays fixed. One ascending pass
     over the low vertices gives each undistinguished one the smallest
     allowed colour. No recolouring can undo an earlier one, because the
@@ -54,7 +53,7 @@ def distinguish_low_degree(g: Graph, phi: TotalColoring, *,
     vcols = list(phi.vertex_colors)
     masks = star_masks(g, phi)
     changed = False
-    for u in sorted((split or degree_split(g)).low):
+    for u in sorted(degree_split(g).low):
         if all(masks[u] != masks[w] for w in g.adjacency[u]):
             continue
         # colours start at 1, so bit 0 counts as taken; the lowest clear

@@ -14,7 +14,7 @@ import time
 from dataclasses import asdict, dataclass
 
 from .coloring import TotalColoring, _proper, star_masks, violations
-from .graphs import Edge, Graph, degree_split, normalize_edge
+from .graphs import Edge, Graph, normalize_edge
 from .highdeg import (PipelineParams, find_bulk_deletion,
                       find_patch_deletion, light_vertices)
 from .lowdeg import distinguish_low_degree
@@ -172,12 +172,11 @@ def run_pipeline(g: Graph, phi: TotalColoring | None = None,
         return phi, report
 
     start = time.perf_counter()
-    split = degree_split(g)
-    bulk = find_bulk_deletion(g, phi, params, split=split)
+    bulk = find_bulk_deletion(g, phi, params)
     timings["bulk"] = time.perf_counter() - start
 
     start = time.perf_counter()
-    light = light_vertices(g, bulk.selection, params.m, split=split)
+    light = light_vertices(g, bulk.selection, params.m)
     patch = find_patch_deletion(g, phi, bulk.selection, light, params)
     timings["patch"] = time.perf_counter() - start
 
@@ -187,7 +186,7 @@ def run_pipeline(g: Graph, phi: TotalColoring | None = None,
     timings["recolor"] = time.perf_counter() - start
 
     start = time.perf_counter()
-    lowered = distinguish_low_degree(g, recolored, split=split)
+    lowered = distinguish_low_degree(g, recolored)
     timings["low_degree"] = time.perf_counter() - start
 
     start = time.perf_counter()

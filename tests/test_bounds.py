@@ -143,6 +143,13 @@ class TestDeriveConstants:
         with pytest.raises(DomainError):
             derive_constants(8.0, 4, Fraction(1, 3), 10)
 
+    @pytest.mark.parametrize("delta", [2 ** 1024, 10 ** 400])
+    def test_integer_delta_beyond_float_range_evaluates(self, delta):
+        # lam / delta raised OverflowError converting delta to a float
+        dc = derive_constants(8, 4, Fraction(1, 3), delta)
+        assert dc.lam == derive_constants(8, 4, Fraction(1, 3), 100).lam
+        assert dc.p == float(mpmath.mpf(dc.lam) / delta)
+
 
 class TestComputeC0:
     def test_frozen_default_value(self):
@@ -198,6 +205,14 @@ class TestComputeC0:
     def test_beyond_float_range_names_field(self, kwargs):
         with pytest.raises(DomainError, match="^m or M "):
             compute_c0(eps=Fraction(1, 3), lam=49.0, **kwargs)
+
+    def test_underflowing_c0_names_eps(self):
+        # the squared deficit (eps/3)**2 underflows, so c0 is 0.0 and its
+        # log raised a bare math domain error
+        eps = Fraction(1, 10 ** 200)
+        dc = derive_constants(8, 4, eps, 1)
+        with pytest.raises(DomainError, match="^eps "):
+            compute_c0(8, eps, dc.lam, dc.M)
 
     def test_huge_lam_evaluates(self):
         # (m - lam/2)**2 overflows a float; the tail's log, -2.5e299, does not

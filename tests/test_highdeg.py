@@ -12,7 +12,7 @@ from avdtotal import (BadEvent, EdgeSelection, Graph, PipelineParams,
                       cycle_graph, degree_split, find_bulk_deletion,
                       find_patch_deletion, greedy_total, light_vertices,
                       random_gnp, run_pipeline, star_graph, substream)
-from avdtotal import highdeg, lowdeg, pipeline
+from avdtotal import graphs
 from avdtotal.highdeg import _BulkCheck, _PatchCheck
 
 from helpers import (hub_graph, reference_bulk_events, reference_bulk_first_round,
@@ -94,9 +94,9 @@ class TestPipelineParams:
             Fraction(1, 3), 8, 4, Fraction(1, 2), 2)
 
     def test_fraction_coercion(self):
-        p = PipelineParams(eps="1/4", alpha=0.75)
+        p = PipelineParams(eps="1/4", alpha=0.25)
         assert p.eps == Fraction(1, 4)
-        assert p.alpha == Fraction(3, 4)
+        assert p.alpha == Fraction(1, 4)
 
     @pytest.mark.parametrize("kwargs", [
         dict(m=7, d=4),           # m < d + 4
@@ -105,6 +105,7 @@ class TestPipelineParams:
         dict(eps=Fraction(1)),
         dict(alpha=Fraction(0)),
         dict(alpha=Fraction(-1, 2)),
+        dict(alpha=Fraction(3, 4)),  # a light vertex may sit below alpha*Δ
         dict(B=1),
         dict(lam=0.0),
         dict(M=0),
@@ -200,23 +201,22 @@ class TestCandidatesAndSampling:
         g = cycle_graph(5)
         assert candidate_edges(g) == list(g.edges)
 
-    def test_one_degree_split_per_bulk_search(self, monkeypatch):
-        calls = []
-
-        def counted(g):
-            calls.append(g)
-            return degree_split(g)
-
-        for module in (highdeg, lowdeg, pipeline):
-            monkeypatch.setattr(module, "degree_split", counted)
+    def test_one_degree_split_per_graph(self, monkeypatch):
         g = random_gnp(60, 0.5, 0)
-        find_bulk_deletion(g, greedy_total(g), PipelineParams(seed=0))
-        assert len(calls) == 1
-        # the pipeline splits once and hands the split to every phase
-        calls.clear()
-        _, report = run_pipeline(g, params=PipelineParams(seed=0))
+        assert degree_split(g) is degree_split(g)
+        # a fresh graph computes its split once for every phase of the run
+        built = []
+
+        class Counted(graphs.DegreeSplit):
+            def __init__(self, *args, **kwargs):
+                built.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(graphs, "DegreeSplit", Counted)
+        _, report = run_pipeline(random_gnp(60, 0.5, 0),
+                                 params=PipelineParams(seed=0))
         assert not report.short_circuit
-        assert len(calls) == 1
+        assert len(built) == 1
 
     def test_sample_extremes(self):
         # K_5 has max degree 4 < lam, so p = 1; a tiny lam makes p ~ 1e-13
