@@ -34,12 +34,12 @@ def main():
     for note in check.notes:
         print(f"  note: {note}")
 
-    # with the compact override constants, feasibility needs a degree
-    # whose logarithm is astronomically large
+    # even with the compact override constants, feasibility needs a degree
+    # whose logarithm is astronomically large: ln(max degree) ~ 4.25e57
     rep = find_feasible_delta(8, 4, Fraction(1, 3), 34.0, 81, math.log(2), 1e60)
     star = rep.details["ln_delta_star"]
     print(f"\noverride constants lam=34 M=81 become feasible at "
-          f"ln(max degree) ~ {star:.3g} (10^{math.log10(star):.1f})")
+          f"ln(max degree) ~ {star:.3g} (10^{math.log10(star):.2f})")
 
 
 if __name__ == "__main__":

@@ -10,6 +10,7 @@ floats (for example (e*lam/M)**M at M = 268) are kept as logarithms.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
@@ -54,23 +55,34 @@ class DerivedConstants:
     p: float
 
 
-def _as_float(x: Real) -> float:
-    return float(x)
+def _mean(n: int, p: Real) -> tuple[float, float]:
+    """n*p and ln(n*p) as floats from the exact product, the log finite even
+    where n*p underflows; DomainError naming n*p where it overflows."""
+    if n < 1:
+        raise DomainError("n must be a positive integer")
+    if not 0 < p < 1:
+        raise DomainError("p must lie strictly between 0 and 1")
+    mean = n * Fraction(p)
+    if mean > sys.float_info.max:
+        raise DomainError("n*p is too large: it must be a finite float")
+    np_ = float(mean)
+    return np_, (math.log(np_) if np_ >= sys.float_info.min
+                 else math.log(mean.numerator) - math.log(mean.denominator))
 
 
 def binom_upper_tail_log(n: int, p: Real, m: int) -> float:
     """ln of the upper-tail bound exp(m - n*p) * (n*p/m)**m.
 
-    Bounds P[Binomial(n, p) >= m]; valid for n*p < m < n.
+    Bounds P[Binomial(n, p) >= m]; valid for n*p < m < n, its log a finite float.
     """
-    if n < 1:
-        raise DomainError("n must be a positive integer")
-    if not 0 < p < 1:
-        raise DomainError("p must lie strictly between 0 and 1")
-    np_ = float(n * p)
+    np_, ln_np = _mean(n, p)
     if not np_ < m < n:
         raise DomainError(f"m must satisfy n*p < m < n, got m={m} with n*p={np_}")
-    return (m - np_) + m * (math.log(np_) - math.log(m))
+    log_bound = (-math.inf if m > sys.float_info.max
+                 else (m - np_) + m * (ln_np - math.log(m)))
+    if log_bound == -math.inf:
+        raise DomainError("m is too large for n*p: the log bound leaves float range")
+    return log_bound
 
 
 def binom_upper_tail_bound(n: int, p: Real, m: int) -> float:
@@ -81,16 +93,15 @@ def binom_upper_tail_bound(n: int, p: Real, m: int) -> float:
 def binom_lower_tail_log(n: int, p: Real, m: int) -> float:
     """ln of the lower-tail bound exp(-(m - n*p)**2 / (2*n*p)).
 
-    Bounds P[Binomial(n, p) <= m]; valid for 0 < m < n*p.
+    Bounds P[Binomial(n, p) <= m]; valid for 0 < m < n*p, n*p a finite float.
     """
-    if n < 1:
-        raise DomainError("n must be a positive integer")
-    if not 0 < p < 1:
-        raise DomainError("p must lie strictly between 0 and 1")
-    np_ = float(n * p)
+    np_, _ = _mean(n, p)
     if not 0 < m < np_:
         raise DomainError(f"m must satisfy 0 < m < n*p, got m={m} with n*p={np_}")
-    return -((m - np_) ** 2) / (2.0 * np_)
+    try:
+        return -((m - np_) ** 2) / (2.0 * np_)
+    except OverflowError:  # the square leaves float range, the bound does not
+        return -((np_ - m) / 2.0) * ((np_ - m) / np_)
 
 
 def binom_lower_tail_bound(n: int, p: Real, m: int) -> float:
@@ -108,7 +119,7 @@ def derive_constants(m: int, d: int, eps: Real, delta: int) -> DerivedConstants:
         raise DomainError("eps must lie strictly between 0 and 1")
     if delta < 1:
         raise DomainError("delta must be at least 1")
-    eps_f = _as_float(eps)
+    eps_f = float(eps)
     if eps_f == 0 or 3.0 / eps_f == math.inf:
         raise DomainError("eps is too small: 3/eps overflows a float")
     try:
@@ -142,7 +153,7 @@ def compute_c0(m: int, eps: Real, lam: float, M: int) -> BoundReport:
         divisors = (float(M), float(M) ** 3, float(m))
     except OverflowError:
         raise DomainError("m or M is too large: m and M**3 must be finite floats") from None
-    eps_f = _as_float(eps)
+    eps_f = float(eps)
     third = eps_f / 3.0
     ln_lam, ln_m_cap = math.log(lam), math.log(M)
     # tails in log-space; each exponentiation may harmlessly underflow to 0
@@ -157,10 +168,8 @@ def compute_c0(m: int, eps: Real, lam: float, M: int) -> BoundReport:
     ln_tails = (ln_tail_cap, ln_tail_neighbour, ln_tail_under)
     deficits = tuple(third - math.exp(min(lt, 700.0)) for lt in ln_tails)
     notes = ["the undersample tail uses the squared-exponent lower-tail form"]
-    details = {
-        "deficits": dict(zip(names, deficits)),
-        "ln_tails": dict(zip(names, ln_tails)),
-    }
+    details = {"deficits": dict(zip(names, deficits)),
+               "ln_tails": dict(zip(names, ln_tails))}
     inputs = {"m": m, "eps": eps, "lam": lam, "M": M}
     failing = [name for name, t in zip(names, deficits) if t <= 0]
     if failing:
@@ -176,19 +185,18 @@ def compute_c0(m: int, eps: Real, lam: float, M: int) -> BoundReport:
                        feasible=True, notes=tuple(notes), details=details)
 
 
-def _pow_log1m(exponent: int, ln_delta: float, ln_gamma: float) -> float:
-    """delta**exponent * ln(1 - gamma) with gamma given as ln_gamma.
+def _pow_log1m(exponent: int, ln_delta: float, ln_scale: float) -> float:
+    """delta**exponent * ln(1 - gamma) for gamma = exp(ln_scale) / delta**5.
 
     For tiny gamma the first-order series -delta**exponent * gamma is exact
-    to within 1e-9 relative error and avoids overflowing delta**exponent.
+    to within 1e-9 relative error. Its exponent is taken with the ln_delta
+    terms already cancelled, ln_scale + (exponent - 5) * ln_delta, so it
+    neither overflows nor loses them to rounding.
     """
+    ln_gamma = ln_scale - 5.0 * ln_delta
     if ln_gamma < _SERIES_CUTOFF:
-        try:
-            return -math.exp(exponent * ln_delta + ln_gamma)
-        except OverflowError:
-            return -math.inf
-    gamma = math.exp(ln_gamma)
-    return math.exp(exponent * ln_delta) * math.log1p(-gamma)
+        return -math.exp(ln_scale + (exponent - 5) * ln_delta)
+    return math.exp(exponent * ln_delta) * math.log1p(-math.exp(ln_gamma))
 
 
 def lll_asymmetric_check(m: int, d: int, eps: Real, lam: float, M: int,
@@ -202,8 +210,11 @@ def lll_asymmetric_check(m: int, d: int, eps: Real, lam: float, M: int,
             >= 2**(2M+d) * (lam/delta)**(m-d+1)   and
         gamma2 * (1-gamma1)**delta**5 * (1-gamma2)**delta**5
             >= 3 * exp(-c0 * delta)
-    hold. Margins are differences of logarithms; delta may be supplied as
-    ln_delta for magnitudes far beyond float range.
+    hold. Margins are differences of logarithms with the ln_delta terms
+    cancelled exactly: the pair margin is ln ln delta + (m-d-4) ln delta
+    + delta**4 ln((1-gamma1)(1-gamma2)) - (2M+d) ln 2 - (m-d+1) ln lam, and
+    the vertex margin is +inf once c0*delta overflows a float. delta may be
+    supplied as ln_delta for magnitudes far beyond float range.
     """
     if (delta is None) == (ln_delta is None):
         raise DomainError("supply exactly one of delta or ln_delta")
@@ -224,44 +235,39 @@ def lll_asymmetric_check(m: int, d: int, eps: Real, lam: float, M: int,
                            feasible=False, notes=notes,
                            details={"c0": c0_report.details})
     c0 = c0_report.value
-    ln_gamma1 = math.log(ln_delta) - 5.0 * ln_delta
+    ln_ln_delta = math.log(ln_delta)
+    ln_gamma1 = ln_ln_delta - 5.0 * ln_delta
     ln_gamma2 = -5.0 * ln_delta
-    shrink4 = _pow_log1m(4, ln_delta, ln_gamma1) + _pow_log1m(4, ln_delta, ln_gamma2)
-    shrink5 = _pow_log1m(5, ln_delta, ln_gamma1) + _pow_log1m(5, ln_delta, ln_gamma2)
-    rhs_pair = (2 * M + d) * LN2 + (m - d + 1) * (math.log(lam) - ln_delta)
-    margin_pair = (ln_gamma1 + shrink4) - rhs_pair
+    shrink4 = _pow_log1m(4, ln_delta, ln_ln_delta) + _pow_log1m(4, ln_delta, 0.0)
+    shrink5 = _pow_log1m(5, ln_delta, ln_ln_delta) + _pow_log1m(5, ln_delta, 0.0)
+    margin_pair = (ln_ln_delta + (m - d - 4) * ln_delta + shrink4
+                   - (2 * M + d) * LN2 - (m - d + 1) * math.log(lam))
     try:
-        delta_linear = math.exp(ln_delta)
-    except OverflowError:
-        delta_linear = math.inf
-    rhs_vertex = LN3 - c0 * delta_linear
-    margin_vertex = (ln_gamma2 + shrink5) - rhs_vertex
+        margin_vertex = (ln_gamma2 + shrink5) - (LN3 - c0 * math.exp(ln_delta))
+    except OverflowError:  # c0*delta outgrows every other term
+        margin_vertex = math.inf
     feasible = margin_pair >= 0 and margin_vertex >= 0
     notes = []
     if margin_pair < 0:
         notes.append("pair-event inequality fails at this delta")
     if margin_vertex < 0:
         notes.append("vertex-event inequality fails at this delta")
-    details = {
-        "margin_pair": margin_pair,
-        "margin_vertex": margin_vertex,
-        "ln_gamma1": ln_gamma1,
-        "ln_gamma2": ln_gamma2,
-        "c0": c0,
-    }
+    details = {"margin_pair": margin_pair, "margin_vertex": margin_vertex,
+               "ln_gamma1": ln_gamma1, "ln_gamma2": ln_gamma2, "c0": c0}
     return BoundReport(inputs=inputs, value=None,
                        log_value=min(margin_pair, margin_vertex),
                        feasible=feasible, notes=tuple(notes), details=details)
 
 
 def find_feasible_delta(m: int, d: int, eps: Real, lam: float, M: int,
-                        lo_ln_delta: float, hi_ln_delta: float,
-                        tol: float = 1e-6, max_iter: int = 500) -> BoundReport:
-    """Smallest ln(delta) in [lo, hi] where both inequalities hold, by bisection.
+                        lo_ln_delta: float, hi_ln_delta: float) -> BoundReport:
+    """Smallest ln(delta) in [lo, hi] where both inequalities hold, by
+    bisection on ln(ln delta).
 
     Assumes (and spot-checks) that feasibility is monotone over the supplied
-    range: infeasible at lo, feasible at hi. Returns the bracketing result in
-    details["ln_delta_star"].
+    range: infeasible at lo, feasible at hi. Each geometric midpoint halves
+    the bracket's log-ratio, so any float bracket closes to adjacent floats
+    in about 60 steps, returned in details["ln_delta_star"].
     """
     if not LN2 <= lo_ln_delta < hi_ln_delta < math.inf:
         raise DomainError("need ln2 <= lo_ln_delta < hi_ln_delta, both finite")
@@ -288,10 +294,10 @@ def find_feasible_delta(m: int, d: int, eps: Real, lam: float, M: int,
                            notes=("infeasible across the whole range",),
                            details={})
     lo, hi = lo_ln_delta, hi_ln_delta
-    for _ in range(max_iter):
-        if hi - lo <= tol * max(1.0, abs(hi)):
+    while True:
+        mid = math.sqrt(lo) * math.sqrt(hi)
+        if not lo < mid < hi:
             break
-        mid = 0.5 * (lo + hi)
         if feasible_at(mid):
             hi = mid
         else:

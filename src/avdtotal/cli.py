@@ -36,6 +36,17 @@ from .vizing import vizing_color
 SEEDED_COMMANDS = {"color", "select-e1", "select-e2", "bench"}
 
 
+def _fraction(text: str) -> Fraction:
+    """Fraction(text), with a zero denominator an argparse invalid value."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(text) from None
+
+
+_fraction.__name__ = "Fraction"  # argparse names the type in its message
+
+
 def _emit(obj) -> None:
     print(json.dumps(obj, sort_keys=True, allow_nan=False))
 
@@ -287,10 +298,9 @@ def cmd_bounds(args) -> int:
         for name in ("n", "p", "m"):
             if getattr(args, name) is None:
                 raise DomainError(f"tail bound requires --{name}")
-        if args.tail == "upper":
-            log_bound = bounds_mod.binom_upper_tail_log(args.n, args.p, args.m)
-        else:
-            log_bound = bounds_mod.binom_lower_tail_log(args.n, args.p, args.m)
+        tail_log = (bounds_mod.binom_upper_tail_log if args.tail == "upper"
+                    else bounds_mod.binom_lower_tail_log)
+        log_bound = tail_log(args.n, args.p, args.m)
         out = {"tail": args.tail, "n": args.n, "p": str(args.p), "m": args.m,
                "bound": math.exp(log_bound), "log_bound": log_bound}
         if args.json:
@@ -317,6 +327,9 @@ def cmd_bounds(args) -> int:
         return 0
 
     derived = params._constants(1)  # lam and M do not depend on delta
+    if params.M is None and derived.M ** 3 > sys.float_info.max:
+        raise DomainError("M is too large: M**3 must be a finite float; without "
+                          "--M, M = ceil(2e*lam) follows lam (--lambda, or m and eps)")
     if args.cmd == "c0":
         report = bounds_mod.compute_c0(m, eps, derived.lam, derived.M)
     elif args.search_lo is not None or args.search_hi is not None:
@@ -424,10 +437,10 @@ def build_parser() -> argparse.ArgumentParser:
                         help="colouring document JSON (default: stdin)")
 
     tunables = argparse.ArgumentParser(add_help=False)
-    tunables.add_argument("--eps", type=Fraction, default=None)
+    tunables.add_argument("--eps", type=_fraction, default=None)
     tunables.add_argument("--m", type=int, default=None)
     tunables.add_argument("--d", type=int, default=None)
-    tunables.add_argument("--alpha", type=Fraction, default=None)
+    tunables.add_argument("--alpha", type=_fraction, default=None)
     tunables.add_argument("--B", type=int, default=None)
     tunables.add_argument("--lambda", dest="lam", type=float, default=None)
     tunables.add_argument("--M", type=int, default=None)
@@ -483,10 +496,10 @@ def build_parser() -> argparse.ArgumentParser:
                    required=True)
     p.add_argument("--tail", choices=("upper", "lower"), default="upper")
     p.add_argument("--n", type=int, default=None)
-    p.add_argument("--p", type=Fraction, default=None)
+    p.add_argument("--p", type=_fraction, default=None)
     p.add_argument("--m", type=int, default=None)
     p.add_argument("--d", type=int, default=None)
-    p.add_argument("--eps", type=Fraction, default=None)
+    p.add_argument("--eps", type=_fraction, default=None)
     p.add_argument("--lambda", dest="lam", type=float, default=None)
     p.add_argument("--M", type=int, default=None)
     p.add_argument("--delta", type=float, default=None)

@@ -24,7 +24,6 @@ import math
 import operator
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import partial, reduce
 from numbers import Real
 from typing import Callable
 
@@ -179,40 +178,37 @@ class SelectionResult:
     forced: tuple[int, ...] = ()
 
 
-def _selection(edges: list[Edge], idx: np.ndarray, counts: np.ndarray) -> EdgeSelection:
-    return EdgeSelection(frozenset(map(edges.__getitem__, idx.tolist())),
-                         tuple(counts.tolist()))
-
-
-def _resample(evaluate: Callable[[], tuple[Callable[[], EdgeSelection], list]],
+def _resample(edges: list[Edge],
+              evaluate: Callable[[], tuple[np.ndarray, np.ndarray, list[BadEvent]]],
               resample: Callable[[list[BadEvent]], None],
               params: PipelineParams, fixed: bool, floor: int) -> SelectionResult:
     """The round loop of both stages.
 
-    evaluate() checks the current draw: it returns the draw's bad events
-    and a function building its EdgeSelection, called only for the round
-    returned. The first round without events is returned; otherwise the
-    earliest round with the fewest events is, once the search stops: at the
-    round cap, the stall cap, a fixed draw, or the forced floor. floor is a
-    lower bound on every round's event count, so a best round that reaches
-    it can never be replaced. Every other round ends with resample(events).
+    evaluate() checks the current draw: it returns the draw's indices into
+    ``edges``, its per-vertex counts and its bad events. The first round
+    without events is returned; otherwise the earliest round with the
+    fewest events is, once the search stops: at the round cap, the stall
+    cap, a fixed draw, or the forced floor. floor is a lower bound on every
+    round's event count, so a best round that reaches it can never be
+    replaced. Every other round ends with resample(events). Only the
+    returned round becomes an EdgeSelection.
     """
-    best: tuple[Callable[[], EdgeSelection], tuple[BadEvent, ...]] | None = None
-    rounds = 0
-    stall = 0
+    best: tuple[np.ndarray, np.ndarray, tuple[BadEvent, ...]] | None = None
+    rounds = stall = 0
     while True:
-        selection, violations = evaluate()
+        indices, counts, violations = evaluate()
         rounds += 1
-        if not violations:
-            return SelectionResult(selection(), True, rounds, ())
-        if best is None or len(violations) < len(best[1]):
-            best = (selection, tuple(violations))
+        if best is None or len(violations) < len(best[2]):
+            best = (indices, counts, tuple(violations))
             stall = 0
         else:
             stall += 1
-        if (rounds >= params.max_rounds or stall >= params.stall_rounds or fixed
-                or len(best[1]) <= floor):
-            return SelectionResult(best[0](), False, rounds, best[1])
+        if (not violations or rounds >= params.max_rounds
+                or stall >= params.stall_rounds or fixed or len(best[2]) <= floor):
+            indices, counts, violations = best
+            chosen = frozenset(map(edges.__getitem__, indices.tolist()))
+            selection = EdgeSelection(chosen, tuple(counts.tolist()))
+            return SelectionResult(selection, not violations, rounds, violations)
         resample(violations)
 
 
@@ -231,41 +227,31 @@ class _StarSets:
     A vertex's restricted set is its ``star_masks`` closed-star mask with
     the colours of its deleted edges cleared. phi is proper, so the colours
     of a closed star are distinct and each deleted edge's colour is set
-    there exactly once: clearing them is one XOR with their OR. ``deleted``
+    there exactly once: clearing it is one XOR at each endpoint. ``deleted``
     is a boolean array over ``edges``; the set is exact at every vertex all
-    of whose edges are listed.
+    of whose edges are listed. The star masks are computed on first use.
     """
 
     def __init__(self, g: Graph, phi: TotalColoring, edges: list[Edge]):
-        self.g, self.phi = g, phi
+        self.g, self.phi, self.edges = g, phi, edges
         self.bits = [1 << c for c in map(phi.edge_colors.__getitem__, edges)]
         self.incident: list[list[int]] = [[] for _ in range(g.n)]
         for i, (u, v) in enumerate(edges):
             self.incident[u].append(i)
             self.incident[v].append(i)
         self.stars: list[int] | None = None
-        self.arrays: dict[int, np.ndarray] = {}
 
-    def under(self, deleted: np.ndarray) -> Callable[[int], int]:
-        """Restricted sets under one deleted-edge array, each computed on
-        its first request."""
+    def under(self, deleted: np.ndarray) -> list[int]:
+        """Every vertex's restricted set under one deleted-edge array, in
+        one pass over the deleted edges."""
         if self.stars is None:
             self.stars = star_masks(self.g, self.phi)
-        stars, bits, arrays = self.stars, self.bits, self.arrays
-        cache: dict[int, int] = {}
-
-        def restricted(v: int) -> int:
-            mask = cache.get(v)
-            if mask is None:
-                idx = arrays.get(v)
-                if idx is None:
-                    idx = arrays[v] = np.array(self.incident[v], dtype=np.int64)
-                mask = cache[v] = reduce(
-                    operator.or_, map(bits.__getitem__, idx[deleted[idx]].tolist()),
-                    0) ^ stars[v]
-            return mask
-
-        return restricted
+        masks = self.stars.copy()
+        for i in np.flatnonzero(deleted).tolist():
+            u, v = self.edges[i]
+            masks[u] ^= self.bits[i]
+            masks[v] ^= self.bits[i]
+        return masks
 
 
 class _BulkCheck:
@@ -278,10 +264,10 @@ class _BulkCheck:
 
     A selection is a boolean array over the candidate edges ``cands`` with
     its per-vertex counts. A_pair can only fire at an edge joining
-    equal-degree high vertices, so those edges are listed up front and
-    restricted colour sets are computed only at their endpoints, and only
-    when a selection count lets the event fire; every edge at a high vertex
-    is a candidate, so the candidate indices cover those stars. B_vertex
+    equal-degree high vertices, so those edges are listed up front, and the
+    restricted colour sets are computed, all in one pass over the selected
+    edges, only when a selection count lets the event fire; every edge at
+    a high vertex is a candidate, so the sets are exact there. B_vertex
     counts under-selected neighbours of every high vertex with one bincount
     over their concatenated adjacency lists.
 
@@ -321,10 +307,9 @@ class _BulkCheck:
         hot = np.flatnonzero((deg_sel[self.pair_ends] >= self.m).any(axis=1))
         if hot.size:
             restricted = self.sets.under(selected)
-            for j in hot.tolist():
-                u, v = self.pairs[j]
-                if (restricted(u) ^ restricted(v)).bit_count() < self.d:
-                    events.append(BadEvent("A_pair", (u, v)))
+            events = [BadEvent("A_pair", (u, v))
+                      for u, v in map(self.pairs.__getitem__, hot.tolist())
+                      if (restricted[u] ^ restricted[v]).bit_count() < self.d]
         events.extend(BadEvent("B_vertex", (v,)) for v in self._starved(deg_sel))
         return events
 
@@ -349,15 +334,6 @@ def find_bulk_deletion(g: Graph, phi: TotalColoring,
                        params.m, params.d, params.eps)
     ends = np.array(cands, dtype=np.int64).reshape(-1, 2)
     cu, cv = ends[:, 0], ends[:, 1]
-    incident = check.sets.incident
-    near: dict[int, np.ndarray] = {}
-
-    def indicators_near(w: int) -> np.ndarray:
-        """Candidate indices at w's closed neighbourhood, first-seen order."""
-        if w not in near:
-            seen = dict.fromkeys(i for x in (w, *g.adjacency[w]) for i in incident[x])
-            near[w] = np.fromiter(seen, dtype=np.int64, count=len(seen))
-        return near[w]
 
     def endpoint_counts(idx: np.ndarray) -> np.ndarray:
         return (np.bincount(cu[idx], minlength=g.n)
@@ -371,31 +347,20 @@ def find_bulk_deletion(g: Graph, phi: TotalColoring,
         keep = mask & (counts[cu] <= resolved.M) & (counts[cv] <= resolved.M)
         kept = np.flatnonzero(keep)
         deg_sel = endpoint_counts(kept)
-        return partial(_selection, cands, kept, deg_sel), check.events(keep, deg_sel)
-
-    # witness order, then first occurrence, decides which draw each
-    # indicator gets; a stalled search tends to meet the same witnesses
-    # round after round, so their index list is kept until they change
-    last: tuple[list[int], np.ndarray | None] = ([], None)
+        return kept, deg_sel, check.events(keep, deg_sel)
 
     def resample(violations: list[BadEvent]) -> None:
-        nonlocal last
-        witnesses = [w for event in violations for w in event.witness]
-        if witnesses != last[0]:
-            taken = np.zeros(len(cands), dtype=bool)
-            parts = []
-            for w in witnesses:
-                fresh = indicators_near(w)
-                fresh = fresh[~taken[fresh]]
-                taken[fresh] = True
-                parts.append(fresh)
-            last = (witnesses, np.concatenate(parts))
-        idx = last[1]
-        if idx.size:
-            mask[idx] = rng.random(idx.size) < resolved.p
+        # witness order, then first occurrence, decides which draw each
+        # indicator gets; a vertex met again adds none, so each is expanded once
+        near = dict.fromkeys(x for event in violations for w in event.witness
+                             for x in (w, *g.adjacency[w]))
+        redraw = dict.fromkeys(i for x in near for i in check.sets.incident[x])
+        idx = np.fromiter(redraw, dtype=np.int64, count=len(redraw))
+        mask[idx] = rng.random(idx.size) < resolved.p
 
-    # at p = 0 or 1 the draw is deterministic; resampling cannot change it
-    result = _resample(evaluate, resample, params,
+    # at p = 1, or at a lam/max_degree that underflows to p = 0, the draw
+    # is deterministic; resampling cannot change it
+    result = _resample(cands, evaluate, resample, params,
                        fixed=resolved.p >= 1.0 or resolved.p <= 0.0,
                        floor=len(check.forced))
     return replace(result, forced=check.forced)
@@ -448,7 +413,7 @@ class _PatchCheck:
             deleted[chosen] = True
             restricted = self.sets.under(deleted)
             events.extend(BadEvent("B2_pair", (u, v)) for u, v in self.light_pairs
-                          if restricted(u) == restricted(v))
+                          if restricted[u] == restricted[v])
         return events
 
 
@@ -497,7 +462,7 @@ def find_patch_deletion(g: Graph, phi: TotalColoring, bulk: EdgeSelection,
     def evaluate():
         chosen = picks.ravel().copy()
         counts = np.bincount(ends[chosen].ravel(), minlength=g.n)
-        return partial(_selection, edges, chosen, counts), check.events(chosen, counts)
+        return chosen, counts, check.events(chosen, counts)
 
     def resample(violations: list[BadEvent]) -> None:
         redraw = dict.fromkeys(row[x] for event in violations for w in event.witness
@@ -506,5 +471,5 @@ def find_patch_deletion(g: Graph, phi: TotalColoring, bulk: EdgeSelection,
             picks[r] = draw(r)
 
     # when every pool holds exactly B edges each draw is forced
-    return _resample(evaluate, resample, params,
+    return _resample(edges, evaluate, resample, params,
                      fixed=all(pool.size == params.B for pool in pools), floor=0)

@@ -6,6 +6,8 @@ of the library's log-space evaluation path.
 """
 
 import math
+import sys
+from dataclasses import astuple
 from fractions import Fraction
 
 import mpmath
@@ -21,6 +23,11 @@ from avdtotal import (DomainError, binom_lower_tail_bound,
 from helpers import exact_lower_tail, exact_upper_tail
 
 mpmath.mp.dps = 60
+
+# thresholds ln(delta*) of the local-lemma check at m = 8, d = 4, eps = 1/3,
+# where the oracle's pair margin changes sign (TestLllOracle)
+THRESHOLD_34_81 = 4.24985258040472e57             # lam = 34, M = 81
+THRESHOLD_DERIVED = 1.04144414750093e171          # derived lam, M = 268
 
 
 class TestUpperTail:
@@ -240,8 +247,13 @@ class TestAsymmetricLll:
                                     rep.details["margin_vertex"])
 
     def test_feasible_at_astronomic_delta(self):
+        # ln delta = 3e17 read as feasible while the pair margin was lost to
+        # float cancellation; its exact margin (see TestLllOracle) is -92.45
+        low = lll_asymmetric_check(8, 4, Fraction(1, 3), 34.0, 81, ln_delta=3e17)
+        assert low.feasible is False
+        assert low.details["margin_pair"] == pytest.approx(-92.4516757265, abs=1e-9)
         rep = lll_asymmetric_check(8, 4, Fraction(1, 3), 34.0, 81,
-                                   ln_delta=3e17)
+                                   ln_delta=1e60)
         assert rep.feasible is True
         assert rep.notes == ()
 
@@ -290,7 +302,7 @@ class TestFindFeasibleDelta:
                                   math.log(2.0), 1e60)
         assert rep.feasible is True
         star = rep.details["ln_delta_star"]
-        assert star == pytest.approx(2.3058441495519104e+17, rel=1e-4)
+        assert star == pytest.approx(THRESHOLD_34_81, rel=1e-6)
         assert lll_asymmetric_check(8, 4, Fraction(1, 3), 34.0, 81,
                                     ln_delta=star).feasible
         assert not lll_asymmetric_check(8, 4, Fraction(1, 3), 34.0, 81,
@@ -298,16 +310,17 @@ class TestFindFeasibleDelta:
 
     def test_derived_constants_eventually_feasible(self):
         rep = find_feasible_delta(8, 4, Fraction(1, 3), 49.23655574633871, 268,
-                                  math.log(2.0), 1e60)
+                                  math.log(2.0), 1e200)
         assert rep.feasible is True
         assert math.log10(rep.details["ln_delta_star"]) == pytest.approx(
-            17.9649, abs=1e-3)
+            171.0176, abs=1e-3)
 
     def test_feasible_at_lower_end(self):
-        rep = find_feasible_delta(8, 4, Fraction(1, 3), 34.0, 81, 1e18, 1e20)
+        # 1e18 lies below the threshold: its exact pair margin is -91.25
+        rep = find_feasible_delta(8, 4, Fraction(1, 3), 34.0, 81, 1e58, 1e60)
         assert rep.feasible is True
         assert any("lower end" in note for note in rep.notes)
-        assert rep.details["ln_delta_star"] == 1e18
+        assert rep.details["ln_delta_star"] == 1e58
 
     def test_infeasible_across_range(self):
         rep = find_feasible_delta(8, 4, Fraction(1, 3), 34.0, 81,
@@ -329,6 +342,109 @@ class TestFindFeasibleDelta:
     def test_non_finite_bracket(self, lo, hi):
         with pytest.raises(DomainError):
             find_feasible_delta(8, 4, Fraction(1, 3), 34.0, 81, lo, hi)
+
+
+def lll_oracle(m, d, lam, M, c0, ln_delta):
+    """(pair margin, vertex margin): ln(left side) - ln(right side) of the
+    two inequalities in lll_asymmetric_check's docstring, at 420 digits,
+    with delta = exp(ln_delta) and both gammas formed explicitly. Each side
+    is logged factor by factor, since powers like (1 - gamma)**delta**4
+    and exp(-c0 * delta) have no representable value once delta is
+    astronomic; nothing is cancelled by hand."""
+    with mpmath.workdps(420):
+        delta = mpmath.exp(mpmath.mpf(ln_delta))
+        gamma1 = mpmath.log(delta) / delta ** 5
+        gamma2 = 1 / delta ** 5
+        ln1m = mpmath.log(1 - gamma1), mpmath.log(1 - gamma2)
+        pair = (mpmath.log(gamma1) + delta ** 4 * sum(ln1m)
+                - ((2 * M + d) * mpmath.log(2) + (m - d + 1) * mpmath.log(lam / delta)))
+        vertex = (mpmath.log(gamma2) + delta ** 5 * sum(ln1m)
+                  - (mpmath.log(3) - mpmath.mpf(c0) * delta))
+        return pair, vertex
+
+
+def agrees(got: float, want) -> bool:
+    """got within relative 1e-9 of the oracle's want (absolute near zero);
+    a want beyond float range must be the infinity of its sign."""
+    if abs(want) > sys.float_info.max:
+        return got == math.copysign(math.inf, want)
+    return abs(got - float(want)) <= 1e-9 * max(1.0, abs(float(want)))
+
+
+# ln(delta) from ln 2 to 1e308, log-spaced
+LN_DELTA_SWEEP = [math.log(2.0) * (1e308 / math.log(2.0)) ** (i / 80) for i in range(81)]
+
+ORACLE_SHAPES = [(8, 4, 34.0, 81),
+                 (8, 4, *astuple(derive_constants(8, 4, Fraction(1, 3), 1))[:2]),
+                 (10, 4, *astuple(derive_constants(10, 4, Fraction(1, 3), 1))[:2])]
+
+THRESHOLDS = [(34.0, 81, THRESHOLD_34_81), (49.23655574633871, 268, THRESHOLD_DERIVED)]
+
+
+class TestLllOracle:
+    """lll_asymmetric_check and find_feasible_delta against 420-digit
+    evaluation of the inequalities, from ln(delta) = ln 2 to 1e308."""
+
+    @pytest.mark.parametrize("m,d,lam,M", ORACLE_SHAPES)
+    def test_margins_and_verdicts_over_sweep(self, m, d, lam, M):
+        c0 = compute_c0(m, Fraction(1, 3), lam, M).value
+        for ln_delta in LN_DELTA_SWEEP:
+            rep = lll_asymmetric_check(m, d, Fraction(1, 3), lam, M, ln_delta=ln_delta)
+            pair, vertex = lll_oracle(m, d, lam, M, c0, ln_delta)
+            assert agrees(rep.details["margin_pair"], pair), ln_delta
+            assert agrees(rep.details["margin_vertex"], vertex), ln_delta
+            assert rep.feasible == (pair >= 0 and vertex >= 0), ln_delta
+
+    @pytest.mark.parametrize("lam,M,star", THRESHOLDS)
+    def test_pinned_thresholds_bracket_the_sign_change(self, lam, M, star):
+        c0 = compute_c0(8, Fraction(1, 3), lam, M).value
+        below, _ = lll_oracle(8, 4, lam, M, c0, star * (1 - 1e-6))
+        above, vertex = lll_oracle(8, 4, lam, M, c0, star * (1 + 1e-6))
+        assert below < 0 < above and vertex > 0
+
+    @pytest.mark.parametrize("hi", [1e200, 1e308])
+    @pytest.mark.parametrize("lam,M,star", THRESHOLDS)
+    def test_search_finds_threshold(self, lam, M, star, hi):
+        # halving ln(delta) itself stopped short on these wide brackets
+        rep = find_feasible_delta(8, 4, Fraction(1, 3), lam, M, math.log(2.0), hi)
+        assert rep.feasible is True
+        assert rep.details["ln_delta_star"] == pytest.approx(star, rel=1e-6)
+
+
+class TestTailBeyondFloatRange:
+    """n*p beyond float range: evaluated where the log bound is a finite
+    float, else a DomainError naming the field."""
+
+    @pytest.mark.parametrize("tail", [binom_upper_tail_log, binom_lower_tail_log])
+    def test_overflowing_mean_names_it(self, tail):
+        # float(n * p) raised OverflowError
+        with pytest.raises(DomainError, match=r"^n\*p "):
+            tail(10 ** 400, Fraction(1, 2), 5)
+
+    def test_underflowing_mean_keeps_finite_log(self):
+        # n*p = 1e-398 is 0.0 as a float, whose log raised a bare math
+        # domain error; the log bound is about -4585
+        got = binom_upper_tail_log(100, Fraction(1, 10 ** 400), 5)
+        mean = mpmath.mpf(100) / mpmath.mpf(10) ** 400
+        assert got == pytest.approx(float(5 - mean + 5 * mpmath.log(mean / 5)),
+                                    rel=1e-12)
+
+    def test_underflowing_mean_lower_tail_is_out_of_domain(self):
+        with pytest.raises(DomainError, match="^m must satisfy"):
+            binom_lower_tail_log(100, Fraction(1, 10 ** 400), 5)
+
+    def test_huge_mean_lower_tail_evaluates(self):
+        # (m - n*p)**2 overflows a float; the bound, about -n*p/2, does not
+        got = binom_lower_tail_log(10 ** 300, Fraction(1, 2), 5)
+        assert got == pytest.approx(-2.5e299, rel=1e-12)
+
+    @pytest.mark.parametrize("n,p,m", [
+        (10 ** 310, Fraction(1, 10 ** 300), 10 ** 308),  # the bound is below -1e310
+        (10 ** 401, Fraction(1, 10 ** 399), 10 ** 400),  # m is not a float
+    ], ids=["bound-below-float-range", "m-beyond-float-range"])
+    def test_upper_bound_beyond_float_range_names_m(self, n, p, m):
+        with pytest.raises(DomainError, match="^m is too large"):
+            binom_upper_tail_log(n, p, m)
 
 
 @given(st.integers(2, 200), st.integers(1, 99))

@@ -475,7 +475,7 @@ class TestBounds:
         got = json.loads(out)
         assert got["feasible"] is True
         assert got["details"]["ln_delta_star"] == pytest.approx(
-            2.3058441495519104e+17, rel=1e-4)
+            4.24985258040472e57, rel=1e-6)  # test_bounds.THRESHOLD_34_81
 
 
     @pytest.mark.parametrize("args", [
@@ -556,6 +556,51 @@ class TestExtremeFiniteInput:
             strict_loads(out)
         else:
             assert out == "" and err.startswith("error: ")
+
+    @pytest.mark.parametrize("args,field", [
+        *[pytest.param([cmd, flag, "1/0"], flag, id=f"{cmd}{flag}")
+          for flag in ("--eps", "--alpha")
+          for cmd in ("color", "select-e1", "select-e2", "bench")],
+        pytest.param(["bounds", "--cmd", "c0", "--eps", "1/0"], "--eps",
+                     id="bounds--eps"),
+        pytest.param(["bounds", "--cmd", "tail", "--n", "5", "--p", "1/0", "--m", "3"],
+                     "--p", id="tail--p"),
+        *[pytest.param(["bounds", "--cmd", "tail", "--tail", tail, "--n", HUGE,
+                        "--p", "1/2", "--m", "5"], "n*p", id=f"{tail}-tail-huge-n")
+          for tail in ("upper", "lower")],
+        pytest.param(["bounds", "--cmd", "tail", "--tail", "lower", "--n", "100",
+                      "--p", "1/" + HUGE, "--m", "5"], "n*p", id="lower-tail-tiny-p"),
+        pytest.param(["bounds", "--cmd", "c0", "--lambda", "1e300"], "M",
+                     id="c0-lambda"),
+        pytest.param(["bounds", "--cmd", "lll", "--lambda", "1e300", "--delta", "100"],
+                     "M", id="lll-lambda"),
+    ])
+    def test_rejected_naming_field(self, args, field, k5_file, capsys):
+        # a zero denominator died with a ZeroDivisionError traceback, the
+        # huge n with an OverflowError one
+        if args[0] != "bounds":
+            args = [*args, "--in", k5_file]
+        code, out, err = run([*args, "--json"], capsys)
+        assert code == 2 and out == "" and "Traceback" not in err
+        assert any("error: " in line and field in line for line in err.splitlines())
+
+    def test_derived_M_says_it_follows_lambda(self, capsys):
+        # the message named "m or M" although only --lambda was given
+        code, _, err = run(["bounds", "--cmd", "c0", "--lambda", "1e300"], capsys)
+        assert code == 2
+        assert err.startswith("error: M is too large")
+        assert "M = ceil(2e*lam) follows lam (--lambda" in err
+
+    def test_tail_below_float_range_evaluates(self, capsys):
+        # n*p = 1e-398 is 0.0 as a float; the log bound is about -4585
+        code, out, _ = run(["bounds", "--cmd", "tail", "--n", "100",
+                            "--p", "1/" + HUGE, "--m", "5", "--json"], capsys)
+        assert code == 0
+        got = strict_loads(out)
+        assert got["bound"] == 0.0
+        assert got["log_bound"] == bounds_mod.binom_upper_tail_log(
+            100, Fraction(1, 10 ** 400), 5)
+        assert -4586 < got["log_bound"] < -4585
 
 
 class TestBench:

@@ -13,9 +13,10 @@ from avdtotal import (BadEvent, EdgeSelection, Graph, PipelineParams,
                       find_patch_deletion, greedy_total, light_vertices,
                       random_gnp, run_pipeline, star_graph, substream)
 from avdtotal import graphs
-from avdtotal.highdeg import _BulkCheck, _PatchCheck
+from avdtotal.highdeg import _BulkCheck, _PatchCheck, _StarSets
 
-from helpers import (hub_graph, reference_bulk_events, reference_bulk_first_round,
+from helpers import (hub_graph, mask_of, naive_color_set,
+                     reference_bulk_events, reference_bulk_first_round,
                      reference_find_bulk_deletion, reference_find_patch_deletion,
                      reference_forced, reference_patch_events,
                      reference_patch_first_draw)
@@ -364,6 +365,16 @@ class TestFindBulkDeletion:
         assert [(e.kind, e.witness) for e in res.violations] == [
             ("B_vertex", (0,)), ("B_vertex", (1,))]
 
+    def test_underflowing_p_deterministic_failure(self):
+        # lam/max_degree underflows to p = 0.0, so every draw is empty and
+        # the search stops after one round, as at p = 1
+        g = random_gnp(60, 0.5, 3)
+        params = PipelineParams(lam=5e-324)
+        assert params.resolve(g).p == 0.0
+        res = find_bulk_deletion(g, greedy_total(g), params)
+        assert res.rounds == 1 and not res.success
+        assert res.selection.edges == frozenset()
+
     def test_resampling_reaches_success(self):
         g = complete_graph(12)
         phi = greedy_total(g)
@@ -395,6 +406,35 @@ class TestFindBulkDeletion:
         phi = greedy_total(g)
         res = find_bulk_deletion(g, phi, PipelineParams())
         assert res.success and res.selection.edges == frozenset()
+
+
+class TestStarSets:
+    """_StarSets.under against naive colour sets minus deleted colours."""
+
+    @given(st.integers(1, 14), st.sampled_from([0.2, 0.5, 0.8]), st.integers(0, 99),
+           st.integers(0, 99), st.booleans())
+    @settings(max_examples=120, deadline=None)
+    def test_masks_at_fully_listed_vertices(self, n, q, seed, draw_seed, light_list):
+        g = random_gnp(n, q, seed)
+        phi = greedy_total(g)
+        rng = np.random.Generator(np.random.Philox(draw_seed))
+        if light_list:  # the patch stage's list: every edge at a light vertex
+            light = frozenset(v for v in sorted(degree_split(g).high)
+                              if rng.random() < 0.5)
+            edges = _PatchCheck(g, phi, frozenset(), light, Fraction(1, 2), 2).edges
+        else:
+            edges = candidate_edges(g)
+        sets = _StarSets(g, phi, edges)
+        listed = set(edges)
+        for q_del in (0.3, 0.7):  # a second call starts from the same stars
+            deleted = rng.random(len(edges)) < q_del
+            masks = sets.under(deleted)
+            gone = [e for e, x in zip(edges, deleted.tolist()) if x]
+            for v in range(g.n):
+                if listed.issuperset(g.incident_edges(v)):
+                    expected = naive_color_set(g, phi, v) - {
+                        phi.edge_colors[e] for e in gone if v in e}
+                    assert masks[v] == mask_of(expected)
 
 
 class TestLightVertices:
