@@ -9,6 +9,7 @@ floats (for example (e*lam/M)**M at M = 268) are kept as logarithms.
 
 from __future__ import annotations
 
+import decimal
 import math
 import sys
 from dataclasses import dataclass
@@ -55,9 +56,9 @@ class DerivedConstants:
     p: float
 
 
-def _mean(n: int, p: Real) -> tuple[float, float]:
-    """n*p and ln(n*p) as floats from the exact product, the log finite even
-    where n*p underflows; DomainError naming n*p where it overflows."""
+def _mean(n: int, p: Real) -> tuple[Fraction, float, float]:
+    """n*p exactly, and n*p and ln(n*p) as floats, the log finite even where
+    n*p underflows; DomainError naming n*p where it overflows."""
     if n < 1:
         raise DomainError("n must be a positive integer")
     if not 0 < p < 1:
@@ -66,8 +67,17 @@ def _mean(n: int, p: Real) -> tuple[float, float]:
     if mean > sys.float_info.max:
         raise DomainError("n*p is too large: it must be a finite float")
     np_ = float(mean)
-    return np_, (math.log(np_) if np_ >= sys.float_info.min
-                 else math.log(mean.numerator) - math.log(mean.denominator))
+    return mean, np_, (math.log(np_) if np_ >= sys.float_info.min
+                       else math.log(mean.numerator) - math.log(mean.denominator))
+
+
+def _show(mean: Fraction) -> str:
+    """n*p for a message: the float, or six significant digits where the
+    float would lose them to underflow, so a positive mean never reads 0."""
+    if mean >= sys.float_info.min:
+        return repr(float(mean))
+    with decimal.localcontext(decimal.Context(prec=6, Emin=decimal.MIN_EMIN)):
+        return format(decimal.Decimal(mean.numerator) / mean.denominator, "g")
 
 
 def binom_upper_tail_log(n: int, p: Real, m: int) -> float:
@@ -75,11 +85,17 @@ def binom_upper_tail_log(n: int, p: Real, m: int) -> float:
 
     Bounds P[Binomial(n, p) >= m]; valid for n*p < m < n, its log a finite float.
     """
-    np_, ln_np = _mean(n, p)
-    if not np_ < m < n:
-        raise DomainError(f"m must satisfy n*p < m < n, got m={m} with n*p={np_}")
-    log_bound = (-math.inf if m > sys.float_info.max
-                 else (m - np_) + m * (ln_np - math.log(m)))
+    mean, np_, ln_np = _mean(n, p)
+    if not mean < m < n:
+        raise DomainError(f"m must satisfy n*p < m < n, got m={m} with n*p={_show(mean)}")
+    log_bound = -math.inf
+    if m <= sys.float_info.max:
+        # ln(n*p/m) as log1p of the exact gap 1 - n*p/m: near 1, the
+        # difference of two float logs loses every digit once m nears 2**53
+        gap = (m - mean) / m
+        ln_ratio = (math.log1p(-float(gap)) if gap <= Fraction(1, 2)
+                    else ln_np - math.log(m))
+        log_bound = float(m - mean) + m * ln_ratio
     if log_bound == -math.inf:
         raise DomainError("m is too large for n*p: the log bound leaves float range")
     return log_bound
@@ -95,13 +111,14 @@ def binom_lower_tail_log(n: int, p: Real, m: int) -> float:
 
     Bounds P[Binomial(n, p) <= m]; valid for 0 < m < n*p, n*p a finite float.
     """
-    np_, _ = _mean(n, p)
-    if not 0 < m < np_:
-        raise DomainError(f"m must satisfy 0 < m < n*p, got m={m} with n*p={np_}")
+    mean, np_, _ = _mean(n, p)
+    if not 0 < m < mean:
+        raise DomainError(f"m must satisfy 0 < m < n*p, got m={m} with n*p={_show(mean)}")
+    gap = float(mean - m)
     try:
-        return -((m - np_) ** 2) / (2.0 * np_)
+        return -(gap ** 2) / (2.0 * np_)
     except OverflowError:  # the square leaves float range, the bound does not
-        return -((np_ - m) / 2.0) * ((np_ - m) / np_)
+        return -(gap / 2.0) * (gap / np_)
 
 
 def binom_lower_tail_bound(n: int, p: Real, m: int) -> float:

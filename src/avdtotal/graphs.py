@@ -54,20 +54,26 @@ class Graph:
     def build(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
         if n < 0:
             raise ValueError("vertex count must be non-negative")
-        seen: set[Edge] = set()
+        # an insertion-ordered dict, not a set, dedupes: sorting its keys
+        # is linear when the edges arrive sorted, as from random_gnp, most
+        # generators, DIMACS text in edge order and the pipeline's union
+        seen: dict[Edge, None] = {}
         for u, v in edges:
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
-            seen.add(normalize_edge(u, v))
+            seen[(u, v) if u < v else (v, u)] = None
         ordered = tuple(sorted(seen))
+        # in lexicographic edge order each vertex meets its smaller
+        # neighbours first, then its larger ones, each ascending, so every
+        # adjacency list comes out sorted
         adj: list[list[int]] = [[] for _ in range(n)]
         for u, v in ordered:
             adj[u].append(v)
             adj[v].append(u)
-        adjacency = tuple(tuple(sorted(a)) for a in adj)
-        delta = max((len(a) for a in adjacency), default=0)
+        adjacency = tuple(map(tuple, adj))
+        delta = max(map(len, adj), default=0)
         return cls(n=n, edges=ordered, adjacency=adjacency,
                    edge_set=frozenset(ordered), max_degree=delta)
 

@@ -75,15 +75,18 @@ def recolor_union(g: Graph, phi: TotalColoring, bulk_edges, patch_edges) -> Tota
     max_degree(union) + 1 new colours, so the budget grows by at most that
     much and the result stays proper: fresh colours clash with nothing old,
     and clashes within the union are excluded by edge-properness there.
-    phi must be a proper total colouring of g.
+    phi must be a proper total colouring of g. A selected edge outside g
+    raises ValueError naming the smallest such edge.
     """
-    union = sorted({normalize_edge(u, v) for u, v in bulk_edges}
-                   | {normalize_edge(u, v) for u, v in patch_edges})
-    for e in union:
-        if e not in g.edge_set:
-            raise ValueError(f"selected edge {e} is not in the graph")
-    if not union:
+    chosen = {normalize_edge(u, v) for u, v in bulk_edges}
+    chosen.update(normalize_edge(u, v) for u, v in patch_edges)
+    stray = chosen - g.edge_set
+    if stray:
+        raise ValueError(f"selected edge {min(stray)} is not in the graph")
+    if not chosen:
         return phi
+    # g.edges is sorted, so the union comes out sorted too
+    union = [e for e in g.edges if e in chosen]
     sub_colors = vizing_color(Graph.build(g.n, union)).colors
     fresh = {e: phi.k + c for e, c in sub_colors.items()}
     return TotalColoring(vertex_colors=phi.vertex_colors,

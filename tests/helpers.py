@@ -87,6 +87,18 @@ def _binom(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
+def reference_build(n: int, edges) -> tuple:
+    """``Graph.build``'s fields from a set: (edges, adjacency, edge_set,
+    max_degree), each adjacency list collected by scanning every edge and
+    sorted explicitly."""
+    edge_set = frozenset((min(u, v), max(u, v)) for u, v in edges)
+    adjacency = tuple(tuple(sorted([b for a, b in edge_set if a == x]
+                                   + [a for a, b in edge_set if b == x]))
+                      for x in range(n))
+    return (tuple(sorted(edge_set)), adjacency, edge_set,
+            max((len(a) for a in adjacency), default=0))
+
+
 def canonical_form(n: int, edges: frozenset[tuple[int, int]]) -> int:
     """Smallest adjacency bitmask over all vertex relabelings."""
     best = None

@@ -447,6 +447,75 @@ class TestTailBeyondFloatRange:
             binom_upper_tail_log(n, p, m)
 
 
+def oracle_upper_log(mean: Fraction, m: int):
+    mu = mpmath.mpf(mean.numerator) / mean.denominator
+    return (m - mu) + m * mpmath.log(mu / m)
+
+
+def oracle_lower_log(mean: Fraction, m: int):
+    mu = mpmath.mpf(mean.numerator) / mean.denominator
+    return -((m - mu) ** 2) / (2 * mu)
+
+
+class TestTailExactMean:
+    """Both tails compare m with the exact n*p, not with its rounded float,
+    and report n*p in their messages without rounding it to 0."""
+
+    # n*p = 5 - 1e-17 and 5 + 1e-17; both round to the float 5.0
+    BELOW = (10 ** 18, Fraction(5 * 10 ** 17 - 1, 10 ** 35))
+    ABOVE = (10 ** 18, Fraction(5 * 10 ** 17 + 1, 10 ** 35))
+
+    def test_mean_just_below_m_is_in_the_upper_domain(self):
+        n, p = self.BELOW
+        assert float(n * p) == 5.0
+        got = binom_upper_tail_log(n, p, 5)
+        assert got <= 0.0
+        assert got == pytest.approx(float(oracle_upper_log(n * p, 5)), abs=1e-30)
+
+    def test_mean_just_above_m_is_in_the_lower_domain(self):
+        n, p = self.ABOVE
+        got = binom_lower_tail_log(n, p, 5)
+        assert got <= 0.0
+        assert got == pytest.approx(float(oracle_lower_log(n * p, 5)), abs=1e-30)
+
+    @pytest.mark.parametrize("tail,case", [
+        (binom_upper_tail_log, ABOVE), (binom_lower_tail_log, BELOW)])
+    def test_wrong_side_of_m_rejected(self, tail, case):
+        with pytest.raises(DomainError, match=r"^m must satisfy .* n\*p=5\.0$"):
+            tail(*case, 5)
+
+    def test_mean_above_m_rounding_below_it_rejected(self):
+        # n*p = 2**54 + 1.5 rounds to the float 2**54, below m = 2**54 + 1
+        n, p, m = 2 ** 56, Fraction(2 ** 55 + 3, 2 ** 57), 2 ** 54 + 1
+        assert float(n * p) < m < n * p
+        with pytest.raises(DomainError, match="^m must satisfy n"):
+            binom_upper_tail_log(n, p, m)
+        got = binom_lower_tail_log(n, p, m)
+        assert got == pytest.approx(float(oracle_lower_log(n * p, m)), abs=1e-15)
+
+    @pytest.mark.parametrize("tail", [binom_upper_tail_log, binom_lower_tail_log])
+    def test_underflowing_mean_printed_nonzero(self, tail):
+        m = 5 if tail is binom_lower_tail_log else 100
+        with pytest.raises(DomainError, match=r"n\*p=1e-398$"):
+            tail(100, Fraction(1, 10 ** 400), m)
+
+    def test_subnormal_mean_keeps_its_digits(self):
+        with pytest.raises(DomainError, match=r"n\*p=1\.23457e-315$"):
+            binom_lower_tail_log(123456789, Fraction(1, 10 ** 323), 5)
+
+    @given(st.integers(2 ** 50, 2 ** 62), st.integers(1, 2 ** 30), st.integers(0, 15))
+    @settings(max_examples=200, deadline=None)
+    def test_upper_log_near_m_beyond_2_53(self, m, off, frac):
+        # the difference of the float logs of n*p and m cancelled, and put
+        # the log bound tens of units below the true one. What is left is
+        # rounding in the two terms of size m - n*p, which nearly cancel
+        n = 2 ** 64
+        p = Fraction((m - off) * 16 - frac, 16 * n)
+        truth = oracle_upper_log(n * p, m)
+        got = binom_upper_tail_log(n, p, m)
+        assert abs(got - truth) <= 1e-15 * (m - n * p) + 1e-9 * abs(truth)
+
+
 @given(st.integers(2, 200), st.integers(1, 99))
 @settings(max_examples=100, deadline=None)
 def test_upper_tail_dominates_randomized(n, pnum):

@@ -584,6 +584,13 @@ class TestExtremeFiniteInput:
         assert code == 2 and out == "" and "Traceback" not in err
         assert any("error: " in line and field in line for line in err.splitlines())
 
+    def test_tiny_mean_printed_nonzero(self, capsys):
+        # the message read n*p=0.0 for n*p = 1e-398
+        code, _, err = run(["bounds", "--cmd", "tail", "--tail", "lower", "--n", "100",
+                            "--p", "1/" + HUGE, "--m", "5"], capsys)
+        assert code == 2
+        assert err.rstrip().endswith("got m=5 with n*p=1e-398")
+
     def test_derived_M_says_it_follows_lambda(self, capsys):
         # the message named "m or M" although only --lambda was given
         code, _, err = run(["bounds", "--cmd", "c0", "--lambda", "1e300"], capsys)

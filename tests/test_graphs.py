@@ -11,7 +11,7 @@ from avdtotal import (DimacsError, Graph, Graph6Error, complete_bipartite_graph,
                       normalize_edge, parse_dimacs, parse_graph6, path_graph,
                       random_gnp, random_regular, star_graph, write_graph6)
 
-from helpers import canonical_form, connected_graphs
+from helpers import canonical_form, connected_graphs, reference_build
 
 
 def small_graphs(max_n=10):
@@ -67,6 +67,57 @@ class TestGraphBasics:
             assert list(nb) == sorted(nb)
             for w in nb:
                 assert v in g.neighbors(w)
+
+
+@st.composite
+def edge_lists(draw, max_n=30):
+    """A vertex count and a list of non-loop pairs, repeats and both
+    endpoint orders allowed."""
+    n = draw(st.integers(0, max_n))
+    if n < 2:
+        return n, []
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+                          .filter(lambda e: e[0] != e[1]), max_size=80))
+    return n, pairs
+
+
+def fields(g):
+    return g.edges, g.adjacency, g.edge_set, g.max_degree
+
+
+class TestBuildAgainstReference:
+    """Graph.build in any input order equals a set-and-sort reference."""
+
+    @given(edge_lists(), st.randoms(use_true_random=False))
+    @settings(max_examples=150, deadline=None)
+    def test_any_order_and_repeats(self, case, rnd):
+        n, pairs = case
+        ref = reference_build(n, pairs)
+        ordered = list(ref[0])
+        shuffled = pairs[:]
+        rnd.shuffle(shuffled)
+        flipped = [(v, u) if rnd.random() < 0.5 else (u, v) for u, v in shuffled]
+        for edges in (pairs, ordered, ordered[::-1], shuffled + ordered,
+                      flipped + flipped[::-1], [(v, u) for u, v in ordered]):
+            g = Graph.build(n, edges)
+            assert fields(g) == ref
+            assert all(type(a) is tuple for a in g.adjacency)
+
+    @given(edge_lists(), st.randoms(use_true_random=False))
+    @settings(max_examples=60, deadline=None)
+    def test_shuffled_dimacs(self, case, rnd):
+        n, pairs = case
+        lines = [f"e {u + 1} {v + 1}" for u, v in pairs + pairs[:3]]
+        rnd.shuffle(lines)
+        text = "\n".join([f"p edge {n} {len(lines)}", *lines]) + "\n"
+        g = parse_dimacs(text)
+        assert g == Graph.build(n, pairs)
+        assert fields(g) == reference_build(n, pairs)
+
+    def test_sorted_generators(self):
+        for g in (random_gnp(60, 0.2, 3), complete_graph(9),
+                  complete_bipartite_graph(4, 5), star_graph(6), cycle_graph(7)):
+            assert fields(g) == reference_build(g.n, g.edges)
 
 
 class TestDegreeSplit:

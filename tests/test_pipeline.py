@@ -70,6 +70,13 @@ class TestRecolorUnion:
         with pytest.raises(ValueError):
             recolor_union(g, phi, [(2, 3)], [])
 
+    def test_foreign_edge_message_names_the_smallest(self):
+        g, phi = two_hub_graph()
+        # strays (8, 9), (2, 3) and (4, 12) among graph edges, in both
+        # endpoint orders and split across the two selections
+        with pytest.raises(ValueError, match=r"^selected edge \(2, 3\) is not in the graph$"):
+            recolor_union(g, phi, [(0, 2), (9, 8), (13, 1)], [(12, 4), (3, 2), (0, 1)])
+
 
 class TestRepairFallback:
     def test_fixes_fully_clashing_clique(self):

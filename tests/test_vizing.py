@@ -1,5 +1,7 @@
 """Edge colouring within max_degree + 1 colours."""
 
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -113,6 +115,48 @@ class TestAgainstReference:
         assert unions and len(unions[0].edges) >= 100
         for sub in unions:
             assert_matches_reference(sub)
+
+
+class TestIsolatedVertices:
+    """Vertices without edges keep no state the fan or the walks can reach."""
+
+    @given(st.integers(2, 40), st.lists(st.tuples(st.integers(0, 39), st.integers(0, 39)),
+                                        max_size=60), st.integers(0, 40))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_reference(self, n, pairs, spare):
+        edges = [(u, v) for u, v in pairs if u != v and max(u, v) < n]
+        g = Graph.build(n + spare, edges)
+        assert_matches_reference(g)
+
+    def test_sparse_and_padded_graphs(self):
+        for seed in range(6):
+            g = random_gnp(80, 0.02, seed)
+            assert any(g.degree(v) == 0 for v in range(g.n))
+            assert_matches_reference(g)
+        clique = [(3 + i, 3 + j) for i in range(6) for j in range(i + 1, 6)]
+        assert_matches_reference(Graph.build(20, clique))
+        assert_matches_reference(Graph.build(12, [(0, 11), (5, 11), (11, 7)]))
+
+
+class TestSlotMemory:
+    """Colour slots grow with the assignments made, not with n times the
+    palette: one list of k + 1 slots per vertex would need n * (k + 1)."""
+
+    @pytest.mark.parametrize("g,bound_mb", [
+        # lists: 401 * 402 slots, 1.3 MB; dict slots measure about 0.2 MB
+        (star_graph(400), 0.6),
+        # lists: 20 000 * 302 slots, 48 MB; about 1.7 MB, mostly empty dicts
+        (Graph.build(20_000, [(0, i) for i in range(1, 301)]), 8.0),
+    ], ids=["star", "hub-among-isolated"])
+    def test_peak_stays_linear(self, g, bound_mb):
+        tracemalloc.start()
+        try:
+            ec = vizing_color(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(ec.colors) == len(g.edges)
+        assert peak < bound_mb * 1e6
 
 
 class TestEdgePropernessViolations:
