@@ -53,21 +53,23 @@ def check_total(g: Graph, phi: TotalColoring) -> None:
     if len(phi.vertex_colors) != g.n:
         raise ValueError(
             f"vertex colour count {len(phi.vertex_colors)} does not match n={g.n}")
-    if set(phi.edge_colors) != g.edge_set:
+    if phi.edge_colors.keys() != g.edge_set:
         raise ValueError("edge colours do not cover the edge set exactly")
-    for c in phi.vertex_colors:
-        if not 1 <= c <= phi.k:
-            raise ValueError(f"vertex colour {c} outside palette 1..{phi.k}")
-    for c in phi.edge_colors.values():
-        if not 1 <= c <= phi.k:
-            raise ValueError(f"edge colour {c} outside palette 1..{phi.k}")
+    for what, colors in (("vertex", phi.vertex_colors),
+                         ("edge", phi.edge_colors.values())):
+        # one min/max sweep; the loop naming the first bad colour runs
+        # only when it fails
+        if colors and not 1 <= min(colors) <= max(colors) <= phi.k:
+            bad = next(c for c in colors if not 1 <= c <= phi.k)
+            raise ValueError(f"{what} colour {bad} outside palette 1..{phi.k}")
 
 
-def _edge_masks(g: Graph, edge_colors: dict[Edge, int]) -> list[int]:
-    """Bitmask of the edge colours at each vertex: bit c set when an edge
-    at v has colour c. One pass over the sorted edge list."""
-    masks = [0] * g.n
-    for (u, v), c in zip(g.edges, map(edge_colors.__getitem__, g.edges)):
+def _edge_masks(n: int, colored_edges) -> list[int]:
+    """Bitmask of the edge colours at each of n vertices, from ``((u, v),
+    colour)`` pairs: bit c set when an edge at v has colour c. The one pass
+    over an edge-colour dict that colour sets are built from."""
+    masks = [0] * n
+    for (u, v), c in colored_edges:
         bit = 1 << c
         masks[u] |= bit
         masks[v] |= bit
@@ -76,19 +78,24 @@ def _edge_masks(g: Graph, edge_colors: dict[Edge, int]) -> list[int]:
 
 def star_masks(g: Graph, phi: TotalColoring) -> list[int]:
     """Every colour set as a closed-star bitmask, indexed by vertex: bit c
-    of the mask of v is set when v or an edge at v has colour c."""
-    return [m | 1 << c for m, c in zip(_edge_masks(g, phi.edge_colors),
-                                       phi.vertex_colors)]
+    of the mask of v is set when v or an edge at v has colour c.
+
+    Colours are looked up edge by edge along ``g.edges``, so an edge that
+    phi leaves uncoloured raises KeyError instead of giving a wrong mask.
+    """
+    ec = phi.edge_colors
+    masks = _edge_masks(g.n, zip(g.edges, map(ec.__getitem__, g.edges)))
+    return [m | 1 << c for m, c in zip(masks, phi.vertex_colors)]
 
 
 def _edge_clashes(g: Graph, edge_colors: dict[Edge, int],
-                  masks: list[int]) -> list[tuple[Edge, Edge]]:
+                  stars: list[int]) -> list[tuple[Edge, Edge]]:
     """Pairs of same-coloured edges sharing an endpoint, grouped by vertex;
-    masks are the ``_edge_masks`` of edge_colors."""
+    stars are the closed-star masks of the colouring."""
     out: list[tuple[Edge, Edge]] = []
-    for v, mask in enumerate(masks):
-        # fewer distinct colours than edges at v means a clash there
-        if mask.bit_count() == len(g.adjacency[v]):
+    for v, star in enumerate(stars):
+        # a full closed star of deg(v) + 1 colours rules out a clash at v
+        if star.bit_count() == len(g.adjacency[v]) + 1:
             continue
         by_color: dict[int, list[Edge]] = {}
         for w in g.adjacency[v]:
@@ -101,7 +108,7 @@ def _edge_clashes(g: Graph, edge_colors: dict[Edge, int],
     return out
 
 
-def _witnesses(g: Graph, phi: TotalColoring, masks: list[int]) -> list[Violation]:
+def _witnesses(g: Graph, phi: TotalColoring, stars: list[int]) -> list[Violation]:
     out: list[Violation] = []
     for u, v in g.edges:
         cu, cv = phi.vertex_colors[u], phi.vertex_colors[v]
@@ -113,7 +120,7 @@ def _witnesses(g: Graph, phi: TotalColoring, masks: list[int]) -> list[Violation
         if cv == ce:
             out.append(Violation("vertex-edge", (v, (u, v))))
     out.extend(Violation("edge-edge", pair)
-               for pair in _edge_clashes(g, phi.edge_colors, masks))
+               for pair in _edge_clashes(g, phi.edge_colors, stars))
     return out
 
 
@@ -121,18 +128,29 @@ def violations(g: Graph, phi: TotalColoring) -> list[Violation]:
     """The one verifier: every properness offence, or on a proper colouring
     every undistinguished pair; empty exactly when phi is proper and AVD.
 
-    One edge-mask pass decides both. A closed star holds deg(v) + 1 colours
-    exactly when v's edges and v itself are coloured pairwise differently,
-    so properness is that popcount at every vertex plus distinct vertex
-    colours across every edge; witnesses are listed only when it fails.
+    After ``check_total``, one pass over phi's edge colours builds every
+    closed star, and ``_judge`` decides both properties from them.
     """
     check_total(g, phi)
-    masks = _edge_masks(g, phi.edge_colors)
+    # check_total has matched the keys to the edge set, so the colours can
+    # be read straight off the dict
+    masks = _edge_masks(g.n, phi.edge_colors.items())
+    return _judge(g, phi, [m | 1 << c for m, c in zip(masks, phi.vertex_colors)])
+
+
+def _judge(g: Graph, phi: TotalColoring, stars: list[int]) -> list[Violation]:
+    """``violations`` of a total assignment phi whose closed-star masks are
+    stars.
+
+    A closed star holds deg(v) + 1 colours exactly when v's edges and v
+    itself are coloured pairwise differently, so properness is that
+    popcount at every vertex plus distinct vertex colours across every
+    edge; witnesses are listed only when it fails.
+    """
     vc = phi.vertex_colors
-    stars = [m | 1 << c for m, c in zip(masks, vc)]
     if (any(s.bit_count() != len(nbrs) + 1 for s, nbrs in zip(stars, g.adjacency))
             or any(vc[u] == vc[v] for u, v in g.edges)):
-        return _witnesses(g, phi, masks)
+        return _witnesses(g, phi, stars)
     return [Violation("undistinguished-pair", (u, v))
             for u, v in g.edges if stars[u] == stars[v]]
 

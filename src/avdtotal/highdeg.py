@@ -30,7 +30,7 @@ from typing import Callable
 import numpy as np
 
 from .bounds import DerivedConstants, derive_constants
-from .coloring import TotalColoring, star_masks
+from .coloring import TotalColoring
 from .graphs import Edge, Graph, degree_split, normalize_edge
 from .rng import substream
 
@@ -224,28 +224,29 @@ def candidate_edges(g: Graph) -> list[Edge]:
 class _StarSets:
     """Restricted colour sets over one indexed edge list.
 
-    A vertex's restricted set is its ``star_masks`` closed-star mask with
-    the colours of its deleted edges cleared. phi is proper, so the colours
-    of a closed star are distinct and each deleted edge's colour is set
-    there exactly once: clearing it is one XOR at each endpoint. ``deleted``
-    is a boolean array over ``edges``; the set is exact at every vertex all
-    of whose edges are listed. The star masks are computed on first use.
+    A vertex's restricted set is its closed-star mask with the colours of
+    its deleted edges cleared. The closed stars are built from the vertex
+    colours and the colour bits of the listed edges, so they, and the
+    restricted sets, are exact at every vertex all of whose edges are
+    listed. phi is proper, so the colours of a closed star are distinct and
+    each deleted edge's colour is set there exactly once: clearing it is
+    one XOR at each endpoint. ``deleted`` is a boolean array over ``edges``.
     """
 
     def __init__(self, g: Graph, phi: TotalColoring, edges: list[Edge]):
-        self.g, self.phi, self.edges = g, phi, edges
+        self.edges = edges
         self.bits = [1 << c for c in map(phi.edge_colors.__getitem__, edges)]
         self.incident: list[list[int]] = [[] for _ in range(g.n)]
-        for i, (u, v) in enumerate(edges):
+        self.stars = [1 << c for c in phi.vertex_colors]
+        for i, ((u, v), bit) in enumerate(zip(edges, self.bits)):
             self.incident[u].append(i)
             self.incident[v].append(i)
-        self.stars: list[int] | None = None
+            self.stars[u] |= bit
+            self.stars[v] |= bit
 
     def under(self, deleted: np.ndarray) -> list[int]:
         """Every vertex's restricted set under one deleted-edge array, in
         one pass over the deleted edges."""
-        if self.stars is None:
-            self.stars = star_masks(self.g, self.phi)
         masks = self.stars.copy()
         for i in np.flatnonzero(deleted).tolist():
             u, v = self.edges[i]

@@ -37,7 +37,8 @@ def _forbidden(g: Graph, vertex_colors: list[int], masks: list[int], u: int) -> 
     return out
 
 
-def distinguish_low_degree(g: Graph, phi: TotalColoring) -> TotalColoring:
+def distinguish_low_degree(g: Graph, phi: TotalColoring, *,
+                           stars: list[int] | None = None) -> TotalColoring:
     """Recolour low-degree vertices until each differs from all neighbours.
 
     phi must be a proper total colouring of g; the low vertices are those
@@ -47,11 +48,15 @@ def distinguish_low_degree(g: Graph, phi: TotalColoring) -> TotalColoring:
     allowed colour. No recolouring can undo an earlier one, because the
     forbidden set excludes every colour that would copy a neighbour's
     colour set; so each low vertex is recoloured at most once.
+
+    stars, when given, must be ``star_masks(g, phi)``; it is updated in
+    place to the result's masks (two bits per recolour), so no mask is
+    rebuilt here. Without it the masks are built from phi.
     """
     if phi.k <= g.max_degree:
         raise ValueError(f"palette k={phi.k} must exceed max_degree={g.max_degree}")
     vcols = list(phi.vertex_colors)
-    masks = star_masks(g, phi)
+    masks = star_masks(g, phi) if stars is None else stars
     changed = False
     for u in sorted(degree_split(g).low):
         if all(masks[u] != masks[w] for w in g.adjacency[u]):

@@ -13,7 +13,8 @@ from __future__ import annotations
 import time
 from dataclasses import asdict, dataclass
 
-from .coloring import TotalColoring, _proper, star_masks, violations
+from .coloring import (TotalColoring, _judge, _proper, check_total,
+                       star_masks, violations)
 from .graphs import Edge, Graph, normalize_edge
 from .highdeg import (PipelineParams, find_bulk_deletion,
                       find_patch_deletion, light_vertices)
@@ -68,7 +69,8 @@ class PipelineReport:
         return out
 
 
-def recolor_union(g: Graph, phi: TotalColoring, bulk_edges, patch_edges) -> TotalColoring:
+def recolor_union(g: Graph, phi: TotalColoring, bulk_edges, patch_edges, *,
+                  stars: list[int] | None = None) -> TotalColoring:
     """Recolour the selected edges with a fresh palette above phi's budget.
 
     The selected union is recoloured as its own subgraph with at most
@@ -77,6 +79,10 @@ def recolor_union(g: Graph, phi: TotalColoring, bulk_edges, patch_edges) -> Tota
     and clashes within the union are excluded by edge-properness there.
     phi must be a proper total colouring of g. A selected edge outside g
     raises ValueError naming the smallest such edge.
+
+    stars, when given, must be ``star_masks(g, phi)``; it is updated in
+    place to the result's masks by swapping the old and new colour bits of
+    each union edge at both ends. Without it no masks are kept.
     """
     chosen = {normalize_edge(u, v) for u, v in bulk_edges}
     chosen.update(normalize_edge(u, v) for u, v in patch_edges)
@@ -89,12 +95,22 @@ def recolor_union(g: Graph, phi: TotalColoring, bulk_edges, patch_edges) -> Tota
     union = [e for e in g.edges if e in chosen]
     sub_colors = vizing_color(Graph.build(g.n, union)).colors
     fresh = {e: phi.k + c for e, c in sub_colors.items()}
+    k = phi.k + max(sub_colors.values())
+    if stars is not None:
+        # phi is proper and the new colours are above its palette, so each
+        # old bit is set once at each end and each new bit not at all; the
+        # bits are shifted once per colour, not twice per edge
+        bits = [1 << c for c in range(k + 1)]
+        for (u, v), c in fresh.items():
+            flip = bits[phi.edge_colors[(u, v)]] | bits[c]
+            stars[u] ^= flip
+            stars[v] ^= flip
     return TotalColoring(vertex_colors=phi.vertex_colors,
-                         edge_colors={**phi.edge_colors, **fresh},
-                         k=phi.k + max(sub_colors.values()))
+                         edge_colors={**phi.edge_colors, **fresh}, k=k)
 
 
-def repair_fallback(g: Graph, phi: TotalColoring) -> TotalColoring:
+def repair_fallback(g: Graph, phi: TotalColoring, *,
+                    stars: list[int] | None = None) -> TotalColoring:
     """Force the distinguishing property with one brand-new colour per pair.
 
     One scan of the edges in order: each undistinguished pair recolours one
@@ -105,8 +121,13 @@ def repair_fallback(g: Graph, phi: TotalColoring) -> TotalColoring:
     recoloured edge, and that pair's status never changes. So the scan
     repairs, in order, the pairs a rescan after every repair would find
     first. phi must be a proper total colouring of g.
+
+    stars, when given, must be ``star_masks(g, phi)``; it is updated in
+    place to the result's masks, two bits per repair. Without it the masks
+    are built from phi. Either way a repaired result gets its own full
+    ``violations`` pass, and RepairError names its first violation.
     """
-    masks = star_masks(g, phi)
+    masks = star_masks(g, phi) if stars is None else stars
     vertex_colors = list(phi.vertex_colors)
     recoloured: dict[Edge, int] = {}
     k = phi.k
@@ -143,10 +164,15 @@ def run_pipeline(g: Graph, phi: TotalColoring | None = None,
                  ) -> tuple[TotalColoring, PipelineReport]:
     """Produce a distinguishing proper total colouring of g, with a report.
 
-    The seed, supplied or greedy, gets one ``violations`` pass here: it must
-    be proper total, and if it is already distinguishing it is returned
-    unchanged with that pass as its verdict. The phases trust their input;
-    any other result is verified on the way out (see ``_exit_check``).
+    The seed, supplied or greedy, gets one verifier pass here: after
+    ``check_total``, its ``star_masks`` are built once and judged as
+    ``violations`` would judge them. It must be proper total, and if it is
+    already distinguishing it is returned unchanged with that pass as its
+    verdict. Otherwise those masks are carried through the recolour,
+    low-degree and repair phases, each keeping them current in place, so
+    no phase rebuilds them; the deletion stages read their own from the
+    seed's edge colours. The phases trust their input; the result gets a
+    fresh, full ``violations`` pass on the way out (see ``_exit_check``).
     """
     params = params or PipelineParams()
     timings: dict[str, float] = {}
@@ -157,7 +183,9 @@ def run_pipeline(g: Graph, phi: TotalColoring | None = None,
     timings["seed"] = time.perf_counter() - start
 
     start = time.perf_counter()
-    found = violations(g, phi)
+    check_total(g, phi)
+    stars = star_masks(g, phi)
+    found = _judge(g, phi, stars)
     timings["verify_input"] = time.perf_counter() - start
     if not _proper(found):
         raise ValueError(f"seed colouring must be proper: "
@@ -184,16 +212,17 @@ def run_pipeline(g: Graph, phi: TotalColoring | None = None,
     timings["patch"] = time.perf_counter() - start
 
     start = time.perf_counter()
-    recolored = recolor_union(g, phi, bulk.selection.edges, patch.selection.edges)
+    recolored = recolor_union(g, phi, bulk.selection.edges, patch.selection.edges,
+                              stars=stars)
     fresh = recolored.k - input_k
     timings["recolor"] = time.perf_counter() - start
 
     start = time.perf_counter()
-    lowered = distinguish_low_degree(g, recolored)
+    lowered = distinguish_low_degree(g, recolored, stars=stars)
     timings["low_degree"] = time.perf_counter() - start
 
     start = time.perf_counter()
-    repaired = repair_fallback(g, lowered)
+    repaired = repair_fallback(g, lowered, stars=stars)
     repairs = repaired.k - lowered.k
     timings["repair"] = time.perf_counter() - start
 

@@ -68,9 +68,10 @@ def improper_k4_doc(tmp_path):
 
 def count_verifier_calls(monkeypatch) -> Counter:
     """Count the verifier and its building blocks in every module that binds
-    them, so calls across modules are seen too."""
+    them, so calls across modules are seen too. The pipeline's entry pass
+    counts as one ``star_masks`` call, whose masks it judges and carries on."""
     calls = Counter()
-    for name in ("violations", "check_total"):
+    for name in ("violations", "check_total", "star_masks"):
         def counting(*args, _name=name, _original=getattr(coloring_mod, name)):
             calls[_name] += 1
             return _original(*args)
@@ -197,7 +198,7 @@ class TestColor:
         calls = count_verifier_calls(monkeypatch)
         code, out, _ = run(["color", "--in", k5_file, "--json"], capsys)
         assert code == 0 and json.loads(out)["report"]["short_circuit"] is False
-        assert calls == {"violations": 2, "check_total": 2}
+        assert calls == {"star_masks": 1, "violations": 1, "check_total": 2}
 
     def test_short_circuit_reuses_entry_pass(self, k4_file, clean_doc, capsys,
                                              monkeypatch):
@@ -206,7 +207,7 @@ class TestColor:
                             "--seed-coloring", clean_doc], capsys)
         assert code == 0 and json.loads(out)["report"]["short_circuit"] is True
         # from_document checks the seed document once more on loading
-        assert calls == {"violations": 1, "check_total": 2}
+        assert calls == {"star_masks": 1, "check_total": 2}
 
 
 class TestVerify:

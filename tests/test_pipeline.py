@@ -6,13 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import avdtotal.coloring as coloring
 import avdtotal.pipeline as pipeline
 from avdtotal import (Graph, PipelineParams, RepairError, TotalColoring,
-                      Violation, complete_graph, cycle_graph, greedy_total,
+                      Violation, complete_graph, cycle_graph,
+                      distinguish_low_degree, find_bulk_deletion,
+                      find_patch_deletion, greedy_total, light_vertices,
                       random_gnp, recolor_union, repair_fallback, run_pipeline,
-                      star_graph, verdict, violations)
+                      star_graph, star_masks, verdict, violations)
 
-from helpers import reference_repair_fallback
+from helpers import hub_graph, reference_repair_fallback
 
 
 def two_hub_graph():
@@ -120,6 +123,56 @@ class TestRepairFallback:
         phi = greedy_total(g)
         out = repair_fallback(g, phi)
         assert out == reference_repair_fallback(g, phi)
+
+
+def carried(phase, g, phi, *args):
+    """phase's result on phi, after checking that masks passed as ``stars``
+    end as the result's masks and leave the result unchanged."""
+    stars = star_masks(g, phi)
+    out = phase(g, phi, *args, stars=stars)
+    assert stars == star_masks(g, out)
+    assert out == phase(g, phi, *args)
+    return out
+
+
+def carry_through(g, phi, bulk_edges, patch_edges):
+    """The recolour, low-degree and repair phases in pipeline order, each
+    checked by ``carried``; returns the number of repairs."""
+    recolored = carried(recolor_union, g, phi, bulk_edges, patch_edges)
+    lowered = carried(distinguish_low_degree, g, recolored)
+    return carried(repair_fallback, g, lowered).k - lowered.k
+
+
+class TestCarriedStars:
+    """Each phase keeps the masks it is given equal to its result's."""
+
+    @given(st.integers(1, 40), st.sampled_from([0.1, 0.3, 0.6, 0.9]),
+           st.integers(0, 2 ** 32 - 1), st.randoms(use_true_random=False))
+    @settings(max_examples=80, deadline=None)
+    def test_random_graphs(self, n, q, seed, rnd):
+        g = random_gnp(n, q, seed)
+        phi = greedy_total(g)
+        picked = [e for e in g.edges if rnd.random() < 0.3]
+        half = len(picked) // 2
+        carry_through(g, phi, picked[:half], picked[half:])
+        carried(repair_fallback, g, phi)  # the seed's many equal pairs
+
+    def test_clique_with_repairs(self):
+        g, phi = cyclic_k5()
+        assert carried(repair_fallback, g, phi).k > phi.k
+        assert carry_through(g, phi, [(0, 1), (2, 3)], [(1, 4)]) > 0
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_hub_graph_selections(self, seed):
+        # a small lam leaves the hubs light, so the patch stage selects edges
+        g = hub_graph(seed, 200, 3, 3)
+        phi = greedy_total(g)
+        params = PipelineParams(lam=3.0, m=5, d=1, seed=seed)
+        bulk = find_bulk_deletion(g, phi, params)
+        light = light_vertices(g, bulk.selection, params.m)
+        patch = find_patch_deletion(g, phi, bulk.selection, light, params)
+        assert patch.selection.edges
+        carry_through(g, phi, bulk.selection.edges, patch.selection.edges)
 
 
 class TestRunPipeline:
@@ -231,12 +284,41 @@ class TestRunPipeline:
     def test_exit_check_rejects_undistinguished_result(self, monkeypatch):
         # with every recolouring phase a no-op, the fully clashing input
         # reaches the exit check unchanged
-        monkeypatch.setattr("avdtotal.pipeline.recolor_union", lambda g, phi, a, b: phi)
+        monkeypatch.setattr("avdtotal.pipeline.recolor_union",
+                            lambda g, phi, a, b, **_: phi)
         monkeypatch.setattr("avdtotal.pipeline.distinguish_low_degree",
                             lambda g, phi, **_: phi)
-        monkeypatch.setattr("avdtotal.pipeline.repair_fallback", lambda g, phi: phi)
+        monkeypatch.setattr("avdtotal.pipeline.repair_fallback",
+                            lambda g, phi, **_: phi)
         with pytest.raises(RuntimeError, match="undistinguished-pair"):
             run_pipeline(*cyclic_k5())
+
+    def test_masks_built_at_entry_and_exit_only(self, monkeypatch):
+        # every colour set is built by one pass over an edge-colour dict;
+        # a run through every phase makes that pass on the seed and on the
+        # result, and the phases keep the seed's masks current in between
+        builds, changed = [], []
+
+        def counting(*args):
+            builds.append(args)
+            return edge_masks(*args)
+
+        def low_degree(g, phi, **kwargs):
+            out = distinguish_low(g, phi, **kwargs)
+            changed.append(out.vertex_colors != phi.vertex_colors)
+            return out
+
+        edge_masks, distinguish_low = coloring._edge_masks, distinguish_low_degree
+        monkeypatch.setattr(coloring, "_edge_masks", counting)
+        monkeypatch.setattr(pipeline, "distinguish_low_degree", low_degree)
+        # two adjacent hubs stay light, so the patch stage checks B2_pair
+        _, report = run_pipeline(hub_graph(4, 200, 3, 3),
+                                 params=PipelineParams(lam=3.0, m=5, d=1))
+        assert report.e1_rounds > 0 and report.e2_success is True
+        assert report.fresh_palette_size > 0 and changed == [True]
+        # a repair would add the repair phase's own verifier pass
+        assert report.fallback_repairs == 0
+        assert len(builds) == 2
 
     def test_rejects_mismatched_shape(self):
         g = cycle_graph(4)
