@@ -4,13 +4,13 @@ Run: python3 demos/coloring_walkthrough.py
 """
 
 from avdtotal import (Graph, TotalColoring, degree_split,
-                      distinguish_low_degree, greedy_total, star_masks,
-                      verdict, violations)
+                      distinguish_low_degree, greedy_total, verdict,
+                      violations)
 
 
 def show(g, phi, label):
     # bit c of a closed-star mask is set when v or an edge at v has colour c
-    masks = star_masks(g, phi)
+    masks = phi.stars
     print(f"{label}: k={phi.k}")
     for v in range(g.n):
         colours = [c for c in range(1, phi.k + 1) if masks[v] >> c & 1]

@@ -12,8 +12,7 @@ from .bounds import (BoundReport, DerivedConstants, DomainError,
                      derive_constants, find_feasible_delta,
                      lll_asymmetric_check)
 from .coloring import (DocumentError, TotalColoring, Violation, check_total,
-                       from_document, star_masks, to_document, verdict,
-                       violations)
+                       from_document, to_document, verdict, violations)
 from .exact import (CapacityError, ConjectureReport, GraphRecord,
                     check_conjecture, chi_at_exact, chi_prime_exact,
                     chi_total_exact, find_edge_coloring, find_total_coloring)
@@ -90,7 +89,6 @@ __all__ = [
     "repair_fallback",
     "run_pipeline",
     "star_graph",
-    "star_masks",
     "substream",
     "to_document",
     "verdict",

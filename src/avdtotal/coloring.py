@@ -3,13 +3,14 @@
 A total colouring assigns a colour to every vertex and every edge. It is
 proper when adjacent vertices differ, adjacent edges differ, and every
 vertex differs from its incident edges. The colour set of a vertex v is
-its own colour together with the colours of its incident edges; a proper
-total colouring is adjacent-vertex-distinguishing (AVD) when every pair of
-adjacent vertices has distinct colour sets, held as ``star_masks`` bitmasks.
+its own colour together with the colours of its incident edges, held as a
+closed-star bitmask in ``TotalColoring.stars``; a proper total colouring is
+adjacent-vertex-distinguishing (AVD) when adjacent vertices' sets differ.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -20,12 +21,20 @@ from .graphs import Edge, Graph, normalize_edge
 class TotalColoring:
     """Colours for every vertex and edge, drawn from the palette 1..k.
 
-    Instances are snapshots: phases that recolour build a new object.
+    Instances are snapshots: phases that recolour build a new object, and
+    edge_colors must not change after ``stars`` has been read.
     """
 
     vertex_colors: tuple[int, ...]
     edge_colors: dict[Edge, int]
     k: int
+
+    @functools.cached_property
+    def stars(self) -> tuple[int, ...]:
+        """Every colour set as a closed-star bitmask, indexed by vertex: bit
+        c of the mask of v is set when v or an edge at v has colour c.
+        Built on first read, or set by the phase that made this colouring."""
+        return _closed_stars(self)
 
     def used_colors(self) -> frozenset[int]:
         return frozenset(self.vertex_colors) | frozenset(self.edge_colors.values())
@@ -76,20 +85,24 @@ def _edge_masks(n: int, colored_edges) -> list[int]:
     return masks
 
 
-def star_masks(g: Graph, phi: TotalColoring) -> list[int]:
-    """Every colour set as a closed-star bitmask, indexed by vertex: bit c
-    of the mask of v is set when v or an edge at v has colour c.
+def _closed_stars(phi: TotalColoring) -> tuple[int, ...]:
+    """The one builder of closed-star masks, for ``TotalColoring.stars``
+    and, afresh on every call, for ``violations``."""
+    masks = _edge_masks(len(phi.vertex_colors), phi.edge_colors.items())
+    return tuple(m | 1 << c for m, c in zip(masks, phi.vertex_colors))
 
-    Colours are looked up edge by edge along ``g.edges``, so an edge that
-    phi leaves uncoloured raises KeyError instead of giving a wrong mask.
-    """
-    ec = phi.edge_colors
-    masks = _edge_masks(g.n, zip(g.edges, map(ec.__getitem__, g.edges)))
-    return [m | 1 << c for m, c in zip(masks, phi.vertex_colors)]
+
+def _with_stars(stars: list[int] | tuple[int, ...], vertex_colors: tuple[int, ...],
+                edge_colors: dict[Edge, int], k: int) -> TotalColoring:
+    """A new colouring whose ``stars`` are set to stars, which must be its
+    masks; for phases that keep the masks current as they recolour."""
+    phi = TotalColoring(vertex_colors, edge_colors, k)
+    object.__setattr__(phi, "stars", tuple(stars))
+    return phi
 
 
 def _edge_clashes(g: Graph, edge_colors: dict[Edge, int],
-                  stars: list[int]) -> list[tuple[Edge, Edge]]:
+                  stars: tuple[int, ...]) -> list[tuple[Edge, Edge]]:
     """Pairs of same-coloured edges sharing an endpoint, grouped by vertex;
     stars are the closed-star masks of the colouring."""
     out: list[tuple[Edge, Edge]] = []
@@ -108,7 +121,7 @@ def _edge_clashes(g: Graph, edge_colors: dict[Edge, int],
     return out
 
 
-def _witnesses(g: Graph, phi: TotalColoring, stars: list[int]) -> list[Violation]:
+def _witnesses(g: Graph, phi: TotalColoring, stars: tuple[int, ...]) -> list[Violation]:
     out: list[Violation] = []
     for u, v in g.edges:
         cu, cv = phi.vertex_colors[u], phi.vertex_colors[v]
@@ -129,16 +142,16 @@ def violations(g: Graph, phi: TotalColoring) -> list[Violation]:
     every undistinguished pair; empty exactly when phi is proper and AVD.
 
     After ``check_total``, one pass over phi's edge colours builds every
-    closed star, and ``_judge`` decides both properties from them.
+    closed star afresh, never from ``phi.stars``, and ``_judge`` decides
+    both properties from them.
     """
     check_total(g, phi)
     # check_total has matched the keys to the edge set, so the colours can
     # be read straight off the dict
-    masks = _edge_masks(g.n, phi.edge_colors.items())
-    return _judge(g, phi, [m | 1 << c for m, c in zip(masks, phi.vertex_colors)])
+    return _judge(g, phi, _closed_stars(phi))
 
 
-def _judge(g: Graph, phi: TotalColoring, stars: list[int]) -> list[Violation]:
+def _judge(g: Graph, phi: TotalColoring, stars: tuple[int, ...]) -> list[Violation]:
     """``violations`` of a total assignment phi whose closed-star masks are
     stars.
 

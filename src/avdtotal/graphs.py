@@ -120,10 +120,10 @@ def degree_split(g: Graph) -> DegreeSplit:
 def parse_graph6(text: str) -> Graph:
     """Decode a single graph6 string (basic one-byte header, n <= 62)."""
     s = text.strip()
+    start = len(">>graph6<<") if s.startswith(">>graph6<<") else 0
+    s = s[start:]
     if not s:
-        raise Graph6Error("empty graph6 string", 0)
-    if s.startswith(">>graph6<<"):
-        s = s[len(">>graph6<<"):]
+        raise Graph6Error("empty graph6 string", start)
     for i, ch in enumerate(s):
         if not (_G6_LOW <= ord(ch) <= _G6_HIGH):
             raise Graph6Error(f"character {ch!r} outside graph6 alphabet", i)
@@ -286,12 +286,15 @@ def random_regular(n: int, d: int, seed: int) -> Graph:
     """Random d-regular graph via the pairing model with rejection.
 
     Requires 0 <= d < n and even n*d. Dense degrees (d close to n-1) make
-    rejection slow; use complete_graph for d = n-1.
+    rejection slow. K_n is the only (n-1)-regular graph on n labelled
+    vertices, so d = n-1 returns complete_graph(n).
     """
     if not 0 <= d < n:
         raise ValueError("need 0 <= d < n")
     if (n * d) % 2:
         raise ValueError("n*d must be even")
+    if d == n - 1:
+        return complete_graph(n)
     rng = _generator_rng(seed)
     stubs = np.repeat(np.arange(n), d)
     for _ in range(1000):

@@ -224,11 +224,9 @@ def candidate_edges(g: Graph) -> list[Edge]:
 class _StarSets:
     """Restricted colour sets over one indexed edge list.
 
-    A vertex's restricted set is its closed-star mask with the colours of
-    its deleted edges cleared. The closed stars are built from the vertex
-    colours and the colour bits of the listed edges, so they, and the
-    restricted sets, are exact at every vertex all of whose edges are
-    listed. phi is proper, so the colours of a closed star are distinct and
+    A vertex's restricted set is its closed-star mask, from ``phi.stars``,
+    with the colours of its deleted edges cleared, so it is exact at every
+    vertex. phi is proper, so the colours of a closed star are distinct and
     each deleted edge's colour is set there exactly once: clearing it is
     one XOR at each endpoint. ``deleted`` is a boolean array over ``edges``.
     """
@@ -237,17 +235,15 @@ class _StarSets:
         self.edges = edges
         self.bits = [1 << c for c in map(phi.edge_colors.__getitem__, edges)]
         self.incident: list[list[int]] = [[] for _ in range(g.n)]
-        self.stars = [1 << c for c in phi.vertex_colors]
-        for i, ((u, v), bit) in enumerate(zip(edges, self.bits)):
+        for i, (u, v) in enumerate(edges):
             self.incident[u].append(i)
             self.incident[v].append(i)
-            self.stars[u] |= bit
-            self.stars[v] |= bit
+        self.stars = phi.stars
 
     def under(self, deleted: np.ndarray) -> list[int]:
         """Every vertex's restricted set under one deleted-edge array, in
         one pass over the deleted edges."""
-        masks = self.stars.copy()
+        masks = list(self.stars)
         for i in np.flatnonzero(deleted).tolist():
             u, v = self.edges[i]
             masks[u] ^= self.bits[i]
@@ -267,8 +263,7 @@ class _BulkCheck:
     its per-vertex counts. A_pair can only fire at an edge joining
     equal-degree high vertices, so those edges are listed up front, and the
     restricted colour sets are computed, all in one pass over the selected
-    edges, only when a selection count lets the event fire; every edge at
-    a high vertex is a candidate, so the sets are exact there. B_vertex
+    edges, only when a selection count lets the event fire. B_vertex
     counts under-selected neighbours of every high vertex with one bincount
     over their concatenated adjacency lists.
 

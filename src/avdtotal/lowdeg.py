@@ -9,7 +9,7 @@ permanently: later steps only apply the same argument at other vertices.
 
 from __future__ import annotations
 
-from .coloring import TotalColoring, star_masks
+from .coloring import TotalColoring, _with_stars
 from .graphs import Graph, degree_split
 
 
@@ -37,8 +37,7 @@ def _forbidden(g: Graph, vertex_colors: list[int], masks: list[int], u: int) -> 
     return out
 
 
-def distinguish_low_degree(g: Graph, phi: TotalColoring, *,
-                           stars: list[int] | None = None) -> TotalColoring:
+def distinguish_low_degree(g: Graph, phi: TotalColoring) -> TotalColoring:
     """Recolour low-degree vertices until each differs from all neighbours.
 
     phi must be a proper total colouring of g; the low vertices are those
@@ -49,14 +48,12 @@ def distinguish_low_degree(g: Graph, phi: TotalColoring, *,
     forbidden set excludes every colour that would copy a neighbour's
     colour set; so each low vertex is recoloured at most once.
 
-    stars, when given, must be ``star_masks(g, phi)``; it is updated in
-    place to the result's masks (two bits per recolour), so no mask is
-    rebuilt here. Without it the masks are built from phi.
+    The pass updates a copy of ``phi.stars``, which the result carries.
     """
     if phi.k <= g.max_degree:
         raise ValueError(f"palette k={phi.k} must exceed max_degree={g.max_degree}")
     vcols = list(phi.vertex_colors)
-    masks = star_masks(g, phi) if stars is None else stars
+    masks = list(phi.stars)
     changed = False
     for u in sorted(degree_split(g).low):
         if all(masks[u] != masks[w] for w in g.adjacency[u]):
@@ -75,5 +72,4 @@ def distinguish_low_degree(g: Graph, phi: TotalColoring, *,
 
     if not changed:
         return phi
-    return TotalColoring(vertex_colors=tuple(vcols),
-                         edge_colors=phi.edge_colors, k=phi.k)
+    return _with_stars(masks, tuple(vcols), phi.edge_colors, phi.k)

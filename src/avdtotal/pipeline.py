@@ -13,8 +13,8 @@ from __future__ import annotations
 import time
 from dataclasses import asdict, dataclass
 
-from .coloring import (TotalColoring, _judge, _proper, check_total,
-                       star_masks, violations)
+from .coloring import (TotalColoring, _closed_stars, _judge, _proper,
+                       _with_stars, check_total, violations)
 from .graphs import Edge, Graph, normalize_edge
 from .highdeg import (PipelineParams, find_bulk_deletion,
                       find_patch_deletion, light_vertices)
@@ -69,8 +69,8 @@ class PipelineReport:
         return out
 
 
-def recolor_union(g: Graph, phi: TotalColoring, bulk_edges, patch_edges, *,
-                  stars: list[int] | None = None) -> TotalColoring:
+def recolor_union(g: Graph, phi: TotalColoring, bulk_edges,
+                  patch_edges) -> TotalColoring:
     """Recolour the selected edges with a fresh palette above phi's budget.
 
     The selected union is recoloured as its own subgraph with at most
@@ -80,9 +80,8 @@ def recolor_union(g: Graph, phi: TotalColoring, bulk_edges, patch_edges, *,
     phi must be a proper total colouring of g. A selected edge outside g
     raises ValueError naming the smallest such edge.
 
-    stars, when given, must be ``star_masks(g, phi)``; it is updated in
-    place to the result's masks by swapping the old and new colour bits of
-    each union edge at both ends. Without it no masks are kept.
+    The result's ``stars`` are a copy of ``phi.stars`` with the old and new
+    colour bits of each union edge swapped at both ends.
     """
     chosen = {normalize_edge(u, v) for u, v in bulk_edges}
     chosen.update(normalize_edge(u, v) for u, v in patch_edges)
@@ -96,21 +95,19 @@ def recolor_union(g: Graph, phi: TotalColoring, bulk_edges, patch_edges, *,
     sub_colors = vizing_color(Graph.build(g.n, union)).colors
     fresh = {e: phi.k + c for e, c in sub_colors.items()}
     k = phi.k + max(sub_colors.values())
-    if stars is not None:
-        # phi is proper and the new colours are above its palette, so each
-        # old bit is set once at each end and each new bit not at all; the
-        # bits are shifted once per colour, not twice per edge
-        bits = [1 << c for c in range(k + 1)]
-        for (u, v), c in fresh.items():
-            flip = bits[phi.edge_colors[(u, v)]] | bits[c]
-            stars[u] ^= flip
-            stars[v] ^= flip
-    return TotalColoring(vertex_colors=phi.vertex_colors,
-                         edge_colors={**phi.edge_colors, **fresh}, k=k)
+    # phi is proper and the new colours are above its palette, so each old
+    # bit is set once at each end and each new bit not at all; the bits are
+    # shifted once per colour, not twice per edge
+    stars = list(phi.stars)
+    bits = [1 << c for c in range(k + 1)]
+    for (u, v), c in fresh.items():
+        flip = bits[phi.edge_colors[(u, v)]] | bits[c]
+        stars[u] ^= flip
+        stars[v] ^= flip
+    return _with_stars(stars, phi.vertex_colors, {**phi.edge_colors, **fresh}, k)
 
 
-def repair_fallback(g: Graph, phi: TotalColoring, *,
-                    stars: list[int] | None = None) -> TotalColoring:
+def repair_fallback(g: Graph, phi: TotalColoring) -> TotalColoring:
     """Force the distinguishing property with one brand-new colour per pair.
 
     One scan of the edges in order: each undistinguished pair recolours one
@@ -122,12 +119,11 @@ def repair_fallback(g: Graph, phi: TotalColoring, *,
     repairs, in order, the pairs a rescan after every repair would find
     first. phi must be a proper total colouring of g.
 
-    stars, when given, must be ``star_masks(g, phi)``; it is updated in
-    place to the result's masks, two bits per repair. Without it the masks
-    are built from phi. Either way a repaired result gets its own full
-    ``violations`` pass, and RepairError names its first violation.
+    The scan updates a copy of ``phi.stars``, two bits per repair, which
+    the result carries. A repaired result gets its own full ``violations``
+    pass, and RepairError names its first violation.
     """
-    masks = star_masks(g, phi) if stars is None else stars
+    masks = list(phi.stars)
     vertex_colors = list(phi.vertex_colors)
     recoloured: dict[Edge, int] = {}
     k = phi.k
@@ -150,8 +146,7 @@ def repair_fallback(g: Graph, phi: TotalColoring, *,
         recoloured[edge] = k
     if k == phi.k:
         return phi
-    out = TotalColoring(vertex_colors=tuple(vertex_colors),
-                        edge_colors={**phi.edge_colors, **recoloured}, k=k)
+    out = _with_stars(masks, tuple(vertex_colors), {**phi.edge_colors, **recoloured}, k)
     found = violations(g, out)
     if found:
         raise RepairError(f"violations persist after {k - phi.k} repairs: "
@@ -165,13 +160,12 @@ def run_pipeline(g: Graph, phi: TotalColoring | None = None,
     """Produce a distinguishing proper total colouring of g, with a report.
 
     The seed, supplied or greedy, gets one verifier pass here: after
-    ``check_total``, its ``star_masks`` are built once and judged as
-    ``violations`` would judge them. It must be proper total, and if it is
-    already distinguishing it is returned unchanged with that pass as its
-    verdict. Otherwise those masks are carried through the recolour,
-    low-degree and repair phases, each keeping them current in place, so
-    no phase rebuilds them; the deletion stages read their own from the
-    seed's edge colours. The phases trust their input; the result gets a
+    ``check_total``, its closed stars are built afresh, never read from
+    ``phi.stars``, and judged as ``violations`` would judge them. It must
+    be proper total, and if it is already distinguishing it is returned
+    unchanged with that pass as its verdict. Otherwise a copy of it carries
+    those masks as its ``stars``, and each phase hands its result the masks
+    it has kept current. The phases trust their input; the result gets a
     fresh, full ``violations`` pass on the way out (see ``_exit_check``).
     """
     params = params or PipelineParams()
@@ -184,7 +178,7 @@ def run_pipeline(g: Graph, phi: TotalColoring | None = None,
 
     start = time.perf_counter()
     check_total(g, phi)
-    stars = star_masks(g, phi)
+    stars = _closed_stars(phi)
     found = _judge(g, phi, stars)
     timings["verify_input"] = time.perf_counter() - start
     if not _proper(found):
@@ -201,6 +195,7 @@ def run_pipeline(g: Graph, phi: TotalColoring | None = None,
             short_circuit=True, verified={"proper": True, "avd": True},
             phase_timings=timings)
         return phi, report
+    phi = _with_stars(stars, phi.vertex_colors, phi.edge_colors, phi.k)
 
     start = time.perf_counter()
     bulk = find_bulk_deletion(g, phi, params)
@@ -212,17 +207,16 @@ def run_pipeline(g: Graph, phi: TotalColoring | None = None,
     timings["patch"] = time.perf_counter() - start
 
     start = time.perf_counter()
-    recolored = recolor_union(g, phi, bulk.selection.edges, patch.selection.edges,
-                              stars=stars)
+    recolored = recolor_union(g, phi, bulk.selection.edges, patch.selection.edges)
     fresh = recolored.k - input_k
     timings["recolor"] = time.perf_counter() - start
 
     start = time.perf_counter()
-    lowered = distinguish_low_degree(g, recolored, stars=stars)
+    lowered = distinguish_low_degree(g, recolored)
     timings["low_degree"] = time.perf_counter() - start
 
     start = time.perf_counter()
-    repaired = repair_fallback(g, lowered, stars=stars)
+    repaired = repair_fallback(g, lowered)
     repairs = repaired.k - lowered.k
     timings["repair"] = time.perf_counter() - start
 

@@ -68,10 +68,11 @@ def improper_k4_doc(tmp_path):
 
 def count_verifier_calls(monkeypatch) -> Counter:
     """Count the verifier and its building blocks in every module that binds
-    them, so calls across modules are seen too. The pipeline's entry pass
-    counts as one ``star_masks`` call, whose masks it judges and carries on."""
+    them, so calls across modules are seen too. ``_closed_stars`` is the one
+    mask builder: the pipeline's entry pass calls it once and judges the
+    masks, and each ``violations`` pass calls it once more."""
     calls = Counter()
-    for name in ("violations", "check_total", "star_masks"):
+    for name in ("violations", "check_total", "_closed_stars"):
         def counting(*args, _name=name, _original=getattr(coloring_mod, name)):
             calls[_name] += 1
             return _original(*args)
@@ -186,6 +187,12 @@ class TestColor:
         assert code == 2
         assert err == "error: no graph6 line found in input (byte 0)\n"
 
+    def test_header_only_input_is_parse_error(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(">>graph6<<\n"))
+        code, out, err = run(["color", "--json"], capsys)
+        assert code == 2 and out == ""
+        assert err == "error: empty graph6 string (byte 10)\n"
+
     def test_infinite_lambda_is_domain_error(self, k4_file, capsys):
         code, _, err = run(["color", "--in", k4_file, "--lambda", "inf"], capsys)
         assert code == 2
@@ -198,7 +205,7 @@ class TestColor:
         calls = count_verifier_calls(monkeypatch)
         code, out, _ = run(["color", "--in", k5_file, "--json"], capsys)
         assert code == 0 and json.loads(out)["report"]["short_circuit"] is False
-        assert calls == {"star_masks": 1, "violations": 1, "check_total": 2}
+        assert calls == {"_closed_stars": 2, "violations": 1, "check_total": 2}
 
     def test_short_circuit_reuses_entry_pass(self, k4_file, clean_doc, capsys,
                                              monkeypatch):
@@ -207,7 +214,7 @@ class TestColor:
                             "--seed-coloring", clean_doc], capsys)
         assert code == 0 and json.loads(out)["report"]["short_circuit"] is True
         # from_document checks the seed document once more on loading
-        assert calls == {"star_masks": 1, "check_total": 2}
+        assert calls == {"_closed_stars": 1, "check_total": 2}
 
 
 class TestVerify:
@@ -261,11 +268,12 @@ class TestDistinguishLow:
 
     def test_one_verifier_pass_each_side(self, clean_doc, capsys, monkeypatch):
         # the input check and the output flags are one violations call each;
-        # the third check_total is from_document's, on loading
+        # the third check_total is from_document's, on loading, and the
+        # third mask build is the phase's first read of its input's stars
         calls = count_verifier_calls(monkeypatch)
         code, _, _ = run(["distinguish-low", "--in", clean_doc, "--json"], capsys)
         assert code == 0
-        assert calls == {"violations": 2, "check_total": 3}
+        assert calls == {"_closed_stars": 3, "violations": 2, "check_total": 3}
 
 
 class TestSelections:
@@ -407,6 +415,13 @@ class TestConjectureScan:
         code, _, err = run(["check-conjecture", "--corpus", str(p)], capsys)
         assert code == 2
         assert "line 2" in err
+
+    def test_header_only_line_is_parse_error(self, tmp_path, capsys):
+        p = tmp_path / "corpus.g6"
+        p.write_text("Bw\n>>graph6<<\n")
+        code, _, err = run(["check-conjecture", "--corpus", str(p)], capsys)
+        assert code == 2 and "Traceback" not in err
+        assert err.startswith("error: line 2: empty graph6 string (byte 10)")
 
 
 class TestBounds:

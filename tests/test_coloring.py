@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from avdtotal import (DocumentError, Graph, TotalColoring, Violation,
                       check_total, complete_graph, cycle_graph, from_document,
                       greedy_total, path_graph, random_gnp, star_graph,
-                      star_masks, to_document, verdict, violations)
+                      to_document, verdict, violations)
 
 from helpers import (mask_of, naive_color_set, naive_is_avd, naive_is_proper,
                      reference_properness_violations)
@@ -64,22 +64,39 @@ class TestColorSets:
 
     def test_color_set_matches_naive(self):
         g, phi = p3_coloring()
-        masks = star_masks(g, phi)
-        assert masks == [0b1010, 0b11100, 0b10010]
+        masks = phi.stars
+        assert masks == (0b1010, 0b11100, 0b10010)
         for v in range(3):
             assert masks[v] == mask_of(naive_color_set(g, phi, v))
 
     def test_proper_set_size_is_degree_plus_one(self):
         for g in (complete_graph(4), random_gnp(30, 0.3, 5)):
             phi = greedy_total(g)
-            for v, mask in enumerate(star_masks(g, phi)):
+            for v, mask in enumerate(phi.stars):
                 assert mask.bit_count() == g.degree(v) + 1
 
     def test_color_sets_batch_agrees(self):
         g = cycle_graph(5)
         phi = greedy_total(g)
-        assert star_masks(g, phi) == [mask_of(naive_color_set(g, phi, v))
-                                      for v in range(g.n)]
+        assert phi.stars == tuple(mask_of(naive_color_set(g, phi, v))
+                                  for v in range(g.n))
+
+    def test_built_once_and_kept(self):
+        g = cycle_graph(5)
+        phi = greedy_total(g)
+        assert phi.stars is phi.stars
+
+    def test_verifier_never_reads_carried_masks(self):
+        # masks that hide every clash, or report clashes that are not
+        # there, leave the verdict as it is on an unpoisoned copy
+        improper = TotalColoring((1, 2, 1), {(0, 1): 3, (1, 2): 3}, 3)
+        for g, phi in ((complete_graph(3), greedy_total(complete_graph(3))),
+                       p3_coloring(), (path_graph(3), improper)):
+            clean = TotalColoring(phi.vertex_colors, phi.edge_colors, phi.k)
+            for poison in (tuple(range(1, g.n + 1)), (0,) * g.n):
+                object.__setattr__(phi, "stars", poison)
+                assert violations(g, phi) == violations(g, clean)
+                assert verdict(g, phi) == verdict(g, clean)
 
 
 class TestPropernessViolations:
@@ -130,8 +147,8 @@ class TestPropernessViolations:
             assert found == improper
         else:
             assert all(v.kind == "undistinguished-pair" for v in found)
-        assert star_masks(g, phi) == [mask_of(naive_color_set(g, phi, v))
-                                      for v in range(g.n)]
+        assert phi.stars == tuple(mask_of(naive_color_set(g, phi, v))
+                                  for v in range(g.n))
 
 
 class TestAvdViolations:

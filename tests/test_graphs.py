@@ -172,6 +172,13 @@ class TestGraph6:
         with pytest.raises(Graph6Error):
             parse_graph6("")
 
+    @pytest.mark.parametrize("text", [">>graph6<<", ">>graph6<<\n", "  >>graph6<<  "])
+    def test_parse_rejects_header_only(self, text):
+        # the header was stripped and the empty rest indexed: IndexError
+        with pytest.raises(Graph6Error, match="empty") as exc:
+            parse_graph6(text)
+        assert exc.value.offset == 10
+
     def test_parse_rejects_bad_alphabet(self):
         with pytest.raises(Graph6Error) as exc:
             parse_graph6("C\x1f")
@@ -295,6 +302,11 @@ class TestGenerators:
     def test_regular_parity_rejected(self):
         with pytest.raises(ValueError):
             random_regular(5, 3, 0)
+
+    @pytest.mark.parametrize("n", range(1, 16))
+    def test_regular_complete_degree(self, n):
+        # d = n - 1 ran the pairing model to its rejection cap from n = 7
+        assert random_regular(n, n - 1, 0) == complete_graph(n)
 
 
 def test_connected_enumeration_counts():

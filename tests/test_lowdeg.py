@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 from avdtotal import (Graph, PipelineParams, TotalColoring, complete_graph,
                       degree_split, distinguish_low_degree, find_bulk_deletion,
                       find_patch_deletion, greedy_total, light_vertices,
-                      random_gnp, recolor_union, star_graph, star_masks,
-                      verdict, violations)
+                      random_gnp, recolor_union, star_graph, verdict,
+                      violations)
 
 from avdtotal.lowdeg import _forbidden
 
@@ -32,7 +32,7 @@ def two_low_clash():
 def forbidden(g, phi, u):
     """The forbidden set distinguish_low_degree computes for u, read from
     the mask _forbidden returns."""
-    return colours_of(_forbidden(g, list(phi.vertex_colors), star_masks(g, phi), u))
+    return colours_of(_forbidden(g, list(phi.vertex_colors), phi.stars, u))
 
 
 class TestForbiddenColors:
@@ -76,7 +76,7 @@ class TestDistinguishLowDegree:
         assert out.edge_colors == phi.edge_colors
         assert out.k == phi.k
         assert verdict(g, out)["proper"]
-        sets = star_masks(g, out)
+        sets = out.stars
         for u in sorted(degree_split(g).low):
             assert all(sets[u] != sets[w] for w in g.neighbors(u))
 
@@ -113,7 +113,7 @@ class TestDistinguishLowDegree:
         split = degree_split(g)
         for v in split.high:
             assert out.vertex_colors[v] == phi.vertex_colors[v]
-        sets = star_masks(g, out)
+        sets = out.stars
         for u in split.low:
             for w in g.neighbors(u):
                 assert sets[u] != sets[w]

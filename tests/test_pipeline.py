@@ -13,7 +13,7 @@ from avdtotal import (Graph, PipelineParams, RepairError, TotalColoring,
                       distinguish_low_degree, find_bulk_deletion,
                       find_patch_deletion, greedy_total, light_vertices,
                       random_gnp, recolor_union, repair_fallback, run_pipeline,
-                      star_graph, star_masks, verdict, violations)
+                      star_graph, verdict, violations)
 
 from helpers import hub_graph, reference_repair_fallback
 
@@ -126,12 +126,15 @@ class TestRepairFallback:
 
 
 def carried(phase, g, phi, *args):
-    """phase's result on phi, after checking that masks passed as ``stars``
-    end as the result's masks and leave the result unchanged."""
-    stars = star_masks(g, phi)
-    out = phase(g, phi, *args, stars=stars)
-    assert stars == star_masks(g, out)
-    assert out == phase(g, phi, *args)
+    """phase's result on phi, after checking that the result carries masks
+    equal to a fresh build, set by the phase rather than built on reading,
+    and that phi's own masks are unchanged."""
+    before = phi.stars
+    out = phase(g, phi, *args)
+    assert phi.stars is before and before == coloring._closed_stars(phi)
+    if out is not phi:
+        assert "stars" in vars(out)
+        assert out.stars == coloring._closed_stars(out)
     return out
 
 
@@ -144,7 +147,7 @@ def carry_through(g, phi, bulk_edges, patch_edges):
 
 
 class TestCarriedStars:
-    """Each phase keeps the masks it is given equal to its result's."""
+    """Each phase hands its result the masks of that result."""
 
     @given(st.integers(1, 40), st.sampled_from([0.1, 0.3, 0.6, 0.9]),
            st.integers(0, 2 ** 32 - 1), st.randoms(use_true_random=False))
@@ -272,7 +275,7 @@ class TestRunPipeline:
             run_pipeline(g, bad)
 
     def test_exit_check_rejects_improper_result(self, monkeypatch):
-        def clash(g, phi, **_):
+        def clash(g, phi):
             vertex_colors = list(phi.vertex_colors)
             vertex_colors[1] = vertex_colors[0]
             return TotalColoring(tuple(vertex_colors), phi.edge_colors, phi.k)
@@ -285,13 +288,39 @@ class TestRunPipeline:
         # with every recolouring phase a no-op, the fully clashing input
         # reaches the exit check unchanged
         monkeypatch.setattr("avdtotal.pipeline.recolor_union",
-                            lambda g, phi, a, b, **_: phi)
+                            lambda g, phi, a, b: phi)
         monkeypatch.setattr("avdtotal.pipeline.distinguish_low_degree",
-                            lambda g, phi, **_: phi)
+                            lambda g, phi: phi)
         monkeypatch.setattr("avdtotal.pipeline.repair_fallback",
-                            lambda g, phi, **_: phi)
+                            lambda g, phi: phi)
         with pytest.raises(RuntimeError, match="undistinguished-pair"):
             run_pipeline(*cyclic_k5())
+
+    def test_exit_check_ignores_carried_masks(self, monkeypatch):
+        # the low-degree stand-in returns the fully clashing colouring with
+        # masks that are pairwise distinct, so the real repair step sees no
+        # equal pair and repairs nothing; only the exit check can notice
+        g, clashing = cyclic_k5()
+
+        def hide(g, phi):
+            out = TotalColoring(clashing.vertex_colors, clashing.edge_colors,
+                                clashing.k)
+            object.__setattr__(out, "stars", tuple(1 << v for v in range(g.n)))
+            return out
+
+        monkeypatch.setattr("avdtotal.pipeline.distinguish_low_degree", hide)
+        with pytest.raises(RuntimeError, match="undistinguished-pair"):
+            run_pipeline(g, clashing)
+
+    def test_entry_pass_ignores_carried_masks(self):
+        # pairwise distinct masks on the fully clashing seed would let a
+        # pass that read them return it as already distinguishing
+        g, phi = cyclic_k5()
+        poison = tuple(1 << v for v in range(g.n))
+        object.__setattr__(phi, "stars", poison)
+        out, report = run_pipeline(g, phi)
+        assert report.short_circuit is False and violations(g, out) == []
+        assert phi.stars is poison
 
     def test_masks_built_at_entry_and_exit_only(self, monkeypatch):
         # every colour set is built by one pass over an edge-colour dict;
