@@ -8,6 +8,11 @@ or domain errors. With --json all machine output is a single JSON value
 per line on stdout, serialized as strict JSON (no NaN or Infinity) with
 sorted keys and no timing fields, so reruns with the same inputs and seed
 are byte-identical.
+
+Each ``cmd_*`` handler computes its whole result first and returns it as
+``(exit code, JSON records, text lines)``; ``main`` alone writes stdout,
+the records under --json and the lines otherwise. An error therefore never
+leaves partial output on stdout, only one ``error:`` line on stderr.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -33,7 +38,7 @@ from .pipeline import run_pipeline
 from .seeding import greedy_total
 from .vizing import vizing_color
 
-SEEDED_COMMANDS = {"color", "select-e1", "select-e2", "bench"}
+Output = tuple[int, list, list[str]]  # exit code, JSON records, text lines
 
 
 def _fraction(text: str) -> Fraction:
@@ -47,8 +52,9 @@ def _fraction(text: str) -> Fraction:
 _fraction.__name__ = "Fraction"  # argparse names the type in its message
 
 
-def _emit(obj) -> None:
-    print(json.dumps(obj, sort_keys=True, allow_nan=False))
+def _emit(obj) -> str:
+    """obj as one line of strict JSON with sorted keys."""
+    return json.dumps(obj, sort_keys=True, allow_nan=False)
 
 
 def _read_text(path: str | None) -> str:
@@ -86,13 +92,10 @@ def _require_proper(g: Graph, phi: TotalColoring) -> TotalColoring:
 
 
 def _params_from(args) -> PipelineParams:
-    kwargs = {}
-    for name in ("seed", "eps", "alpha", "m", "d", "B", "lam", "M", "max_rounds",
-                 "stall_rounds"):
-        value = getattr(args, name, None)
-        if value is not None:
-            kwargs[name] = value
-    return PipelineParams(**kwargs)
+    """PipelineParams from the flags given, each flag's dest named after its
+    field; the fields without a flag given keep their defaults."""
+    given = {f.name: getattr(args, f.name, None) for f in fields(PipelineParams)}
+    return PipelineParams(**{k: v for k, v in given.items() if v is not None})
 
 
 def _selection_json(result) -> dict:
@@ -111,26 +114,23 @@ def _selection_json(result) -> dict:
 # ---------------------------------------------------------------------------
 # subcommand handlers
 
-def cmd_color(args) -> int:
+def cmd_color(args) -> Output:
     g = _load_graph(args)
     phi = _seed_document(args, g)  # run_pipeline checks it is proper
     colored, report = run_pipeline(g, phi, _params_from(args))
     doc = _document_body(g, colored, report.verified)  # verified at exit
     doc["report"] = report.to_json()
-    if args.json:
-        _emit(doc)
-    else:
-        print(f"graph: n={g.n} edges={len(g.edges)} max_degree={g.max_degree}")
-        print(f"palette: input k={report.input_k}, final k={report.final_k} "
-              f"(+{report.fresh_palette_size} fresh, +{report.fallback_repairs} repairs)")
-        print(f"stage rounds: bulk={report.e1_rounds} patch={report.e2_rounds}; "
-              f"success: bulk={report.e1_success} patch={report.e2_success}")
-        print(f"verified: proper={report.verified['proper']} "
-              f"avd={report.verified['avd']}")
-    return 0
+    return 0, [doc], [
+        f"graph: n={g.n} edges={len(g.edges)} max_degree={g.max_degree}",
+        f"palette: input k={report.input_k}, final k={report.final_k} "
+        f"(+{report.fresh_palette_size} fresh, +{report.fallback_repairs} repairs)",
+        f"stage rounds: bulk={report.e1_rounds} patch={report.e2_rounds}; "
+        f"success: bulk={report.e1_success} patch={report.e2_success}",
+        f"verified: proper={report.verified['proper']} "
+        f"avd={report.verified['avd']}"]
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> Output:
     g, phi = _load_document(args.infile)
     found = violations(g, phi)
     out = {
@@ -139,27 +139,19 @@ def cmd_verify(args) -> int:
         "k": phi.k,
         "n": g.n,
     }
-    if args.json:
-        _emit(out)
-    else:
-        print(f"proper: {_proper(found)}  avd: {not found}")
-        for v in found:
-            print(f"  {v.kind}: {v.witness}")
-    return 0 if not found else 1
+    lines = [f"proper: {_proper(found)}  avd: {not found}",
+             *(f"  {v.kind}: {v.witness}" for v in found)]
+    return 0 if not found else 1, [out], lines
 
 
-def cmd_distinguish_low(args) -> int:
+def cmd_distinguish_low(args) -> Output:
     g, phi = _load_document(args.infile)
     result = distinguish_low_degree(g, _require_proper(g, phi))
     doc = to_document(g, result)
-    if args.json:
-        _emit(doc)
-    else:
-        changed = sum(1 for a, b in zip(phi.vertex_colors, result.vertex_colors)
-                      if a != b)
-        print(f"recoloured {changed} low-degree vertices; "
-              f"verified: {doc['verified']}")
-    return 0
+    changed = sum(1 for a, b in zip(phi.vertex_colors, result.vertex_colors)
+                  if a != b)
+    return 0, [doc], [f"recoloured {changed} low-degree vertices; "
+                      f"verified: {doc['verified']}"]
 
 
 def _seed_document(args, g: Graph) -> TotalColoring | None:
@@ -178,7 +170,7 @@ def _seed_or_greedy(args, g: Graph) -> TotalColoring:
     return greedy_total(g) if phi is None else _require_proper(g, phi)
 
 
-def cmd_select_e1(args) -> int:
+def cmd_select_e1(args) -> Output:
     g = _load_graph(args)
     phi = _seed_or_greedy(args, g)
     params = _params_from(args)
@@ -186,16 +178,13 @@ def cmd_select_e1(args) -> int:
     result = find_bulk_deletion(g, phi, params)
     out = _selection_json(result)
     out.update({"lam": resolved.lam, "M": resolved.M, "p": resolved.p})
-    if args.json:
-        _emit(out)
-    else:
-        print(f"bulk selection: {len(result.selection.edges)} edges, "
-              f"success={result.success}, rounds={result.rounds}, "
-              f"violations={len(result.violations)}")
-    return 0 if result.success else 1
+    return 0 if result.success else 1, [out], [
+        f"bulk selection: {len(result.selection.edges)} edges, "
+        f"success={result.success}, rounds={result.rounds}, "
+        f"violations={len(result.violations)}"]
 
 
-def cmd_select_e2(args) -> int:
+def cmd_select_e2(args) -> Output:
     g = _load_graph(args)
     phi = _seed_or_greedy(args, g)
     params = _params_from(args)
@@ -207,18 +196,15 @@ def cmd_select_e2(args) -> int:
         "light": sorted(light),
         "patch": _selection_json(patch),
     }
-    if args.json:
-        _emit(out)
-    else:
-        print(f"bulk: {len(bulk.selection.edges)} edges success={bulk.success}; "
-              f"light vertices: {len(light)}")
-        print(f"patch: {len(patch.selection.edges)} edges, "
-              f"success={patch.success}, rounds={patch.rounds}, "
-              f"infeasible_vertex={patch.infeasible_vertex}")
-    return 0 if patch.success else 1
+    return 0 if patch.success else 1, [out], [
+        f"bulk: {len(bulk.selection.edges)} edges success={bulk.success}; "
+        f"light vertices: {len(light)}",
+        f"patch: {len(patch.selection.edges)} edges, "
+        f"success={patch.success}, rounds={patch.rounds}, "
+        f"infeasible_vertex={patch.infeasible_vertex}"]
 
 
-def cmd_edge_color(args) -> int:
+def cmd_edge_color(args) -> Output:
     g = _load_graph(args)
     ec = vizing_color(g)
     out = {
@@ -226,61 +212,44 @@ def cmd_edge_color(args) -> int:
         "palette_bound": ec.k,
         "used": len(ec.used_colors()),
     }
-    if args.json:
-        _emit(out)
-    else:
-        print(f"edge colouring with {out['used']} colours (bound {ec.k})")
-        for rec in out["edge_colors"]:
-            print(f"  ({rec['u']}, {rec['v']}) -> {rec['c']}")
-    return 0
+    return 0, [out], [f"edge colouring with {out['used']} colours (bound {ec.k})",
+                      *(f"  ({rec['u']}, {rec['v']}) -> {rec['c']}"
+                        for rec in out["edge_colors"])]
 
 
-def cmd_seed_color(args) -> int:
+def cmd_seed_color(args) -> Output:
     g = _load_graph(args)
     phi = greedy_total(g)
     doc = to_document(g, phi)
-    if args.json:
-        _emit(doc)
-    else:
-        print(f"greedy proper total colouring with k={phi.k} "
-              f"(bound {2 * g.max_degree + 1}); verified: {doc['verified']}")
-    return 0
+    return 0, [doc], [f"greedy proper total colouring with k={phi.k} "
+                      f"(bound {2 * g.max_degree + 1}); verified: {doc['verified']}"]
 
 
-def cmd_exact(args) -> int:
+def cmd_exact(args) -> Output:
     g = _load_graph(args)
     fn = {"chi_at": chi_at_exact, "chi_total": chi_total_exact,
           "chi_prime": chi_prime_exact}[args.stat]
     value = fn(g)
     out = {"stat": args.stat, "value": value, "n": g.n,
            "edges": len(g.edges), "max_degree": g.max_degree}
-    if args.json:
-        _emit(out)
-    else:
-        print(f"{args.stat} = {value}")
-    return 0
+    return 0, [out], [f"{args.stat} = {value}"]
 
 
-def cmd_check_conjecture(args) -> int:
-    lines = _read_text(args.corpus).splitlines()
-    report = check_conjecture(lines)
-    if args.json:
-        for r in report.records:
-            _emit({"graph6": r.graph6, "n": r.n, "delta": r.delta,
-                         "chi_at": r.chi_at, "slack": r.slack})
-        _emit({
-            "graphs": len(report.records),
-            "violations": [r.graph6 for r in report.violations],
-            "tight": [r.graph6 for r in report.tight],
-        })
-    else:
-        for r in report.records:
-            marker = " TIGHT" if r.slack == 0 else ""
-            print(f"{r.graph6}: n={r.n} delta={r.delta} chi_at={r.chi_at} "
-                  f"slack={r.slack}{marker}")
-        print(f"{len(report.records)} graphs, {len(report.violations)} violations, "
-              f"{len(report.tight)} tight")
-    return 0 if not report.violations else 1
+def cmd_check_conjecture(args) -> Output:
+    report = check_conjecture(_read_text(args.corpus).splitlines())
+    records = [{"graph6": r.graph6, "n": r.n, "delta": r.delta,
+                "chi_at": r.chi_at, "slack": r.slack} for r in report.records]
+    records.append({
+        "graphs": len(report.records),
+        "violations": [r.graph6 for r in report.violations],
+        "tight": [r.graph6 for r in report.tight],
+    })
+    lines = [f"{r.graph6}: n={r.n} delta={r.delta} chi_at={r.chi_at} "
+             f"slack={r.slack}{' TIGHT' if r.slack == 0 else ''}"
+             for r in report.records]
+    lines.append(f"{len(report.records)} graphs, {len(report.violations)} violations, "
+                 f"{len(report.tight)} tight")
+    return 0 if not report.violations else 1, records, lines
 
 
 def _finite_or_null(x):
@@ -293,7 +262,7 @@ def _finite_or_null(x):
     return None if isinstance(x, float) and not math.isfinite(x) else x
 
 
-def cmd_bounds(args) -> int:
+def cmd_bounds(args) -> Output:
     if args.cmd == "tail":
         for name in ("n", "p", "m"):
             if getattr(args, name) is None:
@@ -303,12 +272,8 @@ def cmd_bounds(args) -> int:
         log_bound = tail_log(args.n, args.p, args.m)
         out = {"tail": args.tail, "n": args.n, "p": str(args.p), "m": args.m,
                "bound": math.exp(log_bound), "log_bound": log_bound}
-        if args.json:
-            _emit(out)
-        else:
-            print(f"{args.tail} tail bound: {out['bound']:.12g} "
-                  f"(log {log_bound:.6f})")
-        return 0
+        return 0, [out], [f"{args.tail} tail bound: {out['bound']:.12g} "
+                          f"(log {log_bound:.6f})"]
 
     params = _params_from(args)
     m, d, eps = params.m, params.d, params.eps
@@ -320,11 +285,7 @@ def cmd_bounds(args) -> int:
         derived = params._constants(int(delta))
         out = {"lam": derived.lam, "M": derived.M, "p": derived.p,
                "m": m, "d": d, "eps": str(eps), "delta": int(delta)}
-        if args.json:
-            _emit(out)
-        else:
-            print(f"lam={derived.lam:.6f} M={derived.M} p={derived.p:.6f}")
-        return 0
+        return 0, [out], [f"lam={derived.lam:.6f} M={derived.M} p={derived.p:.6f}"]
 
     derived = params._constants(1)  # lam and M do not depend on delta
     if params.M is None and derived.M ** 3 > sys.float_info.max:
@@ -351,63 +312,44 @@ def cmd_bounds(args) -> int:
         "notes": list(report.notes),
         "details": report.details,
     })
-    if args.json:
-        _emit(out)
-    else:
-        print(f"feasible: {report.feasible}  value: {report.value}  "
-              f"log_value: {report.log_value}")
-        for note in report.notes:
-            print(f"  note: {note}")
-    return 0
+    return 0, [out], [f"feasible: {report.feasible}  value: {report.value}  "
+                      f"log_value: {report.log_value}",
+                      *(f"  note: {note}" for note in report.notes)]
 
 
-def cmd_bench(args) -> int:
+def cmd_bench(args) -> Output:
     if args.runs < 1:
         raise ValueError(f"--runs must be at least 1, got {args.runs}")
     g = _load_graph(args)
     params = _params_from(args)
-    rows = []
-    all_ok = True
+    if params.seed + args.runs > 2 ** 64:
+        raise ValueError(f"--seed {params.seed} with --runs {args.runs} reaches seed "
+                         f"{params.seed + args.runs - 1}, which does not fit in an "
+                         f"unsigned 64-bit integer")
+    fields = ("input_k", "final_k", "fresh_palette_size", "fallback_repairs",
+              "e1_success", "e2_success", "e1_rounds", "e2_rounds")
+    rows, lines = [], []
     for i in range(args.runs):
+        # run_pipeline raises unless its result is proper and AVD
         _, report = run_pipeline(g, None, replace(params, seed=params.seed + i))
-        ok = report.verified["proper"] and report.verified["avd"]
-        all_ok = all_ok and ok
-        rows.append({
-            "seed": params.seed + i,
-            "input_k": report.input_k,
-            "final_k": report.final_k,
-            "fresh_palette_size": report.fresh_palette_size,
-            "fallback_repairs": report.fallback_repairs,
-            "e1_success": report.e1_success,
-            "e2_success": report.e2_success,
-            "e1_rounds": report.e1_rounds,
-            "e2_rounds": report.e2_rounds,
-            "verified": ok,
-            "wall_seconds": sum(report.phase_timings.values()),
-        })
+        rows.append({"seed": params.seed + i, "verified": True,
+                     **{name: getattr(report, name) for name in fields}})
+        lines.append(f"seed={params.seed + i} final_k={report.final_k} "
+                     f"growth={report.final_k - report.input_k} "
+                     f"bulk={report.e1_success} patch={report.e2_success} "
+                     f"time={sum(report.phase_timings.values()):.3f}s")
     growth = [r["final_k"] - r["input_k"] for r in rows]
     summary = {
         "runs": args.runs,
-        "all_verified": all_ok,
+        "all_verified": True,
         "e1_success_rate": sum(1 for r in rows if r["e1_success"]) / args.runs,
         "e2_success_rate": sum(1 for r in rows if r["e2_success"]) / args.runs,
         "mean_palette_growth": sum(growth) / args.runs,
         "max_palette_growth": max(growth),
     }
-    if args.json:
-        for row in rows:
-            trimmed = {k: v for k, v in row.items() if k != "wall_seconds"}
-            _emit(trimmed)
-        _emit(summary)
-    else:
-        for row in rows:
-            print(f"seed={row['seed']} final_k={row['final_k']} "
-                  f"growth={row['final_k'] - row['input_k']} "
-                  f"bulk={row['e1_success']} patch={row['e2_success']} "
-                  f"time={row['wall_seconds']:.3f}s")
-        print(f"{args.runs} runs, all verified: {all_ok}, "
-              f"mean growth {summary['mean_palette_growth']:.1f}")
-    return 0 if all_ok else 1
+    lines.append(f"{args.runs} runs, all verified: True, "
+                 f"mean growth {summary['mean_palette_growth']:.1f}")
+    return 0, [*rows, summary], lines
 
 
 # ---------------------------------------------------------------------------
@@ -436,7 +378,10 @@ def build_parser() -> argparse.ArgumentParser:
     doc_in.add_argument("--in", dest="infile", default=None,
                         help="colouring document JSON (default: stdin)")
 
+    # the subcommands that take these flags are the randomized ones, so
+    # they are the ones --seed applies to
     tunables = argparse.ArgumentParser(add_help=False)
+    tunables.set_defaults(seeded=True)
     tunables.add_argument("--eps", type=_fraction, default=None)
     tunables.add_argument("--m", type=int, default=None)
     tunables.add_argument("--d", type=int, default=None)
@@ -447,51 +392,37 @@ def build_parser() -> argparse.ArgumentParser:
     tunables.add_argument("--max-rounds", dest="max_rounds", type=int, default=None)
     tunables.add_argument("--stall-rounds", dest="stall_rounds", type=int, default=None)
 
-    p = sub.add_parser("color", parents=[common, graph_in, tunables],
-                       help="run the full recolouring pipeline")
+    def command(name, func, parents, help):
+        p = sub.add_parser(name, parents=[common, *parents], help=help)
+        p.set_defaults(func=func)
+        return p
+
+    p = command("color", cmd_color, [graph_in, tunables],
+                "run the full recolouring pipeline")
     p.add_argument("--seed-coloring", default=None,
                    help="JSON colouring document to start from")
-    p.set_defaults(func=cmd_color)
-
-    p = sub.add_parser("verify", parents=[common, doc_in],
-                       help="verify a colouring document")
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("distinguish-low", parents=[common, doc_in],
-                       help="run the deterministic low-degree phase")
-    p.set_defaults(func=cmd_distinguish_low)
-
-    p = sub.add_parser("select-e1", parents=[common, graph_in, tunables],
-                       help="run the bulk edge-deletion stage")
+    command("verify", cmd_verify, [doc_in], "verify a colouring document")
+    command("distinguish-low", cmd_distinguish_low, [doc_in],
+            "run the deterministic low-degree phase")
+    p = command("select-e1", cmd_select_e1, [graph_in, tunables],
+                "run the bulk edge-deletion stage")
     p.add_argument("--seed-coloring", default=None)
-    p.set_defaults(func=cmd_select_e1)
-
-    p = sub.add_parser("select-e2", parents=[common, graph_in, tunables],
-                       help="run both deletion stages, report the patch stage")
+    p = command("select-e2", cmd_select_e2, [graph_in, tunables],
+                "run both deletion stages, report the patch stage")
     p.add_argument("--seed-coloring", default=None)
-    p.set_defaults(func=cmd_select_e2)
-
-    p = sub.add_parser("edge-color", parents=[common, graph_in],
-                       help="proper edge colouring with at most max_degree+1 colours")
-    p.set_defaults(func=cmd_edge_color)
-
-    p = sub.add_parser("seed-color", parents=[common, graph_in],
-                       help="greedy proper total colouring")
-    p.set_defaults(func=cmd_seed_color)
-
-    p = sub.add_parser("exact", parents=[common, graph_in],
-                       help="exact chromatic statistics on small graphs")
+    command("edge-color", cmd_edge_color, [graph_in],
+            "proper edge colouring with at most max_degree+1 colours")
+    command("seed-color", cmd_seed_color, [graph_in], "greedy proper total colouring")
+    p = command("exact", cmd_exact, [graph_in],
+                "exact chromatic statistics on small graphs")
     p.add_argument("--stat", choices=("chi_at", "chi_total", "chi_prime"),
                    required=True)
-    p.set_defaults(func=cmd_exact)
-
-    p = sub.add_parser("check-conjecture", parents=[common],
-                       help="scan a graph6 corpus for chi_at <= max_degree + 3")
+    p = command("check-conjecture", cmd_check_conjecture, [],
+                "scan a graph6 corpus for chi_at <= max_degree + 3")
     p.add_argument("--corpus", required=True, help="file of graph6 lines")
-    p.set_defaults(func=cmd_check_conjecture)
 
-    p = sub.add_parser("bounds", parents=[common],
-                       help="evaluate tail bounds and local-lemma conditions")
+    p = command("bounds", cmd_bounds, [],
+                "evaluate tail bounds and local-lemma conditions")
     p.add_argument("--cmd", choices=("tail", "constants", "c0", "lll"),
                    required=True)
     p.add_argument("--tail", choices=("upper", "lower"), default="upper")
@@ -506,13 +437,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ln-delta", dest="ln_delta", type=float, default=None)
     p.add_argument("--search-lo", dest="search_lo", type=float, default=None)
     p.add_argument("--search-hi", dest="search_hi", type=float, default=None)
-    p.set_defaults(func=cmd_bounds)
 
-    p = sub.add_parser("bench", parents=[common, graph_in, tunables],
-                       help="repeated pipeline runs with consecutive seeds")
+    p = command("bench", cmd_bench, [graph_in, tunables],
+                "repeated pipeline runs with consecutive seeds")
     p.add_argument("--runs", type=int, default=5)
-    p.set_defaults(func=cmd_bench)
-
     return parser
 
 
@@ -527,14 +455,19 @@ def main(argv=None) -> int:
     if getattr(args, "cmd_name", None) is None:
         parser.print_usage(sys.stderr)
         return 2
-    if args.seed is not None and args.cmd_name not in SEEDED_COMMANDS:
+    if args.seed is not None and not getattr(args, "seeded", False):
         print(f"warning: --seed has no effect for {args.cmd_name}", file=sys.stderr)
         args.seed = None
     try:
-        return args.func(args)
+        code, records, lines = args.func(args)
+        if args.json:
+            lines = [_emit(record) for record in records]
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    for line in lines:
+        print(line)
+    return code
 
 
 def entry() -> None:

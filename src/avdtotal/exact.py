@@ -360,10 +360,11 @@ def check_conjecture(lines: Iterable[str]) -> ConjectureReport:
         try:
             g = parse_graph6(text)
             value = chi_at_exact(g)
-        except Graph6Error as exc:
-            raise Graph6Error(f"line {lineno}: {exc}", exc.offset) from None
-        except CapacityError as exc:
-            raise CapacityError(f"line {lineno}: {exc}") from None
+        except (Graph6Error, CapacityError) as exc:
+            # prefix the finished message: a Graph6Error keeps its offset
+            # and its one "(byte N)"
+            exc.args = (f"line {lineno}: {exc}",)
+            raise
         records.append(GraphRecord(graph6=text, n=g.n, delta=g.max_degree,
                                    chi_at=value,
                                    slack=g.max_degree + 3 - value))

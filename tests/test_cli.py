@@ -4,9 +4,11 @@ Every invocation goes through cli.main(argv) in process so stdout and
 stderr can be captured byte for byte.
 """
 
+import argparse
 import io
 import json
 import math
+import re
 import sys
 from collections import Counter
 from fractions import Fraction
@@ -14,8 +16,8 @@ from fractions import Fraction
 import pytest
 
 from avdtotal import (Graph, PipelineParams, TotalColoring, cli, complete_graph,
-                      cycle_graph, greedy_total, star_graph, to_document,
-                      write_graph6)
+                      cycle_graph, greedy_total, random_gnp, star_graph,
+                      to_document, write_graph6)
 from avdtotal import bounds as bounds_mod
 from avdtotal import coloring as coloring_mod
 from avdtotal import pipeline as pipeline_mod
@@ -416,6 +418,16 @@ class TestConjectureScan:
         assert code == 2
         assert "line 2" in err
 
+    @pytest.mark.parametrize("mode", [[], ["--json"]], ids=["text", "json"])
+    def test_parse_error_names_offset_once(self, mode, tmp_path, capsys):
+        p = tmp_path / "corpus.g6"
+        p.write_text("Bw\nD~\n")
+        code, out, err = run(["check-conjecture", "--corpus", str(p), *mode],
+                             capsys)
+        assert (code, out) == (2, "")
+        assert err == ("error: line 2: truncated bit vector: expected 2 bytes, "
+                       "found 1 (byte 2)\n")
+
     def test_header_only_line_is_parse_error(self, tmp_path, capsys):
         p = tmp_path / "corpus.g6"
         p.write_text("Bw\n>>graph6<<\n")
@@ -653,6 +665,21 @@ class TestBench:
         assert code == 2 and out == ""
         assert err == f"error: --runs must be at least 1, got {runs}\n"
 
+    @pytest.mark.parametrize("mode", [[], ["--json"]], ids=["text", "json"])
+    def test_seed_range_checked_before_any_run(self, k5_file, mode, capsys,
+                                               monkeypatch):
+        # the last seed, 2**64, is out of range: this ran the pipeline for
+        # seed 2**64 - 1 before it failed
+        def never(*args):
+            raise AssertionError("run_pipeline called")
+
+        monkeypatch.setattr(cli, "run_pipeline", never)
+        code, out, err = run(["bench", "--in", k5_file, "--runs", "2",
+                              "--seed", str(2 ** 64 - 1), *mode], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: --seed") and "--runs" in err
+        assert err.count("\n") == 1
+
     def test_human_mode_reports_timing(self, tmp_path, capsys):
         p = tmp_path / "k5.g6"
         p.write_text("D~{\n")
@@ -661,8 +688,91 @@ class TestBench:
         assert "all verified: True" in out
 
 
+TEXT_CASES = {
+    "color": (["--in", "k4.g6"], 0,
+              "graph: n=4 edges=6 max_degree=3\n"
+              "palette: input k=7, final k=7 (+0 fresh, +0 repairs)\n"
+              "stage rounds: bulk=0 patch=0; success: bulk=None patch=None\n"
+              "verified: proper=True avd=True\n"),
+    "verify": (["--in", "k4.json"], 0, "proper: True  avd: True\n"),
+    "distinguish-low": (["--in", "k4.json"], 0,
+                        "recoloured 0 low-degree vertices; "
+                        "verified: {'proper': True, 'avd': True}\n"),
+    "select-e1": (["--in", "gnp12.g6"], 1,
+                  "bulk selection: 37 edges, success=False, rounds=1, violations=12\n"),
+    "select-e2": (["--in", "gnp12.g6"], 1,
+                  "bulk: 37 edges success=False; light vertices: 9\n"
+                  "patch: 0 edges, success=False, rounds=0, infeasible_vertex=2\n"),
+    "edge-color": (["--in", "k4.g6"], 0,
+                   "edge colouring with 4 colours (bound 4)\n"
+                   "  (0, 1) -> 4\n  (0, 2) -> 2\n  (0, 3) -> 1\n"
+                   "  (1, 2) -> 1\n  (1, 3) -> 2\n  (2, 3) -> 3\n"),
+    "seed-color": (["--in", "k4.g6"], 0,
+                   "greedy proper total colouring with k=7 (bound 7); "
+                   "verified: {'proper': True, 'avd': True}\n"),
+    "exact": (["--in", "k4.g6", "--stat", "chi_at"], 0, "chi_at = 5\n"),
+    "check-conjecture": (["--corpus", "corpus.g6"], 0,
+                         "C~: n=4 delta=3 chi_at=5 slack=1\n"
+                         "D~{: n=5 delta=4 chi_at=7 slack=0 TIGHT\n"
+                         "2 graphs, 0 violations, 1 tight\n"),
+    "bounds": (["--cmd", "lll", "--delta", "10"], 0,
+               "feasible: False  value: None  log_value: -393.27888847032784\n"
+               "  note: pair-event inequality fails at this delta\n"
+               "  note: vertex-event inequality fails at this delta\n"),
+    "bench": (["--in", "k5.g6", "--runs", "2", "--seed", "1"], 0,
+              "seed=1 final_k=12 growth=5 bulk=False patch=False time=<t>s\n"
+              "seed=2 final_k=12 growth=5 bulk=False patch=False time=<t>s\n"
+              "2 runs, all verified: True, mean growth 5.0\n"),
+}
+
+
+@pytest.fixture
+def inputs(tmp_path):
+    """Small fixed inputs, named as the argv lists above name them."""
+    g = complete_graph(4)
+    (tmp_path / "k4.g6").write_text("C~\n")
+    (tmp_path / "k5.g6").write_text("D~{\n")
+    (tmp_path / "gnp12.g6").write_text(write_graph6(random_gnp(12, 0.5, 0)) + "\n")
+    (tmp_path / "corpus.g6").write_text("C~\nD~{\n")
+    (tmp_path / "k4.json").write_text(json.dumps(to_document(g, greedy_total(g))))
+    return tmp_path
+
+
+class TestTextOutput:
+    """Text mode is pinned whole, not by substrings, for every subcommand."""
+
+    def test_covers_every_subcommand(self):
+        sub = next(a for a in cli.build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        assert set(TEXT_CASES) == set(sub.choices)
+
+    @pytest.mark.parametrize("cmd", sorted(TEXT_CASES))
+    def test_whole_stdout(self, cmd, inputs, capsys):
+        args, want_code, want_out = TEXT_CASES[cmd]
+        args = [str(inputs / a) if a.endswith((".g6", ".json")) else a for a in args]
+        code, out, err = run([cmd, *args], capsys)
+        assert (code, err) == (want_code, "")
+        assert re.sub(r"time=\d+\.\d{3}s", "time=<t>s", out) == want_out
+
+    @pytest.mark.parametrize("cmd", sorted(TEXT_CASES))
+    @pytest.mark.parametrize("mode", [[], ["--json"]], ids=["text", "json"])
+    def test_error_prints_nothing_to_stdout(self, cmd, mode, capsys):
+        if cmd == "bounds":
+            args = ["--cmd", "lll"]  # a domain error: no delta to check at
+        elif cmd == "check-conjecture":
+            args = ["--corpus", "/no/such/corpus.g6"]
+        elif cmd == "exact":
+            args = ["--in", "/no/such/graph.g6", "--stat", "chi_at"]
+        else:
+            args = ["--in", "/no/such/input"]
+        code, out, err = run([cmd, *args, *mode], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert err.endswith("\n")
+
+
 class TestEmit:
-    """_emit writes strict JSON with sorted keys."""
+    """_emit returns one line of strict JSON with sorted keys."""
 
     def test_non_finite_float_raises(self):
         for x in (math.nan, math.inf, -math.inf):

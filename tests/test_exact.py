@@ -338,6 +338,14 @@ class TestConjectureScan:
         with pytest.raises(Graph6Error, match="line 2"):
             check_conjecture(["C~", "C\x01"])
 
+    def test_parse_error_names_offset_once(self):
+        # the re-raise appended " (byte 2)" to a message that already had it
+        with pytest.raises(Graph6Error) as info:
+            check_conjecture(["C~", "D~"])
+        assert str(info.value) == ("line 2: truncated bit vector: expected 2 "
+                                   "bytes, found 1 (byte 2)")
+        assert info.value.offset == 2
+
     def test_capacity_error_names_line(self):
         with pytest.raises(CapacityError, match="line 1"):
             check_conjecture([write_graph6(complete_graph(10))])
