@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import decimal
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -125,9 +126,16 @@ def binom_lower_tail_bound(n: int, p: Real, m: int) -> float:
     return math.exp(binom_lower_tail_log(n, p, m))
 
 
-def derive_constants(m: int, d: int, eps: Real, delta: int) -> DerivedConstants:
+def derive_constants(m: int, d: int, eps: Real, delta: int,
+                     lam: Real | None = None, M: int | None = None) -> DerivedConstants:
     """Sampling constants: lam = 2(1+sqrt 2)(m + ln(3/eps)), M = ceil(2e lam),
-    and the per-edge probability p = min(1, lam/delta)."""
+    and the per-edge probability p = min(1, lam/delta).
+
+    lam and M override the derived values: M follows an overridden lam as
+    ceil(2e lam) unless M is given too. An overridden lam must be positive
+    with 2e lam finite, M or no M; m and eps then need not fit a float.
+    PipelineParams and the bounds CLI apply the overrides by calling here.
+    """
     if not (isinstance(m, int) and isinstance(d, int)):
         raise DomainError("m and d must be integers")
     if d < 1 or m < d + 4:
@@ -136,19 +144,34 @@ def derive_constants(m: int, d: int, eps: Real, delta: int) -> DerivedConstants:
         raise DomainError("eps must lie strictly between 0 and 1")
     if delta < 1:
         raise DomainError("delta must be at least 1")
-    eps_f = float(eps)
-    if eps_f == 0 or 3.0 / eps_f == math.inf:
-        raise DomainError("eps is too small: 3/eps overflows a float")
-    try:
-        lam = 2.0 * (1.0 + math.sqrt(2.0)) * (m + math.log(3.0 / eps_f))
-        big_m = math.ceil(2.0 * math.e * lam)
-    except OverflowError:
-        raise DomainError("m is too large: M = ceil(2e*lam) overflows a float") from None
+    if lam is None:
+        eps_f = float(eps)
+        if eps_f == 0 or 3.0 / eps_f == math.inf:
+            raise DomainError("eps is too small: 3/eps overflows a float")
+        unbounded = "m is too large: M = ceil(2e*lam) overflows a float"
+        try:
+            lam = 2.0 * (1.0 + math.sqrt(2.0)) * (m + math.log(3.0 / eps_f))
+        except OverflowError:
+            lam = math.inf
+    elif isinstance(lam, bool) or not isinstance(lam, numbers.Real):
+        raise DomainError(f"lam override must be a real number, got {lam!r}")
+    else:
+        unbounded = f"lam override must be positive with 2e*lam finite, got {lam!r}"
+        try:
+            lam = float(lam)
+        except OverflowError:
+            lam = math.inf
+    if not (lam > 0 and math.isfinite(2.0 * math.e * lam)):
+        raise DomainError(unbounded)
+    if M is None:
+        M = math.ceil(2.0 * math.e * lam)
+    elif isinstance(M, bool) or not isinstance(M, int) or M < 1:
+        raise DomainError("M override must be a positive integer")
     try:
         p = min(1.0, lam / delta)
     except OverflowError:  # an integer delta beyond float range
         p = float(Fraction(lam) / delta)
-    return DerivedConstants(lam=lam, M=big_m, p=p)
+    return DerivedConstants(lam=lam, M=M, p=p)
 
 
 def compute_c0(m: int, eps: Real, lam: float, M: int) -> BoundReport:

@@ -277,17 +277,15 @@ def cmd_bounds(args) -> Output:
 
     params = _params_from(args)
     m, d, eps = params.m, params.d, params.eps
-
+    # lam and M do not depend on delta, which only constants reports
+    delta = args.delta if args.cmd == "constants" and args.delta is not None else 1
+    if not (float(delta).is_integer() and delta >= 1):
+        raise DomainError(f"constants needs an integral --delta >= 1, got {delta}")
+    derived = bounds_mod.derive_constants(m, d, eps, int(delta), params.lam, params.M)
     if args.cmd == "constants":
-        delta = args.delta if args.delta is not None else 1
-        if not (float(delta).is_integer() and delta >= 1):
-            raise DomainError(f"constants needs an integral --delta >= 1, got {delta}")
-        derived = params._constants(int(delta))
         out = {"lam": derived.lam, "M": derived.M, "p": derived.p,
                "m": m, "d": d, "eps": str(eps), "delta": int(delta)}
         return 0, [out], [f"lam={derived.lam:.6f} M={derived.M} p={derived.p:.6f}"]
-
-    derived = params._constants(1)  # lam and M do not depend on delta
     if params.M is None and derived.M ** 3 > sys.float_info.max:
         raise DomainError("M is too large: M**3 must be a finite float; without "
                           "--M, M = ceil(2e*lam) follows lam (--lambda, or m and eps)")
@@ -378,38 +376,41 @@ def build_parser() -> argparse.ArgumentParser:
     doc_in.add_argument("--in", dest="infile", default=None,
                         help="colouring document JSON (default: stdin)")
 
+    # the inputs of derive_constants, for bounds and the pipeline alike
+    constants = argparse.ArgumentParser(add_help=False)
+    constants.add_argument("--eps", type=_fraction, default=None)
+    constants.add_argument("--m", type=int, default=None)
+    constants.add_argument("--d", type=int, default=None)
+    constants.add_argument("--lambda", dest="lam", type=float, default=None)
+    constants.add_argument("--M", type=int, default=None)
+
     # the subcommands that take these flags are the randomized ones, so
     # they are the ones --seed applies to
-    tunables = argparse.ArgumentParser(add_help=False)
+    tunables = argparse.ArgumentParser(add_help=False, parents=[constants])
     tunables.set_defaults(seeded=True)
-    tunables.add_argument("--eps", type=_fraction, default=None)
-    tunables.add_argument("--m", type=int, default=None)
-    tunables.add_argument("--d", type=int, default=None)
     tunables.add_argument("--alpha", type=_fraction, default=None)
     tunables.add_argument("--B", type=int, default=None)
-    tunables.add_argument("--lambda", dest="lam", type=float, default=None)
-    tunables.add_argument("--M", type=int, default=None)
     tunables.add_argument("--max-rounds", dest="max_rounds", type=int, default=None)
     tunables.add_argument("--stall-rounds", dest="stall_rounds", type=int, default=None)
+
+    seeded_in = argparse.ArgumentParser(add_help=False)
+    seeded_in.add_argument("--seed-coloring", default=None,
+                           help="JSON colouring document to start from")
 
     def command(name, func, parents, help):
         p = sub.add_parser(name, parents=[common, *parents], help=help)
         p.set_defaults(func=func)
         return p
 
-    p = command("color", cmd_color, [graph_in, tunables],
-                "run the full recolouring pipeline")
-    p.add_argument("--seed-coloring", default=None,
-                   help="JSON colouring document to start from")
+    command("color", cmd_color, [graph_in, tunables, seeded_in],
+            "run the full recolouring pipeline")
     command("verify", cmd_verify, [doc_in], "verify a colouring document")
     command("distinguish-low", cmd_distinguish_low, [doc_in],
             "run the deterministic low-degree phase")
-    p = command("select-e1", cmd_select_e1, [graph_in, tunables],
-                "run the bulk edge-deletion stage")
-    p.add_argument("--seed-coloring", default=None)
-    p = command("select-e2", cmd_select_e2, [graph_in, tunables],
-                "run both deletion stages, report the patch stage")
-    p.add_argument("--seed-coloring", default=None)
+    command("select-e1", cmd_select_e1, [graph_in, tunables, seeded_in],
+            "run the bulk edge-deletion stage")
+    command("select-e2", cmd_select_e2, [graph_in, tunables, seeded_in],
+            "run both deletion stages, report the patch stage")
     command("edge-color", cmd_edge_color, [graph_in],
             "proper edge colouring with at most max_degree+1 colours")
     command("seed-color", cmd_seed_color, [graph_in], "greedy proper total colouring")
@@ -421,18 +422,13 @@ def build_parser() -> argparse.ArgumentParser:
                 "scan a graph6 corpus for chi_at <= max_degree + 3")
     p.add_argument("--corpus", required=True, help="file of graph6 lines")
 
-    p = command("bounds", cmd_bounds, [],
+    p = command("bounds", cmd_bounds, [constants],
                 "evaluate tail bounds and local-lemma conditions")
     p.add_argument("--cmd", choices=("tail", "constants", "c0", "lll"),
                    required=True)
     p.add_argument("--tail", choices=("upper", "lower"), default="upper")
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--p", type=_fraction, default=None)
-    p.add_argument("--m", type=int, default=None)
-    p.add_argument("--d", type=int, default=None)
-    p.add_argument("--eps", type=_fraction, default=None)
-    p.add_argument("--lambda", dest="lam", type=float, default=None)
-    p.add_argument("--M", type=int, default=None)
     p.add_argument("--delta", type=float, default=None)
     p.add_argument("--ln-delta", dest="ln_delta", type=float, default=None)
     p.add_argument("--search-lo", dest="search_lo", type=float, default=None)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable
@@ -29,6 +30,17 @@ class DimacsError(ValueError):
 
 class CapacityError(ValueError):
     """Input exceeds a hard size guard."""
+
+
+def _integer(name: str, value) -> int:
+    """value as an int when it is an integer (anything ``operator.index``
+    takes, bool excluded); ValueError naming the argument otherwise."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def normalize_edge(u: int, v: int) -> Edge:
@@ -118,7 +130,8 @@ def degree_split(g: Graph) -> DegreeSplit:
 # graph6
 
 def parse_graph6(text: str) -> Graph:
-    """Decode a single graph6 string (basic one-byte header, n <= 62)."""
+    """Decode a single graph6 string (basic one-byte header, n <= 62); error
+    offsets count from the start of the stripped text, header included."""
     s = text.strip()
     start = len(">>graph6<<") if s.startswith(">>graph6<<") else 0
     s = s[start:]
@@ -126,19 +139,19 @@ def parse_graph6(text: str) -> Graph:
         raise Graph6Error("empty graph6 string", start)
     for i, ch in enumerate(s):
         if not (_G6_LOW <= ord(ch) <= _G6_HIGH):
-            raise Graph6Error(f"character {ch!r} outside graph6 alphabet", i)
+            raise Graph6Error(f"character {ch!r} outside graph6 alphabet", start + i)
     n = ord(s[0]) - _G6_LOW
     if n == 63:
-        raise Graph6Error("extended size header (n > 62) not supported", 0)
+        raise Graph6Error("extended size header (n > 62) not supported", start)
     nbits = n * (n - 1) // 2
     nbytes = (nbits + 5) // 6
     body = s[1:]
     if len(body) < nbytes:
         raise Graph6Error(
             f"truncated bit vector: expected {nbytes} bytes, found {len(body)}",
-            1 + len(body))
+            start + 1 + len(body))
     if len(body) > nbytes:
-        raise Graph6Error("stray characters after bit vector", 1 + nbytes)
+        raise Graph6Error("stray characters after bit vector", start + 1 + nbytes)
     bits: list[int] = []
     for ch in body:
         val = ord(ch) - _G6_LOW
@@ -259,11 +272,12 @@ _GNP_CHUNK = 1 << 20
 
 
 def _generator_rng(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(int(seed))))
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
 
 
 def random_gnp(n: int, p: float, seed: int) -> Graph:
     """Erdos-Renyi draw; deterministic for a fixed (n, p, seed)."""
+    n, seed = _integer("n", n), _integer("seed", seed)
     if n < 0:
         raise ValueError("vertex count must be non-negative")
     if not 0.0 <= p <= 1.0:
@@ -289,6 +303,7 @@ def random_regular(n: int, d: int, seed: int) -> Graph:
     rejection slow. K_n is the only (n-1)-regular graph on n labelled
     vertices, so d = n-1 returns complete_graph(n).
     """
+    n, d, seed = _integer("n", n), _integer("d", d), _integer("seed", seed)
     if not 0 <= d < n:
         raise ValueError("need 0 <= d < n")
     if (n * d) % 2:

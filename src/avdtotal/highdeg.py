@@ -21,17 +21,15 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from numbers import Real
 from typing import Callable
 
 import numpy as np
 
 from .bounds import DerivedConstants, derive_constants
 from .coloring import TotalColoring
-from .graphs import Edge, Graph, degree_split, normalize_edge
+from .graphs import Edge, Graph, _integer, degree_split, normalize_edge
 from .rng import substream
 
 BULK_STREAM = "bulk-deletion"
@@ -51,17 +49,6 @@ def _fraction(name: str, value) -> Fraction:
     raise ValueError(f"{name} must be a fraction, got {value!r}")
 
 
-def _integer(name: str, value) -> int:
-    """value as an int when it is an integer (anything ``operator.index``
-    takes, bool excluded); ValueError naming the field otherwise."""
-    if not isinstance(value, bool):
-        try:
-            return operator.index(value)
-        except TypeError:
-            pass
-    raise ValueError(f"{name} must be an integer, got {value!r}")
-
-
 @dataclass(frozen=True)
 class PipelineParams:
     """Tunable knobs for both deletion stages.
@@ -69,8 +56,8 @@ class PipelineParams:
     eps and alpha are exact fractions so threshold comparisons like
     count > eps * max_degree never hit floating-point ties; alpha <= 1/2
     keeps every high vertex above alpha * max_degree. lam and M default
-    to the values derived from m and eps; overriding one leaves the
-    other consistent (M follows an overridden lam unless also overridden).
+    to the values derived from m and eps; ``bounds.derive_constants``
+    applies the overrides and checks m, d, eps, lam and M.
     """
 
     eps: Fraction = Fraction(1, 3)
@@ -91,29 +78,11 @@ class PipelineParams:
             object.__setattr__(self, name, _integer(name, getattr(self, name)))
         if self.M is not None:
             object.__setattr__(self, "M", _integer("M", self.M))
-        if self.d < 1 or self.m < self.d + 4:
-            raise ValueError(f"need d >= 1 and m >= d+4, got m={self.m}, d={self.d}")
-        if not 0 < self.eps < 1:
-            raise ValueError("eps must lie strictly between 0 and 1")
-        if self.lam is None:  # resolve derives lam and M from m and eps
-            derive_constants(self.m, self.d, self.eps, 1)
+        derive_constants(self.m, self.d, self.eps, 1, self.lam, self.M)
         if not 0 < self.alpha <= Fraction(1, 2):
             raise ValueError(f"alpha must lie in (0, 1/2], got {self.alpha}")
         if self.B < 2:
             raise ValueError("B must be at least 2")
-        if self.lam is not None:
-            if isinstance(self.lam, bool) or not isinstance(self.lam, Real):
-                raise ValueError(f"lam override must be a real number, got {self.lam!r}")
-            # resolve takes M = ceil(2e*lam), which must be a finite integer
-            try:
-                cap = 2.0 * math.e * float(self.lam)
-            except OverflowError:
-                cap = math.inf
-            if not (cap > 0 and math.isfinite(cap)):
-                raise ValueError(f"lam override must be positive with 2e*lam "
-                                 f"finite, got {self.lam!r}")
-        if self.M is not None and self.M < 1:
-            raise ValueError("M override must be a positive integer")
         if not 0 <= self.seed < 2 ** 64:
             raise ValueError("seed must fit in an unsigned 64-bit integer")
         for name in ("max_rounds", "stall_rounds"):
@@ -121,18 +90,11 @@ class PipelineParams:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
 
     def resolve(self, g: Graph) -> DerivedConstants:
-        """Fix lam, M, and the sampling probability for one graph."""
-        return self._constants(g.max_degree)
-
-    def _constants(self, delta: int) -> DerivedConstants:
-        """lam, M, and the sampling probability at max degree delta."""
-        if self.lam is not None:
-            lam = float(self.lam)
-        else:
-            lam = derive_constants(self.m, self.d, self.eps, max(delta, 1)).lam
-        big_m = self.M if self.M is not None else math.ceil(2.0 * math.e * lam)
-        p = 1.0 if delta == 0 else min(1.0, lam / delta)
-        return DerivedConstants(lam=lam, M=big_m, p=p)
+        """Fix lam, M, and the sampling probability for one graph; an
+        edgeless graph samples nothing, and gets p = 1."""
+        derived = derive_constants(self.m, self.d, self.eps, max(g.max_degree, 1),
+                                   self.lam, self.M)
+        return derived if g.max_degree else replace(derived, p=1.0)
 
 
 @dataclass(frozen=True)

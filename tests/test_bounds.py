@@ -150,6 +150,44 @@ class TestDeriveConstants:
         with pytest.raises(DomainError):
             derive_constants(8.0, 4, Fraction(1, 3), 10)
 
+    def test_lam_override_moves_M(self):
+        dc = derive_constants(8, 4, Fraction(1, 3), 100, lam=34)
+        assert (dc.lam, dc.M, dc.p) == (34.0, 185, 0.34)
+        assert type(dc.lam) is float
+        assert dc.M == int(mpmath.ceil(2 * mpmath.e * 34))
+
+    def test_M_override_keeps_derived_lam(self):
+        dc = derive_constants(8, 4, Fraction(1, 3), 100, M=81)
+        assert (dc.lam, dc.M) == (derive_constants(8, 4, Fraction(1, 3), 100).lam, 81)
+
+    def test_both_overrides(self):
+        dc = derive_constants(8, 4, Fraction(1, 3), 60, lam=25.0, M=30)
+        assert (dc.lam, dc.M, dc.p) == (25.0, 30, 25.0 / 60.0)
+
+    def test_lam_override_needs_no_float_m_or_eps(self):
+        # lam is not derived, so neither m nor eps is converted to a float
+        dc = derive_constants(10 ** 400, 4, Fraction(1, 10 ** 400), 10, lam=3.0)
+        assert (dc.lam, dc.M, dc.p) == (3.0, 17, 0.3)
+
+    @pytest.mark.parametrize("overrides, message", [
+        (dict(lam=0.0), "lam override must be positive with 2e\\*lam finite, got 0.0"),
+        (dict(lam=-0.5), "lam override must be positive"),
+        (dict(lam=math.nan), "lam override must be positive"),
+        (dict(lam=math.inf), "lam override must be positive"),
+        (dict(lam=1e308), "lam override must be positive"),
+        (dict(lam=1e308, M=5), "lam override must be positive"),
+        (dict(lam=10 ** 400), "lam override must be positive"),
+        (dict(lam=True), "lam override must be a real number, got True"),
+        (dict(lam="3"), "lam override must be a real number, got '3'"),
+        (dict(M=0), "M override must be a positive integer"),
+        (dict(M=True), "M override must be a positive integer"),
+        (dict(M=2.5), "M override must be a positive integer"),
+        (dict(lam=3.0, M=-1), "M override must be a positive integer"),
+    ])
+    def test_rejects_overrides(self, overrides, message):
+        with pytest.raises(DomainError, match=f"^{message}"):
+            derive_constants(8, 4, Fraction(1, 3), 10, **overrides)
+
     @pytest.mark.parametrize("delta", [2 ** 1024, 10 ** 400])
     def test_integer_delta_beyond_float_range_evaluates(self, delta):
         # lam / delta raised OverflowError converting delta to a float

@@ -540,6 +540,24 @@ class TestBounds:
         got = strict_loads(out)
         assert (got["lam"], got["M"], got["p"]) == (34.0, 185, 0.34)
 
+    @pytest.mark.parametrize("delta", [1, 5, 60])
+    @pytest.mark.parametrize("flags", [
+        [], ["--lambda", "2"], ["--M", "30"], ["--lambda", "25", "--M", "30"],
+        ["--m", "9", "--eps", "1/4"]], ids=["derived", "lambda", "M", "both", "m-eps"])
+    def test_constants_match_color_report(self, delta, flags, tmp_path, capsys):
+        # bounds and the pipeline derive lam, M and p by the same rule
+        path = tmp_path / "star.g6"
+        path.write_text(write_graph6(star_graph(delta)) + "\n")
+        code, out, _ = run(["bounds", "--cmd", "constants", "--delta", str(delta),
+                            *flags, "--json"], capsys)
+        assert code == 0
+        constants = strict_loads(out)
+        code, out, _ = run(["color", "--in", str(path), *flags, "--json"], capsys)
+        assert code == 0
+        report = strict_loads(out)["report"]
+        assert ({k: constants[k] for k in ("lam", "M", "p")}
+                == {k: report[k] for k in ("lam", "M", "p")})
+
     @pytest.mark.parametrize("ln_delta", ["710", "3e17"])
     def test_overflowing_margin_prints_null(self, ln_delta, capsys):
         # delta = exp(ln_delta) overflows a float, so the vertex margin is
@@ -769,6 +787,18 @@ class TestTextOutput:
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and err.count("\n") == 1
         assert err.endswith("\n")
+
+
+class TestSharedFlags:
+    """Flags that several subcommands take are declared once, in a parent."""
+
+    def test_seed_coloring_help_everywhere(self):
+        # only color gave --seed-coloring help text
+        sub = next(a for a in cli.build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        helps = {a.help for cmd in ("color", "select-e1", "select-e2")
+                 for a in sub.choices[cmd]._actions if "--seed-coloring" in a.option_strings}
+        assert helps == {"JSON colouring document to start from"}
 
 
 class TestEmit:

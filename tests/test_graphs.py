@@ -2,6 +2,7 @@
 
 import hashlib
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -192,6 +193,24 @@ class TestGraph6:
         with pytest.raises(Graph6Error):
             parse_graph6("C~~")
 
+    @pytest.mark.parametrize("body, offset, message", [
+        ("", 0, "empty"),
+        ("D~!", 2, "alphabet"),
+        ("~", 0, "extended"),
+        ("D~", 2, "truncated"),
+        ("D~{x", 3, "stray"),
+    ], ids=["empty", "alphabet", "extended", "truncated", "stray"])
+    def test_offset_counts_header(self, body, offset, message):
+        # the header's ten bytes were left out of every offset but the
+        # header-only one: '>>graph6<<D~' reported byte 2
+        offsets = []
+        for text in (body, ">>graph6<<" + body):
+            with pytest.raises(Graph6Error, match=message) as exc:
+                parse_graph6(text)
+            assert str(exc.value).endswith(f"(byte {exc.value.offset})")
+            offsets.append(exc.value.offset)
+        assert offsets == [offset, offset + 10]
+
     @given(small_graphs(max_n=12))
     @settings(max_examples=60)
     def test_round_trip(self, g):
@@ -307,6 +326,34 @@ class TestGenerators:
     def test_regular_complete_degree(self, n):
         # d = n - 1 ran the pairing model to its rejection cap from n = 7
         assert random_regular(n, n - 1, 0) == complete_graph(n)
+
+    NON_INTEGER_ARGS = [
+        (random_gnp, (True, 0.5, 0), "n"),
+        (random_gnp, (5.0, 0.5, 0), "n"),
+        (random_gnp, ("5", 0.5, 0), "n"),
+        (random_gnp, (5, 0.5, 1.5), "seed"),
+        (random_gnp, (5, 0.5, "3"), "seed"),
+        (random_gnp, (5, 0.5, False), "seed"),
+        (random_gnp, (5, 0.5, None), "seed"),
+        (random_regular, (6.0, 2, 0), "n"),
+        (random_regular, (6, 2.0, 0), "d"),
+        (random_regular, (6, True, 0), "d"),
+        (random_regular, (6, 2, 0.5), "seed"),
+        (random_regular, (4, 3, 2.5), "seed"),  # the K_n shortcut too
+    ]
+
+    @pytest.mark.parametrize("make, args, name", NON_INTEGER_ARGS,
+                             ids=[f"{f.__name__}{a}" for f, a, _ in NON_INTEGER_ARGS])
+    def test_generators_reject_non_integers(self, make, args, name):
+        # n=True built a graph, seed 1.5 ran as seed 1, '3' was accepted,
+        # and 5.0 or 6.0 escaped as TypeError
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            make(*args)
+
+    def test_generators_take_index_integers(self):
+        assert random_gnp(np.int64(12), 0.35, np.uint64(7)) == random_gnp(12, 0.35, 7)
+        assert (random_regular(np.int32(10), np.int64(3), np.int16(2))
+                == random_regular(10, 3, 2))
 
 
 def test_connected_enumeration_counts():

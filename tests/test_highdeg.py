@@ -1,5 +1,7 @@
 """Randomized deletion stages: parameters, events, and resampling searches."""
 
+import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -9,7 +11,7 @@ from hypothesis import strategies as st
 
 from avdtotal import (BadEvent, EdgeSelection, Graph, PipelineParams,
                       TotalColoring, candidate_edges, complete_graph,
-                      cycle_graph, degree_split, find_bulk_deletion,
+                      cycle_graph, degree_split, derive_constants, find_bulk_deletion,
                       find_patch_deletion, greedy_total, light_vertices,
                       random_gnp, run_pipeline, star_graph, substream)
 from avdtotal import graphs
@@ -170,6 +172,25 @@ class TestPipelineParams:
         r = PipelineParams(lam=25.0, M=30).resolve(star_graph(60))
         assert (r.lam, r.M) == (25.0, 30)
         assert r.p == pytest.approx(25.0 / 60.0)
+
+    @pytest.mark.parametrize("m, d, eps", [(8, 4, Fraction(1, 3)), (9, 5, Fraction(1, 7)),
+                                           (20, 1, Fraction(99, 100))])
+    @pytest.mark.parametrize("lam", [None, 1e-9, 2, 25.0, 34.0, Fraction(7, 2)])
+    @pytest.mark.parametrize("M", [None, 1, 30, 268])
+    def test_resolve_is_derive_constants(self, m, d, eps, lam, M):
+        # one rule for lam, M and p: resolve asks derive_constants at
+        # max(Δ, 1), and an edgeless graph gets p = 1
+        params = PipelineParams(m=m, d=d, eps=eps, lam=lam, M=M)
+        for g in (Graph.build(0, []), Graph.build(3, []), complete_graph(2),
+                  complete_graph(5), star_graph(60), complete_graph(51)):
+            delta = g.max_degree
+            r = params.resolve(g)
+            expected = derive_constants(m, d, eps, max(delta, 1), lam, M)
+            assert r == (expected if delta else replace(expected, p=1.0))
+            assert r.lam == (float(lam) if lam is not None else
+                             derive_constants(m, d, eps, 1).lam)
+            assert r.M == (M if M is not None else math.ceil(2 * math.e * r.lam))
+            assert r.p == (min(1.0, r.lam / delta) if delta else 1.0)
 
 
 class TestEdgeSelection:
