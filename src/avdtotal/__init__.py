@@ -25,8 +25,8 @@ from .highdeg import (BadEvent, EdgeSelection, PipelineParams, SelectionResult,
                       candidate_edges, find_bulk_deletion, find_patch_deletion,
                       light_vertices)
 from .lowdeg import distinguish_low_degree
-from .pipeline import (PipelineReport, RepairError, recolor_union,
-                       repair_fallback, run_pipeline)
+from .pipeline import (PipelineReport, recolor_union, repair_fallback,
+                       run_pipeline)
 from .rng import substream
 from .seeding import greedy_total
 from .vizing import EdgeColoring, vizing_color
@@ -49,7 +49,6 @@ __all__ = [
     "GraphRecord",
     "PipelineParams",
     "PipelineReport",
-    "RepairError",
     "SelectionResult",
     "TotalColoring",
     "Violation",

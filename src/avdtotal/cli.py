@@ -27,8 +27,8 @@ from pathlib import Path
 
 from . import bounds as bounds_mod
 from .bounds import DomainError
-from .coloring import (DocumentError, TotalColoring, _document_body, _proper,
-                       from_document, to_document, violations)
+from .coloring import (DocumentError, TotalColoring, _checked, _document_body,
+                       _proper, from_document, to_document, violations)
 from .exact import check_conjecture, chi_at_exact, chi_prime_exact, chi_total_exact
 from .graphs import Graph, Graph6Error, parse_dimacs, parse_graph6
 from .highdeg import (PipelineParams, find_bulk_deletion, find_patch_deletion,
@@ -83,12 +83,13 @@ def _load_document(path: str | None):
 
 
 def _require_proper(g: Graph, phi: TotalColoring) -> TotalColoring:
-    """Reject an improper colouring document before a phase that trusts it."""
-    found = violations(g, phi)
+    """Reject an improper colouring document before a phase that trusts it;
+    returns a copy of phi carrying the masks the check built as its stars."""
+    found, checked = _checked(g, phi)
     if not _proper(found):
         raise DocumentError(f"colouring document is not proper: "
                             f"{found[0].kind} at {found[0].witness}")
-    return phi
+    return checked
 
 
 def _params_from(args) -> PipelineParams:

@@ -145,10 +145,19 @@ def violations(g: Graph, phi: TotalColoring) -> list[Violation]:
     closed star afresh, never from ``phi.stars``, and ``_judge`` decides
     both properties from them.
     """
+    return _checked(g, phi)[0]
+
+
+def _checked(g: Graph, phi: TotalColoring) -> tuple[list[Violation], TotalColoring]:
+    """The ``violations`` pass, and a copy of phi carrying the closed stars
+    it built as its ``stars``: for a boundary that judges a colouring and
+    then hands it to phases that read its masks."""
     check_total(g, phi)
     # check_total has matched the keys to the edge set, so the colours can
     # be read straight off the dict
-    return _judge(g, phi, _closed_stars(phi))
+    stars = _closed_stars(phi)
+    return (_judge(g, phi, stars),
+            _with_stars(stars, phi.vertex_colors, phi.edge_colors, phi.k))
 
 
 def _judge(g: Graph, phi: TotalColoring, stars: tuple[int, ...]) -> list[Violation]:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import numbers
 import operator
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -276,10 +277,13 @@ def _generator_rng(seed: int) -> np.random.Generator:
 
 
 def random_gnp(n: int, p: float, seed: int) -> Graph:
-    """Erdos-Renyi draw; deterministic for a fixed (n, p, seed)."""
+    """Erdos-Renyi draw; deterministic for a fixed (n, p, seed). p is any
+    real number in [0, 1] (an int, float or Fraction, say), bool excluded."""
     n, seed = _integer("n", n), _integer("seed", seed)
     if n < 0:
         raise ValueError("vertex count must be non-negative")
+    if isinstance(p, bool) or not isinstance(p, numbers.Real):
+        raise ValueError(f"edge probability p must be a real number, got {p!r}")
     if not 0.0 <= p <= 1.0:
         raise ValueError("edge probability must lie in [0, 1]")
     rng = _generator_rng(seed)

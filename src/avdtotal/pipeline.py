@@ -11,10 +11,11 @@ palette accounting in the report is exact by construction.
 from __future__ import annotations
 
 import time
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass
+from types import SimpleNamespace
 
-from .coloring import (TotalColoring, _closed_stars, _judge, _proper,
-                       _with_stars, check_total, violations)
+from .coloring import TotalColoring, _checked, _proper, _with_stars, violations
 from .graphs import Edge, Graph, normalize_edge
 from .highdeg import (PipelineParams, find_bulk_deletion,
                       find_patch_deletion, light_vertices)
@@ -22,20 +23,8 @@ from .lowdeg import distinguish_low_degree
 from .seeding import greedy_total
 from .vizing import vizing_color
 
-
-class RepairError(RuntimeError):
-    """The repaired colouring fails the verifier; indicates a defect."""
-
-
-def _exit_check(g: Graph, phi: TotalColoring) -> dict[str, bool]:
-    """Verdict on a pipeline result; RuntimeError names its first violation
-    unless it is proper and AVD. The phases trust their input, so this pass
-    is what stands behind the guarantee."""
-    found = violations(g, phi)
-    if found:
-        raise RuntimeError(f"pipeline output is not a proper AVD colouring: "
-                           f"{found[0].kind} at {found[0].witness}")
-    return {"proper": True, "avd": True}
+# a deletion stage as the report records it when the stage never ran
+_NOT_RUN = SimpleNamespace(rounds=0, success=None, infeasible_vertex=None)
 
 
 @dataclass(frozen=True)
@@ -111,34 +100,30 @@ def repair_fallback(g: Graph, phi: TotalColoring) -> TotalColoring:
     """Force the distinguishing property with one brand-new colour per pair.
 
     One scan of the edges in order: each undistinguished pair recolours one
-    edge at its first endpoint (or the endpoint vertex itself when both
-    endpoints have degree one) with a colour nobody else holds. That fixes
-    the pair for good and makes no new equal pair: a colour set containing
-    a globally fresh colour can only collide with the other endpoint of the
+    edge at its first endpoint (or at its second, when the first has no
+    other edge) with a colour nobody else holds. That fixes the pair for
+    good and makes no new equal pair: a colour set containing a globally
+    fresh colour can only collide with the other endpoint of the
     recoloured edge, and that pair's status never changes. So the scan
     repairs, in order, the pairs a rescan after every repair would find
-    first. phi must be a proper total colouring of g.
+    first. phi must be a proper total colouring of g; then no equal pair
+    has two endpoints of degree one, as their vertex colours differ.
 
     The scan updates a copy of ``phi.stars``, two bits per repair, which
-    the result carries. A repaired result gets its own full ``violations``
-    pass, and RepairError names its first violation.
+    the result carries. The result is not verified here; ``run_pipeline``
+    verifies what the phases return.
     """
     masks = list(phi.stars)
-    vertex_colors = list(phi.vertex_colors)
     recoloured: dict[Edge, int] = {}
     k = phi.k
     for u, v in g.edges:
         if masks[u] != masks[v]:
             continue
         k += 1
+        # an improper input may isolate the pair; recolouring uv itself then
+        # leaves it equal, for the caller's verifier to report
         end, other = next(((x, w) for x, y in ((u, v), (v, u))
-                           for w in g.adjacency[x] if w != y), (u, None))
-        if other is None:
-            # both endpoints have degree one; unreachable for proper inputs
-            # since their colour sets then differ in the vertex colours
-            masks[u] ^= 1 << vertex_colors[u] | 1 << k
-            vertex_colors[u] = k
-            continue
+                           for w in g.adjacency[x] if w != y), (u, v))
         edge = normalize_edge(end, other)
         flip = 1 << recoloured.get(edge, phi.edge_colors[edge]) | 1 << k
         masks[end] ^= flip
@@ -146,12 +131,7 @@ def repair_fallback(g: Graph, phi: TotalColoring) -> TotalColoring:
         recoloured[edge] = k
     if k == phi.k:
         return phi
-    out = _with_stars(masks, tuple(vertex_colors), {**phi.edge_colors, **recoloured}, k)
-    found = violations(g, out)
-    if found:
-        raise RepairError(f"violations persist after {k - phi.k} repairs: "
-                          f"{found[0].kind} at {found[0].witness}")
-    return out
+    return _with_stars(masks, phi.vertex_colors, {**phi.edge_colors, **recoloured}, k)
 
 
 def run_pipeline(g: Graph, phi: TotalColoring | None = None,
@@ -159,73 +139,60 @@ def run_pipeline(g: Graph, phi: TotalColoring | None = None,
                  ) -> tuple[TotalColoring, PipelineReport]:
     """Produce a distinguishing proper total colouring of g, with a report.
 
-    The seed, supplied or greedy, gets one verifier pass here: after
-    ``check_total``, its closed stars are built afresh, never read from
-    ``phi.stars``, and judged as ``violations`` would judge them. It must
-    be proper total, and if it is already distinguishing it is returned
-    unchanged with that pass as its verdict. Otherwise a copy of it carries
-    those masks as its ``stars``, and each phase hands its result the masks
-    it has kept current. The phases trust their input; the result gets a
-    fresh, full ``violations`` pass on the way out (see ``_exit_check``).
+    The seed, supplied or greedy, gets one verifier pass here, with its
+    closed stars built afresh, never read from ``phi.stars``. It must be
+    proper total, and if it is already distinguishing it is returned
+    unchanged with that pass as its verdict. Otherwise the phases run on a
+    copy carrying those masks as its ``stars``, and each phase hands its
+    result the masks it has kept current. The phases trust their input;
+    their result gets one fresh, full ``violations`` pass on the way out,
+    and RuntimeError names its first violation unless it is proper and AVD.
     """
     params = params or PipelineParams()
     timings: dict[str, float] = {}
 
-    start = time.perf_counter()
-    if phi is None:
-        phi = greedy_total(g)
-    timings["seed"] = time.perf_counter() - start
+    @contextmanager
+    def timed(phase: str):
+        start = time.perf_counter()
+        yield
+        timings[phase] = time.perf_counter() - start
 
-    start = time.perf_counter()
-    check_total(g, phi)
-    stars = _closed_stars(phi)
-    found = _judge(g, phi, stars)
-    timings["verify_input"] = time.perf_counter() - start
+    with timed("seed"):
+        if phi is None:
+            phi = greedy_total(g)
+    with timed("verify_input"):
+        found, checked = _checked(g, phi)
     if not _proper(found):
         raise ValueError(f"seed colouring must be proper: "
                          f"{found[0].kind} at {found[0].witness}")
-    input_k = phi.k
     resolved = params.resolve(g)
-    if not found:
-        report = PipelineReport(
-            input_k=input_k, e1_rounds=0, e2_rounds=0,
-            e1_success=None, e2_success=None, e2_infeasible_vertex=None,
-            fresh_palette_size=0, fallback_repairs=0, final_k=input_k,
-            lam=resolved.lam, M=resolved.M, p=resolved.p,
-            short_circuit=True, verified={"proper": True, "avd": True},
-            phase_timings=timings)
-        return phi, report
-    phi = _with_stars(stars, phi.vertex_colors, phi.edge_colors, phi.k)
+    out = recolored = lowered = phi
+    bulk = patch = _NOT_RUN
+    if found:
+        with timed("bulk"):
+            bulk = find_bulk_deletion(g, checked, params)
+        with timed("patch"):
+            light = light_vertices(g, bulk.selection, params.m)
+            patch = find_patch_deletion(g, checked, bulk.selection, light, params)
+        with timed("recolor"):
+            recolored = recolor_union(g, checked, bulk.selection.edges,
+                                      patch.selection.edges)
+        with timed("low_degree"):
+            lowered = distinguish_low_degree(g, recolored)
+        with timed("repair"):
+            out = repair_fallback(g, lowered)
+        # the one full pass after the phases, which the guarantee rests on
+        left = violations(g, out)
+        if left:
+            raise RuntimeError(f"pipeline output is not a proper AVD colouring: "
+                               f"{left[0].kind} at {left[0].witness}")
 
-    start = time.perf_counter()
-    bulk = find_bulk_deletion(g, phi, params)
-    timings["bulk"] = time.perf_counter() - start
-
-    start = time.perf_counter()
-    light = light_vertices(g, bulk.selection, params.m)
-    patch = find_patch_deletion(g, phi, bulk.selection, light, params)
-    timings["patch"] = time.perf_counter() - start
-
-    start = time.perf_counter()
-    recolored = recolor_union(g, phi, bulk.selection.edges, patch.selection.edges)
-    fresh = recolored.k - input_k
-    timings["recolor"] = time.perf_counter() - start
-
-    start = time.perf_counter()
-    lowered = distinguish_low_degree(g, recolored)
-    timings["low_degree"] = time.perf_counter() - start
-
-    start = time.perf_counter()
-    repaired = repair_fallback(g, lowered)
-    repairs = repaired.k - lowered.k
-    timings["repair"] = time.perf_counter() - start
-
-    report = PipelineReport(
-        input_k=input_k, e1_rounds=bulk.rounds, e2_rounds=patch.rounds,
+    return out, PipelineReport(
+        input_k=phi.k, e1_rounds=bulk.rounds, e2_rounds=patch.rounds,
         e1_success=bulk.success, e2_success=patch.success,
         e2_infeasible_vertex=patch.infeasible_vertex,
-        fresh_palette_size=fresh, fallback_repairs=repairs,
-        final_k=repaired.k, lam=resolved.lam, M=resolved.M, p=resolved.p,
-        short_circuit=False, verified=_exit_check(g, repaired),
+        fresh_palette_size=recolored.k - phi.k,
+        fallback_repairs=out.k - lowered.k, final_k=out.k,
+        lam=resolved.lam, M=resolved.M, p=resolved.p,
+        short_circuit=not found, verified={"proper": True, "avd": True},
         phase_timings=timings)
-    return repaired, report

@@ -71,8 +71,9 @@ def improper_k4_doc(tmp_path):
 def count_verifier_calls(monkeypatch) -> Counter:
     """Count the verifier and its building blocks in every module that binds
     them, so calls across modules are seen too. ``_closed_stars`` is the one
-    mask builder: the pipeline's entry pass calls it once and judges the
-    masks, and each ``violations`` pass calls it once more."""
+    mask builder: each verifier pass calls it once, ``violations`` and the
+    input checks of the pipeline and the CLI alike, and those checks hand
+    the masks on."""
     calls = Counter()
     for name in ("violations", "check_total", "_closed_stars"):
         def counting(*args, _name=name, _original=getattr(coloring_mod, name)):
@@ -269,13 +270,13 @@ class TestDistinguishLow:
         assert doc["verified"]["proper"] is True
 
     def test_one_verifier_pass_each_side(self, clean_doc, capsys, monkeypatch):
-        # the input check and the output flags are one violations call each;
-        # the third check_total is from_document's, on loading, and the
-        # third mask build is the phase's first read of its input's stars
+        # the input check and the output flags are one verifier pass each;
+        # the phase reads the masks the input check built, and the third
+        # check_total is from_document's, on loading
         calls = count_verifier_calls(monkeypatch)
         code, _, _ = run(["distinguish-low", "--in", clean_doc, "--json"], capsys)
         assert code == 0
-        assert calls == {"_closed_stars": 3, "violations": 2, "check_total": 3}
+        assert calls == {"_closed_stars": 2, "violations": 1, "check_total": 3}
 
 
 class TestSelections:
@@ -311,6 +312,27 @@ class TestSelections:
         assert got["bulk"]["forced"] == [0, 1, 2, 3, 4]
         assert got["patch"]["success"] is False and got["patch"]["forced"] == []
         assert got["patch"]["infeasible_vertex"] == 0
+
+    @pytest.mark.parametrize("cmd", ["select-e1", "select-e2"])
+    def test_seed_coloring_checked_once(self, cmd, k4_file, clean_doc, capsys,
+                                        monkeypatch):
+        # the stages read the masks the input check built; the second
+        # check_total is from_document's, on loading
+        calls = count_verifier_calls(monkeypatch)
+        code, _, _ = run([cmd, "--in", k4_file, "--json",
+                          "--seed-coloring", clean_doc], capsys)
+        assert code in (0, 1)
+        assert calls == {"_closed_stars": 1, "check_total": 2}
+
+
+class TestRepairingRun:
+    def test_one_violations_pass_after_the_phases(self, monkeypatch):
+        # the repair step leaves its result to the pipeline's exit pass
+        calls = count_verifier_calls(monkeypatch)
+        _, report = pipeline_mod.run_pipeline(random_gnp(200, 0.05, 0),
+                                              params=PipelineParams(seed=0, lam=1.0))
+        assert report.fallback_repairs == 2
+        assert calls == {"_closed_stars": 2, "violations": 1, "check_total": 2}
 
 
 class TestImproperInput:

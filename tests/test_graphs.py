@@ -1,6 +1,7 @@
 """Graph container, formats, generators, and the degree split."""
 
 import hashlib
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -181,8 +182,10 @@ class TestGraph6:
         assert exc.value.offset == 10
 
     def test_parse_rejects_bad_alphabet(self):
-        with pytest.raises(Graph6Error) as exc:
-            parse_graph6("C\x1f")
+        # \x7f is not whitespace, so it reaches the alphabet check
+        message = r"^character '\\x7f' outside graph6 alphabet \(byte 1\)$"
+        with pytest.raises(Graph6Error, match=message) as exc:
+            parse_graph6("C\x7f")
         assert exc.value.offset == 1
 
     def test_parse_rejects_truncation(self):
@@ -349,6 +352,18 @@ class TestGenerators:
         # and 5.0 or 6.0 escaped as TypeError
         with pytest.raises(ValueError, match=f"^{name} must be an integer"):
             make(*args)
+
+    @pytest.mark.parametrize("p", ["0.5", None, True, False, 1j, [0.5]],
+                             ids=repr)
+    def test_random_gnp_rejects_non_real_p(self, p):
+        # '0.5' and None escaped as TypeError, and True ran as p = 1
+        with pytest.raises(ValueError, match=r"^edge probability p must be a real number"):
+            random_gnp(5, p, 0)
+
+    @pytest.mark.parametrize("p", [0, 1, 0.5, Fraction(1, 2), np.float64(0.5)],
+                             ids=repr)
+    def test_random_gnp_takes_real_p(self, p):
+        assert random_gnp(6, p, 3) == random_gnp(6, float(p), 3)
 
     def test_generators_take_index_integers(self):
         assert random_gnp(np.int64(12), 0.35, np.uint64(7)) == random_gnp(12, 0.35, 7)
