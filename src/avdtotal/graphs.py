@@ -65,8 +65,16 @@ class Graph:
 
     @classmethod
     def build(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
+        n = _integer("n", n)
         if n < 0:
             raise ValueError("vertex count must be non-negative")
+        if not isinstance(edges, (list, tuple)):
+            edges = list(edges)
+        # one C-level scan of the endpoint types: bools, numpy integers and
+        # non-integers take the slow path, which converts or rejects them
+        if not {int}.issuperset(map(type, itertools.chain.from_iterable(edges))):
+            edges = [(_integer("edge endpoint", u), _integer("edge endpoint", v))
+                     for u, v in edges]
         # an insertion-ordered dict, not a set, dedupes: sorting its keys
         # is linear when the edges arrive sorted, as from random_gnp, most
         # generators, DIMACS text in edge order and the pipeline's union
@@ -237,24 +245,28 @@ def parse_dimacs(text: str) -> Graph:
 # generators
 
 def path_graph(n: int) -> Graph:
+    n = _integer("n", n)
     if n < 1:
         raise ValueError("path needs at least one vertex")
     return Graph.build(n, [(i, i + 1) for i in range(n - 1)])
 
 
 def cycle_graph(n: int) -> Graph:
+    n = _integer("n", n)
     if n < 3:
         raise ValueError("cycle needs at least three vertices")
     return Graph.build(n, [(i, (i + 1) % n) for i in range(n)])
 
 
 def complete_graph(n: int) -> Graph:
+    n = _integer("n", n)
     if n < 1:
         raise ValueError("complete graph needs at least one vertex")
     return Graph.build(n, itertools.combinations(range(n), 2))
 
 
 def complete_bipartite_graph(a: int, b: int) -> Graph:
+    a, b = _integer("a", a), _integer("b", b)
     if a < 1 or b < 1:
         raise ValueError("both sides need at least one vertex")
     return Graph.build(a + b, [(i, a + j) for i in range(a) for j in range(b)])
@@ -262,6 +274,7 @@ def complete_bipartite_graph(a: int, b: int) -> Graph:
 
 def star_graph(leaves: int) -> Graph:
     """K_{1,leaves} with the centre at vertex 0."""
+    leaves = _integer("leaves", leaves)
     if leaves < 0:
         raise ValueError("leaf count must be non-negative")
     return Graph.build(leaves + 1, [(0, i) for i in range(1, leaves + 1)])

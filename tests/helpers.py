@@ -519,9 +519,11 @@ def reference_repair_fallback(g: Graph, phi: TotalColoring) -> TotalColoring:
 
 
 def reference_vizing_color(g: Graph) -> EdgeColoring:
-    """Misra-Gries fan rotation with dict scans: each fan step scans every
-    coloured edge at u for the smallest colour free at the previous fan
-    vertex, and every colour is looked up by its normalized edge.
+    """Misra-Gries fan rotation with dict scans. Each edge first takes the
+    smallest colour in 1..k on no edge at either end, found by counting up;
+    only when there is none does it build the fan, where each step scans
+    every coloured edge at u for the smallest colour free at the previous
+    fan vertex, and every colour is looked up by its normalized edge.
 
     ``vizing_color`` makes the same choices on colour bitmasks, so its
     colours, and the order of its ``colors`` dict, must equal these.
@@ -556,6 +558,15 @@ def reference_vizing_color(g: Graph) -> EdgeColoring:
             color[normalize_edge(x, y)] = new
 
     for u, v in g.edges:
+        # the smallest colour on no edge at u or v, if it is within k
+        c = 1
+        while c in at[u] or c in at[v]:
+            c += 1
+        if c <= k:
+            color[(u, v)] = c
+            at[u][c] = v
+            at[v][c] = u
+            continue
         # maximal fan around u starting at v: each next edge's colour is
         # free at the previous fan vertex; smallest such colour each step
         fan = [v]

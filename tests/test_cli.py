@@ -744,9 +744,9 @@ TEXT_CASES = {
                   "bulk: 37 edges success=False; light vertices: 9\n"
                   "patch: 0 edges, success=False, rounds=0, infeasible_vertex=2\n"),
     "edge-color": (["--in", "k4.g6"], 0,
-                   "edge colouring with 4 colours (bound 4)\n"
-                   "  (0, 1) -> 4\n  (0, 2) -> 2\n  (0, 3) -> 1\n"
-                   "  (1, 2) -> 1\n  (1, 3) -> 2\n  (2, 3) -> 3\n"),
+                   "edge colouring with 3 colours (bound 4)\n"
+                   "  (0, 1) -> 1\n  (0, 2) -> 2\n  (0, 3) -> 3\n"
+                   "  (1, 2) -> 3\n  (1, 3) -> 2\n  (2, 3) -> 1\n"),
     "seed-color": (["--in", "k4.g6"], 0,
                    "greedy proper total colouring with k=7 (bound 7); "
                    "verified: {'proper': True, 'avd': True}\n"),

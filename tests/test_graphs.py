@@ -1,6 +1,8 @@
 """Graph container, formats, generators, and the degree split."""
 
 import hashlib
+import json
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -9,9 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from avdtotal import (DimacsError, Graph, Graph6Error, complete_bipartite_graph,
-                      complete_graph, cycle_graph, degree_split,
+                      complete_graph, cycle_graph, degree_split, greedy_total,
                       normalize_edge, parse_dimacs, parse_graph6, path_graph,
-                      random_gnp, random_regular, star_graph, write_graph6)
+                      random_gnp, random_regular, star_graph, to_document,
+                      write_graph6)
 
 from helpers import canonical_form, connected_graphs, reference_build
 
@@ -45,6 +48,42 @@ class TestGraphBasics:
     def test_build_rejects_negative_n(self):
         with pytest.raises(ValueError):
             Graph.build(-1, [])
+
+    @pytest.mark.parametrize("edges, bad", [
+        ([(True, 0), (1, 2)], "True"),
+        ([(0, 1), (1, False)], "False"),
+        ([(0, 1.0)], "1.0"),
+        ([(1.5, 2)], "1.5"),
+        ([("0", 1)], "'0'"),
+        ([(0, None)], "None"),
+        (((0, 1), (np.float64(2.0), 1)), "np.float64(2.0)"),
+    ], ids=repr)
+    def test_build_rejects_non_integer_endpoints(self, edges, bad):
+        # (True, 0) built a document whose [0, true] edge from_document
+        # rejected; '0' and None escaped as TypeError
+        with pytest.raises(ValueError, match=r"^edge endpoint must be an integer, got "
+                           + re.escape(bad) + "$"):
+            Graph.build(3, edges)
+
+    @pytest.mark.parametrize("n", [True, 3.0, "3"], ids=repr)
+    def test_build_rejects_non_integer_n(self, n):
+        with pytest.raises(ValueError, match=r"^n must be an integer"):
+            Graph.build(n, [])
+
+    @pytest.mark.parametrize("edges, wrap", [
+        ([(np.int64(0), np.int64(1)), (1, 2)], list),
+        ([(np.uint8(2), 1), (np.int32(0), 1)], tuple),
+        ([(0, np.int16(1)), (np.int64(2), 1)], iter),
+        ([(0, 1), (2, 1)], lambda edges: (e for e in edges)),
+    ], ids=["int64", "uint8-int32", "iterator", "generator"])
+    def test_build_takes_index_integer_endpoints(self, edges, wrap):
+        # numpy endpoints used to reach the edge tuple, and to_document's
+        # output then failed json.dumps
+        g = Graph.build(np.int64(3), wrap(edges))
+        assert g == Graph.build(3, [(0, 1), (1, 2)])
+        assert {type(x) for e in g.edges for x in e} == {int} and type(g.n) is int
+        assert g.adjacency == ((1,), (0, 2), (1,))
+        json.dumps(to_document(g, greedy_total(g)))
 
     def test_duplicate_edges_collapse(self):
         g = Graph.build(3, [(0, 1), (1, 0), (0, 1)])
@@ -343,13 +382,26 @@ class TestGenerators:
         (random_regular, (6, True, 0), "d"),
         (random_regular, (6, 2, 0.5), "seed"),
         (random_regular, (4, 3, 2.5), "seed"),  # the K_n shortcut too
+        (path_graph, (2.0,), "n"),
+        (path_graph, (True,), "n"),
+        (cycle_graph, ("5",), "n"),
+        (cycle_graph, (5.0,), "n"),
+        (complete_graph, (True,), "n"),
+        (complete_graph, (None,), "n"),
+        (complete_bipartite_graph, (2, 1.5), "b"),
+        (complete_bipartite_graph, (True, 2), "a"),
+        (star_graph, (True,), "leaves"),
+        (star_graph, (3.0,), "leaves"),
     ]
 
     @pytest.mark.parametrize("make, args, name", NON_INTEGER_ARGS,
                              ids=[f"{f.__name__}{a}" for f, a, _ in NON_INTEGER_ARGS])
     def test_generators_reject_non_integers(self, make, args, name):
         # n=True built a graph, seed 1.5 ran as seed 1, '3' was accepted,
-        # and 5.0 or 6.0 escaped as TypeError
+        # and 5.0 or 6.0 escaped as TypeError; star_graph(True) built
+        # K_{1,1}, complete_graph(True) a graph with n=True, and
+        # path_graph(2.0), cycle_graph('5') and complete_bipartite_graph(2,
+        # 1.5) escaped as TypeError
         with pytest.raises(ValueError, match=f"^{name} must be an integer"):
             make(*args)
 
@@ -369,6 +421,13 @@ class TestGenerators:
         assert random_gnp(np.int64(12), 0.35, np.uint64(7)) == random_gnp(12, 0.35, 7)
         assert (random_regular(np.int32(10), np.int64(3), np.int16(2))
                 == random_regular(10, 3, 2))
+        for g, want in [(path_graph(np.int64(4)), path_graph(4)),
+                        (cycle_graph(np.int32(5)), cycle_graph(5)),
+                        (complete_graph(np.uint8(4)), complete_graph(4)),
+                        (complete_bipartite_graph(np.int64(2), np.int16(3)),
+                         complete_bipartite_graph(2, 3)),
+                        (star_graph(np.int64(3)), star_graph(3))]:
+            assert g == want and type(g.n) is int
 
 
 def test_connected_enumeration_counts():

@@ -209,7 +209,7 @@ class TestRunPipeline:
         out, report = run_pipeline(g, phi, PipelineParams(m=5, d=1))
         assert report.e1_success is False
         assert report.e2_success is True
-        assert report.final_k == 16 and report.fresh_palette_size == 8
+        assert report.final_k == 15 and report.fresh_palette_size == 7
         assert report.verified == {"proper": True, "avd": True}
 
     def test_both_stages_succeed_with_generous_slack(self):
@@ -218,7 +218,7 @@ class TestRunPipeline:
         out, report = run_pipeline(g, phi, params)
         assert report.e1_success is True and report.e2_success is True
         assert report.e2_infeasible_vertex is None
-        assert report.final_k - report.input_k == 8
+        assert report.final_k - report.input_k == 7
 
     def test_palette_accounting_is_exact(self):
         cases = [run_pipeline(cycle_graph(5))[1],

@@ -117,6 +117,42 @@ class TestAgainstReference:
             assert_matches_reference(sub)
 
 
+def first_fit_gets_stuck(g):
+    """True when plain first-fit, in sorted edge order, meets an edge with
+    no colour in 1..max_degree + 1 free at both ends."""
+    at = [set() for _ in range(g.n)]
+    for u, v in g.edges:
+        c = min(set(range(1, g.max_degree + 3)) - at[u] - at[v])
+        if c > g.max_degree + 1:
+            return True
+        at[u].add(c)
+        at[v].add(c)
+    return False
+
+
+class TestFanPath:
+    """Graphs on which first-fit alone runs out of colours, so some edge
+    goes through the fan, the path inversion and the rotation."""
+
+    @pytest.mark.parametrize("g", [complete_graph(5), random_gnp(20, 0.7, 0),
+                                   random_gnp(40, 0.9, 3)],
+                             ids=["K5", "gnp20", "gnp40"])
+    def test_within_bound_and_matches_reference(self, g):
+        assert first_fit_gets_stuck(g)
+        assert_valid(g, vizing_color(g))
+        assert_matches_reference(g)
+
+
+class TestStar:
+    """Every hub edge of a star finds a common free colour: leaf i takes
+    colour i, and no fan is built."""
+
+    @pytest.mark.parametrize("leaves", [1, 7, 400, 2000])
+    def test_leaf_i_takes_colour_i(self, leaves):
+        ec = vizing_color(star_graph(leaves))
+        assert ec.colors == {(0, i): i for i in range(1, leaves + 1)}
+
+
 class TestIsolatedVertices:
     """Vertices without edges keep no state the fan or the walks can reach."""
 
