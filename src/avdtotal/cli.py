@@ -18,9 +18,11 @@ leaves partial output on stdout, only one ``error:`` line on stderr.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import sys
+from contextlib import contextmanager
 from dataclasses import fields, replace
 from fractions import Fraction
 from pathlib import Path
@@ -441,6 +443,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@contextmanager
+def _collector_paused():
+    """Run the body with the cyclic garbage collector off, then restore its
+    state. A command builds large containers but no reference cycles, so
+    reference counting frees them, and collector passes would only walk
+    them; ``tests/test_cli.py::TestCollectorPause`` pins both facts."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -456,9 +473,10 @@ def main(argv=None) -> int:
         print(f"warning: --seed has no effect for {args.cmd_name}", file=sys.stderr)
         args.seed = None
     try:
-        code, records, lines = args.func(args)
-        if args.json:
-            lines = [_emit(record) for record in records]
+        with _collector_paused():
+            code, records, lines = args.func(args)
+            if args.json:
+                lines = [_emit(record) for record in records]
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

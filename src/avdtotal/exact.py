@@ -106,7 +106,13 @@ def _search(steps: list[tuple], n: int, k: int) -> list[int] | None:
             smask[v] ^= b
         return False
 
-    if not rec(0, 1):
+    try:
+        found = rec(0, 1)
+    finally:
+        # rec reaches itself through its closure cell; dropping the name
+        # breaks that cycle, so reference counting frees the search state
+        del rec
+    if not found:
         return None
     return [b.bit_length() - 1 for b in bit]
 

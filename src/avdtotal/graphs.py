@@ -200,7 +200,9 @@ def write_graph6(g: Graph) -> str:
 def parse_dimacs(text: str) -> Graph:
     """Read DIMACS colouring format: one ``p edge n m`` line, ``e u v`` lines
     with 1-based endpoints. Comments are skipped, duplicate edges collapse,
-    self-loops are rejected."""
+    self-loops are rejected. Every number is a run of ASCII digits, checked
+    before ``int`` reads it, since ``int`` also takes signs, underscores and
+    other scripts' digits."""
     n: int | None = None
     edges: list[Edge] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -213,22 +215,19 @@ def parse_dimacs(text: str) -> Graph:
                 raise DimacsError(f"line {lineno}: duplicate problem line")
             if len(parts) != 4 or parts[1] != "edge":
                 raise DimacsError(f"line {lineno}: expected 'p edge <n> <m>'")
-            try:
-                n = int(parts[2])
-                int(parts[3])
-            except ValueError:
-                raise DimacsError(f"line {lineno}: non-integer problem sizes") from None
-            if n < 0:
-                raise DimacsError(f"line {lineno}: negative vertex count")
+            a, b = parts[2], parts[3]
+            if not (a.isdigit() and b.isdigit() and a.isascii() and b.isascii()):
+                raise DimacsError(f"line {lineno}: non-integer problem sizes")
+            n = int(a)
         elif parts[0] == "e":
             if n is None:
                 raise DimacsError(f"line {lineno}: edge before problem line")
             if len(parts) != 3:
                 raise DimacsError(f"line {lineno}: expected 'e <u> <v>'")
-            try:
-                u, v = int(parts[1]) - 1, int(parts[2]) - 1
-            except ValueError:
-                raise DimacsError(f"line {lineno}: non-integer endpoints") from None
+            a, b = parts[1], parts[2]
+            if not (a.isdigit() and b.isdigit() and a.isascii() and b.isascii()):
+                raise DimacsError(f"line {lineno}: non-integer endpoints")
+            u, v = int(a) - 1, int(b) - 1
             if u == v:
                 raise DimacsError(f"line {lineno}: self-loop at vertex {u + 1}")
             if not (0 <= u < n and 0 <= v < n):

@@ -11,8 +11,10 @@ palette accounting in the report is exact by construction.
 from __future__ import annotations
 
 import time
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
+from itertools import chain
 from types import SimpleNamespace
 
 from .coloring import TotalColoring, _checked, _proper, _with_stars, violations
@@ -21,7 +23,7 @@ from .highdeg import (PipelineParams, find_bulk_deletion,
                       find_patch_deletion, light_vertices)
 from .lowdeg import distinguish_low_degree
 from .seeding import greedy_total
-from .vizing import vizing_color
+from .vizing import _color_edges
 
 # a deletion stage as the report records it when the stage never ran
 _NOT_RUN = SimpleNamespace(rounds=0, success=None, infeasible_vertex=None)
@@ -66,34 +68,47 @@ def recolor_union(g: Graph, phi: TotalColoring, bulk_edges,
     max_degree(union) + 1 new colours, so the budget grows by at most that
     much and the result stays proper: fresh colours clash with nothing old,
     and clashes within the union are excluded by edge-properness there.
-    phi must be a proper total colouring of g. A selected edge outside g
-    raises ValueError naming the smallest such edge.
+    phi must be a proper total colouring of g. Edges may be given in either
+    endpoint order; a selected edge outside g raises ValueError naming the
+    smallest such edge.
 
-    The result's ``stars`` are a copy of ``phi.stars`` with the old and new
-    colour bits of each union edge swapped at both ends.
+    The union is filtered from ``g.edges``, so it is sorted and valid, and
+    goes to the edge colourer as a list with its maximum degree; no Graph
+    of it is built. A selection that lies in ``g.edge_set`` as given, as
+    the deletion stages' selections do, is not normalised. One loop sets
+    the fresh colours in a copy of ``phi.edge_colors`` and swaps the old
+    and new colour bits of each union edge at both ends in a copy of
+    ``phi.stars``; the result carries both.
     """
-    chosen = {normalize_edge(u, v) for u, v in bulk_edges}
-    chosen.update(normalize_edge(u, v) for u, v in patch_edges)
-    stray = chosen - g.edge_set
-    if stray:
-        raise ValueError(f"selected edge {min(stray)} is not in the graph")
+    # tuple() hands an exact tuple back as it is; pairs of other types
+    # become tuples, which the check below then normalises
+    chosen = set(map(tuple, bulk_edges))
+    chosen.update(map(tuple, patch_edges))
+    if not chosen <= g.edge_set:
+        chosen = {normalize_edge(u, v) for u, v in chosen}
+        stray = chosen - g.edge_set
+        if stray:
+            raise ValueError(f"selected edge {min(stray)} is not in the graph")
     if not chosen:
         return phi
-    # g.edges is sorted, so the union comes out sorted too
+    # filtered from g.edges, the union is sorted and valid, as the colourer needs
     union = [e for e in g.edges if e in chosen]
-    sub_colors = vizing_color(Graph.build(g.n, union)).colors
-    fresh = {e: phi.k + c for e, c in sub_colors.items()}
+    sub_colors = _color_edges(g.n, union, max(Counter(chain.from_iterable(union)).values()))
     k = phi.k + max(sub_colors.values())
     # phi is proper and the new colours are above its palette, so each old
     # bit is set once at each end and each new bit not at all; the bits are
     # shifted once per colour, not twice per edge
+    edge_colors = dict(phi.edge_colors)
     stars = list(phi.stars)
     bits = [1 << c for c in range(k + 1)]
-    for (u, v), c in fresh.items():
-        flip = bits[phi.edge_colors[(u, v)]] | bits[c]
+    for e, c in sub_colors.items():
+        c += phi.k
+        u, v = e
+        flip = bits[edge_colors[e]] | bits[c]
+        edge_colors[e] = c
         stars[u] ^= flip
         stars[v] ^= flip
-    return _with_stars(stars, phi.vertex_colors, {**phi.edge_colors, **fresh}, k)
+    return _with_stars(stars, phi.vertex_colors, edge_colors, k)
 
 
 def repair_fallback(g: Graph, phi: TotalColoring) -> TotalColoring:

@@ -11,6 +11,12 @@ keep the bound. Fully deterministic: every choice takes the smallest
 colour. On the unions ``run_pipeline`` recolours, almost every edge is
 coloured by first-fit; a star K_{1,N} gives leaf i colour i.
 
+The loop is the private ``_color_edges``, which takes a sorted edge list
+and its maximum degree instead of a Graph. ``vizing_color(g)`` passes
+g's edges; ``pipeline.recolor_union`` passes the union of deleted edges,
+filtered from ``g.edges``, so no Graph of the union is built or validated.
+Colours are keyed by the edge tuples passed in.
+
 Colour sets are per-vertex bitmasks, and each vertex keeps a dict from
 colour to far endpoint. Those slots are overwritten in place and never
 deleted; a slot whose colour bit is clear is stale and never read. A
@@ -23,6 +29,7 @@ fan and ends with 2m = 84 128.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .graphs import Edge, Graph
@@ -41,23 +48,35 @@ class EdgeColoring:
 
 def vizing_color(g: Graph) -> EdgeColoring:
     """Proper edge colouring of g using at most max_degree + 1 colours."""
-    k = g.max_degree + 1
+    return EdgeColoring(colors=_color_edges(g.n, g.edges, g.max_degree),
+                        k=g.max_degree + 1)
+
+
+def _color_edges(n: int, edges: Sequence[Edge], max_degree: int) -> dict[Edge, int]:
+    """Colours 1..max_degree + 1 for edges, keyed by the given tuples.
+
+    edges must be sorted, distinct pairs u < v of vertices below n, and
+    max_degree their maximum degree; nothing here checks that. Passing
+    ``g.edges`` and ``g.max_degree`` colours g as ``vizing_color`` does.
+    """
+    k = max_degree + 1
     color: dict[Edge, int] = {}
     # used[x] has bit col set for each colour on an edge at x, and bit 0
     # always, so the lowest zero bit is the smallest free colour. at[x]
     # maps colours to the far endpoint, for fans and path walks; at[x][col]
     # is read only while bit col of used[x] is set, so stale slots stay
-    used = [1] * g.n
-    at: list[dict[int, int]] = [{} for _ in range(g.n)]
+    used = [1] * n
+    at: list[dict[int, int]] = [{} for _ in range(n)]
 
-    for u, v in g.edges:
+    for e in edges:
+        u, v = e
         at_u = at[u]
         # the lowest colour free at both ends, when the palette has one
         m = used[u] | used[v]
         bit = ~m & (m + 1)
         col = bit.bit_length() - 1
         if col <= k:
-            color[(u, v)] = col
+            color[e] = col
             at_u[col] = v
             at[v][col] = u
             used[u] |= bit
@@ -131,7 +150,7 @@ def vizing_color(g: Graph) -> EdgeColoring:
         used[u] |= 1 << d
         if not w_idx:
             # uv itself takes d; nothing rotates
-            color[(u, v)] = d
+            color[e] = d
             at_u[d] = v
             at[v][d] = u
             used[v] |= 1 << d
@@ -153,4 +172,4 @@ def vizing_color(g: Graph) -> EdgeColoring:
             else:
                 used[x] |= 1 << col
 
-    return EdgeColoring(colors=color, k=k)
+    return color

@@ -5,6 +5,7 @@ stderr can be captured byte for byte.
 """
 
 import argparse
+import gc
 import io
 import json
 import math
@@ -16,11 +17,13 @@ from fractions import Fraction
 import pytest
 
 from avdtotal import (Graph, PipelineParams, TotalColoring, cli, complete_graph,
-                      cycle_graph, greedy_total, random_gnp, star_graph,
-                      to_document, write_graph6)
+                      cycle_graph, greedy_total, random_gnp, run_pipeline,
+                      star_graph, to_document, write_graph6)
 from avdtotal import bounds as bounds_mod
 from avdtotal import coloring as coloring_mod
 from avdtotal import pipeline as pipeline_mod
+
+from test_golden import CASES as GOLDEN_CASES
 
 
 @pytest.fixture
@@ -841,3 +844,54 @@ class TestEmit:
     def test_unencodable_value_raises(self):
         with pytest.raises(TypeError, match="object"):
             cli._emit({"a": [object()]})
+
+
+class TestCollectorPause:
+    """``main`` runs each command with the cyclic collector paused. That is
+    sound because a command's work leaves no reference cycles, so reference
+    counting frees it all; and ``main`` hands the collector back as it
+    found it, on every exit path."""
+
+    @pytest.fixture(autouse=True)
+    def restore_collector(self):
+        enabled = gc.isenabled()
+        yield
+        if enabled:
+            gc.enable()
+        else:
+            gc.disable()
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
+    def test_golden_commands_leave_no_cycles(self, name, tmp_path):
+        # the paused part of main: the color handler, whose run_pipeline
+        # resamples on hub_resampling, and the JSON emission
+        text, flags, _ = GOLDEN_CASES[name]
+        path = tmp_path / "graph.in"
+        path.write_text(text())
+        args = cli.build_parser().parse_args(["color", "--json", "--in", str(path), *flags])
+        gc.disable()
+        gc.collect()
+        code, records, _ = args.func(args)
+        assert code == 0 and [cli._emit(record) for record in records]
+        assert gc.collect() == 0
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+    @pytest.mark.parametrize("text,want", [("D~{\n", 0), ("", 2)], ids=["ok", "error"])
+    def test_state_restored(self, enabled, text, want, tmp_path, capsys, monkeypatch):
+        (gc.enable if enabled else gc.disable)()
+        during = []
+
+        def recording(*args):
+            during.append(gc.isenabled())
+            return run_pipeline(*args)
+
+        monkeypatch.setattr(cli, "run_pipeline", recording)
+        path = tmp_path / "graph.g6"
+        path.write_text(text)
+        code, _, err = run(["color", "--in", str(path)], capsys)
+        assert code == want
+        if want:
+            assert err.startswith("error: ") and during == []
+        else:
+            assert err == "" and during == [False]
+        assert gc.isenabled() is enabled

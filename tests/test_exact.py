@@ -1,5 +1,6 @@
 """Exhaustive solvers cross-checked against brute enumeration."""
 
+import gc
 import time
 import tracemalloc
 
@@ -349,6 +350,30 @@ class TestConjectureScan:
     def test_capacity_error_names_line(self):
         with pytest.raises(CapacityError, match="line 1"):
             check_conjecture([write_graph6(complete_graph(10))])
+
+
+class TestNoReferenceCycles:
+    """A finished search leaves nothing for the cyclic collector: the
+    backtracker's state is freed by reference counting, so a command run
+    with the collector paused does not pile up garbage over a corpus."""
+
+    @pytest.fixture(autouse=True)
+    def collector_off(self):
+        enabled = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        yield
+        if enabled:
+            gc.enable()
+
+    @pytest.mark.parametrize("call", [
+        lambda: check_conjecture([write_graph6(random_gnp(10, 0.4, s)) for s in range(20)]),
+        lambda: chi_at_exact(complete_graph(5)),
+        lambda: find_edge_coloring(complete_graph(5), 5),
+    ], ids=["check_conjecture", "chi_at_K5", "edge_coloring_K5"])
+    def test_collect_finds_nothing(self, call):
+        call()
+        assert gc.collect() == 0
 
 
 @given(st.integers(2, 5), st.integers(0, 99))

@@ -293,6 +293,26 @@ class TestDimacs:
         with pytest.raises(DimacsError):
             parse_dimacs("p edge 2 0\np edge 2 0\n")
 
+    # spellings int() takes but DIMACS does not: underscores, other
+    # scripts' digits and signs
+    @pytest.mark.parametrize("text,message", [
+        ("p edge 1_0 1\ne 1 2\n", "line 1: non-integer problem sizes"),
+        ("p edge \uff15 1\ne 1 2\n", "line 1: non-integer problem sizes"),
+        ("p edge 3 -1\n", "line 1: non-integer problem sizes"),
+        ("p edge +3 1\n", "line 1: non-integer problem sizes"),
+        ("p edge -3 1\n", "line 1: non-integer problem sizes"),
+        ("p edge 12 1\ne 1_1 2\n", "line 2: non-integer endpoints"),
+        ("p edge 12 1\ne 1 \uff12\n", "line 2: non-integer endpoints"),
+        ("p edge 3 1\ne +1 2\n", "line 2: non-integer endpoints"),
+    ], ids=["underscore-n", "fullwidth-n", "negative-m", "plus-n", "negative-n",
+            "underscore-endpoint", "fullwidth-endpoint", "plus-endpoint"])
+    def test_only_ascii_digit_runs(self, text, message):
+        with pytest.raises(DimacsError, match=f"^{message}$"):
+            parse_dimacs(text)
+
+    def test_leading_zeros_are_digits(self):
+        assert parse_dimacs("p edge 03 1\ne 01 003\n").edges == ((0, 2),)
+
 
 class TestGenerators:
     def test_path_shape(self):

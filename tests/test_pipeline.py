@@ -65,7 +65,10 @@ class TestRecolorUnion:
         g, phi = two_hub_graph()
         a = recolor_union(g, phi, [(0, 2)], [(0, 2)])
         b = recolor_union(g, phi, [(0, 2)], [])
-        assert a == b
+        # an in-graph edge given reversed is normalised, not taken as stray
+        c = recolor_union(g, phi, [(2, 0)], [])
+        assert a == b == c
+        assert a.stars == b.stars == c.stars
 
     def test_rejects_foreign_edge(self):
         g, phi = two_hub_graph()
