@@ -17,6 +17,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
+from .graphs import _integer
+
 Real = Union[int, float, Fraction]
 
 LN2 = math.log(2.0)
@@ -60,6 +62,7 @@ class DerivedConstants:
 def _mean(n: int, p: Real) -> tuple[Fraction, float, float]:
     """n*p exactly, and n*p and ln(n*p) as floats, the log finite even where
     n*p underflows; DomainError naming n*p where it overflows."""
+    n = _integer("n", n, DomainError)
     if n < 1:
         raise DomainError("n must be a positive integer")
     if not 0 < p < 1:
@@ -136,8 +139,7 @@ def derive_constants(m: int, d: int, eps: Real, delta: int,
     with 2e lam finite, M or no M; m and eps then need not fit a float.
     PipelineParams and the bounds CLI apply the overrides by calling here.
     """
-    if not (isinstance(m, int) and isinstance(d, int)):
-        raise DomainError("m and d must be integers")
+    m, d = _integer("m", m, DomainError), _integer("d", d, DomainError)
     if d < 1 or m < d + 4:
         raise DomainError(f"need d >= 1 and m >= d+4, got m={m}, d={d}")
     if not 0 < eps < 1:
@@ -183,6 +185,7 @@ def compute_c0(m: int, eps: Real, lam: float, M: int) -> BoundReport:
     undersampling. A non-positive deficit makes the constant meaningless and
     is reported as infeasible rather than raised.
     """
+    m, M = _integer("m", m, DomainError), _integer("M", M, DomainError)
     if m < 1 or M < 1:
         raise DomainError("m and M must be positive integers")
     if not 0 < eps < 1:
@@ -256,6 +259,8 @@ def lll_asymmetric_check(m: int, d: int, eps: Real, lam: float, M: int,
     the vertex margin is +inf once c0*delta overflows a float. delta may be
     supplied as ln_delta for magnitudes far beyond float range.
     """
+    m, d, M = (_integer(name, value, DomainError)
+               for name, value in (("m", m), ("d", d), ("M", M)))
     if (delta is None) == (ln_delta is None):
         raise DomainError("supply exactly one of delta or ln_delta")
     if ln_delta is None:

@@ -18,6 +18,7 @@ leaves partial output on stdout, only one ``error:`` line on stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import gc
 import json
 import math
@@ -356,7 +357,10 @@ def cmd_bench(args) -> Output:
 # ---------------------------------------------------------------------------
 # parser assembly
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The whole parser, built on the first call and shared by later ones;
+    parsing reads it and never changes it."""
     parser = argparse.ArgumentParser(
         prog="avdtotal",
         description="Construct, verify, and exactly compute "
@@ -462,9 +466,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        if exc.code is None:
-            return 0
+    except SystemExit as exc:  # --help exits 0, a usage error 2
         return exc.code if isinstance(exc.code, int) else 2
     if getattr(args, "cmd_name", None) is None:
         parser.print_usage(sys.stderr)

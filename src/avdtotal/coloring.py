@@ -101,17 +101,12 @@ def _with_stars(stars: list[int] | tuple[int, ...], vertex_colors: tuple[int, ..
     return phi
 
 
-def _edge_clashes(g: Graph, edge_colors: dict[Edge, int],
-                  stars: tuple[int, ...]) -> list[tuple[Edge, Edge]]:
-    """Pairs of same-coloured edges sharing an endpoint, grouped by vertex;
-    stars are the closed-star masks of the colouring."""
+def _edge_clashes(g: Graph, edge_colors: dict[Edge, int]) -> list[tuple[Edge, Edge]]:
+    """Pairs of same-coloured edges sharing an endpoint, grouped by vertex."""
     out: list[tuple[Edge, Edge]] = []
-    for v, star in enumerate(stars):
-        # a full closed star of deg(v) + 1 colours rules out a clash at v
-        if star.bit_count() == len(g.adjacency[v]) + 1:
-            continue
+    for v, nbrs in enumerate(g.adjacency):
         by_color: dict[int, list[Edge]] = {}
-        for w in g.adjacency[v]:
+        for w in nbrs:
             e = normalize_edge(v, w)
             by_color.setdefault(edge_colors[e], []).append(e)
         for group in by_color.values():
@@ -121,7 +116,7 @@ def _edge_clashes(g: Graph, edge_colors: dict[Edge, int],
     return out
 
 
-def _witnesses(g: Graph, phi: TotalColoring, stars: tuple[int, ...]) -> list[Violation]:
+def _witnesses(g: Graph, phi: TotalColoring) -> list[Violation]:
     out: list[Violation] = []
     for u, v in g.edges:
         cu, cv = phi.vertex_colors[u], phi.vertex_colors[v]
@@ -133,7 +128,7 @@ def _witnesses(g: Graph, phi: TotalColoring, stars: tuple[int, ...]) -> list[Vio
         if cv == ce:
             out.append(Violation("vertex-edge", (v, (u, v))))
     out.extend(Violation("edge-edge", pair)
-               for pair in _edge_clashes(g, phi.edge_colors, stars))
+               for pair in _edge_clashes(g, phi.edge_colors))
     return out
 
 
@@ -172,7 +167,7 @@ def _judge(g: Graph, phi: TotalColoring, stars: tuple[int, ...]) -> list[Violati
     vc = phi.vertex_colors
     if (any(s.bit_count() != len(nbrs) + 1 for s, nbrs in zip(stars, g.adjacency))
             or any(vc[u] == vc[v] for u, v in g.edges)):
-        return _witnesses(g, phi, stars)
+        return _witnesses(g, phi)
     return [Violation("undistinguished-pair", (u, v))
             for u, v in g.edges if stars[u] == stars[v]]
 

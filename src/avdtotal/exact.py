@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .coloring import TotalColoring
-from .graphs import CapacityError, Graph, Graph6Error, parse_graph6
+from .graphs import CapacityError, Graph, Graph6Error, _integer, parse_graph6
 from .vizing import EdgeColoring
 
 EDGE_GUARD = 40
@@ -127,6 +127,7 @@ def find_edge_coloring(g: Graph, k: int) -> EdgeColoring | None:
     vertex needs max_degree colours, and each colour class is a matching of
     at most n // 2 edges.
     """
+    k = _integer("k", k)
     if len(g.edges) > EDGE_GUARD:
         raise CapacityError(f"{len(g.edges)} edges exceed the search guard {EDGE_GUARD}")
     if k < 0:
@@ -252,6 +253,7 @@ def find_total_coloring(g: Graph, k: int,
     _chi_at_lower_bound when distinguishing) the answer is None without a
     search.
     """
+    k = _integer("k", k)
     t = g.n + len(g.edges)
     if t > ELEMENT_GUARD:
         raise CapacityError(f"{t} elements exceed the search guard {ELEMENT_GUARD}")

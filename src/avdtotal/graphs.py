@@ -33,15 +33,15 @@ class CapacityError(ValueError):
     """Input exceeds a hard size guard."""
 
 
-def _integer(name: str, value) -> int:
+def _integer(name: str, value, error: type[ValueError] = ValueError) -> int:
     """value as an int when it is an integer (anything ``operator.index``
-    takes, bool excluded); ValueError naming the argument otherwise."""
+    takes, bool excluded); error, naming the argument, otherwise."""
     if not isinstance(value, bool):
         try:
             return operator.index(value)
         except TypeError:
             pass
-    raise ValueError(f"{name} must be an integer, got {value!r}")
+    raise error(f"{name} must be an integer, got {value!r}")
 
 
 def normalize_edge(u: int, v: int) -> Edge:

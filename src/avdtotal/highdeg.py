@@ -23,7 +23,7 @@ import itertools
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -183,34 +183,18 @@ def candidate_edges(g: Graph) -> list[Edge]:
     return [e for e in g.edges if e[0] in high or e[1] in high]
 
 
-class _StarSets:
-    """Restricted colour sets over one indexed edge list.
-
-    A vertex's restricted set is its closed-star mask, from ``phi.stars``,
-    with the colours of its deleted edges cleared, so it is exact at every
-    vertex. phi is proper, so the colours of a closed star are distinct and
-    each deleted edge's colour is set there exactly once: clearing it is
-    one XOR at each endpoint. ``deleted`` is a boolean array over ``edges``.
-    """
-
-    def __init__(self, g: Graph, phi: TotalColoring, edges: list[Edge]):
-        self.edges = edges
-        self.bits = [1 << c for c in map(phi.edge_colors.__getitem__, edges)]
-        self.incident: list[list[int]] = [[] for _ in range(g.n)]
-        for i, (u, v) in enumerate(edges):
-            self.incident[u].append(i)
-            self.incident[v].append(i)
-        self.stars = phi.stars
-
-    def under(self, deleted: np.ndarray) -> list[int]:
-        """Every vertex's restricted set under one deleted-edge array, in
-        one pass over the deleted edges."""
-        masks = list(self.stars)
-        for i in np.flatnonzero(deleted).tolist():
-            u, v = self.edges[i]
-            masks[u] ^= self.bits[i]
-            masks[v] ^= self.bits[i]
-        return masks
+def _restricted(stars: Sequence[int], colors: dict[Edge, int],
+                deleted: Iterable[Edge]) -> list[int]:
+    """A copy of the closed-star masks stars with the colour of each
+    deleted edge, all distinct, cleared at both ends: one XOR each, since
+    a proper colouring sets each colour of a closed star exactly once."""
+    masks = list(stars)
+    for e in deleted:
+        bit = 1 << colors[e]
+        u, v = e
+        masks[u] ^= bit
+        masks[v] ^= bit
+    return masks
 
 
 class _BulkCheck:
@@ -224,10 +208,10 @@ class _BulkCheck:
     A selection is a boolean array over the candidate edges ``cands`` with
     its per-vertex counts. A_pair can only fire at an edge joining
     equal-degree high vertices, so those edges are listed up front, and the
-    restricted colour sets are computed, all in one pass over the selected
-    edges, only when a selection count lets the event fire. B_vertex
-    counts under-selected neighbours of every high vertex with one bincount
-    over their concatenated adjacency lists.
+    restricted colour sets are computed from the selected edges only when a
+    selection count lets the event fire. B_vertex counts under-selected
+    neighbours of every high vertex with one bincount over their
+    concatenated adjacency lists.
 
     A vertex holds at most its candidate edges, so B_vertex fires in every
     round at the high vertices in ``forced``: those it fires at when every
@@ -237,7 +221,8 @@ class _BulkCheck:
     def __init__(self, g: Graph, phi: TotalColoring, high: frozenset[int],
                  cands: list[Edge], m: int, d: int, eps: Fraction):
         self.m, self.d = m, d
-        self.sets = _StarSets(g, phi, cands)
+        self.cands, self.stars, self.colors = cands, phi.stars, phi.edge_colors
+        self.ends = np.array(cands, dtype=np.int64).reshape(-1, 2)
         degree = [len(a) for a in g.adjacency]
         self.pairs = [(u, v) for u, v in g.edges
                       if degree[u] == degree[v] and u in high and v in high]
@@ -250,8 +235,7 @@ class _BulkCheck:
                                [degree[v] for v in self.high])
         # counts are integers, so count > eps*max_degree iff count > floor
         self.limit = math.floor(eps * g.max_degree)
-        held = np.fromiter(map(len, self.sets.incident), dtype=np.int64, count=g.n)
-        self.forced = tuple(self._starved(held))
+        self.forced = tuple(self._starved(np.bincount(self.ends.ravel(), minlength=g.n)))
 
     def _starved(self, deg_sel: np.ndarray) -> list[int]:
         """High vertices with more than eps*max_degree neighbours holding
@@ -264,7 +248,8 @@ class _BulkCheck:
         events: list[BadEvent] = []
         hot = np.flatnonzero((deg_sel[self.pair_ends] >= self.m).any(axis=1))
         if hot.size:
-            restricted = self.sets.under(selected)
+            restricted = _restricted(self.stars, self.colors, map(
+                self.cands.__getitem__, np.flatnonzero(selected).tolist()))
             events = [BadEvent("A_pair", (u, v))
                       for u, v in map(self.pairs.__getitem__, hot.tolist())
                       if (restricted[u] ^ restricted[v]).bit_count() < self.d]
@@ -290,8 +275,7 @@ def find_bulk_deletion(g: Graph, phi: TotalColoring,
     cands = candidate_edges(g)
     check = _BulkCheck(g, phi, degree_split(g).high, cands,
                        params.m, params.d, params.eps)
-    ends = np.array(cands, dtype=np.int64).reshape(-1, 2)
-    cu, cv = ends[:, 0], ends[:, 1]
+    cu, cv = check.ends[:, 0], check.ends[:, 1]
 
     def endpoint_counts(idx: np.ndarray) -> np.ndarray:
         return (np.bincount(cu[idx], minlength=g.n)
@@ -307,12 +291,19 @@ def find_bulk_deletion(g: Graph, phi: TotalColoring,
         deg_sel = endpoint_counts(kept)
         return kept, deg_sel, check.events(keep, deg_sel)
 
+    incident: list[list[int]] = []
+
     def resample(violations: list[BadEvent]) -> None:
+        if not incident:  # each vertex's candidate indices, on the first resample
+            incident.extend([] for _ in range(g.n))
+            for i, (u, v) in enumerate(cands):
+                incident[u].append(i)
+                incident[v].append(i)
         # witness order, then first occurrence, decides which draw each
         # indicator gets; a vertex met again adds none, so each is expanded once
         near = dict.fromkeys(x for event in violations for w in event.witness
                              for x in (w, *g.adjacency[w]))
-        redraw = dict.fromkeys(i for x in near for i in check.sets.incident[x])
+        redraw = dict.fromkeys(i for x in near for i in incident[x])
         idx = np.fromiter(redraw, dtype=np.int64, count=len(redraw))
         mask[idx] = rng.random(idx.size) < resolved.p
 
@@ -334,42 +325,58 @@ def light_vertices(g: Graph, selection: EdgeSelection, m: int) -> frozenset[int]
 
 
 class _PatchCheck:
-    """The patch stage's bad events, with the per-graph work done once.
+    """The patch stage's pools and bad events, built from the light
+    vertices' adjacency alone.
 
     A2_overload: a vertex outside the light set, of degree above
     alpha*max_degree, incident to B or more patch edges. B2_pair: adjacent
     light vertices whose colour sets coincide once both stages' edges stop
     contributing.
 
-    A2_overload can only fire at the heavy non-light vertices and B2_pair
-    only at light-light edges, so both are listed up front. A patch
-    selection is an index array over ``edges``, the edges at light
-    vertices, with its per-vertex counts. Restricted colour sets index the
-    same list; the bulk edges among them are marked once, and each check
-    adds its patch edges.
+    Light vertex ``order[r]`` draws from ``pools[r]``: indices into
+    ``edges``, the concatenated pools, of its edges to non-light neighbours
+    outside the bulk selection, by ascending neighbour. So a light vertex
+    holds exactly B patch edges, and A2_overload can fire only at the
+    ``heavy`` pool endpoints. The bulk edges at light vertices are cleared
+    from ``stars`` once; each check clears its patch edges from a copy.
     """
 
     def __init__(self, g: Graph, phi: TotalColoring, bulk_edges: frozenset[Edge],
                  light: frozenset[int], alpha: Fraction, B: int):
-        self.B = B
-        threshold = alpha * g.max_degree
-        self.heavy = np.array([v for v in range(g.n)
-                               if v not in light and g.degree(v) > threshold],
-                              dtype=np.int64)
-        self.light_pairs = [(u, v) for u, v in g.edges if u in light and v in light]
-        self.edges = list(dict.fromkeys(normalize_edge(u, w) for u in sorted(light)
-                                        for w in g.adjacency[u]))
-        self.sets = _StarSets(g, phi, self.edges)
-        self.bulk = np.array([e in bulk_edges for e in self.edges], dtype=bool)
+        self.B, self.colors = B, phi.edge_colors
+        # degrees are integers, so degree > alpha*max_degree iff degree > floor
+        limit = math.floor(alpha * g.max_degree)
+        self.order = sorted(light)
+        self.light_pairs = [(u, w) for u in self.order for w in g.adjacency[u]
+                            if u < w and w in light]
+        cleared = [e for e in self.light_pairs if e in bulk_edges]
+        self.edges: list[Edge] = []
+        self.pools: list[np.ndarray] = []
+        heavy: set[int] = set()
+        for u in self.order:
+            if not len(g.adjacency[u]) > limit:
+                raise ValueError(f"light vertex {u} is not above the alpha threshold")
+            start = len(self.edges)
+            for w in g.adjacency[u]:
+                if w not in light:
+                    e = (u, w) if u < w else (w, u)
+                    if e in bulk_edges:
+                        cleared.append(e)
+                    else:
+                        self.edges.append(e)
+                        if len(g.adjacency[w]) > limit:
+                            heavy.add(w)
+            self.pools.append(np.arange(start, len(self.edges), dtype=np.int64))
+        self.heavy = np.array(sorted(heavy), dtype=np.int64)
+        self.stars = _restricted(phi.stars, self.colors, cleared)
 
     def events(self, chosen: np.ndarray, counts: np.ndarray) -> list[BadEvent]:
         heavy = self.heavy
         events = [BadEvent("A2_overload", (v,))
                   for v in heavy[counts[heavy] >= self.B].tolist()]
         if self.light_pairs:
-            deleted = self.bulk.copy()
-            deleted[chosen] = True
-            restricted = self.sets.under(deleted)
+            restricted = _restricted(self.stars, self.colors,
+                                     map(self.edges.__getitem__, chosen.tolist()))
             events.extend(BadEvent("B2_pair", (u, v)) for u, v in self.light_pairs
                           if restricted[u] == restricted[v])
         return events
@@ -381,41 +388,32 @@ def find_patch_deletion(g: Graph, phi: TotalColoring, bulk: EdgeSelection,
     """Search for a patch selection with no bad events by resampling.
 
     Each light vertex draws B of its available edges: those to non-light
-    neighbours outside the bulk selection. Structural infeasibility (a
-    light vertex with fewer than B available edges) is detected up front
-    and reported in the result. A violated round redraws the B-subsets of
+    neighbours outside the bulk selection. A light vertex at or below
+    alpha*max_degree is a ValueError. Structural infeasibility (a light
+    vertex with fewer than B available edges) is detected up front and
+    reported in the result. A violated round redraws the B-subsets of
     light vertices in the witnesses' closed neighbourhoods, in witness
     order. Rounds hold their draws as indices into ``_PatchCheck.edges``;
     only the returned one becomes an EdgeSelection. phi must be a proper
     total colouring of g.
     """
     params = params or PipelineParams()
-    threshold = params.alpha * g.max_degree
-    order = sorted(light)
-    for u in order:
-        if not g.degree(u) > threshold:
-            raise ValueError(f"light vertex {u} is not above the alpha threshold")
     check = _PatchCheck(g, phi, bulk.edges, light, params.alpha, params.B)
-    edges, incident = check.edges, check.sets.incident
-    # by ascending neighbour: the edges at u are listed in adjacency order,
-    # and those to non-light neighbours are all listed from u
-    pools = [np.array([i for i in incident[u]
-                       if not (check.bulk[i] or light.issuperset(edges[i]))],
-                      dtype=np.int64) for u in order]
-    for u, pool in zip(order, pools):
+    pools = check.pools
+    for u, pool in zip(check.order, pools):
         if pool.size < params.B:
             return SelectionResult(EdgeSelection.from_edges(g.n, []), False, 0, (),
                                    infeasible_vertex=u)
 
     rng = substream(params.seed, PATCH_STREAM)
-    ends = np.array(edges, dtype=np.int64).reshape(-1, 2)
-    row = {u: r for r, u in enumerate(order)}
+    ends = np.array(check.edges, dtype=np.int64).reshape(-1, 2)
+    row = {u: r for r, u in enumerate(check.order)}
 
     def draw(r: int) -> np.ndarray:
         pool = pools[r]
         return pool[np.sort(rng.choice(pool.size, size=params.B, replace=False))]
 
-    picks = np.array([draw(r) for r in range(len(order))], dtype=np.int64)
+    picks = np.array([draw(r) for r in range(len(pools))], dtype=np.int64)
 
     def evaluate():
         chosen = picks.ravel().copy()
@@ -429,5 +427,5 @@ def find_patch_deletion(g: Graph, phi: TotalColoring, bulk: EdgeSelection,
             picks[r] = draw(r)
 
     # when every pool holds exactly B edges each draw is forced
-    return _resample(edges, evaluate, resample, params,
+    return _resample(check.edges, evaluate, resample, params,
                      fixed=all(pool.size == params.B for pool in pools), floor=0)

@@ -148,16 +148,10 @@ def _color_edges(n: int, edges: Sequence[Edge], max_degree: int) -> dict[Edge, i
                     raise RuntimeError(f"no fan prefix of edge ({u}, {v}) can take colour {d}")
 
         used[u] |= 1 << d
-        if not w_idx:
-            # uv itself takes d; nothing rotates
-            color[e] = d
-            at_u[d] = v
-            at[v][d] = u
-            used[v] |= 1 << d
-            continue
         # rotate: u-fan[i] takes the colour of u-fan[i + 1] for i < w_idx
-        # and u-fan[w_idx] takes d. The moved keys are deleted, then
-        # inserted in fan order, which fixes the order of ``color``
+        # and u-fan[w_idx] takes d, so at w_idx = 0 uv itself takes d. The
+        # moved keys are deleted, then inserted in fan order, which fixes
+        # the order of ``color``
         new_cols = fan_cols[1:w_idx + 1]
         new_cols.append(d)
         for x in fan[1:w_idx + 1]:

@@ -196,6 +196,22 @@ class TestDeriveConstants:
         assert dc.p == float(mpmath.mpf(dc.lam) / delta)
 
 
+class TestIntegerArguments:
+    """Integer parameters reject floats and bools, naming the argument;
+    each of these was once taken at face value."""
+
+    @pytest.mark.parametrize("call,name,value", [
+        (lambda: derive_constants(8, True, Fraction(1, 3), 5), "d", True),
+        (lambda: compute_c0(8, 0.3, 40.0, 2.5), "M", 2.5),
+        (lambda: lll_asymmetric_check(8.5, 4, Fraction(1, 3), 34.0, 81, delta=10),
+         "m", 8.5),
+        (lambda: binom_upper_tail_log(10.5, 0.1, 3), "n", 10.5),
+    ], ids=["derive-d-bool", "c0-M-float", "lll-m-float", "tail-n-float"])
+    def test_rejected_naming_the_argument(self, call, name, value):
+        with pytest.raises(DomainError, match=f"^{name} must be an integer, got {value!r}$"):
+            call()
+
+
 class TestComputeC0:
     def test_frozen_default_value(self):
         rep = compute_c0(8, Fraction(1, 3), 49.23655574633871, 268)

@@ -124,6 +124,25 @@ class TestParsing:
         _, _, err = run(["color", "--in", k4_file, "--seed", "5"], capsys)
         assert "warning" not in err
 
+    def test_parser_built_once_serves_every_call(self, tmp_path, capsys):
+        # each command's output from a freshly built parser, then from the
+        # one the previous call left: color on K_5, verify of its document
+        graph, doc = tmp_path / "k5.g6", tmp_path / "k5.json"
+        graph.write_text("D~{\n")
+        firsts = []
+        for argv in (["color", "--json", "--in", str(graph)],
+                     ["verify", "--json", "--in", str(doc)]):
+            cli.build_parser.cache_clear()
+            firsts.append(run(argv, capsys))
+            if argv[0] == "color":
+                doc.write_text(firsts[-1][1])
+        cli.build_parser.cache_clear()
+        parser = cli.build_parser()
+        again = [run(["color", "--json", "--in", str(graph)], capsys),
+                 run(["verify", "--json", "--in", str(doc)], capsys)]
+        assert cli.build_parser() is parser
+        assert again == firsts and [code for code, _, _ in again] == [0, 0]
+
 
 class TestColor:
     def test_json_document(self, k4_file, capsys):
@@ -315,6 +334,21 @@ class TestSelections:
         assert got["bulk"]["forced"] == [0, 1, 2, 3, 4]
         assert got["patch"]["success"] is False and got["patch"]["forced"] == []
         assert got["patch"]["infeasible_vertex"] == 0
+
+    def test_patch_draws_B_edges_at_each_light_vertex(self, tmp_path, capsys):
+        # the CI console-script check's input: at lambda 6 the bulk stage
+        # leaves light vertices with room to draw
+        p = tmp_path / "gnp20.g6"
+        p.write_text(write_graph6(random_gnp(20, 0.5, 2)) + "\n")
+        code, out, _ = run(["select-e2", "--in", str(p), "--m", "5", "--d", "1",
+                            "--lambda", "6", "--seed", "2", "--json"], capsys)
+        got = json.loads(out)
+        patch, light = got["patch"], got["light"]
+        assert code == 0 and patch["success"] is True
+        assert light and patch["infeasible_vertex"] is None and patch["rounds"] > 1
+        assert all(patch["per_vertex_count"][v] == 2 for v in light)
+        assert len(patch["edges"]) == 2 * len(light)
+        assert not {tuple(e) for e in patch["edges"]} & {tuple(e) for e in got["bulk"]["edges"]}
 
     @pytest.mark.parametrize("cmd", ["select-e1", "select-e2"])
     def test_seed_coloring_checked_once(self, cmd, k4_file, clean_doc, capsys,

@@ -371,6 +371,13 @@ class TestDocuments:
         with pytest.raises(DocumentError):
             from_document(doc)
 
+    def test_self_loop_edge_rejected(self):
+        g, phi = p3_coloring()
+        doc = to_document(g, phi)
+        doc["edges"][0] = [1, 1]
+        with pytest.raises(DocumentError, match="^bad graph data: self-loop at vertex 1$"):
+            from_document(doc)
+
     @pytest.mark.parametrize("edge", [[0, True], [0.0, 1], [0], [0, 1, 2], "01"])
     def test_non_integer_edge_rejected(self, edge):
         g, phi = p3_coloring()

@@ -307,6 +307,16 @@ class TestLowerBound:
     def test_empty_graph_any_k(self):
         assert find_total_coloring(Graph.build(0, []), 0) is not None
 
+    @pytest.mark.parametrize("search,g,k", [
+        (find_total_coloring, path_graph(3), 5.0),
+        (find_total_coloring, path_graph(3), True),
+        (find_edge_coloring, complete_graph(4), 3.5),
+    ], ids=["total-float", "total-bool", "edge-float"])
+    def test_k_must_be_an_integer(self, search, g, k):
+        # a float k escaped as a TypeError from a shift, and True read as 1
+        with pytest.raises(ValueError, match=f"^k must be an integer, got {k!r}$"):
+            search(g, k)
+
     def test_scan_from_chi_total_agrees(self):
         for g in atlas():
             k = chi_total_exact(g)

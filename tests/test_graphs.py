@@ -10,11 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from avdtotal import (DimacsError, Graph, Graph6Error, complete_bipartite_graph,
-                      complete_graph, cycle_graph, degree_split, greedy_total,
-                      normalize_edge, parse_dimacs, parse_graph6, path_graph,
-                      random_gnp, random_regular, star_graph, to_document,
-                      write_graph6)
+from avdtotal import (CapacityError, DimacsError, Graph, Graph6Error,
+                      complete_bipartite_graph, complete_graph, cycle_graph,
+                      degree_split, greedy_total, normalize_edge, parse_dimacs,
+                      parse_graph6, path_graph, random_gnp, random_regular,
+                      star_graph, to_document, write_graph6)
 
 from helpers import canonical_form, connected_graphs, reference_build
 
@@ -253,6 +253,11 @@ class TestGraph6:
             offsets.append(exc.value.offset)
         assert offsets == [offset, offset + 10]
 
+    def test_write_rejects_63_vertices(self):
+        assert parse_graph6(write_graph6(Graph.build(62, []))).n == 62
+        with pytest.raises(CapacityError, match="at most 62 vertices"):
+            write_graph6(Graph.build(63, []))
+
     @given(small_graphs(max_n=12))
     @settings(max_examples=60)
     def test_round_trip(self, g):
@@ -307,6 +312,15 @@ class TestDimacs:
     ], ids=["underscore-n", "fullwidth-n", "negative-m", "plus-n", "negative-n",
             "underscore-endpoint", "fullwidth-endpoint", "plus-endpoint"])
     def test_only_ascii_digit_runs(self, text, message):
+        with pytest.raises(DimacsError, match=f"^{message}$"):
+            parse_dimacs(text)
+
+    @pytest.mark.parametrize("text,message", [
+        ("p edge 3\n", "line 1: expected 'p edge <n> <m>'"),
+        ("p edge 2 1\ne 1\n", "line 2: expected 'e <u> <v>'"),
+        ("c comments only\n\n", "missing problem line 'p edge <n> <m>'"),
+    ], ids=["short-problem-line", "short-edge-line", "no-problem-line"])
+    def test_malformed_records(self, text, message):
         with pytest.raises(DimacsError, match=f"^{message}$"):
             parse_dimacs(text)
 
@@ -423,6 +437,22 @@ class TestGenerators:
         # path_graph(2.0), cycle_graph('5') and complete_bipartite_graph(2,
         # 1.5) escaped as TypeError
         with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            make(*args)
+
+    OUT_OF_DOMAIN = [
+        (path_graph, (0,), "path needs at least one vertex"),
+        (complete_graph, (0,), "complete graph needs at least one vertex"),
+        (complete_bipartite_graph, (0, 2), "both sides need at least one vertex"),
+        (star_graph, (-1,), "leaf count must be non-negative"),
+        (random_gnp, (-1, 0.5, 0), "vertex count must be non-negative"),
+        (random_gnp, (5, 1.5, 0), r"edge probability must lie in \[0, 1\]"),
+        (random_regular, (5, 5, 0), "need 0 <= d < n"),
+    ]
+
+    @pytest.mark.parametrize("make, args, message", OUT_OF_DOMAIN,
+                             ids=[f"{f.__name__}{a}" for f, a, _ in OUT_OF_DOMAIN])
+    def test_generators_reject_out_of_domain(self, make, args, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
             make(*args)
 
     @pytest.mark.parametrize("p", ["0.5", None, True, False, 1j, [0.5]],

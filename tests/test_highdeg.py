@@ -15,7 +15,7 @@ from avdtotal import (BadEvent, EdgeSelection, Graph, PipelineParams,
                       find_patch_deletion, greedy_total, light_vertices,
                       random_gnp, run_pipeline, star_graph, substream)
 from avdtotal import graphs
-from avdtotal.highdeg import _BulkCheck, _PatchCheck, _StarSets
+from avdtotal.highdeg import _BulkCheck, _PatchCheck, _restricted
 
 from helpers import (hub_graph, mask_of, naive_color_set,
                      reference_bulk_events, reference_bulk_first_round,
@@ -430,7 +430,7 @@ class TestFindBulkDeletion:
 
 
 class TestStarSets:
-    """_StarSets.under against naive colour sets minus deleted colours."""
+    """_restricted against naive colour sets minus deleted colours."""
 
     @given(st.integers(1, 14), st.sampled_from([0.2, 0.5, 0.8]), st.integers(0, 99),
            st.integers(0, 99), st.booleans())
@@ -439,17 +439,16 @@ class TestStarSets:
         g = random_gnp(n, q, seed)
         phi = greedy_total(g)
         rng = np.random.Generator(np.random.Philox(draw_seed))
-        if light_list:  # the patch stage's list: every edge at a light vertex
+        if light_list:  # the patch stage's list: the pools of its light vertices
             light = frozenset(v for v in sorted(degree_split(g).high)
                               if rng.random() < 0.5)
             edges = _PatchCheck(g, phi, frozenset(), light, Fraction(1, 2), 2).edges
         else:
             edges = candidate_edges(g)
-        sets = _StarSets(g, phi, edges)
         for q_del in (0.3, 0.7):  # a second call starts from the same stars
             deleted = rng.random(len(edges)) < q_del
-            masks = sets.under(deleted)
             gone = [e for e, x in zip(edges, deleted.tolist()) if x]
+            masks = _restricted(phi.stars, phi.edge_colors, gone)
             for v in range(g.n):
                 expected = naive_color_set(g, phi, v) - {
                     phi.edge_colors[e] for e in gone if v in e}
