@@ -90,6 +90,7 @@ def binom_upper_tail_log(n: int, p: Real, m: int) -> float:
     Bounds P[Binomial(n, p) >= m]; valid for n*p < m < n, its log a finite float.
     """
     mean, np_, ln_np = _mean(n, p)
+    m = _integer("m", m, DomainError)
     if not mean < m < n:
         raise DomainError(f"m must satisfy n*p < m < n, got m={m} with n*p={_show(mean)}")
     log_bound = -math.inf
@@ -116,6 +117,7 @@ def binom_lower_tail_log(n: int, p: Real, m: int) -> float:
     Bounds P[Binomial(n, p) <= m]; valid for 0 < m < n*p, n*p a finite float.
     """
     mean, np_, _ = _mean(n, p)
+    m = _integer("m", m, DomainError)
     if not 0 < m < mean:
         raise DomainError(f"m must satisfy 0 < m < n*p, got m={m} with n*p={_show(mean)}")
     gap = float(mean - m)
@@ -144,6 +146,7 @@ def derive_constants(m: int, d: int, eps: Real, delta: int,
         raise DomainError(f"need d >= 1 and m >= d+4, got m={m}, d={d}")
     if not 0 < eps < 1:
         raise DomainError("eps must lie strictly between 0 and 1")
+    delta = _integer("delta", delta, DomainError)
     if delta < 1:
         raise DomainError("delta must be at least 1")
     if lam is None:

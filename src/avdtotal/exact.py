@@ -158,25 +158,20 @@ def chi_prime_exact(g: Graph) -> int:
 def _total_order(g: Graph) -> list[int]:
     """Search order over element ids: vertex v is v, edge j is n + j.
 
-    Descending conflict count (2 deg(v) for a vertex, deg(u) + deg(v) for an
-    edge uv), ties broken by rank: each vertex followed by its backward
-    edges, so closed stars tend to complete early for the distinguishing
-    prune.
+    Each vertex followed by its backward edges, stably sorted by descending
+    conflict count (2 deg(v) for a vertex, deg(u) + deg(v) for an edge uv):
+    ties keep the listed order, so closed stars tend to complete early for
+    the distinguishing prune.
     """
     n, adj = g.n, g.adjacency
     idx = {e: n + j for j, e in enumerate(g.edges)}
     conflicts = [2 * len(adj[v]) for v in range(n)]
     conflicts += [len(adj[u]) + len(adj[v]) for u, v in g.edges]
-    rank = [0] * len(conflicts)
-    counter = 0
+    listed: list[int] = []
     for v in range(n):
-        rank[v] = counter
-        counter += 1
-        for u in adj[v]:
-            if u < v:
-                rank[idx[(u, v)]] = counter
-                counter += 1
-    return sorted(range(len(conflicts)), key=lambda e: (-conflicts[e], rank[e]))
+        listed.append(v)
+        listed += [idx[(u, v)] for u in adj[v] if u < v]
+    return sorted(listed, key=lambda e: -conflicts[e])
 
 
 def _twin_checks(g: Graph, order: list[int], ends: list[tuple[int, ...]],
@@ -294,14 +289,21 @@ def find_total_coloring(g: Graph, k: int,
     )
 
 
+def _least_k(g: Graph, ks: range, distinguishing: bool) -> int:
+    """The least k in ks for which find_total_coloring finds a colouring;
+    ks must contain the answer."""
+    for k in ks:
+        if find_total_coloring(g, k, distinguishing) is not None:
+            return k
+    raise AssertionError(f"no colouring with at most {ks[-1]} colours")
+
+
 def chi_total_exact(g: Graph) -> int:
-    """Total chromatic number; at least max_degree + 1 on non-empty graphs."""
+    """Total chromatic number; at least max_degree + 1 on non-empty graphs,
+    and 2 max_degree + 1 colours always suffice."""
     if g.n == 0:
         return 0
-    for k in range(g.max_degree + 1, 2 * g.max_degree + 2):
-        if find_total_coloring(g, k) is not None:
-            return k
-    raise AssertionError("2*max_degree + 1 colours always suffice")
+    return _least_k(g, range(g.max_degree + 1, 2 * g.max_degree + 2), False)
 
 
 def _chi_at_lower_bound(g: Graph) -> int:
@@ -327,10 +329,7 @@ def chi_at_exact(g: Graph) -> int:
     t = g.n + len(g.edges)
     if t == 0:
         return 0
-    for k in range(_chi_at_lower_bound(g), t + 1):
-        if find_total_coloring(g, k, distinguishing=True) is not None:
-            return k
-    raise AssertionError("all-distinct colours are always distinguishing")
+    return _least_k(g, range(_chi_at_lower_bound(g), t + 1), True)
 
 
 # ---------------------------------------------------------------------------
@@ -349,9 +348,19 @@ class GraphRecord:
 
 @dataclass(frozen=True)
 class ConjectureReport:
+    """The corpus records; violations and tight ones are filtered from them."""
+
     records: tuple[GraphRecord, ...]
-    violations: tuple[GraphRecord, ...]
-    tight: tuple[GraphRecord, ...]
+
+    @property
+    def violations(self) -> tuple[GraphRecord, ...]:
+        """Records with chi_at > max_degree + 3."""
+        return tuple(r for r in self.records if r.slack < 0)
+
+    @property
+    def tight(self) -> tuple[GraphRecord, ...]:
+        """Records with chi_at = max_degree + 3."""
+        return tuple(r for r in self.records if r.slack == 0)
 
 
 def check_conjecture(lines: Iterable[str]) -> ConjectureReport:
@@ -376,9 +385,4 @@ def check_conjecture(lines: Iterable[str]) -> ConjectureReport:
         records.append(GraphRecord(graph6=text, n=g.n, delta=g.max_degree,
                                    chi_at=value,
                                    slack=g.max_degree + 3 - value))
-    recs = tuple(records)
-    return ConjectureReport(
-        records=recs,
-        violations=tuple(r for r in recs if r.slack < 0),
-        tight=tuple(r for r in recs if r.slack == 0),
-    )
+    return ConjectureReport(records=tuple(records))

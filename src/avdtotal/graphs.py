@@ -7,7 +7,7 @@ import numbers
 import operator
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -138,6 +138,11 @@ def degree_split(g: Graph) -> DegreeSplit:
 # ---------------------------------------------------------------------------
 # graph6
 
+def _g6_pairs(n: int) -> Iterator[Edge]:
+    """The pairs (i, j), i < j < n, in graph6 bit order: by column j, then i."""
+    return ((i, j) for j in range(1, n) for i in range(j))
+
+
 def parse_graph6(text: str) -> Graph:
     """Decode a single graph6 string (basic one-byte header, n <= 62); error
     offsets count from the start of the stripped text, header included."""
@@ -161,37 +166,18 @@ def parse_graph6(text: str) -> Graph:
             start + 1 + len(body))
     if len(body) > nbytes:
         raise Graph6Error("stray characters after bit vector", start + 1 + nbytes)
-    bits: list[int] = []
-    for ch in body:
-        val = ord(ch) - _G6_LOW
-        bits.extend((val >> shift) & 1 for shift in range(5, -1, -1))
-    edges = []
-    idx = 0
-    for j in range(1, n):
-        for i in range(j):
-            if bits[idx]:
-                edges.append((i, j))
-            idx += 1
-    return Graph.build(n, edges)
+    bits = "".join(f"{ord(ch) - _G6_LOW:06b}" for ch in body)
+    return Graph.build(n, [pair for pair, bit in zip(_g6_pairs(n), bits) if bit == "1"])
 
 
 def write_graph6(g: Graph) -> str:
     """Encode with the basic one-byte header; graphs need n <= 62."""
     if g.n > 62:
         raise CapacityError("basic graph6 encoding supports at most 62 vertices")
-    bits = []
-    for j in range(1, g.n):
-        for i in range(j):
-            bits.append(1 if (i, j) in g.edge_set else 0)
-    out = [chr(g.n + _G6_LOW)]
-    for start in range(0, len(bits), 6):
-        group = bits[start:start + 6]
-        group += [0] * (6 - len(group))
-        val = 0
-        for b in group:
-            val = (val << 1) | b
-        out.append(chr(val + _G6_LOW))
-    return "".join(out)
+    bits = "".join("1" if pair in g.edge_set else "0" for pair in _g6_pairs(g.n))
+    bits += "0" * (-len(bits) % 6)
+    return chr(g.n + _G6_LOW) + "".join(
+        chr(int(bits[i:i + 6], 2) + _G6_LOW) for i in range(0, len(bits), 6))
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +218,7 @@ def parse_dimacs(text: str) -> Graph:
                 raise DimacsError(f"line {lineno}: self-loop at vertex {u + 1}")
             if not (0 <= u < n and 0 <= v < n):
                 raise DimacsError(f"line {lineno}: endpoint out of range")
-            edges.append(normalize_edge(u, v))
+            edges.append((u, v))
         else:
             raise DimacsError(f"line {lineno}: unrecognised record {parts[0]!r}")
     if n is None:

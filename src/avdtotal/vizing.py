@@ -130,22 +130,22 @@ def _color_edges(n: int, edges: Sequence[Edge], max_degree: int) -> dict[Edge, i
             both = 1 << c | 1 << d
             used[u] ^= both
             used[x] ^= both
-            w_idx = 0
-            if used[v] >> d & 1:
-                # the inversion turned u's d edge into a c edge; no other
-                # edge at u changed
-                if not avail >> d & 1:
-                    fan_cols[fan_cols.index(d)] = c
-                w_idx = -1
-                for j in range(1, len(fan)):
-                    if used[fan[j - 1]] >> fan_cols[j] & 1:
-                        break
-                    if not used[fan[j]] >> d & 1:
-                        w_idx = j
-                        break
-                if w_idx < 0:
-                    # the inversion freed d at u, so some fan prefix always works
-                    raise RuntimeError(f"no fan prefix of edge ({u}, {v}) can take colour {d}")
+            # the inversion turned u's d edge into a c edge; no other edge
+            # at u changed. At w_idx = 0 the rotation reads no fan colour
+            if not avail >> d & 1:
+                fan_cols[fan_cols.index(d)] = c
+            # the first fan vertex missing d, through a prefix whose edge
+            # colours are each still free at the vertex before
+            w_idx = -1
+            for j, w in enumerate(fan):
+                if j and used[fan[j - 1]] >> fan_cols[j] & 1:
+                    break
+                if not used[w] >> d & 1:
+                    w_idx = j
+                    break
+            if w_idx < 0:
+                # the inversion freed d at u, so some fan prefix always works
+                raise RuntimeError(f"no fan prefix of edge ({u}, {v}) can take colour {d}")
 
         used[u] |= 1 << d
         # rotate: u-fan[i] takes the colour of u-fan[i + 1] for i < w_idx

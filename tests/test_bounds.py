@@ -206,7 +206,13 @@ class TestIntegerArguments:
         (lambda: lll_asymmetric_check(8.5, 4, Fraction(1, 3), 34.0, 81, delta=10),
          "m", 8.5),
         (lambda: binom_upper_tail_log(10.5, 0.1, 3), "n", 10.5),
-    ], ids=["derive-d-bool", "c0-M-float", "lll-m-float", "tail-n-float"])
+        (lambda: derive_constants(8, 4, Fraction(1, 3), 5.5), "delta", 5.5),
+        (lambda: derive_constants(8, 4, Fraction(1, 3), True), "delta", True),
+        (lambda: binom_upper_tail_log(100, 0.1, 20.5), "m", 20.5),
+        (lambda: binom_lower_tail_log(100, 0.5, 20.5), "m", 20.5),
+    ], ids=["derive-d-bool", "c0-M-float", "lll-m-float", "tail-n-float",
+            "derive-delta-float", "derive-delta-bool", "upper-tail-m-float",
+            "lower-tail-m-float"])
     def test_rejected_naming_the_argument(self, call, name, value):
         with pytest.raises(DomainError, match=f"^{name} must be an integer, got {value!r}$"):
             call()

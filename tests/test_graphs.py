@@ -267,6 +267,17 @@ class TestGraph6:
         for g in connected_graphs(4):
             assert parse_graph6(write_graph6(g)) == g
 
+    # SHA-256 of the "\n"-joined strings, recorded from the writer that
+    # packed each six-bit group by hand: every connected graph on 1..6
+    # vertices, then random_gnp(n, 0.5, n) for n = 0..62
+    WRITER_DIGEST = "dd5bb3712a18199fede400bcbefba96d43e25734b0fbf0dbf06894dc016625bf"
+
+    def test_writer_bytes_pinned(self):
+        lines = [write_graph6(g) for n in range(1, 7) for g in connected_graphs(n)]
+        lines += [write_graph6(random_gnp(n, 0.5, n)) for n in range(63)]
+        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == self.WRITER_DIGEST
+        assert all(write_graph6(parse_graph6(s)) == s for s in lines)
+
 
 class TestDimacs:
     def test_basic(self):
