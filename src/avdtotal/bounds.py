@@ -170,8 +170,13 @@ def derive_constants(m: int, d: int, eps: Real, delta: int,
         raise DomainError(unbounded)
     if M is None:
         M = math.ceil(2.0 * math.e * lam)
-    elif isinstance(M, bool) or not isinstance(M, int) or M < 1:
-        raise DomainError("M override must be a positive integer")
+    else:
+        try:
+            M = _integer("M", M)
+        except ValueError:
+            M = 0  # not an integer: rejected below with the non-positive ones
+        if M < 1:
+            raise DomainError("M override must be a positive integer")
     try:
         p = min(1.0, lam / delta)
     except OverflowError:  # an integer delta beyond float range

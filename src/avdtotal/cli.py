@@ -19,19 +19,18 @@ from __future__ import annotations
 
 import argparse
 import functools
-import gc
 import json
 import math
 import sys
-from contextlib import contextmanager
 from dataclasses import fields, replace
 from fractions import Fraction
 from pathlib import Path
 
 from . import bounds as bounds_mod
 from .bounds import DomainError
-from .coloring import (DocumentError, TotalColoring, _checked, _document_body,
-                       _proper, from_document, to_document, violations)
+from .coloring import (DocumentError, TotalColoring, _checked, _collector_paused,
+                       _document_body, _proper, from_document, to_document,
+                       violations)
 from .exact import check_conjecture, chi_at_exact, chi_prime_exact, chi_total_exact
 from .graphs import Graph, Graph6Error, parse_dimacs, parse_graph6
 from .highdeg import (PipelineParams, find_bulk_deletion, find_patch_deletion,
@@ -445,21 +444,6 @@ def build_parser() -> argparse.ArgumentParser:
                 "repeated pipeline runs with consecutive seeds")
     p.add_argument("--runs", type=int, default=5)
     return parser
-
-
-@contextmanager
-def _collector_paused():
-    """Run the body with the cyclic garbage collector off, then restore its
-    state. A command builds large containers but no reference cycles, so
-    reference counting frees them, and collector passes would only walk
-    them; ``tests/test_cli.py::TestCollectorPause`` pins both facts."""
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if enabled:
-            gc.enable()
 
 
 def main(argv=None) -> int:

@@ -11,7 +11,9 @@ adjacent-vertex-distinguishing (AVD) when adjacent vertices' sets differ.
 from __future__ import annotations
 
 import functools
+import gc
 import itertools
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 from .graphs import Edge, Graph, normalize_edge
@@ -186,8 +188,27 @@ def verdict(g: Graph, phi: TotalColoring) -> dict[str, bool]:
     return {"proper": _proper(found), "avd": not found}
 
 
+@contextmanager
+def _collector_paused():
+    """Run the body with the cyclic garbage collector off, then restore its
+    state; as a decorator, ``@_collector_paused()``, around each call. A
+    solve or a command builds large containers but no reference cycles, so
+    reference counting frees them, and collector passes would only walk
+    them; ``TestCollectorPause`` in ``tests/test_cli.py`` and
+    ``tests/test_pipeline.py`` pins both facts."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
+@_collector_paused()
 def to_document(g: Graph, phi: TotalColoring) -> dict:
-    """Serialize graph plus colouring with freshly verified flags."""
+    """Serialize graph plus colouring with freshly verified flags, with the
+    cyclic garbage collector paused."""
     return _document_body(g, phi, verdict(g, phi))
 
 

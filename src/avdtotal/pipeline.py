@@ -17,7 +17,8 @@ from dataclasses import asdict, dataclass
 from itertools import chain
 from types import SimpleNamespace
 
-from .coloring import TotalColoring, _checked, _proper, _with_stars, violations
+from .coloring import (TotalColoring, _checked, _collector_paused, _proper,
+                       _with_stars, violations)
 from .graphs import Edge, Graph, normalize_edge
 from .highdeg import (PipelineParams, find_bulk_deletion,
                       find_patch_deletion, light_vertices)
@@ -149,19 +150,26 @@ def repair_fallback(g: Graph, phi: TotalColoring) -> TotalColoring:
     return _with_stars(masks, phi.vertex_colors, {**phi.edge_colors, **recoloured}, k)
 
 
+@_collector_paused()
 def run_pipeline(g: Graph, phi: TotalColoring | None = None,
                  params: PipelineParams | None = None
                  ) -> tuple[TotalColoring, PipelineReport]:
     """Produce a distinguishing proper total colouring of g, with a report.
 
-    The seed, supplied or greedy, gets one verifier pass here, with its
-    closed stars built afresh, never read from ``phi.stars``. It must be
-    proper total, and if it is already distinguishing it is returned
-    unchanged with that pass as its verdict. Otherwise the phases run on a
-    copy carrying those masks as its ``stars``, and each phase hands its
-    result the masks it has kept current. The phases trust their input;
-    their result gets one fresh, full ``violations`` pass on the way out,
-    and RuntimeError names its first violation unless it is proper and AVD.
+    Without phi the run seeds itself with ``greedy_total``, which is proper
+    by construction and carries its masks as its ``stars``; the run reads
+    them to decide whether the phases are needed (an edge whose endpoints
+    have equal masks) and makes no verifier pass on entry. A supplied phi
+    gets one verifier pass on entry instead, with its closed stars built
+    afresh, never read from ``phi.stars``: it must be proper total, and if
+    it is already distinguishing it is returned unchanged with that pass as
+    its verdict. Otherwise the phases run on a copy carrying those masks.
+
+    Each phase hands its result the masks it has kept current and trusts
+    its input. The result, and a self-built seed that needed no phase, gets
+    one fresh, full ``violations`` pass on the way out, and RuntimeError
+    names its first violation unless it is proper and AVD. The run keeps
+    the cyclic garbage collector paused and hands it back as it found it.
     """
     params = params or PipelineParams()
     timings: dict[str, float] = {}
@@ -173,17 +181,23 @@ def run_pipeline(g: Graph, phi: TotalColoring | None = None,
         timings[phase] = time.perf_counter() - start
 
     with timed("seed"):
-        if phi is None:
+        built = phi is None
+        if built:
             phi = greedy_total(g)
-    with timed("verify_input"):
-        found, checked = _checked(g, phi)
-    if not _proper(found):
-        raise ValueError(f"seed colouring must be proper: "
-                         f"{found[0].kind} at {found[0].witness}")
+    if built:
+        checked, stars = phi, phi.stars
+        clash = any(stars[u] == stars[v] for u, v in g.edges)
+    else:
+        with timed("verify_input"):
+            found, checked = _checked(g, phi)
+        if not _proper(found):
+            raise ValueError(f"seed colouring must be proper: "
+                             f"{found[0].kind} at {found[0].witness}")
+        clash = bool(found)
     resolved = params.resolve(g)
     out = recolored = lowered = phi
     bulk = patch = _NOT_RUN
-    if found:
+    if clash:
         with timed("bulk"):
             bulk = find_bulk_deletion(g, checked, params)
         with timed("patch"):
@@ -196,8 +210,10 @@ def run_pipeline(g: Graph, phi: TotalColoring | None = None,
             lowered = distinguish_low_degree(g, recolored)
         with timed("repair"):
             out = repair_fallback(g, lowered)
-        # the one full pass after the phases, which the guarantee rests on
-        left = violations(g, out)
+    if clash or built:
+        # the one full pass on the way out, which the guarantee rests on
+        with timed("verify_output"):
+            left = violations(g, out)
         if left:
             raise RuntimeError(f"pipeline output is not a proper AVD colouring: "
                                f"{left[0].kind} at {left[0].witness}")
@@ -209,5 +225,5 @@ def run_pipeline(g: Graph, phi: TotalColoring | None = None,
         fresh_palette_size=recolored.k - phi.k,
         fallback_repairs=out.k - lowered.k, final_k=out.k,
         lam=resolved.lam, M=resolved.M, p=resolved.p,
-        short_circuit=not found, verified={"proper": True, "avd": True},
+        short_circuit=not clash, verified={"proper": True, "avd": True},
         phase_timings=timings)

@@ -7,7 +7,7 @@ coloured neighbours in the total sense.
 
 from __future__ import annotations
 
-from .coloring import TotalColoring
+from .coloring import TotalColoring, _with_stars
 from .graphs import Edge, Graph
 
 
@@ -22,6 +22,8 @@ def greedy_total(g: Graph) -> TotalColoring:
     vertex, a bitmask of the colours on its coloured edges. Bit 0 is set in
     every mask, so an uncoloured vertex forbids nothing new and the lowest
     clear bit of a forbidden mask is the first-fit colour, at least 1.
+    The result carries those masks as its ``stars``: with bit 0 cleared (no
+    colour is 0) and the vertex colour's bit set, each is v's closed star.
     """
     adjacency = g.adjacency
     vcol = [0] * g.n
@@ -43,4 +45,5 @@ def greedy_total(g: Graph) -> TotalColoring:
     if used > 2 * g.max_degree + 1:
         raise RuntimeError(
             f"greedy seeding used {used} colours, above 2*max_degree + 1")
-    return TotalColoring(vertex_colors=tuple(vcol), edge_colors=ecol, k=used)
+    return _with_stars([m ^ 1 | 1 << c for m, c in zip(emask, vcol)],
+                       tuple(vcol), ecol, used)

@@ -471,7 +471,9 @@ def reference_distinguish_low_degree(g: Graph, phi: TotalColoring) -> TotalColor
                or any(frozenset(edge_cols | {c}) == colour_set(w)
                       for w in g.neighbors(target))):
             c += 1
-        assert c <= phi.k
+        if c > phi.k:
+            raise AssertionError(f"first fit at vertex {target} needs colour {c}, "
+                                 f"above the palette 1..{phi.k}")
         vertex_colors[target] = c
     else:
         raise AssertionError("rescan recoloured more often than once per low vertex")

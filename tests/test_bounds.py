@@ -11,6 +11,7 @@ from dataclasses import astuple
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -159,6 +160,10 @@ class TestDeriveConstants:
     def test_M_override_keeps_derived_lam(self):
         dc = derive_constants(8, 4, Fraction(1, 3), 100, M=81)
         assert (dc.lam, dc.M) == (derive_constants(8, 4, Fraction(1, 3), 100).lam, 81)
+
+    def test_M_override_takes_numpy_integers(self):
+        dc = derive_constants(8, 4, Fraction(1, 3), 100, M=np.int64(81))
+        assert dc.M == 81 and type(dc.M) is int
 
     def test_both_overrides(self):
         dc = derive_constants(8, 4, Fraction(1, 3), 60, lam=25.0, M=30)

@@ -224,13 +224,13 @@ class TestColor:
         assert err.startswith("error: lam override")
 
     def test_one_properness_pass(self, k5_file, capsys, monkeypatch):
-        # one verifier pass on the seed and one at the exit; the document
-        # reuses the exit verdict instead of verifying again, and no
-        # witness lister runs on a proper colouring
+        # the greedy seed carries its masks, so the one verifier pass is at
+        # the exit; the document reuses its verdict instead of verifying
+        # again, and no witness lister runs on a proper colouring
         calls = count_verifier_calls(monkeypatch)
         code, out, _ = run(["color", "--in", k5_file, "--json"], capsys)
         assert code == 0 and json.loads(out)["report"]["short_circuit"] is False
-        assert calls == {"_closed_stars": 2, "violations": 1, "check_total": 2}
+        assert calls == {"_closed_stars": 1, "violations": 1, "check_total": 1}
 
     def test_short_circuit_reuses_entry_pass(self, k4_file, clean_doc, capsys,
                                              monkeypatch):
@@ -364,10 +364,18 @@ class TestSelections:
 
 class TestRepairingRun:
     def test_one_violations_pass_after_the_phases(self, monkeypatch):
-        # the repair step leaves its result to the pipeline's exit pass
+        # the repair step leaves its result to the pipeline's exit pass,
+        # the only pass of a self-seeded run
         calls = count_verifier_calls(monkeypatch)
         _, report = pipeline_mod.run_pipeline(random_gnp(200, 0.05, 0),
                                               params=PipelineParams(seed=0, lam=1.0))
+        assert report.fallback_repairs == 2
+        assert calls == {"_closed_stars": 1, "violations": 1, "check_total": 1}
+        # a supplied seed keeps its entry pass
+        calls.clear()
+        g = random_gnp(200, 0.05, 0)
+        _, report = pipeline_mod.run_pipeline(g, greedy_total(g),
+                                              PipelineParams(seed=0, lam=1.0))
         assert report.fallback_repairs == 2
         assert calls == {"_closed_stars": 2, "violations": 1, "check_total": 2}
 

@@ -1,5 +1,6 @@
 """End-to-end pipeline: recolouring, repair, and the full driver."""
 
+import gc
 from fractions import Fraction
 
 import pytest
@@ -8,13 +9,14 @@ from hypothesis import strategies as st
 
 import avdtotal.coloring as coloring
 import avdtotal.pipeline as pipeline
-from avdtotal import (Graph, PipelineParams, TotalColoring, complete_graph,
+from avdtotal import (Graph, PipelineParams, TotalColoring, cli, complete_graph,
                       cycle_graph, distinguish_low_degree, find_bulk_deletion,
                       find_patch_deletion, greedy_total, light_vertices,
                       random_gnp, recolor_union, repair_fallback, run_pipeline,
-                      star_graph, verdict, violations)
+                      star_graph, to_document, verdict, violations)
 
 from helpers import hub_graph, reference_repair_fallback
+from test_golden import CASES as GOLDEN_CASES
 
 
 def two_hub_graph():
@@ -235,14 +237,19 @@ class TestRunPipeline:
         _, report = run_pipeline(cycle_graph(5))
         assert sorted(report.phase_timings) == [
             "bulk", "low_degree", "patch", "recolor", "repair", "seed",
-            "verify_input"]
+            "verify_output"]
         assert all(t >= 0.0 for t in report.phase_timings.values())
+        # a supplied seed adds its entry pass
+        _, report = run_pipeline(*cyclic_k5())
+        assert sorted(report.phase_timings) == [
+            "bulk", "low_degree", "patch", "recolor", "repair", "seed",
+            "verify_input", "verify_output"]
 
     def test_json_omits_timings_by_default(self):
         # wall-clock times stay off the JSON, readable on the report itself
         _, report = run_pipeline(cycle_graph(5))
         assert "phase_timings" not in report.to_json()
-        assert set(report.phase_timings) >= {"seed", "verify_input", "repair"}
+        assert set(report.phase_timings) >= {"seed", "repair", "verify_output"}
 
     def test_json_fields(self):
         _, report = run_pipeline(cycle_graph(5))
@@ -315,9 +322,10 @@ class TestRunPipeline:
         assert phi.stars is poison
 
     def test_masks_built_at_entry_and_exit_only(self, monkeypatch):
-        # every colour set is built by one pass over an edge-colour dict;
-        # a run through every phase makes that pass on the seed and on the
-        # result, and the phases keep the seed's masks current in between
+        # every colour set is built by one pass over an edge-colour dict; a
+        # self-seeded run through every phase makes that pass on the result
+        # alone, as the greedy seed carries its masks and the phases keep
+        # them current; a supplied seed adds its entry pass
         builds, changed = [], []
 
         def counting(*args):
@@ -337,15 +345,74 @@ class TestRunPipeline:
                                  params=PipelineParams(lam=3.0, m=5, d=1))
         assert report.e1_rounds > 0 and report.e2_success is True
         assert report.fresh_palette_size > 0 and changed == [True]
-        # a run that repairs makes the same two builds (tests/test_cli.py)
+        # a run that repairs makes the same builds (tests/test_cli.py)
         assert report.fallback_repairs == 0
-        assert len(builds) == 2
+        assert len(builds) == 1
+        g = hub_graph(4, 200, 3, 3)
+        run_pipeline(g, greedy_total(g), PipelineParams(lam=3.0, m=5, d=1))
+        assert len(builds) == 3
 
     def test_rejects_mismatched_shape(self):
         g = cycle_graph(4)
         phi = greedy_total(cycle_graph(5))
         with pytest.raises(ValueError):
             run_pipeline(g, phi)
+
+
+class TestCollectorPause:
+    """``run_pipeline`` and ``to_document`` run with the cyclic collector
+    paused, as ``avdtotal`` commands do: a solve leaves no reference cycles,
+    and each call hands the collector back as it found it."""
+
+    @pytest.fixture(autouse=True)
+    def restore_collector(self):
+        enabled = gc.isenabled()
+        yield
+        (gc.enable if enabled else gc.disable)()
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
+    def test_golden_solves_leave_no_cycles(self, name, tmp_path):
+        text, flags, _ = GOLDEN_CASES[name]
+        path = tmp_path / "graph.in"
+        path.write_text(text())
+        args = cli.build_parser().parse_args(["color", "--in", str(path), *flags])
+        g, params = cli._load_graph(args), cli._params_from(args)
+        gc.disable()
+        gc.collect()
+        out, _ = run_pipeline(g, params=params)
+        assert to_document(g, out)["verified"] == {"proper": True, "avd": True}
+        assert gc.collect() == 0
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+    def test_state_restored(self, enabled, monkeypatch):
+        during = []
+
+        def recording(module, name):
+            original = getattr(module, name)
+
+            def call(*args):
+                during.append(gc.isenabled())
+                return original(*args)
+
+            monkeypatch.setattr(module, name, call)
+
+        recording(pipeline, "greedy_total")
+        recording(pipeline, "_checked")
+        recording(coloring, "verdict")
+        (gc.enable if enabled else gc.disable)()
+        g = cycle_graph(5)
+        out, _ = run_pipeline(g)
+        assert gc.isenabled() is enabled
+        to_document(g, out)
+        assert gc.isenabled() is enabled
+        bad = TotalColoring((1, 1, 2, 2, 3), out.edge_colors, out.k)
+        with pytest.raises(ValueError, match="seed colouring must be proper"):
+            run_pipeline(g, bad)
+        assert gc.isenabled() is enabled
+        with pytest.raises(ValueError, match="vertex colour count"):
+            to_document(cycle_graph(4), out)
+        assert gc.isenabled() is enabled
+        assert during == [False] * 4
 
 
 @given(st.integers(0, 2 ** 32 - 1), st.integers(2, 14))

@@ -4,10 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import avdtotal.coloring as coloring
 from avdtotal import (TotalColoring, check_total, complete_graph, cycle_graph,
                       greedy_total, path_graph, random_gnp, star_graph, verdict)
 
-from helpers import naive_is_proper, reference_greedy_total
+from helpers import (connected_graphs, hub_graph, naive_is_proper,
+                     reference_greedy_total)
 
 
 def vertices_then_edges(g):
@@ -61,6 +63,31 @@ class TestGreedy:
     def test_matches_reference_first_fit(self, n, p, seed):
         g = random_gnp(n, p, seed)
         assert greedy_total(g) == reference_greedy_total(g, vertices_then_edges(g))
+
+
+class TestCarriedStars:
+    """The seed hands its result the masks it coloured with, which
+    ``run_pipeline`` reads instead of verifying a self-built seed on entry."""
+
+    @staticmethod
+    def assert_carries_fresh_masks(g):
+        phi = greedy_total(g)
+        assert "stars" in vars(phi)  # set by the seeder, not built on reading
+        fresh = TotalColoring(phi.vertex_colors, dict(phi.edge_colors), phi.k)
+        assert phi.stars == coloring._closed_stars(fresh)
+
+    def test_connected_graphs_up_to_five_vertices(self):
+        for n in range(1, 6):
+            for g in connected_graphs(n):
+                self.assert_carries_fresh_masks(g)
+
+    @given(st.integers(0, 30), st.floats(0.0, 1.0), st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=80, deadline=None)
+    def test_random_graphs(self, n, p, seed):
+        self.assert_carries_fresh_masks(random_gnp(n, p, seed))
+
+    def test_hub_graph(self):
+        self.assert_carries_fresh_masks(hub_graph(0, 300, 4, 3))
 
 
 class TestImport:
