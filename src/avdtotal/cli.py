@@ -12,7 +12,10 @@ are byte-identical.
 Each ``cmd_*`` handler computes its whole result first and returns it as
 ``(exit code, JSON records, text lines)``; ``main`` alone writes stdout,
 the records under --json and the lines otherwise. An error therefore never
-leaves partial output on stdout, only one ``error:`` line on stderr.
+leaves partial output on stdout, only one ``error:`` line on stderr. A
+record is a JSON value, or a string already encoded as one line, which
+``main`` prints as it is: the commands that print a colouring encode it
+with ``coloring._document_json``, and only under --json.
 """
 
 from __future__ import annotations
@@ -29,8 +32,8 @@ from pathlib import Path
 from . import bounds as bounds_mod
 from .bounds import DomainError
 from .coloring import (DocumentError, TotalColoring, _checked, _collector_paused,
-                       _document_body, _proper, from_document, to_document,
-                       violations)
+                       _document_json, _edge_records, _emit, _proper, from_document,
+                       verdict, violations)
 from .exact import check_conjecture, chi_at_exact, chi_prime_exact, chi_total_exact
 from .graphs import Graph, Graph6Error, parse_dimacs, parse_graph6
 from .highdeg import (PipelineParams, find_bulk_deletion, find_patch_deletion,
@@ -52,11 +55,6 @@ def _fraction(text: str) -> Fraction:
 
 
 _fraction.__name__ = "Fraction"  # argparse names the type in its message
-
-
-def _emit(obj) -> str:
-    """obj as one line of strict JSON with sorted keys."""
-    return json.dumps(obj, sort_keys=True, allow_nan=False)
 
 
 def _read_text(path: str | None) -> str:
@@ -121,9 +119,10 @@ def cmd_color(args) -> Output:
     g = _load_graph(args)
     phi = _seed_document(args, g)  # run_pipeline checks it is proper
     colored, report = run_pipeline(g, phi, _params_from(args))
-    doc = _document_body(g, colored, report.verified)  # verified at exit
-    doc["report"] = report.to_json()
-    return 0, [doc], [
+    # verified at exit
+    records = ([_document_json(g, colored, report.verified, report.to_json())]
+               if args.json else [])
+    return 0, records, [
         f"graph: n={g.n} edges={len(g.edges)} max_degree={g.max_degree}",
         f"palette: input k={report.input_k}, final k={report.final_k} "
         f"(+{report.fresh_palette_size} fresh, +{report.fallback_repairs} repairs)",
@@ -150,11 +149,12 @@ def cmd_verify(args) -> Output:
 def cmd_distinguish_low(args) -> Output:
     g, phi = _load_document(args.infile)
     result = distinguish_low_degree(g, _require_proper(g, phi))
-    doc = to_document(g, result)
+    verified = verdict(g, result)
     changed = sum(1 for a, b in zip(phi.vertex_colors, result.vertex_colors)
                   if a != b)
-    return 0, [doc], [f"recoloured {changed} low-degree vertices; "
-                      f"verified: {doc['verified']}"]
+    records = [_document_json(g, result, verified)] if args.json else []
+    return 0, records, [f"recoloured {changed} low-degree vertices; "
+                        f"verified: {verified}"]
 
 
 def _seed_document(args, g: Graph) -> TotalColoring | None:
@@ -210,22 +210,21 @@ def cmd_select_e2(args) -> Output:
 def cmd_edge_color(args) -> Output:
     g = _load_graph(args)
     ec = vizing_color(g)
-    out = {
-        "edge_colors": [{"u": u, "v": v, "c": ec.colors[(u, v)]} for u, v in g.edges],
-        "palette_bound": ec.k,
-        "used": len(ec.used_colors()),
-    }
-    return 0, [out], [f"edge colouring with {out['used']} colours (bound {ec.k})",
-                      *(f"  ({rec['u']}, {rec['v']}) -> {rec['c']}"
-                        for rec in out["edge_colors"])]
+    used = len(ec.used_colors())
+    # the keys in sorted order, as _emit writes them
+    records = [f'{{"edge_colors": {_edge_records(g.edges, ec.colors)}, '
+               f'"palette_bound": {ec.k}, "used": {used}}}'] if args.json else []
+    return 0, records, [f"edge colouring with {used} colours (bound {ec.k})",
+                         *(f"  ({u}, {v}) -> {ec.colors[(u, v)]}" for u, v in g.edges)]
 
 
 def cmd_seed_color(args) -> Output:
     g = _load_graph(args)
     phi = greedy_total(g)
-    doc = to_document(g, phi)
-    return 0, [doc], [f"greedy proper total colouring with k={phi.k} "
-                      f"(bound {2 * g.max_degree + 1}); verified: {doc['verified']}"]
+    verified = verdict(g, phi)
+    records = [_document_json(g, phi, verified)] if args.json else []
+    return 0, records, [f"greedy proper total colouring with k={phi.k} "
+                        f"(bound {2 * g.max_degree + 1}); verified: {verified}"]
 
 
 def cmd_exact(args) -> Output:
@@ -462,7 +461,8 @@ def main(argv=None) -> int:
         with _collector_paused():
             code, records, lines = args.func(args)
             if args.json:
-                lines = [_emit(record) for record in records]
+                lines = [record if isinstance(record, str) else _emit(record)
+                         for record in records]
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

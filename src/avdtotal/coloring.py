@@ -13,6 +13,7 @@ from __future__ import annotations
 import functools
 import gc
 import itertools
+import json
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -223,6 +224,41 @@ def _document_body(g: Graph, phi: TotalColoring, verified: dict[str, bool]) -> d
                         for u, v in g.edges],
         "verified": dict(verified),
     }
+
+
+def _emit(obj) -> str:
+    """obj as one line of strict JSON with sorted keys."""
+    return json.dumps(obj, sort_keys=True, allow_nan=False)
+
+
+def _edge_records(edges, colors: dict[Edge, int]) -> str:
+    """The JSON array of ``{"c", "u", "v"}`` records, one per edge in
+    order, as ``_emit`` writes it."""
+    return "[" + ", ".join([f'{{"c": {colors[e]}, "u": {e[0]}, "v": {e[1]}}}'
+                            for e in edges]) + "]"
+
+
+def _document_json(g: Graph, phi: TotalColoring, verified: dict[str, bool],
+                   report: dict | None = None) -> str:
+    """``_emit`` of the ``_document_body`` document, with report added as
+    its ``report`` field unless None, written as text in one pass.
+
+    The three arrays are formatted element by element and the top-level
+    keys written in sorted order; only the small ``report`` and
+    ``verified`` dicts go through ``_emit``, so a non-finite float in
+    them raises ValueError as it would there.
+    """
+    parts = [
+        f'"edge_colors": {_edge_records(g.edges, phi.edge_colors)}',
+        '"edges": [' + ", ".join([f"[{u}, {v}]" for u, v in g.edges]) + "]",
+        f'"k": {phi.k}',
+        f'"n": {g.n}',
+    ]
+    if report is not None:
+        parts.append(f'"report": {_emit(report)}')
+    parts.append(f'"verified": {_emit(verified)}')
+    parts.append('"vertex_colors": [' + ", ".join(map(str, phi.vertex_colors)) + "]")
+    return "{" + ", ".join(parts) + "}"
 
 
 def _is_int(value) -> bool:

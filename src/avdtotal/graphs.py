@@ -15,6 +15,9 @@ Edge = tuple[int, int]
 
 _G6_LOW = 63
 _G6_HIGH = 126
+# the graph6 size headers: a marker, then n in this many six-bit bytes,
+# for n up to the bound
+_G6_SIZES = (("", 1, 62), ("~", 3, 258047), ("~~", 6, (1 << 36) - 1))
 
 
 class Graph6Error(ValueError):
@@ -143,9 +146,20 @@ def _g6_pairs(n: int) -> Iterator[Edge]:
     return ((i, j) for j in range(1, n) for i in range(j))
 
 
+def _g6_header(n: int) -> str:
+    """The shortest graph6 size header that holds n: its marker, then n in
+    six-bit bytes, most significant first."""
+    for marker, count, largest in _G6_SIZES:
+        if n <= largest:
+            return marker + "".join(chr((n >> shift & 63) + _G6_LOW)
+                                    for shift in range(6 * count - 6, -1, -6))
+    raise CapacityError(f"graph6 encodes at most {_G6_SIZES[-1][2]} vertices")
+
+
 def parse_graph6(text: str) -> Graph:
-    """Decode a single graph6 string (basic one-byte header, n <= 62); error
-    offsets count from the start of the stripped text, header included."""
+    """Decode a single graph6 string, with the one-byte size header for
+    n <= 62 or an extended one above; error offsets count from the start
+    of the stripped text, header included."""
     s = text.strip()
     start = len(">>graph6<<") if s.startswith(">>graph6<<") else 0
     s = s[start:]
@@ -154,29 +168,39 @@ def parse_graph6(text: str) -> Graph:
     for i, ch in enumerate(s):
         if not (_G6_LOW <= ord(ch) <= _G6_HIGH):
             raise Graph6Error(f"character {ch!r} outside graph6 alphabet", start + i)
-    n = ord(s[0]) - _G6_LOW
-    if n == 63:
-        raise Graph6Error("extended size header (n > 62) not supported", start)
+    # "~" opens an extended header, "~~" the longer one; n is read from
+    # the six-bit bytes after it
+    marker = "~~" if s.startswith("~~") else "~" if s[0] == "~" else ""
+    count = next(c for m, c, _ in _G6_SIZES if m == marker)
+    size = s[len(marker):len(marker) + count]
+    if len(size) < count:
+        raise Graph6Error(f"truncated extended size header: expected {count} "
+                          f"bytes after {marker!r}, found {len(size)}", start)
+    n = 0
+    for ch in size:
+        n = n << 6 | ord(ch) - _G6_LOW
     nbits = n * (n - 1) // 2
     nbytes = (nbits + 5) // 6
-    body = s[1:]
+    offset = len(marker) + count
+    body = s[offset:]
     if len(body) < nbytes:
         raise Graph6Error(
             f"truncated bit vector: expected {nbytes} bytes, found {len(body)}",
-            start + 1 + len(body))
+            start + offset + len(body))
     if len(body) > nbytes:
-        raise Graph6Error("stray characters after bit vector", start + 1 + nbytes)
+        raise Graph6Error("stray characters after bit vector", start + offset + nbytes)
     bits = "".join(f"{ord(ch) - _G6_LOW:06b}" for ch in body)
     return Graph.build(n, [pair for pair, bit in zip(_g6_pairs(n), bits) if bit == "1"])
 
 
 def write_graph6(g: Graph) -> str:
-    """Encode with the basic one-byte header; graphs need n <= 62."""
-    if g.n > 62:
-        raise CapacityError("basic graph6 encoding supports at most 62 vertices")
+    """Encode with the shortest size header that holds n: one byte for
+    n <= 62, then "~" plus three bytes, then "~~" plus six, up to
+    n = 2**36 - 1."""
+    header = _g6_header(g.n)
     bits = "".join("1" if pair in g.edge_set else "0" for pair in _g6_pairs(g.n))
     bits += "0" * (-len(bits) % 6)
-    return chr(g.n + _G6_LOW) + "".join(
+    return header + "".join(
         chr(int(bits[i:i + 6], 2) + _G6_LOW) for i in range(0, len(bits), 6))
 
 
@@ -191,27 +215,22 @@ def parse_dimacs(text: str) -> Graph:
     other scripts' digits."""
     n: int | None = None
     edges: list[Edge] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        # one split per line; edge records, the bulk of a file, test first
         parts = line.split()
-        if parts[0] == "p":
-            if n is not None:
-                raise DimacsError(f"line {lineno}: duplicate problem line")
-            if len(parts) != 4 or parts[1] != "edge":
-                raise DimacsError(f"line {lineno}: expected 'p edge <n> <m>'")
-            a, b = parts[2], parts[3]
-            if not (a.isdigit() and b.isdigit() and a.isascii() and b.isascii()):
-                raise DimacsError(f"line {lineno}: non-integer problem sizes")
-            n = int(a)
-        elif parts[0] == "e":
+        if not parts:
+            continue
+        head = parts[0]
+        if head == "e":
             if n is None:
                 raise DimacsError(f"line {lineno}: edge before problem line")
             if len(parts) != 3:
                 raise DimacsError(f"line {lineno}: expected 'e <u> <v>'")
-            a, b = parts[1], parts[2]
-            if not (a.isdigit() and b.isdigit() and a.isascii() and b.isascii()):
+            _, a, b = parts
+            # two non-empty tokens are both digit runs when their
+            # concatenation is one
+            ab = a + b
+            if not (ab.isdigit() and ab.isascii()):
                 raise DimacsError(f"line {lineno}: non-integer endpoints")
             u, v = int(a) - 1, int(b) - 1
             if u == v:
@@ -219,8 +238,20 @@ def parse_dimacs(text: str) -> Graph:
             if not (0 <= u < n and 0 <= v < n):
                 raise DimacsError(f"line {lineno}: endpoint out of range")
             edges.append((u, v))
+        elif head[0] == "c":
+            # the first token starts with c exactly when the stripped line does
+            continue
+        elif head == "p":
+            if n is not None:
+                raise DimacsError(f"line {lineno}: duplicate problem line")
+            if len(parts) != 4 or parts[1] != "edge":
+                raise DimacsError(f"line {lineno}: expected 'p edge <n> <m>'")
+            ab = parts[2] + parts[3]
+            if not (ab.isdigit() and ab.isascii()):
+                raise DimacsError(f"line {lineno}: non-integer problem sizes")
+            n = int(parts[2])
         else:
-            raise DimacsError(f"line {lineno}: unrecognised record {parts[0]!r}")
+            raise DimacsError(f"line {lineno}: unrecognised record {head!r}")
     if n is None:
         raise DimacsError("missing problem line 'p edge <n> <m>'")
     return Graph.build(n, edges)

@@ -1,0 +1,183 @@
+"""The colouring-document writer: byte-identical to ``json.dumps`` of the dict.
+
+``coloring._document_json`` writes a document as text in one pass;
+``coloring._document_body`` builds the same document as a dict, and
+``cli._emit`` of that dict is the oracle the writer is held to. The
+stdout digests pin whole ``--json`` outputs of the four commands that
+write colourings, recorded before the writer existed.
+"""
+
+import hashlib
+import json
+import math
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from avdtotal import (PipelineParams, cli, complete_graph, greedy_total, random_gnp,
+                      run_pipeline, star_graph, to_document, write_graph6)
+from avdtotal import coloring as coloring_mod
+
+from test_cli import run
+from test_golden import CASES as GOLDEN_CASES
+from test_golden import dimacs, sparse_edges
+
+
+# ---------------------------------------------------------------------------
+# whole stdout under --json, pinned
+
+INPUTS = {
+    "empty": ("?\n", []),
+    "edgeless": ("B?\n", []),
+    "k5": ("D~{\n", []),
+    "star": ("Esa?\n", []),  # K_{1,5}: its greedy seed is already AVD
+    "eoqo": ("Eoqo\n", []),  # its greedy seed is not AVD
+    "gnp30": (write_graph6(random_gnp(30, 0.3, 4)) + "\n", []),
+    "sparse": (dimacs(*sparse_edges(n=120, m=240, seed=2)), ["--format", "dimacs"]),
+}
+
+# SHA-256 of stdout, recorded before the colouring-document writer
+STDOUT_DIGESTS = {
+    "color": {
+        "edgeless": "cf5a7f38b783fa7fc918c0c39a587867768bbf7e91e214625e201e8a6de93f07",
+        "empty": "a44a784c0f2453aca33e7d42ebce9a4cc934e1083d9c2736f3f2e00583190afb",
+        "eoqo": "4455f0ab243eec7598309228dc7ec461620eaab609e6648ce39c7cdb6f446514",
+        "gnp30": "9427b709f8cb1432f751f41a1c71d7f14289e764b4439a10478ce236fe086fd1",
+        "k5": "2f2e438f2879a4b452ef2c2a4d4aa10adfde0882280916af79e13f7d361460f8",
+        "sparse": "bb4d73a686b9dc5f84a72d662be52e93cccdb90af7688fb5b5ba1d37b493bd6e",
+        "star": "65830237238d6f8fd2e12a55917b94111f99713416c5fd882c8cec01bab96a39",
+    },
+    "seed-color": {
+        "edgeless": "0675262d99e3977da634b2ca3fe1ed3b9be033686182670990f12385c7a023e6",
+        "empty": "6be315d47eb12e064a93d4ca4ebcdae8a135cfbfa2fed1cf60ee71b3cdff78d1",
+        "eoqo": "89af871d17997c4d3fe651b67f704718566cf46d0e54d5c80737180440bd4289",
+        "gnp30": "29ea3a7be998e080548ab12964575a7cb6a9b575c369dd34965b2d15026cff67",
+        "k5": "145048adf5c14c8e1c4cdf4a6a96bdd9b8a4149ba3d4a77ec119fe01fa5c1b1f",
+        "sparse": "3c08fa633316d64a38a7d41b35d58753697571892b348b56e9805b727a61666a",
+        "star": "21022ed993e832f9c0714e2ecd1d226fd45d123cf501c5ea950c1362375244a8",
+    },
+    "distinguish-low": {
+        # the greedy seed of eoqo is the only one here the phase changes
+        "eoqo": "b7c0b0c48da8427267d900f2db6abca03c3395e3943a6993f559e15de98c1f21",
+    },
+    "edge-color": {
+        "edgeless": "19b4fdf07b90a2beb87528cb9ee5c8bff865a054ce6b120682f62e26944088f4",
+        "empty": "19b4fdf07b90a2beb87528cb9ee5c8bff865a054ce6b120682f62e26944088f4",
+        "eoqo": "57d514244aa43fc80f860d8780b464b9014272a5ed5d11d12b1a6b87b9579be9",
+        "gnp30": "ae928f8cd20cae9af2c2f4020e1aed57a87f51d7306bc4b23d8aaafe8c7dff5e",
+        "k5": "3f1743c2e4566d8cf0df1876093defe17e5574bbdb71e6bb2218b265a848f99b",
+        "sparse": "e5174b3f508197a00bfad0957641127f9b19279bb63d703a164a6b07b17ae797",
+        "star": "eb0e07feb6c68c2f599c39af100f407ac42c88da81a7a5944b943ef000a16bda",
+    },
+}
+# from the greedy seed document the pipeline runs as from its own greedy
+# seed, so color-seeded prints color's bytes; distinguish-low leaves every
+# other seed document here as it is
+STDOUT_DIGESTS["color-seeded"] = STDOUT_DIGESTS["color"]
+STDOUT_DIGESTS["distinguish-low"] = {**STDOUT_DIGESTS["seed-color"],
+                                     **STDOUT_DIGESTS["distinguish-low"]}
+
+
+def command_stdout(cmd, name, tmp_path, capsys):
+    """(exit code, stdout) of one pinned command on the input called name;
+    color-seeded is color from the input's greedy seed document, and
+    distinguish-low runs on that document too."""
+    text, fmt = INPUTS[name]
+    graph = tmp_path / "graph.in"
+    graph.write_text(text)
+    seed_doc = tmp_path / "seed.json"
+    code, out, err = run(["seed-color", "--json", "--in", str(graph), *fmt], capsys)
+    assert (code, err) == (0, "")
+    seed_doc.write_text(out)
+    argv = {
+        "color": ["color", "--in", str(graph), *fmt, "--seed", "5"],
+        "color-seeded": ["color", "--in", str(graph), *fmt, "--seed", "5",
+                         "--seed-coloring", str(seed_doc)],
+        "seed-color": ["seed-color", "--in", str(graph), *fmt],
+        "distinguish-low": ["distinguish-low", "--in", str(seed_doc)],
+        "edge-color": ["edge-color", "--in", str(graph), *fmt],
+    }[cmd]
+    code, out, err = run([*argv, "--json"], capsys)
+    assert err == ""
+    return code, out
+
+
+@pytest.mark.parametrize("name", sorted(INPUTS))
+@pytest.mark.parametrize("cmd", sorted(STDOUT_DIGESTS))
+def test_stdout_digest(cmd, name, tmp_path, capsys):
+    code, out = command_stdout(cmd, name, tmp_path, capsys)
+    assert code == 0 and out.count("\n") == 1
+    assert hashlib.sha256(out.encode()).hexdigest() == STDOUT_DIGESTS[cmd][name]
+
+
+# ---------------------------------------------------------------------------
+# the writer against the dict oracle
+
+def oracle(g, phi, verified, report=None):
+    doc = coloring_mod._document_body(g, phi, verified)
+    if report is not None:
+        doc["report"] = report
+    return cli._emit(doc)
+
+
+def assert_writes_oracle(g, phi, verified, report=None):
+    line = coloring_mod._document_json(g, phi, verified, report)
+    assert line == oracle(g, phi, verified, report)
+    assert "\n" not in line
+
+
+@given(n=st.integers(0, 30), p=st.sampled_from([0.0, 0.1, 0.3, 0.6, 1.0]),
+       seed=st.integers(0, 2 ** 32))
+@settings(max_examples=60, deadline=None)
+def test_pipeline_documents(n, p, seed):
+    g = random_gnp(n, p, seed)
+    phi, report = run_pipeline(g, None, PipelineParams(seed=seed))
+    assert_writes_oracle(g, phi, report.verified, report.to_json())
+    assert_writes_oracle(g, phi, report.verified)
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
+def test_golden_documents(name, tmp_path):
+    text, flags, _ = GOLDEN_CASES[name]
+    path = tmp_path / "graph.in"
+    path.write_text(text())
+    args = cli.build_parser().parse_args(["color", "--in", str(path), *flags])
+    g = cli._load_graph(args)
+    phi, report = run_pipeline(g, None, cli._params_from(args))
+    assert_writes_oracle(g, phi, report.verified, report.to_json())
+
+
+def test_short_circuit_from_supplied_seed():
+    g = star_graph(5)
+    phi, report = run_pipeline(g, greedy_total(g), PipelineParams(seed=1))
+    assert report.short_circuit
+    assert_writes_oracle(g, phi, report.verified, report.to_json())
+
+
+@pytest.mark.parametrize("cmd", ["seed-color", "distinguish-low"])
+@pytest.mark.parametrize("name", sorted(INPUTS))
+def test_command_documents(cmd, name, tmp_path, capsys):
+    # the printed line against the oracle of the document it decodes to
+    code, out = command_stdout(cmd, name, tmp_path, capsys)
+    assert code == 0
+    g, phi = coloring_mod.from_document(json.loads(out))
+    line = out.rstrip("\n")
+    assert line == oracle(g, phi, coloring_mod.verdict(g, phi))
+    assert line == cli._emit(to_document(g, phi))
+
+
+def test_improper_flags_and_wide_palette():
+    g = complete_graph(4)
+    phi = greedy_total(g)
+    phi = coloring_mod.TotalColoring((1, 1, 1000, 7), phi.edge_colors, 1000)
+    assert_writes_oracle(g, phi, coloring_mod.verdict(g, phi))
+    assert_writes_oracle(g, phi, {"proper": False, "avd": False}, {"note": "ü\n\"x\""})
+
+
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+def test_non_finite_report_raises(x):
+    g = complete_graph(3)
+    phi = greedy_total(g)
+    with pytest.raises(ValueError):
+        coloring_mod._document_json(g, phi, {"proper": True, "avd": True}, {"lam": x})

@@ -15,6 +15,7 @@ from avdtotal import (CapacityError, DimacsError, Graph, Graph6Error,
                       degree_split, greedy_total, normalize_edge, parse_dimacs,
                       parse_graph6, path_graph, random_gnp, random_regular,
                       star_graph, to_document, write_graph6)
+from avdtotal import graphs as graphs_mod
 
 from helpers import canonical_form, connected_graphs, reference_build
 
@@ -253,10 +254,51 @@ class TestGraph6:
             offsets.append(exc.value.offset)
         assert offsets == [offset, offset + 10]
 
-    def test_write_rejects_63_vertices(self):
-        assert parse_graph6(write_graph6(Graph.build(62, []))).n == 62
-        with pytest.raises(CapacityError, match="at most 62 vertices"):
-            write_graph6(Graph.build(63, []))
+    def test_round_trip_63_vertices(self):
+        # 63 vertices is the first size past the one-byte header
+        assert write_graph6(Graph.build(62, []))[0] == "}"
+        for g in (Graph.build(63, []), complete_graph(63), random_gnp(63, 0.5, 63)):
+            s = write_graph6(g)
+            assert s.startswith("~??~") and parse_graph6(s) == g
+
+    # the examples of the graph6 format description, and each header's ends
+    @pytest.mark.parametrize("n,header", [
+        (0, "?"), (30, "]"), (62, "}"), (63, "~??~"), (12345, "~B?x"),
+        (258047, "~}~~"), (258048, "~~???~??"), (460175067, "~~?ZZZZZ"),
+        ((1 << 36) - 1, "~~~~~~~~"),
+    ])
+    def test_size_headers(self, n, header):
+        assert graphs_mod._g6_header(n) == header
+        # too short a body names the size read from the header
+        nbytes = (n * (n - 1) // 2 + 5) // 6
+        if nbytes:
+            with pytest.raises(Graph6Error, match=f"expected {nbytes} bytes, found 0"):
+                parse_graph6(header)
+
+    def test_size_beyond_the_long_header(self):
+        with pytest.raises(CapacityError, match=f"at most {(1 << 36) - 1} vertices"):
+            graphs_mod._g6_header(1 << 36)
+
+    @pytest.mark.parametrize("body, offset", [
+        ("~", 0), ("~??", 0), ("~~", 0), ("~~?????", 0), (">>graph6<<~~??", 10),
+    ])
+    def test_truncated_size_header(self, body, offset):
+        with pytest.raises(Graph6Error, match="truncated extended size header") as exc:
+            parse_graph6(body)
+        assert exc.value.offset == offset
+
+    def test_longer_header_than_needed_still_reads(self):
+        # the writer picks the shortest header, the reader takes any
+        assert parse_graph6("~???") == Graph.build(0, [])
+        assert parse_graph6("~~?????C~") == complete_graph(4)
+
+    @given(n=st.integers(63, 140), p=st.floats(0, 1), seed=st.integers(0, 2 ** 32))
+    @settings(max_examples=25, deadline=None)
+    def test_round_trip_extended(self, n, p, seed):
+        g = random_gnp(n, p, seed)
+        s = write_graph6(g)
+        assert s[0] == "~" and parse_graph6(s) == g
+        assert write_graph6(parse_graph6(">>graph6<<" + s + "\n")) == s
 
     @given(small_graphs(max_n=12))
     @settings(max_examples=60)
@@ -334,6 +376,46 @@ class TestDimacs:
     def test_malformed_records(self, text, message):
         with pytest.raises(DimacsError, match=f"^{message}$"):
             parse_dimacs(text)
+
+    # every DimacsError parse_dimacs raises, message and line number exact,
+    # including which check wins when a line breaks several rules
+    @pytest.mark.parametrize("text,message", [
+        ("p edge 2 0\np edge 2 0\n", "line 2: duplicate problem line"),
+        ("p edge 2 0\np edge\n", "line 2: duplicate problem line"),
+        ("c x\n\np edge 2\n", "line 3: expected 'p edge <n> <m>'"),
+        ("p\n", "line 1: expected 'p edge <n> <m>'"),
+        ("p graph 2 1\n", "line 1: expected 'p edge <n> <m>'"),
+        ("p edge 2 1 1\n", "line 1: expected 'p edge <n> <m>'"),
+        ("\n  p edge 2 x\n", "line 2: non-integer problem sizes"),
+        ("p edge ² 1\n", "line 1: non-integer problem sizes"),
+        ("e 1 2\n", "line 1: edge before problem line"),
+        ("e\np edge 2 1\n", "line 1: edge before problem line"),
+        ("p edge 2 1\n\ne 1 2 3\n", "line 3: expected 'e <u> <v>'"),
+        ("p edge 2 1\ne\n", "line 2: expected 'e <u> <v>'"),
+        ("p edge 2 1\ne 1 x\n", "line 2: non-integer endpoints"),
+        ("p edge 2 1\ne -1 2\n", "line 2: non-integer endpoints"),
+        ("p edge 2 1\ne 1 ²\n", "line 2: non-integer endpoints"),
+        ("p edge 2 1\ne ¹ 2\n", "line 2: non-integer endpoints"),
+        ("p edge 2 1\ne 2 2\n", "line 2: self-loop at vertex 2"),
+        ("p edge 2 1\r\ne 01 1\r\n", "line 2: self-loop at vertex 1"),
+        ("p edge 2 1\x0ce 0 0\n", "line 2: self-loop at vertex 0"),
+        ("p edge 2 1\ne 0 1\n", "line 2: endpoint out of range"),
+        ("p edge 2 1\ne 1 3\n", "line 2: endpoint out of range"),
+        ("p edge 2 1\nx 1 2\n", "line 2: unrecognised record 'x'"),
+        ("p edge 2 1\nedge 1 2\n", "line 2: unrecognised record 'edge'"),
+        ("  c indented comment\np edge 2 1\nE 1 2\n", "line 3: unrecognised record 'E'"),
+        ("p edge 2 1\né 1 2\n", "line 2: unrecognised record 'é'"),
+        ("", "missing problem line 'p edge <n> <m>'"),
+        ("comment\ncx 1 2\n\t\n", "missing problem line 'p edge <n> <m>'"),
+    ])
+    def test_every_error_pinned(self, text, message):
+        with pytest.raises(DimacsError) as exc:
+            parse_dimacs(text)
+        assert str(exc.value) == message
+
+    def test_comments_are_lines_whose_first_token_starts_with_c(self):
+        text = "c\ncomment\n  c, too\np edge 3 2\ncc 1 1\ne 1 2\n\t\ncx\ne 2 3\n"
+        assert parse_dimacs(text).edges == ((0, 1), (1, 2))
 
     def test_leading_zeros_are_digits(self):
         assert parse_dimacs("p edge 03 1\ne 01 003\n").edges == ((0, 2),)
