@@ -6,7 +6,14 @@ vertex differs from its incident edges. The colour set of a vertex v is
 its own colour together with the colours of its incident edges, held as a
 closed-star bitmask in ``TotalColoring.stars``; a proper total colouring is
 adjacent-vertex-distinguishing (AVD) when adjacent vertices' sets differ.
-"""
+
+The verifier, ``violations``, reads colours only, never masks. It sorts
+the keys vertex*stride + colour over every closed star, with the graph's
+cached endpoint array ``Graph._ends``: a repeated key, or an edge joining
+equal vertex colours, is a properness offence. On a proper colouring it
+sums a 64-bit hash of each colour over each closed star, and confirms
+every edge whose two sums match against the exact colour sets, so the
+verdict never rests on the hash."""
 
 from __future__ import annotations
 
@@ -16,6 +23,8 @@ import itertools
 import json
 from contextlib import contextmanager
 from dataclasses import dataclass
+
+import numpy as np
 
 from .graphs import Edge, Graph, normalize_edge
 
@@ -90,7 +99,7 @@ def _edge_masks(n: int, colored_edges) -> list[int]:
 
 def _closed_stars(phi: TotalColoring) -> tuple[int, ...]:
     """The one builder of closed-star masks, for ``TotalColoring.stars``
-    and, afresh on every call, for ``violations``."""
+    and, afresh on every call, for ``_checked``."""
     masks = _edge_masks(len(phi.vertex_colors), phi.edge_colors.items())
     return tuple(m | 1 << c for m, c in zip(masks, phi.vertex_colors))
 
@@ -139,40 +148,103 @@ def violations(g: Graph, phi: TotalColoring) -> list[Violation]:
     """The one verifier: every properness offence, or on a proper colouring
     every undistinguished pair; empty exactly when phi is proper and AVD.
 
-    After ``check_total``, one pass over phi's edge colours builds every
-    closed star afresh, never from ``phi.stars``, and ``_judge`` decides
-    both properties from them.
+    After ``check_total``, ``_judge`` decides both properties from phi's
+    colours alone, never from ``phi.stars``.
     """
-    return _checked(g, phi)[0]
+    check_total(g, phi)
+    return _judge(g, phi)
 
 
 def _checked(g: Graph, phi: TotalColoring) -> tuple[list[Violation], TotalColoring]:
-    """The ``violations`` pass, and a copy of phi carrying the closed stars
-    it built as its ``stars``: for a boundary that judges a colouring and
-    then hands it to phases that read its masks."""
+    """The ``violations`` pass, and a copy of phi carrying its closed stars,
+    built afresh, as its ``stars``: for a boundary that judges a colouring
+    and then hands it to phases that read its masks."""
     check_total(g, phi)
-    # check_total has matched the keys to the edge set, so the colours can
-    # be read straight off the dict
-    stars = _closed_stars(phi)
-    return (_judge(g, phi, stars),
-            _with_stars(stars, phi.vertex_colors, phi.edge_colors, phi.k))
+    return (_judge(g, phi),
+            _with_stars(_closed_stars(phi), phi.vertex_colors, phi.edge_colors, phi.k))
 
 
-def _judge(g: Graph, phi: TotalColoring, stars: tuple[int, ...]) -> list[Violation]:
-    """``violations`` of a total assignment phi whose closed-star masks are
-    stars.
+# the key bound of ``_judge``: every key vertex*stride + colour is below it
+_KEY_LIMIT = 1 << 63
 
-    A closed star holds deg(v) + 1 colours exactly when v's edges and v
-    itself are coloured pairwise differently, so properness is that
-    popcount at every vertex plus distinct vertex colours across every
-    edge; witnesses are listed only when it fails.
+# splitmix64's finaliser constants (Steele, Lea and Flood, "Fast splittable
+# pseudorandom number generators", OOPSLA 2014)
+_MIX = tuple(np.uint64(x) for x in (0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9,
+                                    0x94D049BB133111EB, 30, 27, 31))
+
+
+def _colour_hash(colours: np.ndarray) -> np.ndarray:
+    """splitmix64 of each colour, as uint64; arithmetic wraps modulo 2**64."""
+    golden, mul1, mul2, s1, s2, s3 = _MIX
+    z = colours.astype(np.uint64) + golden
+    z = (z ^ z >> s1) * mul1
+    z = (z ^ z >> s2) * mul2
+    return z ^ z >> s3
+
+
+def _colour_arrays(g: Graph, phi: TotalColoring) -> tuple[np.ndarray, np.ndarray, int]:
+    """phi's vertex colours, its edge colours in ``g.edges`` order, both as
+    int64 arrays, and a stride above every colour in them, for g with at
+    least one edge.
+
+    The stride is the largest colour present plus one, never taken from k.
+    When a colour does not fit in int64, or n*stride would not, the colours
+    are relabelled by rank first, 1 for the smallest; the judge compares
+    colours for equality only, which relabelling keeps.
     """
-    vc = phi.vertex_colors
-    if (any(s.bit_count() != len(nbrs) + 1 for s, nbrs in zip(stars, g.adjacency))
-            or any(vc[u] == vc[v] for u, v in g.edges)):
+    vcol, ecol = phi.vertex_colors, phi.edge_colors
+    # every phase builds its edge-colour dict in g.edges order; the values
+    # are then read in that order without a lookup per edge
+    colours = (ecol.values() if tuple(ecol) == g.edges
+               else map(ecol.__getitem__, g.edges))
+    try:
+        vc = np.array(vcol, dtype=np.int64)
+        ec = np.fromiter(colours, dtype=np.int64, count=len(g.edges))
+        stride = int(max(vc.max(), ec.max())) + 1
+        if g.n * stride <= _KEY_LIMIT:
+            return vc, ec, stride
+    except OverflowError:
+        pass
+    rank = {c: r for r, c in enumerate(sorted({*vcol, *ecol.values()}), start=1)}
+    return (np.array([rank[c] for c in vcol], dtype=np.int64),
+            np.array([rank[ecol[e]] for e in g.edges], dtype=np.int64),
+            len(rank) + 1)
+
+
+def _judge(g: Graph, phi: TotalColoring) -> list[Violation]:
+    """``violations`` of phi, a total assignment on g within its palette.
+
+    Each vertex v contributes the key v*stride + c for its own colour and
+    for each edge colour at v; sorted, the keys list each closed star's
+    colours in ascending order, star after star. phi is proper exactly
+    when no key repeats and no edge joins equal vertex colours; witnesses
+    are listed only when it fails. On a proper phi, each star's colour
+    hashes are summed: equal sets give equal sums, so only an edge whose
+    endpoint sums match can be undistinguished, and each such edge is
+    confirmed on the sorted colours themselves.
+    """
+    if not g.edges:
+        return []
+    vc, ec, stride = _colour_arrays(g, phi)
+    ends = g._ends
+    u, v = ends[:, 0], ends[:, 1]
+    # vertex v's keys start at base[v]
+    base = np.arange(g.n, dtype=np.int64) * stride
+    keys = np.concatenate(((ends * stride + ec[:, None]).ravel(), base + vc))
+    keys.sort()
+    if (vc[u] == vc[v]).any() or (keys[1:] == keys[:-1]).any():
         return _witnesses(g, phi)
-    return [Violation("undistinguished-pair", (u, v))
-            for u, v in g.edges if stars[u] == stars[v]]
+    colours = keys % stride
+    # every star holds its vertex's own colour, so none is empty
+    starts = np.searchsorted(keys, base)
+    sums = np.add.reduceat(_colour_hash(colours), starts)
+    same = np.flatnonzero(sums[u] == sums[v])
+    if not same.size:
+        return []
+    colours, bounds = colours.tolist(), [*starts.tolist(), len(keys)]
+    return [Violation("undistinguished-pair", g.edges[i])
+            for i, (a, b) in zip(same.tolist(), ends[same].tolist())
+            if colours[bounds[a]:bounds[a + 1]] == colours[bounds[b]:bounds[b + 1]]]
 
 
 def _proper(found: list[Violation]) -> bool:

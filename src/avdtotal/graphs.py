@@ -56,8 +56,9 @@ class Graph:
     """Simple undirected graph on vertices ``0 .. n-1``.
 
     ``edges`` is a sorted tuple of sorted pairs; adjacency lists and the
-    maximum degree are built once at construction, the degree split on its
-    first request. Instances are immutable.
+    maximum degree are built once at construction, the degree split and
+    the endpoint array ``_ends`` on their first request. Instances are
+    immutable.
     """
 
     n: int
@@ -79,8 +80,8 @@ class Graph:
             edges = [(_integer("edge endpoint", u), _integer("edge endpoint", v))
                      for u, v in edges]
         # an insertion-ordered dict, not a set, dedupes: sorting its keys
-        # is linear when the edges arrive sorted, as from random_gnp, most
-        # generators, DIMACS text in edge order and the pipeline's union
+        # is linear when the edges arrive sorted, as from most generators
+        # and DIMACS text in edge order
         seen: dict[Edge, None] = {}
         for u, v in edges:
             if u == v:
@@ -88,18 +89,7 @@ class Graph:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
             seen[(u, v) if u < v else (v, u)] = None
-        ordered = tuple(sorted(seen))
-        # in lexicographic edge order each vertex meets its smaller
-        # neighbours first, then its larger ones, each ascending, so every
-        # adjacency list comes out sorted
-        adj: list[list[int]] = [[] for _ in range(n)]
-        for u, v in ordered:
-            adj[u].append(v)
-            adj[v].append(u)
-        adjacency = tuple(map(tuple, adj))
-        delta = max(map(len, adj), default=0)
-        return cls(n=n, edges=ordered, adjacency=adjacency,
-                   edge_set=frozenset(ordered), max_degree=delta)
+        return _assemble(n, tuple(sorted(seen)))
 
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
@@ -118,6 +108,33 @@ class Graph:
         low = frozenset(v for v in range(self.n)
                         if 2 * self.degree(v) <= self.max_degree)
         return DegreeSplit(low=low, high=frozenset(range(self.n)) - low)
+
+    @cached_property
+    def _ends(self) -> np.ndarray:
+        """The edges as a read-only (m, 2) int64 array, row i holding
+        ``edges[i]``; built on first read, or set by the generator that
+        made the graph."""
+        ends = np.fromiter(itertools.chain.from_iterable(self.edges), dtype=np.int64,
+                           count=2 * len(self.edges)).reshape(-1, 2)
+        ends.flags.writeable = False
+        return ends
+
+
+def _assemble(n: int, ordered: tuple[Edge, ...]) -> Graph:
+    """The graph on n vertices with edge tuple ordered, which must hold
+    distinct pairs (u, v) of ints, 0 <= u < v < n, in sorted order; nothing
+    is checked. ``Graph.build`` calls it once it has validated its input,
+    and generators call it directly on output that is valid by construction.
+    """
+    # in lexicographic edge order each vertex meets its smaller neighbours
+    # first, then its larger ones, each ascending, so every adjacency list
+    # comes out sorted
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for u, v in ordered:
+        adj[u].append(v)
+        adj[v].append(u)
+    return Graph(n=n, edges=ordered, adjacency=tuple(map(tuple, adj)),
+                 edge_set=frozenset(ordered), max_degree=max(map(len, adj), default=0))
 
 
 @dataclass(frozen=True)
@@ -321,12 +338,18 @@ def random_gnp(n: int, p: float, seed: int) -> Graph:
     total = n * (n - 1) // 2
     rows = np.arange(n, dtype=np.int64)
     offsets = rows * (n - 1) - rows * (rows - 1) // 2
-    edges: list[Edge] = []
+    chunks = [np.zeros((0, 2), dtype=np.int64)]
     for start in range(0, total, _GNP_CHUNK):
         hits = start + np.flatnonzero(rng.random(min(_GNP_CHUNK, total - start)) < p)
         i = np.searchsorted(offsets, hits, side="right") - 1
-        edges.extend(zip(i.tolist(), (hits - offsets[i] + i + 1).tolist()))
-    return Graph.build(n, edges)
+        chunks.append(np.column_stack((i, hits - offsets[i] + i + 1)))
+    # the pairs come out distinct, in range and in lexicographic order, so
+    # the graph is assembled without Graph.build's checks
+    ends = np.concatenate(chunks)
+    g = _assemble(n, tuple(zip(ends[:, 0].tolist(), ends[:, 1].tolist())))
+    ends.flags.writeable = False
+    object.__setattr__(g, "_ends", ends)
+    return g
 
 
 def random_regular(n: int, d: int, seed: int) -> Graph:

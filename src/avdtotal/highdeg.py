@@ -177,10 +177,18 @@ def _resample(edges: list[Edge],
 # ---------------------------------------------------------------------------
 # bulk stage
 
+def _ends_in(g: Graph, vertices: frozenset[int]) -> np.ndarray:
+    """Boolean array shaped like ``g._ends``: whether each endpoint of each
+    edge lies in vertices."""
+    inside = np.zeros(g.n, dtype=bool)
+    inside[np.fromiter(vertices, dtype=np.int64, count=len(vertices))] = True
+    return inside[g._ends]
+
+
 def candidate_edges(g: Graph) -> list[Edge]:
     """Edges with at least one high-degree endpoint, in sorted order."""
-    high = degree_split(g).high
-    return [e for e in g.edges if e[0] in high or e[1] in high]
+    at_high = _ends_in(g, degree_split(g).high).any(axis=1)
+    return list(itertools.compress(g.edges, at_high.tolist()))
 
 
 def _restricted(stars: Sequence[int], colors: dict[Edge, int],
@@ -206,8 +214,9 @@ class _BulkCheck:
     neighbours hold fewer than m selected edges.
 
     A selection is a boolean array over the candidate edges ``cands`` with
-    its per-vertex counts. A_pair can only fire at an edge joining
-    equal-degree high vertices, so those edges are listed up front, and the
+    its per-vertex counts; their endpoints ``ends`` are rows of
+    ``g._ends``. A_pair can only fire at an edge joining equal-degree high
+    vertices, so those edges' rows, ``pair_ends``, are sliced up front, and the
     restricted colour sets are computed from the selected edges only when a
     selection count lets the event fire. B_vertex counts under-selected
     neighbours of every high vertex with one bincount over their
@@ -222,17 +231,18 @@ class _BulkCheck:
                  cands: list[Edge], m: int, d: int, eps: Fraction):
         self.m, self.d = m, d
         self.cands, self.stars, self.colors = cands, phi.stars, phi.edge_colors
-        self.ends = np.array(cands, dtype=np.int64).reshape(-1, 2)
-        degree = [len(a) for a in g.adjacency]
-        self.pairs = [(u, v) for u, v in g.edges
-                      if degree[u] == degree[v] and u in high and v in high]
-        self.pair_ends = np.array(self.pairs, dtype=np.int64).reshape(-1, 2)
+        ends = g._ends
+        at_high = _ends_in(g, high)
+        degree = np.bincount(ends.ravel(), minlength=g.n)
+        self.ends = ends[at_high.any(axis=1)]
+        self.pair_ends = ends[at_high.all(axis=1)
+                              & (degree[ends[:, 0]] == degree[ends[:, 1]])]
         self.high = sorted(high)
+        high_degree = degree[self.high]
         self.neighbours = np.fromiter(
-            itertools.chain.from_iterable(g.adjacency[v] for v in self.high),
-            dtype=np.int64, count=sum(degree[v] for v in self.high))
-        self.owner = np.repeat(np.arange(len(self.high)),
-                               [degree[v] for v in self.high])
+            itertools.chain.from_iterable(map(g.adjacency.__getitem__, self.high)),
+            dtype=np.int64, count=int(high_degree.sum()))
+        self.owner = np.repeat(np.arange(len(self.high)), high_degree)
         # counts are integers, so count > eps*max_degree iff count > floor
         self.limit = math.floor(eps * g.max_degree)
         self.forced = tuple(self._starved(np.bincount(self.ends.ravel(), minlength=g.n)))
@@ -251,7 +261,7 @@ class _BulkCheck:
             restricted = _restricted(self.stars, self.colors, map(
                 self.cands.__getitem__, np.flatnonzero(selected).tolist()))
             events = [BadEvent("A_pair", (u, v))
-                      for u, v in map(self.pairs.__getitem__, hot.tolist())
+                      for u, v in self.pair_ends[hot].tolist()
                       if (restricted[u] ^ restricted[v]).bit_count() < self.d]
         events.extend(BadEvent("B_vertex", (v,)) for v in self._starved(deg_sel))
         return events

@@ -11,11 +11,12 @@ palette accounting in the report is exact by construction.
 from __future__ import annotations
 
 import time
-from collections import Counter
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
-from itertools import chain
+from itertools import compress
 from types import SimpleNamespace
+
+import numpy as np
 
 from .coloring import (TotalColoring, _checked, _collector_paused, _proper,
                        _with_stars, violations)
@@ -92,9 +93,8 @@ def recolor_union(g: Graph, phi: TotalColoring, bulk_edges,
             raise ValueError(f"selected edge {min(stray)} is not in the graph")
     if not chosen:
         return phi
-    # filtered from g.edges, the union is sorted and valid, as the colourer needs
-    union = [e for e in g.edges if e in chosen]
-    sub_colors = _color_edges(g.n, union, max(Counter(chain.from_iterable(union)).values()))
+    union, union_degree = _union(g, chosen)
+    sub_colors = _color_edges(g.n, union, union_degree)
     k = phi.k + max(sub_colors.values())
     # phi is proper and the new colours are above its palette, so each old
     # bit is set once at each end and each new bit not at all; the bits are
@@ -110,6 +110,16 @@ def recolor_union(g: Graph, phi: TotalColoring, bulk_edges,
         stars[u] ^= flip
         stars[v] ^= flip
     return _with_stars(stars, phi.vertex_colors, edge_colors, k)
+
+
+def _union(g: Graph, chosen: set[Edge]) -> tuple[list[Edge], int]:
+    """The edges of g in chosen, a non-empty subset of ``g.edge_set``, in
+    ``g.edges`` order, so sorted and valid as the edge colourer needs them,
+    and their maximum degree, counted over the matching rows of ``g._ends``."""
+    inside = np.fromiter(map(chosen.__contains__, g.edges), dtype=bool,
+                         count=len(g.edges))
+    union = list(compress(g.edges, inside.tolist()))
+    return union, int(np.bincount(g._ends[inside].ravel()).max())
 
 
 def repair_fallback(g: Graph, phi: TotalColoring) -> TotalColoring:

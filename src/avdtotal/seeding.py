@@ -18,32 +18,38 @@ def greedy_total(g: Graph) -> TotalColoring:
     Uses at most 2*max_degree + 1 colours. Not adjacent-vertex-
     distinguishing in general; it seeds the recolouring pipeline.
 
-    Colours live in a flat vertex list (0 = not yet coloured) and, per
-    vertex, a bitmask of the colours on its coloured edges. Bit 0 is set in
-    every mask, so an uncoloured vertex forbids nothing new and the lowest
-    clear bit of a forbidden mask is the first-fit colour, at least 1.
-    The result carries those masks as its ``stars``: with bit 0 cleared (no
-    colour is 0) and the vertex colour's bit set, each is v's closed star.
+    The vertex pass reads, for each vertex, only its smaller neighbours: an
+    adjacency list is sorted and larger neighbours are not yet coloured.
+    The edge pass keeps one closed-star mask per vertex, bit c set when the
+    vertex or a coloured edge at it has colour c. Bit 0 is set in every
+    mask, so the lowest clear bit of ``star[u] | star[v]`` is the first-fit
+    colour of uv, at least 1. The result carries those masks, bit 0
+    cleared, as its ``stars``.
     """
     adjacency = g.adjacency
+    # a vertex colour is at most max_degree + 1
+    bits = [1 << c for c in range(g.max_degree + 2)]
     vcol = [0] * g.n
-    emask = [1] * g.n
-    ecol: dict[Edge, int] = {}
     for v in range(g.n):
-        bad = 1  # no edge is coloured yet
+        bad = 1
         for w in adjacency[v]:
-            bad |= 1 << vcol[w]
+            if w > v:
+                break
+            bad |= bits[vcol[w]]
         vcol[v] = (~bad & (bad + 1)).bit_length() - 1
-    for u, v in g.edges:
-        bad = emask[u] | emask[v] | 1 << vcol[u] | 1 << vcol[v]
+    star = [1 | bits[c] for c in vcol]
+    ecol: dict[Edge, int] = {}
+    for e in g.edges:
+        u, v = e
+        bad = star[u] | star[v]
         c = (~bad & (bad + 1)).bit_length() - 1
-        emask[u] |= 1 << c
-        emask[v] |= 1 << c
-        ecol[(u, v)] = c
+        bit = 1 << c
+        star[u] |= bit
+        star[v] |= bit
+        ecol[e] = c
 
     used = max(max(vcol, default=1), max(ecol.values(), default=1))
     if used > 2 * g.max_degree + 1:
         raise RuntimeError(
             f"greedy seeding used {used} colours, above 2*max_degree + 1")
-    return _with_stars([m ^ 1 | 1 << c for m, c in zip(emask, vcol)],
-                       tuple(vcol), ecol, used)
+    return _with_stars([s ^ 1 for s in star], tuple(vcol), ecol, used)

@@ -17,7 +17,7 @@ import numpy as np
 
 from avdtotal import (BadEvent, Edge, EdgeColoring, EdgeSelection, Graph,
                       PipelineParams, SelectionResult, TotalColoring, Violation,
-                      normalize_edge, random_gnp, substream)
+                      check_total, normalize_edge, random_gnp, substream)
 
 
 def naive_is_proper(g: Graph, phi: TotalColoring) -> bool:
@@ -654,6 +654,26 @@ def reference_properness_violations(g: Graph, phi: TotalColoring) -> list[Violat
     out.extend(Violation("edge-edge", pair)
                for pair in reference_edge_clashes(g, phi.edge_colors))
     return out
+
+
+def reference_violations(g: Graph, phi: TotalColoring) -> list[Violation]:
+    """The mask-based verifier ``violations`` ran before the sort-based one:
+    every closed star as a bitmask; phi is proper when each star holds
+    deg + 1 colours and no edge joins equal vertex colours, and AVD when
+    moreover no edge joins equal stars. The masks take a bit per colour,
+    so use it on colours far below 2**63.
+    """
+    check_total(g, phi)
+    stars = [1 << c for c in phi.vertex_colors]
+    for (u, v), c in phi.edge_colors.items():
+        stars[u] |= 1 << c
+        stars[v] |= 1 << c
+    vc = phi.vertex_colors
+    if (any(s.bit_count() != len(nbrs) + 1 for s, nbrs in zip(stars, g.adjacency))
+            or any(vc[u] == vc[v] for u, v in g.edges)):
+        return reference_properness_violations(g, phi)
+    return [Violation("undistinguished-pair", (u, v))
+            for u, v in g.edges if stars[u] == stars[v]]
 
 
 def reference_find_total_coloring(g: Graph, k: int,

@@ -73,12 +73,12 @@ def improper_k4_doc(tmp_path):
 
 def count_verifier_calls(monkeypatch) -> Counter:
     """Count the verifier and its building blocks in every module that binds
-    them, so calls across modules are seen too. ``_closed_stars`` is the one
-    mask builder: each verifier pass calls it once, ``violations`` and the
-    input checks of the pipeline and the CLI alike, and those checks hand
-    the masks on."""
+    them, so calls across modules are seen too. ``_judge`` is the one
+    verifier pass: ``violations`` and the input checks of the pipeline and
+    the CLI each call it once. ``_closed_stars`` is the one mask builder:
+    only those input checks call it, once each, and hand the masks on."""
     calls = Counter()
-    for name in ("violations", "check_total", "_closed_stars"):
+    for name in ("violations", "check_total", "_judge", "_closed_stars"):
         def counting(*args, _name=name, _original=getattr(coloring_mod, name)):
             calls[_name] += 1
             return _original(*args)
@@ -230,7 +230,7 @@ class TestColor:
         calls = count_verifier_calls(monkeypatch)
         code, out, _ = run(["color", "--in", k5_file, "--json"], capsys)
         assert code == 0 and json.loads(out)["report"]["short_circuit"] is False
-        assert calls == {"_closed_stars": 1, "violations": 1, "check_total": 1}
+        assert calls == {"_judge": 1, "violations": 1, "check_total": 1}
 
     def test_short_circuit_reuses_entry_pass(self, k4_file, clean_doc, capsys,
                                              monkeypatch):
@@ -239,7 +239,7 @@ class TestColor:
                             "--seed-coloring", clean_doc], capsys)
         assert code == 0 and json.loads(out)["report"]["short_circuit"] is True
         # from_document checks the seed document once more on loading
-        assert calls == {"_closed_stars": 1, "check_total": 2}
+        assert calls == {"_judge": 1, "_closed_stars": 1, "check_total": 2}
 
 
 class TestVerify:
@@ -298,7 +298,8 @@ class TestDistinguishLow:
         calls = count_verifier_calls(monkeypatch)
         code, _, _ = run(["distinguish-low", "--in", clean_doc, "--json"], capsys)
         assert code == 0
-        assert calls == {"_closed_stars": 2, "violations": 1, "check_total": 3}
+        assert calls == {"_judge": 2, "_closed_stars": 1, "violations": 1,
+                         "check_total": 3}
 
 
 class TestSelections:
@@ -359,7 +360,7 @@ class TestSelections:
         code, _, _ = run([cmd, "--in", k4_file, "--json",
                           "--seed-coloring", clean_doc], capsys)
         assert code in (0, 1)
-        assert calls == {"_closed_stars": 1, "check_total": 2}
+        assert calls == {"_judge": 1, "_closed_stars": 1, "check_total": 2}
 
 
 class TestRepairingRun:
@@ -370,14 +371,15 @@ class TestRepairingRun:
         _, report = pipeline_mod.run_pipeline(random_gnp(200, 0.05, 0),
                                               params=PipelineParams(seed=0, lam=1.0))
         assert report.fallback_repairs == 2
-        assert calls == {"_closed_stars": 1, "violations": 1, "check_total": 1}
+        assert calls == {"_judge": 1, "violations": 1, "check_total": 1}
         # a supplied seed keeps its entry pass
         calls.clear()
         g = random_gnp(200, 0.05, 0)
         _, report = pipeline_mod.run_pipeline(g, greedy_total(g),
                                               PipelineParams(seed=0, lam=1.0))
         assert report.fallback_repairs == 2
-        assert calls == {"_closed_stars": 2, "violations": 1, "check_total": 2}
+        assert calls == {"_judge": 2, "_closed_stars": 1, "violations": 1,
+                         "check_total": 2}
 
 
 class TestImproperInput:

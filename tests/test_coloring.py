@@ -2,17 +2,20 @@
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from avdtotal import (DocumentError, Graph, TotalColoring, Violation,
-                      check_total, complete_graph, cycle_graph, from_document,
-                      greedy_total, path_graph, random_gnp, star_graph,
+import avdtotal.coloring as coloring
+from avdtotal import (DocumentError, Graph, PipelineParams, TotalColoring,
+                      Violation, check_total, complete_graph, cycle_graph,
+                      from_document, greedy_total, path_graph,
+                      random_gnp, random_regular, run_pipeline, star_graph,
                       to_document, verdict, violations)
 
 from helpers import (mask_of, naive_color_set, naive_is_avd, naive_is_proper,
-                     reference_properness_violations)
+                     reference_properness_violations, reference_violations)
 
 
 def p3_coloring():
@@ -269,6 +272,155 @@ class TestViolations:
         assert violations(g, phi) == []
         assert verdict(g, phi) == {"proper": True, "avd": True}
 
+
+
+def shifted(phi: TotalColoring, shift: int) -> TotalColoring:
+    """phi with shift added to every colour and to k."""
+    return TotalColoring(tuple(c + shift for c in phi.vertex_colors),
+                         {e: c + shift for e, c in phi.edge_colors.items()},
+                         phi.k + shift)
+
+
+def permuted(phi: TotalColoring, rng: random.Random, spread: int) -> TotalColoring:
+    """phi with its colours mapped one-to-one onto random colours in
+    1..k + spread, k growing to the largest; properness and colour-set
+    equality are kept, key order is not."""
+    used = sorted(phi.used_colors())
+    image = dict(zip(used, rng.sample(range(1, phi.k + spread + 1), len(used))))
+    return TotalColoring(tuple(image[c] for c in phi.vertex_colors),
+                         {e: image[c] for e, c in phi.edge_colors.items()},
+                         max(image.values(), default=phi.k))
+
+
+def colouring_of(g: Graph, kind: str, rng: random.Random) -> TotalColoring:
+    """A total colouring of g: uniformly random in a small palette, mostly
+    improper; or, with its colours permuted, a greedy seed, proper and
+    often not AVD, or a pipeline output, proper and AVD."""
+    if kind == "random":
+        k = rng.randint(1, 2 * g.max_degree + 2)
+        return TotalColoring(tuple(rng.randint(1, k) for _ in range(g.n)),
+                             {e: rng.randint(1, k) for e in g.edges}, k)
+    if kind == "greedy":
+        return permuted(greedy_total(g), rng, 10)
+    out, _ = run_pipeline(g, params=PipelineParams(seed=rng.randrange(2 ** 32)))
+    return permuted(out, rng, 10)
+
+
+class TestSortedKeyJudge:
+    """The sort-based properness check and the hash-then-confirm AVD check
+    against ``reference_violations``, the mask-based judge they replaced."""
+
+    @given(st.integers(0, 30), st.floats(0.0, 1.0), st.integers(0, 2 ** 32 - 1),
+           st.sampled_from(["random", "greedy", "solved"]))
+    @settings(max_examples=200, deadline=None)
+    def test_equals_reference(self, n, p, seed, kind):
+        g = random_gnp(n, p, seed)
+        phi = colouring_of(g, kind, random.Random(seed))
+        assert violations(g, phi) == reference_violations(g, phi)
+
+    def test_greedy_seeds_exercise_true_matches(self):
+        # most permuted greedy seeds are proper and not AVD, so the
+        # confirmation of true matches runs
+        found = 0
+        for seed in range(40):
+            g = random_gnp(20, 0.3, seed)
+            phi = colouring_of(g, "greedy", random.Random(seed))
+            got = violations(g, phi)
+            assert got == reference_violations(g, phi)
+            found += bool(got) and got[0].kind == "undistinguished-pair"
+        assert found >= 10
+
+    @given(st.integers(0, 24), st.floats(0.0, 1.0), st.integers(0, 2 ** 32 - 1),
+           st.sampled_from(["random", "greedy", "solved"]))
+    @settings(max_examples=100, deadline=None)
+    def test_confirmation_decides_when_every_hash_collides(self, n, p, seed, kind):
+        # with one hash for every colour, the sums match across every edge
+        # whose ends have equal degree; only the confirmation can tell them apart
+        g = random_gnp(n, p, seed)
+        phi = colouring_of(g, kind, random.Random(seed))
+        expected = reference_violations(g, phi)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(coloring, "_colour_hash",
+                       lambda colours: np.full(colours.shape, 7, dtype=np.uint64))
+            assert violations(g, phi) == expected
+
+    def test_regular_graphs_with_colliding_hashes(self, monkeypatch):
+        monkeypatch.setattr(coloring, "_colour_hash",
+                            lambda colours: np.zeros(colours.shape, dtype=np.uint64))
+        for g in (cycle_graph(7), complete_graph(6), random_regular(30, 4, 1)):
+            out, _ = run_pipeline(g)
+            assert violations(g, out) == []
+            seed = greedy_total(g)
+            assert violations(g, seed) == reference_violations(g, seed)
+
+    @pytest.mark.parametrize("shift", [2 ** 63 - 1, 2 ** 63, 2 ** 70])
+    def test_colours_beyond_int64(self, shift):
+        g = random_gnp(30, 0.3, 5)
+        rng = random.Random(5)
+        for kind in ("random", "greedy", "solved"):
+            phi = colouring_of(g, kind, rng)
+            assert violations(g, shifted(phi, shift)) == reference_violations(g, phi)
+
+    def test_keys_stay_within_int64(self):
+        # the colours fit in int64, but n * (largest + 1) does not: the
+        # colours are relabelled by rank, and the verdict does not move
+        g = random_gnp(30, 0.3, 5)
+        phi = colouring_of(g, "solved", random.Random(5))
+        big = shifted(phi, 2 ** 62)
+        vc, ec, stride = coloring._colour_arrays(g, big)
+        assert g.n * stride <= 2 ** 63
+        assert stride == len(big.used_colors()) + 1
+        assert sorted({*vc.tolist(), *ec.tolist()}) == list(range(1, stride))
+        assert violations(g, big) == reference_violations(g, phi) == []
+
+    def test_stride_from_largest_colour_present(self):
+        g = random_gnp(30, 0.3, 5)
+        phi = greedy_total(g)
+        wide = TotalColoring(phi.vertex_colors, phi.edge_colors, 2 ** 70)
+        vc, ec, stride = coloring._colour_arrays(g, wide)
+        assert stride == max(phi.used_colors()) + 1
+        assert vc.tolist() == list(phi.vertex_colors)
+        assert ec.tolist() == [phi.edge_colors[e] for e in g.edges]
+        assert violations(g, wide) == reference_violations(g, phi)
+
+    def test_edge_colours_read_in_edge_order(self):
+        # a dict in any key order gives the same verdict
+        g = random_gnp(25, 0.3, 2)
+        phi = colouring_of(g, "greedy", random.Random(2))
+        reordered = TotalColoring(phi.vertex_colors,
+                                  dict(reversed(phi.edge_colors.items())), phi.k)
+        assert violations(g, reordered) == violations(g, phi)
+        assert (coloring._colour_arrays(g, reordered)[1].tolist()
+                == [phi.edge_colors[e] for e in g.edges])
+
+    @pytest.mark.parametrize("g, phi", [
+        (Graph.build(0, []), TotalColoring((), {}, 0)),
+        (Graph.build(1, []), TotalColoring((2 ** 70,), {}, 2 ** 70)),
+        (Graph.build(3, []), TotalColoring((1, 1, 1), {}, 1)),
+        (Graph.build(5, [(1, 3)]), TotalColoring((1, 1, 2, 2, 1), {(1, 3): 3}, 3)),
+        (Graph.build(5, [(1, 3)]), TotalColoring((1, 1, 2, 1, 1), {(1, 3): 3}, 3)),
+        (Graph.build(5, [(1, 3), (3, 4)]),
+         TotalColoring((1, 1, 2, 2, 1), {(1, 3): 3, (3, 4): 3}, 3)),
+    ], ids=["n0", "n1-huge-colour", "edgeless", "isolated", "isolated-clash",
+            "isolated-edge-clash"])
+    def test_small_and_edgeless(self, g, phi, monkeypatch):
+        expected = (reference_violations(g, phi) if phi.k < 2 ** 63 else [])
+        assert violations(g, phi) == expected
+        monkeypatch.setattr(coloring, "_colour_hash",
+                            lambda colours: np.zeros(colours.shape, dtype=np.uint64))
+        assert violations(g, phi) == expected
+
+    def test_never_reads_stars(self):
+        class Starless(TotalColoring):
+            @property
+            def stars(self):
+                raise AssertionError("the verifier read phi.stars")
+
+        for g in (random_gnp(20, 0.4, 1), path_graph(3), Graph.build(0, [])):
+            for phi in (greedy_total(g), run_pipeline(g)[0]):
+                blind = Starless(phi.vertex_colors, phi.edge_colors, phi.k)
+                assert violations(g, blind) == reference_violations(g, phi)
+                assert verdict(g, blind) == verdict(g, phi)
 
 class TestPalette:
     def test_palette_size_counts_used_not_declared(self):

@@ -162,6 +162,35 @@ class TestBuildAgainstReference:
             assert fields(g) == reference_build(g.n, g.edges)
 
 
+class TestEndpointArray:
+    """``Graph._ends``: the edges as a read-only (m, 2) int64 array, built
+    once, or handed over by ``random_gnp``."""
+
+    @given(small_graphs(12))
+    @settings(max_examples=60, deadline=None)
+    def test_rows_are_the_edges(self, g):
+        ends = g._ends
+        assert ends.dtype == np.int64 and ends.shape == (len(g.edges), 2)
+        assert list(map(tuple, ends.tolist())) == list(g.edges)
+        assert g._ends is ends
+        with pytest.raises(ValueError):
+            ends[:1] = 0
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 300])
+    @pytest.mark.parametrize("p", [0, 0.3, 1])
+    def test_random_gnp_equals_build(self, n, p):
+        # random_gnp assembles its graph without Graph.build's checks
+        g = random_gnp(n, p, 5)
+        built = Graph.build(n, list(g.edges))
+        assert g == built and fields(g) == fields(built)
+        assert all(type(x) is int for e in g.edges for x in e)
+        assert all(type(a) is tuple for a in g.adjacency)
+        assert "_ends" in vars(g)  # handed over, not built on reading
+        assert g._ends.dtype == np.int64 and g._ends.shape == (len(g.edges), 2)
+        assert np.array_equal(g._ends, built._ends)
+        assert not g._ends.flags.writeable
+
+
 class TestDegreeSplit:
     def test_regular_graph_all_high(self):
         g = cycle_graph(5)

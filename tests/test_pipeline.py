@@ -1,7 +1,9 @@
 """End-to-end pipeline: recolouring, repair, and the full driver."""
 
 import gc
+from collections import Counter
 from fractions import Fraction
+from itertools import chain
 
 import pytest
 from hypothesis import given, settings
@@ -84,6 +86,21 @@ class TestRecolorUnion:
         with pytest.raises(ValueError, match=r"^selected edge \(2, 3\) is not in the graph$"):
             recolor_union(g, phi, [(0, 2), (9, 8), (13, 1)], [(12, 4), (3, 2), (0, 1)])
 
+
+    @given(st.integers(1, 40), st.floats(0.0, 1.0), st.integers(0, 2 ** 32 - 1),
+           st.randoms(use_true_random=False))
+    @settings(max_examples=80, deadline=None)
+    def test_union_degree_equals_counter(self, n, p, seed, rnd):
+        # the union and its maximum degree, counted over rows of g._ends,
+        # against a filter of g.edges and a Counter over its endpoints
+        g = random_gnp(n, p, seed)
+        if not g.edges:
+            return
+        chosen = set(rnd.sample(g.edges, rnd.randint(1, len(g.edges))))
+        union, degree = pipeline._union(g, chosen)
+        assert union == [e for e in g.edges if e in chosen]
+        assert degree == max(Counter(chain.from_iterable(union)).values())
+        assert type(degree) is int
 
 class TestRepairFallback:
     def test_fixes_fully_clashing_clique(self):
@@ -322,35 +339,39 @@ class TestRunPipeline:
         assert phi.stars is poison
 
     def test_masks_built_at_entry_and_exit_only(self, monkeypatch):
-        # every colour set is built by one pass over an edge-colour dict; a
-        # self-seeded run through every phase makes that pass on the result
-        # alone, as the greedy seed carries its masks and the phases keep
-        # them current; a supplied seed adds its entry pass
-        builds, changed = [], []
+        # a self-seeded run through every phase makes one verifier pass, on
+        # the result, and builds no colour set from an edge-colour dict: the
+        # greedy seed carries its masks, the phases keep them current and
+        # the verifier reads colours only; a supplied seed adds its entry
+        # pass, which builds the masks it hands on once
+        passes, builds, changed = [], [], []
 
-        def counting(*args):
-            builds.append(args)
-            return edge_masks(*args)
+        def recording(log, original):
+            def call(*args):
+                log.append(args)
+                return original(*args)
+            return call
 
         def low_degree(g, phi, **kwargs):
             out = distinguish_low(g, phi, **kwargs)
             changed.append(out.vertex_colors != phi.vertex_colors)
             return out
 
-        edge_masks, distinguish_low = coloring._edge_masks, distinguish_low_degree
-        monkeypatch.setattr(coloring, "_edge_masks", counting)
+        distinguish_low = distinguish_low_degree
+        monkeypatch.setattr(coloring, "_judge", recording(passes, coloring._judge))
+        monkeypatch.setattr(coloring, "_edge_masks", recording(builds, coloring._edge_masks))
         monkeypatch.setattr(pipeline, "distinguish_low_degree", low_degree)
         # two adjacent hubs stay light, so the patch stage checks B2_pair
         _, report = run_pipeline(hub_graph(4, 200, 3, 3),
                                  params=PipelineParams(lam=3.0, m=5, d=1))
         assert report.e1_rounds > 0 and report.e2_success is True
         assert report.fresh_palette_size > 0 and changed == [True]
-        # a run that repairs makes the same builds (tests/test_cli.py)
+        # a run that repairs makes the same passes (tests/test_cli.py)
         assert report.fallback_repairs == 0
-        assert len(builds) == 1
+        assert (len(passes), len(builds)) == (1, 0)
         g = hub_graph(4, 200, 3, 3)
         run_pipeline(g, greedy_total(g), PipelineParams(lam=3.0, m=5, d=1))
-        assert len(builds) == 3
+        assert (len(passes), len(builds)) == (3, 1)
 
     def test_rejects_mismatched_shape(self):
         g = cycle_graph(4)
