@@ -31,9 +31,9 @@ from pathlib import Path
 
 from . import bounds as bounds_mod
 from .bounds import DomainError
-from .coloring import (DocumentError, TotalColoring, _checked, _collector_paused,
-                       _document_json, _edge_records, _emit, _proper, from_document,
-                       verdict, violations)
+from .coloring import (DocumentError, TotalColoring, _collector_paused, _document_json,
+                       _emit, _proper, _require_proper, from_document, verdict,
+                       violations)
 from .exact import check_conjecture, chi_at_exact, chi_prime_exact, chi_total_exact
 from .graphs import Graph, Graph6Error, parse_dimacs, parse_graph6
 from .highdeg import (PipelineParams, find_bulk_deletion, find_patch_deletion,
@@ -80,16 +80,6 @@ def _load_document(path: str | None):
     except json.JSONDecodeError as exc:
         raise DocumentError(f"invalid JSON: {exc}") from None
     return from_document(doc)
-
-
-def _require_proper(g: Graph, phi: TotalColoring) -> TotalColoring:
-    """Reject an improper colouring document before a phase that trusts it;
-    returns a copy of phi carrying the masks the check built as its stars."""
-    found, checked = _checked(g, phi)
-    if not _proper(found):
-        raise DocumentError(f"colouring document is not proper: "
-                            f"{found[0].kind} at {found[0].witness}")
-    return checked
 
 
 def _params_from(args) -> PipelineParams:
@@ -211,11 +201,10 @@ def cmd_edge_color(args) -> Output:
     g = _load_graph(args)
     ec = vizing_color(g)
     used = len(ec.used_colors())
-    # the keys in sorted order, as _emit writes them
-    records = [f'{{"edge_colors": {_edge_records(g.edges, ec.colors)}, '
-               f'"palette_bound": {ec.k}, "used": {used}}}'] if args.json else []
-    return 0, records, [f"edge colouring with {used} colours (bound {ec.k})",
-                         *(f"  ({u}, {v}) -> {ec.colors[(u, v)]}" for u, v in g.edges)]
+    out = {"edge_colors": [{"u": u, "v": v, "c": ec.colors[(u, v)]} for u, v in g.edges],
+           "palette_bound": ec.k, "used": used}
+    return 0, [out], [f"edge colouring with {used} colours (bound {ec.k})",
+                      *(f"  ({u}, {v}) -> {ec.colors[(u, v)]}" for u, v in g.edges)]
 
 
 def cmd_seed_color(args) -> Output:

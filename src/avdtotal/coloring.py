@@ -45,7 +45,8 @@ class TotalColoring:
     def stars(self) -> tuple[int, ...]:
         """Every colour set as a closed-star bitmask, indexed by vertex: bit
         c of the mask of v is set when v or an edge at v has colour c.
-        Built on first read, or set by the phase that made this colouring."""
+        Set by the phase that made this colouring, else built by
+        ``_closed_stars`` on first read."""
         return _closed_stars(self)
 
     def used_colors(self) -> frozenset[int]:
@@ -85,22 +86,15 @@ def check_total(g: Graph, phi: TotalColoring) -> None:
             raise ValueError(f"{what} colour {bad} outside palette 1..{phi.k}")
 
 
-def _edge_masks(n: int, colored_edges) -> list[int]:
-    """Bitmask of the edge colours at each of n vertices, from ``((u, v),
-    colour)`` pairs: bit c set when an edge at v has colour c. The one pass
-    over an edge-colour dict that colour sets are built from."""
-    masks = [0] * n
-    for (u, v), c in colored_edges:
+def _closed_stars(phi: TotalColoring) -> tuple[int, ...]:
+    """The one builder of closed-star masks from an edge-colour dict, for
+    ``TotalColoring.stars``: one pass ORs each edge's colour bit into both
+    ends, then each vertex's own colour bit is added."""
+    masks = [0] * len(phi.vertex_colors)
+    for (u, v), c in phi.edge_colors.items():
         bit = 1 << c
         masks[u] |= bit
         masks[v] |= bit
-    return masks
-
-
-def _closed_stars(phi: TotalColoring) -> tuple[int, ...]:
-    """The one builder of closed-star masks, for ``TotalColoring.stars``
-    and, afresh on every call, for ``_checked``."""
-    masks = _edge_masks(len(phi.vertex_colors), phi.edge_colors.items())
     return tuple(m | 1 << c for m, c in zip(masks, phi.vertex_colors))
 
 
@@ -155,13 +149,24 @@ def violations(g: Graph, phi: TotalColoring) -> list[Violation]:
     return _judge(g, phi)
 
 
-def _checked(g: Graph, phi: TotalColoring) -> tuple[list[Violation], TotalColoring]:
-    """The ``violations`` pass, and a copy of phi carrying its closed stars,
-    built afresh, as its ``stars``: for a boundary that judges a colouring
-    and then hands it to phases that read its masks."""
+def _require_proper(g: Graph, phi: TotalColoring) -> TotalColoring:
+    """The one entry check for a colouring from outside, before a phase
+    trusts it; returns a fresh copy of phi whose masks are built when a
+    phase first reads them, never taken from ``phi.stars``.
+
+    ValueError unless k <= 2(n + |E|) + 1, which every run seeded by
+    ``greedy_total`` ends within and which bounds the width of every mask;
+    unless phi is a total assignment within 1..k (``check_total``); and
+    unless ``_judge`` finds it proper.
+    """
+    bound = 2 * (g.n + len(g.edges)) + 1
+    if phi.k > bound:
+        raise ValueError(f"palette k={phi.k} is above 2(n + |E|) + 1 = {bound}")
     check_total(g, phi)
-    return (_judge(g, phi),
-            _with_stars(_closed_stars(phi), phi.vertex_colors, phi.edge_colors, phi.k))
+    found = _judge(g, phi)
+    if not _proper(found):
+        raise ValueError(f"colouring is not proper: {found[0].kind} at {found[0].witness}")
+    return TotalColoring(phi.vertex_colors, phi.edge_colors, phi.k)
 
 
 # the key bound of ``_judge``: every key vertex*stride + colour is below it
@@ -303,13 +308,6 @@ def _emit(obj) -> str:
     return json.dumps(obj, sort_keys=True, allow_nan=False)
 
 
-def _edge_records(edges, colors: dict[Edge, int]) -> str:
-    """The JSON array of ``{"c", "u", "v"}`` records, one per edge in
-    order, as ``_emit`` writes it."""
-    return "[" + ", ".join([f'{{"c": {colors[e]}, "u": {e[0]}, "v": {e[1]}}}'
-                            for e in edges]) + "]"
-
-
 def _document_json(g: Graph, phi: TotalColoring, verified: dict[str, bool],
                    report: dict | None = None) -> str:
     """``_emit`` of the ``_document_body`` document, with report added as
@@ -321,7 +319,8 @@ def _document_json(g: Graph, phi: TotalColoring, verified: dict[str, bool],
     them raises ValueError as it would there.
     """
     parts = [
-        f'"edge_colors": {_edge_records(g.edges, phi.edge_colors)}',
+        '"edge_colors": [' + ", ".join([f'{{"c": {phi.edge_colors[e]}, "u": {e[0]}, '
+                                        f'"v": {e[1]}}}' for e in g.edges]) + "]",
         '"edges": [' + ", ".join([f"[{u}, {v}]" for u, v in g.edges]) + "]",
         f'"k": {phi.k}',
         f'"n": {g.n}',

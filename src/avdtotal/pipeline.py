@@ -18,7 +18,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .coloring import (TotalColoring, _checked, _collector_paused, _proper,
+from .coloring import (TotalColoring, _collector_paused, _require_proper,
                        _with_stars, violations)
 from .graphs import Edge, Graph, normalize_edge
 from .highdeg import (PipelineParams, find_bulk_deletion,
@@ -167,13 +167,14 @@ def run_pipeline(g: Graph, phi: TotalColoring | None = None,
     """Produce a distinguishing proper total colouring of g, with a report.
 
     Without phi the run seeds itself with ``greedy_total``, which is proper
-    by construction and carries its masks as its ``stars``; the run reads
-    them to decide whether the phases are needed (an edge whose endpoints
-    have equal masks) and makes no verifier pass on entry. A supplied phi
-    gets one verifier pass on entry instead, with its closed stars built
-    afresh, never read from ``phi.stars``: it must be proper total, and if
-    it is already distinguishing it is returned unchanged with that pass as
-    its verdict. Otherwise the phases run on a copy carrying those masks.
+    by construction and carries its masks as its ``stars``. A supplied phi
+    goes through ``coloring._require_proper`` instead, the one entry check:
+    its palette must be within 2(n + |E|) + 1, and it must be proper total.
+    The phases then run on the fresh copy that check returns, whose masks
+    are built from phi's colours on first read, never taken from
+    ``phi.stars``. On both paths those masks decide whether the phases are
+    needed: a colouring with no edge whose endpoints have equal masks is
+    returned unchanged, a supplied one with its entry check as its verdict.
 
     Each phase hands its result the masks it has kept current and trusts
     its input. The result, and a self-built seed that needed no phase, gets
@@ -194,16 +195,12 @@ def run_pipeline(g: Graph, phi: TotalColoring | None = None,
         built = phi is None
         if built:
             phi = greedy_total(g)
-    if built:
-        checked, stars = phi, phi.stars
-        clash = any(stars[u] == stars[v] for u, v in g.edges)
-    else:
+    checked = phi
+    if not built:
         with timed("verify_input"):
-            found, checked = _checked(g, phi)
-        if not _proper(found):
-            raise ValueError(f"seed colouring must be proper: "
-                             f"{found[0].kind} at {found[0].witness}")
-        clash = bool(found)
+            checked = _require_proper(g, phi)
+    stars = checked.stars
+    clash = any(stars[u] == stars[v] for u, v in g.edges)
     resolved = params.resolve(g)
     out = recolored = lowered = phi
     bulk = patch = _NOT_RUN

@@ -74,9 +74,10 @@ def improper_k4_doc(tmp_path):
 def count_verifier_calls(monkeypatch) -> Counter:
     """Count the verifier and its building blocks in every module that binds
     them, so calls across modules are seen too. ``_judge`` is the one
-    verifier pass: ``violations`` and the input checks of the pipeline and
-    the CLI each call it once. ``_closed_stars`` is the one mask builder:
-    only those input checks call it, once each, and hand the masks on."""
+    verifier pass: ``violations`` and the entry check ``_require_proper``,
+    which the pipeline and the CLI share, each call it once.
+    ``_closed_stars`` is the one mask builder: only the copy that the entry
+    check returns calls it, once, when a phase first reads its masks."""
     calls = Counter()
     for name in ("violations", "check_total", "_judge", "_closed_stars"):
         def counting(*args, _name=name, _original=getattr(coloring_mod, name)):
@@ -404,6 +405,71 @@ class TestImproperInput:
         code, out, _ = run(["verify", "--in", improper_k4_doc, "--json"], capsys)
         assert code == 1
         assert json.loads(out)["verified"] == {"avd": False, "proper": False}
+
+    def test_one_error_line(self, k4_file, improper_k4_doc, capsys):
+        # the one entry check words the refusal the same for every command,
+        # and for run_pipeline given the colouring itself
+        line = "colouring is not proper: vertex-vertex at (0, 1)"
+        errs = [run([cmd, "--in", k4_file, "--seed-coloring", improper_k4_doc,
+                     "--json"], capsys)[2] for cmd in ("color", "select-e1", "select-e2")]
+        errs.append(run(["distinguish-low", "--in", improper_k4_doc, "--json"],
+                        capsys)[2])
+        assert errs == [f"error: {line}\n"] * 4
+        g, phi = cli._load_document(improper_k4_doc)
+        with pytest.raises(ValueError, match=re.escape(line)):
+            run_pipeline(g, phi)
+
+
+def shifted_k5_doc(tmp_path, k5_file, capsys, shift):
+    """K_5's own ``color --json`` document with every colour and k raised by
+    shift, written to a file; returns its path and its k."""
+    code, out, _ = run(["color", "--in", k5_file, "--json"], capsys)
+    assert code == 0
+    doc = json.loads(out)
+    doc["k"] += shift
+    doc["vertex_colors"] = [c + shift for c in doc["vertex_colors"]]
+    doc["edge_colors"] = [{**r, "c": r["c"] + shift} for r in doc["edge_colors"]]
+    path = tmp_path / f"k5-shifted-{shift}.json"
+    path.write_text(json.dumps(doc))
+    return str(path), doc["k"]
+
+
+def phase_argv(cmd, k5_file, doc):
+    """cmd handing the colouring document doc to a phase, on K_5."""
+    if cmd == "distinguish-low":
+        return [cmd, "--in", doc, "--json"]
+    return [cmd, "--in", k5_file, "--seed-coloring", doc, "--json"]
+
+
+class TestPaletteBound:
+    """The entry check refuses k > 2(n + |E|) + 1 before any mask is built:
+    colours beyond 64 bits once ended in an OverflowError, and colours near
+    2**30 took seconds of mask arithmetic."""
+
+    PHASE_COMMANDS = ["distinguish-low", "color", "select-e1", "select-e2"]
+
+    @pytest.mark.parametrize("shift", [2 ** 70, 2 ** 30], ids=["2**70", "2**30"])
+    @pytest.mark.parametrize("cmd", PHASE_COMMANDS)
+    def test_huge_palette_refused(self, cmd, shift, k5_file, tmp_path, capsys):
+        doc, k = shifted_k5_doc(tmp_path, k5_file, capsys, shift)
+        code, out, err = run(phase_argv(cmd, k5_file, doc), capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert f"k={k}" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("shift", [2 ** 70, 2 ** 30], ids=["2**70", "2**30"])
+    def test_verify_still_accepts(self, shift, k5_file, tmp_path, capsys):
+        doc, _ = shifted_k5_doc(tmp_path, k5_file, capsys, shift)
+        code, out, _ = run(["verify", "--in", doc, "--json"], capsys)
+        assert code == 0
+        assert json.loads(out)["verified"] == {"avd": True, "proper": True}
+
+    @pytest.mark.parametrize("cmd", ["distinguish-low", "color"])
+    def test_own_document_accepted(self, cmd, k5_file, tmp_path, capsys):
+        doc, _ = shifted_k5_doc(tmp_path, k5_file, capsys, 0)
+        code, out, _ = run(phase_argv(cmd, k5_file, doc), capsys)
+        assert code == 0
+        assert json.loads(out)["verified"] == {"avd": True, "proper": True}
 
 
 class TestSmallTools:

@@ -17,7 +17,7 @@ from avdtotal import (Graph, PipelineParams, TotalColoring, cli, complete_graph,
                       random_gnp, recolor_union, repair_fallback, run_pipeline,
                       star_graph, to_document, verdict, violations)
 
-from helpers import hub_graph, reference_repair_fallback
+from helpers import connected_graphs, hub_graph, reference_repair_fallback
 from test_golden import CASES as GOLDEN_CASES
 
 
@@ -359,7 +359,7 @@ class TestRunPipeline:
 
         distinguish_low = distinguish_low_degree
         monkeypatch.setattr(coloring, "_judge", recording(passes, coloring._judge))
-        monkeypatch.setattr(coloring, "_edge_masks", recording(builds, coloring._edge_masks))
+        monkeypatch.setattr(coloring, "_closed_stars", recording(builds, coloring._closed_stars))
         monkeypatch.setattr(pipeline, "distinguish_low_degree", low_degree)
         # two adjacent hubs stay light, so the patch stage checks B2_pair
         _, report = run_pipeline(hub_graph(4, 200, 3, 3),
@@ -378,6 +378,31 @@ class TestRunPipeline:
         phi = greedy_total(cycle_graph(5))
         with pytest.raises(ValueError):
             run_pipeline(g, phi)
+
+
+class TestPaletteBound:
+    """The entry check's bound k <= 2(n + |E|) + 1 lets back in every
+    colouring a self-seeded run produces: the greedy seed uses at most
+    2Δ + 1 colours, the recolour adds at most Δ + 1 and the repair at most
+    one per edge, and Δ <= n - 1, Δ <= |E|."""
+
+    @staticmethod
+    def readmitted(g):
+        out, _ = run_pipeline(g)
+        assert out.k <= 2 * (g.n + len(g.edges)) + 1
+        again, report = run_pipeline(g, out)
+        assert again is out and report.short_circuit is True
+        coloring._require_proper(g, greedy_total(g))
+
+    @given(st.integers(0, 40), st.floats(0, 1), st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_random_graphs(self, n, p, seed):
+        self.readmitted(random_gnp(n, p, seed))
+
+    def test_small_connected_graphs(self):
+        for n in range(1, 7):
+            for g in connected_graphs(n):
+                self.readmitted(g)
 
 
 class TestCollectorPause:
@@ -418,7 +443,7 @@ class TestCollectorPause:
             monkeypatch.setattr(module, name, call)
 
         recording(pipeline, "greedy_total")
-        recording(pipeline, "_checked")
+        recording(pipeline, "_require_proper")
         recording(coloring, "verdict")
         (gc.enable if enabled else gc.disable)()
         g = cycle_graph(5)
@@ -427,7 +452,7 @@ class TestCollectorPause:
         to_document(g, out)
         assert gc.isenabled() is enabled
         bad = TotalColoring((1, 1, 2, 2, 3), out.edge_colors, out.k)
-        with pytest.raises(ValueError, match="seed colouring must be proper"):
+        with pytest.raises(ValueError, match="colouring is not proper"):
             run_pipeline(g, bad)
         assert gc.isenabled() is enabled
         with pytest.raises(ValueError, match="vertex colour count"):
