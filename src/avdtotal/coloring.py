@@ -356,6 +356,10 @@ def from_document(doc: dict) -> tuple[Graph, TotalColoring]:
     for key in ("edges", "vertex_colors", "edge_colors"):
         if not isinstance(doc[key], (list, tuple)):
             raise DocumentError(f"{key} must be a list")
+    vcs = doc["vertex_colors"]
+    # before the graph is built: a short document may claim any n
+    if n >= 0 and len(vcs) != n:
+        raise DocumentError("vertex_colors must list one integer per vertex")
     edges = []
     for e in doc["edges"]:
         if not (isinstance(e, (list, tuple)) and len(e) == 2 and all(map(_is_int, e))):
@@ -368,8 +372,7 @@ def from_document(doc: dict) -> tuple[Graph, TotalColoring]:
     k = doc["k"]
     if not _is_int(k) or k < 0:
         raise DocumentError("k must be a non-negative integer")
-    vcs = doc["vertex_colors"]
-    if len(vcs) != g.n or not all(map(_is_int, vcs)):
+    if not all(map(_is_int, vcs)):
         raise DocumentError("vertex_colors must list one integer per vertex")
     ecs: dict[Edge, int] = {}
     for item in doc["edge_colors"]:

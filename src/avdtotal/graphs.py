@@ -5,19 +5,25 @@ from __future__ import annotations
 import itertools
 import numbers
 import operator
+import re
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
 Edge = tuple[int, int]
 
 _G6_LOW = 63
-_G6_HIGH = 126
 # the graph6 size headers: a marker, then n in this many six-bit bytes,
 # for n up to the bound
 _G6_SIZES = (("", 1, 62), ("~", 3, 258047), ("~~", 6, (1 << 36) - 1))
+_G6_OUTSIDE = re.compile("[^?-~]")  # the alphabet is chr(63) .. chr(126)
+_G6_SET = re.compile("[^?]")  # "?" is 0, every other character sets a bit
+# a six-bit value's set bits as offsets from its most significant bit, and
+# each value's graph6 character
+_G6_BITS = tuple(tuple(b for b in range(6) if v >> 5 - b & 1) for v in range(64))
+_G6_CHARS = bytes(b + _G6_LOW & 255 for b in range(256))
 
 
 class Graph6Error(ValueError):
@@ -158,11 +164,6 @@ def degree_split(g: Graph) -> DegreeSplit:
 # ---------------------------------------------------------------------------
 # graph6
 
-def _g6_pairs(n: int) -> Iterator[Edge]:
-    """The pairs (i, j), i < j < n, in graph6 bit order: by column j, then i."""
-    return ((i, j) for j in range(1, n) for i in range(j))
-
-
 def _g6_header(n: int) -> str:
     """The shortest graph6 size header that holds n: its marker, then n in
     six-bit bytes, most significant first."""
@@ -182,9 +183,10 @@ def parse_graph6(text: str) -> Graph:
     s = s[start:]
     if not s:
         raise Graph6Error("empty graph6 string", start)
-    for i, ch in enumerate(s):
-        if not (_G6_LOW <= ord(ch) <= _G6_HIGH):
-            raise Graph6Error(f"character {ch!r} outside graph6 alphabet", start + i)
+    bad = _G6_OUTSIDE.search(s)
+    if bad:
+        raise Graph6Error(f"character {bad.group()!r} outside graph6 alphabet",
+                          start + bad.start())
     # "~" opens an extended header, "~~" the longer one; n is read from
     # the six-bit bytes after it
     marker = "~~" if s.startswith("~~") else "~" if s[0] == "~" else ""
@@ -206,8 +208,22 @@ def parse_graph6(text: str) -> Graph:
             start + offset + len(body))
     if len(body) > nbytes:
         raise Graph6Error("stray characters after bit vector", start + offset + nbytes)
-    bits = "".join(f"{ord(ch) - _G6_LOW:06b}" for ch in body)
-    return Graph.build(n, [pair for pair, bit in zip(_g6_pairs(n), bits) if bit == "1"])
+    # bit j(j - 1)/2 + i stands for the pair i < j, so the set bits, read
+    # in order, walk the columns j upwards; padding bits past nbits are
+    # ignored. Each row i collects its j ascending, so the rows read in
+    # order give the edges sorted.
+    rows: list[list[int]] = [[] for _ in range(n)]
+    j, column = 1, 0  # column j holds the bits column .. column + j - 1
+    for byte in _G6_SET.finditer(body):
+        for bit in _G6_BITS[ord(byte.group()) - _G6_LOW]:
+            index = 6 * byte.start() + bit
+            if index >= nbits:
+                break
+            while index >= column + j:
+                column += j
+                j += 1
+            rows[index - column].append(j)
+    return _assemble(n, tuple((i, j) for i, row in enumerate(rows) for j in row))
 
 
 def write_graph6(g: Graph) -> str:
@@ -215,10 +231,11 @@ def write_graph6(g: Graph) -> str:
     n <= 62, then "~" plus three bytes, then "~~" plus six, up to
     n = 2**36 - 1."""
     header = _g6_header(g.n)
-    bits = "".join("1" if pair in g.edge_set else "0" for pair in _g6_pairs(g.n))
-    bits += "0" * (-len(bits) % 6)
-    return header + "".join(
-        chr(int(bits[i:i + 6], 2) + _G6_LOW) for i in range(0, len(bits), 6))
+    body = bytearray((g.n * (g.n - 1) // 2 + 5) // 6)
+    for i, j in g.edges:
+        index = j * (j - 1) // 2 + i
+        body[index // 6] |= 32 >> index % 6
+    return header + body.translate(_G6_CHARS).decode("ascii")
 
 
 # ---------------------------------------------------------------------------

@@ -99,6 +99,16 @@ def reference_build(n: int, edges) -> tuple:
             max((len(a) for a in adjacency), default=0))
 
 
+def reference_graph6_body(n: int, edges) -> str:
+    """The graph6 bit vector after the size header, by walking every pair
+    i < j in column order (j = 1 .. n - 1, then i), six bits a character."""
+    edge_set = set(edges)
+    bits = "".join("1" if (i, j) in edge_set else "0"
+                   for j in range(1, n) for i in range(j))
+    bits += "0" * (-len(bits) % 6)
+    return "".join(chr(int(bits[k:k + 6], 2) + 63) for k in range(0, len(bits), 6))
+
+
 def canonical_form(n: int, edges: frozenset[tuple[int, int]]) -> int:
     """Smallest adjacency bitmask over all vertex relabelings."""
     best = None

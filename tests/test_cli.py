@@ -17,8 +17,8 @@ from fractions import Fraction
 import pytest
 
 from avdtotal import (Graph, PipelineParams, TotalColoring, cli, complete_graph,
-                      cycle_graph, greedy_total, random_gnp, run_pipeline,
-                      star_graph, to_document, write_graph6)
+                      cycle_graph, greedy_total, path_graph, random_gnp,
+                      run_pipeline, star_graph, to_document, write_graph6)
 from avdtotal import bounds as bounds_mod
 from avdtotal import coloring as coloring_mod
 from avdtotal import pipeline as pipeline_mod
@@ -338,13 +338,12 @@ class TestSelections:
         assert got["patch"]["infeasible_vertex"] == 0
 
     def test_patch_draws_B_edges_at_each_light_vertex(self, tmp_path, capsys):
-        # the CI console-script check's input: at lambda 6 the bulk stage
-        # leaves light vertices with room to draw
+        # at lambda 6 the bulk stage leaves light vertices with room to draw
         p = tmp_path / "gnp20.g6"
         p.write_text(write_graph6(random_gnp(20, 0.5, 2)) + "\n")
         code, out, _ = run(["select-e2", "--in", str(p), "--m", "5", "--d", "1",
                             "--lambda", "6", "--seed", "2", "--json"], capsys)
-        got = json.loads(out)
+        got = strict_loads(out)
         patch, light = got["patch"], got["light"]
         assert code == 0 and patch["success"] is True
         assert light and patch["infeasible_vertex"] is None and patch["rounds"] > 1
@@ -615,7 +614,7 @@ class TestBounds:
         code, out, _ = run(["bounds", "--cmd", "lll", "--delta", "10",
                             "--json"], capsys)
         assert code == 0
-        got = json.loads(out)
+        got = strict_loads(out)
         assert got["feasible"] is False
         assert any("pair-event" in note for note in got["notes"])
 
@@ -751,6 +750,8 @@ class TestExtremeFiniteInput:
           for tail in ("upper", "lower")],
         pytest.param(["bounds", "--cmd", "tail", "--tail", "lower", "--n", "100",
                       "--p", "1/" + HUGE, "--m", "5"], "n*p", id="lower-tail-tiny-p"),
+        pytest.param(["bounds", "--cmd", "c0", "--eps", "1e-200"], "eps",
+                     id="c0-tiny-eps"),
         pytest.param(["bounds", "--cmd", "c0", "--lambda", "1e300"], "M",
                      id="c0-lambda"),
         pytest.param(["bounds", "--cmd", "lll", "--lambda", "1e300", "--delta", "100"],
@@ -887,6 +888,7 @@ def inputs(tmp_path):
     (tmp_path / "k5.g6").write_text("D~{\n")
     (tmp_path / "gnp12.g6").write_text(write_graph6(random_gnp(12, 0.5, 0)) + "\n")
     (tmp_path / "corpus.g6").write_text("C~\nD~{\n")
+    (tmp_path / "eoqo.g6").write_text("Eoqo\n")
     (tmp_path / "k4.json").write_text(json.dumps(to_document(g, greedy_total(g))))
     return tmp_path
 
@@ -922,6 +924,132 @@ class TestTextOutput:
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and err.count("\n") == 1
         assert err.endswith("\n")
+
+
+def proper_edge_colouring(got):
+    """edge-color's record: no colour twice at a vertex, none above the bound."""
+    ends = [(r[e], r["c"]) for r in got["edge_colors"] for e in "uv"]
+    return (len(set(ends)) == len(ends)
+            and max(r["c"] for r in got["edge_colors"]) <= got["palette_bound"])
+
+
+BOTH = {"proper": True, "avd": True}
+NOT_AVD = {"proper": True, "avd": False}
+# K_5, C_5 and P_6 as the graph6 writer writes them
+CORPUS = "".join(write_graph6(g) + "\n"
+                 for g in (complete_graph(5), cycle_graph(5), path_graph(6)))
+
+# The command-line contract beyond the tests above, one row per check. A
+# row holds a pipe of commands, the first reading the row's stdin and each
+# later one the stdout of the one before, which must exit 0 with nothing on
+# stderr; the last command's exit code; a predicate on its stdout lines,
+# each parsed by strict_loads, or None where stdout stays empty; and a
+# pattern its whole stderr must match. An argv item ending in .g6 names a
+# file of the inputs fixture. D~{ is K_5, Esa? the star K_{1,5}, and the
+# greedy seed of Eoqo is proper but not AVD.
+CONTRACT = {
+    "k5-seed-color|verify": (
+        [["seed-color", "--json"], ["verify", "--json"]], "D~{\n", 1,
+        lambda got: got["verified"] == NOT_AVD, ""),
+    "k5-select-e1": (
+        [["select-e1", "--json"]], "D~{\n", 1,
+        lambda got: got["success"] is False and got["forced"] == [0, 1, 2, 3, 4], ""),
+    "bounds-c0": (
+        [["bounds", "--cmd", "c0", "--json"]], "", 0,
+        lambda got: got["feasible"] is True and got["inputs"]["M"] == 268, ""),
+    "bounds-lll-1e100": (
+        [["bounds", "--cmd", "lll", "--ln-delta", "1e100", "--json"]], "", 0,
+        lambda got: got["feasible"] is False, ""),
+    "bounds-lll-1e308": (
+        [["bounds", "--cmd", "lll", "--ln-delta", "1e308", "--json"]], "", 0,
+        lambda got: got["feasible"] is True, ""),
+    "bounds-lll-search-to-1e308": (
+        [["bounds", "--cmd", "lll", "--search-lo", "0.7", "--search-hi", "1e308",
+          "--json"]], "", 0,
+        # test_bounds.THRESHOLD_DERIVED
+        lambda got: got["details"]["ln_delta_star"] == pytest.approx(1.0414441e171,
+                                                                     rel=1e-6), ""),
+    "star-color-lambda-2": (
+        [["color", "--lambda", "2", "--json"]], "Esa?\n", 0,
+        lambda got: [got["report"][k] for k in ("lam", "M", "p")] == [2.0, 11, 0.4], ""),
+    "bounds-constants-lambda-2": (
+        [["bounds", "--cmd", "constants", "--delta", "5", "--lambda", "2", "--json"]],
+        "", 0, lambda got: [got[k] for k in ("lam", "M", "p")] == [2.0, 11, 0.4], ""),
+    "k5-edge-color": (
+        [["edge-color", "--json"]], "D~{\n", 0, proper_edge_colouring, ""),
+    "star-edge-color": (
+        [["edge-color", "--json"]], "Esa?\n", 0,
+        lambda got: proper_edge_colouring(got) and got["used"] == 5, ""),
+    "header-then-truncated-line": (
+        [["color"]], ">>graph6<<D~\n", 2, None,
+        r"error: truncated bit vector: expected 2 bytes, found 1 \(byte 12\)\n"),
+    "dimacs-underscore-size": (
+        [["color", "--format", "dimacs"]], "p edge 1_0 1\ne 1 2\n", 2, None,
+        r"error: line 1: non-integer problem sizes\n"),
+    "eoqo-seed-color|verify": (
+        [["seed-color", "--json"], ["verify", "--json"]], "Eoqo\n", 1,
+        lambda got: got["verified"] == NOT_AVD, ""),
+    "eoqo-seed-color|distinguish-low|verify": (
+        [["seed-color", "--json"], ["distinguish-low", "--json"], ["verify", "--json"]],
+        "Eoqo\n", 0, lambda got: got["verified"] == BOTH, ""),
+    "eoqo-seed-color|select-e1": (
+        [["seed-color", "--json"],
+         ["select-e1", "--in", "eoqo.g6", "--seed-coloring", "-", "--json"]],
+        "Eoqo\n", 1, lambda got: got["success"] is False, ""),
+    "k5-bench-one-run": (
+        [["bench", "--runs", "1", "--json"]], "D~{\n", 0,
+        lambda row, summary: row["verified"] is True and summary["runs"] == 1
+        and summary["all_verified"] is True, ""),
+    "k5-exact-chi-total": (
+        [["exact", "--stat", "chi_total", "--json"]], "D~{\n", 0,
+        lambda got: got["value"] == 5, ""),
+    "k5-exact-chi-at": (
+        [["exact", "--stat", "chi_at", "--json"]], "D~{\n", 0,
+        lambda got: got["value"] == 7, ""),
+    "written-corpus-conjecture": (
+        [["check-conjecture", "--corpus", "-", "--json"]], CORPUS, 0,
+        lambda *lines: len(lines) == 4 and lines[-1]["graphs"] == 3
+        and lines[-1]["violations"] == [], ""),
+    "star-color-short-circuits": (
+        [["color", "--json"]], "Esa?\n", 0,
+        lambda got: got["report"]["short_circuit"] is True and got["verified"] == BOTH, ""),
+    "huge-n-document-verify": (
+        [["verify", "--json"]],
+        '{"n": 1000000000000, "edges": [], "k": 1, "vertex_colors": [1], '
+        '"edge_colors": []}', 2, None,
+        r"error: vertex_colors must list one integer per vertex\n"),
+    "star-color|verify": (
+        [["color", "--json"], ["verify", "--json"]], "Esa?\n", 0,
+        lambda got: got["verified"] == BOTH and got["violations"] == [], ""),
+}
+
+
+class TestContract:
+    @pytest.mark.parametrize("name", list(CONTRACT))
+    def test_row(self, name, inputs, capsys, monkeypatch):
+        pipe, out, want_code, holds, want_err = CONTRACT[name]
+        for i, argv in enumerate(pipe):
+            monkeypatch.setattr(sys, "stdin", io.StringIO(out))
+            code, out, err = run([str(inputs / a) if a.endswith(".g6") else a
+                                  for a in argv], capsys)
+            if i < len(pipe) - 1:
+                assert (code, err) == (0, "")
+        assert code == want_code
+        assert re.fullmatch(want_err, err)
+        if holds is None:
+            assert out == ""
+        else:
+            assert holds(*map(strict_loads, out.splitlines()))
+
+    def test_entry_exits_with_main_code(self, inputs, clashing_doc, capsys, monkeypatch):
+        # the console script is entry(), which hands main's code to sys.exit
+        for doc, want in ((str(inputs / "k4.json"), 0), (clashing_doc, 1),
+                          ("/no/such/file.json", 2)):
+            monkeypatch.setattr(sys, "argv", ["avdtotal", "verify", "--in", doc])
+            with pytest.raises(SystemExit) as exc:
+                cli.entry()
+            assert exc.value.code == want
+        capsys.readouterr()
 
 
 class TestSharedFlags:

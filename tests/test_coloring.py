@@ -1,6 +1,7 @@
 """Colour sets, verifiers, and the JSON document round trip."""
 
 import random
+import time
 
 import numpy as np
 import pytest
@@ -521,6 +522,20 @@ class TestDocuments:
         doc = to_document(g, phi)
         doc["edge_colors"][0][key] = value
         with pytest.raises(DocumentError):
+            from_document(doc)
+
+    def test_vertex_count_checked_before_the_graph(self):
+        # the graph was built first: n = 3 000 000 took 1.5 s and 279 MB
+        doc = {"n": 10 ** 12, "edges": [], "k": 1, "vertex_colors": [1],
+               "edge_colors": []}
+        t0 = time.perf_counter()
+        with pytest.raises(DocumentError,
+                           match="^vertex_colors must list one integer per vertex$"):
+            from_document(doc)
+        assert time.perf_counter() - t0 < 0.1
+        # a negative n is still the graph's to refuse
+        doc.update(n=-1, vertex_colors=[])
+        with pytest.raises(DocumentError, match="^bad graph data: vertex count"):
             from_document(doc)
 
     def test_self_loop_edge_rejected(self):

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import re
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -17,7 +18,8 @@ from avdtotal import (CapacityError, DimacsError, Graph, Graph6Error,
                       star_graph, to_document, write_graph6)
 from avdtotal import graphs as graphs_mod
 
-from helpers import canonical_form, connected_graphs, reference_build
+from helpers import (canonical_form, connected_graphs, reference_build,
+                     reference_graph6_body)
 
 
 def small_graphs(max_n=10):
@@ -321,13 +323,28 @@ class TestGraph6:
         assert parse_graph6("~???") == Graph.build(0, [])
         assert parse_graph6("~~?????C~") == complete_graph(4)
 
-    @given(n=st.integers(63, 140), p=st.floats(0, 1), seed=st.integers(0, 2 ** 32))
+    @given(n=st.integers(63, 300), p=st.floats(0, 1), seed=st.integers(0, 2 ** 32))
     @settings(max_examples=25, deadline=None)
     def test_round_trip_extended(self, n, p, seed):
         g = random_gnp(n, p, seed)
         s = write_graph6(g)
+        assert s == graphs_mod._g6_header(n) + reference_graph6_body(n, g.edges)
         assert s[0] == "~" and parse_graph6(s) == g
         assert write_graph6(parse_graph6(">>graph6<<" + s + "\n")) == s
+
+    def test_padding_bits_ignored(self):
+        # the bits past n(n - 1)/2 that fill the last character
+        assert parse_graph6("B~") == complete_graph(3)
+        assert parse_graph6("~??~" + "~" * 326) == complete_graph(63)
+
+    def test_large_round_trip(self):
+        # both directions walked all n(n - 1)/2 pairs in Python: about 13 s
+        # each way for this graph of 42 000 edges
+        g = random_gnp(5000, 0.004, 7)
+        t0 = time.perf_counter()
+        h = parse_graph6(write_graph6(g))
+        assert time.perf_counter() - t0 < 1.0
+        assert h == g
 
     @given(small_graphs(max_n=12))
     @settings(max_examples=60)
