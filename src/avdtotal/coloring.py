@@ -23,6 +23,7 @@ import itertools
 import json
 from contextlib import contextmanager
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
@@ -187,6 +188,14 @@ def _colour_hash(colours: np.ndarray) -> np.ndarray:
     return z ^ z >> s3
 
 
+def _edge_colours(g: Graph, phi: TotalColoring) -> Iterable[int]:
+    """phi's edge colours as an iterable in ``g.edges`` order. Every phase
+    builds its edge-colour dict in that order; the values are then read
+    without a lookup per edge."""
+    ecol = phi.edge_colors
+    return ecol.values() if tuple(ecol) == g.edges else map(ecol.__getitem__, g.edges)
+
+
 def _colour_arrays(g: Graph, phi: TotalColoring) -> tuple[np.ndarray, np.ndarray, int]:
     """phi's vertex colours, its edge colours in ``g.edges`` order, both as
     int64 arrays, and a stride above every colour in them, for g with at
@@ -198,13 +207,9 @@ def _colour_arrays(g: Graph, phi: TotalColoring) -> tuple[np.ndarray, np.ndarray
     colours for equality only, which relabelling keeps.
     """
     vcol, ecol = phi.vertex_colors, phi.edge_colors
-    # every phase builds its edge-colour dict in g.edges order; the values
-    # are then read in that order without a lookup per edge
-    colours = (ecol.values() if tuple(ecol) == g.edges
-               else map(ecol.__getitem__, g.edges))
     try:
         vc = np.array(vcol, dtype=np.int64)
-        ec = np.fromiter(colours, dtype=np.int64, count=len(g.edges))
+        ec = np.fromiter(_edge_colours(g, phi), dtype=np.int64, count=len(g.edges))
         stride = int(max(vc.max(), ec.max())) + 1
         if g.n * stride <= _KEY_LIMIT:
             return vc, ec, stride
@@ -313,15 +318,22 @@ def _document_json(g: Graph, phi: TotalColoring, verified: dict[str, bool],
     """``_emit`` of the ``_document_body`` document, with report added as
     its ``report`` field unless None, written as text in one pass.
 
-    The three arrays are formatted element by element and the top-level
-    keys written in sorted order; only the small ``report`` and
-    ``verified`` dicts go through ``_emit``, so a non-finite float in
-    them raises ValueError as it would there.
+    The two edge arrays are each written by one %-format over a flat list
+    of their numbers, the top-level keys in sorted order; only the small
+    ``report`` and ``verified`` dicts go through ``_emit``, so a
+    non-finite float in them raises ValueError as it would there.
     """
+    m = len(g.edges)
+    ends = list(itertools.chain.from_iterable(g.edges))
+    # c, u, v for each edge in turn
+    triples = [0] * (3 * m)
+    triples[0::3] = _edge_colours(g, phi)
+    triples[1::3] = ends[0::2]
+    triples[2::3] = ends[1::2]
     parts = [
-        '"edge_colors": [' + ", ".join([f'{{"c": {phi.edge_colors[e]}, "u": {e[0]}, '
-                                        f'"v": {e[1]}}}' for e in g.edges]) + "]",
-        '"edges": [' + ", ".join([f"[{u}, {v}]" for u, v in g.edges]) + "]",
+        '"edge_colors": [' + ", ".join(['{"c": %s, "u": %s, "v": %s}'] * m) % tuple(triples)
+        + "]",
+        '"edges": [' + ", ".join(["[%s, %s]"] * m) % tuple(ends) + "]",
         f'"k": {phi.k}',
         f'"n": {g.n}',
     ]

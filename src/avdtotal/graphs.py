@@ -87,7 +87,6 @@ class Graph:
                      for u, v in edges]
         # an insertion-ordered dict, not a set, dedupes: sorting its keys
         # is linear when the edges arrive sorted, as from most generators
-        # and DIMACS text in edge order
         seen: dict[Edge, None] = {}
         for u, v in edges:
             if u == v:
@@ -118,8 +117,8 @@ class Graph:
     @cached_property
     def _ends(self) -> np.ndarray:
         """The edges as a read-only (m, 2) int64 array, row i holding
-        ``edges[i]``; built on first read, or set by the generator that
-        made the graph."""
+        ``edges[i]``; built on first read, or set by the generator or
+        DIMACS reader that made the graph."""
         ends = np.fromiter(itertools.chain.from_iterable(self.edges), dtype=np.int64,
                            count=2 * len(self.edges)).reshape(-1, 2)
         ends.flags.writeable = False
@@ -141,6 +140,16 @@ def _assemble(n: int, ordered: tuple[Edge, ...]) -> Graph:
         adj[v].append(u)
     return Graph(n=n, edges=ordered, adjacency=tuple(map(tuple, adj)),
                  edge_set=frozenset(ordered), max_degree=max(map(len, adj), default=0))
+
+
+def _from_ends(n: int, ends: np.ndarray) -> Graph:
+    """``_assemble`` of the edges in the (m, 2) int64 array ends, which must
+    meet its conditions row by row, with ``_ends`` set to ends, made
+    read-only."""
+    g = _assemble(n, tuple(zip(ends[:, 0].tolist(), ends[:, 1].tolist())))
+    ends.flags.writeable = False
+    object.__setattr__(g, "_ends", ends)
+    return g
 
 
 @dataclass(frozen=True)
@@ -241,12 +250,46 @@ def write_graph6(g: Graph) -> str:
 # ---------------------------------------------------------------------------
 # DIMACS .col
 
+# a DIMACS text the array reader takes, its lines joined by "\n": comment or
+# empty lines, the problem line spaced by single blanks, then only edge
+# records whose endpoints are at most 18 ASCII digits, which int64 holds
+_DIMACS_PLAIN = re.compile(
+    r"(?:c[^\n]*\n|\n)*p edge ([0-9]+) [0-9]+((?:\ne [0-9]{1,18} [0-9]{1,18})*)")
+
+
 def parse_dimacs(text: str) -> Graph:
     """Read DIMACS colouring format: one ``p edge n m`` line, ``e u v`` lines
     with 1-based endpoints. Comments are skipped, duplicate edges collapse,
-    self-loops are rejected. Every number is a run of ASCII digits, checked
-    before ``int`` reads it, since ``int`` also takes signs, underscores and
-    other scripts' digits."""
+    self-loops are rejected. Every number is a run of ASCII digits.
+
+    Two readers share the work, and give the same graph or error on every
+    text. The array reader takes a text of comment or empty lines, the
+    problem line and then only edge records, each single-spaced, with
+    endpoints of at most 18 digits, in range and never equal: it reads
+    every endpoint in one numpy call, with no Python step per line. Every
+    other text, and every text that breaks a rule, goes to the line reader
+    ``_parse_dimacs_lines``, the one place that names a fault and its line.
+    """
+    plain = _DIMACS_PLAIN.fullmatch("\n".join(text.splitlines()))
+    if plain is not None:
+        n = int(plain[1])
+        ends = np.fromstring(plain[2].replace("e", " "), np.int64, sep=" ").reshape(-1, 2) - 1
+        u, v = ends[:, 0], ends[:, 1]
+        # n * n bounds every key lo * n + hi in int64
+        if (n * n <= 1 << 63 and (not ends.size or 0 <= ends.min() <= ends.max() < n)
+                and (u != v).all()):
+            lo, hi = np.minimum(u, v), np.maximum(u, v)
+            keys = lo * n + hi
+            if (keys[1:] <= keys[:-1]).any():
+                lo, hi = np.divmod(np.unique(keys), n)
+            return _from_ends(n, np.column_stack((lo, hi)))
+    return _parse_dimacs_lines(text)
+
+
+def _parse_dimacs_lines(text: str) -> Graph:
+    """``parse_dimacs`` one line at a time, for any text. Every number is
+    checked to be a run of ASCII digits before ``int`` reads it, since
+    ``int`` also takes signs, underscores and other scripts' digits."""
     n: int | None = None
     edges: list[Edge] = []
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -362,11 +405,7 @@ def random_gnp(n: int, p: float, seed: int) -> Graph:
         chunks.append(np.column_stack((i, hits - offsets[i] + i + 1)))
     # the pairs come out distinct, in range and in lexicographic order, so
     # the graph is assembled without Graph.build's checks
-    ends = np.concatenate(chunks)
-    g = _assemble(n, tuple(zip(ends[:, 0].tolist(), ends[:, 1].tolist())))
-    ends.flags.writeable = False
-    object.__setattr__(g, "_ends", ends)
-    return g
+    return _from_ends(n, np.concatenate(chunks))
 
 
 def random_regular(n: int, d: int, seed: int) -> Graph:

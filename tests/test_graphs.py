@@ -367,6 +367,47 @@ class TestGraph6:
         assert all(write_graph6(parse_graph6(s)) == s for s in lines)
 
 
+# pieces of DIMACS text: mostly the single-spaced, newline-broken form the
+# array reader takes, mixed with every spelling only the line reader judges
+_BREAKS = st.sampled_from(["\n"] * 6 + ["\r\n", "\r", "\x0c", "\x0b", "\x85", "\u2028"])
+_GAPS = st.sampled_from([" "] * 8 + ["  ", "\t", "\u3000", "\xa0"])
+_NOISE = st.sampled_from(["", "c", "c a comment", "comment", "  c indented", "\t",
+                          "q 1 2", "p edge 3 1", "e", "e 1", "e 1 2 3"])
+# tokens the array reader refuses: no ASCII digit run, or more than 18 digits
+_ODD_TOKENS = st.sampled_from(["x", "-1", "+1", "1_0", "\u00b2", "\uff12",
+                               "9" * 20, "0" * 19 + "1"])
+
+
+@st.composite
+def dimacs_texts(draw):
+    n = draw(st.integers(0, 7))
+
+    def number(value):  # an odd token stays as it is
+        if isinstance(value, str):
+            return value
+        return "0" * draw(st.sampled_from([0, 0, 0, 1, 2])) + str(value)
+
+    def record(*tokens):
+        return tokens[0] + "".join(draw(_GAPS) + t for t in tokens[1:])
+
+    # mostly distinct endpoints in range, in either order; now and then a
+    # self-loop, an endpoint out of range or an odd token
+    distinct = (st.tuples(st.integers(1, n), st.integers(1, n - 1)).map(
+        lambda uv: (uv[0], uv[1] + (uv[1] >= uv[0]))) if n >= 2 else st.nothing())
+    endpoint = st.one_of(st.integers(0, n + 1), _ODD_TOKENS)
+    pair = st.one_of([distinct] * 8 + [st.tuples(endpoint, endpoint)])
+    edge = pair.map(lambda ab: record("e", *map(number, ab)))
+    lines = draw(st.lists(st.sampled_from(["", "c", "c x", "comment"]), max_size=2))
+    lines.append(record("p", "edge", number(n), number(draw(st.integers(0, 9)))))
+    lines += draw(st.lists(st.one_of([edge] * 6 + [_NOISE]), max_size=12))
+    if draw(st.integers(0, 9)) == 0:
+        del lines[draw(st.integers(0, len(lines) - 1))]
+    breaks = [draw(_BREAKS) for _ in lines]
+    if breaks and draw(st.booleans()):
+        breaks[-1] = ""
+    return "".join(line + br for line, br in zip(lines, breaks))
+
+
 class TestDimacs:
     def test_basic(self):
         text = "c a triangle\np edge 3 3\ne 1 2\ne 2 3\ne 1 3\n"
@@ -453,6 +494,10 @@ class TestDimacs:
         ("p edge 2 1\né 1 2\n", "line 2: unrecognised record 'é'"),
         ("", "missing problem line 'p edge <n> <m>'"),
         ("comment\ncx 1 2\n\t\n", "missing problem line 'p edge <n> <m>'"),
+        # int64 would saturate this endpoint at 2**63 - 1, in range for no n
+        ("p edge 3 1\ne 1 99999999999999999999\n", "line 2: endpoint out of range"),
+        # lo * n + hi would overflow int64 at this n
+        ("p edge 99999999999999999999 1\ne 1 1\n", "line 2: self-loop at vertex 1"),
     ])
     def test_every_error_pinned(self, text, message):
         with pytest.raises(DimacsError) as exc:
@@ -465,6 +510,37 @@ class TestDimacs:
 
     def test_leading_zeros_are_digits(self):
         assert parse_dimacs("p edge 03 1\ne 01 003\n").edges == ((0, 2),)
+
+    @pytest.mark.parametrize("text", [
+        "p edge 4 3\ne 1 2\ne 2 3\ne 3 4\n",
+        "c header\n\ncomment\np edge 4 0\n",
+        "p edge 0 0",
+        "p edge 04 5\r\ne 4 1\r\ne 02 3\r\ne 1 4\r\ne 3 2\r\ne 1 3",
+    ], ids=["sorted", "no-edges", "empty-graph", "reversed-duplicates-crlf"])
+    def test_plain_text_skips_the_line_reader(self, text, monkeypatch):
+        expected = graphs_mod._parse_dimacs_lines(text)
+
+        def refuse(text):
+            raise AssertionError("plain text reached the line reader")
+
+        monkeypatch.setattr(graphs_mod, "_parse_dimacs_lines", refuse)
+        g = parse_dimacs(text)
+        assert (g.edges, g.adjacency, g._ends.tolist()) == (
+            expected.edges, expected.adjacency, [list(e) for e in expected.edges])
+
+    @given(dimacs_texts())
+    @settings(max_examples=300, deadline=None)
+    def test_readers_agree(self, text):
+        def read(reader):
+            try:
+                g = reader(text)
+            except DimacsError as exc:
+                return str(exc)
+            ends = g._ends
+            return (g.n, g.edges, g.adjacency, g.max_degree, ends.dtype, ends.flags.writeable,
+                    ends.tolist() == [list(e) for e in g.edges])
+
+        assert read(parse_dimacs) == read(graphs_mod._parse_dimacs_lines)
 
 
 class TestGenerators:
