@@ -72,11 +72,13 @@ class DocumentError(ValueError):
 
 
 def check_total(g: Graph, phi: TotalColoring) -> None:
-    """Raise ValueError unless phi is a total assignment on g within 1..k."""
+    """Raise ValueError unless phi is a total assignment on g within 1..k.
+    Edge keys listing ``g.edges`` in order, as phase outputs and written
+    documents do, pass at once; others are compared with ``set(g.edges)``."""
     if len(phi.vertex_colors) != g.n:
         raise ValueError(
             f"vertex colour count {len(phi.vertex_colors)} does not match n={g.n}")
-    if phi.edge_colors.keys() != g.edge_set:
+    if tuple(phi.edge_colors) != g.edges and phi.edge_colors.keys() != set(g.edges):
         raise ValueError("edge colours do not cover the edge set exactly")
     for what, colors in (("vertex", phi.vertex_colors),
                          ("edge", phi.edge_colors.values())):
@@ -386,6 +388,7 @@ def from_document(doc: dict) -> tuple[Graph, TotalColoring]:
         raise DocumentError("k must be a non-negative integer")
     if not all(map(_is_int, vcs)):
         raise DocumentError("vertex_colors must list one integer per vertex")
+    listed = frozenset(g.edges)
     ecs: dict[Edge, int] = {}
     for item in doc["edge_colors"]:
         if not (isinstance(item, dict)
@@ -393,14 +396,14 @@ def from_document(doc: dict) -> tuple[Graph, TotalColoring]:
             raise DocumentError(f"bad edge colour record: {item!r}")
         e = normalize_edge(item["u"], item["v"])
         c = item["c"]
-        if e not in g.edge_set:
+        if e not in listed:
             raise DocumentError(f"edge colour for non-edge {e}")
         if e in ecs:
             raise DocumentError(f"duplicate edge colour for {e}")
         ecs[e] = c
-    missing = g.edge_set - set(ecs)
-    if missing:
-        raise DocumentError(f"missing edge colour for {sorted(missing)[0]}")
+    if len(ecs) < len(g.edges):  # ecs holds distinct edges of g
+        missing = next(e for e in g.edges if e not in ecs)
+        raise DocumentError(f"missing edge colour for {missing}")
     phi = TotalColoring(vertex_colors=tuple(vcs), edge_colors=ecs, k=k)
     try:
         check_total(g, phi)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 import numbers
 import operator
 import re
@@ -61,16 +62,15 @@ def normalize_edge(u: int, v: int) -> Edge:
 class Graph:
     """Simple undirected graph on vertices ``0 .. n-1``.
 
-    ``edges`` is a sorted tuple of sorted pairs; adjacency lists and the
-    maximum degree are built once at construction, the degree split and
-    the endpoint array ``_ends`` on their first request. Instances are
-    immutable.
+    ``edges`` is a sorted tuple of sorted pairs and the one copy of the
+    edge list; adjacency lists and the maximum degree are built once at
+    construction, the degree split and the endpoint array ``_ends`` on
+    their first request. Instances are immutable.
     """
 
     n: int
     edges: tuple[Edge, ...]
     adjacency: tuple[tuple[int, ...], ...] = field(repr=False, compare=False)
-    edge_set: frozenset[Edge] = field(repr=False, compare=False)
     max_degree: int = field(compare=False)
 
     @classmethod
@@ -99,15 +99,6 @@ class Graph:
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
 
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return self.adjacency[v]
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return normalize_edge(u, v) in self.edge_set
-
-    def incident_edges(self, v: int) -> list[Edge]:
-        return [normalize_edge(v, w) for w in self.adjacency[v]]
-
     @cached_property
     def _split(self) -> DegreeSplit:
         low = frozenset(v for v in range(self.n)
@@ -130,6 +121,7 @@ def _assemble(n: int, ordered: tuple[Edge, ...]) -> Graph:
     distinct pairs (u, v) of ints, 0 <= u < v < n, in sorted order; nothing
     is checked. ``Graph.build`` calls it once it has validated its input,
     and generators call it directly on output that is valid by construction.
+    Only the adjacency lists are built here; ordered is kept as it is.
     """
     # in lexicographic edge order each vertex meets its smaller neighbours
     # first, then its larger ones, each ascending, so every adjacency list
@@ -139,7 +131,7 @@ def _assemble(n: int, ordered: tuple[Edge, ...]) -> Graph:
         adj[u].append(v)
         adj[v].append(u)
     return Graph(n=n, edges=ordered, adjacency=tuple(map(tuple, adj)),
-                 edge_set=frozenset(ordered), max_degree=max(map(len, adj), default=0))
+                 max_degree=max(map(len, adj), default=0))
 
 
 def _from_ends(n: int, ends: np.ndarray) -> Graph:
@@ -392,6 +384,11 @@ def random_gnp(n: int, p: float, seed: int) -> Graph:
         raise ValueError(f"edge probability p must be a real number, got {p!r}")
     if not 0.0 <= p <= 1.0:
         raise ValueError("edge probability must lie in [0, 1]")
+    # the draws are doubles, so x < p holds exactly when x < t for the
+    # least double t >= p; one float compare per draw, even for a Fraction
+    t = float(p)
+    if t < p:
+        t = math.nextafter(t, math.inf)
     rng = _generator_rng(seed)
     # pair k of the lexicographic order (0,1), (0,2), .., (n-2,n-1) gets the
     # k-th draw; row i holds (i, i+1) .. (i, n-1) and starts at offsets[i]
@@ -400,7 +397,7 @@ def random_gnp(n: int, p: float, seed: int) -> Graph:
     offsets = rows * (n - 1) - rows * (rows - 1) // 2
     chunks = [np.zeros((0, 2), dtype=np.int64)]
     for start in range(0, total, _GNP_CHUNK):
-        hits = start + np.flatnonzero(rng.random(min(_GNP_CHUNK, total - start)) < p)
+        hits = start + np.flatnonzero(rng.random(min(_GNP_CHUNK, total - start)) < t)
         i = np.searchsorted(offsets, hits, side="right") - 1
         chunks.append(np.column_stack((i, hits - offsets[i] + i + 1)))
     # the pairs come out distinct, in range and in lexicographic order, so

@@ -50,7 +50,9 @@ def distinguish_low_degree(g: Graph, phi: TotalColoring) -> TotalColoring:
 
     The pass updates a copy of ``phi.stars``, which the result carries.
     """
-    if phi.k <= g.max_degree:
+    # a proper total colouring has k >= max_degree + 1 once there is a
+    # vertex; the empty graph's k = 0 colouring is proper
+    if g.n and phi.k <= g.max_degree:
         raise ValueError(f"palette k={phi.k} must exceed max_degree={g.max_degree}")
     vcols = list(phi.vertex_colors)
     masks = list(phi.stars)

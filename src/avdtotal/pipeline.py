@@ -76,8 +76,9 @@ def recolor_union(g: Graph, phi: TotalColoring, bulk_edges,
 
     The union is filtered from ``g.edges``, so it is sorted and valid, and
     goes to the edge colourer as a list with its maximum degree; no Graph
-    of it is built. A selection that lies in ``g.edge_set`` as given, as
-    the deletion stages' selections do, is not normalised. One loop sets
+    of it is built. Only a selection that the filter finds short, one with
+    a reversed pair or a stray edge, is normalised and filtered again; the
+    deletion stages' selections never are. One loop sets
     the fresh colours in a copy of ``phi.edge_colors`` and swaps the old
     and new colour bits of each union edge at both ends in a copy of
     ``phi.stars``; the result carries both.
@@ -86,14 +87,15 @@ def recolor_union(g: Graph, phi: TotalColoring, bulk_edges,
     # become tuples, which the check below then normalises
     chosen = set(map(tuple, bulk_edges))
     chosen.update(map(tuple, patch_edges))
-    if not chosen <= g.edge_set:
-        chosen = {normalize_edge(u, v) for u, v in chosen}
-        stray = chosen - g.edge_set
-        if stray:
-            raise ValueError(f"selected edge {min(stray)} is not in the graph")
     if not chosen:
         return phi
     union, union_degree = _union(g, chosen)
+    if len(union) < len(chosen):
+        chosen = {normalize_edge(u, v) for u, v in chosen}
+        union, union_degree = _union(g, chosen)
+        if len(union) < len(chosen):
+            stray = min(chosen.difference(union))
+            raise ValueError(f"selected edge {stray} is not in the graph")
     sub_colors = _color_edges(g.n, union, union_degree)
     k = phi.k + max(sub_colors.values())
     # phi is proper and the new colours are above its palette, so each old
@@ -113,13 +115,13 @@ def recolor_union(g: Graph, phi: TotalColoring, bulk_edges,
 
 
 def _union(g: Graph, chosen: set[Edge]) -> tuple[list[Edge], int]:
-    """The edges of g in chosen, a non-empty subset of ``g.edge_set``, in
-    ``g.edges`` order, so sorted and valid as the edge colourer needs them,
-    and their maximum degree, counted over the matching rows of ``g._ends``."""
+    """The edges of g in chosen, any set of pairs, in ``g.edges`` order, so
+    sorted and valid as the edge colourer needs them, and their maximum
+    degree, counted over the matching rows of ``g._ends`` (0 if none)."""
     inside = np.fromiter(map(chosen.__contains__, g.edges), dtype=bool,
                          count=len(g.edges))
     union = list(compress(g.edges, inside.tolist()))
-    return union, int(np.bincount(g._ends[inside].ravel()).max())
+    return union, int(np.bincount(g._ends[inside].ravel(), minlength=1).max())
 
 
 def repair_fallback(g: Graph, phi: TotalColoring) -> TotalColoring:

@@ -28,7 +28,7 @@ def naive_is_proper(g: Graph, phi: TotalColoring) -> bool:
         if c == phi.vertex_colors[u] or c == phi.vertex_colors[v]:
             return False
     for v in range(g.n):
-        cols = [phi.edge_colors[e] for e in g.incident_edges(v)]
+        cols = [phi.edge_colors[normalize_edge(v, w)] for w in g.adjacency[v]]
         if len(cols) != len(set(cols)):
             return False
     return True
@@ -36,7 +36,7 @@ def naive_is_proper(g: Graph, phi: TotalColoring) -> bool:
 
 def naive_color_set(g: Graph, phi: TotalColoring, v: int) -> frozenset[int]:
     return frozenset({phi.vertex_colors[v]}
-                     | {phi.edge_colors[e] for e in g.incident_edges(v)})
+                     | {phi.edge_colors[normalize_edge(v, w)] for w in g.adjacency[v]})
 
 
 def mask_of(colours) -> int:
@@ -88,14 +88,14 @@ def _binom(n: int, k: int) -> int:
 
 
 def reference_build(n: int, edges) -> tuple:
-    """``Graph.build``'s fields from a set: (edges, adjacency, edge_set,
-    max_degree), each adjacency list collected by scanning every edge and
-    sorted explicitly."""
-    edge_set = frozenset((min(u, v), max(u, v)) for u, v in edges)
-    adjacency = tuple(tuple(sorted([b for a, b in edge_set if a == x]
-                                   + [a for a, b in edge_set if b == x]))
+    """``Graph.build``'s fields from a set: (edges, adjacency, max_degree),
+    each adjacency list collected by scanning every edge and sorted
+    explicitly."""
+    pairs = frozenset((min(u, v), max(u, v)) for u, v in edges)
+    adjacency = tuple(tuple(sorted([b for a, b in pairs if a == x]
+                                   + [a for a, b in pairs if b == x]))
                       for x in range(n))
-    return (tuple(sorted(edge_set)), adjacency, edge_set,
+    return (tuple(sorted(pairs)), adjacency,
             max((len(a) for a in adjacency), default=0))
 
 
@@ -156,7 +156,7 @@ def _connected(g: Graph) -> bool:
     frontier = [0]
     while frontier:
         v = frontier.pop()
-        for w in g.neighbors(v):
+        for w in g.adjacency[v]:
             if w not in seen:
                 seen.add(w)
                 frontier.append(w)
@@ -177,7 +177,7 @@ def hub_graph(seed, n, background_degree, hubs):
 def elements_clash(g: Graph, a, b) -> bool:
     """Whether two total-colouring elements must receive distinct colours."""
     if isinstance(a, int) and isinstance(b, int):
-        return g.has_edge(a, b)
+        return b in g.adjacency[a]
     ta = {a} if isinstance(a, int) else set(a)
     tb = {b} if isinstance(b, int) else set(b)
     return bool(ta & tb)
@@ -231,8 +231,8 @@ def reference_greedy_total(g: Graph, order) -> TotalColoring:
 
 def _restricted_set(g: Graph, phi: TotalColoring, deleted, v: int) -> frozenset[int]:
     return frozenset({phi.vertex_colors[v]}
-                     | {phi.edge_colors[e] for e in g.incident_edges(v)
-                        if e not in deleted})
+                     | {phi.edge_colors[e] for w in g.adjacency[v]
+                        if (e := normalize_edge(v, w)) not in deleted})
 
 
 def reference_bulk_first_round(g: Graph, p: float, M: int, seed: int) -> frozenset[Edge]:
@@ -259,7 +259,7 @@ def reference_patch_first_draw(g: Graph, bulk, light, B: int,
     the patch stream into its pool: its edges to non-light neighbours
     outside ``bulk``, by ascending neighbour.
     """
-    pools = {u: [tuple(sorted((u, w))) for w in sorted(g.neighbors(u))
+    pools = {u: [tuple(sorted((u, w))) for w in sorted(g.adjacency[u])
                  if w not in light and tuple(sorted((u, w))) not in bulk]
              for u in sorted(light)}
     if any(len(pool) < B for pool in pools.values()):
@@ -277,7 +277,7 @@ def reference_bulk_events(g: Graph, phi: TotalColoring, selected, m: int,
     high = {v for v in range(g.n) if 2 * g.degree(v) > g.max_degree}
 
     def degsel(v):
-        return sum(1 for e in g.incident_edges(v) if e in selected)
+        return sum(1 for w in g.adjacency[v] if normalize_edge(v, w) in selected)
 
     events = []
     for u, v in g.edges:
@@ -287,7 +287,7 @@ def reference_bulk_events(g: Graph, phi: TotalColoring, selected, m: int,
                         ^ _restricted_set(g, phi, selected, v)) < d):
             events.append(("A_pair", (u, v)))
     for v in sorted(high):
-        count = sum(1 for u in g.neighbors(v) if degsel(u) < m)
+        count = sum(1 for u in g.adjacency[v] if degsel(u) < m)
         if Fraction(count) > eps * g.max_degree:
             events.append(("B_vertex", (v,)))
     return events
@@ -297,10 +297,10 @@ def reference_forced(g: Graph, m: int, eps: Fraction) -> tuple[int, ...]:
     """High vertices more than eps*max_degree of whose neighbours lie on
     fewer than m candidate edges, so hold fewer than m in any selection."""
     high = {v for v in range(g.n) if 2 * g.degree(v) > g.max_degree}
-    held = {v: sum(1 for w in g.neighbors(v) if v in high or w in high)
+    held = {v: sum(1 for w in g.adjacency[v] if v in high or w in high)
             for v in range(g.n)}
     return tuple(v for v in sorted(high)
-                 if Fraction(sum(1 for w in g.neighbors(v) if held[w] < m))
+                 if Fraction(sum(1 for w in g.adjacency[v] if held[w] < m))
                  > eps * g.max_degree)
 
 
@@ -386,7 +386,7 @@ def reference_patch_events(g: Graph, phi: TotalColoring, bulk_edges, patch_edges
     deleted = set(bulk_edges) | set(patch_edges)
     events = []
     for v in range(g.n):
-        held = sum(1 for e in g.incident_edges(v) if e in patch_edges)
+        held = sum(1 for w in g.adjacency[v] if normalize_edge(v, w) in patch_edges)
         if v not in light and Fraction(g.degree(v)) > alpha * g.max_degree \
                 and held >= B:
             events.append(("A2_overload", (v,)))
@@ -409,7 +409,7 @@ def reference_find_patch_deletion(g: Graph, phi: TotalColoring, bulk: EdgeSelect
     witness and its neighbours.
     """
     order = sorted(light)
-    pools = {u: [normalize_edge(u, w) for w in sorted(g.neighbors(u))
+    pools = {u: [normalize_edge(u, w) for w in sorted(g.adjacency[u])
                  if w not in light and normalize_edge(u, w) not in bulk.edges]
              for u in order}
     for u in order:
@@ -445,7 +445,7 @@ def reference_find_patch_deletion(g: Graph, phi: TotalColoring, bulk: EdgeSelect
         redraw = []
         for event in violations:
             for w in event.witness:
-                for x in (w, *sorted(g.neighbors(w))):
+                for x in (w, *sorted(g.adjacency[w])):
                     if x in light and x not in redraw:
                         redraw.append(x)
         for u in redraw:
@@ -466,20 +466,20 @@ def reference_distinguish_low_degree(g: Graph, phi: TotalColoring) -> TotalColor
 
     def colour_set(v):
         return frozenset({vertex_colors[v]}
-                         | {phi.edge_colors[e] for e in g.incident_edges(v)})
+                         | {phi.edge_colors[normalize_edge(v, w)] for w in g.adjacency[v]})
 
     for _ in range(len(low) + 1):
         target = next((u for u in low
-                       if any(colour_set(u) == colour_set(w) for w in g.neighbors(u))),
+                       if any(colour_set(u) == colour_set(w) for w in g.adjacency[u])),
                       None)
         if target is None:
             break
-        edge_cols = {phi.edge_colors[e] for e in g.incident_edges(target)}
+        edge_cols = {phi.edge_colors[normalize_edge(target, w)] for w in g.adjacency[target]}
         c = 1
         while (c in edge_cols
-               or any(vertex_colors[w] == c for w in g.neighbors(target))
+               or any(vertex_colors[w] == c for w in g.adjacency[target])
                or any(frozenset(edge_cols | {c}) == colour_set(w)
-                      for w in g.neighbors(target))):
+                      for w in g.adjacency[target])):
             c += 1
         if c > phi.k:
             raise AssertionError(f"first fit at vertex {target} needs colour {c}, "

@@ -1021,6 +1021,11 @@ CONTRACT = {
     "star-color|verify": (
         [["color", "--json"], ["verify", "--json"]], "Esa?\n", 0,
         lambda got: got["verified"] == BOTH and got["violations"] == [], ""),
+    # k = 0 is proper on no vertex, so the low-degree phase takes it too
+    "empty-document-distinguish-low|verify": (
+        [["distinguish-low", "--json"], ["verify", "--json"]],
+        '{"n": 0, "edges": [], "k": 0, "vertex_colors": [], "edge_colors": []}', 0,
+        lambda got: got["k"] == 0 and got["verified"] == BOTH, ""),
 }
 
 

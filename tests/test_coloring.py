@@ -50,6 +50,25 @@ class TestCheckTotal:
         with pytest.raises(ValueError):
             check_total(g, TotalColoring(phi.vertex_colors, extra, 4))
 
+    def test_accepts_keys_in_any_order(self):
+        g = random_gnp(30, 0.3, 1)
+        phi = greedy_total(g)
+        keys = list(phi.edge_colors)
+        random.Random(0).shuffle(keys)
+        assert tuple(keys) != g.edges
+        check_total(g, TotalColoring(phi.vertex_colors,
+                                     {e: phi.edge_colors[e] for e in keys}, phi.k))
+
+    @pytest.mark.parametrize("at", [0, 1])
+    @pytest.mark.parametrize("key", [(0, 2), (1, 0), (2, 1)])
+    def test_rejects_key_swapped_at_same_size(self, at, key):
+        # a non-edge or a reversed pair in place of one edge
+        g, phi = p3_coloring()
+        items = list(phi.edge_colors.items())
+        items[at] = (key, items[at][1])
+        with pytest.raises(ValueError, match=r"^edge colours do not cover the edge set exactly$"):
+            check_total(g, TotalColoring(phi.vertex_colors, dict(items), 4))
+
     def test_rejects_color_out_of_palette(self):
         g, phi = p3_coloring()
         bad = TotalColoring((1, 2, 5), phi.edge_colors, 4)

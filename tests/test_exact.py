@@ -12,7 +12,7 @@ from avdtotal import (CapacityError, Graph, Graph6Error, check_conjecture,
                       chi_at_exact, chi_prime_exact, chi_total_exact,
                       complete_bipartite_graph, complete_graph, cycle_graph,
                       exact, find_edge_coloring, find_total_coloring,
-                      parse_graph6, path_graph, random_gnp, star_graph,
+                      normalize_edge, parse_graph6, path_graph, random_gnp, star_graph,
                       verdict, write_graph6)
 
 from helpers import (_reference_backtrack, connected_graphs,
@@ -65,7 +65,7 @@ class TestEdgeColoring:
         ec = find_edge_coloring(g, 3)
         assert ec is not None
         for v in range(g.n):
-            cols = [ec.colors[e] for e in g.incident_edges(v)]
+            cols = [ec.colors[normalize_edge(v, w)] for w in g.adjacency[v]]
             assert len(cols) == len(set(cols))
 
     @pytest.mark.parametrize("g,expected", [

@@ -1,6 +1,8 @@
 """Graph container, formats, generators, and the degree split."""
 
+import dataclasses
 import hashlib
+import itertools
 import json
 import re
 import time
@@ -95,10 +97,16 @@ class TestGraphBasics:
     def test_accessors_on_path(self):
         g = path_graph(4)
         assert g.degree(0) == 1 and g.degree(1) == 2
-        assert g.neighbors(1) == (0, 2)
-        assert g.has_edge(2, 1) and not g.has_edge(0, 2)
-        assert g.incident_edges(1) == [(0, 1), (1, 2)]
+        assert g.adjacency[1] == (0, 2)
         assert g.max_degree == 2
+
+    def test_fields_hold_one_copy_of_the_edges(self):
+        # the edges live in ``edges`` alone; adjacency and the degree are
+        # the only other stored fields
+        assert [f.name for f in dataclasses.fields(Graph)] == [
+            "n", "edges", "adjacency", "max_degree"]
+        g = path_graph(4)
+        assert vars(g).keys() == {"n", "edges", "adjacency", "max_degree"}
 
     def test_empty_graph(self):
         g = Graph.build(0, [])
@@ -107,10 +115,10 @@ class TestGraphBasics:
     @given(small_graphs())
     def test_adjacency_is_sorted_and_symmetric(self, g):
         for v in range(g.n):
-            nb = g.neighbors(v)
+            nb = g.adjacency[v]
             assert list(nb) == sorted(nb)
             for w in nb:
-                assert v in g.neighbors(w)
+                assert v in g.adjacency[w]
 
 
 @st.composite
@@ -126,7 +134,7 @@ def edge_lists(draw, max_n=30):
 
 
 def fields(g):
-    return g.edges, g.adjacency, g.edge_set, g.max_degree
+    return g.edges, g.adjacency, g.max_degree
 
 
 class TestBuildAgainstReference:
@@ -681,6 +689,22 @@ class TestGenerators:
                              ids=repr)
     def test_random_gnp_takes_real_p(self, p):
         assert random_gnp(6, p, 3) == random_gnp(6, float(p), 3)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("p_of", [
+        lambda x: Fraction(1, 3), lambda x: Fraction(2, 7),
+        lambda x: Fraction(x) - Fraction(1, 10 ** 30), lambda x: Fraction(x),
+        lambda x: Fraction(x) + Fraction(1, 10 ** 30)],
+        ids=["1/3", "2/7", "below-draw", "at-draw", "above-draw"])
+    def test_random_gnp_fraction_p_compares_exactly(self, seed, p_of):
+        # the reference compares every draw with p exactly; p sits at, or
+        # within 1e-30 of, one draw, or is a Fraction no double equals
+        n = 40
+        pairs = list(itertools.combinations(range(n), 2))
+        draws = graphs_mod._generator_rng(seed).random(len(pairs)).tolist()
+        p = p_of(draws[7])
+        assert random_gnp(n, p, seed).edges == tuple(
+            e for e, x in zip(pairs, draws) if x < p)
 
     def test_generators_take_index_integers(self):
         assert random_gnp(np.int64(12), 0.35, np.uint64(7)) == random_gnp(12, 0.35, 7)

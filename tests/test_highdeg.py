@@ -244,7 +244,7 @@ class TestCandidatesAndSampling:
         # K_5 has max degree 4 < lam, so p = 1; a tiny lam makes p ~ 1e-13
         g = complete_graph(5)
         phi = greedy_total(g)
-        assert first_bulk_round(g, phi).edges == g.edge_set
+        assert first_bulk_round(g, phi).edges == set(g.edges)
         assert first_bulk_round(g, phi, lam=1e-12).edges == frozenset()
 
     def test_sample_rejects_bad_p(self):
@@ -291,7 +291,7 @@ class TestCandidatesAndSampling:
     def test_cap_keeps_at_cap(self):
         g = star_graph(4)
         phi = greedy_total(g)
-        assert first_bulk_round(g, phi, M=4).edges == g.edge_set
+        assert first_bulk_round(g, phi, M=4).edges == set(g.edges)
 
     def test_cap_rejects_negative(self):
         with pytest.raises(ValueError):
@@ -349,7 +349,7 @@ class TestBulkViolations:
         g, phi = two_hub_fixture()
         g2 = Graph.build(14, list(g.edges) + [(2, 8)])
         sel = first_bulk_round(g2, greedy_total(g2), m=5, d=1)
-        assert sel.edges == g.edge_set
+        assert sel.edges == set(g.edges)
 
     def test_rejects_over_cap(self):
         # p = 1 selects every edge; both hubs hold 7 > M, so all their
@@ -377,7 +377,7 @@ class TestFindBulkDeletion:
         g, phi = two_hub_fixture()
         res = find_bulk_deletion(g, phi, PipelineParams(m=5, d=1, eps=Fraction(9, 10)))
         assert res.success and res.rounds == 1
-        assert res.selection.edges == g.edge_set  # p = 1 keeps everything
+        assert res.selection.edges == set(g.edges)  # p = 1 keeps everything
 
     def test_saturated_p_deterministic_failure(self):
         g, phi = two_hub_fixture()
@@ -599,7 +599,7 @@ class TestFindPatchDeletion:
         res = find_patch_deletion(g, phi, empty, light,
                                   PipelineParams(m=5, d=1, B=4))
         assert res.success and res.rounds == 1
-        assert res.selection.edges == g.edge_set
+        assert res.selection.edges == set(g.edges)
 
     def test_pigeonhole_failure_returns_best(self):
         # four patch slots over three non-light K_5 vertices always overload

@@ -78,7 +78,7 @@ class TestDistinguishLowDegree:
         assert verdict(g, out)["proper"]
         sets = out.stars
         for u in sorted(degree_split(g).low):
-            assert all(sets[u] != sets[w] for w in g.neighbors(u))
+            assert all(sets[u] != sets[w] for w in g.adjacency[u])
 
     def test_already_clean_returns_same_object(self):
         g = star_graph(3)
@@ -115,7 +115,7 @@ class TestDistinguishLowDegree:
             assert out.vertex_colors[v] == phi.vertex_colors[v]
         sets = out.stars
         for u in split.low:
-            for w in g.neighbors(u):
+            for w in g.adjacency[u]:
                 assert sets[u] != sets[w]
 
 

@@ -74,6 +74,14 @@ class TestRecolorUnion:
         assert a == b == c
         assert a.stars == b.stars == c.stars
 
+    @pytest.mark.parametrize("bulk, patch", [
+        ([], [(2, 0)]), ([(0, 2), (2, 0)], []), ([(2, 0)], [(0, 2)])])
+    def test_reversed_pairs_equal_the_plain_selection(self, bulk, patch):
+        g, phi = two_hub_graph()
+        plain = recolor_union(g, phi, [(0, 2)], [])
+        out = recolor_union(g, phi, bulk, patch)
+        assert out == plain and out.stars == plain.stars
+
     def test_rejects_foreign_edge(self):
         g, phi = two_hub_graph()
         with pytest.raises(ValueError):
@@ -85,6 +93,17 @@ class TestRecolorUnion:
         # endpoint orders and split across the two selections
         with pytest.raises(ValueError, match=r"^selected edge \(2, 3\) is not in the graph$"):
             recolor_union(g, phi, [(0, 2), (9, 8), (13, 1)], [(12, 4), (3, 2), (0, 1)])
+
+    @pytest.mark.parametrize("bulk, patch, stray", [
+        ([(3, 2)], [], (2, 3)),
+        ([(2, 0), (9, 8)], [(8, 1)], (8, 9)),
+        ([(9, 8), (3, 2)], [(2, 0), (13, 1)], (2, 3)),
+    ])
+    def test_stray_among_reversed_pairs_is_named(self, bulk, patch, stray):
+        g, phi = two_hub_graph()
+        with pytest.raises(ValueError, match=rf"^selected edge \({stray[0]}, {stray[1]}\) "
+                                             r"is not in the graph$"):
+            recolor_union(g, phi, bulk, patch)
 
 
     @given(st.integers(1, 40), st.floats(0.0, 1.0), st.integers(0, 2 ** 32 - 1),
@@ -101,6 +120,11 @@ class TestRecolorUnion:
         assert union == [e for e in g.edges if e in chosen]
         assert degree == max(Counter(chain.from_iterable(union)).values())
         assert type(degree) is int
+
+    def test_union_of_no_matching_edge_is_empty(self):
+        g, _ = two_hub_graph()
+        for chosen in ({(2, 0)}, {(2, 3)}, set()):
+            assert pipeline._union(g, chosen) == ([], 0)
 
 class TestRepairFallback:
     def test_fixes_fully_clashing_clique(self):

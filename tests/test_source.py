@@ -1,12 +1,19 @@
 """Properties of the library source itself."""
 
 import ast
+import importlib.util
+import json
 from pathlib import Path
 
 import avdtotal
+import avdtotal.cli  # the tracer looks cli.main up in sys.modules
 
 SOURCES = sorted(Path(avdtotal.__file__).parent.glob("*.py"))
 TESTS = sorted(Path(__file__).parent.glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+# per-layer metrics whose functions are gone from the package; each reads 0
+# until the benchmark drops it
+STALE_METRICS = {"coloring.properness_violations", "coloring.avd_violations"}
 
 
 def test_no_assert_statements():
@@ -57,3 +64,17 @@ def test_all_is_sorted_unique_and_resolves():
     names = avdtotal.__all__
     assert names == sorted(set(names))
     assert [n for n in names if not hasattr(avdtotal, n)] == []
+
+
+def test_per_layer_timings_name_traced_spans():
+    # a timing or call-count metric reads a span of benchmarks/tracer.py;
+    # pruning the function behind it would zero the metric without a sound
+    spec = importlib.util.spec_from_file_location(
+        "bench_tracer", ROOT / "benchmarks" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    spans = {name for name, _ in tracer.Tracer(avdtotal)._targets()}
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
+    wanted = {m["name"].rsplit("_", 1)[0] for m in declared
+              if m["name"].endswith(("_s", "_calls"))}
+    assert wanted - spans == STALE_METRICS

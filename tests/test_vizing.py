@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 import avdtotal.pipeline as pipeline
 from avdtotal import (EdgeColoring, Graph, PipelineParams, Violation,
                       complete_bipartite_graph, complete_graph, cycle_graph,
-                      path_graph, random_gnp, run_pipeline, star_graph,
-                      violations, vizing_color)
+                      normalize_edge, path_graph, random_gnp, run_pipeline,
+                      star_graph, violations, vizing_color)
 from avdtotal.vizing import _color_edges
 
 from helpers import (connected_graphs, hub_graph, reference_vizing_color,
@@ -21,7 +21,7 @@ def assert_valid(g, ec):
     assert set(ec.colors) == set(g.edges)
     assert all(1 <= c <= g.max_degree + 1 for c in ec.colors.values())
     for v in range(g.n):
-        cols = [ec.colors[e] for e in g.incident_edges(v)]
+        cols = [ec.colors[normalize_edge(v, w)] for w in g.adjacency[v]]
         assert len(cols) == len(set(cols)), f"clash at vertex {v}"
 
 
