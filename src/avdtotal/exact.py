@@ -7,7 +7,10 @@ once per level (first-use symmetry breaking). It keeps closed-star
 bitmasks: ``smask[v]`` holds the colours on v and its edges, which are
 distinct in a proper partial colouring, so the colours banned at an edge
 uv are ``smask[u] | smask[v]`` and at a vertex v ``smask[v]`` plus its
-neighbours' colours. Edge colouring gives it edge steps only, in
+neighbours' colours. Each step names the two closed stars its element
+joins, (v, v) for a vertex, so vertex and edge steps share one candidate
+loop: a node reads both masks once, and restores them and its element's
+bit once after the loop. Edge colouring gives it edge steps only, in
 descending deg(u) + deg(v) order, after counting exits: k below
 max_degree, or k matchings of at most n // 2 edges each too few for the
 edge count.
@@ -45,11 +48,14 @@ ELEMENT_GUARD = 40
 def _search(steps: list[tuple], n: int, k: int) -> list[int] | None:
     """The first colouring of the steps' elements with colours 1..k, or None.
 
-    A step is (e, nbrs, touched, pairs, ahead): the element id e, with ids
-    0..len(steps) - 1 and vertex v's id v; for a vertex its neighbours,
-    None for an edge; the vertices whose closed stars hold e; the vertex
-    pairs whose masks must differ once e is coloured; and the look-ahead
-    checks of ``_twin_checks``. The result lists the colour of each id.
+    A step is (e, (u, v), nbrs, pairs, ahead): the element id e, with ids
+    0..len(steps) - 1 and vertex v's id v; the two closed stars e joins,
+    (v, v) for vertex v and (u, v) for edge uv; the vertex neighbours whose
+    colours e must avoid, () for an edge; the vertex pairs whose masks must
+    differ once e is coloured; and the look-ahead checks of
+    ``_twin_checks``. Vertex and edge steps share one candidate loop, and
+    each node restores the two masks and e's bit once, after its loop. The
+    result lists the colour of each id.
     """
     t = len(steps)
     bit = [1] * t     # colour of each element as a bit; bit 0 while uncoloured
@@ -62,39 +68,19 @@ def _search(steps: list[tuple], n: int, k: int) -> list[int] | None:
         """Colour positions i.. given top, the highest colour bit so far."""
         if i == t:
             return True
-        e, nbrs, touched, pairs, ahead = steps[i]
+        e, (u, v), nbrs, pairs, ahead = steps[i]
+        su, sv = smask[u], smask[v]
+        banned = su | sv
+        for w in nbrs:
+            banned |= bit[w]
         # first-use symmetry breaking: at most one colour above top
-        allowed = ((top << 2) - 2) & palette
-        # vertex and edge steps have their own loops, which keeps the
-        # per-candidate work to two or three list updates
-        if nbrs is not None:
-            banned = smask[e]
-            for w in nbrs:
-                banned |= bit[w]
-            free = allowed & ~banned
-            while free:
-                b = free & -free
-                free ^= b
-                bit[e] = b
-                smask[e] |= b
-                for x, y in pairs:
-                    if smask[x] == smask[y]:
-                        break
-                else:
-                    if (not ahead or _last_colour_left(ahead, smask, bit, palette)) and \
-                            rec(i + 1, top if b <= top else b):
-                        return True
-                smask[e] ^= b
-            bit[e] = 1
-            return False
-        u, v = touched
-        free = allowed & ~(smask[u] | smask[v])
+        free = ((top << 2) - 2) & palette & ~banned
         while free:
             b = free & -free
             free ^= b
             bit[e] = b
-            smask[u] |= b
-            smask[v] |= b
+            smask[u] = su | b
+            smask[v] = sv | b
             for x, y in pairs:
                 if smask[x] == smask[y]:
                     break
@@ -102,8 +88,9 @@ def _search(steps: list[tuple], n: int, k: int) -> list[int] | None:
                 if (not ahead or _last_colour_left(ahead, smask, bit, palette)) and \
                         rec(i + 1, top if b <= top else b):
                     return True
-            smask[u] ^= b
-            smask[v] ^= b
+        smask[u] = su
+        smask[v] = sv
+        bit[e] = 1
         return False
 
     try:
@@ -137,7 +124,7 @@ def find_edge_coloring(g: Graph, k: int) -> EdgeColoring | None:
     edges, degree = g.edges, g.degree
     order = sorted(range(len(edges)),
                    key=lambda j: (-degree(edges[j][0]) - degree(edges[j][1]), j))
-    color = _search([(j, None, edges[j], (), ()) for j in order], g.n, k)
+    color = _search([(j, edges[j], (), (), ()) for j in order], g.n, k)
     if color is None:
         return None
     return EdgeColoring(colors=dict(zip(edges, color)), k=k)
@@ -161,17 +148,15 @@ def _total_order(g: Graph) -> list[int]:
     Each vertex followed by its backward edges, stably sorted by descending
     conflict count (2 deg(v) for a vertex, deg(u) + deg(v) for an edge uv):
     ties keep the listed order, so closed stars tend to complete early for
-    the distinguishing prune.
+    the distinguishing prune. One sort does both: the adjacency lists are
+    ascending, so vertex v's key (-2 deg v, v, -1) and edge uv's key
+    (-deg u - deg v, v, u), u < v, break ties in the listed order.
     """
     n, adj = g.n, g.adjacency
-    idx = {e: n + j for j, e in enumerate(g.edges)}
-    conflicts = [2 * len(adj[v]) for v in range(n)]
-    conflicts += [len(adj[u]) + len(adj[v]) for u, v in g.edges]
-    listed: list[int] = []
-    for v in range(n):
-        listed.append(v)
-        listed += [idx[(u, v)] for u in adj[v] if u < v]
-    return sorted(listed, key=lambda e: -conflicts[e])
+    keys = [(-2 * len(adj[v]), v, -1, v) for v in range(n)]
+    keys += [(-len(adj[u]) - len(adj[v]), v, u, n + j)
+             for j, (u, v) in enumerate(g.edges)]
+    return [key[3] for key in sorted(keys)]
 
 
 def _twin_checks(g: Graph, order: list[int], ends: list[tuple[int, ...]],
@@ -278,7 +263,8 @@ def find_total_coloring(g: Graph, k: int,
                 if done_at[v] == i:
                     pairs += [(v, w) for w in adj[v]
                               if done_at[w] < i or (done_at[w] == i and v < w)]
-        steps.append((e, adj[e] if e < n else None, ends[i], pairs, checks[i]))
+        stars = (e, e) if e < n else ends[i]
+        steps.append((e, stars, adj[e] if e < n else (), pairs, checks[i]))
     color = _search(steps, n, k)
     if color is None:
         return None

@@ -99,16 +99,16 @@ def recolor_union(g: Graph, phi: TotalColoring, bulk_edges,
     sub_colors = _color_edges(g.n, union, union_degree)
     k = phi.k + max(sub_colors.values())
     # phi is proper and the new colours are above its palette, so each old
-    # bit is set once at each end and each new bit not at all; the bits are
-    # shifted once per colour, not twice per edge
+    # bit is set once at each end and each new bit not at all; the fresh
+    # bits are shifted once per colour, not twice per edge, into a table
+    # indexed by the union's own colours, so its size never depends on phi.k
     edge_colors = dict(phi.edge_colors)
     stars = list(phi.stars)
-    bits = [1 << c for c in range(k + 1)]
+    fresh = [1 << c for c in range(phi.k, k + 1)]  # fresh[c]: colour phi.k + c
     for e, c in sub_colors.items():
-        c += phi.k
         u, v = e
-        flip = bits[edge_colors[e]] | bits[c]
-        edge_colors[e] = c
+        flip = 1 << edge_colors[e] | fresh[c]
+        edge_colors[e] = c + phi.k
         stars[u] ^= flip
         stars[v] ^= flip
     return _with_stars(stars, phi.vertex_colors, edge_colors, k)

@@ -15,9 +15,9 @@ from avdtotal import (CapacityError, Graph, Graph6Error, check_conjecture,
                       normalize_edge, parse_graph6, path_graph, random_gnp, star_graph,
                       verdict, write_graph6)
 
-from helpers import (_reference_backtrack, connected_graphs,
-                     enumerate_total_colorings, naive_is_avd, naive_is_proper,
-                     reference_find_total_coloring)
+from helpers import (_reference_backtrack, _reference_total_structure,
+                     connected_graphs, enumerate_total_colorings, naive_is_avd,
+                     naive_is_proper, reference_find_total_coloring)
 
 
 def assert_edge_coloring_matches_reference(g, ks):
@@ -236,6 +236,21 @@ class TestAgainstReference:
         assert g.max_degree == 5 and has_adjacent_max_pair(g)
         assert find_total_coloring(g, 6, distinguishing=True) is None
         assert_matches_reference(g, [6])
+
+
+class TestTotalOrder:
+    """The one-sort search order is the reference's listed, stably sorted one."""
+
+    def test_connected_graphs_up_to_6(self):
+        for g in atlas():
+            assert exact._total_order(g) == _reference_total_structure(g)[1], write_graph6(g)
+
+    @pytest.mark.parametrize("n", range(1, 14))
+    def test_random_gnp(self, n):
+        for p in (0.2, 0.5, 0.8):
+            for seed in range(4):
+                g = random_gnp(n, p, seed)
+                assert exact._total_order(g) == _reference_total_structure(g)[1]
 
 
 class TestTwinLookAhead:

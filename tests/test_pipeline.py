@@ -1,6 +1,7 @@
 """End-to-end pipeline: recolouring, repair, and the full driver."""
 
 import gc
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from itertools import chain
@@ -105,6 +106,29 @@ class TestRecolorUnion:
                                              r"is not in the graph$"):
             recolor_union(g, phi, bulk, patch)
 
+
+    def test_memory_grows_at_most_linearly_in_k(self):
+        # a supplied seed may declare a palette far above the colours it
+        # uses; a bit table over the whole palette made the peak grow with
+        # k squared (x3.0 from k = 2303 to 4606, then x3.5)
+        g = random_gnp(200, 0.05, 3)
+        seed = greedy_total(g)
+        picked = g.edges[::3]
+
+        def peak(k):
+            phi = TotalColoring(seed.vertex_colors, seed.edge_colors, k)
+            phi.stars  # built before tracing, as run_pipeline's check does
+            tracemalloc.start()
+            try:
+                out = recolor_union(g, phi, picked, [])
+                return tracemalloc.get_traced_memory()[1], out
+            finally:
+                tracemalloc.stop()
+
+        small, out_small = peak(2303)
+        big, out_big = peak(4606)
+        assert out_big.k - 4606 == out_small.k - 2303
+        assert big <= 2 * small
 
     @given(st.integers(1, 40), st.floats(0.0, 1.0), st.integers(0, 2 ** 32 - 1),
            st.randoms(use_true_random=False))

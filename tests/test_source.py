@@ -5,6 +5,8 @@ import importlib.util
 import json
 from pathlib import Path
 
+import pytest
+
 import avdtotal
 import avdtotal.cli  # the tracer looks cli.main up in sys.modules
 
@@ -58,6 +60,30 @@ def test_no_unused_imports():
 def test_unused_import_scan_sees_a_dead_import():
     tree = ast.parse("import os\nfrom math import pi, tau\nx = pi\n")
     assert _unused_imports(tree) == ["os (line 1)", "tau (line 2)"]
+
+
+# the oldest Python the package supports (pyproject's requires-python)
+OLDEST = (3, 10)
+
+
+@pytest.mark.parametrize("tree", ["src", "tests", "benchmarks", "demos"])
+def test_sources_parse_on_the_oldest_python(tree):
+    # ast checks the grammar of an older minor version, so syntax newer
+    # than the CI matrix's oldest leg fails here on any interpreter
+    failed = []
+    for path in sorted((ROOT / tree).rglob("*.py")):
+        try:
+            ast.parse(path.read_text(), filename=str(path), feature_version=OLDEST)
+        except SyntaxError as exc:
+            failed.append(f"{path.relative_to(ROOT)}:{exc.lineno}: {exc.msg}")
+    assert failed == []
+
+
+def test_oldest_python_check_rejects_newer_syntax():
+    text = "try:\n    pass\nexcept* ValueError:\n    pass\n"
+    ast.parse(text)
+    with pytest.raises(SyntaxError):
+        ast.parse(text, feature_version=OLDEST)
 
 
 def test_all_is_sorted_unique_and_resolves():
