@@ -6,7 +6,7 @@ Run: python3 demos/tail_bounds.py
 import math
 from fractions import Fraction
 
-from avdtotal import (binom_lower_tail_bound, binom_upper_tail_bound,
+from avdtotal import (binom_lower_tail_log, binom_upper_tail_log,
                       compute_c0, derive_constants, find_feasible_delta,
                       lll_asymmetric_check)
 
@@ -14,11 +14,11 @@ from avdtotal import (binom_lower_tail_bound, binom_upper_tail_bound,
 def main():
     print("binomial tails for n=100, p=1/10:")
     for m in (15, 20, 30):
-        b = binom_upper_tail_bound(100, Fraction(1, 10), m)
+        b = math.exp(binom_upper_tail_log(100, Fraction(1, 10), m))
         print(f"  Pr[X >= {m}] <= {b:.6g}")
     print("lower tail, n=100, p=1/2:")
     for m in (30, 40, 45):
-        b = binom_lower_tail_bound(100, Fraction(1, 2), m)
+        b = math.exp(binom_lower_tail_log(100, Fraction(1, 2), m))
         print(f"  Pr[X <= {m}] <= {b:.6g}")
 
     dc = derive_constants(8, 4, Fraction(1, 3), 100)

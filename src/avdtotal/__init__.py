@@ -7,8 +7,7 @@ conditions behind the randomized construction.
 """
 
 from .bounds import (BoundReport, DerivedConstants, DomainError,
-                     binom_lower_tail_bound, binom_lower_tail_log,
-                     binom_upper_tail_bound, binom_upper_tail_log, compute_c0,
+                     binom_lower_tail_log, binom_upper_tail_log, compute_c0,
                      derive_constants, find_feasible_delta,
                      lll_asymmetric_check)
 from .coloring import (DocumentError, TotalColoring, Violation, check_total,
@@ -22,8 +21,7 @@ from .graphs import (DegreeSplit, DimacsError, Edge, Graph, Graph6Error,
                      path_graph, random_gnp, random_regular, star_graph,
                      write_graph6)
 from .highdeg import (BadEvent, EdgeSelection, PipelineParams, SelectionResult,
-                      candidate_edges, find_bulk_deletion, find_patch_deletion,
-                      light_vertices)
+                      find_bulk_deletion, find_patch_deletion, light_vertices)
 from .lowdeg import distinguish_low_degree
 from .pipeline import (PipelineReport, recolor_union, repair_fallback,
                        run_pipeline)
@@ -52,11 +50,8 @@ __all__ = [
     "SelectionResult",
     "TotalColoring",
     "Violation",
-    "binom_lower_tail_bound",
     "binom_lower_tail_log",
-    "binom_upper_tail_bound",
     "binom_upper_tail_log",
-    "candidate_edges",
     "check_conjecture",
     "check_total",
     "chi_at_exact",

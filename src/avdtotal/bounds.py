@@ -106,11 +106,6 @@ def binom_upper_tail_log(n: int, p: Real, m: int) -> float:
     return log_bound
 
 
-def binom_upper_tail_bound(n: int, p: Real, m: int) -> float:
-    """Linear-space upper-tail bound; may underflow to 0.0 for extreme m."""
-    return math.exp(binom_upper_tail_log(n, p, m))
-
-
 def binom_lower_tail_log(n: int, p: Real, m: int) -> float:
     """ln of the lower-tail bound exp(-(m - n*p)**2 / (2*n*p)).
 
@@ -125,10 +120,6 @@ def binom_lower_tail_log(n: int, p: Real, m: int) -> float:
         return -(gap ** 2) / (2.0 * np_)
     except OverflowError:  # the square leaves float range, the bound does not
         return -(gap / 2.0) * (gap / np_)
-
-
-def binom_lower_tail_bound(n: int, p: Real, m: int) -> float:
-    return math.exp(binom_lower_tail_log(n, p, m))
 
 
 def derive_constants(m: int, d: int, eps: Real, delta: int,

@@ -4,7 +4,8 @@ Subcommands: color, verify, distinguish-low, select-e1, select-e2,
 edge-color, seed-color, exact, check-conjecture, bounds, bench.
 
 Exit codes: 0 success, 1 verification or search failure, 2 usage, parse,
-or domain errors. With --json all machine output is a single JSON value
+domain or I/O errors, a stdout closed by its reader, or running out of
+memory. With --json all machine output is a single JSON value
 per line on stdout, serialized as strict JSON (no NaN or Infinity) with
 sorted keys and no timing fields, so reruns with the same inputs and seed
 are byte-identical.
@@ -24,6 +25,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 from dataclasses import fields, replace
 from fractions import Fraction
@@ -452,11 +454,21 @@ def main(argv=None) -> int:
             if args.json:
                 lines = [record if isinstance(record, str) else _emit(record)
                          for record in records]
+        for line in lines:
+            print(line)
+        sys.stdout.flush()
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return 2
     except (ValueError, OSError) as exc:
+        if isinstance(exc, BrokenPipeError):
+            # nobody reads stdout: send what is still buffered to devnull, so
+            # the interpreter's flush at exit neither fails nor reports
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    for line in lines:
-        print(line)
     return code
 
 

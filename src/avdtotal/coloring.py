@@ -50,9 +50,6 @@ class TotalColoring:
         ``_closed_stars`` on first read."""
         return _closed_stars(self)
 
-    def used_colors(self) -> frozenset[int]:
-        return frozenset(self.vertex_colors) | frozenset(self.edge_colors.values())
-
 
 @dataclass(frozen=True)
 class Violation:

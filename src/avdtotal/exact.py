@@ -85,7 +85,7 @@ def _search(steps: list[tuple], n: int, k: int) -> list[int] | None:
                 if smask[x] == smask[y]:
                     break
             else:
-                if (not ahead or _last_colour_left(ahead, smask, bit, palette)) and \
+                if (not ahead or _last_colour_left(ahead, smask, palette)) and \
                         rec(i + 1, top if b <= top else b):
                     return True
         smask[u] = su
@@ -159,45 +159,41 @@ def _total_order(g: Graph) -> list[int]:
     return [key[3] for key in sorted(keys)]
 
 
-def _twin_checks(g: Graph, order: list[int], ends: list[tuple[int, ...]],
+def _twin_checks(g: Graph, ends: list[tuple[int, ...]],
                  star_at: list[list[int]], done_at: list[int]) -> list[list[tuple]]:
     """The look-ahead checks of each search position.
 
     Between its second-last and last star positions a vertex v has one
-    uncoloured star element f. A check (v, y, xs, twins) at position i
-    lists the equal-degree neighbours w of v whose stars are complete by i;
-    f's colour must avoid ``smask[v] | smask[y]`` and the colours of the
-    vertices xs (f = vy gives y and no xs, f = v gives y = v and xs = v's
-    neighbours). A check is listed only where what it reads can change: v
-    enters the one-left state, a twin completes, or the element coloured
-    touches y or is a vertex in xs.
+    uncoloured star element f. Under ``_total_order`` v precedes every edge
+    to a neighbour of equal or smaller degree, so f is v itself only when
+    v has no equal-degree neighbour, and a vertex with one has f = vy for
+    a neighbour y. A check (v, y, twins) at position i lists the
+    equal-degree neighbours w of v whose stars are complete by i; f's
+    colour must avoid ``smask[v] | smask[y]``. A check is listed only where
+    what it reads can change: v enters the one-left state, a twin
+    completes, or the element coloured touches y.
     """
-    n, adj = g.n, g.adjacency
-    checks: list[list[tuple]] = [[] for _ in order]
-    for v in range(n):
+    adj = g.adjacency
+    checks: list[list[tuple]] = [[] for _ in ends]
+    for v in range(g.n):
         last = done_at[v]
         twins = [w for w in adj[v]
                  if len(adj[w]) == len(adj[v]) and done_at[w] < last]
         if not twins:
             continue
         first = star_at[v][-2]
-        if order[last] < n:
-            y, xs = v, adj[v]
-            moved = [i for i in range(first + 1, last) if order[i] in xs]
-        else:
-            a, b = ends[last]
-            y, xs = (a if b == v else b), ()
-            moved = [i for i in range(first + 1, last) if y in ends[i]]
+        a, b = ends[last]
+        y = a if b == v else b
+        moved = [i for i in range(first + 1, last) if y in ends[i]]
         at = {first, *moved, *(done_at[w] for w in twins if done_at[w] > first)}
         for i in sorted(at):
             ready = [w for w in twins if done_at[w] <= i]
             if ready:
-                checks[i].append((v, y, xs, ready))
+                checks[i].append((v, y, ready))
     return checks
 
 
-def _last_colour_left(ahead: list[tuple], smask: list[int], bit: list[int],
-                      palette: int) -> bool:
+def _last_colour_left(ahead: list[tuple], smask: list[int], palette: int) -> bool:
     """False if some star's last element has no colour that avoids a twin.
 
     A colour c is free for f if the partial colouring allows it; every
@@ -208,19 +204,15 @@ def _last_colour_left(ahead: list[tuple], smask: list[int], bit: list[int],
     colours are in use, and a colour not yet in use is free, so a check
     can fail only once every palette colour is in use.
     """
-    for v, y, xs, twins in ahead:
+    for v, y, twins in ahead:
         sv = smask[v]
         drop = 0
         for w in twins:
             sw = smask[w]
             if sw & sv == sv:
                 drop |= sw ^ sv
-        if drop:
-            free = palette & ~(sv | smask[y] | drop)
-            for x in xs:
-                free &= ~bit[x]
-            if not free:
-                return False
+        if drop and not palette & ~(sv | smask[y] | drop):
+            return False
     return True
 
 
@@ -250,7 +242,7 @@ def find_total_coloring(g: Graph, k: int,
         for v in touched:
             star_at[v].append(i)
     done_at = [at[-1] if at else 0 for at in star_at]
-    checks = (_twin_checks(g, order, ends, star_at, done_at) if distinguishing
+    checks = (_twin_checks(g, ends, star_at, done_at) if distinguishing
               else [()] * t)
     steps = []
     for i, e in enumerate(order):

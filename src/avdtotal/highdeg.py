@@ -177,20 +177,6 @@ def _resample(edges: list[Edge],
 # ---------------------------------------------------------------------------
 # bulk stage
 
-def _ends_in(g: Graph, vertices: frozenset[int]) -> np.ndarray:
-    """Boolean array shaped like ``g._ends``: whether each endpoint of each
-    edge lies in vertices."""
-    inside = np.zeros(g.n, dtype=bool)
-    inside[np.fromiter(vertices, dtype=np.int64, count=len(vertices))] = True
-    return inside[g._ends]
-
-
-def candidate_edges(g: Graph) -> list[Edge]:
-    """Edges with at least one high-degree endpoint, in sorted order."""
-    at_high = _ends_in(g, degree_split(g).high).any(axis=1)
-    return list(itertools.compress(g.edges, at_high.tolist()))
-
-
 def _restricted(stars: Sequence[int], colors: dict[Edge, int],
                 deleted: Iterable[Edge]) -> list[int]:
     """A copy of the closed-star masks stars with the colour of each
@@ -213,31 +199,35 @@ class _BulkCheck:
     colours. B_vertex: a high vertex more than eps*max_degree of whose
     neighbours hold fewer than m selected edges.
 
-    A selection is a boolean array over the candidate edges ``cands`` with
-    its per-vertex counts; their endpoints ``ends`` are rows of
-    ``g._ends``. A_pair can only fire at an edge joining equal-degree high
-    vertices, so those edges' rows, ``pair_ends``, are sliced up front, and the
-    restricted colour sets are computed from the selected edges only when a
-    selection count lets the event fire. B_vertex counts under-selected
-    neighbours of every high vertex with one bincount over their
-    concatenated adjacency lists.
+    The candidate edges ``cands`` are those of ``g.edges`` with a high
+    endpoint, in that order, and their endpoints ``ends`` are the matching
+    rows of ``g._ends``. A selection is a boolean array over them with its
+    per-vertex counts. A_pair can only fire at an edge joining equal-degree
+    high vertices, so those edges' rows, ``pair_ends``, are sliced up front,
+    and the restricted colour sets are computed from the selected edges
+    only when a selection count lets the event fire. B_vertex counts
+    under-selected neighbours of every high vertex with one bincount over
+    their concatenated adjacency lists.
 
     A vertex holds at most its candidate edges, so B_vertex fires in every
     round at the high vertices in ``forced``: those it fires at when every
     candidate edge is kept.
     """
 
-    def __init__(self, g: Graph, phi: TotalColoring, high: frozenset[int],
-                 cands: list[Edge], m: int, d: int, eps: Fraction):
+    def __init__(self, g: Graph, phi: TotalColoring, m: int, d: int, eps: Fraction):
         self.m, self.d = m, d
-        self.cands, self.stars, self.colors = cands, phi.stars, phi.edge_colors
+        self.stars, self.colors = phi.stars, phi.edge_colors
+        self.high = sorted(degree_split(g).high)
         ends = g._ends
-        at_high = _ends_in(g, high)
+        inside = np.zeros(g.n, dtype=bool)
+        inside[self.high] = True
+        at_high = inside[ends]
+        is_cand = at_high.any(axis=1)
         degree = np.bincount(ends.ravel(), minlength=g.n)
-        self.ends = ends[at_high.any(axis=1)]
+        self.cands: list[Edge] = list(itertools.compress(g.edges, is_cand.tolist()))
+        self.ends = ends[is_cand]
         self.pair_ends = ends[at_high.all(axis=1)
                               & (degree[ends[:, 0]] == degree[ends[:, 1]])]
-        self.high = sorted(high)
         high_degree = degree[self.high]
         self.neighbours = np.fromiter(
             itertools.chain.from_iterable(map(g.adjacency.__getitem__, self.high)),
@@ -282,9 +272,8 @@ def find_bulk_deletion(g: Graph, phi: TotalColoring,
     """
     params = params or PipelineParams()
     resolved = params.resolve(g)
-    cands = candidate_edges(g)
-    check = _BulkCheck(g, phi, degree_split(g).high, cands,
-                       params.m, params.d, params.eps)
+    check = _BulkCheck(g, phi, params.m, params.d, params.eps)
+    cands = check.cands
     cu, cv = check.ends[:, 0], check.ends[:, 1]
 
     def endpoint_counts(idx: np.ndarray) -> np.ndarray:

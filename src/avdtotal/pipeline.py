@@ -70,32 +70,27 @@ def recolor_union(g: Graph, phi: TotalColoring, bulk_edges,
     max_degree(union) + 1 new colours, so the budget grows by at most that
     much and the result stays proper: fresh colours clash with nothing old,
     and clashes within the union are excluded by edge-properness there.
-    phi must be a proper total colouring of g. Edges may be given in either
-    endpoint order; a selected edge outside g raises ValueError naming the
-    smallest such edge.
+    phi must be a proper total colouring of g. Edges are pairs as
+    ``g.edges`` lists them, smaller endpoint first; any other pair,
+    reversed ones included, raises ValueError naming the smallest such
+    pair.
 
     The union is filtered from ``g.edges``, so it is sorted and valid, and
     goes to the edge colourer as a list with its maximum degree; no Graph
-    of it is built. Only a selection that the filter finds short, one with
-    a reversed pair or a stray edge, is normalised and filtered again; the
-    deletion stages' selections never are. One loop sets
-    the fresh colours in a copy of ``phi.edge_colors`` and swaps the old
-    and new colour bits of each union edge at both ends in a copy of
-    ``phi.stars``; the result carries both.
+    of it is built. One loop sets the fresh colours in a copy of
+    ``phi.edge_colors`` and swaps the old and new colour bits of each union
+    edge at both ends in a copy of ``phi.stars``; the result carries both.
     """
-    # tuple() hands an exact tuple back as it is; pairs of other types
-    # become tuples, which the check below then normalises
+    # tuple() hands an exact tuple back as it is, so the stages' own edges
+    # match g.edges; pairs of other types become tuples
     chosen = set(map(tuple, bulk_edges))
     chosen.update(map(tuple, patch_edges))
     if not chosen:
         return phi
     union, union_degree = _union(g, chosen)
     if len(union) < len(chosen):
-        chosen = {normalize_edge(u, v) for u, v in chosen}
-        union, union_degree = _union(g, chosen)
-        if len(union) < len(chosen):
-            stray = min(chosen.difference(union))
-            raise ValueError(f"selected edge {stray} is not in the graph")
+        stray = min(chosen.difference(union))
+        raise ValueError(f"selected edge {stray} is not in the graph")
     sub_colors = _color_edges(g.n, union, union_degree)
     k = phi.k + max(sub_colors.values())
     # phi is proper and the new colours are above its palette, so each old

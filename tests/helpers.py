@@ -44,6 +44,11 @@ def mask_of(colours) -> int:
     return sum(1 << c for c in set(colours))
 
 
+def used_colours(phi: TotalColoring) -> frozenset[int]:
+    """The colours phi puts on some vertex or edge."""
+    return frozenset(phi.vertex_colors) | frozenset(phi.edge_colors.values())
+
+
 def colours_of(mask: int) -> set[int]:
     """The colours whose bits are set in mask."""
     return {c for c in range(mask.bit_length()) if mask >> c & 1}

@@ -9,10 +9,13 @@ import gc
 import io
 import json
 import math
+import os
 import re
+import subprocess
 import sys
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -1055,6 +1058,38 @@ class TestContract:
                 cli.entry()
             assert exc.value.code == want
         capsys.readouterr()
+
+
+class TestOutputFailures:
+    @pytest.mark.parametrize("flags", [[], ["--json"]], ids=["text", "json"])
+    def test_closed_stdout_pipe_is_one_error_line(self, flags):
+        # the read end is closed before the run, so the write at main's
+        # flush fails every time; stdin carries K_5
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(Path(cli.__file__).parents[1])]
+            + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-c", "from avdtotal.cli import entry; entry()",
+                 "seed-color", *flags],
+                input=b"D~{\n", stdout=write, stderr=subprocess.PIPE, env=env,
+                timeout=120)
+        finally:
+            os.close(write)
+        err = proc.stderr.decode()
+        assert proc.returncode == 2
+        assert len(err.splitlines()) == 1 and err.startswith("error:")
+        assert "Traceback" not in err and "Exception ignored" not in err
+
+    def test_out_of_memory_is_one_error_line(self, capsys, monkeypatch):
+        def exhausted(args):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "_load_graph", exhausted)
+        assert run(["seed-color"], capsys) == (2, "", "error: out of memory\n")
 
 
 class TestSharedFlags:

@@ -253,8 +253,33 @@ class TestTotalOrder:
                 assert exact._total_order(g) == _reference_total_structure(g)[1]
 
 
+def assert_vertex_last_has_no_twin(g):
+    """The look-ahead's precondition: where a vertex is the last element of
+    its own closed star under ``_total_order``, no neighbour has its degree."""
+    at = {e: i for i, e in enumerate(exact._total_order(g))}
+    last = list(range(g.n))  # each vertex's last star element so far: itself
+    for j, (u, v) in enumerate(g.edges):
+        for x in (u, v):
+            if at[g.n + j] > at[last[x]]:
+                last[x] = g.n + j
+    for v in range(g.n):
+        if last[v] == v:
+            assert all(g.degree(w) != g.degree(v) for w in g.adjacency[v]), \
+                (write_graph6(g), v)
+
+
 class TestTwinLookAhead:
     """The last-element look-ahead cuts only subtrees without a completion."""
+
+    def test_vertex_ends_its_star_only_without_twins_small(self):
+        for g in atlas():
+            assert_vertex_last_has_no_twin(g)
+
+    @pytest.mark.parametrize("n", range(1, 14))
+    def test_vertex_ends_its_star_only_without_twins_random(self, n):
+        for p in (0.2, 0.5, 0.8):
+            for seed in range(5):
+                assert_vertex_last_has_no_twin(random_gnp(n, p, seed))
 
     def test_tail_graph_matches_reference(self):
         # 317 570 search nodes before the look-ahead, 44 with it

@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from avdtotal import (BadEvent, EdgeSelection, Graph, PipelineParams,
-                      TotalColoring, candidate_edges, complete_graph,
+                      TotalColoring, complete_graph,
                       cycle_graph, degree_split, derive_constants, find_bulk_deletion,
                       find_patch_deletion, greedy_total, light_vertices,
                       random_gnp, run_pipeline, star_graph, substream)
@@ -44,13 +44,17 @@ def two_hub_fixture():
     return g, phi
 
 
+def candidate_edges(g, phi):
+    """The bulk stage's candidate edges, as its own check lists them; m, d
+    and eps do not change them."""
+    return _BulkCheck(g, phi, 8, 4, Fraction(1, 3)).cands
+
+
 def bulk_events(g, phi, sel, params):
     """The events find_bulk_deletion's own check reports for sel, given to
     it as a boolean array over the candidate edges."""
-    cands = candidate_edges(g)
-    check = _BulkCheck(g, phi, degree_split(g).high, cands,
-                       params.m, params.d, params.eps)
-    selected = np.array([e in sel.edges for e in cands], dtype=bool)
+    check = _BulkCheck(g, phi, params.m, params.d, params.eps)
+    selected = np.array([e in sel.edges for e in check.cands], dtype=bool)
     return check.events(selected, np.array(sel.per_vertex_count, dtype=np.int64))
 
 
@@ -217,11 +221,11 @@ class TestCandidatesAndSampling:
         g = Graph.build(5, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2)])
         # hub 0 is the only high vertex; (1, 2) joins two low vertices
         assert degree_split(g).high == frozenset({0})
-        assert candidate_edges(g) == [(0, 1), (0, 2), (0, 3), (0, 4)]
+        assert candidate_edges(g, greedy_total(g)) == [(0, 1), (0, 2), (0, 3), (0, 4)]
 
     def test_candidates_regular_graph_all(self):
         g = cycle_graph(5)
-        assert candidate_edges(g) == list(g.edges)
+        assert candidate_edges(g, greedy_total(g)) == list(g.edges)
 
     def test_one_degree_split_per_graph(self, monkeypatch):
         g = random_gnp(60, 0.5, 0)
@@ -271,7 +275,7 @@ class TestCandidatesAndSampling:
         g = complete_graph(51)
         phi = greedy_total(g)
         r = PipelineParams().resolve(g)
-        cands = candidate_edges(g)
+        cands = candidate_edges(g, phi)
         draws = 800
         # the draw does not depend on m once lam and M are fixed; an m above
         # every count keeps A_pair, and so the round's check, cheap
@@ -364,7 +368,7 @@ class TestBulkViolations:
         g = random_gnp(n, 0.6, seed)
         phi = greedy_total(g)
         params = PipelineParams(m=6, d=2, eps=Fraction(2, 5), lam=5.0, M=10_000)
-        cands = candidate_edges(g)
+        cands = candidate_edges(g, phi)
         rng = np.random.Generator(np.random.Philox(subset_seed))
         mask = rng.random(len(cands)) < 0.5
         sel = EdgeSelection.from_edges(g.n, [e for e, k in zip(cands, mask) if k])
@@ -444,7 +448,7 @@ class TestStarSets:
                               if rng.random() < 0.5)
             edges = _PatchCheck(g, phi, frozenset(), light, Fraction(1, 2), 2).edges
         else:
-            edges = candidate_edges(g)
+            edges = candidate_edges(g, phi)
         for q_del in (0.3, 0.7):  # a second call starts from the same stars
             deleted = rng.random(len(edges)) < q_del
             gone = [e for e, x in zip(edges, deleted.tolist()) if x]
@@ -651,7 +655,7 @@ class TestChecksAgainstReference:
         phi = greedy_total(g)
         m, d = shape
         params = PipelineParams(m=m, d=d, eps=Fraction(1, 3), lam=5.0, M=10_000)
-        cands = candidate_edges(g)
+        cands = candidate_edges(g, phi)
         rng = np.random.Generator(np.random.Philox(subset_seed))
         sel = EdgeSelection.from_edges(
             g.n, [e for e, keep in zip(cands, rng.random(len(cands)) < q) if keep])
@@ -693,7 +697,7 @@ class TestChecksAgainstReference:
     def test_patch_check_on_dense_selections(self, n, seed, light_seed, draw_seed, q):
         g = dense_graph(n, seed)
         phi = greedy_total(g)
-        cands = candidate_edges(g)
+        cands = candidate_edges(g, phi)
         rng = np.random.Generator(np.random.Philox(light_seed))
         bulk = EdgeSelection.from_edges(
             g.n, [e for e, keep in zip(cands, rng.random(len(cands)) < q) if keep])
@@ -747,7 +751,7 @@ class TestFirstDrawAgainstReference:
     def test_patch_first_draw(self, n, graph_seed, light_seed, seed, q, B):
         g = dense_graph(n, graph_seed)
         phi = greedy_total(g)
-        cands = candidate_edges(g)
+        cands = candidate_edges(g, phi)
         rng = np.random.Generator(np.random.Philox(light_seed))
         bulk = EdgeSelection.from_edges(
             g.n, [e for e, keep in zip(cands, rng.random(len(cands)) < q) if keep])
@@ -859,7 +863,7 @@ class TestForcedFloor:
         res = find_bulk_deletion(g, phi, params)
         # keeping every candidate edge maximises every count, so B_vertex
         # fires there exactly at the vertices where it fires in every round
-        everything = frozenset(candidate_edges(g))
+        everything = frozenset(candidate_edges(g, phi))
         full = [w[0] for kind, w in reference_bulk_events(
             g, phi, everything, m, d, params.eps) if kind == "B_vertex"]
         assert res.forced == reference_forced(g, m, params.eps) == tuple(full)
@@ -905,7 +909,7 @@ class TestPatchSearchAgainstReference:
             g = dense_graph(n, graph_seed)
             phi = greedy_total(g)
         rng = np.random.Generator(np.random.Philox(graph_seed))
-        cands = candidate_edges(g)
+        cands = candidate_edges(g, phi)
         bulk = EdgeSelection.from_edges(
             g.n, [e for e, keep in zip(cands, rng.random(len(cands)) < q) if keep])
         light = frozenset(v for v in sorted(degree_split(g).high) if rng.random() < 0.4)

@@ -19,9 +19,11 @@ STALE_METRICS = {"coloring.properness_violations", "coloring.avd_violations"}
 
 
 def test_no_assert_statements():
-    # invariants must hold under python -O, which strips assert statements
+    # invariants must hold under python -O, which strips assert statements;
+    # pytest rewrites the asserts of test modules so that they survive it,
+    # but not those of helpers.py, whose oracles must raise instead
     found = []
-    for path in SOURCES:
+    for path in SOURCES + [Path(__file__).parent / "helpers.py"]:
         tree = ast.parse(path.read_text(), filename=str(path))
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                   if isinstance(node, ast.Assert)]
