@@ -35,7 +35,9 @@ class TotalColoring:
     """Colours for every vertex and edge, drawn from the palette 1..k.
 
     Instances are snapshots: phases that recolour build a new object, and
-    edge_colors must not change after ``stars`` has been read.
+    edge_colors must not change after ``stars`` has been read, nor once
+    ``run_pipeline`` has returned the object, whose exit pass
+    ``to_document`` then takes as its verdict.
     """
 
     vertex_colors: tuple[int, ...]
@@ -287,22 +289,41 @@ def _collector_paused():
             gc.enable()
 
 
+def _mark_accepted(g: Graph, phi: TotalColoring) -> None:
+    """Record on phi that ``violations(g, phi)`` has just found nothing; for
+    ``run_pipeline``'s exit pass, on a colouring the run built. The mark
+    names this very g, and ``to_document`` reads it."""
+    object.__setattr__(phi, "_accepted_on", g)
+
+
+_ACCEPTED = {"proper": True, "avd": True}
+
+
 @_collector_paused()
 def to_document(g: Graph, phi: TotalColoring) -> dict:
-    """Serialize graph plus colouring with freshly verified flags, with the
-    cyclic garbage collector paused."""
-    return _document_body(g, phi, verdict(g, phi))
+    """Serialize graph plus colouring with its {proper, avd} flags, with the
+    cyclic garbage collector paused.
+
+    A colouring that ``run_pipeline`` returned after its exit pass accepted
+    it on this very g object is proper and AVD, and is not verified again.
+    Any other phi, a loaded, hand-built or ``dataclasses.replace`` copy, the
+    caller's own colouring returned unchanged, or the same colours with an
+    equal but distinct Graph, gets a fresh ``verdict``.
+    """
+    accepted = getattr(phi, "_accepted_on", None) is g
+    return _document_body(g, phi, _ACCEPTED if accepted else verdict(g, phi))
 
 
 def _document_body(g: Graph, phi: TotalColoring, verified: dict[str, bool]) -> dict:
-    """The document of a total assignment phi, with flags already computed."""
+    """The document of a total assignment phi, with flags already computed;
+    the edge records in one pass over ``g.edges`` and phi's edge colours."""
     return {
         "n": g.n,
-        "edges": [[u, v] for u, v in g.edges],
+        "edges": list(map(list, g.edges)),
         "k": phi.k,
         "vertex_colors": list(phi.vertex_colors),
-        "edge_colors": [{"u": u, "v": v, "c": phi.edge_colors[(u, v)]}
-                        for u, v in g.edges],
+        "edge_colors": [{"u": u, "v": v, "c": c}
+                        for (u, v), c in zip(g.edges, _edge_colours(g, phi))],
         "verified": dict(verified),
     }
 

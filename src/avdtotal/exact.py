@@ -29,7 +29,9 @@ None.
 maximum-degree vertices and at max_degree + 1 otherwise (Zhang et al.,
 *On adjacent-vertex-distinguishing total coloring of graphs*, Sci. China
 Ser. A 48, 2005): with max_degree + 1 colours both closed stars hold the
-whole palette.
+whole palette. On a regular graph of odd order a parity count can rule
+out max_degree + 2 as well (``_parity_count_excludes``), which settles
+K3, K5 and K7 without a search at that k.
 """
 
 from __future__ import annotations
@@ -223,7 +225,9 @@ def find_total_coloring(g: Graph, k: int,
     With distinguishing=True the colouring must also give adjacent vertices
     distinct colour sets. Below the degree lower bound (max_degree + 1, or
     _chi_at_lower_bound when distinguishing) the answer is None without a
-    search.
+    search, and so it is in distinguishing mode when the parity count of
+    ``_parity_count_excludes`` rules k out. Otherwise the search runs, in
+    the same order, and returns the same first colouring.
     """
     k = _integer("k", k)
     t = g.n + len(g.edges)
@@ -232,6 +236,8 @@ def find_total_coloring(g: Graph, k: int,
     if k < 0:
         raise ValueError("k must be non-negative")
     if t and k < (_chi_at_lower_bound(g) if distinguishing else g.max_degree + 1):
+        return None
+    if distinguishing and _parity_count_excludes(g, k):
         return None
     n, edges, adj = g.n, g.edges, g.adjacency
     order = _total_order(g)
@@ -265,6 +271,50 @@ def find_total_coloring(g: Graph, k: int,
         edge_colors={e: color[n + j] for j, e in enumerate(edges)},
         k=k,
     )
+
+
+def _parity_count_excludes(g: Graph, k: int) -> bool:
+    """Whether counting alone shows that g has no distinguishing total
+    colouring with k colours: g is Δ-regular with an edge, its order n is
+    odd, k = Δ + 2, and 2n > (Δ + 2)(2α − 1), α the independence number.
+
+    Proof. Each closed star holds Δ + 1 distinct colours, so it misses
+    exactly one of the Δ + 2. Adjacent stars have different colour sets of
+    equal size, so they miss different colours: the missing colour is a
+    proper vertex colouring, with independent classes I_c. Colour class c
+    is an independent set V_c of vertices plus a matching that avoids V_c.
+    A vertex of I_c holds no c at all, and every vertex outside V_c and
+    I_c meets exactly one edge of that matching, so n − |V_c| − |I_c| is
+    even. As n is odd, |V_c| + |I_c| is odd, and so at most 2α − 1.
+    Summed over the Δ + 2 colours it is 2n, since the V_c and the I_c
+    each partition the vertices.
+
+    α is decided only on that path, and only as far as needed: the search
+    for an independent set stops at the first one of the least size that
+    rules the exit out.
+    """
+    adj, delta, n = g.adjacency, g.max_degree, g.n
+    if not (delta and n % 2 and k == delta + 2
+            and all(len(nbrs) == delta for nbrs in adj)):
+        return False
+    # the least s with (delta + 2)(2s - 1) >= 2n
+    least = (-(-2 * n // (delta + 2)) + 2) // 2
+    nbr = [sum(1 << w for w in nbrs) for nbrs in adj]
+    return not _has_independent_set(nbr, (1 << n) - 1, least)
+
+
+def _has_independent_set(nbr: list[int], free: int, size: int) -> bool:
+    """Whether the vertices in the bitmask free hold an independent set of
+    the given size, nbr[v] being v's neighbours as a bitmask; the search
+    stops at the first one found."""
+    if size == 0:
+        return True
+    while free.bit_count() >= size:
+        low = free & -free
+        free ^= low
+        if _has_independent_set(nbr, free & ~nbr[low.bit_length() - 1], size - 1):
+            return True
+    return False
 
 
 def _least_k(g: Graph, ks: range, distinguishing: bool) -> int:

@@ -18,8 +18,8 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .coloring import (TotalColoring, _collector_paused, _require_proper,
-                       _with_stars, violations)
+from .coloring import (TotalColoring, _collector_paused, _mark_accepted,
+                       _require_proper, _with_stars, violations)
 from .graphs import Edge, Graph, normalize_edge
 from .highdeg import (PipelineParams, find_bulk_deletion,
                       find_patch_deletion, light_vertices)
@@ -176,8 +176,11 @@ def run_pipeline(g: Graph, phi: TotalColoring | None = None,
     Each phase hands its result the masks it has kept current and trusts
     its input. The result, and a self-built seed that needed no phase, gets
     one fresh, full ``violations`` pass on the way out, and RuntimeError
-    names its first violation unless it is proper and AVD. The run keeps
-    the cyclic garbage collector paused and hands it back as it found it.
+    names its first violation unless it is proper and AVD. A result that
+    pass accepts is marked as accepted on g, so ``to_document(g, result)``
+    does not verify it again; a supplied colouring returned unchanged is
+    never marked. The run keeps the cyclic garbage collector paused and
+    hands it back as it found it.
     """
     params = params or PipelineParams()
     timings: dict[str, float] = {}
@@ -221,6 +224,7 @@ def run_pipeline(g: Graph, phi: TotalColoring | None = None,
         if left:
             raise RuntimeError(f"pipeline output is not a proper AVD colouring: "
                                f"{left[0].kind} at {left[0].witness}")
+        _mark_accepted(g, out)
 
     return out, PipelineReport(
         input_k=phi.k, e1_rounds=bulk.rounds, e2_rounds=patch.rounds,

@@ -691,6 +691,21 @@ def reference_violations(g: Graph, phi: TotalColoring) -> list[Violation]:
             for u, v in g.edges if stars[u] == stars[v]]
 
 
+def reference_document_body(g: Graph, phi: TotalColoring, verified: dict) -> dict:
+    """The colouring document as ``coloring._document_body`` built it before
+    its one-pass edge records: one ``phi.edge_colors[(u, v)]`` lookup per
+    edge of ``g.edges``, verbatim. The library must build an equal dict."""
+    return {
+        "n": g.n,
+        "edges": [[u, v] for u, v in g.edges],
+        "k": phi.k,
+        "vertex_colors": list(phi.vertex_colors),
+        "edge_colors": [{"u": u, "v": v, "c": phi.edge_colors[(u, v)]}
+                        for u, v in g.edges],
+        "verified": dict(verified),
+    }
+
+
 def reference_find_total_coloring(g: Graph, k: int,
                                   distinguishing: bool = False) -> TotalColoring | None:
     """The hook-driven total-colouring search the star-mask search replaced.

@@ -16,8 +16,8 @@ from avdtotal import (DocumentError, Graph, PipelineParams, TotalColoring,
                       to_document, verdict, violations)
 
 from helpers import (mask_of, naive_color_set, naive_is_avd, naive_is_proper,
-                     reference_properness_violations, reference_violations,
-                     used_colours)
+                     reference_document_body, reference_properness_violations,
+                     reference_violations, used_colours)
 
 
 def p3_coloring():
@@ -585,6 +585,30 @@ class TestDocuments:
         doc["k"] = 2
         with pytest.raises(DocumentError):
             from_document(doc)
+
+
+@given(n=st.integers(0, 30), p=st.sampled_from([0.0, 0.2, 0.5, 1.0]),
+       seed=st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_document_body_matches_reference(n, p, seed):
+    # the one-pass edge records against the per-edge lookups, on a pipeline
+    # output and on the same colouring loaded with its edge records shuffled,
+    # so its edge-colour dict is out of g.edges order
+    g = random_gnp(n, p, seed)
+    out, report = run_pipeline(g, params=PipelineParams(seed=seed))
+    body = coloring._document_body(g, out, report.verified)
+    assert body == reference_document_body(g, out, verdict(g, out))
+    assert to_document(g, out) == body
+    records = body["edge_colors"][:]
+    random.Random(seed).shuffle(records)
+    loaded = [from_document(dict(body, edge_colors=order))
+              for order in (records, records[::-1])]
+    # one of the two orders differs from g.edges once there are two edges
+    assert len(g.edges) < 2 or any(tuple(phi.edge_colors) != g.edges for _, phi in loaded)
+    for g2, phi in loaded:
+        assert coloring._document_body(g2, phi, report.verified) == body
+        assert reference_document_body(g2, phi, report.verified) == body
+        assert to_document(g2, phi) == body
 
 
 @given(st.integers(min_value=2, max_value=7), st.integers(min_value=0, max_value=10))

@@ -1,8 +1,10 @@
 """Exhaustive solvers cross-checked against brute enumeration."""
 
 import gc
+import json
 import time
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -363,6 +365,61 @@ class TestLowerBound:
             while find_total_coloring(g, k, distinguishing=True) is None:
                 k += 1
             assert chi_at_exact(g) == k, write_graph6(g)
+
+
+def odd_regular_graphs():
+    """Every connected regular graph of odd order with an edge on at most 6
+    vertices, then K7 and the odd cycles C3-C19."""
+    graphs = [g for n in (3, 5) for g in connected_graphs(n)
+              if len({len(nbrs) for nbrs in g.adjacency}) == 1]
+    return graphs + [complete_graph(7)] + [cycle_graph(n) for n in range(3, 20, 2)]
+
+
+class TestParityExit:
+    """On a Δ-regular graph of odd order n, k = Δ + 2 gives no distinguishing
+    total colouring once 2n > (Δ + 2)(2α − 1); the search is then skipped."""
+
+    def test_fires_on_exactly_the_odd_cliques(self, monkeypatch):
+        searched = []
+        monkeypatch.setattr(exact, "_search",
+                            lambda steps, n, k: searched.append(n))
+        fired = set()
+        for g in odd_regular_graphs():
+            searched.clear()
+            assert find_total_coloring(g, g.max_degree + 2, True) is None
+            if not searched:
+                fired.add(write_graph6(g))
+            assert exact._parity_count_excludes(g, g.max_degree + 2) == (not searched)
+        assert fired == {write_graph6(complete_graph(n)) for n in (3, 5, 7)}
+
+    def test_exit_agrees_with_the_search(self, monkeypatch):
+        # the exit only answers what the search would: K3 and K5 have no
+        # distinguishing colouring at Δ + 2, searched in full
+        monkeypatch.setattr(exact, "_parity_count_excludes", lambda g, k: False)
+        for n in (3, 5):
+            g = complete_graph(n)
+            assert find_total_coloring(g, n + 1, True) is None
+            assert find_total_coloring(g, n + 2, True) is not None
+
+    def test_only_at_delta_plus_two(self):
+        g = complete_graph(5)
+        assert [k for k in range(12) if exact._parity_count_excludes(g, k)] == [6]
+        assert not exact._parity_count_excludes(complete_graph(6), 7)
+        assert not exact._parity_count_excludes(path_graph(3), 4)
+
+    def test_k7_returns_at_once(self):
+        # 49 s before the exit, nearly all of it in the k = 8 search
+        start = time.perf_counter()
+        assert chi_at_exact(complete_graph(7)) == 9
+        assert time.perf_counter() - start < 1.0
+
+    def test_exact_small_corpus_values_unchanged(self):
+        data = json.loads((Path(__file__).resolve().parents[1]
+                           / "benchmarks" / "data" / "exact_small.json").read_text())
+        recorded = data["connected_up_to_6"] + data["gnp12_p035_seeds_0_to_11"]
+        assert len(recorded) == 155
+        assert [chi_at_exact(parse_graph6(line)) for line, _ in recorded] == \
+            [value for _, value in recorded]
 
 
 class TestConjectureScan:

@@ -43,9 +43,9 @@ def test_cycle_formula(n):
     assert chi_at_exact(cycle_graph(n)) == chi_at_cycle(n)
 
 
-@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("n", range(1, 8))
 def test_complete_formula(n):
-    # K7 takes 46-52 s, and K8 is past the guard
+    # K8 is past the guard
     assert chi_at_exact(complete_graph(n)) == chi_at_complete(n)
 
 

@@ -1,5 +1,6 @@
 """End-to-end pipeline: recolouring, repair, and the full driver."""
 
+import dataclasses
 import gc
 import tracemalloc
 from collections import Counter
@@ -491,6 +492,9 @@ class TestCollectorPause:
 
         recording(pipeline, "greedy_total")
         recording(pipeline, "_require_proper")
+        # to_document(g, out) takes the run's verdict and only writes the
+        # body; on another graph it verifies afresh, and raises there
+        recording(coloring, "_document_body")
         recording(coloring, "verdict")
         (gc.enable if enabled else gc.disable)()
         g = cycle_graph(5)
@@ -506,6 +510,82 @@ class TestCollectorPause:
             to_document(cycle_graph(4), out)
         assert gc.isenabled() is enabled
         assert during == [False] * 4
+
+
+class TestOneVerifierPass:
+    """``run_pipeline`` then ``to_document`` verify a result once, at the
+    run's exit; every colouring the run did not accept on that very graph
+    object is verified afresh, with the flags ``verdict`` gives."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counted = []
+
+        def counting(g, phi):
+            counted.append(phi)
+            return violations(g, phi)
+
+        monkeypatch.setattr(coloring, "violations", counting)
+        monkeypatch.setattr(pipeline, "violations", counting)
+        return counted
+
+    @pytest.mark.parametrize("g", [cycle_graph(5), random_gnp(20, 0.4, 1),
+                                   two_hub_graph()[0], complete_graph(1)],
+                             ids=["C5", "gnp20", "two_hubs", "K1"])
+    def test_pipeline_result_verified_once(self, g, calls):
+        out, report = run_pipeline(g)
+        doc = to_document(g, out)
+        assert len(calls) == 1 and calls[0] is out
+        assert doc["verified"] == report.verified == verdict(g, out)
+
+    def unaccepted(self, g):
+        """Colourings of g that the pipeline never accepted, by name."""
+        out, _ = run_pipeline(g)
+        return {
+            "hand_built": TotalColoring(out.vertex_colors, dict(out.edge_colors), out.k),
+            "improper": TotalColoring((1,) * g.n, out.edge_colors, out.k),
+            "replaced": dataclasses.replace(out),
+            "greedy": greedy_total(g),
+        }
+
+    @pytest.mark.parametrize("name", ["hand_built", "improper", "replaced", "greedy"])
+    def test_other_colourings_verified_afresh(self, name, calls):
+        g = cycle_graph(7)
+        phi = self.unaccepted(g)[name]
+        calls.clear()
+        doc = to_document(g, phi)
+        assert calls == [phi]
+        assert doc["verified"] == verdict(g, phi)
+
+    def test_supplied_distinguishing_seed_verified_in_the_document(self, calls):
+        # returned as the caller's own object, with no exit pass, so the
+        # document verifies it
+        g = star_graph(5)
+        seed = greedy_total(g)
+        out, report = run_pipeline(g, seed)
+        assert out is seed and report.short_circuit
+        doc = to_document(g, out)
+        assert calls == [seed]
+        assert doc["verified"] == verdict(g, seed) == {"proper": True, "avd": True}
+
+    def test_supplied_seed_recoloured_verified_once(self, calls):
+        g = cycle_graph(7)
+        seed = greedy_total(g)
+        out, report = run_pipeline(g, seed)
+        assert out is not seed and not report.short_circuit
+        to_document(g, out)
+        assert calls == [out]
+
+    def test_equal_graph_verified_afresh(self, calls):
+        g = random_gnp(20, 0.4, 1)
+        out, _ = run_pipeline(g)
+        rebuilt = Graph.build(g.n, list(g.edges))
+        assert rebuilt == g and rebuilt is not g
+        calls.clear()
+        doc = to_document(rebuilt, out)
+        assert calls == [out]
+        assert doc == to_document(g, out)
+        assert doc["verified"] == verdict(g, out)
 
 
 @given(st.integers(0, 2 ** 32 - 1), st.integers(2, 14))
