@@ -242,6 +242,11 @@ def write_graph6(g: Graph) -> str:
 # ---------------------------------------------------------------------------
 # DIMACS .col
 
+# the largest vertex count a DIMACS problem line may declare. The count
+# alone, not the text, sets how many adjacency lists are built, so a larger
+# one is refused before any is
+DIMACS_MAX_VERTICES = 1_000_000
+
 # a DIMACS text the array reader takes, its lines joined by "\n": comment or
 # empty lines, the problem line spaced by single blanks, then only edge
 # records whose endpoints are at most 18 ASCII digits, which int64 holds
@@ -252,7 +257,10 @@ _DIMACS_PLAIN = re.compile(
 def parse_dimacs(text: str) -> Graph:
     """Read DIMACS colouring format: one ``p edge n m`` line, ``e u v`` lines
     with 1-based endpoints. Comments are skipped, duplicate edges collapse,
-    self-loops are rejected. Every number is a run of ASCII digits.
+    self-loops are rejected. Every number is a run of ASCII digits, and n
+    is at most ``DIMACS_MAX_VERTICES``; a larger n is a DimacsError naming
+    n and the cap, raised once no line has a fault of its own and before
+    any adjacency list is built.
 
     Two readers share the work, and give the same graph or error on every
     text. The array reader takes a text of comment or empty lines, the
@@ -263,13 +271,11 @@ def parse_dimacs(text: str) -> Graph:
     ``_parse_dimacs_lines``, the one place that names a fault and its line.
     """
     plain = _DIMACS_PLAIN.fullmatch("\n".join(text.splitlines()))
-    if plain is not None:
-        n = int(plain[1])
+    if plain is not None and (n := _vertex_count(plain[1])) <= DIMACS_MAX_VERTICES:
         ends = np.fromstring(plain[2].replace("e", " "), np.int64, sep=" ").reshape(-1, 2) - 1
         u, v = ends[:, 0], ends[:, 1]
-        # n * n bounds every key lo * n + hi in int64
-        if (n * n <= 1 << 63 and (not ends.size or 0 <= ends.min() <= ends.max() < n)
-                and (u != v).all()):
+        # n is at most the cap, so every key lo * n + hi fits in int64
+        if (not ends.size or 0 <= ends.min() <= ends.max() < n) and (u != v).all():
             lo, hi = np.minimum(u, v), np.maximum(u, v)
             keys = lo * n + hi
             if (keys[1:] <= keys[:-1]).any():
@@ -278,11 +284,21 @@ def parse_dimacs(text: str) -> Graph:
     return _parse_dimacs_lines(text)
 
 
+def _vertex_count(digits: str) -> int | float:
+    """The vertex count a run of ASCII digits declares, or math.inf for a
+    run of over 4300 significant digits, which ``int`` refuses to read and
+    which is above every endpoint ``int`` reads and above every cap."""
+    try:
+        return int(digits.lstrip("0") or "0")
+    except ValueError:
+        return math.inf
+
+
 def _parse_dimacs_lines(text: str) -> Graph:
     """``parse_dimacs`` one line at a time, for any text. Every number is
     checked to be a run of ASCII digits before ``int`` reads it, since
     ``int`` also takes signs, underscores and other scripts' digits."""
-    n: int | None = None
+    n: int | float | None = None
     edges: list[Edge] = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         # one split per line; edge records, the bulk of a file, test first
@@ -301,7 +317,10 @@ def _parse_dimacs_lines(text: str) -> Graph:
             ab = a + b
             if not (ab.isdigit() and ab.isascii()):
                 raise DimacsError(f"line {lineno}: non-integer endpoints")
-            u, v = int(a) - 1, int(b) - 1
+            try:
+                u, v = int(a) - 1, int(b) - 1
+            except ValueError:  # int refuses runs of over 4300 digits
+                raise DimacsError(f"line {lineno}: endpoint out of range") from None
             if u == v:
                 raise DimacsError(f"line {lineno}: self-loop at vertex {u + 1}")
             if not (0 <= u < n and 0 <= v < n):
@@ -318,11 +337,15 @@ def _parse_dimacs_lines(text: str) -> Graph:
             ab = parts[2] + parts[3]
             if not (ab.isdigit() and ab.isascii()):
                 raise DimacsError(f"line {lineno}: non-integer problem sizes")
-            n = int(parts[2])
+            n = _vertex_count(parts[2])
+            declared = f"line {lineno}: vertex count {parts[2]}"
         else:
             raise DimacsError(f"line {lineno}: unrecognised record {head!r}")
     if n is None:
         raise DimacsError("missing problem line 'p edge <n> <m>'")
+    if n > DIMACS_MAX_VERTICES:
+        # checked once every line is, so a line's own fault is named first
+        raise DimacsError(f"{declared} is above the cap of {DIMACS_MAX_VERTICES}")
     return Graph.build(n, edges)
 
 

@@ -14,7 +14,8 @@ violated witness, in witness order. It stops at the round cap, the stall
 cap, a fixed draw, or the forced floor, a lower bound on every round's
 event count; failure is a returned value, never an error. Rounds hold
 their draws as edge indices; only the returned round becomes an
-EdgeSelection.
+EdgeSelection, marked with the rows of ``g.edges`` that hold its edges, so
+``pipeline.recolor_union`` reads the union from rows instead of tuples.
 """
 
 from __future__ import annotations
@@ -99,7 +100,12 @@ class PipelineParams:
 
 @dataclass(frozen=True)
 class EdgeSelection:
-    """An edge subset with per-vertex incidence counts."""
+    """An edge subset with per-vertex incidence counts.
+
+    A deletion stage's result also carries the rows of ``g.edges`` that
+    hold its edges, in a private mark that names g (``_mark_rows``); it is
+    not a field, so equality and the constructors ignore it.
+    """
 
     edges: frozenset[Edge]
     per_vertex_count: tuple[int, ...]
@@ -114,6 +120,20 @@ class EdgeSelection:
             counts[u] += 1
             counts[v] += 1
         return cls(edges=normalized, per_vertex_count=tuple(counts))
+
+
+def _mark_rows(g: Graph, selection: EdgeSelection, rows: np.ndarray) -> EdgeSelection:
+    """Record on selection the sorted rows of ``g.edges`` holding its edges,
+    and return it. The mark names this very g; ``_rows_on`` reads it."""
+    object.__setattr__(selection, "_rows_of", (g, rows))
+    return selection
+
+
+def _rows_on(g: Graph, selection) -> np.ndarray | None:
+    """The rows a deletion stage marked selection with on this very g, or
+    None for anything else: another graph, an unmarked selection, pairs."""
+    mark = getattr(selection, "_rows_of", None)
+    return mark[1] if mark is not None and mark[0] is g else None
 
 
 @dataclass(frozen=True)
@@ -140,20 +160,21 @@ class SelectionResult:
     forced: tuple[int, ...] = ()
 
 
-def _resample(edges: list[Edge],
+def _resample(g: Graph, rows: np.ndarray,
               evaluate: Callable[[], tuple[np.ndarray, np.ndarray, list[BadEvent]]],
               resample: Callable[[list[BadEvent]], None],
               params: PipelineParams, fixed: bool, floor: int) -> SelectionResult:
     """The round loop of both stages.
 
     evaluate() checks the current draw: it returns the draw's indices into
-    ``edges``, its per-vertex counts and its bad events. The first round
+    the stage's edges, its per-vertex counts and its bad events; rows[i] is
+    the row of ``g.edges`` holding the stage's edge i. The first round
     without events is returned; otherwise the earliest round with the
     fewest events is, once the search stops: at the round cap, the stall
     cap, a fixed draw, or the forced floor. floor is a lower bound on every
     round's event count, so a best round that reaches it can never be
     replaced. Every other round ends with resample(events). Only the
-    returned round becomes an EdgeSelection.
+    returned round becomes an EdgeSelection, marked with its sorted rows.
     """
     best: tuple[np.ndarray, np.ndarray, tuple[BadEvent, ...]] | None = None
     rounds = stall = 0
@@ -168,8 +189,10 @@ def _resample(edges: list[Edge],
         if (not violations or rounds >= params.max_rounds
                 or stall >= params.stall_rounds or fixed or len(best[2]) <= floor):
             indices, counts, violations = best
-            chosen = frozenset(map(edges.__getitem__, indices.tolist()))
-            selection = EdgeSelection(chosen, tuple(counts.tolist()))
+            picked = rows[indices]
+            chosen = frozenset(map(g.edges.__getitem__, picked.tolist()))
+            selection = _mark_rows(g, EdgeSelection(chosen, tuple(counts.tolist())),
+                                   np.sort(picked))
             return SelectionResult(selection, not violations, rounds, violations)
         resample(violations)
 
@@ -200,14 +223,14 @@ class _BulkCheck:
     neighbours hold fewer than m selected edges.
 
     The candidate edges ``cands`` are those of ``g.edges`` with a high
-    endpoint, in that order, and their endpoints ``ends`` are the matching
-    rows of ``g._ends``. A selection is a boolean array over them with its
-    per-vertex counts. A_pair can only fire at an edge joining equal-degree
-    high vertices, so those edges' rows, ``pair_ends``, are sliced up front,
-    and the restricted colour sets are computed from the selected edges
-    only when a selection count lets the event fire. B_vertex counts
-    under-selected neighbours of every high vertex with one bincount over
-    their concatenated adjacency lists.
+    endpoint, in that order: its rows ``rows``, whose endpoints ``ends``
+    are the matching rows of ``g._ends``. A selection is a boolean array
+    over them with its per-vertex counts. A_pair can only fire at an edge
+    joining equal-degree high vertices, so those edges' rows,
+    ``pair_ends``, are sliced up front, and the restricted colour sets are
+    computed from the selected edges only when a selection count lets the
+    event fire. B_vertex counts under-selected neighbours of every high
+    vertex with one bincount over their concatenated adjacency lists.
 
     A vertex holds at most its candidate edges, so B_vertex fires in every
     round at the high vertices in ``forced``: those it fires at when every
@@ -225,7 +248,8 @@ class _BulkCheck:
         is_cand = at_high.any(axis=1)
         degree = np.bincount(ends.ravel(), minlength=g.n)
         self.cands: list[Edge] = list(itertools.compress(g.edges, is_cand.tolist()))
-        self.ends = ends[is_cand]
+        self.rows = np.flatnonzero(is_cand)
+        self.ends = ends[self.rows]
         self.pair_ends = ends[at_high.all(axis=1)
                               & (degree[ends[:, 0]] == degree[ends[:, 1]])]
         high_degree = degree[self.high]
@@ -308,7 +332,7 @@ def find_bulk_deletion(g: Graph, phi: TotalColoring,
 
     # at p = 1, or at a lam/max_degree that underflows to p = 0, the draw
     # is deterministic; resampling cannot change it
-    result = _resample(cands, evaluate, resample, params,
+    result = _resample(g, check.rows, evaluate, resample, params,
                        fixed=resolved.p >= 1.0 or resolved.p <= 0.0,
                        floor=len(check.forced))
     return replace(result, forced=check.forced)
@@ -393,19 +417,24 @@ def find_patch_deletion(g: Graph, phi: TotalColoring, bulk: EdgeSelection,
     reported in the result. A violated round redraws the B-subsets of
     light vertices in the witnesses' closed neighbourhoods, in witness
     order. Rounds hold their draws as indices into ``_PatchCheck.edges``;
-    only the returned one becomes an EdgeSelection. phi must be a proper
-    total colouring of g.
+    only the returned one becomes an EdgeSelection. The selection of an
+    infeasible search is empty, and marked with no rows. phi must be a
+    proper total colouring of g.
     """
     params = params or PipelineParams()
     check = _PatchCheck(g, phi, bulk.edges, light, params.alpha, params.B)
     pools = check.pools
     for u, pool in zip(check.order, pools):
         if pool.size < params.B:
-            return SelectionResult(EdgeSelection.from_edges(g.n, []), False, 0, (),
-                                   infeasible_vertex=u)
+            empty = _mark_rows(g, EdgeSelection.from_edges(g.n, []),
+                               np.zeros(0, dtype=np.int64))
+            return SelectionResult(empty, False, 0, (), infeasible_vertex=u)
 
     rng = substream(params.seed, PATCH_STREAM)
     ends = np.array(check.edges, dtype=np.int64).reshape(-1, 2)
+    # g.edges is sorted, so the keys u * n + v of its rows ascend
+    keys = g._ends[:, 0] * g.n + g._ends[:, 1]
+    edge_rows = np.searchsorted(keys, ends[:, 0] * g.n + ends[:, 1])
     row = {u: r for r, u in enumerate(check.order)}
 
     def draw(r: int) -> np.ndarray:
@@ -426,5 +455,5 @@ def find_patch_deletion(g: Graph, phi: TotalColoring, bulk: EdgeSelection,
             picks[r] = draw(r)
 
     # when every pool holds exactly B edges each draw is forced
-    return _resample(check.edges, evaluate, resample, params,
+    return _resample(g, edge_rows, evaluate, resample, params,
                      fixed=all(pool.size == params.B for pool in pools), floor=0)

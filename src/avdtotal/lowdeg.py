@@ -48,16 +48,24 @@ def distinguish_low_degree(g: Graph, phi: TotalColoring) -> TotalColoring:
     forbidden set excludes every colour that would copy a neighbour's
     colour set; so each low vertex is recoloured at most once.
 
-    The pass updates a copy of ``phi.stars``, which the result carries.
+    A recolour changes only its own vertex's set, and never to a
+    neighbour's, so a pair that differs keeps differing. The pass therefore
+    visits only the low vertices with an equal neighbour on entry, found in
+    one scan of ``g.edges``, and rechecks each; with no low vertex there is
+    no scan. It updates a copy of ``phi.stars``, which the result carries.
     """
     # a proper total colouring has k >= max_degree + 1 once there is a
     # vertex; the empty graph's k = 0 colouring is proper
     if g.n and phi.k <= g.max_degree:
         raise ValueError(f"palette k={phi.k} must exceed max_degree={g.max_degree}")
-    vcols = list(phi.vertex_colors)
+    low = degree_split(g).low
+    if not low:
+        return phi
     masks = list(phi.stars)
+    clashing = {x for u, v in g.edges if masks[u] == masks[v] for x in (u, v)}
+    vcols = list(phi.vertex_colors)
     changed = False
-    for u in sorted(degree_split(g).low):
+    for u in sorted(clashing.intersection(low)):
         if all(masks[u] != masks[w] for w in g.adjacency[u]):
             continue
         # colours start at 1, so bit 0 counts as taken; the lowest clear

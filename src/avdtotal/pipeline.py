@@ -21,8 +21,8 @@ import numpy as np
 from .coloring import (TotalColoring, _collector_paused, _mark_accepted,
                        _require_proper, _with_stars, violations)
 from .graphs import Edge, Graph, normalize_edge
-from .highdeg import (PipelineParams, find_bulk_deletion,
-                      find_patch_deletion, light_vertices)
+from .highdeg import (EdgeSelection, PipelineParams, _rows_on,
+                      find_bulk_deletion, find_patch_deletion, light_vertices)
 from .lowdeg import distinguish_low_degree
 from .seeding import greedy_total
 from .vizing import _color_edges
@@ -70,27 +70,40 @@ def recolor_union(g: Graph, phi: TotalColoring, bulk_edges,
     max_degree(union) + 1 new colours, so the budget grows by at most that
     much and the result stays proper: fresh colours clash with nothing old,
     and clashes within the union are excluded by edge-properness there.
-    phi must be a proper total colouring of g. Edges are pairs as
+    phi must be a proper total colouring of g.
+
+    Each selection is a deletion stage's EdgeSelection or a collection of
+    pairs. A selection the stage made on this very g carries the rows of
+    ``g.edges`` that hold its edges, and the union is read from those rows;
+    no edge tuple is looked up. Any other selection is taken as pairs, as
     ``g.edges`` lists them, smaller endpoint first; any other pair,
     reversed ones included, raises ValueError naming the smallest such
     pair.
 
-    The union is filtered from ``g.edges``, so it is sorted and valid, and
+    The union is a mask over ``g.edges``, so it is sorted and valid, and
     goes to the edge colourer as a list with its maximum degree; no Graph
     of it is built. One loop sets the fresh colours in a copy of
     ``phi.edge_colors`` and swaps the old and new colour bits of each union
     edge at both ends in a copy of ``phi.stars``; the result carries both.
     """
-    # tuple() hands an exact tuple back as it is, so the stages' own edges
-    # match g.edges; pairs of other types become tuples
-    chosen = set(map(tuple, bulk_edges))
-    chosen.update(map(tuple, patch_edges))
-    if not chosen:
+    marked = [_rows_on(g, s) for s in (bulk_edges, patch_edges)]
+    if all(rows is not None for rows in marked):
+        inside = np.zeros(len(g.edges), dtype=bool)
+        for rows in marked:
+            inside[rows] = True
+        union, union_degree = _masked(g, inside)
+    else:
+        # tuple() hands an exact tuple back as it is, so edges taken from
+        # g.edges match; pairs of other types become tuples
+        chosen: set[Edge] = set()
+        for s in (bulk_edges, patch_edges):
+            chosen.update(map(tuple, s.edges if isinstance(s, EdgeSelection) else s))
+        union, union_degree = _union(g, chosen)
+        if len(union) < len(chosen):
+            stray = min(chosen.difference(union))
+            raise ValueError(f"selected edge {stray} is not in the graph")
+    if not union:
         return phi
-    union, union_degree = _union(g, chosen)
-    if len(union) < len(chosen):
-        stray = min(chosen.difference(union))
-        raise ValueError(f"selected edge {stray} is not in the graph")
     sub_colors = _color_edges(g.n, union, union_degree)
     k = phi.k + max(sub_colors.values())
     # phi is proper and the new colours are above its palette, so each old
@@ -110,11 +123,16 @@ def recolor_union(g: Graph, phi: TotalColoring, bulk_edges,
 
 
 def _union(g: Graph, chosen: set[Edge]) -> tuple[list[Edge], int]:
-    """The edges of g in chosen, any set of pairs, in ``g.edges`` order, so
+    """``_masked`` of the rows of g whose edges are in chosen, any set of
+    pairs."""
+    return _masked(g, np.fromiter(map(chosen.__contains__, g.edges), dtype=bool,
+                                  count=len(g.edges)))
+
+
+def _masked(g: Graph, inside: np.ndarray) -> tuple[list[Edge], int]:
+    """The edges of g at the rows inside marks, in ``g.edges`` order, so
     sorted and valid as the edge colourer needs them, and their maximum
     degree, counted over the matching rows of ``g._ends`` (0 if none)."""
-    inside = np.fromiter(map(chosen.__contains__, g.edges), dtype=bool,
-                         count=len(g.edges))
     union = list(compress(g.edges, inside.tolist()))
     return union, int(np.bincount(g._ends[inside].ravel(), minlength=1).max())
 
@@ -132,14 +150,17 @@ def repair_fallback(g: Graph, phi: TotalColoring) -> TotalColoring:
     first. phi must be a proper total colouring of g; then no equal pair
     has two endpoints of degree one, as their vertex colours differ.
 
-    The scan updates a copy of ``phi.stars``, two bits per repair, which
-    the result carries. The result is not verified here; ``run_pipeline``
-    verifies what the phases return.
+    Since no repair makes an equal pair, the scan visits only the edges
+    whose endpoints' masks were equal on entry, and rechecks each. It
+    updates a copy of ``phi.stars``, two bits per repair, which the result
+    carries. The result is not verified here; ``run_pipeline`` verifies
+    what the phases return.
     """
     masks = list(phi.stars)
     recoloured: dict[Edge, int] = {}
     k = phi.k
-    for u, v in g.edges:
+    equal = [(u, v) for u, v in g.edges if masks[u] == masks[v]]
+    for u, v in equal:
         if masks[u] != masks[v]:
             continue
         k += 1
@@ -211,8 +232,8 @@ def run_pipeline(g: Graph, phi: TotalColoring | None = None,
             light = light_vertices(g, bulk.selection, params.m)
             patch = find_patch_deletion(g, checked, bulk.selection, light, params)
         with timed("recolor"):
-            recolored = recolor_union(g, checked, bulk.selection.edges,
-                                      patch.selection.edges)
+            recolored = recolor_union(g, checked, bulk.selection,
+                                      patch.selection)
         with timed("low_degree"):
             lowered = distinguish_low_degree(g, recolored)
         with timed("repair"):

@@ -17,20 +17,24 @@ g's edges; ``pipeline.recolor_union`` passes the union of deleted edges,
 filtered from ``g.edges``, so no Graph of the union is built or validated.
 Colours are keyed by the edge tuples passed in.
 
-Colour sets are per-vertex bitmasks, and each vertex keeps a dict from
-colour to far endpoint. Those slots are overwritten in place and never
-deleted; a slot whose colour bit is clear is stale and never read. A
-vertex holds one slot per colour its edges have ever had, so slot memory
-is bounded by the colour assignments made, not by n times the palette
-size. A star K_{1,N} ends with 2N slots; the 42 064-edge union that
-``run_pipeline`` recolours on ``random_gnp(5000, 0.004, 0)`` reaches no
-fan and ends with 2m = 84 128.
+Colour sets are per-vertex bitmasks. Only fans and path walks need the
+far endpoint of a coloured edge, so the fan index, one dict per vertex
+from colour to far endpoint, is built from the colours so far when the
+first edge needs a fan, and kept current from then on. A colouring that
+reaches no fan has no slots until the first fan: a star K_{1,N}, or the
+union ``run_pipeline`` recolours on ``random_gnp(5000, 0.004, 0)``, keeps
+only the bitmasks and the colours. Once built, slots are overwritten in
+place and never deleted; a slot whose colour bit is clear is stale and
+never read. A vertex holds one slot per colour its edges have had since
+the index was built, so slot memory is bounded by the colour assignments
+made, not by n times the palette size.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import chain
 
 from .graphs import Edge, Graph
 
@@ -62,13 +66,29 @@ def _color_edges(n: int, edges: Sequence[Edge], max_degree: int) -> dict[Edge, i
     k = max_degree + 1
     color: dict[Edge, int] = {}
     # used[x] has bit col set for each colour on an edge at x, and bit 0
-    # always, so the lowest zero bit is the smallest free colour. at[x]
-    # maps colours to the far endpoint, for fans and path walks; at[x][col]
-    # is read only while bit col of used[x] is set, so stale slots stay
+    # always, so the lowest zero bit is the smallest free colour
     used = [1] * n
-    at: list[dict[int, int]] = [{} for _ in range(n)]
+    # first-fit alone, the lowest colour free at both ends, until an edge
+    # finds none within the palette
+    pending = iter(edges)
+    for e in pending:
+        u, v = e
+        m = used[u] | used[v]
+        bit = ~m & (m + 1)
+        col = bit.bit_length() - 1
+        if col > k:
+            break
+        color[e] = col
+        used[u] |= bit
+        used[v] |= bit
+    else:
+        return color
+    # the fan index, kept current from here on. at[x][col] is read only
+    # while bit col of used[x] is set, so stale slots stay
+    at = _fan_index(n, color)
 
-    for e in edges:
+    # the edge that needed the fan first, then the rest
+    for e in chain((e,), pending):
         u, v = e
         at_u = at[u]
         # the lowest colour free at both ends, when the palette has one
@@ -167,3 +187,13 @@ def _color_edges(n: int, edges: Sequence[Edge], max_degree: int) -> dict[Edge, i
                 used[x] |= 1 << col
 
     return color
+
+
+def _fan_index(n: int, color: dict[Edge, int]) -> list[dict[int, int]]:
+    """For each vertex x below n, a dict from the colour of each edge at x
+    in color to that edge's far endpoint; for fans and path walks."""
+    at: list[dict[int, int]] = [{} for _ in range(n)]
+    for (x, y), col in color.items():
+        at[x][col] = y
+        at[y][col] = x
+    return at

@@ -296,11 +296,22 @@ class TestDistinguishLow:
         assert doc["verified"]["proper"] is True
 
     def test_one_verifier_pass_each_side(self, clean_doc, capsys, monkeypatch):
-        # the input check and the output flags are one verifier pass each;
-        # the phase reads the masks the input check built, and the third
-        # check_total is from_document's, on loading
+        # the input check and the output flags are one verifier pass each,
+        # and the third check_total is from_document's, on loading; K4 has
+        # no low vertex, so the phase returns before it reads any mask
         calls = count_verifier_calls(monkeypatch)
         code, _, _ = run(["distinguish-low", "--in", clean_doc, "--json"], capsys)
+        assert code == 0
+        assert calls == {"_judge": 2, "violations": 1, "check_total": 3}
+
+    def test_one_mask_build_with_low_vertices(self, tmp_path, capsys, monkeypatch):
+        # with low vertices the phase reads the masks the input check built,
+        # once
+        g = star_graph(4)
+        p = tmp_path / "star.json"
+        p.write_text(json.dumps(to_document(g, greedy_total(g))))
+        calls = count_verifier_calls(monkeypatch)
+        code, _, _ = run(["distinguish-low", "--in", str(p), "--json"], capsys)
         assert code == 0
         assert calls == {"_judge": 2, "_closed_stars": 1, "violations": 1,
                          "check_total": 3}
@@ -1090,6 +1101,11 @@ class TestOutputFailures:
 
         monkeypatch.setattr(cli, "_load_graph", exhausted)
         assert run(["seed-color"], capsys) == (2, "", "error: out of memory\n")
+
+    def test_dimacs_count_above_the_cap_is_one_error_line(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "stdin", io.StringIO("p edge 100000000 0\n"))
+        assert run(["color", "--format", "dimacs"], capsys) == (
+            2, "", "error: line 1: vertex count 100000000 is above the cap of 1000000\n")
 
 
 class TestSharedFlags:

@@ -551,6 +551,50 @@ class TestDimacs:
         assert read(parse_dimacs) == read(graphs_mod._parse_dimacs_lines)
 
 
+class TestDimacsVertexCap:
+    """A declared vertex count above ``DIMACS_MAX_VERTICES`` is refused
+    before any adjacency list is built."""
+
+    @pytest.mark.parametrize("text, line", [
+        ("p edge 100000000 0", 1), ("c tab\np\tedge 100000000 0\n", 2)],
+        ids=["array-reader", "line-reader"])
+    def test_huge_count_fails_at_once(self, text, line, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a graph was assembled")
+
+        monkeypatch.setattr(graphs_mod, "_assemble", refuse)
+        start = time.perf_counter()
+        with pytest.raises(DimacsError) as exc:
+            parse_dimacs(text)
+        assert time.perf_counter() - start < 0.1
+        assert str(exc.value) == (f"line {line}: vertex count 100000000 "
+                                  "is above the cap of 1000000")
+
+    @pytest.mark.parametrize("text, line", [
+        ("p edge 6 1\ne 1 2\n", 1), ("p edge 0006 1\n", 1),
+        ("c comment\n\np  edge 6 0\n", 3)])
+    def test_both_readers_refuse_one_above_the_cap(self, text, line, monkeypatch):
+        monkeypatch.setattr(graphs_mod, "DIMACS_MAX_VERTICES", 5)
+        for reader in (parse_dimacs, graphs_mod._parse_dimacs_lines):
+            with pytest.raises(DimacsError, match=rf"^line {line}: vertex count 0*6 "
+                                                  r"is above the cap of 5$"):
+                reader(text)
+        monkeypatch.setattr(graphs_mod, "DIMACS_MAX_VERTICES", 6)
+        assert parse_dimacs(text).n == 6
+
+    def test_line_fault_is_named_before_the_cap(self):
+        with pytest.raises(DimacsError, match=r"^line 3: endpoint out of range$"):
+            parse_dimacs("p edge 100000000 2\ne 1 2\ne 0 1\n")
+
+    def test_digit_runs_too_long_for_int(self):
+        # int refuses runs of over 4300 digits with a plain ValueError
+        with pytest.raises(DimacsError, match="is above the cap of 1000000$"):
+            parse_dimacs("p edge " + "9" * 5000 + " 0\n")
+        with pytest.raises(DimacsError, match=r"^line 2: endpoint out of range$"):
+            parse_dimacs("p edge 5 1\ne 1 " + "9" * 5000 + "\n")
+        assert parse_dimacs("p edge " + "0" * 5000 + "3 1\ne 1 3\n").edges == ((0, 2),)
+
+
 class TestGenerators:
     def test_path_shape(self):
         g = path_graph(5)

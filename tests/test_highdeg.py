@@ -15,7 +15,7 @@ from avdtotal import (BadEvent, EdgeSelection, Graph, PipelineParams,
                       find_patch_deletion, greedy_total, light_vertices,
                       random_gnp, run_pipeline, star_graph, substream)
 from avdtotal import graphs
-from avdtotal.highdeg import _BulkCheck, _PatchCheck, _restricted
+from avdtotal.highdeg import _BulkCheck, _PatchCheck, _restricted, _rows_on
 
 from helpers import (hub_graph, mask_of, naive_color_set,
                      reference_bulk_events, reference_bulk_first_round,
@@ -940,6 +940,88 @@ class TestPatchSearchAgainstReference:
         assert not capped.success and capped.rounds == 5
         assert forced.success and forced.rounds == 1
         assert infeasible.infeasible_vertex == 0 and infeasible.rounds == 0
+
+
+def assert_rows_match(g, selection):
+    """The rows selection is marked with on g are the sorted positions of
+    its edges in g.edges."""
+    rows = _rows_on(g, selection)
+    position = {e: i for i, e in enumerate(g.edges)}
+    assert rows is not None and rows.dtype == np.int64
+    assert rows.tolist() == sorted(map(position.__getitem__, selection.edges))
+
+
+class TestSelectionRows:
+    """Each stage marks its selection with the rows of g.edges it holds,
+    for ``pipeline.recolor_union``."""
+
+    @given(st.integers(2, 40), st.sampled_from([0.1, 0.4, 0.8]),
+           st.integers(0, 2 ** 32 - 1), st.sampled_from([1.0, 3.0, None]),
+           st.sampled_from([2, 3]))
+    @settings(max_examples=80, deadline=None)
+    def test_both_stages(self, n, q, seed, lam, B):
+        g = random_gnp(n, q, seed)
+        phi = greedy_total(g)
+        params = PipelineParams(m=5, d=1, B=B, lam=lam, seed=seed, max_rounds=20)
+        bulk = find_bulk_deletion(g, phi, params)
+        assert_rows_match(g, bulk.selection)
+        light = light_vertices(g, bulk.selection, params.m)
+        assert_rows_match(g, find_patch_deletion(g, phi, bulk.selection, light,
+                                                 params).selection)
+
+    def test_hub_graphs(self):
+        for seed in range(3):
+            g = hub_graph(seed, 300, 4, 3)
+            phi = greedy_total(g)
+            bulk = find_bulk_deletion(g, phi)
+            assert bulk.selection.edges
+            assert_rows_match(g, bulk.selection)
+            patch = find_patch_deletion(g, phi, bulk.selection,
+                                        light_vertices(g, bulk.selection, 8))
+            assert_rows_match(g, patch.selection)
+
+    def test_empty_selections(self):
+        # no candidate edge, then no light vertex
+        g = Graph.build(4, [])
+        phi = greedy_total(g)
+        bulk = find_bulk_deletion(g, phi)
+        patch = find_patch_deletion(g, phi, bulk.selection, frozenset())
+        for res in (bulk, patch):
+            assert res.selection.edges == frozenset()
+            assert_rows_match(g, res.selection)
+
+    @pytest.mark.parametrize("g, B", [(cycle_graph(5), 2), (star_graph(4), 5)],
+                             ids=["no-pool", "B-above-pool"])
+    def test_infeasible_patch_is_marked_empty(self, g, B):
+        phi = greedy_total(g)
+        empty = EdgeSelection.from_edges(g.n, [])
+        res = find_patch_deletion(g, phi, empty, light_vertices(g, empty, 5),
+                                  PipelineParams(m=5, d=1, B=B))
+        assert res.infeasible_vertex is not None
+        assert_rows_match(g, res.selection)
+        assert _rows_on(g, res.selection).size == 0
+
+    def test_supplied_seed(self):
+        # cyclic colourings, not greedy's, with resampling in both stages
+        g, phi = cyclic_clique(9)
+        bulk = find_bulk_deletion(g, phi, PipelineParams(m=5, d=1, lam=3.0, seed=4,
+                                                         max_rounds=30, stall_rounds=10))
+        assert bulk.rounds == 11 and bulk.selection.edges
+        assert_rows_match(g, bulk.selection)
+        g, phi = cyclic_clique(7)
+        patch = find_patch_deletion(g, phi, EdgeSelection.from_edges(7, []),
+                                    frozenset({0, 1}), PipelineParams(m=5, d=1, seed=3))
+        assert patch.success and patch.rounds == 4
+        assert_rows_match(g, patch.selection)
+
+    def test_mark_names_the_graph(self):
+        # an equal graph built again is another object, and reads no rows
+        g = random_gnp(30, 0.3, 1)
+        selection = find_bulk_deletion(g, greedy_total(g)).selection
+        assert _rows_on(g, selection) is not None
+        assert _rows_on(Graph.build(g.n, g.edges), selection) is None
+        assert _rows_on(g, EdgeSelection.from_edges(g.n, g.edges)) is None
+        assert _rows_on(g, list(selection.edges)) is None
 
 
 class TestStreamSeparation:

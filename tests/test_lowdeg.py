@@ -94,6 +94,29 @@ class TestDistinguishLowDegree:
         assert [v.kind for v in violations(g, phi)] == ["undistinguished-pair"] * 3
         assert distinguish_low_degree(g, phi) is phi
 
+    def test_no_low_vertex_reads_no_mask(self):
+        # K_5 has no low vertex: the phase returns before building masks
+        g = complete_graph(5)
+        seed = greedy_total(g)
+        phi = TotalColoring(seed.vertex_colors, seed.edge_colors, seed.k)
+        assert distinguish_low_degree(g, phi) is phi
+        assert "stars" not in vars(phi)
+
+    def test_visits_only_low_vertices_clashing_on_entry(self, monkeypatch):
+        # of the low vertices 0, 1, 3 .. 7 only 0 and 1 share a set, and
+        # recolouring 0 settles 1, so _forbidden runs once
+        g, phi = two_low_clash()
+        visited = []
+
+        def spy(g, vertex_colors, masks, u):
+            visited.append(u)
+            return _forbidden(g, vertex_colors, masks, u)
+
+        monkeypatch.setattr("avdtotal.lowdeg._forbidden", spy)
+        out = distinguish_low_degree(g, phi)
+        assert visited == [0]
+        assert out == reference_distinguish_low_degree(g, phi)
+
     def test_rejects_small_palette(self):
         g = star_graph(2)
         phi = TotalColoring((1, 2, 2), {(0, 1): 2, (0, 2): 1}, 2)

@@ -150,6 +150,64 @@ class TestRecolorUnion:
         for chosen in ({(2, 0)}, {(2, 3)}, set()):
             assert pipeline._union(g, chosen) == ([], 0)
 
+def stage_selections(g, phi, params):
+    """Both deletion stages' selections, as run_pipeline makes them."""
+    bulk = find_bulk_deletion(g, phi, params)
+    light = light_vertices(g, bulk.selection, params.m)
+    return bulk.selection, find_patch_deletion(g, phi, bulk.selection, light, params)
+
+
+def assert_same_recolour(a, b):
+    assert list(a.edge_colors.items()) == list(b.edge_colors.items())
+    assert (a.stars, a.k, a.vertex_colors) == (b.stars, b.k, b.vertex_colors)
+
+
+class TestRowHandOff:
+    """A stage's selection read from its rows recolours exactly as the same
+    edges given as pairs."""
+
+    @given(st.integers(2, 60), st.sampled_from([0.05, 0.2, 0.5, 0.9]),
+           st.integers(0, 2 ** 32 - 1), st.booleans())
+    @settings(max_examples=80, deadline=None)
+    def test_marked_equals_pairs(self, n, q, seed, hubs):
+        g = hub_graph(seed, max(n, 6), 2, 2) if hubs else random_gnp(n, q, seed)
+        phi = greedy_total(g)
+        bulk, patch = stage_selections(g, phi, PipelineParams(seed=seed))
+        patch = patch.selection
+        marked = recolor_union(g, phi, bulk, patch)
+        assert_same_recolour(marked, recolor_union(g, phi, list(bulk.edges),
+                                                   sorted(patch.edges)))
+        # one side marked and the other pairs, or both marked on an equal
+        # graph that is another object: both go the way of pairs
+        assert_same_recolour(marked, recolor_union(g, phi, bulk, list(patch.edges)))
+        twin = Graph.build(g.n, g.edges)
+        assert_same_recolour(marked, recolor_union(twin, phi, bulk, patch))
+
+    def test_infeasible_patch_adds_no_edge(self):
+        # the patch search is infeasible and the bulk stage keeps four of
+        # the six edges; the union is those four alone
+        g = random_gnp(6, 0.3, 1)
+        phi = greedy_total(g)
+        bulk, patch = stage_selections(g, phi, PipelineParams())
+        assert patch.infeasible_vertex is not None
+        assert len(bulk.edges) == 4 and len(g.edges) == 6
+        out = recolor_union(g, phi, bulk, patch.selection)
+        assert_same_recolour(out, recolor_union(g, phi, list(bulk.edges), []))
+        assert {e for e in g.edges if out.edge_colors[e] > phi.k} == bulk.edges
+
+    def test_pipeline_builds_no_tuple_set_and_no_fan_index(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the recolour took the slow path")
+
+        g = random_gnp(5000, 0.004, 2001)
+        expected = run_pipeline(g)[0]
+        monkeypatch.setattr(pipeline, "_union", refuse)
+        monkeypatch.setattr("avdtotal.vizing._fan_index", refuse)
+        out, report = run_pipeline(g)
+        assert report.fresh_palette_size > 0
+        assert_same_recolour(out, expected)
+
+
 class TestRepairFallback:
     def test_fixes_fully_clashing_clique(self):
         g, phi = cyclic_k5()

@@ -1,5 +1,6 @@
 """Edge colouring within max_degree + 1 colours."""
 
+import sys
 import tracemalloc
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import avdtotal.pipeline as pipeline
+import avdtotal.vizing as vizing
 from avdtotal import (EdgeColoring, Graph, PipelineParams, Violation,
                       complete_bipartite_graph, complete_graph, cycle_graph,
                       normalize_edge, path_graph, random_gnp, run_pipeline,
@@ -200,6 +202,38 @@ class TestSlotMemory:
             tracemalloc.stop()
         assert len(ec.colors) == len(g.edges)
         assert peak < bound_mb * 1e6
+
+    def test_no_fan_index_without_a_fan(self):
+        # a star among 20 000 isolated vertices colours first-fit alone; the
+        # fan index, one dict per vertex, would need 20 000 empty dicts
+        n = 20_000
+        edges = [(0, i) for i in range(1, 301)]
+        tracemalloc.start()
+        try:
+            colors = _color_edges(n, edges, 300)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert list(colors.values()) == list(range(1, 301))
+        assert peak < n * sys.getsizeof({})
+
+    def test_fan_index_built_once_at_the_first_fan(self, monkeypatch):
+        # K_4 colours first-fit alone; K_5's ninth edge, (2, 4), is the first
+        # to need a fan, so the index is built once, from the eight colours
+        # before it, and the colouring still matches the reference
+        built = []
+        original = vizing._fan_index
+
+        def counting(n, color):
+            built.append(list(color))
+            return original(n, color)
+
+        monkeypatch.setattr(vizing, "_fan_index", counting)
+        vizing_color(complete_graph(4))
+        assert built == []
+        g = complete_graph(5)
+        assert vizing_color(g) == reference_vizing_color(g)
+        assert built == [list(g.edges[:8])]
 
 
 class TestEdgePropernessViolations:
