@@ -6,10 +6,13 @@ import itertools
 import math
 import numbers
 import operator
+import os
 import re
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import cached_property
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -388,18 +391,39 @@ def star_graph(leaves: int) -> Graph:
     return Graph.build(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
 
 
-# random_gnp draws its pair indicators in chunks of this many, so memory
-# stays bounded for large n while the stream matches one single draw
-_GNP_CHUNK = 1 << 20
+# random_gnp compares raw Philox words with its threshold in chunks of this
+# many, and draws runs of this many chunks from one stream each. Philox is
+# counter-based, so each run opens its own stream at its offset and the
+# runs are drawn concurrently, while the output matches one single draw.
+# Small chunks keep what each drawing thread allocates, and its malloc
+# arena keeps after it ends, small
+_GNP_CHUNK = 1 << 15
+_GNP_RUN = 16
 
 
 def _generator_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
 
 
+def _usable_cores() -> int:
+    """The number of cores this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def random_gnp(n: int, p: float, seed: int) -> Graph:
     """Erdos-Renyi draw; deterministic for a fixed (n, p, seed). p is any
-    real number in [0, 1] (an int, float or Fraction, say), bool excluded."""
+    real number in [0, 1] (an int, float or Fraction, say), bool excluded.
+
+    Pair k of the lexicographic order gets the k-th double of
+    ``_generator_rng(seed).random``, and is an edge when that double is
+    below p. The doubles are never formed: each raw Philox word is compared
+    with an exact integer threshold, in chunks whose runs are drawn
+    concurrently on the usable cores. The output depends on neither chunk
+    size nor core count. p = 0 and p = 1 draw nothing.
+    """
     n, seed = _integer("n", n), _integer("seed", seed)
     if n < 0:
         raise ValueError("vertex count must be non-negative")
@@ -408,32 +432,62 @@ def random_gnp(n: int, p: float, seed: int) -> Graph:
     if not 0.0 <= p <= 1.0:
         raise ValueError("edge probability must lie in [0, 1]")
     # the draws are doubles, so x < p holds exactly when x < t for the
-    # least double t >= p; one float compare per draw, even for a Fraction
+    # least double t >= p. A draw is (raw >> 11) * 2**-53, so it is below t
+    # exactly when raw is below K << 11, K = ceil(t * 2**53): one integer
+    # compare per raw word, even for a Fraction. t = 1 takes every pair,
+    # and K << 11 stays below 2**64 for every t < 1
     t = float(p)
     if t < p:
         t = math.nextafter(t, math.inf)
-    rng = _generator_rng(seed)
+    bound = math.ceil(Fraction(t) * 2 ** 53) << 11
     # pair k of the lexicographic order (0,1), (0,2), .., (n-2,n-1) gets the
     # k-th draw; row i holds (i, i+1) .. (i, n-1) and starts at offsets[i]
     total = n * (n - 1) // 2
     rows = np.arange(n, dtype=np.int64)
     offsets = rows * (n - 1) - rows * (rows - 1) // 2
-    chunks = [np.zeros((0, 2), dtype=np.int64)]
-    for start in range(0, total, _GNP_CHUNK):
-        hits = start + np.flatnonzero(rng.random(min(_GNP_CHUNK, total - start)) < t)
+    span = _GNP_RUN * _GNP_CHUNK
+    limit = np.uint64(bound) if t < 1.0 else None
+
+    def pairs(start: int) -> np.ndarray:
+        """The edges among pairs start .. start + span - 1, as (i, j) rows."""
+        stop = min(start + span, total)
+        if limit is None:
+            hits = np.arange(start, stop, dtype=np.int64)
+        else:
+            # Philox yields four words per counter step, so advance(d)
+            # skips 4 * d words
+            bits = np.random.Philox(np.random.SeedSequence(seed))
+            bits.advance(start // 4)
+            bits.random_raw(start % 4)
+            hits = np.concatenate([
+                at + np.flatnonzero(bits.random_raw(min(_GNP_CHUNK, stop - at)) < limit)
+                for at in range(start, stop, _GNP_CHUNK)])
         i = np.searchsorted(offsets, hits, side="right") - 1
-        chunks.append(np.column_stack((i, hits - offsets[i] + i + 1)))
+        return np.column_stack((i, hits - offsets[i] + i + 1))
+
+    starts = range(0, total if bound else 0, span)
+    workers = min(_usable_cores(), len(starts))
+    if workers > 1:
+        with ThreadPoolExecutor(workers) as pool:
+            runs = list(pool.map(pairs, starts))
+    else:
+        runs = list(map(pairs, starts))
     # the pairs come out distinct, in range and in lexicographic order, so
     # the graph is assembled without Graph.build's checks
-    return _from_ends(n, np.concatenate(chunks))
+    return _from_ends(n, np.concatenate([np.zeros((0, 2), dtype=np.int64), *runs]))
 
 
 def random_regular(n: int, d: int, seed: int) -> Graph:
-    """Random d-regular graph via the pairing model with rejection.
+    """Random d-regular graph by incremental pairing (Steger and Wormald,
+    *Generating random regular graphs quickly*, CPC 8, 1999); deterministic
+    for a fixed (n, d, seed).
 
-    Requires 0 <= d < n and even n*d. Dense degrees (d close to n-1) make
-    rejection slow. K_n is the only (n-1)-regular graph on n labelled
-    vertices, so d = n-1 returns complete_graph(n).
+    Requires 0 <= d < n and even n*d. Each step joins two free stubs drawn
+    uniformly, rejecting a loop or a repeated edge, and the pairing restarts
+    only when no two free stubs can be joined. Above d = (n-1)/2 it draws
+    the complement's (n-1-d)-regular graph instead. K_n is the only
+    (n-1)-regular graph on n labelled vertices, so d = n-1 returns
+    complete_graph(n).
     """
     n, d, seed = _integer("n", n), _integer("d", d), _integer("seed", seed)
     if not 0 <= d < n:
@@ -443,11 +497,46 @@ def random_regular(n: int, d: int, seed: int) -> Graph:
     if d == n - 1:
         return complete_graph(n)
     rng = _generator_rng(seed)
-    stubs = np.repeat(np.arange(n), d)
-    for _ in range(1000):
-        rng.shuffle(stubs)
-        pairs = stubs.reshape(-1, 2)
-        edges = {normalize_edge(int(u), int(v)) for u, v in pairs}
-        if len(edges) == len(pairs) and all(u != v for u, v in edges):
-            return Graph.build(n, edges)
-    raise RuntimeError("pairing model failed to produce a simple graph")
+    if 2 * d > n - 1:
+        missing = _regular_pairing(n, n - 1 - d, rng)
+        return _assemble(n, tuple(e for e in itertools.combinations(range(n), 2)
+                                  if e not in missing))
+    return _assemble(n, tuple(sorted(_regular_pairing(n, d, rng))))
+
+
+def _regular_pairing(n: int, d: int, rng: np.random.Generator) -> set[Edge]:
+    """The edges, as sorted pairs, of a d-regular graph on n vertices drawn
+    by incremental pairing; n*d must be even and 2d at most n - 1."""
+
+    def uniforms() -> Iterator[float]:
+        while True:
+            yield from rng.random(1024).tolist()
+
+    draw = uniforms().__next__
+    while True:
+        adj: list[set[int]] = [set() for _ in range(n)]
+        free = [v for v in range(n) for _ in range(d)]  # one entry per free stub
+        misses = 0
+        while free:
+            m = len(free)
+            i, j = int(draw() * m), int(draw() * (m - 1))
+            j += j >= i
+            u, v = free[i], free[j]
+            if u != v and v not in adj[u]:
+                adj[u].add(v)
+                adj[v].add(u)
+                for k in (max(i, j), min(i, j)):
+                    free[k] = free[-1]
+                    free.pop()
+                misses = 0
+                continue
+            misses += 1
+            if misses == m:
+                # m straight rejections: go on while some two free vertices
+                # are distinct and not yet adjacent, restart otherwise
+                left = set(free)
+                if not any(len(left - adj[w]) > 1 for w in left):
+                    break
+                misses = 0
+        else:
+            return {(u, v) for u in range(n) for v in adj[u] if u < v}

@@ -635,8 +635,8 @@ class TestGenerators:
         assert len(draws) > 1
 
     # SHA-256 of "n\n" followed by one "u v\n" line per edge, recorded from
-    # the generator that listed every vertex pair up front. Sizes above 1449
-    # span more than one draw chunk.
+    # the generator that listed every vertex pair up front. Sizes above 1024
+    # span more than one run of draw chunks, and so more than one stream.
     GNP_DIGESTS = {
         (0, 0.5, 0): "9a271f2a916b0b6ee6cecb2426f0b3206ef074578be55d9bc94f6f3fe3ab86aa",
         (1, 0.5, 0): "4355a46b19d348dc2f57c046f8ef63d4538ebb936000f3c9ee954a27460dd865",
@@ -649,6 +649,7 @@ class TestGenerators:
         (60, 0.5, 1): "cbb89613352d01b23f48131e2cec259e824f42ba7023d09586596c1eed5e05ac",
         (300, 0.5, 0): "82a9a056b0f9b402884035ba4f76f3a5602d6b6a201dcf2c797d98ed664ed35b",
         (2000, 0.004, 3): "7f598e06ffa450954816311fcbac8cab6a4b66281f22c44962a6ace696132d2b",
+        (2500, 0.01, 4): "1ed3179d037fc7414d92c8a58aa87212c3946944b85cfdda373802caea77c4f3",
     }
 
     @pytest.mark.parametrize("n, p, seed", sorted(GNP_DIGESTS))
@@ -657,6 +658,33 @@ class TestGenerators:
         text = f"{g.n}\n" + "".join(f"{u} {v}\n" for u, v in g.edges)
         assert hashlib.sha256(text.encode()).hexdigest() == self.GNP_DIGESTS[(n, p, seed)]
 
+    @pytest.mark.parametrize("chunk, run", [(4, 1), (6, 3), (12, 16), (1000, 16)])
+    @pytest.mark.parametrize("cores", [1, 3])
+    @given(n=st.integers(0, 60), seed=st.integers(0, 2 ** 32), data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_gnp_stream_ignores_chunks_and_cores(self, chunk, run, cores, n, seed, data):
+        # each run of chunks opens its own Philox stream at its offset (a
+        # run of 18 words starts off a four-word step), and the runs are
+        # drawn on a pool of threads; the edges must still be the pairs
+        # whose draw in one single stream lies below p. p sits at or within
+        # 1e-30 of one draw, at the ends of [0, 1], or next to them
+        total = n * (n - 1) // 2
+        draws = graphs_mod._generator_rng(seed).random(total).tolist()
+        near = []
+        if total:
+            x = Fraction(draws[data.draw(st.integers(0, total - 1), label="k")])
+            near = [x - Fraction(1, 10 ** 30), x, x + Fraction(1, 10 ** 30)]
+        p = data.draw(st.sampled_from([0, 1, 2.0 ** -53, 5e-324, 1 - 2.0 ** -53,
+                                       Fraction(1) - Fraction(1, 10 ** 30), *near]),
+                      label="p")
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(graphs_mod, "_GNP_CHUNK", chunk)
+            mp.setattr(graphs_mod, "_GNP_RUN", run)
+            mp.setattr(graphs_mod, "_usable_cores", lambda: cores)
+            edges = random_gnp(n, p, seed).edges
+        pairs = itertools.combinations(range(n), 2)
+        assert edges == tuple(e for e, x in zip(pairs, draws) if x < p)
+
     def test_regular_degrees(self):
         g = random_regular(10, 3, 2)
         assert all(g.degree(v) == 3 for v in range(10))
@@ -664,6 +692,34 @@ class TestGenerators:
     def test_regular_parity_rejected(self):
         with pytest.raises(ValueError):
             random_regular(5, 3, 0)
+
+    @staticmethod
+    def assert_regular(g, n, d):
+        assert g.n == n and Graph.build(n, g.edges) == g  # simple, edges sorted
+        assert all(g.degree(v) == d for v in range(n))
+
+    def test_regular_small_grid(self):
+        # every (n, d) up to n = 12 with d <= n - 2, dense degrees through
+        # the complement included
+        for n in range(2, 13):
+            for d in range(n - 1):
+                for seed in range(3):
+                    if n * d % 2 == 0:
+                        g = random_regular(n, d, seed)
+                        self.assert_regular(g, n, d)
+                        assert random_regular(n, d, seed) == g
+
+    @pytest.mark.parametrize("n, d, seed", [
+        (200, 6, 0), (500, 5, 1), (100, 8, 3), (1000, 5, 0), (60, 29, 2),
+        (61, 30, 0), (80, 45, 1), (40, 38, 4)])
+    def test_regular_incremental_pairing(self, n, d, seed):
+        # the first three raised RuntimeError, after about a second each,
+        # when any collision restarted the whole pairing
+        start = time.perf_counter()
+        g = random_regular(n, d, seed)
+        assert time.perf_counter() - start < 1.0
+        self.assert_regular(g, n, d)
+        assert random_regular(n, d, seed) == g
 
     @pytest.mark.parametrize("n", range(1, 16))
     def test_regular_complete_degree(self, n):
