@@ -16,11 +16,16 @@ event count; failure is a returned value, never an error. Rounds hold
 their draws as edge indices; only the returned round becomes an
 EdgeSelection, marked with the rows of ``g.edges`` that hold its edges, so
 ``pipeline.recolor_union`` reads the union from rows instead of tuples.
+
+The bulk stage runs on arrays from start to finish, with no Python loop
+over edges: its candidates, pairs and neighbour lists are columns of
+``g._ends``, it tests A_pair on the hot pairs' colour sets held as rows of
+64-bit words, and its redraw orders the indicators by where their ends
+first occur among the witnesses' closed neighbourhoods.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -29,7 +34,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .bounds import DerivedConstants, derive_constants
-from .coloring import TotalColoring
+from .coloring import TotalColoring, _edge_colours
 from .graphs import Edge, Graph, _integer, degree_split, normalize_edge
 from .rng import substream
 
@@ -214,6 +219,10 @@ def _restricted(stars: Sequence[int], colors: dict[Edge, int],
     return masks
 
 
+# the number of set bits in each byte value
+_POPCOUNT = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
+
+
 class _BulkCheck:
     """The bulk stage's bad events, with the per-graph work done once.
 
@@ -222,15 +231,19 @@ class _BulkCheck:
     colours. B_vertex: a high vertex more than eps*max_degree of whose
     neighbours hold fewer than m selected edges.
 
-    The candidate edges ``cands`` are those of ``g.edges`` with a high
-    endpoint, in that order: its rows ``rows``, whose endpoints ``ends``
-    are the matching rows of ``g._ends``. A selection is a boolean array
-    over them with its per-vertex counts. A_pair can only fire at an edge
-    joining equal-degree high vertices, so those edges' rows,
-    ``pair_ends``, are sliced up front, and the restricted colour sets are
-    computed from the selected edges only when a selection count lets the
-    event fire. B_vertex counts under-selected neighbours of every high
-    vertex with one bincount over their concatenated adjacency lists.
+    The candidate edges are the rows ``rows`` of ``g.edges`` with a high
+    endpoint, in that order; their endpoints ``ends`` are the matching rows
+    of ``g._ends``. A selection is a boolean array over them with its
+    per-vertex counts. A_pair can only fire at an edge joining
+    equal-degree high vertices, so those edges' endpoints, ``pair_ends``,
+    are sliced up front. Only the pairs a selection count makes hot are
+    tested: the closed-star masks of their endpoints become rows of 64-bit
+    words, the selected edges' colours are cleared from them with one
+    ``bitwise_xor.at`` per endpoint column, and a byte popcount table
+    counts the colours each pair's rows differ in. B_vertex counts
+    under-selected neighbours of every high vertex with one bincount over
+    the (``owner``, ``neighbours``) pairs, one per edge end at a high
+    vertex.
 
     A vertex holds at most its candidate edges, so B_vertex fires in every
     round at the high vertices in ``forced``: those it fires at when every
@@ -239,44 +252,64 @@ class _BulkCheck:
 
     def __init__(self, g: Graph, phi: TotalColoring, m: int, d: int, eps: Fraction):
         self.m, self.d = m, d
-        self.stars, self.colors = phi.stars, phi.edge_colors
-        self.high = sorted(degree_split(g).high)
+        self.g, self.phi = g, phi
+        self.high = np.array(sorted(degree_split(g).high), dtype=np.int64)
         ends = g._ends
+        u, v = ends[:, 0], ends[:, 1]
         inside = np.zeros(g.n, dtype=bool)
         inside[self.high] = True
-        at_high = inside[ends]
-        is_cand = at_high.any(axis=1)
+        high_u, high_v = inside[u], inside[v]
         degree = np.bincount(ends.ravel(), minlength=g.n)
-        self.cands: list[Edge] = list(itertools.compress(g.edges, is_cand.tolist()))
-        self.rows = np.flatnonzero(is_cand)
+        self.rows = np.flatnonzero(high_u | high_v)
         self.ends = ends[self.rows]
-        self.pair_ends = ends[at_high.all(axis=1)
-                              & (degree[ends[:, 0]] == degree[ends[:, 1]])]
-        high_degree = degree[self.high]
-        self.neighbours = np.fromiter(
-            itertools.chain.from_iterable(map(g.adjacency.__getitem__, self.high)),
-            dtype=np.int64, count=int(high_degree.sum()))
-        self.owner = np.repeat(np.arange(len(self.high)), high_degree)
+        self.pair_ends = ends[high_u & high_v & (degree[u] == degree[v])]
+        self.owner = np.concatenate((u[high_u], v[high_v]))
+        self.neighbours = np.concatenate((v[high_u], u[high_v]))
         # counts are integers, so count > eps*max_degree iff count > floor
         self.limit = math.floor(eps * g.max_degree)
         self.forced = tuple(self._starved(np.bincount(self.ends.ravel(), minlength=g.n)))
+        self._colours: np.ndarray | None = None
 
     def _starved(self, deg_sel: np.ndarray) -> list[int]:
         """High vertices with more than eps*max_degree neighbours holding
         fewer than m of the counted edges, in ascending order."""
         under = np.bincount(self.owner[deg_sel[self.neighbours] < self.m],
-                            minlength=len(self.high))
-        return [self.high[j] for j in np.flatnonzero(under > self.limit).tolist()]
+                            minlength=self.g.n)
+        return self.high[under[self.high] > self.limit].tolist()
+
+    def _close(self, pu: np.ndarray, pv: np.ndarray, selected: np.ndarray) -> np.ndarray:
+        """Which of the pairs (pu[i], pv[i]) have restricted colour sets
+        differing in fewer than d colours."""
+        slot = np.full(self.g.n, -1, dtype=np.int32)
+        slot[pu] = slot[pv] = 0
+        hot = np.flatnonzero(slot == 0)
+        slot[hot] = np.arange(hot.size)
+        stars = self.phi.stars
+        masks = list(map(stars.__getitem__, hot.tolist()))
+        size = 8 * ((max(masks).bit_length() + 63) // 64)
+        bits = np.frombuffer(bytearray(b"".join(x.to_bytes(size, "little") for x in masks)),
+                             dtype="<u8").reshape(hot.size, -1)
+        if self._colours is None:
+            self._colours = np.fromiter(_edge_colours(self.g, self.phi), dtype=np.int64,
+                                        count=len(self.g.edges))[self.rows]
+        for column in self.ends.T:
+            at = slot[column]
+            take = selected & (at >= 0)
+            c = self._colours[take]
+            np.bitwise_xor.at(bits, (at[take], c >> 6),
+                              np.uint64(1) << (c & 63).astype(np.uint64))
+        differ = bits[slot[pu]] ^ bits[slot[pv]]
+        return _POPCOUNT[differ.view(np.uint8)].sum(axis=1) < self.d
 
     def events(self, selected: np.ndarray, deg_sel: np.ndarray) -> list[BadEvent]:
         events: list[BadEvent] = []
-        hot = np.flatnonzero((deg_sel[self.pair_ends] >= self.m).any(axis=1))
-        if hot.size:
-            restricted = _restricted(self.stars, self.colors, map(
-                self.cands.__getitem__, np.flatnonzero(selected).tolist()))
-            events = [BadEvent("A_pair", (u, v))
-                      for u, v in self.pair_ends[hot].tolist()
-                      if (restricted[u] ^ restricted[v]).bit_count() < self.d]
+        pu, pv = self.pair_ends[:, 0], self.pair_ends[:, 1]
+        hot = (deg_sel[pu] >= self.m) | (deg_sel[pv] >= self.m)
+        if hot.any():
+            pu, pv = pu[hot], pv[hot]
+            close = self._close(pu, pv, selected)
+            events = [BadEvent("A_pair", pair)
+                      for pair in zip(pu[close].tolist(), pv[close].tolist())]
         events.extend(BadEvent("B_vertex", (v,)) for v in self._starved(deg_sel))
         return events
 
@@ -297,7 +330,6 @@ def find_bulk_deletion(g: Graph, phi: TotalColoring,
     params = params or PipelineParams()
     resolved = params.resolve(g)
     check = _BulkCheck(g, phi, params.m, params.d, params.eps)
-    cands = check.cands
     cu, cv = check.ends[:, 0], check.ends[:, 1]
 
     def endpoint_counts(idx: np.ndarray) -> np.ndarray:
@@ -305,7 +337,7 @@ def find_bulk_deletion(g: Graph, phi: TotalColoring,
                 + np.bincount(cv[idx], minlength=g.n))
 
     rng = substream(params.seed, BULK_STREAM)
-    mask = rng.random(len(cands)) < resolved.p if cands else np.zeros(0, dtype=bool)
+    mask = rng.random(cu.size) < resolved.p if cu.size else np.zeros(0, dtype=bool)
 
     def evaluate():
         counts = endpoint_counts(np.flatnonzero(mask))
@@ -314,20 +346,33 @@ def find_bulk_deletion(g: Graph, phi: TotalColoring,
         deg_sel = endpoint_counts(kept)
         return kept, deg_sel, check.events(keep, deg_sel)
 
-    incident: list[list[int]] = []
+    closed: list[np.ndarray] = []
 
     def resample(violations: list[BadEvent]) -> None:
-        if not incident:  # each vertex's candidate indices, on the first resample
-            incident.extend([] for _ in range(g.n))
-            for i, (u, v) in enumerate(cands):
-                incident[u].append(i)
-                incident[v].append(i)
-        # witness order, then first occurrence, decides which draw each
-        # indicator gets; a vertex met again adds none, so each is expanded once
-        near = dict.fromkeys(x for event in violations for w in event.witness
-                             for x in (w, *g.adjacency[w]))
-        redraw = dict.fromkeys(i for x in near for i in incident[x])
-        idx = np.fromiter(redraw, dtype=np.int64, count=len(redraw))
+        if not closed:  # every closed neighbourhood, on the first resample
+            ends = g._ends
+            owner = np.concatenate((np.arange(g.n), ends[:, 1], ends[:, 0]))
+            member = np.concatenate((np.arange(g.n), ends[:, 0], ends[:, 1]))
+            # x lists itself, then its smaller neighbours, then its larger
+            # ones, each part in row order: so x, then g.adjacency[x]
+            closed.append(member[np.argsort(owner, kind="stable")])
+            closed.append(np.concatenate(([0], np.cumsum(np.bincount(owner, minlength=g.n)))))
+        members, offset = closed
+        witnesses = np.array([w for event in violations for w in event.witness],
+                             dtype=np.int64)
+        sizes = offset[witnesses + 1] - offset[witnesses]
+        stops = np.cumsum(sizes)
+        # the witnesses' closed neighbourhoods, in witness order; a vertex's
+        # rank is its first position there. Each indicator is drawn in the
+        # order of its better-ranked end, then of its index, so by the vertex
+        # that first reaches it
+        sequence = members[np.arange(stops[-1])
+                           + np.repeat(offset[witnesses] - (stops - sizes), sizes)]
+        rank = np.full(g.n, sequence.size, dtype=np.int64)
+        np.minimum.at(rank, sequence, np.arange(sequence.size))
+        first = np.minimum(rank[cu], rank[cv])
+        idx = np.flatnonzero(first < sequence.size)
+        idx = idx[np.argsort(first[idx], kind="stable")]
         mask[idx] = rng.random(idx.size) < resolved.p
 
     # at p = 1, or at a lam/max_degree that underflows to p = 0, the draw

@@ -8,6 +8,7 @@ floats, and permutation canonical forms instead of graph6 strings.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -129,12 +130,14 @@ def canonical_form(n: int, edges: frozenset[tuple[int, int]]) -> int:
     return best
 
 
-def connected_graphs(n: int) -> list[Graph]:
+@functools.cache
+def connected_graphs(n: int) -> tuple[Graph, ...]:
     """All connected graphs on n labelled vertices, one per isomorphism class.
 
     Edge subsets are scanned in bitmask order and each class is represented
     by its first member. When one is found, all n! relabellings of it are
-    marked seen, so the rest of its class is skipped unexamined.
+    marked seen, so the rest of its class is skipped unexamined. Graphs are
+    immutable, so each n is enumerated once per test session and shared.
     """
     pairs = list(itertools.combinations(range(n), 2))
     bit = {pair: 1 << i for i, pair in enumerate(pairs)}
@@ -151,7 +154,7 @@ def connected_graphs(n: int) -> list[Graph]:
         out.append(g)
         for perm in perms:
             seen.add(sum(bit[normalize_edge(perm[u], perm[v])] for u, v in edges))
-    return out
+    return tuple(out)
 
 
 def _connected(g: Graph) -> bool:

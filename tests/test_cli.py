@@ -368,12 +368,31 @@ class TestSelections:
     @pytest.mark.parametrize("cmd", ["select-e1", "select-e2"])
     def test_seed_coloring_checked_once(self, cmd, k4_file, clean_doc, capsys,
                                         monkeypatch):
-        # the stages read the masks the input check built; the second
-        # check_total is from_document's, on loading
+        # the stages read the masks the input check built, and only when
+        # they need them: no pair of K4 is hot (no vertex holds m = 8
+        # selected edges), so the bulk stage reads none, while the patch
+        # stage clears the bulk edges from them; the second check_total is
+        # from_document's, on loading
         calls = count_verifier_calls(monkeypatch)
         code, _, _ = run([cmd, "--in", k4_file, "--json",
                           "--seed-coloring", clean_doc], capsys)
         assert code in (0, 1)
+        builds = {"select-e1": {}, "select-e2": {"_closed_stars": 1}}[cmd]
+        assert calls == {"_judge": 1, "check_total": 2, **builds}
+
+    def test_one_mask_build_with_hot_pairs(self, tmp_path, capsys, monkeypatch):
+        # at m = 6 the pairs of K12 are hot, so the bulk stage reads the
+        # masks the input check built: once, over all its rounds
+        g = complete_graph(12)
+        graph = tmp_path / "k12.g6"
+        graph.write_text(write_graph6(g) + "\n")
+        doc = tmp_path / "k12-doc.json"
+        doc.write_text(json.dumps(to_document(g, greedy_total(g))))
+        calls = count_verifier_calls(monkeypatch)
+        code, out, _ = run(["select-e1", "--in", str(graph), "--m", "6", "--d", "1",
+                            "--lambda", "6.0", "--seed", "7", "--json",
+                            "--seed-coloring", str(doc)], capsys)
+        assert code in (0, 1) and json.loads(out)["rounds"] > 1
         assert calls == {"_judge": 1, "_closed_stars": 1, "check_total": 2}
 
 

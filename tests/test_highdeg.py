@@ -21,7 +21,7 @@ from helpers import (hub_graph, mask_of, naive_color_set,
                      reference_bulk_events, reference_bulk_first_round,
                      reference_find_bulk_deletion, reference_find_patch_deletion,
                      reference_forced, reference_patch_events,
-                     reference_patch_first_draw)
+                     reference_patch_first_draw, used_colours)
 from test_golden import hub_edges
 
 BULK_STREAM = "bulk-deletion"
@@ -45,16 +45,16 @@ def two_hub_fixture():
 
 
 def candidate_edges(g, phi):
-    """The bulk stage's candidate edges, as its own check lists them; m, d
-    and eps do not change them."""
-    return _BulkCheck(g, phi, 8, 4, Fraction(1, 3)).cands
+    """The bulk stage's candidate edges, the rows of g.edges its own check
+    lists; m, d and eps do not change them."""
+    return [g.edges[r] for r in _BulkCheck(g, phi, 8, 4, Fraction(1, 3)).rows]
 
 
 def bulk_events(g, phi, sel, params):
     """The events find_bulk_deletion's own check reports for sel, given to
     it as a boolean array over the candidate edges."""
     check = _BulkCheck(g, phi, params.m, params.d, params.eps)
-    selected = np.array([e in sel.edges for e in check.cands], dtype=bool)
+    selected = np.array([g.edges[r] in sel.edges for r in check.rows], dtype=bool)
     return check.events(selected, np.array(sel.per_vertex_count, dtype=np.int64))
 
 
@@ -776,10 +776,11 @@ def golden_hub_graph(n, hubs, hub_degree, seed):
                                   m=2 * n, seed=seed))
 
 
-def assert_bulk_search_matches_reference(g, params):
+def assert_bulk_search_matches_reference(g, params, phi=None):
     """The search against its reference, and the stop at the forced floor
-    against the loop without it: the same returned round, no more rounds."""
-    phi = greedy_total(g)
+    against the loop without it: the same returned round, no more rounds.
+    phi defaults to the greedy seed of g."""
+    phi = greedy_total(g) if phi is None else phi
     res = find_bulk_deletion(g, phi, params)
     assert res == reference_find_bulk_deletion(g, phi, params)
     uncapped = reference_find_bulk_deletion(g, phi, params, stop_at_floor=False)
@@ -885,6 +886,74 @@ class TestForcedFloor:
         uncapped = reference_find_bulk_deletion(g, greedy_total(g), params,
                                                 stop_at_floor=False)
         assert uncapped.rounds == params.stall_rounds + 1
+
+
+def across_words(phi, low, high):
+    """phi with colour c renamed c + 63 - low below colour high, and
+    c + 127 - high from it on. Colours low, low + 1, high and high + 1 land
+    on bits 63, 64, 127 and 128, either side of the ends of the first two
+    64-bit words. The renaming is injective and increasing for
+    1 <= low < low + 1 < high < low + 65, so a proper colouring stays
+    proper and every pair of colour sets differs in as many colours as
+    before."""
+    def rename(c):
+        return c + 63 - low if c < high else c + 127 - high
+
+    return TotalColoring(tuple(map(rename, phi.vertex_colors)),
+                         {e: rename(c) for e, c in phi.edge_colors.items()},
+                         rename(phi.k))
+
+
+def greedy_across_words(g, data):
+    """The greedy seed of g, renamed by ``across_words`` at word boundaries
+    drawn from data; first-fit uses every colour in 1..k."""
+    phi = greedy_total(g)
+    assert used_colours(phi) == frozenset(range(1, phi.k + 1))
+    low = data.draw(st.integers(1, phi.k - 3))
+    high = data.draw(st.integers(low + 2, min(phi.k - 1, low + 64)))
+    renamed = across_words(phi, low, high)
+    assert {63, 64, 127, 128} <= used_colours(renamed)
+    return renamed
+
+
+class TestWordBoundaries:
+    """The bulk stage holds colour sets as rows of 64-bit words; colourings
+    whose colours cross the ends of the first two words against the
+    references, which hold them as Python sets."""
+
+    @given(st.integers(5, 12), st.integers(0, 99), st.integers(0, 99),
+           st.sampled_from(CHECK_SHAPES), st.sampled_from([0.5, 0.8, 0.95]), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_bulk_check(self, n, seed, subset_seed, shape, q, data):
+        g = dense_graph(n, seed)
+        phi = greedy_across_words(g, data)
+        m, d = shape
+        params = PipelineParams(m=m, d=d, eps=Fraction(1, 3), lam=5.0, M=10_000)
+        cands = candidate_edges(g, phi)
+        rng = np.random.Generator(np.random.Philox(subset_seed))
+        sel = EdgeSelection.from_edges(
+            g.n, [e for e, keep in zip(cands, rng.random(len(cands)) < q) if keep])
+        got = [(e.kind, e.witness) for e in bulk_events(g, phi, sel, params)]
+        assert got == reference_bulk_events(g, phi, sel.edges, m, d, params.eps)
+
+    @given(st.integers(0, 999), st.integers(2, 5), st.sampled_from(HUB_SHAPES),
+           st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_bulk_search(self, seed, hubs, shape, data):
+        m, d = shape
+        g = golden_hub_graph(80, hubs, 30, seed)
+        params = PipelineParams(m=m, d=d, lam=28.5, seed=seed, stall_rounds=6)
+        assert_bulk_search_matches_reference(g, params, greedy_across_words(g, data))
+
+    def test_bulk_search_resamples(self):
+        # the corpus's stall-cap search, on the colouring renamed across
+        # both word ends: A_pair events keep it resampling
+        g = golden_hub_graph(80, 4, 30, 2)
+        params = PipelineParams(m=12, d=8, lam=28.5, seed=2, stall_rounds=10)
+        phi = greedy_total(g)
+        res = assert_bulk_search_matches_reference(g, params,
+                                                   across_words(phi, 2, phi.k - 1))
+        assert res.rounds > 10 and any(e.kind == "A_pair" for e in res.violations)
 
 
 def assert_patch_search_matches_reference(g, phi, bulk, light, params):
