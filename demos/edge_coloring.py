@@ -22,7 +22,7 @@ def main():
     print(f"{'graph':>13} {'Delta':>5} {'used':>4} {'optimum':>7}")
     for name, g in cases:
         ec = vizing_color(g)
-        used = len(ec.used_colors())
+        used = len(set(ec.colors.values()))
         print(f"{name:>13} {g.max_degree:>5} {used:>4} {chi_prime_exact(g):>7}")
     print("\nevery colouring stays within Delta + 1 colours; class-two graphs "
           "(odd cliques, odd cycles) need the extra one")

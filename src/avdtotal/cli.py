@@ -91,9 +91,9 @@ def _params_from(args) -> PipelineParams:
     return PipelineParams(**{k: v for k, v in given.items() if v is not None})
 
 
-def _selection_json(result) -> dict:
+def _selection_json(g: Graph, result) -> dict:
     return {
-        "edges": [list(e) for e in sorted(result.selection.edges)],
+        "edges": [list(g.edges[r]) for r in result.selection.rows],
         "per_vertex_count": list(result.selection.per_vertex_count),
         "success": result.success,
         "rounds": result.rounds,
@@ -171,10 +171,10 @@ def cmd_select_e1(args) -> Output:
     params = _params_from(args)
     resolved = params.resolve(g)
     result = find_bulk_deletion(g, phi, params)
-    out = _selection_json(result)
+    out = _selection_json(g, result)
     out.update({"lam": resolved.lam, "M": resolved.M, "p": resolved.p})
     return 0 if result.success else 1, [out], [
-        f"bulk selection: {len(result.selection.edges)} edges, "
+        f"bulk selection: {len(result.selection.rows)} edges, "
         f"success={result.success}, rounds={result.rounds}, "
         f"violations={len(result.violations)}"]
 
@@ -187,14 +187,14 @@ def cmd_select_e2(args) -> Output:
     light = light_vertices(g, bulk.selection, params.m)
     patch = find_patch_deletion(g, phi, bulk.selection, light, params)
     out = {
-        "bulk": _selection_json(bulk),
+        "bulk": _selection_json(g, bulk),
         "light": sorted(light),
-        "patch": _selection_json(patch),
+        "patch": _selection_json(g, patch),
     }
     return 0 if patch.success else 1, [out], [
-        f"bulk: {len(bulk.selection.edges)} edges success={bulk.success}; "
+        f"bulk: {len(bulk.selection.rows)} edges success={bulk.success}; "
         f"light vertices: {len(light)}",
-        f"patch: {len(patch.selection.edges)} edges, "
+        f"patch: {len(patch.selection.rows)} edges, "
         f"success={patch.success}, rounds={patch.rounds}, "
         f"infeasible_vertex={patch.infeasible_vertex}"]
 
@@ -202,7 +202,7 @@ def cmd_select_e2(args) -> Output:
 def cmd_edge_color(args) -> Output:
     g = _load_graph(args)
     ec = vizing_color(g)
-    used = len(ec.used_colors())
+    used = len(set(ec.colors.values()))
     out = {"edge_colors": [{"u": u, "v": v, "c": ec.colors[(u, v)]} for u, v in g.edges],
            "palette_bound": ec.k, "used": used}
     return 0, [out], [f"edge colouring with {used} colours (bound {ec.k})",

@@ -14,8 +14,9 @@ violated witness, in witness order. It stops at the round cap, the stall
 cap, a fixed draw, or the forced floor, a lower bound on every round's
 event count; failure is a returned value, never an error. Rounds hold
 their draws as edge indices; only the returned round becomes an
-EdgeSelection, marked with the rows of ``g.edges`` that hold its edges, so
-``pipeline.recolor_union`` reads the union from rows instead of tuples.
+EdgeSelection, which holds the ascending rows of ``g.edges`` it selects and
+names g, so ``pipeline.recolor_union`` reads the union from rows and no
+edge tuple is looked up.
 
 The bulk stage runs on arrays from start to finish, with no Python loop
 over edges: its candidates, pairs and neighbour lists are columns of
@@ -27,8 +28,10 @@ first occur among the witnesses' closed neighbourhoods.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import cached_property
+from itertools import compress
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -105,40 +108,55 @@ class PipelineParams:
 
 @dataclass(frozen=True)
 class EdgeSelection:
-    """An edge subset with per-vertex incidence counts.
+    """A subset of a graph's edges with per-vertex incidence counts.
 
-    A deletion stage's result also carries the rows of ``g.edges`` that
-    hold its edges, in a private mark that names g (``_mark_rows``); it is
-    not a field, so equality and the constructors ignore it.
+    ``rows`` are the ascending rows of ``graph.edges`` it holds; ``graph``
+    is the graph it was made on, left out of equality and repr. ``edges``,
+    the set of those edge tuples, is built on its first read.
     """
 
-    edges: frozenset[Edge]
+    rows: tuple[int, ...]
     per_vertex_count: tuple[int, ...]
+    graph: Graph = field(compare=False, repr=False)
+
+    @cached_property
+    def edges(self) -> frozenset[Edge]:
+        return frozenset(map(self.graph.edges.__getitem__, self.rows))
 
     @classmethod
-    def from_edges(cls, n: int, edges) -> "EdgeSelection":
-        normalized = frozenset(normalize_edge(u, v) for u, v in edges)
-        counts = [0] * n
-        for u, v in normalized:
-            if not 0 <= u < v < n:
-                raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
-            counts[u] += 1
-            counts[v] += 1
-        return cls(edges=normalized, per_vertex_count=tuple(counts))
+    def from_edges(cls, g: Graph, edges) -> "EdgeSelection":
+        """The selection of the pairs in edges, each normalised, from g;
+        ValueError naming the smallest pair that is not an edge of g."""
+        if not isinstance(g, Graph):
+            raise TypeError(f"from_edges takes the Graph, not {g!r}")
+        pairs = sorted({normalize_edge(_integer("edge endpoint", u),
+                                       _integer("edge endpoint", v)) for u, v in edges})
+        inside = [0 <= u < v < g.n for u, v in pairs]
+        ends = np.array(list(compress(pairs, inside)), dtype=np.int64).reshape(-1, 2)
+        found = iter(_edge_rows(g, ends).tolist())
+        rows = [next(found) if ok else -1 for ok in inside]
+        if -1 in rows:
+            raise ValueError(f"selected edge {pairs[rows.index(-1)]} is not in the graph")
+        counts = np.bincount(ends.ravel(), minlength=g.n)
+        return cls(tuple(rows), tuple(counts.tolist()), g)
 
 
-def _mark_rows(g: Graph, selection: EdgeSelection, rows: np.ndarray) -> EdgeSelection:
-    """Record on selection the sorted rows of ``g.edges`` holding its edges,
-    and return it. The mark names this very g; ``_rows_on`` reads it."""
-    object.__setattr__(selection, "_rows_of", (g, rows))
-    return selection
+def _edge_rows(g: Graph, ends: np.ndarray) -> np.ndarray:
+    """The row of ``g.edges`` holding each pair of ends, an (k, 2) int64
+    array of pairs 0 <= u < v < g.n, or -1 where the pair is not an edge.
+    g.edges is sorted, so the keys u * n + v of its rows ascend, and in
+    range no two pairs share a key."""
+    keys = g._ends[:, 0] * g.n + g._ends[:, 1]
+    wanted = ends[:, 0] * g.n + ends[:, 1]
+    rows = np.searchsorted(keys, wanted)
+    return np.where(np.append(keys, -1)[rows] == wanted, rows, -1)
 
 
-def _rows_on(g: Graph, selection) -> np.ndarray | None:
-    """The rows a deletion stage marked selection with on this very g, or
-    None for anything else: another graph, an unmarked selection, pairs."""
-    mark = getattr(selection, "_rows_of", None)
-    return mark[1] if mark is not None and mark[0] is g else None
+def _require_on(g: Graph, selection: EdgeSelection) -> None:
+    """ValueError unless selection is an EdgeSelection made on a graph
+    equal to g."""
+    if getattr(selection, "graph", None) != g:
+        raise ValueError("the selection was not made on this graph")
 
 
 @dataclass(frozen=True)
@@ -179,7 +197,7 @@ def _resample(g: Graph, rows: np.ndarray,
     cap, a fixed draw, or the forced floor. floor is a lower bound on every
     round's event count, so a best round that reaches it can never be
     replaced. Every other round ends with resample(events). Only the
-    returned round becomes an EdgeSelection, marked with its sorted rows.
+    returned round becomes an EdgeSelection, its rows sorted.
     """
     best: tuple[np.ndarray, np.ndarray, tuple[BadEvent, ...]] | None = None
     rounds = stall = 0
@@ -194,10 +212,8 @@ def _resample(g: Graph, rows: np.ndarray,
         if (not violations or rounds >= params.max_rounds
                 or stall >= params.stall_rounds or fixed or len(best[2]) <= floor):
             indices, counts, violations = best
-            picked = rows[indices]
-            chosen = frozenset(map(g.edges.__getitem__, picked.tolist()))
-            selection = _mark_rows(g, EdgeSelection(chosen, tuple(counts.tolist())),
-                                   np.sort(picked))
+            selection = EdgeSelection(tuple(np.sort(rows[indices]).tolist()),
+                                      tuple(counts.tolist()), g)
             return SelectionResult(selection, not violations, rounds, violations)
         resample(violations)
 
@@ -387,7 +403,9 @@ def find_bulk_deletion(g: Graph, phi: TotalColoring,
 # patch stage
 
 def light_vertices(g: Graph, selection: EdgeSelection, m: int) -> frozenset[int]:
-    """High vertices holding fewer than m selected edges."""
+    """High vertices holding fewer than m selected edges; ValueError unless
+    selection was made on a graph equal to g."""
+    _require_on(g, selection)
     return frozenset(v for v in degree_split(g).high
                      if selection.per_vertex_count[v] < m)
 
@@ -407,9 +425,11 @@ class _PatchCheck:
     holds exactly B patch edges, and A2_overload can fire only at the
     ``heavy`` pool endpoints. The bulk edges at light vertices are cleared
     from ``stars`` once; each check clears its patch edges from a copy.
+    Only the loops over light vertices read ``bulk.edges``, so without a
+    light vertex its set is never built.
     """
 
-    def __init__(self, g: Graph, phi: TotalColoring, bulk_edges: frozenset[Edge],
+    def __init__(self, g: Graph, phi: TotalColoring, bulk: EdgeSelection,
                  light: frozenset[int], alpha: Fraction, B: int):
         self.B, self.colors = B, phi.edge_colors
         # degrees are integers, so degree > alpha*max_degree iff degree > floor
@@ -417,7 +437,7 @@ class _PatchCheck:
         self.order = sorted(light)
         self.light_pairs = [(u, w) for u in self.order for w in g.adjacency[u]
                             if u < w and w in light]
-        cleared = [e for e in self.light_pairs if e in bulk_edges]
+        cleared = [e for e in self.light_pairs if e in bulk.edges]
         self.edges: list[Edge] = []
         self.pools: list[np.ndarray] = []
         heavy: set[int] = set()
@@ -428,7 +448,7 @@ class _PatchCheck:
             for w in g.adjacency[u]:
                 if w not in light:
                     e = (u, w) if u < w else (w, u)
-                    if e in bulk_edges:
+                    if e in bulk.edges:
                         cleared.append(e)
                     else:
                         self.edges.append(e)
@@ -456,30 +476,34 @@ def find_patch_deletion(g: Graph, phi: TotalColoring, bulk: EdgeSelection,
     """Search for a patch selection with no bad events by resampling.
 
     Each light vertex draws B of its available edges: those to non-light
-    neighbours outside the bulk selection. A light vertex at or below
-    alpha*max_degree is a ValueError. Structural infeasibility (a light
-    vertex with fewer than B available edges) is detected up front and
-    reported in the result. A violated round redraws the B-subsets of
-    light vertices in the witnesses' closed neighbourhoods, in witness
-    order. Rounds hold their draws as indices into ``_PatchCheck.edges``;
-    only the returned one becomes an EdgeSelection. The selection of an
-    infeasible search is empty, and marked with no rows. phi must be a
-    proper total colouring of g.
+    neighbours outside the bulk selection. bulk must be made on a graph
+    equal to g, and every member of light must be an int vertex of g at
+    or above alpha*max_degree; anything else is a ValueError, raised
+    before any pool is built. Structural infeasibility (a light vertex
+    with fewer than B available edges) is detected up front and reported
+    in the result, whose selection is then empty. A violated round
+    redraws the B-subsets of light vertices in the witnesses' closed
+    neighbourhoods, in witness order. Rounds hold their draws as indices
+    into ``_PatchCheck.edges``; only the returned one becomes an
+    EdgeSelection, its rows found by the lookup ``from_edges`` uses. phi
+    must be a proper total colouring of g.
     """
     params = params or PipelineParams()
-    check = _PatchCheck(g, phi, bulk.edges, light, params.alpha, params.B)
+    _require_on(g, bulk)
+    light = frozenset(_integer("light vertex", x) for x in light)
+    outside = [x for x in light if not 0 <= x < g.n]
+    if outside:
+        raise ValueError(f"light vertex {min(outside)} is not a vertex of the graph")
+    check = _PatchCheck(g, phi, bulk, light, params.alpha, params.B)
     pools = check.pools
     for u, pool in zip(check.order, pools):
         if pool.size < params.B:
-            empty = _mark_rows(g, EdgeSelection.from_edges(g.n, []),
-                               np.zeros(0, dtype=np.int64))
-            return SelectionResult(empty, False, 0, (), infeasible_vertex=u)
+            return SelectionResult(EdgeSelection.from_edges(g, []), False, 0, (),
+                                   infeasible_vertex=u)
 
     rng = substream(params.seed, PATCH_STREAM)
     ends = np.array(check.edges, dtype=np.int64).reshape(-1, 2)
-    # g.edges is sorted, so the keys u * n + v of its rows ascend
-    keys = g._ends[:, 0] * g.n + g._ends[:, 1]
-    edge_rows = np.searchsorted(keys, ends[:, 0] * g.n + ends[:, 1])
+    edge_rows = _edge_rows(g, ends)
     row = {u: r for r, u in enumerate(check.order)}
 
     def draw(r: int) -> np.ndarray:

@@ -21,7 +21,7 @@ import numpy as np
 from .coloring import (TotalColoring, _collector_paused, _mark_accepted,
                        _require_proper, _with_stars, violations)
 from .graphs import Edge, Graph, normalize_edge
-from .highdeg import (EdgeSelection, PipelineParams, _rows_on,
+from .highdeg import (EdgeSelection, PipelineParams, _require_on,
                       find_bulk_deletion, find_patch_deletion, light_vertices)
 from .lowdeg import distinguish_low_degree
 from .seeding import greedy_total
@@ -62,8 +62,8 @@ class PipelineReport:
         return out
 
 
-def recolor_union(g: Graph, phi: TotalColoring, bulk_edges,
-                  patch_edges) -> TotalColoring:
+def recolor_union(g: Graph, phi: TotalColoring, bulk: EdgeSelection,
+                  patch: EdgeSelection) -> TotalColoring:
     """Recolour the selected edges with a fresh palette above phi's budget.
 
     The selected union is recoloured as its own subgraph with at most
@@ -72,38 +72,24 @@ def recolor_union(g: Graph, phi: TotalColoring, bulk_edges,
     and clashes within the union are excluded by edge-properness there.
     phi must be a proper total colouring of g.
 
-    Each selection is a deletion stage's EdgeSelection or a collection of
-    pairs. A selection the stage made on this very g carries the rows of
-    ``g.edges`` that hold its edges, and the union is read from those rows;
-    no edge tuple is looked up. Any other selection is taken as pairs, as
-    ``g.edges`` lists them, smaller endpoint first; any other pair,
-    reversed ones included, raises ValueError naming the smallest such
-    pair.
-
-    The union is a mask over ``g.edges``, so it is sorted and valid, and
-    goes to the edge colourer as a list with its maximum degree; no Graph
+    bulk and patch must each be an EdgeSelection made on a graph equal to
+    g, else ValueError; pairs become one through
+    ``EdgeSelection.from_edges(g, pairs)``. The union is a mask over the
+    selections' rows of ``g.edges``, so it is sorted and valid, and goes to
+    the edge colourer as a list with its maximum degree, counted over the
+    matching rows of ``g._ends``; no edge tuple is looked up and no Graph
     of it is built. One loop sets the fresh colours in a copy of
     ``phi.edge_colors`` and swaps the old and new colour bits of each union
     edge at both ends in a copy of ``phi.stars``; the result carries both.
     """
-    marked = [_rows_on(g, s) for s in (bulk_edges, patch_edges)]
-    if all(rows is not None for rows in marked):
-        inside = np.zeros(len(g.edges), dtype=bool)
-        for rows in marked:
-            inside[rows] = True
-        union, union_degree = _masked(g, inside)
-    else:
-        # tuple() hands an exact tuple back as it is, so edges taken from
-        # g.edges match; pairs of other types become tuples
-        chosen: set[Edge] = set()
-        for s in (bulk_edges, patch_edges):
-            chosen.update(map(tuple, s.edges if isinstance(s, EdgeSelection) else s))
-        union, union_degree = _union(g, chosen)
-        if len(union) < len(chosen):
-            stray = min(chosen.difference(union))
-            raise ValueError(f"selected edge {stray} is not in the graph")
+    inside = np.zeros(len(g.edges), dtype=bool)
+    for selection in (bulk, patch):
+        _require_on(g, selection)
+        inside[np.array(selection.rows, dtype=np.int64)] = True
+    union = list(compress(g.edges, inside.tolist()))
     if not union:
         return phi
+    union_degree = int(np.bincount(g._ends[inside].ravel()).max())
     sub_colors = _color_edges(g.n, union, union_degree)
     k = phi.k + max(sub_colors.values())
     # phi is proper and the new colours are above its palette, so each old
@@ -120,21 +106,6 @@ def recolor_union(g: Graph, phi: TotalColoring, bulk_edges,
         stars[u] ^= flip
         stars[v] ^= flip
     return _with_stars(stars, phi.vertex_colors, edge_colors, k)
-
-
-def _union(g: Graph, chosen: set[Edge]) -> tuple[list[Edge], int]:
-    """``_masked`` of the rows of g whose edges are in chosen, any set of
-    pairs."""
-    return _masked(g, np.fromiter(map(chosen.__contains__, g.edges), dtype=bool,
-                                  count=len(g.edges)))
-
-
-def _masked(g: Graph, inside: np.ndarray) -> tuple[list[Edge], int]:
-    """The edges of g at the rows inside marks, in ``g.edges`` order, so
-    sorted and valid as the edge colourer needs them, and their maximum
-    degree, counted over the matching rows of ``g._ends`` (0 if none)."""
-    union = list(compress(g.edges, inside.tolist()))
-    return union, int(np.bincount(g._ends[inside].ravel(), minlength=1).max())
 
 
 def repair_fallback(g: Graph, phi: TotalColoring) -> TotalColoring:

@@ -13,9 +13,9 @@ coloured by first-fit; a star K_{1,N} gives leaf i colour i.
 
 The loop is the private ``_color_edges``, which takes a sorted edge list
 and its maximum degree instead of a Graph. ``vizing_color(g)`` passes
-g's edges; ``pipeline.recolor_union`` passes the union of deleted edges,
-filtered from ``g.edges``, so no Graph of the union is built or validated.
-Colours are keyed by the edge tuples passed in.
+g's edges; ``pipeline.recolor_union`` passes the edges of ``g.edges`` at
+the rows its two selections hold, in row order, so no Graph of the union
+is built or validated. Colours are keyed by the edge tuples passed in.
 
 Colour sets are per-vertex bitmasks. Only fans and path walks need the
 far endpoint of a coloured edge, so the fan index, one dict per vertex
@@ -45,9 +45,6 @@ class EdgeColoring:
 
     colors: dict[Edge, int]
     k: int
-
-    def used_colors(self) -> frozenset[int]:
-        return frozenset(self.colors.values())
 
 
 def vizing_color(g: Graph) -> EdgeColoring:

@@ -354,9 +354,7 @@ def reference_find_bulk_deletion(g: Graph, phi: TotalColoring, params: PipelineP
         counts = endpoint_counts(chosen)
         kept = chosen[(counts[cu[chosen]] <= resolved.M)
                       & (counts[cv[chosen]] <= resolved.M)]
-        deg_sel = endpoint_counts(kept)
-        selection = EdgeSelection(frozenset(map(cands.__getitem__, kept.tolist())),
-                                  tuple(deg_sel.tolist()))
+        selection = EdgeSelection.from_edges(g, map(cands.__getitem__, kept.tolist()))
         violations = [BadEvent(kind, w) for kind, w in reference_bulk_events(
             g, phi, selection.edges, params.m, params.d, params.eps)]
         rounds += 1
@@ -422,7 +420,7 @@ def reference_find_patch_deletion(g: Graph, phi: TotalColoring, bulk: EdgeSelect
              for u in order}
     for u in order:
         if len(pools[u]) < params.B:
-            return SelectionResult(EdgeSelection.from_edges(g.n, []), False, 0, (),
+            return SelectionResult(EdgeSelection.from_edges(g, []), False, 0, (),
                                    infeasible_vertex=u)
     rng = substream(params.seed, "patch-deletion")
 
@@ -435,7 +433,7 @@ def reference_find_patch_deletion(g: Graph, phi: TotalColoring, bulk: EdgeSelect
     rounds = 0
     stall = 0
     while True:
-        selection = EdgeSelection.from_edges(g.n, [e for u in order for e in draws[u]])
+        selection = EdgeSelection.from_edges(g, [e for u in order for e in draws[u]])
         violations = tuple(BadEvent(kind, w) for kind, w in reference_patch_events(
             g, phi, bulk.edges, selection.edges, light, params.alpha, params.B))
         rounds += 1

@@ -14,6 +14,11 @@ Misra-Gries fan, a deliberate output change that moves the fresh-palette
 colours of every case. Both hub cases spend one fresh colour fewer
 (``final_k`` 134 to 133 and 61 to 60); the dense and sparse cases keep
 their ``final_k``. Every recorded output passes ``violations``.
+
+The ``select-e1 --json`` and ``select-e2 --json`` stdout digests and exit
+codes on the same inputs, with the same flags, are pinned beside them;
+they were recorded before deletion-stage selections became rows of
+``g.edges`` with their edge set built on demand.
 """
 
 import hashlib
@@ -85,15 +90,44 @@ CASES = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(CASES))
-def test_color_json_bytes(name, tmp_path, capsys):
+# (command, case): (exit code, SHA-256 of stdout); a stage that ends with
+# bad events exits 1
+SELECT_DIGESTS = {
+    ("select-e1", "dense_graph6"):
+        (0, "dd05466d02cbee8438bcd30f534469c8f376610c5dd149d06d1d89600e1fd070"),
+    ("select-e2", "dense_graph6"):
+        (0, "659522e8100cef6fe7f8e873ae934b2234da748a4a5c4cec47f4debff06be353"),
+    ("select-e1", "hub_dimacs"):
+        (1, "0564a7eae913dd55213eb3294291a171476c05a164f2f185b64c7a8e15cb6785"),
+    ("select-e2", "hub_dimacs"):
+        (0, "ef311494b91748800195780cf6bc650d606c3a4d4adb1878d5c870a6e8bcd01a"),
+    ("select-e1", "hub_resampling"):
+        (1, "a6468bcad2c48ccecca3933c27efb373dd1d9836e4c8faa4263e980af9e30b72"),
+    ("select-e2", "hub_resampling"):
+        (0, "3d3ac5e70af861b6722aa3f2ccc7d2d2df3f0c81de9acdeb795de5209b849a62"),
+    ("select-e1", "sparse_dimacs"):
+        (1, "d0eb450580bf59827e161c9cd0138734d3d068c57d582f8f03eddf06a80996b5"),
+    ("select-e2", "sparse_dimacs"):
+        (1, "23b79c0ee6710aeb0e25fd2e01efa52bd9fb647bd480aeb38d93b99d4a72401b"),
+}
+
+# the color cases keep their bare case names as ids
+PINNED = ([pytest.param("color", name, id=name) for name in sorted(CASES)]
+          + [pytest.param(command, name, id=f"{command}-{name}")
+             for command, name in sorted(SELECT_DIGESTS)])
+
+
+@pytest.mark.parametrize("command, name", PINNED)
+def test_color_json_bytes(command, name, tmp_path, capsys):
     text, flags, digest = CASES[name]
+    code, digest = SELECT_DIGESTS.get((command, name), (0, digest))
     path = tmp_path / "graph.in"
     path.write_text(text())
-    code = cli.main(["color", "--json", "--in", str(path), *flags])
+    assert cli.main([command, "--json", "--in", str(path), *flags]) == code
     out = capsys.readouterr().out
-    assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+    if command != "color":
+        return
     report = json.loads(out)["report"]
     if name == "hub_dimacs":
         assert report["e1_rounds"] == 1

@@ -1,6 +1,7 @@
 """Randomized deletion stages: parameters, events, and resampling searches."""
 
 import math
+import re
 from dataclasses import replace
 from fractions import Fraction
 
@@ -15,7 +16,7 @@ from avdtotal import (BadEvent, EdgeSelection, Graph, PipelineParams,
                       find_patch_deletion, greedy_total, light_vertices,
                       random_gnp, run_pipeline, star_graph, substream)
 from avdtotal import graphs
-from avdtotal.highdeg import _BulkCheck, _PatchCheck, _restricted, _rows_on
+from avdtotal.highdeg import _BulkCheck, _PatchCheck, _restricted
 
 from helpers import (hub_graph, mask_of, naive_color_set,
                      reference_bulk_events, reference_bulk_first_round,
@@ -61,7 +62,7 @@ def bulk_events(g, phi, sel, params):
 def patch_events(g, phi, bulk, patch, light, params):
     """The events find_patch_deletion's own check reports for patch, given
     to it as an index array over the check's light-vertex edges."""
-    check = _PatchCheck(g, phi, bulk.edges, light, params.alpha, params.B)
+    check = _PatchCheck(g, phi, bulk, light, params.alpha, params.B)
     index = {e: i for i, e in enumerate(check.edges)}
     chosen = np.array([index[e] for e in patch.edges], dtype=np.int64)
     return check.events(chosen, np.array(patch.per_vertex_count, dtype=np.int64))
@@ -199,17 +200,72 @@ class TestPipelineParams:
 
 class TestEdgeSelection:
     def test_from_edges_normalizes(self):
-        s = EdgeSelection.from_edges(4, [(2, 0), (0, 2), (1, 3)])
+        g = complete_graph(4)
+        s = EdgeSelection.from_edges(g, [(2, 0), (0, 2), (1, 3)])
         assert s.edges == frozenset({(0, 2), (1, 3)})
+        assert s.rows == (1, 4)
         assert s.per_vertex_count == (1, 1, 1, 1)
+        assert s.graph is g
 
     def test_counts(self):
-        s = EdgeSelection.from_edges(4, [(0, 1), (0, 2), (0, 3)])
+        s = EdgeSelection.from_edges(complete_graph(4), [(0, 1), (0, 2), (0, 3)])
         assert s.per_vertex_count[0] == 3 and s.per_vertex_count[2] == 1
 
+    def test_takes_the_graph_not_its_vertex_count(self):
+        with pytest.raises(TypeError, match="^from_edges takes the Graph, not 3$"):
+            EdgeSelection.from_edges(3, [])
+
     def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            EdgeSelection.from_edges(3, [(0, 3)])
+        with pytest.raises(ValueError, match=r"^selected edge \(0, 3\) is not in the graph$"):
+            EdgeSelection.from_edges(complete_graph(3), [(0, 3)])
+
+    @pytest.mark.parametrize("pairs, stray", [
+        ([(0, 2), (1, 2)], (1, 2)),              # in range, not an edge
+        ([(3, 0), (5, 4), (-1, 0)], (-1, 0)),    # below range; (3, 0) is (0, 3)
+        ([(4, 5), (2, 2), (0, 7)], (0, 7)),      # above range
+        ([(2, 2), (3, 3)], (2, 2)),              # a self-loop
+        ([(9, 1), (1, 9), (0, 1)], (1, 9)),      # one stray, given twice
+        ([(2 ** 70, 0)], (0, 2 ** 70)),          # far beyond int64
+    ])
+    def test_names_the_smallest_stray(self, pairs, stray):
+        g = star_graph(6)
+        with pytest.raises(ValueError, match=rf"^selected edge \({stray[0]}, {stray[1]}\) "
+                                             r"is not in the graph$"):
+            EdgeSelection.from_edges(g, pairs)
+
+    @pytest.mark.parametrize("pair", [(True, 1), (0, 1.0), (0, "1"), (None, 2)])
+    def test_endpoints_must_be_integers(self, pair):
+        with pytest.raises(ValueError, match="edge endpoint must be an integer"):
+            EdgeSelection.from_edges(star_graph(6), [(0, 2), pair])
+
+    def test_numpy_integers_are_accepted(self):
+        g = star_graph(6)
+        s = EdgeSelection.from_edges(g, [(np.int64(3), np.int32(0))])
+        assert s == EdgeSelection.from_edges(g, [(0, 3)])
+        assert type(s.rows[0]) is int
+
+    @given(st.integers(1, 30), st.floats(0.0, 1.0), st.integers(0, 2 ** 32 - 1),
+           st.randoms(use_true_random=False))
+    @settings(max_examples=80, deadline=None)
+    def test_rows_and_counts_match_the_edges(self, n, q, seed, rnd):
+        g = random_gnp(n, q, seed)
+        chosen = set(rnd.sample(g.edges, rnd.randint(0, len(g.edges))))
+        s = EdgeSelection.from_edges(g, [(v, u) if rnd.random() < 0.5 else (u, v)
+                                         for u, v in sorted(chosen)])
+        assert s.rows == tuple(i for i, e in enumerate(g.edges) if e in chosen)
+        assert s.edges == chosen
+        assert s.per_vertex_count == tuple(sum(v in e for e in chosen)
+                                           for v in range(g.n))
+
+    def test_edges_built_on_first_read(self):
+        g = complete_graph(5)
+        s = EdgeSelection.from_edges(g, [(1, 3), (0, 4)])
+        assert "edges" not in vars(s)
+        assert s.edges == {(0, 4), (1, 3)} and s.edges is s.edges
+        # the set is a cache, not a field: equality and repr ignore it, and
+        # the graph
+        assert s == EdgeSelection.from_edges(Graph.build(5, g.edges), [(1, 3), (0, 4)])
+        assert "edges" not in repr(s) and "graph" not in repr(s)
 
     def test_bad_event_kind_validated(self):
         with pytest.raises(ValueError):
@@ -310,7 +366,7 @@ class TestCandidatesAndSampling:
         capped = find_bulk_deletion(g, greedy_total(g), params).selection
         # the uncapped draw: M at least the largest possible count
         drawn = reference_bulk_first_round(g, params.resolve(g).p, g.n, seed)
-        held = EdgeSelection.from_edges(g.n, drawn).per_vertex_count
+        held = EdgeSelection.from_edges(g, drawn).per_vertex_count
         assert capped.edges <= drawn
         assert all(c <= cap for c in capped.per_vertex_count)
         # only edges with an overloaded endpoint disappear
@@ -321,7 +377,7 @@ class TestCandidatesAndSampling:
 class TestBulkViolations:
     def test_a_pair_hand_case(self):
         g, phi = two_hub_fixture()
-        sel = EdgeSelection.from_edges(14, [
+        sel = EdgeSelection.from_edges(g, [
             (0, 3), (0, 4), (0, 5), (0, 6), (0, 7),
             (1, 9), (1, 10), (1, 11), (1, 12), (1, 13)])
         events = bulk_events(g, phi, sel,
@@ -330,7 +386,7 @@ class TestBulkViolations:
 
     def test_b_vertex_joins_at_smaller_eps(self):
         g, phi = two_hub_fixture()
-        sel = EdgeSelection.from_edges(14, [
+        sel = EdgeSelection.from_edges(g, [
             (0, 3), (0, 4), (0, 5), (0, 6), (0, 7),
             (1, 9), (1, 10), (1, 11), (1, 12), (1, 13)])
         events = bulk_events(g, phi, sel, PipelineParams(m=5, d=1))
@@ -341,7 +397,7 @@ class TestBulkViolations:
         # without m selected edges at either hub the pair event stays quiet,
         # but now every neighbour is under-selected, so both hubs trip B
         g, phi = two_hub_fixture()
-        sel = EdgeSelection.from_edges(14, [])
+        sel = EdgeSelection.from_edges(g, [])
         events = bulk_events(g, phi, sel,
                              PipelineParams(m=5, d=1, eps=Fraction(9, 10)))
         assert [(e.kind, e.witness) for e in events] == [
@@ -371,7 +427,7 @@ class TestBulkViolations:
         cands = candidate_edges(g, phi)
         rng = np.random.Generator(np.random.Philox(subset_seed))
         mask = rng.random(len(cands)) < 0.5
-        sel = EdgeSelection.from_edges(g.n, [e for e, k in zip(cands, mask) if k])
+        sel = EdgeSelection.from_edges(g, [e for e, k in zip(cands, mask) if k])
         got = [(e.kind, e.witness) for e in bulk_events(g, phi, sel, params)]
         assert got == reference_bulk_events(g, phi, sel.edges, 6, 2, Fraction(2, 5))
 
@@ -446,7 +502,8 @@ class TestStarSets:
         if light_list:  # the patch stage's list: the pools of its light vertices
             light = frozenset(v for v in sorted(degree_split(g).high)
                               if rng.random() < 0.5)
-            edges = _PatchCheck(g, phi, frozenset(), light, Fraction(1, 2), 2).edges
+            edges = _PatchCheck(g, phi, EdgeSelection.from_edges(g, []), light,
+                                Fraction(1, 2), 2).edges
         else:
             edges = candidate_edges(g, phi)
         for q_del in (0.3, 0.7):  # a second call starts from the same stars
@@ -462,25 +519,25 @@ class TestStarSets:
 class TestLightVertices:
     def test_after_heavy_selection_none_light(self):
         g, phi = two_hub_fixture()
-        sel = EdgeSelection.from_edges(14, [
+        sel = EdgeSelection.from_edges(g, [
             (0, 3), (0, 4), (0, 5), (0, 6), (0, 7),
             (1, 9), (1, 10), (1, 11), (1, 12), (1, 13)])
         assert light_vertices(g, sel, 5) == frozenset()
 
     def test_empty_selection_all_high_light(self):
         g, phi = two_hub_fixture()
-        assert light_vertices(g, EdgeSelection.from_edges(14, []), 5) == {0, 1}
+        assert light_vertices(g, EdgeSelection.from_edges(g, []), 5) == {0, 1}
 
     def test_low_vertices_never_light(self):
         g = star_graph(5)
-        light = light_vertices(g, EdgeSelection.from_edges(6, []), 5)
+        light = light_vertices(g, EdgeSelection.from_edges(g, []), 5)
         assert light == frozenset({0})
 
 
 class TestSamplePatch:
     def test_draws_exactly_b_per_light_vertex(self):
         g, phi = k5_fixture()
-        empty = EdgeSelection.from_edges(5, [])
+        empty = EdgeSelection.from_edges(g, [])
         sel = first_patch_draw(g, phi, empty, frozenset({0, 1}), seed=5)
         assert sel.per_vertex_count[0] == 2 and sel.per_vertex_count[1] == 2
         for u, v in sel.edges:
@@ -488,7 +545,7 @@ class TestSamplePatch:
 
     def test_avoids_bulk_edges(self):
         g, phi = k5_fixture()
-        bulk = EdgeSelection.from_edges(5, [(0, 2), (0, 3)])
+        bulk = EdgeSelection.from_edges(g, [(0, 2), (0, 3)])
         sel = first_patch_draw(g, phi, bulk, frozenset({0}), seed=5)
         assert sel.edges == frozenset({(0, 1), (0, 4)})  # the only pool left
 
@@ -496,7 +553,7 @@ class TestSamplePatch:
         # 6 possible 2-subsets of vertex 0's four edges; fixed seeds, so
         # the observed counts are reproducible
         g, phi = k5_fixture()
-        empty = EdgeSelection.from_edges(5, [])
+        empty = EdgeSelection.from_edges(g, [])
         counts: dict = {}
         for seed in range(3000):
             sel = first_patch_draw(g, phi, empty, frozenset({0}), seed=seed)
@@ -509,8 +566,8 @@ class TestSamplePatch:
 class TestPatchViolations:
     def test_b2_pair_hand_case(self):
         g, phi = k5_fixture()
-        empty = EdgeSelection.from_edges(5, [])
-        patch = EdgeSelection.from_edges(5, [(0, 3), (0, 4), (1, 2), (1, 3)])
+        empty = EdgeSelection.from_edges(g, [])
+        patch = EdgeSelection.from_edges(g, [(0, 3), (0, 4), (1, 2), (1, 3)])
         events = patch_events(g, phi, empty, patch, frozenset({0, 1}),
                               PipelineParams(m=5, d=1))
         assert [(e.kind, e.witness) for e in events] == [
@@ -518,8 +575,8 @@ class TestPatchViolations:
 
     def test_a2_overload_hand_case(self):
         g, phi = k5_fixture()
-        empty = EdgeSelection.from_edges(5, [])
-        patch = EdgeSelection.from_edges(5, [(0, 2), (0, 3), (1, 2), (1, 3)])
+        empty = EdgeSelection.from_edges(g, [])
+        patch = EdgeSelection.from_edges(g, [(0, 2), (0, 3), (1, 2), (1, 3)])
         events = patch_events(g, phi, empty, patch, frozenset({0, 1}),
                               PipelineParams(m=5, d=1))
         assert [(e.kind, e.witness) for e in events] == [
@@ -530,14 +587,14 @@ class TestPatchViolations:
 
     def test_rejects_overlap_with_bulk(self):
         g, phi = k5_fixture()
-        bulk = EdgeSelection.from_edges(5, [(0, 3)])
+        bulk = EdgeSelection.from_edges(g, [(0, 3)])
         for seed in range(50):
             sel = first_patch_draw(g, phi, bulk, frozenset({0, 1}), seed=seed)
             assert not sel.edges & bulk.edges
 
     def test_rejects_light_light_edge(self):
         g, phi = k5_fixture()
-        empty = EdgeSelection.from_edges(5, [])
+        empty = EdgeSelection.from_edges(g, [])
         for seed in range(50):
             sel = first_patch_draw(g, phi, empty, frozenset({0, 1}), seed=seed)
             assert all((u in {0, 1}) != (v in {0, 1}) for u, v in sel.edges)
@@ -545,7 +602,7 @@ class TestPatchViolations:
     def test_rejects_wrong_count(self):
         g = complete_graph(7)
         phi = greedy_total(g)
-        empty = EdgeSelection.from_edges(7, [])
+        empty = EdgeSelection.from_edges(g, [])
         light = frozenset({0, 2, 5})
         for seed in range(50):
             sel = first_patch_draw(g, phi, empty, light, seed=seed, B=3)
@@ -556,14 +613,14 @@ class TestPatchViolations:
     def test_agrees_with_naive(self, n, seed, draw_seed):
         g = random_gnp(n, 0.5, seed)
         phi = greedy_total(g)
-        empty = EdgeSelection.from_edges(g.n, [])
+        empty = EdgeSelection.from_edges(g, [])
         # the checker accepts any light set; pick an arbitrary slice of the
         # high vertices so non-light neighbours stay plentiful
         high = sorted(degree_split(g).high)
         light = frozenset(high[: len(high) // 3])
         drawn = reference_patch_first_draw(g, empty.edges, light, 2, draw_seed)
         assume(light and drawn is not None)
-        patch = EdgeSelection.from_edges(g.n, drawn)
+        patch = EdgeSelection.from_edges(g, drawn)
         params = PipelineParams(m=5, d=1)
         got = [(e.kind, e.witness)
                for e in patch_events(g, phi, empty, patch, light, params)]
@@ -575,7 +632,7 @@ class TestFindPatchDeletion:
     def test_success_on_star(self):
         g = star_graph(6)
         phi = greedy_total(g)
-        empty = EdgeSelection.from_edges(7, [])
+        empty = EdgeSelection.from_edges(g, [])
         light = light_vertices(g, empty, 5)
         assert light == frozenset({0})
         res = find_patch_deletion(g, phi, empty, light,
@@ -587,7 +644,7 @@ class TestFindPatchDeletion:
         # every C_5 vertex is high and light, so no patch edge can exist
         g = cycle_graph(5)
         phi = greedy_total(g)
-        empty = EdgeSelection.from_edges(5, [])
+        empty = EdgeSelection.from_edges(g, [])
         light = light_vertices(g, empty, 5)
         res = find_patch_deletion(g, phi, empty, light, PipelineParams(m=5, d=1))
         assert not res.success
@@ -598,7 +655,7 @@ class TestFindPatchDeletion:
     def test_forced_draw_single_round(self):
         g = star_graph(4)
         phi = greedy_total(g)
-        empty = EdgeSelection.from_edges(5, [])
+        empty = EdgeSelection.from_edges(g, [])
         light = light_vertices(g, empty, 5)
         res = find_patch_deletion(g, phi, empty, light,
                                   PipelineParams(m=5, d=1, B=4))
@@ -608,7 +665,7 @@ class TestFindPatchDeletion:
     def test_pigeonhole_failure_returns_best(self):
         # four patch slots over three non-light K_5 vertices always overload
         g, phi = k5_fixture()
-        empty = EdgeSelection.from_edges(5, [])
+        empty = EdgeSelection.from_edges(g, [])
         res = find_patch_deletion(
             g, phi, empty, frozenset({0, 1}),
             PipelineParams(m=5, d=1, seed=0, stall_rounds=5, max_rounds=50))
@@ -620,15 +677,62 @@ class TestFindPatchDeletion:
     def test_alpha_threshold_validated(self):
         g = star_graph(6)
         phi = greedy_total(g)
-        empty = EdgeSelection.from_edges(7, [])
+        empty = EdgeSelection.from_edges(g, [])
         with pytest.raises(ValueError):
             # leaf 1 is below the alpha threshold
             find_patch_deletion(g, phi, empty, frozenset({1}),
                                 PipelineParams(m=5, d=1))
 
+    @pytest.mark.parametrize("light, message", [
+        ({7}, "light vertex 7 is not a vertex of the graph"),
+        ({-7}, "light vertex -7 is not a vertex of the graph"),
+        ({0, 9, 8}, "light vertex 8 is not a vertex of the graph"),
+        ({0.0}, "light vertex must be an integer, got 0.0"),
+        ({0, True}, "light vertex must be an integer, got True"),
+        ({"0"}, "light vertex must be an integer, got '0'"),
+    ])
+    def test_light_must_be_vertices(self, light, message, monkeypatch):
+        # rejected before any pool is built
+        def refuse(*args):
+            raise AssertionError("a pool was built")
+
+        monkeypatch.setattr("avdtotal.highdeg._PatchCheck", refuse)
+        g = star_graph(6)
+        empty = EdgeSelection.from_edges(g, [])
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            find_patch_deletion(g, greedy_total(g), empty, frozenset(light))
+
+    def test_numpy_light_vertex_is_accepted(self):
+        g = star_graph(6)
+        phi = greedy_total(g)
+        empty = EdgeSelection.from_edges(g, [])
+        params = PipelineParams(m=5, d=1, seed=3)
+        assert (find_patch_deletion(g, phi, empty, frozenset({np.int64(0)}), params)
+                == find_patch_deletion(g, phi, empty, frozenset({0}), params))
+
+    @pytest.mark.parametrize("made_on", [star_graph(5), Graph.build(7, [(0, 1)])],
+                             ids=["smaller-star", "same-n"])
+    def test_bulk_from_another_graph(self, made_on):
+        g = star_graph(6)
+        bulk = EdgeSelection.from_edges(made_on, [])
+        with pytest.raises(ValueError, match="not made on this graph"):
+            light_vertices(g, bulk, 5)
+        with pytest.raises(ValueError, match="not made on this graph"):
+            find_patch_deletion(g, greedy_total(g), bulk, frozenset({0}))
+
+    def test_bulk_from_an_equal_graph(self):
+        g = star_graph(6)
+        phi = greedy_total(g)
+        params = PipelineParams(m=5, d=1, seed=3)
+        twin = EdgeSelection.from_edges(Graph.build(g.n, g.edges), [])
+        own = EdgeSelection.from_edges(g, [])
+        assert light_vertices(g, twin, 5) == frozenset({0})
+        assert (find_patch_deletion(g, phi, twin, frozenset({0}), params)
+                == find_patch_deletion(g, phi, own, frozenset({0}), params))
+
     def test_deterministic_per_seed(self):
         g, phi = k5_fixture()
-        empty = EdgeSelection.from_edges(5, [])
+        empty = EdgeSelection.from_edges(g, [])
         params = PipelineParams(m=5, d=1, seed=9, stall_rounds=5, max_rounds=20)
         a = find_patch_deletion(g, phi, empty, frozenset({0, 1}), params)
         b = find_patch_deletion(g, phi, empty, frozenset({0, 1}), params)
@@ -658,7 +762,7 @@ class TestChecksAgainstReference:
         cands = candidate_edges(g, phi)
         rng = np.random.Generator(np.random.Philox(subset_seed))
         sel = EdgeSelection.from_edges(
-            g.n, [e for e, keep in zip(cands, rng.random(len(cands)) < q) if keep])
+            g, [e for e, keep in zip(cands, rng.random(len(cands)) < q) if keep])
         got = [(e.kind, e.witness) for e in bulk_events(g, phi, sel, params)]
         assert got == reference_bulk_events(g, phi, sel.edges, m, d, params.eps)
 
@@ -669,7 +773,7 @@ class TestChecksAgainstReference:
         # at every edge
         g = complete_graph(9)
         phi = greedy_total(g)
-        sel = EdgeSelection.from_edges(9, g.edges)
+        sel = EdgeSelection.from_edges(g, g.edges)
         params = PipelineParams(m=8, d=4, lam=5.0, M=10_000)
         got = [(e.kind, e.witness) for e in bulk_events(g, phi, sel, params)]
         expected = reference_bulk_events(g, phi, sel.edges, 8, 4, params.eps)
@@ -686,7 +790,7 @@ class TestChecksAgainstReference:
         params = PipelineParams(m=m, d=d, lam=lam, seed=seed, stall_rounds=6)
         res = find_bulk_deletion(g, phi, params)
         sel = res.selection
-        assert sel == EdgeSelection.from_edges(g.n, sel.edges)
+        assert sel == EdgeSelection.from_edges(g, sel.edges)
         expected = reference_bulk_events(g, phi, sel.edges, m, d, params.eps)
         assert [(e.kind, e.witness) for e in res.violations] == expected
         assert res.success == (not expected)
@@ -700,12 +804,12 @@ class TestChecksAgainstReference:
         cands = candidate_edges(g, phi)
         rng = np.random.Generator(np.random.Philox(light_seed))
         bulk = EdgeSelection.from_edges(
-            g.n, [e for e, keep in zip(cands, rng.random(len(cands)) < q) if keep])
+            g, [e for e, keep in zip(cands, rng.random(len(cands)) < q) if keep])
         high = sorted(degree_split(g).high)
         light = frozenset(v for v in high if rng.random() < 0.4)
         drawn = reference_patch_first_draw(g, bulk.edges, light, 2, draw_seed)
         assume(light and drawn is not None)
-        patch = EdgeSelection.from_edges(g.n, drawn)
+        patch = EdgeSelection.from_edges(g, drawn)
         params = PipelineParams(m=5, d=1)
         got = [(e.kind, e.witness)
                for e in patch_events(g, phi, bulk, patch, light, params)]
@@ -717,7 +821,7 @@ class TestChecksAgainstReference:
     def test_patch_search_reports_what_reference_sees(self, n, seed, light_seed):
         g = dense_graph(n, seed)
         phi = greedy_total(g)
-        empty = EdgeSelection.from_edges(g.n, [])
+        empty = EdgeSelection.from_edges(g, [])
         rng = np.random.Generator(np.random.Philox(light_seed))
         light = frozenset(v for v in sorted(degree_split(g).high) if rng.random() < 0.3)
         assume(light)
@@ -743,7 +847,7 @@ class TestFirstDrawAgainstReference:
         res = find_bulk_deletion(g, greedy_total(g), params)
         expected = reference_bulk_first_round(g, params.resolve(g).p, cap, seed)
         assert res.rounds == 1
-        assert res.selection == EdgeSelection.from_edges(g.n, expected)
+        assert res.selection == EdgeSelection.from_edges(g, expected)
 
     @given(st.integers(5, 12), st.integers(0, 99), st.integers(0, 99),
            st.integers(0, 999), st.sampled_from([0.0, 0.3]), st.sampled_from([2, 3]))
@@ -754,7 +858,7 @@ class TestFirstDrawAgainstReference:
         cands = candidate_edges(g, phi)
         rng = np.random.Generator(np.random.Philox(light_seed))
         bulk = EdgeSelection.from_edges(
-            g.n, [e for e, keep in zip(cands, rng.random(len(cands)) < q) if keep])
+            g, [e for e, keep in zip(cands, rng.random(len(cands)) < q) if keep])
         light = frozenset(v for v in sorted(degree_split(g).high) if rng.random() < 0.4)
         assume(light)
         params = PipelineParams(m=5, d=1, B=B, seed=seed, max_rounds=1)
@@ -764,7 +868,7 @@ class TestFirstDrawAgainstReference:
             assert res.infeasible_vertex is not None and res.rounds == 0
         else:
             assert res.infeasible_vertex is None and res.rounds == 1
-            assert res.selection == EdgeSelection.from_edges(g.n, expected)
+            assert res.selection == EdgeSelection.from_edges(g, expected)
 
 
 def golden_hub_graph(n, hubs, hub_degree, seed):
@@ -932,7 +1036,7 @@ class TestWordBoundaries:
         cands = candidate_edges(g, phi)
         rng = np.random.Generator(np.random.Philox(subset_seed))
         sel = EdgeSelection.from_edges(
-            g.n, [e for e, keep in zip(cands, rng.random(len(cands)) < q) if keep])
+            g, [e for e, keep in zip(cands, rng.random(len(cands)) < q) if keep])
         got = [(e.kind, e.witness) for e in bulk_events(g, phi, sel, params)]
         assert got == reference_bulk_events(g, phi, sel.edges, m, d, params.eps)
 
@@ -980,7 +1084,7 @@ class TestPatchSearchAgainstReference:
         rng = np.random.Generator(np.random.Philox(graph_seed))
         cands = candidate_edges(g, phi)
         bulk = EdgeSelection.from_edges(
-            g.n, [e for e, keep in zip(cands, rng.random(len(cands)) < q) if keep])
+            g, [e for e, keep in zip(cands, rng.random(len(cands)) < q) if keep])
         light = frozenset(v for v in sorted(degree_split(g).high) if rng.random() < 0.4)
         assume(light)
         params = PipelineParams(m=5, d=1, B=B, seed=seed, stall_rounds=stall,
@@ -988,17 +1092,18 @@ class TestPatchSearchAgainstReference:
         assert_patch_search_matches_reference(g, phi, bulk, light, params)
 
     def test_corpus_resamples_to_success_and_to_both_caps(self):
-        empty7 = EdgeSelection.from_edges(7, [])
-        k7, phi7 = cyclic_clique(7)
+        def unselected(g, phi):
+            return g, phi, EdgeSelection.from_edges(g, [])
+
+        k7 = unselected(*cyclic_clique(7))
         cases = [
-            (k7, phi7, empty7, frozenset({0, 1}), PipelineParams(m=5, d=1, seed=3)),
-            (k7, phi7, empty7, frozenset({3, 5}),
-             PipelineParams(m=5, d=1, seed=2, stall_rounds=4)),
-            (*cyclic_clique(9), EdgeSelection.from_edges(9, []), frozenset({0, 1, 2, 3}),
+            (*k7, frozenset({0, 1}), PipelineParams(m=5, d=1, seed=3)),
+            (*k7, frozenset({3, 5}), PipelineParams(m=5, d=1, seed=2, stall_rounds=4)),
+            (*unselected(*cyclic_clique(9)), frozenset({0, 1, 2, 3}),
              PipelineParams(m=5, d=1, seed=1, max_rounds=5)),
-            (star_graph(4), greedy_total(star_graph(4)), EdgeSelection.from_edges(5, []),
+            (*unselected(star_graph(4), greedy_total(star_graph(4))),
              frozenset({0}), PipelineParams(m=5, d=1, B=4)),
-            (cycle_graph(5), greedy_total(cycle_graph(5)), EdgeSelection.from_edges(5, []),
+            (*unselected(cycle_graph(5), greedy_total(cycle_graph(5))),
              frozenset(range(5)), PipelineParams(m=5, d=1)),
         ]
         success, stalled, capped, forced, infeasible = (
@@ -1012,17 +1117,18 @@ class TestPatchSearchAgainstReference:
 
 
 def assert_rows_match(g, selection):
-    """The rows selection is marked with on g are the sorted positions of
-    its edges in g.edges."""
-    rows = _rows_on(g, selection)
+    """selection was made on g, and its rows are ints: the sorted positions
+    in g.edges of the edges it holds, as ``from_edges`` finds them."""
+    assert selection.graph is g
+    assert all(type(r) is int for r in selection.rows)
     position = {e: i for i, e in enumerate(g.edges)}
-    assert rows is not None and rows.dtype == np.int64
-    assert rows.tolist() == sorted(map(position.__getitem__, selection.edges))
+    assert selection.rows == tuple(sorted(map(position.__getitem__, selection.edges)))
+    assert selection == EdgeSelection.from_edges(g, selection.edges)
 
 
 class TestSelectionRows:
-    """Each stage marks its selection with the rows of g.edges it holds,
-    for ``pipeline.recolor_union``."""
+    """Each stage's selection holds the rows of g.edges it selects, for
+    ``pipeline.recolor_union``."""
 
     @given(st.integers(2, 40), st.sampled_from([0.1, 0.4, 0.8]),
            st.integers(0, 2 ** 32 - 1), st.sampled_from([1.0, 3.0, None]),
@@ -1063,12 +1169,12 @@ class TestSelectionRows:
                              ids=["no-pool", "B-above-pool"])
     def test_infeasible_patch_is_marked_empty(self, g, B):
         phi = greedy_total(g)
-        empty = EdgeSelection.from_edges(g.n, [])
+        empty = EdgeSelection.from_edges(g, [])
         res = find_patch_deletion(g, phi, empty, light_vertices(g, empty, 5),
                                   PipelineParams(m=5, d=1, B=B))
         assert res.infeasible_vertex is not None
         assert_rows_match(g, res.selection)
-        assert _rows_on(g, res.selection).size == 0
+        assert res.selection.rows == ()
 
     def test_supplied_seed(self):
         # cyclic colourings, not greedy's, with resampling in both stages
@@ -1078,19 +1184,26 @@ class TestSelectionRows:
         assert bulk.rounds == 11 and bulk.selection.edges
         assert_rows_match(g, bulk.selection)
         g, phi = cyclic_clique(7)
-        patch = find_patch_deletion(g, phi, EdgeSelection.from_edges(7, []),
+        patch = find_patch_deletion(g, phi, EdgeSelection.from_edges(g, []),
                                     frozenset({0, 1}), PipelineParams(m=5, d=1, seed=3))
         assert patch.success and patch.rounds == 4
         assert_rows_match(g, patch.selection)
 
     def test_mark_names_the_graph(self):
-        # an equal graph built again is another object, and reads no rows
+        # a selection names the graph it was made on; an equal graph built
+        # again is accepted, an unequal one is not
         g = random_gnp(30, 0.3, 1)
-        selection = find_bulk_deletion(g, greedy_total(g)).selection
-        assert _rows_on(g, selection) is not None
-        assert _rows_on(Graph.build(g.n, g.edges), selection) is None
-        assert _rows_on(g, EdgeSelection.from_edges(g.n, g.edges)) is None
-        assert _rows_on(g, list(selection.edges)) is None
+        phi = greedy_total(g)
+        selection = find_bulk_deletion(g, phi).selection
+        assert selection.graph is g
+        twin = Graph.build(g.n, g.edges)
+        assert light_vertices(twin, selection, 8) == light_vertices(g, selection, 8)
+        other = Graph.build(g.n, g.edges[1:])
+        for stage in (lambda: light_vertices(other, selection, 8),
+                      lambda: find_patch_deletion(other, greedy_total(other), selection,
+                                                  frozenset())):
+            with pytest.raises(ValueError, match="not made on this graph"):
+                stage()
 
 
 class TestStreamSeparation:

@@ -149,7 +149,7 @@ def pipeline_state(g, seed):
     bulk = find_bulk_deletion(g, phi, params)
     light = light_vertices(g, bulk.selection, params.m)
     patch = find_patch_deletion(g, phi, bulk.selection, light, params)
-    return recolor_union(g, phi, bulk.selection.edges, patch.selection.edges)
+    return recolor_union(g, phi, bulk.selection, patch.selection)
 
 
 def recolours(before, after):

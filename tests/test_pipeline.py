@@ -13,11 +13,12 @@ from hypothesis import strategies as st
 
 import avdtotal.coloring as coloring
 import avdtotal.pipeline as pipeline
-from avdtotal import (Graph, PipelineParams, TotalColoring, cli, complete_graph,
-                      cycle_graph, distinguish_low_degree, find_bulk_deletion,
-                      find_patch_deletion, greedy_total, light_vertices,
-                      random_gnp, recolor_union, repair_fallback, run_pipeline,
-                      star_graph, to_document, verdict, violations)
+from avdtotal import (EdgeSelection, Graph, PipelineParams, TotalColoring, cli,
+                      complete_graph, cycle_graph, distinguish_low_degree,
+                      find_bulk_deletion, find_patch_deletion, greedy_total,
+                      light_vertices, random_gnp, recolor_union, repair_fallback,
+                      run_pipeline, star_graph, to_document, verdict, violations,
+                      vizing_color)
 
 from helpers import connected_graphs, hub_graph, reference_repair_fallback
 from test_golden import CASES as GOLDEN_CASES
@@ -43,15 +44,21 @@ def cyclic_k5():
     return g, phi
 
 
+def recolour(g, phi, bulk, patch):
+    """recolor_union of two collections of pairs, each made a selection on g."""
+    return recolor_union(g, phi, EdgeSelection.from_edges(g, bulk),
+                         EdgeSelection.from_edges(g, patch))
+
+
 class TestRecolorUnion:
     def test_empty_selection_returns_input(self):
         g, phi = two_hub_graph()
-        assert recolor_union(g, phi, [], []) is phi
+        assert recolour(g, phi, [], []) is phi
 
     def test_fresh_palette_sits_above_old_budget(self):
         g, phi = two_hub_graph()
         picked = [(0, 2), (0, 3), (1, 8)]
-        out = recolor_union(g, phi, picked[:2], picked[2:])
+        out = recolour(g, phi, picked[:2], picked[2:])
         for e in picked:
             assert out.edge_colors[e] > phi.k
         for e in g.edges:
@@ -62,50 +69,47 @@ class TestRecolorUnion:
 
     def test_growth_matches_union_edge_coloring(self):
         g, phi = two_hub_graph()
-        out = recolor_union(g, phi, g.edges, [])
+        out = recolour(g, phi, g.edges, [])
         used = {out.edge_colors[e] - phi.k for e in g.edges}
         assert out.k - phi.k == max(used)
         assert min(used) >= 1
 
     def test_overlapping_selections_merge(self):
         g, phi = two_hub_graph()
-        a = recolor_union(g, phi, [(0, 2)], [(0, 2)])
-        b = recolor_union(g, phi, [(0, 2)], [])
+        a = recolour(g, phi, [(0, 2)], [(0, 2)])
+        b = recolour(g, phi, [(0, 2)], [])
         assert a == b
         assert a.stars == b.stars
 
     @pytest.mark.parametrize("bulk, patch", [
         ([], [(2, 0)]), ([(0, 2), (2, 0)], []), ([(2, 0)], [(0, 2)]), ([(2, 0)], [])])
-    def test_reversed_pairs_are_strays(self, bulk, patch):
-        # pairs match g.edges as listed, smaller endpoint first; the graph
-        # edge (0, 2) given as (2, 0) is not normalised
+    def test_reversed_pairs_select_the_graph_edge(self, bulk, patch):
+        # a selection normalises its pairs, so (2, 0) is the graph edge (0, 2)
         g, phi = two_hub_graph()
-        with pytest.raises(ValueError, match=r"^selected edge \(2, 0\) is not in the graph$"):
-            recolor_union(g, phi, bulk, patch)
+        assert_same_recolour(recolour(g, phi, bulk, patch), recolour(g, phi, [(0, 2)], []))
 
     def test_rejects_foreign_edge(self):
         g, phi = two_hub_graph()
         with pytest.raises(ValueError):
-            recolor_union(g, phi, [(2, 3)], [])
+            recolour(g, phi, [(2, 3)], [])
 
     def test_foreign_edge_message_names_the_smallest(self):
         g, phi = two_hub_graph()
-        # strays (8, 9), (2, 3) and (4, 12) among graph edges, split across
-        # the two selections
+        # strays (8, 9), (2, 3) and (4, 12) among graph edges
         with pytest.raises(ValueError, match=r"^selected edge \(2, 3\) is not in the graph$"):
-            recolor_union(g, phi, [(0, 2), (8, 9), (1, 13)], [(4, 12), (2, 3), (0, 1)])
+            recolour(g, phi, [(0, 2), (8, 9), (1, 13), (4, 12), (2, 3), (0, 1)], [])
 
     @pytest.mark.parametrize("bulk, patch, stray", [
-        ([(3, 2)], [], (3, 2)),
-        ([(2, 0), (9, 8)], [(8, 1)], (2, 0)),
-        ([(9, 8), (3, 2)], [(0, 2), (1, 13)], (3, 2)),
+        ([(3, 2)], [], (2, 3)),
+        ([(2, 0), (9, 8)], [(8, 1)], (8, 9)),
+        ([], [(9, 8), (3, 2), (0, 2), (1, 13)], (2, 3)),
     ])
     def test_stray_among_reversed_pairs_is_named(self, bulk, patch, stray):
+        # named normalised, as the smallest stray of its selection
         g, phi = two_hub_graph()
         with pytest.raises(ValueError, match=rf"^selected edge \({stray[0]}, {stray[1]}\) "
                                              r"is not in the graph$"):
-            recolor_union(g, phi, bulk, patch)
-
+            recolour(g, phi, bulk, patch)
 
     def test_memory_grows_at_most_linearly_in_k(self):
         # a supplied seed may declare a palette far above the colours it
@@ -113,14 +117,15 @@ class TestRecolorUnion:
         # k squared (x3.0 from k = 2303 to 4606, then x3.5)
         g = random_gnp(200, 0.05, 3)
         seed = greedy_total(g)
-        picked = g.edges[::3]
+        picked = EdgeSelection.from_edges(g, g.edges[::3])
+        empty = EdgeSelection.from_edges(g, [])
 
         def peak(k):
             phi = TotalColoring(seed.vertex_colors, seed.edge_colors, k)
             phi.stars  # built before tracing, as run_pipeline's check does
             tracemalloc.start()
             try:
-                out = recolor_union(g, phi, picked, [])
+                out = recolor_union(g, phi, picked, empty)
                 return tracemalloc.get_traced_memory()[1], out
             finally:
                 tracemalloc.stop()
@@ -134,21 +139,34 @@ class TestRecolorUnion:
            st.randoms(use_true_random=False))
     @settings(max_examples=80, deadline=None)
     def test_union_degree_equals_counter(self, n, p, seed, rnd):
-        # the union and its maximum degree, counted over rows of g._ends,
-        # against a filter of g.edges and a Counter over its endpoints
+        # the union's edges take exactly the colours vizing_color gives the
+        # union as a graph of its own, whose maximum degree a Counter over
+        # its endpoints gives: so the union and its degree, counted over
+        # rows of g._ends, are those of a filter of g.edges
         g = random_gnp(n, p, seed)
         if not g.edges:
             return
-        chosen = set(rnd.sample(g.edges, rnd.randint(1, len(g.edges))))
-        union, degree = pipeline._union(g, chosen)
-        assert union == [e for e in g.edges if e in chosen]
-        assert degree == max(Counter(chain.from_iterable(union)).values())
-        assert type(degree) is int
+        chosen = rnd.sample(g.edges, rnd.randint(1, len(g.edges)))
+        half = rnd.randint(0, len(chosen))
+        phi = greedy_total(g)
+        out = recolour(g, phi, chosen[:half], chosen[half:])
+        union = [e for e in g.edges if e in set(chosen)]
+        sub = vizing_color(Graph.build(g.n, union))
+        assert sub.k == max(Counter(chain.from_iterable(union)).values()) + 1
+        assert {e: c - phi.k for e, c in out.edge_colors.items() if c > phi.k} == sub.colors
+        assert out.k == phi.k + max(sub.colors.values())
 
-    def test_union_of_no_matching_edge_is_empty(self):
-        g, _ = two_hub_graph()
-        for chosen in ({(2, 0)}, {(2, 3)}, set()):
-            assert pipeline._union(g, chosen) == ([], 0)
+    def test_selection_from_another_graph_is_refused(self):
+        g, phi = two_hub_graph()
+        own = EdgeSelection.from_edges(g, [(0, 2)])
+        other = EdgeSelection.from_edges(Graph.build(14, g.edges[:-1]), [(0, 2)])
+        for bulk, patch in ((other, own), (own, other), (other, other)):
+            with pytest.raises(ValueError, match="^the selection was not made on this graph$"):
+                recolor_union(g, phi, bulk, patch)
+        # pairs are no selection: from_edges makes one of them
+        with pytest.raises(ValueError, match="^the selection was not made on this graph$"):
+            recolor_union(g, phi, [(0, 2)], own)
+
 
 def stage_selections(g, phi, params):
     """Both deletion stages' selections, as run_pipeline makes them."""
@@ -163,8 +181,8 @@ def assert_same_recolour(a, b):
 
 
 class TestRowHandOff:
-    """A stage's selection read from its rows recolours exactly as the same
-    edges given as pairs."""
+    """A stage's selection, read from its rows, recolours exactly as a
+    selection made from the same edges given as pairs."""
 
     @given(st.integers(2, 60), st.sampled_from([0.05, 0.2, 0.5, 0.9]),
            st.integers(0, 2 ** 32 - 1), st.booleans())
@@ -174,14 +192,19 @@ class TestRowHandOff:
         phi = greedy_total(g)
         bulk, patch = stage_selections(g, phi, PipelineParams(seed=seed))
         patch = patch.selection
-        marked = recolor_union(g, phi, bulk, patch)
-        assert_same_recolour(marked, recolor_union(g, phi, list(bulk.edges),
-                                                   sorted(patch.edges)))
-        # one side marked and the other pairs, or both marked on an equal
-        # graph that is another object: both go the way of pairs
-        assert_same_recolour(marked, recolor_union(g, phi, bulk, list(patch.edges)))
+        staged = recolor_union(g, phi, bulk, patch)
+        assert_same_recolour(staged, recolour(g, phi, list(bulk.edges),
+                                              sorted(patch.edges)))
+        # both made on an equal graph that is another object
         twin = Graph.build(g.n, g.edges)
-        assert_same_recolour(marked, recolor_union(twin, phi, bulk, patch))
+        assert_same_recolour(staged, recolor_union(twin, phi, bulk, patch))
+        # and the other way round: selections of twin, recoloured on g
+        assert_same_recolour(staged, recolour(twin, phi, bulk.edges, patch.edges))
+        if g.edges:
+            # a graph that lacks one edge is not equal, whatever is selected
+            fewer = Graph.build(g.n, g.edges[:-1])
+            with pytest.raises(ValueError, match="not made on this graph"):
+                recolor_union(fewer, phi, bulk, patch)
 
     def test_infeasible_patch_adds_no_edge(self):
         # the patch search is infeasible and the bulk stage keeps four of
@@ -190,18 +213,19 @@ class TestRowHandOff:
         phi = greedy_total(g)
         bulk, patch = stage_selections(g, phi, PipelineParams())
         assert patch.infeasible_vertex is not None
-        assert len(bulk.edges) == 4 and len(g.edges) == 6
+        assert len(bulk.rows) == 4 and len(g.edges) == 6
         out = recolor_union(g, phi, bulk, patch.selection)
-        assert_same_recolour(out, recolor_union(g, phi, list(bulk.edges), []))
+        assert_same_recolour(out, recolour(g, phi, bulk.edges, []))
         assert {e for e in g.edges if out.edge_colors[e] > phi.k} == bulk.edges
 
     def test_pipeline_builds_no_tuple_set_and_no_fan_index(self, monkeypatch):
         def refuse(*args):
-            raise AssertionError("the recolour took the slow path")
+            raise AssertionError("the run built an edge set or a fan index")
 
         g = random_gnp(5000, 0.004, 2001)
         expected = run_pipeline(g)[0]
-        monkeypatch.setattr(pipeline, "_union", refuse)
+        # no vertex is light there, so no selection's edge set is read
+        monkeypatch.setattr(EdgeSelection, "edges", property(refuse))
         monkeypatch.setattr("avdtotal.vizing._fan_index", refuse)
         out, report = run_pipeline(g)
         assert report.fresh_palette_size > 0
@@ -255,10 +279,11 @@ def carried(phase, g, phi, *args):
     return out
 
 
-def carry_through(g, phi, bulk_edges, patch_edges):
+def carry_through(g, phi, bulk, patch):
     """The recolour, low-degree and repair phases in pipeline order, each
-    checked by ``carried``; returns the number of repairs."""
-    recolored = carried(recolor_union, g, phi, bulk_edges, patch_edges)
+    checked by ``carried``, from the selections bulk and patch of g;
+    returns the number of repairs."""
+    recolored = carried(recolor_union, g, phi, bulk, patch)
     lowered = carried(distinguish_low_degree, g, recolored)
     return carried(repair_fallback, g, lowered).k - lowered.k
 
@@ -274,13 +299,15 @@ class TestCarriedStars:
         phi = greedy_total(g)
         picked = [e for e in g.edges if rnd.random() < 0.3]
         half = len(picked) // 2
-        carry_through(g, phi, picked[:half], picked[half:])
+        carry_through(g, phi, EdgeSelection.from_edges(g, picked[:half]),
+                      EdgeSelection.from_edges(g, picked[half:]))
         carried(repair_fallback, g, phi)  # the seed's many equal pairs
 
     def test_clique_with_repairs(self):
         g, phi = cyclic_k5()
         assert carried(repair_fallback, g, phi).k > phi.k
-        assert carry_through(g, phi, [(0, 1), (2, 3)], [(1, 4)]) > 0
+        assert carry_through(g, phi, EdgeSelection.from_edges(g, [(0, 1), (2, 3)]),
+                             EdgeSelection.from_edges(g, [(1, 4)])) > 0
 
     @pytest.mark.parametrize("seed", range(4))
     def test_hub_graph_selections(self, seed):
@@ -291,8 +318,8 @@ class TestCarriedStars:
         bulk = find_bulk_deletion(g, phi, params)
         light = light_vertices(g, bulk.selection, params.m)
         patch = find_patch_deletion(g, phi, bulk.selection, light, params)
-        assert patch.selection.edges
-        carry_through(g, phi, bulk.selection.edges, patch.selection.edges)
+        assert patch.selection.rows
+        carry_through(g, phi, bulk.selection, patch.selection)
 
 
 class TestRunPipeline:

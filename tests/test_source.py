@@ -9,6 +9,10 @@ import pytest
 
 import avdtotal
 import avdtotal.cli  # the tracer looks cli.main up in sys.modules
+from avdtotal import (find_bulk_deletion, find_patch_deletion, greedy_total,
+                      light_vertices)
+
+from helpers import hub_graph
 
 SOURCES = sorted(Path(avdtotal.__file__).parent.glob("*.py"))
 TESTS = sorted(Path(__file__).parent.glob("*.py"))
@@ -94,15 +98,53 @@ def test_all_is_sorted_unique_and_resolves():
     assert [n for n in names if not hasattr(avdtotal, n)] == []
 
 
-def test_per_layer_timings_name_traced_spans():
-    # a timing or call-count metric reads a span of benchmarks/tracer.py;
-    # pruning the function behind it would zero the metric without a sound
+def _load_tracer():
     spec = importlib.util.spec_from_file_location(
         "bench_tracer", ROOT / "benchmarks" / "tracer.py")
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
-    spans = {name for name, _ in tracer.Tracer(avdtotal)._targets()}
+    return tracer
+
+
+def test_per_layer_timings_name_traced_spans():
+    # a timing or call-count metric reads a span of benchmarks/tracer.py;
+    # pruning the function behind it would zero the metric without a sound
+    spans = {name for name, _ in _load_tracer().Tracer(avdtotal)._targets()}
     declared = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
     wanted = {m["name"].rsplit("_", 1)[0] for m in declared
               if m["name"].endswith(("_s", "_calls"))}
     assert wanted - spans == STALE_METRICS
+
+
+def test_tracer_probes_read_real_results():
+    # the probes of benchmarks/tracer.py read the stages' results; a change
+    # to what those results hold must not break them silently
+    trace = _load_tracer().Tracer(avdtotal)
+    hub = hub_graph(0, 200, 3, 3)
+    hub_params = avdtotal.PipelineParams(lam=3.0, m=5, d=1, seed=0)
+    gnp = avdtotal.random_gnp(120, 0.7, 5)
+    trace.install()
+    try:
+        # called through the package, whose names the tracer rebinds
+        phi = avdtotal.greedy_total(hub)
+        bulk = avdtotal.find_bulk_deletion(hub, phi, hub_params)
+        light = avdtotal.light_vertices(hub, bulk.selection, hub_params.m)
+        patch = avdtotal.find_patch_deletion(hub, phi, bulk.selection, light, hub_params)
+        before = trace.mark()
+        avdtotal.run_pipeline(gnp)
+        in_pipeline = trace.summary(before)
+    finally:
+        trace.uninstall()
+    assert light and bulk.selection.rows and patch.selection.rows
+    assert trace.counts["trace.probe_errors"] == 0
+    assert trace.counts["highdeg.bulk_rounds"] > 0 and trace.counts["highdeg.patch_rounds"] > 0
+    # the same run untraced: the stages' selections inside run_pipeline
+    params = avdtotal.PipelineParams()
+    inner = find_bulk_deletion(gnp, greedy_total(gnp), params)
+    inner_patch = find_patch_deletion(
+        gnp, greedy_total(gnp), inner.selection,
+        light_vertices(gnp, inner.selection, params.m), params)
+    expected = len(inner.selection.rows) + len(inner_patch.selection.rows)
+    assert expected and in_pipeline["highdeg.selected_edges"] == expected
+    assert trace.counts["highdeg.selected_edges"] == (
+        len(bulk.selection.rows) + len(patch.selection.rows) + expected)
