@@ -7,23 +7,30 @@ its own colour together with the colours of its incident edges, held as a
 closed-star bitmask in ``TotalColoring.stars``; a proper total colouring is
 adjacent-vertex-distinguishing (AVD) when adjacent vertices' sets differ.
 
-The verifier, ``violations``, reads colours only, never masks. It sorts
-the keys vertex*stride + colour over every closed star, with the graph's
-cached endpoint array ``Graph._ends``: a repeated key, or an edge joining
-equal vertex colours, is a properness offence. On a proper colouring it
-sums a 64-bit hash of each colour over each closed star, and confirms
-every edge whose two sums match against the exact colour sets, so the
-verdict never rests on the hash."""
+The verifier, ``violations``, reads colours only, never masks.
+``_colour_arrays`` reads them once, as int64 arrays, and checks the
+``check_total`` palette range on those. The judge sorts the keys
+vertex*stride + colour over every closed star, with the graph's cached
+endpoint array ``Graph._ends``: a repeated key, or an edge joining equal
+vertex colours, is a properness offence. On a proper colouring it sums a
+64-bit hash of each colour over each closed star, and confirms every edge
+whose two sums match against the exact colour sets, so the verdict never
+rests on the hash. ``_equal_mask_rows``, the phases' scan for edges whose
+endpoints have equal masks, confirms its hash matches in the same way.
+
+The document writer ``_document_json`` joins its JSON text once, from
+token tables over the vertices and colours present."""
 
 from __future__ import annotations
 
+import array
 import functools
 import gc
 import itertools
 import json
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -73,19 +80,9 @@ class DocumentError(ValueError):
 def check_total(g: Graph, phi: TotalColoring) -> None:
     """Raise ValueError unless phi is a total assignment on g within 1..k.
     Edge keys listing ``g.edges`` in order, as phase outputs and written
-    documents do, pass at once; others are compared with ``set(g.edges)``."""
-    if len(phi.vertex_colors) != g.n:
-        raise ValueError(
-            f"vertex colour count {len(phi.vertex_colors)} does not match n={g.n}")
-    if tuple(phi.edge_colors) != g.edges and phi.edge_colors.keys() != set(g.edges):
-        raise ValueError("edge colours do not cover the edge set exactly")
-    for what, colors in (("vertex", phi.vertex_colors),
-                         ("edge", phi.edge_colors.values())):
-        # one min/max sweep; the loop naming the first bad colour runs
-        # only when it fails
-        if colors and not 1 <= min(colors) <= max(colors) <= phi.k:
-            bad = next(c for c in colors if not 1 <= c <= phi.k)
-            raise ValueError(f"{what} colour {bad} outside palette 1..{phi.k}")
+    documents do, pass at once; others are compared with ``set(g.edges)``.
+    The palette range is read on the colour arrays of ``_colour_arrays``."""
+    _colour_arrays(g, phi)
 
 
 def _closed_stars(phi: TotalColoring) -> tuple[int, ...]:
@@ -144,11 +141,10 @@ def violations(g: Graph, phi: TotalColoring) -> list[Violation]:
     """The one verifier: every properness offence, or on a proper colouring
     every undistinguished pair; empty exactly when phi is proper and AVD.
 
-    After ``check_total``, ``_judge`` decides both properties from phi's
-    colours alone, never from ``phi.stars``.
+    After the ``check_total`` checks, ``_judge`` decides both properties
+    from the colour arrays they were read on, never from ``phi.stars``.
     """
-    check_total(g, phi)
-    return _judge(g, phi)
+    return _judge(g, phi, *_colour_arrays(g, phi))
 
 
 def _require_proper(g: Graph, phi: TotalColoring) -> TotalColoring:
@@ -159,13 +155,12 @@ def _require_proper(g: Graph, phi: TotalColoring) -> TotalColoring:
     ValueError unless k <= 2(n + |E|) + 1, which every run seeded by
     ``greedy_total`` ends within and which bounds the width of every mask;
     unless phi is a total assignment within 1..k (``check_total``); and
-    unless ``_judge`` finds it proper.
+    unless ``_judge`` finds it proper, on the colour arrays that check read.
     """
     bound = 2 * (g.n + len(g.edges)) + 1
     if phi.k > bound:
         raise ValueError(f"palette k={phi.k} is above 2(n + |E|) + 1 = {bound}")
-    check_total(g, phi)
-    found = _judge(g, phi)
+    found = _judge(g, phi, *_colour_arrays(g, phi))
     if not _proper(found):
         raise ValueError(f"colouring is not proper: {found[0].kind} at {found[0].witness}")
     return TotalColoring(phi.vertex_colors, phi.edge_colors, phi.k)
@@ -197,33 +192,62 @@ def _edge_colours(g: Graph, phi: TotalColoring) -> Iterable[int]:
     return ecol.values() if tuple(ecol) == g.edges else map(ecol.__getitem__, g.edges)
 
 
+def _int64(values: Sequence) -> np.ndarray | None:
+    """values as an int64 array when each is an integer within int64 (a
+    bool reads as the int it equals); else None."""
+    try:
+        return np.frombuffer(array.array("q", values), dtype=np.int64)
+    except (TypeError, OverflowError):
+        return None
+
+
+def _in_palette(colours: np.ndarray, k) -> bool:
+    return not colours.size or (colours.min() >= 1 and int(colours.max()) <= k)
+
+
 def _colour_arrays(g: Graph, phi: TotalColoring) -> tuple[np.ndarray, np.ndarray, int]:
-    """phi's vertex colours, its edge colours in ``g.edges`` order, both as
-    int64 arrays, and a stride above every colour in them, for g with at
-    least one edge.
+    """``check_total`` of phi, then phi's vertex colours, its edge colours
+    in ``g.edges`` order, both as int64 arrays, and a stride above every
+    colour in them; the one reader of phi's colours for the verifier.
+
+    The edge-key order is compared once, and the palette range is checked
+    with one min and max per array. Only when that check fails, or a
+    colour is not an int within int64, do the colours go through Python:
+    the first colour outside 1..k, in phi's own order, is then named.
 
     The stride is the largest colour present plus one, never taken from k.
-    When a colour does not fit in int64, or n*stride would not, the colours
-    are relabelled by rank first, 1 for the smallest; the judge compares
-    colours for equality only, which relabelling keeps.
+    When a colour is not an int64, or n*stride would not fit in one, the
+    colours are relabelled by rank first, 1 for the smallest; the judge
+    compares colours for equality only, which relabelling keeps.
     """
     vcol, ecol = phi.vertex_colors, phi.edge_colors
-    try:
-        vc = np.array(vcol, dtype=np.int64)
-        ec = np.fromiter(_edge_colours(g, phi), dtype=np.int64, count=len(g.edges))
-        stride = int(max(vc.max(), ec.max())) + 1
+    if len(vcol) != g.n:
+        raise ValueError(f"vertex colour count {len(vcol)} does not match n={g.n}")
+    in_order = tuple(ecol) == g.edges
+    if not in_order and ecol.keys() != set(g.edges):
+        raise ValueError("edge colours do not cover the edge set exactly")
+    values = list(ecol.values() if in_order else map(ecol.__getitem__, g.edges))
+    vc, ec = _int64(vcol), _int64(values)
+    exact = vc is not None and ec is not None
+    if not (exact and _in_palette(vc, phi.k) and _in_palette(ec, phi.k)):
+        for what, colors in (("vertex", vcol), ("edge", ecol.values())):
+            if colors and not 1 <= min(colors) <= max(colors) <= phi.k:
+                bad = next(c for c in colors if not 1 <= c <= phi.k)
+                raise ValueError(f"{what} colour {bad} outside palette 1..{phi.k}")
+    if exact:
+        stride = int(max(vc.max(initial=0), ec.max(initial=0))) + 1
         if g.n * stride <= _KEY_LIMIT:
             return vc, ec, stride
-    except OverflowError:
-        pass
-    rank = {c: r for r, c in enumerate(sorted({*vcol, *ecol.values()}), start=1)}
+    rank = {c: r for r, c in enumerate(sorted({*vcol, *values}), start=1)}
     return (np.array([rank[c] for c in vcol], dtype=np.int64),
-            np.array([rank[ecol[e]] for e in g.edges], dtype=np.int64),
+            np.array([rank[c] for c in values], dtype=np.int64),
             len(rank) + 1)
 
 
-def _judge(g: Graph, phi: TotalColoring) -> list[Violation]:
-    """``violations`` of phi, a total assignment on g within its palette.
+def _judge(g: Graph, phi: TotalColoring, vc: np.ndarray, ec: np.ndarray,
+           stride: int) -> list[Violation]:
+    """``violations`` of phi, a total assignment on g within its palette,
+    whose colours ``_colour_arrays`` read as vc, ec and stride.
 
     Each vertex v contributes the key v*stride + c for its own colour and
     for each edge colour at v; sorted, the keys list each closed star's
@@ -236,7 +260,6 @@ def _judge(g: Graph, phi: TotalColoring) -> list[Violation]:
     """
     if not g.edges:
         return []
-    vc, ec, stride = _colour_arrays(g, phi)
     ends = g._ends
     u, v = ends[:, 0], ends[:, 1]
     # vertex v's keys start at base[v]
@@ -256,6 +279,21 @@ def _judge(g: Graph, phi: TotalColoring) -> list[Violation]:
     return [Violation("undistinguished-pair", g.edges[i])
             for i, (a, b) in zip(same.tolist(), ends[same].tolist())
             if colours[bounds[a]:bounds[a + 1]] == colours[bounds[b]:bounds[b + 1]]]
+
+
+def _equal_mask_rows(g: Graph, masks: Sequence[int]) -> list[int]:
+    """The ascending rows of ``g.edges`` whose two endpoints have equal
+    masks, for masks indexed by vertex. Each mask is hashed once and the
+    hashes are compared at the rows of ``g._ends``; each row whose hashes
+    match is confirmed on the masks themselves, so unequal masks with
+    equal hashes are never reported."""
+    if not g.edges:
+        return []
+    hashes = np.fromiter(map(hash, masks), dtype=np.int64, count=g.n)
+    ends = g._ends
+    rows = np.flatnonzero(hashes[ends[:, 0]] == hashes[ends[:, 1]])
+    return [r for r, (u, v) in zip(rows.tolist(), ends[rows].tolist())
+            if masks[u] == masks[v]]
 
 
 def _proper(found: list[Violation]) -> bool:
@@ -336,32 +374,78 @@ def _emit(obj) -> str:
 def _document_json(g: Graph, phi: TotalColoring, verified: dict[str, bool],
                    report: dict | None = None) -> str:
     """``_emit`` of the ``_document_body`` document, with report added as
-    its ``report`` field unless None, written as text in one pass.
+    its ``report`` field unless None, written as text by one join.
 
-    The two edge arrays are each written by one %-format over a flat list
-    of their numbers, the top-level keys in sorted order; only the small
-    ``report`` and ``verified`` dicts go through ``_emit``, so a
-    non-finite float in them raises ValueError as it would there.
+    The three arrays are written from token tables: each vertex that ends
+    an edge, and each colour present, is turned into text once, in the
+    strings ``'{"c": c, "u": '``, ``'u, "v": '``, ``'v}, '``, ``'[u, '``,
+    ``'v], '`` and ``'c, '``; the tables are indexed by the rows of
+    ``g._ends``, by the edge colours in ``g.edges`` order and by the
+    vertex colours. The top-level keys come in sorted order; only the small
+    ``report`` and ``verified`` dicts go through ``_emit``, so a non-finite
+    float in them raises ValueError as it would there.
     """
-    m = len(g.edges)
-    ends = list(itertools.chain.from_iterable(g.edges))
-    # c, u, v for each edge in turn
-    triples = [0] * (3 * m)
-    triples[0::3] = _edge_colours(g, phi)
-    triples[1::3] = ends[0::2]
-    triples[2::3] = ends[1::2]
-    parts = [
-        '"edge_colors": [' + ", ".join(['{"c": %s, "u": %s, "v": %s}'] * m) % tuple(triples)
-        + "]",
-        '"edges": [' + ", ".join(["[%s, %s]"] * m) % tuple(ends) + "]",
-        f'"k": {phi.k}',
-        f'"n": {g.n}',
-    ]
+    vertices, at = _lookup(g._ends.ravel())
+    u, v = at[0::2], at[1::2]
+    name = _names(vertices)
+    colours, c = _lookup(list(_edge_colours(g, phi)))
+    vertex_colours, vc = _lookup(list(phi.vertex_colors))
+    doc = ['{"edge_colors": [']
+    doc += _rows(('{"c": ' + _names(colours) + ', "u": ')[c],
+                 (name + ', "v": ')[u], (name + "}, ")[v])
+    doc.append('], "edges": [')
+    doc += _rows(("[" + name + ", ")[u], (name + "], ")[v])
+    doc.append(f'], "k": {phi.k}, "n": {g.n}, ')
     if report is not None:
-        parts.append(f'"report": {_emit(report)}')
-    parts.append(f'"verified": {_emit(verified)}')
-    parts.append('"vertex_colors": [' + ", ".join(map(str, phi.vertex_colors)) + "]")
-    return "{" + ", ".join(parts) + "}"
+        doc.append(f'"report": {_emit(report)}, ')
+    doc.append(f'"verified": {_emit(verified)}, "vertex_colors": [')
+    doc += _rows((_names(vertex_colours) + ", ")[vc])
+    doc.append("]}")
+    return "".join(doc)
+
+
+def _lookup(values: np.ndarray | list) -> tuple[list, np.ndarray]:
+    """A table of values to write and the index of each value in it, for
+    values an int64 array or a list.
+
+    The table of an int64 array, or of a list of integers within int64,
+    holds its distinct values, ascending: indexed through a mask over
+    their range when that is at most twice their number, else through
+    ``np.unique``, so the work follows the values present, never their
+    size. Any other list, such as one with ints beyond int64, is its own
+    table.
+    """
+    if isinstance(values, list):
+        exact = _int64(values)
+        if exact is None:
+            return values, np.arange(len(values))
+        values = exact
+    if not values.size:
+        return [], values
+    low = int(values.min())
+    span = int(values.max()) - low + 1
+    if span > 2 * values.size:
+        distinct, index = np.unique(values, return_inverse=True)
+        return distinct.tolist(), index
+    seen = np.zeros(span, dtype=bool)
+    seen[values - low] = True
+    return (np.flatnonzero(seen) + low).tolist(), (np.cumsum(seen) - 1)[values - low]
+
+
+def _names(values: list) -> np.ndarray:
+    """Each value written as text, in an object array for token tables."""
+    return np.array(list(map(str, values)), dtype=object)
+
+
+def _rows(*columns: np.ndarray) -> list[str]:
+    """The strings of the equal-length object arrays in columns, row by
+    row, with the final ``', '`` dropped from the last."""
+    flat = [""] * (len(columns) * len(columns[0]))
+    for i, column in enumerate(columns):
+        flat[i::len(columns)] = column.tolist()
+    if flat:
+        flat[-1] = flat[-1][:-2]
+    return flat
 
 
 def _is_int(value) -> bool:

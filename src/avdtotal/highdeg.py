@@ -112,7 +112,10 @@ class EdgeSelection:
 
     ``rows`` are the ascending rows of ``graph.edges`` it holds; ``graph``
     is the graph it was made on, left out of equality and repr. ``edges``,
-    the set of those edge tuples, is built on its first read.
+    the set of those edge tuples, is built on its first read. The
+    constructor checks nothing: ``recolor_union`` and the patch stage
+    refuse a selection without one count per vertex, and ``recolor_union``
+    one whose rows do not ascend strictly within ``graph.edges``.
     """
 
     rows: tuple[int, ...]
@@ -154,9 +157,12 @@ def _edge_rows(g: Graph, ends: np.ndarray) -> np.ndarray:
 
 def _require_on(g: Graph, selection: EdgeSelection) -> None:
     """ValueError unless selection is an EdgeSelection made on a graph
-    equal to g."""
+    equal to g, with one ``per_vertex_count`` entry per vertex of g."""
     if getattr(selection, "graph", None) != g:
         raise ValueError("the selection was not made on this graph")
+    if len(selection.per_vertex_count) != g.n:
+        raise ValueError(f"per_vertex_count has {len(selection.per_vertex_count)} "
+                         f"entries, not one per vertex of n={g.n}")
 
 
 @dataclass(frozen=True)
@@ -404,7 +410,7 @@ def find_bulk_deletion(g: Graph, phi: TotalColoring,
 
 def light_vertices(g: Graph, selection: EdgeSelection, m: int) -> frozenset[int]:
     """High vertices holding fewer than m selected edges; ValueError unless
-    selection was made on a graph equal to g."""
+    selection was made on a graph equal to g, with a count per vertex."""
     _require_on(g, selection)
     return frozenset(v for v in degree_split(g).high
                      if selection.per_vertex_count[v] < m)

@@ -9,7 +9,7 @@ permanently: later steps only apply the same argument at other vertices.
 
 from __future__ import annotations
 
-from .coloring import TotalColoring, _with_stars
+from .coloring import TotalColoring, _equal_mask_rows, _with_stars
 from .graphs import Graph, degree_split
 
 
@@ -50,9 +50,10 @@ def distinguish_low_degree(g: Graph, phi: TotalColoring) -> TotalColoring:
 
     A recolour changes only its own vertex's set, and never to a
     neighbour's, so a pair that differs keeps differing. The pass therefore
-    visits only the low vertices with an equal neighbour on entry, found in
-    one scan of ``g.edges``, and rechecks each; with no low vertex there is
-    no scan. It updates a copy of ``phi.stars``, which the result carries.
+    visits only the low vertices with an equal neighbour on entry, the ends
+    of the rows ``coloring._equal_mask_rows`` finds, and rechecks each;
+    with no low vertex there is no scan. It updates a copy of
+    ``phi.stars``, which the result carries.
     """
     # a proper total colouring has k >= max_degree + 1 once there is a
     # vertex; the empty graph's k = 0 colouring is proper
@@ -62,7 +63,7 @@ def distinguish_low_degree(g: Graph, phi: TotalColoring) -> TotalColoring:
     if not low:
         return phi
     masks = list(phi.stars)
-    clashing = {x for u, v in g.edges if masks[u] == masks[v] for x in (u, v)}
+    clashing = {x for row in _equal_mask_rows(g, masks) for x in g.edges[row]}
     vcols = list(phi.vertex_colors)
     changed = False
     for u in sorted(clashing.intersection(low)):

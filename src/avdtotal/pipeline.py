@@ -18,8 +18,8 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .coloring import (TotalColoring, _collector_paused, _mark_accepted,
-                       _require_proper, _with_stars, violations)
+from .coloring import (TotalColoring, _collector_paused, _equal_mask_rows,
+                       _mark_accepted, _require_proper, _with_stars, violations)
 from .graphs import Edge, Graph, normalize_edge
 from .highdeg import (EdgeSelection, PipelineParams, _require_on,
                       find_bulk_deletion, find_patch_deletion, light_vertices)
@@ -73,7 +73,8 @@ def recolor_union(g: Graph, phi: TotalColoring, bulk: EdgeSelection,
     phi must be a proper total colouring of g.
 
     bulk and patch must each be an EdgeSelection made on a graph equal to
-    g, else ValueError; pairs become one through
+    g, with one count per vertex and strictly ascending rows of ``g.edges``,
+    else ValueError; pairs become one through
     ``EdgeSelection.from_edges(g, pairs)``. The union is a mask over the
     selections' rows of ``g.edges``, so it is sorted and valid, and goes to
     the edge colourer as a list with its maximum degree, counted over the
@@ -82,10 +83,14 @@ def recolor_union(g: Graph, phi: TotalColoring, bulk: EdgeSelection,
     ``phi.edge_colors`` and swaps the old and new colour bits of each union
     edge at both ends in a copy of ``phi.stars``; the result carries both.
     """
-    inside = np.zeros(len(g.edges), dtype=bool)
+    m = len(g.edges)
+    inside = np.zeros(m, dtype=bool)
     for selection in (bulk, patch):
         _require_on(g, selection)
-        inside[np.array(selection.rows, dtype=np.int64)] = True
+        rows = np.array(selection.rows, dtype=np.int64)
+        if rows.size and (rows[0] < 0 or rows[-1] >= m or (rows[1:] <= rows[:-1]).any()):
+            raise ValueError(f"selection rows must ascend strictly within 0..{m - 1}")
+        inside[rows] = True
     union = list(compress(g.edges, inside.tolist()))
     if not union:
         return phi
@@ -122,7 +127,8 @@ def repair_fallback(g: Graph, phi: TotalColoring) -> TotalColoring:
     has two endpoints of degree one, as their vertex colours differ.
 
     Since no repair makes an equal pair, the scan visits only the edges
-    whose endpoints' masks were equal on entry, and rechecks each. It
+    whose endpoints' masks were equal on entry, the rows
+    ``coloring._equal_mask_rows`` finds, and rechecks each. It
     updates a copy of ``phi.stars``, two bits per repair, which the result
     carries. The result is not verified here; ``run_pipeline`` verifies
     what the phases return.
@@ -130,8 +136,7 @@ def repair_fallback(g: Graph, phi: TotalColoring) -> TotalColoring:
     masks = list(phi.stars)
     recoloured: dict[Edge, int] = {}
     k = phi.k
-    equal = [(u, v) for u, v in g.edges if masks[u] == masks[v]]
-    for u, v in equal:
+    for u, v in map(g.edges.__getitem__, _equal_mask_rows(g, masks)):
         if masks[u] != masks[v]:
             continue
         k += 1

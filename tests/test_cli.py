@@ -80,9 +80,12 @@ def count_verifier_calls(monkeypatch) -> Counter:
     verifier pass: ``violations`` and the entry check ``_require_proper``,
     which the pipeline and the CLI share, each call it once.
     ``_closed_stars`` is the one mask builder: only the copy that the entry
-    check returns calls it, once, when a phase first reads its masks."""
+    check returns calls it, once, when a phase first reads its masks.
+    ``_colour_arrays`` is the one colour reader: ``check_total`` (which
+    ``from_document`` calls), ``violations`` and the entry check each call
+    it once."""
     calls = Counter()
-    for name in ("violations", "check_total", "_judge", "_closed_stars"):
+    for name in ("violations", "_colour_arrays", "_judge", "_closed_stars"):
         def counting(*args, _name=name, _original=getattr(coloring_mod, name)):
             calls[_name] += 1
             return _original(*args)
@@ -234,7 +237,7 @@ class TestColor:
         calls = count_verifier_calls(monkeypatch)
         code, out, _ = run(["color", "--in", k5_file, "--json"], capsys)
         assert code == 0 and json.loads(out)["report"]["short_circuit"] is False
-        assert calls == {"_judge": 1, "violations": 1, "check_total": 1}
+        assert calls == {"_judge": 1, "violations": 1, "_colour_arrays": 1}
 
     def test_short_circuit_reuses_entry_pass(self, k4_file, clean_doc, capsys,
                                              monkeypatch):
@@ -243,7 +246,7 @@ class TestColor:
                             "--seed-coloring", clean_doc], capsys)
         assert code == 0 and json.loads(out)["report"]["short_circuit"] is True
         # from_document checks the seed document once more on loading
-        assert calls == {"_judge": 1, "_closed_stars": 1, "check_total": 2}
+        assert calls == {"_judge": 1, "_closed_stars": 1, "_colour_arrays": 2}
 
 
 class TestVerify:
@@ -297,12 +300,12 @@ class TestDistinguishLow:
 
     def test_one_verifier_pass_each_side(self, clean_doc, capsys, monkeypatch):
         # the input check and the output flags are one verifier pass each,
-        # and the third check_total is from_document's, on loading; K4 has
+        # and the third colour read is from_document's, on loading; K4 has
         # no low vertex, so the phase returns before it reads any mask
         calls = count_verifier_calls(monkeypatch)
         code, _, _ = run(["distinguish-low", "--in", clean_doc, "--json"], capsys)
         assert code == 0
-        assert calls == {"_judge": 2, "violations": 1, "check_total": 3}
+        assert calls == {"_judge": 2, "violations": 1, "_colour_arrays": 3}
 
     def test_one_mask_build_with_low_vertices(self, tmp_path, capsys, monkeypatch):
         # with low vertices the phase reads the masks the input check built,
@@ -314,7 +317,7 @@ class TestDistinguishLow:
         code, _, _ = run(["distinguish-low", "--in", str(p), "--json"], capsys)
         assert code == 0
         assert calls == {"_judge": 2, "_closed_stars": 1, "violations": 1,
-                         "check_total": 3}
+                         "_colour_arrays": 3}
 
 
 class TestSelections:
@@ -371,14 +374,14 @@ class TestSelections:
         # the stages read the masks the input check built, and only when
         # they need them: no pair of K4 is hot (no vertex holds m = 8
         # selected edges), so the bulk stage reads none, while the patch
-        # stage clears the bulk edges from them; the second check_total is
+        # stage clears the bulk edges from them; the second colour read is
         # from_document's, on loading
         calls = count_verifier_calls(monkeypatch)
         code, _, _ = run([cmd, "--in", k4_file, "--json",
                           "--seed-coloring", clean_doc], capsys)
         assert code in (0, 1)
         builds = {"select-e1": {}, "select-e2": {"_closed_stars": 1}}[cmd]
-        assert calls == {"_judge": 1, "check_total": 2, **builds}
+        assert calls == {"_judge": 1, "_colour_arrays": 2, **builds}
 
     def test_one_mask_build_with_hot_pairs(self, tmp_path, capsys, monkeypatch):
         # at m = 6 the pairs of K12 are hot, so the bulk stage reads the
@@ -393,7 +396,7 @@ class TestSelections:
                             "--lambda", "6.0", "--seed", "7", "--json",
                             "--seed-coloring", str(doc)], capsys)
         assert code in (0, 1) and json.loads(out)["rounds"] > 1
-        assert calls == {"_judge": 1, "_closed_stars": 1, "check_total": 2}
+        assert calls == {"_judge": 1, "_closed_stars": 1, "_colour_arrays": 2}
 
 
 class TestRepairingRun:
@@ -404,7 +407,7 @@ class TestRepairingRun:
         _, report = pipeline_mod.run_pipeline(random_gnp(200, 0.05, 0),
                                               params=PipelineParams(seed=0, lam=1.0))
         assert report.fallback_repairs == 2
-        assert calls == {"_judge": 1, "violations": 1, "check_total": 1}
+        assert calls == {"_judge": 1, "violations": 1, "_colour_arrays": 1}
         # a supplied seed keeps its entry pass
         calls.clear()
         g = random_gnp(200, 0.05, 0)
@@ -412,7 +415,7 @@ class TestRepairingRun:
                                               PipelineParams(seed=0, lam=1.0))
         assert report.fallback_repairs == 2
         assert calls == {"_judge": 2, "_closed_stars": 1, "violations": 1,
-                         "check_total": 2}
+                         "_colour_arrays": 2}
 
 
 class TestImproperInput:

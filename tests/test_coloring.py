@@ -1,6 +1,7 @@
 """Colour sets, verifiers, and the JSON document round trip."""
 
 import random
+import sys
 import time
 
 import numpy as np
@@ -81,6 +82,40 @@ class TestCheckTotal:
         bad = TotalColoring((1, 2, 0), phi.edge_colors, 4)
         with pytest.raises(ValueError):
             check_total(g, bad)
+
+    @pytest.mark.parametrize("phi, message", [
+        # the vertex count is checked first, then the key cover
+        (TotalColoring((1, 2), {(0, 1): 9}, 4),
+         "vertex colour count 2 does not match n=3"),
+        (TotalColoring((9, 2, 9), {(0, 1): 3}, 4),
+         "edge colours do not cover the edge set exactly"),
+        # vertex colours before edge colours, the first bad one named
+        (TotalColoring((1, 7, 0), {(0, 1): 9, (1, 2): 4}, 4),
+         "vertex colour 7 outside palette 1..4"),
+        # edge colours in the dict's own order, not in g.edges order
+        (TotalColoring((1, 2, 1), {(1, 2): 0, (0, 1): 9}, 4),
+         "edge colour 0 outside palette 1..4"),
+        (TotalColoring((1, 2, 1), {(0, 1): 3, (1, 2): 2 ** 63}, 2 ** 63 - 1),
+         f"edge colour {2 ** 63} outside palette 1..{2 ** 63 - 1}"),
+        (TotalColoring((1, 2, 1), {(0, 1): 3, (1, 2): -2 ** 70}, 4),
+         f"edge colour {-2 ** 70} outside palette 1..4"),
+        (TotalColoring((1, 4.5, 1), {(0, 1): 3, (1, 2): 4}, 4),
+         "vertex colour 4.5 outside palette 1..4"),
+        (TotalColoring((1, 2, 1), {(0, 1): 3, (1, 2): 4}, 3),
+         "edge colour 4 outside palette 1..3"),
+    ])
+    def test_messages_and_order(self, phi, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            check_total(path_graph(3), phi)
+
+    def test_colours_that_are_not_ints(self):
+        # a bool is the int it equals, a float in range passes as before,
+        # and a string is no colour at all
+        g = path_graph(3)
+        check_total(g, TotalColoring((True, 2, 1), {(0, 1): 3, (1, 2): 4}, 4))
+        check_total(g, TotalColoring((1, 2.5, 1), {(0, 1): 3, (1, 2): 4}, 4))
+        with pytest.raises(TypeError):
+            check_total(g, TotalColoring(("1", "2", "1"), {(0, 1): 3, (1, 2): 4}, 4))
 
 
 class TestColorSets:
@@ -442,6 +477,39 @@ class TestSortedKeyJudge:
                 blind = Starless(phi.vertex_colors, phi.edge_colors, phi.k)
                 assert violations(g, blind) == reference_violations(g, phi)
                 assert verdict(g, blind) == verdict(g, phi)
+
+
+class TestEqualMaskRows:
+    """``coloring._equal_mask_rows`` against the plain scan of the edges."""
+
+    @staticmethod
+    def plain(g, masks):
+        return [row for row, (u, v) in enumerate(g.edges) if masks[u] == masks[v]]
+
+    @given(st.integers(0, 40), st.floats(0.0, 1.0), st.integers(0, 2 ** 32 - 1),
+           st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_equals_plain_scan(self, n, p, seed, data):
+        g = random_gnp(n, p, seed)
+        # a small pool, so that many endpoints share a mask; x and
+        # x + 2**61 - 1 (the hash modulus of 64-bit builds) hash alike
+        x = data.draw(st.integers(0, 2 ** 200))
+        pool = [x, x + sys.hash_info.modulus, 2 * x + 1, 1 << 300]
+        masks = tuple(data.draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n)))
+        assert coloring._equal_mask_rows(g, masks) == self.plain(g, masks)
+
+    def test_equal_hashes_are_confirmed(self):
+        x, y = 123_456_789, 123_456_789 + sys.hash_info.modulus
+        assert hash(x) == hash(y)
+        g = path_graph(4)
+        masks = [x, y, y, x]
+        assert coloring._equal_mask_rows(g, masks) == [1] == self.plain(g, masks)
+
+    def test_stage_masks(self):
+        for g in (random_gnp(200, 0.05, 1), complete_graph(6), Graph.build(0, [])):
+            phi = greedy_total(g)
+            assert coloring._equal_mask_rows(g, phi.stars) == self.plain(g, phi.stars)
+
 
 class TestPalette:
     def test_palette_size_counts_used_not_declared(self):

@@ -1,6 +1,7 @@
 """The colouring-document writer: byte-identical to ``json.dumps`` of the dict.
 
-``coloring._document_json`` writes a document as text in one pass;
+``coloring._document_json`` writes a document as text in one pass, from
+token tables over the vertices and colours present;
 ``coloring._document_body`` builds the same document as a dict, and
 ``cli._emit`` of that dict is the oracle the writer is held to. The
 stdout digests pin whole ``--json`` outputs of the four commands that
@@ -15,8 +16,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from avdtotal import (PipelineParams, cli, complete_graph, greedy_total, random_gnp,
-                      run_pipeline, star_graph, to_document, write_graph6)
+from avdtotal import (Graph, PipelineParams, TotalColoring, cli, complete_graph,
+                      greedy_total, path_graph, random_gnp, run_pipeline, star_graph,
+                      to_document, write_graph6)
 from avdtotal import coloring as coloring_mod
 
 from test_cli import run
@@ -181,3 +183,85 @@ def test_non_finite_report_raises(x):
     phi = greedy_total(g)
     with pytest.raises(ValueError):
         coloring_mod._document_json(g, phi, {"proper": True, "avd": True}, {"lam": x})
+
+
+# ---------------------------------------------------------------------------
+# the token tables: colours of any size, any key order, sparse vertex ids
+
+def shifted(phi, shift):
+    """phi with shift added to every colour and to k."""
+    return TotalColoring(tuple(c + shift for c in phi.vertex_colors),
+                         {e: c + shift for e, c in phi.edge_colors.items()},
+                         phi.k + shift)
+
+
+@pytest.mark.parametrize("shift", [2 ** 63 - 2, 2 ** 63, 2 ** 64, 2 ** 70])
+def test_colours_at_and_beyond_int64(shift):
+    g = random_gnp(30, 0.3, 5)
+    phi, _ = run_pipeline(g, None, PipelineParams(seed=5))
+    wide = shifted(phi, shift)
+    assert max(wide.edge_colors.values()) >= 2 ** 63 - 1
+    assert_writes_oracle(g, wide, coloring_mod.verdict(g, wide))
+
+
+def test_three_colours_in_a_huge_palette():
+    # the tables follow the colours present, never range(k)
+    g = path_graph(4)
+    phi = TotalColoring((1, 2, 3, 1), {(0, 1): 3, (1, 2): 1, (2, 3): 2}, 10 ** 30)
+    assert coloring_mod.verdict(g, phi) == {"proper": True, "avd": False}
+    assert_writes_oracle(g, phi, coloring_mod.verdict(g, phi))
+    top = TotalColoring((1, 2, 10 ** 30, 1), {(0, 1): 10 ** 30, (1, 2): 1, (2, 3): 2},
+                        10 ** 30)
+    assert_writes_oracle(g, top, coloring_mod.verdict(g, top))
+
+
+def test_keys_out_of_edge_order():
+    g = random_gnp(40, 0.2, 3)
+    phi, _ = run_pipeline(g, None, PipelineParams(seed=3))
+    reordered = TotalColoring(phi.vertex_colors,
+                              dict(reversed(phi.edge_colors.items())), phi.k)
+    assert tuple(reordered.edge_colors) != g.edges
+    assert_writes_oracle(g, reordered, coloring_mod.verdict(g, reordered))
+
+
+def test_no_vertex():
+    g = Graph.build(0, [])
+    assert_writes_oracle(g, TotalColoring((), {}, 0), {"proper": True, "avd": True})
+
+
+@pytest.mark.parametrize("n, edges", [
+    (50, [(0, 1), (1, 2)]),
+    (1000, [(997, 998), (998, 999)]),
+    (1000, [(3, 990), (500, 990)]),
+    (10 ** 6, [(0, 999_999), (12, 999_999), (12, 500_000)]),
+])
+def test_vertices_numbered_above_every_colour(n, edges):
+    g = Graph.build(n, edges)
+    phi = greedy_total(g)
+    top = max(*phi.vertex_colors, *phi.edge_colors.values())
+    assert any(not g.adjacency[v] for v in range(top + 1, n))
+    assert_writes_oracle(g, phi, coloring_mod.verdict(g, phi))
+
+
+def test_mixed_number_types_written_as_json_writes_them():
+    # outside the documented domain, but still written exactly: a float
+    # equal to an int keeps its own text
+    g = path_graph(4)
+    phi = TotalColoring((1.0, 2, 1, 2 ** 64), {(0, 1): 3, (1, 2): 1.0, (2, 3): 2.5}, 2 ** 64)
+    assert_writes_oracle(g, phi, {"proper": False, "avd": False})
+
+
+@given(n=st.integers(1, 25), p=st.sampled_from([0.1, 0.3, 0.7]),
+       seed=st.integers(0, 2 ** 32), data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_any_colours_any_order(n, p, seed, data):
+    # the writer verifies nothing: any ints, in any key order, are written
+    # exactly as the dict oracle writes them
+    g = random_gnp(n, p, seed)
+    colour = st.one_of(st.integers(-5, 40), st.integers(2 ** 62, 2 ** 66),
+                       st.just(10 ** 30))
+    vertex_colors = tuple(data.draw(st.lists(colour, min_size=n, max_size=n)))
+    keys = data.draw(st.permutations(g.edges))
+    edge_colors = {e: data.draw(colour) for e in keys}
+    phi = TotalColoring(vertex_colors, edge_colors, data.draw(colour))
+    assert_writes_oracle(g, phi, {"proper": False, "avd": False})

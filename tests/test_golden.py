@@ -19,6 +19,11 @@ The ``select-e1 --json`` and ``select-e2 --json`` stdout digests and exit
 codes on the same inputs, with the same flags, are pinned beside them;
 they were recorded before deletion-stage selections became rows of
 ``g.edges`` with their edge set built on demand.
+
+``gnp_dimacs`` pins a graph at the benchmark's scale, ``random_gnp(2000,
+0.01, 0)`` with 19 675 edges, written as DIMACS; it was recorded before the
+colouring-document writer, the verifier's colour reader and the equal-mask
+scans became array passes.
 """
 
 import hashlib
@@ -87,6 +92,10 @@ CASES = {
         ["--format", "dimacs", "--m", "10", "--d", "6", "--lambda", "28.5",
          "--seed", "1", "--stall-rounds", "10"],
         "30a06781a1a1897335ddc8d5a89c0c9cbd85a94ce43c4c7d2bdcc0d3888fe60e"),
+    "gnp_dimacs": (
+        lambda: dimacs(2000, random_gnp(2000, 0.01, 0).edges),
+        ["--format", "dimacs", "--seed", "0"],
+        "75beea3adf42ef2861fedeeea08b64a71b2a7a4b26baa53c48814bef6b22d075"),
 }
 
 

@@ -167,6 +167,35 @@ class TestRecolorUnion:
         with pytest.raises(ValueError, match="^the selection was not made on this graph$"):
             recolor_union(g, phi, [(0, 2)], own)
 
+    @pytest.mark.parametrize("rows", [(-1,), (2, 0), (9,), (1, 1), (0, 4)])
+    def test_rows_must_ascend_within_the_edges(self, rows):
+        # star_graph(4) has the four rows 0..3
+        g = star_graph(4)
+        phi = greedy_total(g)
+        bad = EdgeSelection(rows, (0,) * g.n, g)
+        none = EdgeSelection.from_edges(g, [])
+        for bulk, patch in ((bad, none), (none, bad)):
+            with pytest.raises(ValueError,
+                               match=r"^selection rows must ascend strictly within 0\.\.3$"):
+                recolor_union(g, phi, bulk, patch)
+        # the same rows made valid are recoloured, and the result is proper
+        ok = EdgeSelection(tuple(sorted({r % 4 for r in rows})), (0,) * g.n, g)
+        out = recolor_union(g, phi, ok, none)
+        assert out.k > phi.k and coloring._proper(violations(g, out))
+
+    @pytest.mark.parametrize("size", [0, 4, 6])
+    def test_count_per_vertex(self, size):
+        g = star_graph(4)
+        phi = greedy_total(g)
+        bad = EdgeSelection((0,), (1,) * size, g)
+        none = EdgeSelection.from_edges(g, [])
+        message = f"^per_vertex_count has {size} entries, not one per vertex of n=5$"
+        for bulk, patch in ((bad, none), (none, bad)):
+            with pytest.raises(ValueError, match=message):
+                recolor_union(g, phi, bulk, patch)
+        with pytest.raises(ValueError, match=message):
+            light_vertices(g, bad, 8)
+
 
 def stage_selections(g, phi, params):
     """Both deletion stages' selections, as run_pipeline makes them."""

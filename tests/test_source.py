@@ -148,3 +148,28 @@ def test_tracer_probes_read_real_results():
     assert expected and in_pipeline["highdeg.selected_edges"] == expected
     assert trace.counts["highdeg.selected_edges"] == (
         len(bulk.selection.rows) + len(patch.selection.rows) + expected)
+
+
+def _load_recorder():
+    spec = importlib.util.spec_from_file_location(
+        "record_bench", ROOT / "tools" / "record_bench.py")
+    recorder = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(recorder)
+    return recorder
+
+
+def test_bench_trajectory_rows(tmp_path, monkeypatch):
+    # the re-anchor rows name the four workloads and declared metrics only,
+    # and go to the first point of the trajectory alone
+    recorder = _load_recorder()
+    declared = {m["name"] for m in
+                json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
+    for row in recorder.REANCHOR_ROWS:
+        assert set(row["workloads"]) == set(recorder.WORKLOADS)
+        assert all(set(m) <= declared for m in row["workloads"].values())
+    monkeypatch.setattr(recorder, "ROOT", tmp_path)
+    assert recorder.earlier_rows(40) == recorder.REANCHOR_ROWS
+    (tmp_path / "BENCH_40.json").write_text("{}")
+    (tmp_path / "BENCH_x.json").write_text("{}")
+    assert recorder.earlier_rows(40) == recorder.REANCHOR_ROWS
+    assert recorder.earlier_rows(45) == []
