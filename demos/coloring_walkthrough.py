@@ -24,10 +24,11 @@ def main():
     split = degree_split(g)
     print("low vertices:", sorted(split.low), " high vertices:", sorted(split.high))
 
-    phi = TotalColoring(
-        (2, 3, 4, 2, 1, 1, 1, 1),
-        {(0, 1): 1, (0, 2): 3, (1, 7): 2, (2, 3): 1, (2, 4): 2,
-         (2, 5): 5, (2, 6): 6}, 6)
+    # a colouring holds one edge colour per row of g.edges, and its graph
+    c_of = {(0, 1): 1, (0, 2): 3, (1, 7): 2, (2, 3): 1, (2, 4): 2,
+            (2, 5): 5, (2, 6): 6}
+    phi = TotalColoring((2, 3, 4, 2, 1, 1, 1, 1),
+                        tuple(c_of[e] for e in g.edges), 6, g)
     assert verdict(g, phi)["proper"]  # so violations lists only clashes
     show(g, phi, "hand-built proper colouring")
     print("clashes:", [v.witness for v in violations(g, phi)])

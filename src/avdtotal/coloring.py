@@ -7,6 +7,12 @@ its own colour together with the colours of its incident edges, held as a
 closed-star bitmask in ``TotalColoring.stars``; a proper total colouring is
 adjacent-vertex-distinguishing (AVD) when adjacent vertices' sets differ.
 
+A ``TotalColoring`` names the graph it was made on, and holds its edge
+colours as one tuple in that graph's ``g.edges`` row order, so every
+phase writes by row and every reader takes the rows as they are. Only the
+witness listing of an improper colouring reads colours by edge tuple,
+from a dict it builds for that.
+
 The verifier, ``violations``, reads colours only, never masks.
 ``_colour_arrays`` reads them once, as int64 arrays, and checks the
 ``check_total`` palette range on those. The judge sorts the keys
@@ -29,27 +35,33 @@ import gc
 import itertools
 import json
 from contextlib import contextmanager
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
-from .graphs import Edge, Graph, normalize_edge
+from .graphs import Edge, Graph, _edge_rows, normalize_edge
 
 
 @dataclass(frozen=True)
 class TotalColoring:
     """Colours for every vertex and edge, drawn from the palette 1..k.
 
+    ``edge_colors[r]`` is the colour of ``graph.edges[r]``; ``graph`` is
+    the graph the colouring was made on, left out of equality and repr.
+    The constructor checks nothing: ``check_total`` refuses a colouring
+    made on a graph unequal to the one it is checked against, or without
+    one colour per vertex and per edge.
+
     Instances are snapshots: phases that recolour build a new object, and
-    edge_colors must not change after ``stars`` has been read, nor once
-    ``run_pipeline`` has returned the object, whose exit pass
-    ``to_document`` then takes as its verdict.
+    once ``run_pipeline`` has returned one, its exit pass is what
+    ``to_document`` takes as its verdict.
     """
 
     vertex_colors: tuple[int, ...]
-    edge_colors: dict[Edge, int]
+    edge_colors: tuple[int, ...]
     k: int
+    graph: Graph = field(compare=False, repr=False)
 
     @functools.cached_property
     def stars(self) -> tuple[int, ...]:
@@ -78,19 +90,19 @@ class DocumentError(ValueError):
 
 
 def check_total(g: Graph, phi: TotalColoring) -> None:
-    """Raise ValueError unless phi is a total assignment on g within 1..k.
-    Edge keys listing ``g.edges`` in order, as phase outputs and written
-    documents do, pass at once; others are compared with ``set(g.edges)``.
-    The palette range is read on the colour arrays of ``_colour_arrays``."""
+    """Raise ValueError unless phi is a total assignment on g within 1..k:
+    one colour per vertex, a colouring made on a graph equal to g, which
+    costs nothing when it is g itself, one colour per row of ``g.edges``,
+    and the palette range, read on the colour arrays of ``_colour_arrays``."""
     _colour_arrays(g, phi)
 
 
 def _closed_stars(phi: TotalColoring) -> tuple[int, ...]:
-    """The one builder of closed-star masks from an edge-colour dict, for
-    ``TotalColoring.stars``: one pass ORs each edge's colour bit into both
-    ends, then each vertex's own colour bit is added."""
+    """The one builder of closed-star masks from colours, for
+    ``TotalColoring.stars``: one pass over the rows ORs each edge's colour
+    bit into both ends, then each vertex's own colour bit is added."""
     masks = [0] * len(phi.vertex_colors)
-    for (u, v), c in phi.edge_colors.items():
+    for (u, v), c in zip(phi.graph.edges, phi.edge_colors):
         bit = 1 << c
         masks[u] |= bit
         masks[v] |= bit
@@ -98,10 +110,10 @@ def _closed_stars(phi: TotalColoring) -> tuple[int, ...]:
 
 
 def _with_stars(stars: list[int] | tuple[int, ...], vertex_colors: tuple[int, ...],
-                edge_colors: dict[Edge, int], k: int) -> TotalColoring:
-    """A new colouring whose ``stars`` are set to stars, which must be its
-    masks; for phases that keep the masks current as they recolour."""
-    phi = TotalColoring(vertex_colors, edge_colors, k)
+                edge_colors: tuple[int, ...], k: int, g: Graph) -> TotalColoring:
+    """A new colouring of g whose ``stars`` are set to stars, which must be
+    its masks; for phases that keep the masks current as they recolour."""
+    phi = TotalColoring(vertex_colors, edge_colors, k, g)
     object.__setattr__(phi, "stars", tuple(stars))
     return phi
 
@@ -123,9 +135,8 @@ def _edge_clashes(g: Graph, edge_colors: dict[Edge, int]) -> list[tuple[Edge, Ed
 
 def _witnesses(g: Graph, phi: TotalColoring) -> list[Violation]:
     out: list[Violation] = []
-    for u, v in g.edges:
+    for (u, v), ce in zip(g.edges, phi.edge_colors):
         cu, cv = phi.vertex_colors[u], phi.vertex_colors[v]
-        ce = phi.edge_colors[(u, v)]
         if cu == cv:
             out.append(Violation("vertex-vertex", (u, v)))
         if cu == ce:
@@ -133,7 +144,7 @@ def _witnesses(g: Graph, phi: TotalColoring) -> list[Violation]:
         if cv == ce:
             out.append(Violation("vertex-edge", (v, (u, v))))
     out.extend(Violation("edge-edge", pair)
-               for pair in _edge_clashes(g, phi.edge_colors))
+               for pair in _edge_clashes(g, dict(zip(g.edges, phi.edge_colors))))
     return out
 
 
@@ -149,8 +160,8 @@ def violations(g: Graph, phi: TotalColoring) -> list[Violation]:
 
 def _require_proper(g: Graph, phi: TotalColoring) -> TotalColoring:
     """The one entry check for a colouring from outside, before a phase
-    trusts it; returns a fresh copy of phi whose masks are built when a
-    phase first reads them, never taken from ``phi.stars``.
+    trusts it; returns a fresh copy of phi on g whose masks are built when
+    a phase first reads them, never taken from ``phi.stars``.
 
     ValueError unless k <= 2(n + |E|) + 1, which every run seeded by
     ``greedy_total`` ends within and which bounds the width of every mask;
@@ -163,7 +174,7 @@ def _require_proper(g: Graph, phi: TotalColoring) -> TotalColoring:
     found = _judge(g, phi, *_colour_arrays(g, phi))
     if not _proper(found):
         raise ValueError(f"colouring is not proper: {found[0].kind} at {found[0].witness}")
-    return TotalColoring(phi.vertex_colors, phi.edge_colors, phi.k)
+    return TotalColoring(phi.vertex_colors, phi.edge_colors, phi.k, g)
 
 
 # the key bound of ``_judge``: every key vertex*stride + colour is below it
@@ -184,14 +195,6 @@ def _colour_hash(colours: np.ndarray) -> np.ndarray:
     return z ^ z >> s3
 
 
-def _edge_colours(g: Graph, phi: TotalColoring) -> Iterable[int]:
-    """phi's edge colours as an iterable in ``g.edges`` order. Every phase
-    builds its edge-colour dict in that order; the values are then read
-    without a lookup per edge."""
-    ecol = phi.edge_colors
-    return ecol.values() if tuple(ecol) == g.edges else map(ecol.__getitem__, g.edges)
-
-
 def _int64(values: Sequence) -> np.ndarray | None:
     """values as an int64 array when each is an integer within int64 (a
     bool reads as the int it equals); else None."""
@@ -206,14 +209,16 @@ def _in_palette(colours: np.ndarray, k) -> bool:
 
 
 def _colour_arrays(g: Graph, phi: TotalColoring) -> tuple[np.ndarray, np.ndarray, int]:
-    """``check_total`` of phi, then phi's vertex colours, its edge colours
-    in ``g.edges`` order, both as int64 arrays, and a stride above every
-    colour in them; the one reader of phi's colours for the verifier.
+    """``check_total`` of phi, then phi's vertex colours and its edge
+    colours, both as int64 arrays, and a stride above every colour in them;
+    the one reader of phi's colours for the verifier.
 
-    The edge-key order is compared once, and the palette range is checked
-    with one min and max per array. Only when that check fails, or a
-    colour is not an int within int64, do the colours go through Python:
-    the first colour outside 1..k, in phi's own order, is then named.
+    phi's graph must equal g, which costs nothing when it is g itself, and
+    its edge colours, one per row of ``g.edges``, are read as they are.
+    The palette range is checked with one min and max per array. Only when
+    that check fails, or a colour is not an int within int64, do the
+    colours go through Python: the first colour outside 1..k, vertices
+    first, then edges in row order, is then named.
 
     The stride is the largest colour present plus one, never taken from k.
     When a colour is not an int64, or n*stride would not fit in one, the
@@ -223,14 +228,14 @@ def _colour_arrays(g: Graph, phi: TotalColoring) -> tuple[np.ndarray, np.ndarray
     vcol, ecol = phi.vertex_colors, phi.edge_colors
     if len(vcol) != g.n:
         raise ValueError(f"vertex colour count {len(vcol)} does not match n={g.n}")
-    in_order = tuple(ecol) == g.edges
-    if not in_order and ecol.keys() != set(g.edges):
+    if phi.graph is not g and phi.graph != g:
+        raise ValueError("the colouring was not made on this graph")
+    if len(ecol) != len(g.edges):
         raise ValueError("edge colours do not cover the edge set exactly")
-    values = list(ecol.values() if in_order else map(ecol.__getitem__, g.edges))
-    vc, ec = _int64(vcol), _int64(values)
+    vc, ec = _int64(vcol), _int64(ecol)
     exact = vc is not None and ec is not None
     if not (exact and _in_palette(vc, phi.k) and _in_palette(ec, phi.k)):
-        for what, colors in (("vertex", vcol), ("edge", ecol.values())):
+        for what, colors in (("vertex", vcol), ("edge", ecol)):
             if colors and not 1 <= min(colors) <= max(colors) <= phi.k:
                 bad = next(c for c in colors if not 1 <= c <= phi.k)
                 raise ValueError(f"{what} colour {bad} outside palette 1..{phi.k}")
@@ -238,9 +243,9 @@ def _colour_arrays(g: Graph, phi: TotalColoring) -> tuple[np.ndarray, np.ndarray
         stride = int(max(vc.max(initial=0), ec.max(initial=0))) + 1
         if g.n * stride <= _KEY_LIMIT:
             return vc, ec, stride
-    rank = {c: r for r, c in enumerate(sorted({*vcol, *values}), start=1)}
+    rank = {c: r for r, c in enumerate(sorted({*vcol, *ecol}), start=1)}
     return (np.array([rank[c] for c in vcol], dtype=np.int64),
-            np.array([rank[c] for c in values], dtype=np.int64),
+            np.array([rank[c] for c in ecol], dtype=np.int64),
             len(rank) + 1)
 
 
@@ -353,15 +358,16 @@ def to_document(g: Graph, phi: TotalColoring) -> dict:
 
 
 def _document_body(g: Graph, phi: TotalColoring, verified: dict[str, bool]) -> dict:
-    """The document of a total assignment phi, with flags already computed;
-    the edge records in one pass over ``g.edges`` and phi's edge colours."""
+    """The document of a total assignment phi of g, with flags already
+    computed; the edge records in one pass over ``g.edges`` and phi's edge
+    colours, row by row."""
     return {
         "n": g.n,
         "edges": list(map(list, g.edges)),
         "k": phi.k,
         "vertex_colors": list(phi.vertex_colors),
         "edge_colors": [{"u": u, "v": v, "c": c}
-                        for (u, v), c in zip(g.edges, _edge_colours(g, phi))],
+                        for (u, v), c in zip(g.edges, phi.edge_colors)],
         "verified": dict(verified),
     }
 
@@ -388,8 +394,8 @@ def _document_json(g: Graph, phi: TotalColoring, verified: dict[str, bool],
     vertices, at = _lookup(g._ends.ravel())
     u, v = at[0::2], at[1::2]
     name = _names(vertices)
-    colours, c = _lookup(list(_edge_colours(g, phi)))
-    vertex_colours, vc = _lookup(list(phi.vertex_colors))
+    colours, c = _lookup(phi.edge_colors)
+    vertex_colours, vc = _lookup(phi.vertex_colors)
     doc = ['{"edge_colors": [']
     doc += _rows(('{"c": ' + _names(colours) + ', "u": ')[c],
                  (name + ', "v": ')[u], (name + "}, ")[v])
@@ -404,18 +410,18 @@ def _document_json(g: Graph, phi: TotalColoring, verified: dict[str, bool],
     return "".join(doc)
 
 
-def _lookup(values: np.ndarray | list) -> tuple[list, np.ndarray]:
+def _lookup(values: np.ndarray | Sequence) -> tuple[Sequence, np.ndarray]:
     """A table of values to write and the index of each value in it, for
-    values an int64 array or a list.
+    values an int64 array or a sequence.
 
-    The table of an int64 array, or of a list of integers within int64,
-    holds its distinct values, ascending: indexed through a mask over
-    their range when that is at most twice their number, else through
+    The table of an int64 array, or of a sequence of integers within
+    int64, holds its distinct values, ascending: indexed through a mask
+    over their range when that is at most twice their number, else through
     ``np.unique``, so the work follows the values present, never their
-    size. Any other list, such as one with ints beyond int64, is its own
-    table.
+    size. Any other sequence, such as one with ints beyond int64, is its
+    own table.
     """
-    if isinstance(values, list):
+    if not isinstance(values, np.ndarray):
         exact = _int64(values)
         if exact is None:
             return values, np.arange(len(values))
@@ -457,8 +463,14 @@ def from_document(doc: dict) -> tuple[Graph, TotalColoring]:
     """Rebuild (graph, colouring) from a document.
 
     Shape faults raise DocumentError, and so does any count, endpoint or
-    colour that is not a JSON integer (booleans and floats included).
-    Stored ``verified`` flags are ignored, callers recompute them. Improper
+    colour that is not a JSON integer (booleans and floats included). The
+    edge-colour records must name each edge of the graph once, with its
+    ends in either order: a malformed record is named first, then the
+    first record, in document order, for a non-edge or an edge named
+    before, then the first edge of ``g.edges`` without a record. Each
+    colour is placed at the row of its edge, which ``graphs._edge_rows``
+    finds, so the colouring is made on the returned graph. Stored
+    ``verified`` flags are ignored, callers recompute them. Improper
     colourings load fine.
     """
     if not isinstance(doc, dict):
@@ -490,23 +502,22 @@ def from_document(doc: dict) -> tuple[Graph, TotalColoring]:
         raise DocumentError("k must be a non-negative integer")
     if not all(map(_is_int, vcs)):
         raise DocumentError("vertex_colors must list one integer per vertex")
-    listed = frozenset(g.edges)
-    ecs: dict[Edge, int] = {}
-    for item in doc["edge_colors"]:
+    records = doc["edge_colors"]
+    for item in records:
         if not (isinstance(item, dict)
                 and all(_is_int(item.get(key)) for key in ("u", "v", "c"))):
             raise DocumentError(f"bad edge colour record: {item!r}")
-        e = normalize_edge(item["u"], item["v"])
-        c = item["c"]
-        if e not in listed:
+    pairs = [normalize_edge(item["u"], item["v"]) for item in records]
+    colours: list[int | None] = [None] * len(g.edges)
+    for e, row, item in zip(pairs, _edge_rows(g, pairs).tolist(), records):
+        if row < 0:
             raise DocumentError(f"edge colour for non-edge {e}")
-        if e in ecs:
+        if colours[row] is not None:
             raise DocumentError(f"duplicate edge colour for {e}")
-        ecs[e] = c
-    if len(ecs) < len(g.edges):  # ecs holds distinct edges of g
-        missing = next(e for e in g.edges if e not in ecs)
-        raise DocumentError(f"missing edge colour for {missing}")
-    phi = TotalColoring(vertex_colors=tuple(vcs), edge_colors=ecs, k=k)
+        colours[row] = item["c"]
+    if None in colours:
+        raise DocumentError(f"missing edge colour for {g.edges[colours.index(None)]}")
+    phi = TotalColoring(tuple(vcs), tuple(colours), k, g)
     try:
         check_total(g, phi)
     except ValueError as exc:

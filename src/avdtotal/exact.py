@@ -266,11 +266,7 @@ def find_total_coloring(g: Graph, k: int,
     color = _search(steps, n, k)
     if color is None:
         return None
-    return TotalColoring(
-        vertex_colors=tuple(color[:n]),
-        edge_colors={e: color[n + j] for j, e in enumerate(edges)},
-        k=k,
-    )
+    return TotalColoring(tuple(color[:n]), tuple(color[n:]), k, g)
 
 
 def _parity_count_excludes(g: Graph, k: int) -> bool:

@@ -31,14 +31,13 @@ import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
-from itertools import compress
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from .bounds import DerivedConstants, derive_constants
-from .coloring import TotalColoring, _edge_colours
-from .graphs import Edge, Graph, _integer, degree_split, normalize_edge
+from .coloring import TotalColoring
+from .graphs import Edge, Graph, _edge_rows, _integer, degree_split, normalize_edge
 from .rng import substream
 
 BULK_STREAM = "bulk-deletion"
@@ -134,25 +133,11 @@ class EdgeSelection:
             raise TypeError(f"from_edges takes the Graph, not {g!r}")
         pairs = sorted({normalize_edge(_integer("edge endpoint", u),
                                        _integer("edge endpoint", v)) for u, v in edges})
-        inside = [0 <= u < v < g.n for u, v in pairs]
-        ends = np.array(list(compress(pairs, inside)), dtype=np.int64).reshape(-1, 2)
-        found = iter(_edge_rows(g, ends).tolist())
-        rows = [next(found) if ok else -1 for ok in inside]
-        if -1 in rows:
-            raise ValueError(f"selected edge {pairs[rows.index(-1)]} is not in the graph")
-        counts = np.bincount(ends.ravel(), minlength=g.n)
-        return cls(tuple(rows), tuple(counts.tolist()), g)
-
-
-def _edge_rows(g: Graph, ends: np.ndarray) -> np.ndarray:
-    """The row of ``g.edges`` holding each pair of ends, an (k, 2) int64
-    array of pairs 0 <= u < v < g.n, or -1 where the pair is not an edge.
-    g.edges is sorted, so the keys u * n + v of its rows ascend, and in
-    range no two pairs share a key."""
-    keys = g._ends[:, 0] * g.n + g._ends[:, 1]
-    wanted = ends[:, 0] * g.n + ends[:, 1]
-    rows = np.searchsorted(keys, wanted)
-    return np.where(np.append(keys, -1)[rows] == wanted, rows, -1)
+        rows = _edge_rows(g, pairs)
+        if (rows < 0).any():
+            raise ValueError(f"selected edge {pairs[int(np.argmin(rows))]} is not in the graph")
+        counts = np.bincount(g._ends[rows].ravel(), minlength=g.n)
+        return cls(tuple(rows.tolist()), tuple(counts.tolist()), g)
 
 
 def _require_on(g: Graph, selection: EdgeSelection) -> None:
@@ -227,15 +212,17 @@ def _resample(g: Graph, rows: np.ndarray,
 # ---------------------------------------------------------------------------
 # bulk stage
 
-def _restricted(stars: Sequence[int], colors: dict[Edge, int],
-                deleted: Iterable[Edge]) -> list[int]:
-    """A copy of the closed-star masks stars with the colour of each
-    deleted edge, all distinct, cleared at both ends: one XOR each, since
-    a proper colouring sets each colour of a closed star exactly once."""
+def _restricted(stars: Sequence[int], g: Graph, colors: Sequence[int],
+                rows: Iterable[int]) -> list[int]:
+    """A copy of the closed-star masks stars with the colour of the edge at
+    each of rows, distinct rows of ``g.edges`` whose colours are colors,
+    cleared at both ends: one XOR each, since a proper colouring sets each
+    colour of a closed star exactly once."""
     masks = list(stars)
-    for e in deleted:
-        bit = 1 << colors[e]
-        u, v = e
+    edges = g.edges
+    for r in rows:
+        bit = 1 << colors[r]
+        u, v = edges[r]
         masks[u] ^= bit
         masks[v] ^= bit
     return masks
@@ -312,7 +299,7 @@ class _BulkCheck:
         bits = np.frombuffer(bytearray(b"".join(x.to_bytes(size, "little") for x in masks)),
                              dtype="<u8").reshape(hot.size, -1)
         if self._colours is None:
-            self._colours = np.fromiter(_edge_colours(self.g, self.phi), dtype=np.int64,
+            self._colours = np.fromiter(self.phi.edge_colors, dtype=np.int64,
                                         count=len(self.g.edges))[self.rows]
         for column in self.ends.T:
             at = slot[column]
@@ -426,51 +413,55 @@ class _PatchCheck:
     contributing.
 
     Light vertex ``order[r]`` draws from ``pools[r]``: indices into
-    ``edges``, the concatenated pools, of its edges to non-light neighbours
-    outside the bulk selection, by ascending neighbour. So a light vertex
-    holds exactly B patch edges, and A2_overload can fire only at the
-    ``heavy`` pool endpoints. The bulk edges at light vertices are cleared
-    from ``stars`` once; each check clears its patch edges from a copy.
-    Only the loops over light vertices read ``bulk.edges``, so without a
-    light vertex its set is never built.
+    ``rows``, the concatenated pools, of the rows of ``g.edges`` holding
+    its edges to non-light neighbours outside the bulk selection, by
+    ascending neighbour. So a light vertex holds exactly B patch edges, and
+    A2_overload can fire only at the ``heavy`` pool endpoints. The rows of
+    every edge at a light vertex come from one ``graphs._edge_rows``
+    lookup; the bulk edges among them are cleared from ``stars`` once, and
+    each check clears its patch edges from a copy.
     """
 
     def __init__(self, g: Graph, phi: TotalColoring, bulk: EdgeSelection,
                  light: frozenset[int], alpha: Fraction, B: int):
-        self.B, self.colors = B, phi.edge_colors
+        self.B, self.g, self.colors = B, g, phi.edge_colors
         # degrees are integers, so degree > alpha*max_degree iff degree > floor
         limit = math.floor(alpha * g.max_degree)
         self.order = sorted(light)
         self.light_pairs = [(u, w) for u in self.order for w in g.adjacency[u]
                             if u < w and w in light]
-        cleared = [e for e in self.light_pairs if e in bulk.edges]
-        self.edges: list[Edge] = []
+        # the row of each edge at a light vertex, in the order visited below
+        at = iter(_edge_rows(g, [(u, w) if u < w else (w, u) for u in self.order
+                                 for w in g.adjacency[u]]).tolist())
+        in_bulk = set(bulk.rows) if light else set()
+        cleared: set[int] = set()
+        rows: list[int] = []
         self.pools: list[np.ndarray] = []
         heavy: set[int] = set()
         for u in self.order:
             if not len(g.adjacency[u]) > limit:
                 raise ValueError(f"light vertex {u} is not above the alpha threshold")
-            start = len(self.edges)
+            start = len(rows)
             for w in g.adjacency[u]:
-                if w not in light:
-                    e = (u, w) if u < w else (w, u)
-                    if e in bulk.edges:
-                        cleared.append(e)
-                    else:
-                        self.edges.append(e)
-                        if len(g.adjacency[w]) > limit:
-                            heavy.add(w)
-            self.pools.append(np.arange(start, len(self.edges), dtype=np.int64))
+                row = next(at)
+                if row in in_bulk:
+                    cleared.add(row)
+                elif w not in light:
+                    rows.append(row)
+                    if len(g.adjacency[w]) > limit:
+                        heavy.add(w)
+            self.pools.append(np.arange(start, len(rows), dtype=np.int64))
+        self.rows = np.array(rows, dtype=np.int64)
         self.heavy = np.array(sorted(heavy), dtype=np.int64)
-        self.stars = _restricted(phi.stars, self.colors, cleared)
+        self.stars = _restricted(phi.stars, g, self.colors, cleared)
 
     def events(self, chosen: np.ndarray, counts: np.ndarray) -> list[BadEvent]:
         heavy = self.heavy
         events = [BadEvent("A2_overload", (v,))
                   for v in heavy[counts[heavy] >= self.B].tolist()]
         if self.light_pairs:
-            restricted = _restricted(self.stars, self.colors,
-                                     map(self.edges.__getitem__, chosen.tolist()))
+            restricted = _restricted(self.stars, self.g, self.colors,
+                                     self.rows[chosen].tolist())
             events.extend(BadEvent("B2_pair", (u, v)) for u, v in self.light_pairs
                           if restricted[u] == restricted[v])
         return events
@@ -490,9 +481,9 @@ def find_patch_deletion(g: Graph, phi: TotalColoring, bulk: EdgeSelection,
     in the result, whose selection is then empty. A violated round
     redraws the B-subsets of light vertices in the witnesses' closed
     neighbourhoods, in witness order. Rounds hold their draws as indices
-    into ``_PatchCheck.edges``; only the returned one becomes an
-    EdgeSelection, its rows found by the lookup ``from_edges`` uses. phi
-    must be a proper total colouring of g.
+    into ``_PatchCheck.rows``; only the returned one becomes an
+    EdgeSelection, of the rows they index. phi must be a proper total
+    colouring of g.
     """
     params = params or PipelineParams()
     _require_on(g, bulk)
@@ -508,8 +499,7 @@ def find_patch_deletion(g: Graph, phi: TotalColoring, bulk: EdgeSelection,
                                    infeasible_vertex=u)
 
     rng = substream(params.seed, PATCH_STREAM)
-    ends = np.array(check.edges, dtype=np.int64).reshape(-1, 2)
-    edge_rows = _edge_rows(g, ends)
+    ends = g._ends[check.rows]
     row = {u: r for r, u in enumerate(check.order)}
 
     def draw(r: int) -> np.ndarray:
@@ -530,5 +520,5 @@ def find_patch_deletion(g: Graph, phi: TotalColoring, bulk: EdgeSelection,
             picks[r] = draw(r)
 
     # when every pool holds exactly B edges each draw is forced
-    return _resample(g, edge_rows, evaluate, resample, params,
+    return _resample(g, check.rows, evaluate, resample, params,
                      fixed=all(pool.size == params.B for pool in pools), floor=0)

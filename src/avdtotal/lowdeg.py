@@ -83,4 +83,4 @@ def distinguish_low_degree(g: Graph, phi: TotalColoring) -> TotalColoring:
 
     if not changed:
         return phi
-    return _with_stars(masks, tuple(vcols), phi.edge_colors, phi.k)
+    return _with_stars(masks, tuple(vcols), phi.edge_colors, phi.k, g)

@@ -13,14 +13,13 @@ from __future__ import annotations
 import time
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
-from itertools import compress
 from types import SimpleNamespace
 
 import numpy as np
 
 from .coloring import (TotalColoring, _collector_paused, _equal_mask_rows,
                        _mark_accepted, _require_proper, _with_stars, violations)
-from .graphs import Edge, Graph, normalize_edge
+from .graphs import Graph, _edge_rows, normalize_edge
 from .highdeg import (EdgeSelection, PipelineParams, _require_on,
                       find_bulk_deletion, find_patch_deletion, light_vertices)
 from .lowdeg import distinguish_low_degree
@@ -78,8 +77,8 @@ def recolor_union(g: Graph, phi: TotalColoring, bulk: EdgeSelection,
     ``EdgeSelection.from_edges(g, pairs)``. The union is a mask over the
     selections' rows of ``g.edges``, so it is sorted and valid, and goes to
     the edge colourer as a list with its maximum degree, counted over the
-    matching rows of ``g._ends``; no edge tuple is looked up and no Graph
-    of it is built. One loop sets the fresh colours in a copy of
+    matching rows of ``g._ends``; no Graph of it is built. One loop over
+    the union's rows writes the fresh colours into a list copy of
     ``phi.edge_colors`` and swaps the old and new colour bits of each union
     edge at both ends in a copy of ``phi.stars``; the result carries both.
     """
@@ -91,9 +90,10 @@ def recolor_union(g: Graph, phi: TotalColoring, bulk: EdgeSelection,
         if rows.size and (rows[0] < 0 or rows[-1] >= m or (rows[1:] <= rows[:-1]).any()):
             raise ValueError(f"selection rows must ascend strictly within 0..{m - 1}")
         inside[rows] = True
-    union = list(compress(g.edges, inside.tolist()))
-    if not union:
+    rows = np.flatnonzero(inside).tolist()
+    if not rows:
         return phi
+    union = list(map(g.edges.__getitem__, rows))
     union_degree = int(np.bincount(g._ends[inside].ravel()).max())
     sub_colors = _color_edges(g.n, union, union_degree)
     k = phi.k + max(sub_colors.values())
@@ -101,16 +101,17 @@ def recolor_union(g: Graph, phi: TotalColoring, bulk: EdgeSelection,
     # bit is set once at each end and each new bit not at all; the fresh
     # bits are shifted once per colour, not twice per edge, into a table
     # indexed by the union's own colours, so its size never depends on phi.k
-    edge_colors = dict(phi.edge_colors)
+    edge_colors = list(phi.edge_colors)
     stars = list(phi.stars)
     fresh = [1 << c for c in range(phi.k, k + 1)]  # fresh[c]: colour phi.k + c
-    for e, c in sub_colors.items():
+    for r, e in zip(rows, union):
+        c = sub_colors[e]
         u, v = e
-        flip = 1 << edge_colors[e] | fresh[c]
-        edge_colors[e] = c + phi.k
+        flip = 1 << edge_colors[r] | fresh[c]
+        edge_colors[r] = c + phi.k
         stars[u] ^= flip
         stars[v] ^= flip
-    return _with_stars(stars, phi.vertex_colors, edge_colors, k)
+    return _with_stars(stars, phi.vertex_colors, tuple(edge_colors), k, g)
 
 
 def repair_fallback(g: Graph, phi: TotalColoring) -> TotalColoring:
@@ -128,30 +129,33 @@ def repair_fallback(g: Graph, phi: TotalColoring) -> TotalColoring:
 
     Since no repair makes an equal pair, the scan visits only the edges
     whose endpoints' masks were equal on entry, the rows
-    ``coloring._equal_mask_rows`` finds, and rechecks each. It
-    updates a copy of ``phi.stars``, two bits per repair, which the result
-    carries. The result is not verified here; ``run_pipeline`` verifies
-    what the phases return.
+    ``coloring._equal_mask_rows`` finds, and rechecks each; the first is
+    always repaired. The edge each would recolour depends on g alone, so
+    one ``graphs._edge_rows`` lookup finds all their rows up front. Repairs
+    are written by row into a list copy of ``phi.edge_colors`` and update
+    a copy of ``phi.stars``, two bits per repair; the result carries both.
+    It is not verified here; ``run_pipeline`` verifies what the phases
+    return.
     """
-    masks = list(phi.stars)
-    recoloured: dict[Edge, int] = {}
-    k = phi.k
-    for u, v in map(g.edges.__getitem__, _equal_mask_rows(g, masks)):
+    pairs = list(map(g.edges.__getitem__, _equal_mask_rows(g, phi.stars)))
+    if not pairs:
+        return phi
+    # an improper input may isolate a pair; recolouring uv itself then
+    # leaves it equal, for the caller's verifier to report
+    ends = [next(((x, w) for x, y in ((u, v), (v, u)) for w in g.adjacency[x] if w != y),
+                 (u, v)) for u, v in pairs]
+    rows = _edge_rows(g, [normalize_edge(x, w) for x, w in ends]).tolist()
+    masks, edge_colors, k = list(phi.stars), list(phi.edge_colors), phi.k
+    for (u, v), r in zip(pairs, rows):
         if masks[u] != masks[v]:
             continue
         k += 1
-        # an improper input may isolate the pair; recolouring uv itself then
-        # leaves it equal, for the caller's verifier to report
-        end, other = next(((x, w) for x, y in ((u, v), (v, u))
-                           for w in g.adjacency[x] if w != y), (u, v))
-        edge = normalize_edge(end, other)
-        flip = 1 << recoloured.get(edge, phi.edge_colors[edge]) | 1 << k
-        masks[end] ^= flip
-        masks[other] ^= flip
-        recoloured[edge] = k
-    if k == phi.k:
-        return phi
-    return _with_stars(masks, phi.vertex_colors, {**phi.edge_colors, **recoloured}, k)
+        flip = 1 << edge_colors[r] | 1 << k
+        a, b = g.edges[r]
+        masks[a] ^= flip
+        masks[b] ^= flip
+        edge_colors[r] = k
+    return _with_stars(masks, phi.vertex_colors, tuple(edge_colors), k, g)
 
 
 @_collector_paused()

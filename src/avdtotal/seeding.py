@@ -8,7 +8,7 @@ coloured neighbours in the total sense.
 from __future__ import annotations
 
 from .coloring import TotalColoring, _with_stars
-from .graphs import Edge, Graph
+from .graphs import Graph
 
 
 def greedy_total(g: Graph) -> TotalColoring:
@@ -38,18 +38,17 @@ def greedy_total(g: Graph) -> TotalColoring:
             bad |= bits[vcol[w]]
         vcol[v] = (~bad & (bad + 1)).bit_length() - 1
     star = [1 | bits[c] for c in vcol]
-    ecol: dict[Edge, int] = {}
-    for e in g.edges:
-        u, v = e
+    ecol: list[int] = []
+    for u, v in g.edges:
         bad = star[u] | star[v]
         c = (~bad & (bad + 1)).bit_length() - 1
         bit = 1 << c
         star[u] |= bit
         star[v] |= bit
-        ecol[e] = c
+        ecol.append(c)
 
-    used = max(max(vcol, default=1), max(ecol.values(), default=1))
+    used = max(max(vcol, default=1), max(ecol, default=1))
     if used > 2 * g.max_degree + 1:
         raise RuntimeError(
             f"greedy seeding used {used} colours, above 2*max_degree + 1")
-    return _with_stars([s ^ 1 for s in star], tuple(vcol), ecol, used)
+    return _with_stars([s ^ 1 for s in star], tuple(vcol), tuple(ecol), used, g)

@@ -19,25 +19,50 @@ import numpy as np
 from avdtotal import (BadEvent, Edge, EdgeColoring, EdgeSelection, Graph,
                       PipelineParams, SelectionResult, TotalColoring, Violation,
                       check_total, normalize_edge, random_gnp, substream)
+from avdtotal.graphs import _edge_rows
+
+
+def from_edge_dict(g: Graph, vertex_colors, colour_of: dict, k) -> TotalColoring:
+    """The colouring of g with colour ``colour_of[e]`` on each edge e: the
+    dict form of a colouring, keyed by the edges of g as ``g.edges`` names
+    them, in any key order, turned into the row-aligned one. Each colour is
+    placed at the row ``graphs._edge_rows`` finds for its key; ValueError
+    unless the keys are exactly the edges of g."""
+    keys = list(colour_of)
+    rows = _edge_rows(g, keys).tolist()
+    if len(keys) != len(g.edges) or -1 in rows:
+        raise ValueError("edge colours do not cover the edge set exactly")
+    colours = [0] * len(g.edges)
+    for r, c in zip(rows, colour_of.values()):
+        colours[r] = c
+    return TotalColoring(tuple(vertex_colors), tuple(colours), k, g)
+
+
+def edge_dict(phi: TotalColoring) -> dict[Edge, int]:
+    """phi's edge colours as a dict from the edges of its graph, for the
+    oracles that read colours by edge tuple."""
+    return dict(zip(phi.graph.edges, phi.edge_colors))
 
 
 def naive_is_proper(g: Graph, phi: TotalColoring) -> bool:
+    colour_of = edge_dict(phi)
     for u, v in g.edges:
         if phi.vertex_colors[u] == phi.vertex_colors[v]:
             return False
-        c = phi.edge_colors[(u, v)]
+        c = colour_of[(u, v)]
         if c == phi.vertex_colors[u] or c == phi.vertex_colors[v]:
             return False
     for v in range(g.n):
-        cols = [phi.edge_colors[normalize_edge(v, w)] for w in g.adjacency[v]]
+        cols = [colour_of[normalize_edge(v, w)] for w in g.adjacency[v]]
         if len(cols) != len(set(cols)):
             return False
     return True
 
 
 def naive_color_set(g: Graph, phi: TotalColoring, v: int) -> frozenset[int]:
+    colour_of = edge_dict(phi)
     return frozenset({phi.vertex_colors[v]}
-                     | {phi.edge_colors[normalize_edge(v, w)] for w in g.adjacency[v]})
+                     | {colour_of[normalize_edge(v, w)] for w in g.adjacency[v]})
 
 
 def mask_of(colours) -> int:
@@ -47,7 +72,7 @@ def mask_of(colours) -> int:
 
 def used_colours(phi: TotalColoring) -> frozenset[int]:
     """The colours phi puts on some vertex or edge."""
-    return frozenset(phi.vertex_colors) | frozenset(phi.edge_colors.values())
+    return frozenset(phi.vertex_colors) | frozenset(phi.edge_colors)
 
 
 def colours_of(mask: int) -> set[int]:
@@ -58,7 +83,7 @@ def colours_of(mask: int) -> set[int]:
 def with_private_vertex_colours(g: Graph, ec: EdgeColoring) -> TotalColoring:
     """ec with a fresh colour of its own on every vertex, so the only
     ``violations`` the total colouring can have are ec's edge clashes."""
-    return TotalColoring(tuple(range(ec.k + 1, ec.k + 1 + g.n)), ec.colors, ec.k + g.n)
+    return from_edge_dict(g, range(ec.k + 1, ec.k + 1 + g.n), ec.colors, ec.k + g.n)
 
 
 def naive_is_avd(g: Graph, phi: TotalColoring) -> bool:
@@ -202,9 +227,7 @@ def enumerate_total_colorings(g: Graph, k: int):
 
     def rec(i: int):
         if i == len(elements):
-            vertex_colors = tuple(assignment[:g.n])
-            edge_colors = {e: assignment[g.n + j] for j, e in enumerate(g.edges)}
-            yield TotalColoring(vertex_colors, edge_colors, k)
+            yield TotalColoring(tuple(assignment[:g.n]), tuple(assignment[g.n:]), k, g)
             return
         banned = {assignment[j] for j in conflicts[i]}
         for c in range(1, k + 1):
@@ -232,14 +255,15 @@ def reference_greedy_total(g: Graph, order) -> TotalColoring:
             c += 1
         colored[key] = c
     vertex_colors = tuple(colored[v] for v in range(g.n))
-    edge_colors = {e: colored[e] for e in g.edges}
+    edge_colors = tuple(colored[e] for e in g.edges)
     k = max(colored.values(), default=1)
-    return TotalColoring(vertex_colors, edge_colors, k)
+    return TotalColoring(vertex_colors, edge_colors, k, g)
 
 
-def _restricted_set(g: Graph, phi: TotalColoring, deleted, v: int) -> frozenset[int]:
+def _restricted_set(g: Graph, phi: TotalColoring, colour_of: dict[Edge, int], deleted,
+                    v: int) -> frozenset[int]:
     return frozenset({phi.vertex_colors[v]}
-                     | {phi.edge_colors[e] for w in g.adjacency[v]
+                     | {colour_of[e] for w in g.adjacency[v]
                         if (e := normalize_edge(v, w)) not in deleted})
 
 
@@ -283,6 +307,7 @@ def reference_bulk_events(g: Graph, phi: TotalColoring, selected, m: int,
                           d: int, eps: Fraction) -> list[tuple]:
     """Bulk-stage bad events, recounting every set and degree per query."""
     high = {v for v in range(g.n) if 2 * g.degree(v) > g.max_degree}
+    colour_of = edge_dict(phi)
 
     def degsel(v):
         return sum(1 for w in g.adjacency[v] if normalize_edge(v, w) in selected)
@@ -291,8 +316,8 @@ def reference_bulk_events(g: Graph, phi: TotalColoring, selected, m: int,
     for u, v in g.edges:
         if (u in high and v in high and g.degree(u) == g.degree(v)
                 and (degsel(u) >= m or degsel(v) >= m)
-                and len(_restricted_set(g, phi, selected, u)
-                        ^ _restricted_set(g, phi, selected, v)) < d):
+                and len(_restricted_set(g, phi, colour_of, selected, u)
+                        ^ _restricted_set(g, phi, colour_of, selected, v)) < d):
             events.append(("A_pair", (u, v)))
     for v in sorted(high):
         count = sum(1 for u in g.adjacency[v] if degsel(u) < m)
@@ -390,6 +415,7 @@ def reference_patch_events(g: Graph, phi: TotalColoring, bulk_edges, patch_edges
                            light, alpha: Fraction, B: int) -> list[tuple]:
     """Patch-stage bad events, recounting every set and degree per query."""
     deleted = set(bulk_edges) | set(patch_edges)
+    colour_of = edge_dict(phi)
     events = []
     for v in range(g.n):
         held = sum(1 for w in g.adjacency[v] if normalize_edge(v, w) in patch_edges)
@@ -398,7 +424,8 @@ def reference_patch_events(g: Graph, phi: TotalColoring, bulk_edges, patch_edges
             events.append(("A2_overload", (v,)))
     for u, v in g.edges:
         if u in light and v in light and \
-                _restricted_set(g, phi, deleted, u) == _restricted_set(g, phi, deleted, v):
+                _restricted_set(g, phi, colour_of, deleted, u) == \
+                _restricted_set(g, phi, colour_of, deleted, v):
             events.append(("B2_pair", (u, v)))
     return events
 
@@ -469,10 +496,11 @@ def reference_distinguish_low_degree(g: Graph, phi: TotalColoring) -> TotalColor
     """
     low = [v for v in range(g.n) if 2 * g.degree(v) <= g.max_degree]
     vertex_colors = list(phi.vertex_colors)
+    colour_of = edge_dict(phi)
 
     def colour_set(v):
         return frozenset({vertex_colors[v]}
-                         | {phi.edge_colors[normalize_edge(v, w)] for w in g.adjacency[v]})
+                         | {colour_of[normalize_edge(v, w)] for w in g.adjacency[v]})
 
     for _ in range(len(low) + 1):
         target = next((u for u in low
@@ -480,7 +508,7 @@ def reference_distinguish_low_degree(g: Graph, phi: TotalColoring) -> TotalColor
                       None)
         if target is None:
             break
-        edge_cols = {phi.edge_colors[normalize_edge(target, w)] for w in g.adjacency[target]}
+        edge_cols = {colour_of[normalize_edge(target, w)] for w in g.adjacency[target]}
         c = 1
         while (c in edge_cols
                or any(vertex_colors[w] == c for w in g.adjacency[target])
@@ -493,7 +521,7 @@ def reference_distinguish_low_degree(g: Graph, phi: TotalColoring) -> TotalColor
         vertex_colors[target] = c
     else:
         raise AssertionError("rescan recoloured more often than once per low vertex")
-    return TotalColoring(tuple(vertex_colors), phi.edge_colors, phi.k)
+    return TotalColoring(tuple(vertex_colors), phi.edge_colors, phi.k, g)
 
 
 def reference_repair_fallback(g: Graph, phi: TotalColoring) -> TotalColoring:
@@ -501,15 +529,18 @@ def reference_repair_fallback(g: Graph, phi: TotalColoring) -> TotalColoring:
     sets, takes the first undistinguished adjacent pair in edge order, and
     recolours one edge at its first endpoint (else one at its second, else
     the first endpoint itself) with the new colour k + 1."""
-    current = phi
+    vertex_colors, colour_of, k = list(phi.vertex_colors), edge_dict(phi), phi.k
+
+    def colour_set(v):
+        return frozenset({vertex_colors[v]}
+                         | {colour_of[normalize_edge(v, w)] for w in g.adjacency[v]})
+
     for _ in range(g.n):
-        clash = next(((u, v) for u, v in g.edges
-                      if naive_color_set(g, current, u) == naive_color_set(g, current, v)),
-                     None)
+        clash = next(((u, v) for u, v in g.edges if colour_set(u) == colour_set(v)), None)
         if clash is None:
-            return current
+            break
         u, v = clash
-        fresh = current.k + 1
+        k += 1
         edge = None
         for w in g.adjacency[u]:
             if w != v:
@@ -521,19 +552,13 @@ def reference_repair_fallback(g: Graph, phi: TotalColoring) -> TotalColoring:
                     edge = normalize_edge(v, w)
                     break
         if edge is not None:
-            edge_colors = dict(current.edge_colors)
-            edge_colors[edge] = fresh
-            current = TotalColoring(vertex_colors=current.vertex_colors,
-                                    edge_colors=edge_colors, k=fresh)
+            colour_of[edge] = k
         else:
-            vertex_colors = list(current.vertex_colors)
-            vertex_colors[u] = fresh
-            current = TotalColoring(vertex_colors=tuple(vertex_colors),
-                                    edge_colors=current.edge_colors, k=fresh)
-    if any(naive_color_set(g, current, u) == naive_color_set(g, current, v)
-           for u, v in g.edges):
-        raise RuntimeError(f"violations persist after {g.n} repair rounds")
-    return current
+            vertex_colors[u] = k
+    else:
+        if any(colour_set(u) == colour_set(v) for u, v in g.edges):
+            raise RuntimeError(f"violations persist after {g.n} repair rounds")
+    return TotalColoring(tuple(vertex_colors), tuple(colour_of[e] for e in g.edges), k, g)
 
 
 def reference_vizing_color(g: Graph) -> EdgeColoring:
@@ -658,9 +683,10 @@ def reference_properness_violations(g: Graph, phi: TotalColoring) -> list[Violat
     closed-star test: the loop verbatim, then ``reference_edge_clashes``.
     The library's verifier must return the same list in the same order."""
     out: list[Violation] = []
+    colour_of = edge_dict(phi)
     for u, v in g.edges:
         cu, cv = phi.vertex_colors[u], phi.vertex_colors[v]
-        ce = phi.edge_colors[(u, v)]
+        ce = colour_of[(u, v)]
         if cu == cv:
             out.append(Violation("vertex-vertex", (u, v)))
         if cu == ce:
@@ -668,7 +694,7 @@ def reference_properness_violations(g: Graph, phi: TotalColoring) -> list[Violat
         if cv == ce:
             out.append(Violation("vertex-edge", (v, (u, v))))
     out.extend(Violation("edge-edge", pair)
-               for pair in reference_edge_clashes(g, phi.edge_colors))
+               for pair in reference_edge_clashes(g, colour_of))
     return out
 
 
@@ -681,7 +707,7 @@ def reference_violations(g: Graph, phi: TotalColoring) -> list[Violation]:
     """
     check_total(g, phi)
     stars = [1 << c for c in phi.vertex_colors]
-    for (u, v), c in phi.edge_colors.items():
+    for (u, v), c in edge_dict(phi).items():
         stars[u] |= 1 << c
         stars[v] |= 1 << c
     vc = phi.vertex_colors
@@ -694,14 +720,15 @@ def reference_violations(g: Graph, phi: TotalColoring) -> list[Violation]:
 
 def reference_document_body(g: Graph, phi: TotalColoring, verified: dict) -> dict:
     """The colouring document as ``coloring._document_body`` built it before
-    its one-pass edge records: one ``phi.edge_colors[(u, v)]`` lookup per
-    edge of ``g.edges``, verbatim. The library must build an equal dict."""
+    its one-pass edge records: one lookup per edge of ``g.edges`` in phi's
+    edge colours by edge tuple. The library must build an equal dict."""
+    colour_of = edge_dict(phi)
     return {
         "n": g.n,
         "edges": [[u, v] for u, v in g.edges],
         "k": phi.k,
         "vertex_colors": list(phi.vertex_colors),
-        "edge_colors": [{"u": u, "v": v, "c": phi.edge_colors[(u, v)]}
+        "edge_colors": [{"u": u, "v": v, "c": colour_of[(u, v)]}
                         for u, v in g.edges],
         "verified": dict(verified),
     }
@@ -760,11 +787,7 @@ def reference_find_total_coloring(g: Graph, k: int,
                                   t_colors)
     if result is None:
         return None
-    return TotalColoring(
-        vertex_colors=tuple(result[: g.n]),
-        edge_colors={e: result[g.n + j] for j, e in enumerate(g.edges)},
-        k=k,
-    )
+    return TotalColoring(tuple(result[: g.n]), tuple(result[g.n:]), k, g)
 
 
 def _reference_backtrack(t, conflict, order, k, on_assign=None, on_unassign=None,

@@ -18,10 +18,10 @@ from avdtotal import (PipelineParams, check_conjecture, chi_at_exact,
                       binom_lower_tail_log, binom_upper_tail_log,
                       greedy_total, lll_asymmetric_check, random_gnp,
                       run_pipeline, verdict, violations, vizing_color,
-                      write_graph6, Graph, TotalColoring)
+                      write_graph6, Graph)
 
 from helpers import (connected_graphs, exact_lower_tail, exact_upper_tail,
-                     with_private_vertex_colours)
+                     from_edge_dict, with_private_vertex_colours)
 
 
 @pytest.fixture(scope="module")
@@ -114,8 +114,8 @@ def test_criterion_5_palette_bound_on_successful_runs(dense_runs):
     hub_edges = ([(0, 1)] + [(0, a) for a in range(2, 8)]
                  + [(1, b) for b in range(8, 14)])
     hub = Graph.build(14, hub_edges)
-    hub_phi = TotalColoring(
-        (1, 2, 4, 2, 2, 2, 2, 2, 3, 1, 1, 1, 1, 1),
+    hub_phi = from_edge_dict(
+        hub, (1, 2, 4, 2, 2, 2, 2, 2, 3, 1, 1, 1, 1, 1),
         {(0, 1): 3, (0, 2): 2, (0, 3): 4, (0, 4): 5, (0, 5): 6, (0, 6): 7,
          (0, 7): 8, (1, 8): 1, (1, 9): 4, (1, 10): 5, (1, 11): 6, (1, 12): 7,
          (1, 13): 8}, 8)

@@ -26,6 +26,7 @@ from avdtotal import bounds as bounds_mod
 from avdtotal import coloring as coloring_mod
 from avdtotal import pipeline as pipeline_mod
 
+from helpers import from_edge_dict
 from test_golden import CASES as GOLDEN_CASES
 
 
@@ -55,8 +56,8 @@ def clean_doc(tmp_path):
 def clashing_doc(tmp_path):
     # proper on C_4, single undistinguished pair (0, 1)
     g = cycle_graph(4)
-    phi = TotalColoring((1, 2, 4, 3),
-                        {(0, 1): 3, (1, 2): 1, (2, 3): 5, (0, 3): 2}, 5)
+    phi = from_edge_dict(g, (1, 2, 4, 3),
+                         {(0, 1): 3, (1, 2): 1, (2, 3): 5, (0, 3): 2}, 5)
     p = tmp_path / "c4-clash.json"
     p.write_text(json.dumps(to_document(g, phi)))
     return str(p)
@@ -68,7 +69,7 @@ def improper_k4_doc(tmp_path):
     # wide enough that only properness can be at fault
     g = complete_graph(4)
     phi = greedy_total(g)
-    phi = TotalColoring((1, 1) + phi.vertex_colors[2:], phi.edge_colors, 10)
+    phi = TotalColoring((1, 1) + phi.vertex_colors[2:], phi.edge_colors, 10, g)
     p = tmp_path / "k4-improper.json"
     p.write_text(json.dumps(to_document(g, phi)))
     return str(p)
@@ -286,8 +287,8 @@ class TestVerify:
 class TestDistinguishLow:
     def test_recolors_and_reports(self, tmp_path, capsys):
         g = Graph.build(8, [(0, 1), (0, 2), (1, 7), (2, 3), (2, 4), (2, 5), (2, 6)])
-        phi = TotalColoring(
-            (2, 3, 4, 2, 1, 1, 1, 1),
+        phi = from_edge_dict(
+            g, (2, 3, 4, 2, 1, 1, 1, 1),
             {(0, 1): 1, (0, 2): 3, (1, 7): 2, (2, 3): 1, (2, 4): 2,
              (2, 5): 5, (2, 6): 6}, 6)
         p = tmp_path / "low.json"

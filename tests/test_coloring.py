@@ -16,15 +16,18 @@ from avdtotal import (DocumentError, Graph, PipelineParams, TotalColoring,
                       random_gnp, random_regular, run_pipeline, star_graph,
                       to_document, verdict, violations)
 
-from helpers import (mask_of, naive_color_set, naive_is_avd, naive_is_proper,
-                     reference_document_body, reference_properness_violations,
-                     reference_violations, used_colours)
+from helpers import (edge_dict, from_edge_dict, mask_of, naive_color_set, naive_is_avd,
+                     naive_is_proper, reference_document_body,
+                     reference_properness_violations, reference_violations,
+                     used_colours)
+
+P3 = path_graph(3)
 
 
 def p3_coloring():
-    # path 0-1-2, hand-checked proper colouring
+    # path 0-1-2, hand-checked proper colouring: (0, 1) gets 3, (1, 2) gets 4
     g = path_graph(3)
-    phi = TotalColoring((1, 2, 1), {(0, 1): 3, (1, 2): 4}, 4)
+    phi = TotalColoring((1, 2, 1), (3, 4), 4, g)
     return g, phi
 
 
@@ -35,73 +38,76 @@ class TestCheckTotal:
 
     def test_rejects_wrong_vertex_count(self):
         g, phi = p3_coloring()
-        bad = TotalColoring((1, 2), phi.edge_colors, 4)
+        bad = TotalColoring((1, 2), phi.edge_colors, 4, g)
         with pytest.raises(ValueError):
             check_total(g, bad)
 
     def test_rejects_missing_edge(self):
         g, phi = p3_coloring()
-        bad = TotalColoring(phi.vertex_colors, {(0, 1): 3}, 4)
+        bad = TotalColoring(phi.vertex_colors, (3,), 4, g)
         with pytest.raises(ValueError):
             check_total(g, bad)
 
     def test_rejects_extra_edge(self):
         g, phi = p3_coloring()
-        extra = dict(phi.edge_colors)
-        extra[(0, 2)] = 2
         with pytest.raises(ValueError):
-            check_total(g, TotalColoring(phi.vertex_colors, extra, 4))
+            check_total(g, TotalColoring(phi.vertex_colors, phi.edge_colors + (2,), 4, g))
 
     def test_accepts_keys_in_any_order(self):
+        # the dict form of a colouring, in any key order, converts to the
+        # same row-aligned colouring, which check_total takes
         g = random_gnp(30, 0.3, 1)
         phi = greedy_total(g)
-        keys = list(phi.edge_colors)
+        colour_of = edge_dict(phi)
+        keys = list(colour_of)
         random.Random(0).shuffle(keys)
         assert tuple(keys) != g.edges
-        check_total(g, TotalColoring(phi.vertex_colors,
-                                     {e: phi.edge_colors[e] for e in keys}, phi.k))
+        shuffled = from_edge_dict(g, phi.vertex_colors, {e: colour_of[e] for e in keys}, phi.k)
+        assert shuffled.edge_colors == phi.edge_colors and shuffled.graph is g
+        check_total(g, shuffled)
 
     @pytest.mark.parametrize("at", [0, 1])
     @pytest.mark.parametrize("key", [(0, 2), (1, 0), (2, 1)])
     def test_rejects_key_swapped_at_same_size(self, at, key):
-        # a non-edge or a reversed pair in place of one edge
+        # a non-edge or a reversed pair in place of one edge: the dict form
+        # names no colouring of g, and the converter says so
         g, phi = p3_coloring()
-        items = list(phi.edge_colors.items())
+        items = list(edge_dict(phi).items())
         items[at] = (key, items[at][1])
         with pytest.raises(ValueError, match=r"^edge colours do not cover the edge set exactly$"):
-            check_total(g, TotalColoring(phi.vertex_colors, dict(items), 4))
+            from_edge_dict(g, phi.vertex_colors, dict(items), 4)
 
     def test_rejects_color_out_of_palette(self):
         g, phi = p3_coloring()
-        bad = TotalColoring((1, 2, 5), phi.edge_colors, 4)
+        bad = TotalColoring((1, 2, 5), phi.edge_colors, 4, g)
         with pytest.raises(ValueError):
             check_total(g, bad)
 
     def test_rejects_zero_color(self):
         g, phi = p3_coloring()
-        bad = TotalColoring((1, 2, 0), phi.edge_colors, 4)
+        bad = TotalColoring((1, 2, 0), phi.edge_colors, 4, g)
         with pytest.raises(ValueError):
             check_total(g, bad)
 
     @pytest.mark.parametrize("phi, message", [
-        # the vertex count is checked first, then the key cover
-        (TotalColoring((1, 2), {(0, 1): 9}, 4),
+        # the vertex count is checked first, then the edge colour count
+        (TotalColoring((1, 2), (9,), 4, P3),
          "vertex colour count 2 does not match n=3"),
-        (TotalColoring((9, 2, 9), {(0, 1): 3}, 4),
+        (TotalColoring((9, 2, 9), (3,), 4, P3),
          "edge colours do not cover the edge set exactly"),
         # vertex colours before edge colours, the first bad one named
-        (TotalColoring((1, 7, 0), {(0, 1): 9, (1, 2): 4}, 4),
+        (TotalColoring((1, 7, 0), (9, 4), 4, P3),
          "vertex colour 7 outside palette 1..4"),
-        # edge colours in the dict's own order, not in g.edges order
-        (TotalColoring((1, 2, 1), {(1, 2): 0, (0, 1): 9}, 4),
+        # edge colours in row order
+        (TotalColoring((1, 2, 1), (0, 9), 4, P3),
          "edge colour 0 outside palette 1..4"),
-        (TotalColoring((1, 2, 1), {(0, 1): 3, (1, 2): 2 ** 63}, 2 ** 63 - 1),
+        (TotalColoring((1, 2, 1), (3, 2 ** 63), 2 ** 63 - 1, P3),
          f"edge colour {2 ** 63} outside palette 1..{2 ** 63 - 1}"),
-        (TotalColoring((1, 2, 1), {(0, 1): 3, (1, 2): -2 ** 70}, 4),
+        (TotalColoring((1, 2, 1), (3, -2 ** 70), 4, P3),
          f"edge colour {-2 ** 70} outside palette 1..4"),
-        (TotalColoring((1, 4.5, 1), {(0, 1): 3, (1, 2): 4}, 4),
+        (TotalColoring((1, 4.5, 1), (3, 4), 4, P3),
          "vertex colour 4.5 outside palette 1..4"),
-        (TotalColoring((1, 2, 1), {(0, 1): 3, (1, 2): 4}, 3),
+        (TotalColoring((1, 2, 1), (3, 4), 3, P3),
          "edge colour 4 outside palette 1..3"),
     ])
     def test_messages_and_order(self, phi, message):
@@ -112,10 +118,73 @@ class TestCheckTotal:
         # a bool is the int it equals, a float in range passes as before,
         # and a string is no colour at all
         g = path_graph(3)
-        check_total(g, TotalColoring((True, 2, 1), {(0, 1): 3, (1, 2): 4}, 4))
-        check_total(g, TotalColoring((1, 2.5, 1), {(0, 1): 3, (1, 2): 4}, 4))
+        check_total(g, TotalColoring((True, 2, 1), (3, 4), 4, g))
+        check_total(g, TotalColoring((1, 2.5, 1), (3, 4), 4, g))
         with pytest.raises(TypeError):
-            check_total(g, TotalColoring(("1", "2", "1"), {(0, 1): 3, (1, 2): 4}, 4))
+            check_total(g, TotalColoring(("1", "2", "1"), (3, 4), 4, g))
+
+
+# the entry points that take a colouring from outside
+ENTRIES = {"check_total": check_total, "violations": violations, "verdict": verdict,
+           "require_proper": coloring._require_proper,
+           "run_pipeline": lambda g, phi: run_pipeline(g, phi)}
+
+
+class TestMadeOnItsGraph:
+    """A colouring names the graph it was made on, and its edge colours are
+    the rows of that graph's edges: every entry point refuses a colouring
+    made on another graph, or without one colour per row."""
+
+    # the star at 0 on P3's vertices: equal n and |E|, other edges
+    STAR = Graph.build(3, [(0, 1), (0, 2)])
+
+    @pytest.mark.parametrize("entry", sorted(ENTRIES))
+    def test_other_graph_with_equal_sizes_refused(self, entry):
+        # colours proper and AVD on both graphs, so only the graph is wrong
+        g = path_graph(3)
+        phi = TotalColoring((1, 2, 5), (3, 4), 5, g)
+        on_star = TotalColoring(phi.vertex_colors, phi.edge_colors, phi.k, self.STAR)
+        assert violations(g, phi) == violations(self.STAR, on_star) == []
+        with pytest.raises(ValueError, match="^the colouring was not made on this graph$"):
+            ENTRIES[entry](g, on_star)
+
+    @pytest.mark.parametrize("entry", sorted(ENTRIES))
+    @pytest.mark.parametrize("edge_colors", [(3,), (3, 4, 5), ()])
+    def test_wrong_edge_colour_count_refused(self, entry, edge_colors):
+        g, phi = p3_coloring()
+        bad = TotalColoring(phi.vertex_colors, edge_colors, 5, g)
+        with pytest.raises(ValueError, match="^edge colours do not cover the edge set exactly$"):
+            ENTRIES[entry](g, bad)
+
+    def test_equal_graph_accepted_and_copied_onto_g(self):
+        g, phi = p3_coloring()
+        on_equal = TotalColoring(phi.vertex_colors, phi.edge_colors, phi.k, path_graph(3))
+        check_total(g, on_equal)
+        assert violations(g, on_equal) == violations(g, phi)
+        copy = coloring._require_proper(g, on_equal)
+        assert copy == on_equal and copy.graph is g
+
+    def test_own_graph_is_not_compared(self, monkeypatch):
+        # the identity test comes first, so a colouring on g itself costs
+        # no comparison of edge tuples
+        g = random_gnp(40, 0.3, 1)
+        phi = greedy_total(g)
+
+        def refuse(self, other):
+            raise AssertionError("graphs compared")
+
+        monkeypatch.setattr(Graph, "__eq__", refuse)
+        monkeypatch.setattr(Graph, "__ne__", refuse, raising=False)
+        check_total(g, phi)
+        assert violations(g, phi) == violations(g, phi)
+
+    def test_results_name_their_graph(self):
+        g = random_gnp(30, 0.3, 2)
+        phi = greedy_total(g)
+        out, _ = run_pipeline(g, params=PipelineParams(seed=2))
+        g2, loaded = from_document(to_document(g, out))
+        assert phi.graph is g and out.graph is g
+        assert loaded.graph is g2 and g2 == g and loaded == out
 
 
 class TestColorSets:
@@ -148,10 +217,10 @@ class TestColorSets:
     def test_verifier_never_reads_carried_masks(self):
         # masks that hide every clash, or report clashes that are not
         # there, leave the verdict as it is on an unpoisoned copy
-        improper = TotalColoring((1, 2, 1), {(0, 1): 3, (1, 2): 3}, 3)
+        improper = TotalColoring((1, 2, 1), (3, 3), 3, P3)
         for g, phi in ((complete_graph(3), greedy_total(complete_graph(3))),
-                       p3_coloring(), (path_graph(3), improper)):
-            clean = TotalColoring(phi.vertex_colors, phi.edge_colors, phi.k)
+                       p3_coloring(), (P3, improper)):
+            clean = TotalColoring(phi.vertex_colors, phi.edge_colors, phi.k, g)
             for poison in (tuple(range(1, g.n + 1)), (0,) * g.n):
                 object.__setattr__(phi, "stars", poison)
                 assert violations(g, phi) == violations(g, clean)
@@ -168,27 +237,27 @@ class TestPropernessViolations:
 
     def test_vertex_vertex_clash(self):
         g = path_graph(2)
-        phi = TotalColoring((1, 1), {(0, 1): 2}, 2)
+        phi = TotalColoring((1, 1), (2,), 2, g)
         vs = violations(g, phi)
         assert [v.kind for v in vs] == ["vertex-vertex"]
         assert vs[0].witness == (0, 1)
 
     def test_vertex_edge_clash_reports_each_side(self):
         g = path_graph(2)
-        phi = TotalColoring((1, 1), {(0, 1): 1}, 1)
+        phi = TotalColoring((1, 1), (1,), 1, g)
         kinds = sorted(v.kind for v in violations(g, phi))
         assert kinds == ["vertex-edge", "vertex-edge", "vertex-vertex"]
 
     def test_edge_edge_clash(self):
         g = path_graph(3)
-        phi = TotalColoring((1, 2, 1), {(0, 1): 3, (1, 2): 3}, 3)
+        phi = TotalColoring((1, 2, 1), (3, 3), 3, g)
         vs = violations(g, phi)
         assert [v.kind for v in vs] == ["edge-edge"]
         assert vs[0].witness == ((0, 1), (1, 2))
 
     def test_edge_edge_reported_once_per_pair(self):
         g = star_graph(3)
-        phi = TotalColoring((1, 2, 2, 2), {(0, 1): 3, (0, 2): 3, (0, 3): 3}, 3)
+        phi = TotalColoring((1, 2, 2, 2), (3, 3, 3), 3, g)
         clashes = [v for v in violations(g, phi) if v.kind == "edge-edge"]
         assert len(clashes) == 3  # three unordered pairs of the three edges
 
@@ -199,7 +268,7 @@ class TestPropernessViolations:
         g = random_gnp(n, p, seed)
         rng = random.Random(seed)
         phi = TotalColoring(tuple(rng.randint(1, k) for _ in range(g.n)),
-                            {e: rng.randint(1, k) for e in g.edges}, k)
+                            tuple(rng.randint(1, k) for _ in g.edges), k, g)
         improper = reference_properness_violations(g, phi)
         found = violations(g, phi)
         if improper:
@@ -217,23 +286,23 @@ class TestAvdViolations:
         # the colour sets {1, 2} and {1, 2} clash too, but an improper
         # colouring is never AVD, whatever its colour sets
         g = path_graph(2)
-        phi = TotalColoring((1, 1), {(0, 1): 2}, 2)
+        phi = TotalColoring((1, 1), (2,), 2, g)
         assert verdict(g, phi) == {"proper": False, "avd": False}
-        distinct = TotalColoring((1, 2), {(0, 1): 2}, 2)
+        distinct = TotalColoring((1, 2), (2,), 2, g)
         assert verdict(g, distinct) == {"proper": False, "avd": False}
 
     def test_undistinguished_pair_on_k2(self):
         # both endpoints of K_2 see {1, 2} and {2, 3}? choose a clash:
         g = path_graph(2)
-        phi = TotalColoring((1, 2), {(0, 1): 3}, 3)
+        phi = TotalColoring((1, 2), (3,), 3, g)
         # C(0) = {1,3}, C(1) = {2,3}: distinguished
         assert violations(g, phi) == []
 
     def test_cycle_clash(self):
         # C_4 colouring where vertices 0 and 1 both see {1, 2, 3}.
         g = cycle_graph(4)
-        phi = TotalColoring((1, 2, 4, 3),
-                            {(0, 1): 3, (1, 2): 1, (2, 3): 5, (0, 3): 2}, 5)
+        phi = from_edge_dict(g, (1, 2, 4, 3),
+                             {(0, 1): 3, (1, 2): 1, (2, 3): 5, (0, 3): 2}, 5)
         vs = violations(g, phi)
         assert [v.kind for v in vs] == ["undistinguished-pair"]
         assert vs[0].witness == (0, 1)
@@ -241,14 +310,14 @@ class TestAvdViolations:
     def test_opposite_vertices_never_flagged(self):
         # Alternating colouring: equal sets only on the non-adjacent diagonals.
         g = cycle_graph(4)
-        phi = TotalColoring((1, 2, 1, 2),
-                            {(0, 1): 3, (1, 2): 4, (2, 3): 3, (0, 3): 4}, 4)
+        phi = from_edge_dict(g, (1, 2, 1, 2),
+                             {(0, 1): 3, (1, 2): 4, (2, 3): 3, (0, 3): 4}, 4)
         assert violations(g, phi) == []
 
     def test_verdict_matches_naive(self):
         g = cycle_graph(4)
-        phi = TotalColoring((1, 2, 4, 3),
-                            {(0, 1): 3, (1, 2): 1, (2, 3): 5, (0, 3): 2}, 5)
+        phi = from_edge_dict(g, (1, 2, 4, 3),
+                             {(0, 1): 3, (1, 2): 1, (2, 3): 5, (0, 3): 2}, 5)
         v = verdict(g, phi)
         assert v == {"proper": naive_is_proper(g, phi),
                      "avd": naive_is_avd(g, phi)}
@@ -265,13 +334,13 @@ def fresh_fault(phi: TotalColoring, edge, fault: str) -> TotalColoring:
     u, v = edge
     k = phi.k + 1
     vertex_colors = list(phi.vertex_colors)
-    edge_colors = dict(phi.edge_colors)
+    edge_colors = list(phi.edge_colors)
     vertex_colors[u] = k
     if fault == "vertex-edge":
-        edge_colors[edge] = k
+        edge_colors[phi.graph.edges.index(edge)] = k
     else:
         vertex_colors[v] = k
-    return TotalColoring(tuple(vertex_colors), edge_colors, k)
+    return TotalColoring(tuple(vertex_colors), tuple(edge_colors), k, phi.graph)
 
 
 @st.composite
@@ -287,7 +356,7 @@ def graphs_and_colourings(draw):
         k = draw(st.integers(1, 2 * g.max_degree + 2))
         colour = st.integers(1, k)
         return g, TotalColoring(tuple(draw(colour) for _ in range(n)),
-                                {e: draw(colour) for e in g.edges}, k)
+                                tuple(draw(colour) for _ in g.edges), k, g)
     phi = greedy_total(g)
     if kind == "greedy" or not g.edges:
         return g, phi
@@ -320,11 +389,12 @@ class TestViolations:
         assert verdict(g, phi) == {"proper": False, "avd": False}
 
     def test_edgeless_and_isolated_vertices(self):
-        assert violations(Graph.build(0, []), TotalColoring((), {}, 0)) == []
+        empty = Graph.build(0, [])
+        assert violations(empty, TotalColoring((), (), 0, empty)) == []
         edgeless = Graph.build(3, [])
-        assert violations(edgeless, TotalColoring((1, 1, 1), {}, 1)) == []
+        assert violations(edgeless, TotalColoring((1, 1, 1), (), 1, edgeless)) == []
         g = Graph.build(4, [(1, 2)])  # 0 and 3 isolated
-        phi = TotalColoring((1, 1, 2, 1), {(1, 2): 3}, 3)
+        phi = TotalColoring((1, 1, 2, 1), (3,), 3, g)
         assert violations(g, phi) == []
         assert verdict(g, phi) == {"proper": True, "avd": True}
 
@@ -333,19 +403,19 @@ class TestViolations:
 def shifted(phi: TotalColoring, shift: int) -> TotalColoring:
     """phi with shift added to every colour and to k."""
     return TotalColoring(tuple(c + shift for c in phi.vertex_colors),
-                         {e: c + shift for e, c in phi.edge_colors.items()},
-                         phi.k + shift)
+                         tuple(c + shift for c in phi.edge_colors),
+                         phi.k + shift, phi.graph)
 
 
 def permuted(phi: TotalColoring, rng: random.Random, spread: int) -> TotalColoring:
     """phi with its colours mapped one-to-one onto random colours in
     1..k + spread, k growing to the largest; properness and colour-set
-    equality are kept, key order is not."""
+    equality are kept."""
     used = sorted(used_colours(phi))
     image = dict(zip(used, rng.sample(range(1, phi.k + spread + 1), len(used))))
     return TotalColoring(tuple(image[c] for c in phi.vertex_colors),
-                         {e: image[c] for e, c in phi.edge_colors.items()},
-                         max(image.values(), default=phi.k))
+                         tuple(image[c] for c in phi.edge_colors),
+                         max(image.values(), default=phi.k), phi.graph)
 
 
 def colouring_of(g: Graph, kind: str, rng: random.Random) -> TotalColoring:
@@ -355,7 +425,7 @@ def colouring_of(g: Graph, kind: str, rng: random.Random) -> TotalColoring:
     if kind == "random":
         k = rng.randint(1, 2 * g.max_degree + 2)
         return TotalColoring(tuple(rng.randint(1, k) for _ in range(g.n)),
-                             {e: rng.randint(1, k) for e in g.edges}, k)
+                             tuple(rng.randint(1, k) for _ in g.edges), k, g)
     if kind == "greedy":
         return permuted(greedy_total(g), rng, 10)
     out, _ = run_pipeline(g, params=PipelineParams(seed=rng.randrange(2 ** 32)))
@@ -432,31 +502,36 @@ class TestSortedKeyJudge:
     def test_stride_from_largest_colour_present(self):
         g = random_gnp(30, 0.3, 5)
         phi = greedy_total(g)
-        wide = TotalColoring(phi.vertex_colors, phi.edge_colors, 2 ** 70)
+        wide = TotalColoring(phi.vertex_colors, phi.edge_colors, 2 ** 70, g)
         vc, ec, stride = coloring._colour_arrays(g, wide)
         assert stride == max(used_colours(phi)) + 1
         assert vc.tolist() == list(phi.vertex_colors)
-        assert ec.tolist() == [phi.edge_colors[e] for e in g.edges]
+        assert ec.tolist() == list(phi.edge_colors)
         assert violations(g, wide) == reference_violations(g, phi)
 
     def test_edge_colours_read_in_edge_order(self):
-        # a dict in any key order gives the same verdict
+        # the dict form in any key order converts to the same rows, and so
+        # to the same colour arrays and verdict
         g = random_gnp(25, 0.3, 2)
         phi = colouring_of(g, "greedy", random.Random(2))
-        reordered = TotalColoring(phi.vertex_colors,
-                                  dict(reversed(phi.edge_colors.items())), phi.k)
+        reordered = from_edge_dict(g, phi.vertex_colors,
+                                   dict(reversed(edge_dict(phi).items())), phi.k)
+        assert reordered.edge_colors == phi.edge_colors
         assert violations(g, reordered) == violations(g, phi)
-        assert (coloring._colour_arrays(g, reordered)[1].tolist()
-                == [phi.edge_colors[e] for e in g.edges])
+        assert coloring._colour_arrays(g, reordered)[1].tolist() == list(phi.edge_colors)
+
+    @staticmethod
+    def case(n, edges, vertex_colors, edge_colors, k):
+        g = Graph.build(n, edges)
+        return g, TotalColoring(vertex_colors, edge_colors, k, g)
 
     @pytest.mark.parametrize("g, phi", [
-        (Graph.build(0, []), TotalColoring((), {}, 0)),
-        (Graph.build(1, []), TotalColoring((2 ** 70,), {}, 2 ** 70)),
-        (Graph.build(3, []), TotalColoring((1, 1, 1), {}, 1)),
-        (Graph.build(5, [(1, 3)]), TotalColoring((1, 1, 2, 2, 1), {(1, 3): 3}, 3)),
-        (Graph.build(5, [(1, 3)]), TotalColoring((1, 1, 2, 1, 1), {(1, 3): 3}, 3)),
-        (Graph.build(5, [(1, 3), (3, 4)]),
-         TotalColoring((1, 1, 2, 2, 1), {(1, 3): 3, (3, 4): 3}, 3)),
+        case(0, [], (), (), 0),
+        case(1, [], (2 ** 70,), (), 2 ** 70),
+        case(3, [], (1, 1, 1), (), 1),
+        case(5, [(1, 3)], (1, 1, 2, 2, 1), (3,), 3),
+        case(5, [(1, 3)], (1, 1, 2, 1, 1), (3,), 3),
+        case(5, [(1, 3), (3, 4)], (1, 1, 2, 2, 1), (3, 3), 3),
     ], ids=["n0", "n1-huge-colour", "edgeless", "isolated", "isolated-clash",
             "isolated-edge-clash"])
     def test_small_and_edgeless(self, g, phi, monkeypatch):
@@ -474,7 +549,7 @@ class TestSortedKeyJudge:
 
         for g in (random_gnp(20, 0.4, 1), path_graph(3), Graph.build(0, [])):
             for phi in (greedy_total(g), run_pipeline(g)[0]):
-                blind = Starless(phi.vertex_colors, phi.edge_colors, phi.k)
+                blind = Starless(phi.vertex_colors, phi.edge_colors, phi.k, g)
                 assert violations(g, blind) == reference_violations(g, phi)
                 assert verdict(g, blind) == verdict(g, phi)
 
@@ -515,7 +590,7 @@ class TestPalette:
     def test_palette_size_counts_used_not_declared(self):
         # the verifier sizes its colour tables by the colours present, 1..4
         g, phi = p3_coloring()
-        wide = TotalColoring(phi.vertex_colors, phi.edge_colors, 99)
+        wide = TotalColoring(phi.vertex_colors, phi.edge_colors, 99, g)
         assert coloring._colour_arrays(g, wide)[2] == 5
         assert verdict(g, wide) == verdict(g, phi)
 
@@ -536,8 +611,6 @@ class TestDocuments:
         assert verdict(g2, phi2)["proper"] is True
 
     def test_improper_document_loads(self):
-        g = path_graph(2)
-        phi = TotalColoring((1, 1), {(0, 1): 2}, 2)
         doc = {
             "n": 2, "edges": [[0, 1]], "k": 2,
             "vertex_colors": [1, 1],
@@ -660,8 +733,8 @@ class TestDocuments:
 @settings(max_examples=60, deadline=None)
 def test_document_body_matches_reference(n, p, seed):
     # the one-pass edge records against the per-edge lookups, on a pipeline
-    # output and on the same colouring loaded with its edge records shuffled,
-    # so its edge-colour dict is out of g.edges order
+    # output and on the same colouring loaded with its edge records
+    # shuffled, which places each colour at its row of the loaded graph
     g = random_gnp(n, p, seed)
     out, report = run_pipeline(g, params=PipelineParams(seed=seed))
     body = coloring._document_body(g, out, report.verified)
@@ -671,9 +744,8 @@ def test_document_body_matches_reference(n, p, seed):
     random.Random(seed).shuffle(records)
     loaded = [from_document(dict(body, edge_colors=order))
               for order in (records, records[::-1])]
-    # one of the two orders differs from g.edges once there are two edges
-    assert len(g.edges) < 2 or any(tuple(phi.edge_colors) != g.edges for _, phi in loaded)
     for g2, phi in loaded:
+        assert phi.graph is g2 and phi.edge_colors == out.edge_colors
         assert coloring._document_body(g2, phi, report.verified) == body
         assert reference_document_body(g2, phi, report.verified) == body
         assert to_document(g2, phi) == body

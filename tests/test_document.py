@@ -21,6 +21,7 @@ from avdtotal import (Graph, PipelineParams, TotalColoring, cli, complete_graph,
                       to_document, write_graph6)
 from avdtotal import coloring as coloring_mod
 
+from helpers import edge_dict, from_edge_dict
 from test_cli import run
 from test_golden import CASES as GOLDEN_CASES
 from test_golden import dimacs, sparse_edges
@@ -172,7 +173,7 @@ def test_command_documents(cmd, name, tmp_path, capsys):
 def test_improper_flags_and_wide_palette():
     g = complete_graph(4)
     phi = greedy_total(g)
-    phi = coloring_mod.TotalColoring((1, 1, 1000, 7), phi.edge_colors, 1000)
+    phi = coloring_mod.TotalColoring((1, 1, 1000, 7), phi.edge_colors, 1000, g)
     assert_writes_oracle(g, phi, coloring_mod.verdict(g, phi))
     assert_writes_oracle(g, phi, {"proper": False, "avd": False}, {"note": "ü\n\"x\""})
 
@@ -191,8 +192,8 @@ def test_non_finite_report_raises(x):
 def shifted(phi, shift):
     """phi with shift added to every colour and to k."""
     return TotalColoring(tuple(c + shift for c in phi.vertex_colors),
-                         {e: c + shift for e, c in phi.edge_colors.items()},
-                         phi.k + shift)
+                         tuple(c + shift for c in phi.edge_colors),
+                         phi.k + shift, phi.graph)
 
 
 @pytest.mark.parametrize("shift", [2 ** 63 - 2, 2 ** 63, 2 ** 64, 2 ** 70])
@@ -200,33 +201,34 @@ def test_colours_at_and_beyond_int64(shift):
     g = random_gnp(30, 0.3, 5)
     phi, _ = run_pipeline(g, None, PipelineParams(seed=5))
     wide = shifted(phi, shift)
-    assert max(wide.edge_colors.values()) >= 2 ** 63 - 1
+    assert max(wide.edge_colors) >= 2 ** 63 - 1
     assert_writes_oracle(g, wide, coloring_mod.verdict(g, wide))
 
 
 def test_three_colours_in_a_huge_palette():
     # the tables follow the colours present, never range(k)
     g = path_graph(4)
-    phi = TotalColoring((1, 2, 3, 1), {(0, 1): 3, (1, 2): 1, (2, 3): 2}, 10 ** 30)
+    phi = TotalColoring((1, 2, 3, 1), (3, 1, 2), 10 ** 30, g)
     assert coloring_mod.verdict(g, phi) == {"proper": True, "avd": False}
     assert_writes_oracle(g, phi, coloring_mod.verdict(g, phi))
-    top = TotalColoring((1, 2, 10 ** 30, 1), {(0, 1): 10 ** 30, (1, 2): 1, (2, 3): 2},
-                        10 ** 30)
+    top = TotalColoring((1, 2, 10 ** 30, 1), (10 ** 30, 1, 2), 10 ** 30, g)
     assert_writes_oracle(g, top, coloring_mod.verdict(g, top))
 
 
 def test_keys_out_of_edge_order():
+    # the dict form, keys reversed, converts to the rows the writer reads
     g = random_gnp(40, 0.2, 3)
     phi, _ = run_pipeline(g, None, PipelineParams(seed=3))
-    reordered = TotalColoring(phi.vertex_colors,
-                              dict(reversed(phi.edge_colors.items())), phi.k)
-    assert tuple(reordered.edge_colors) != g.edges
+    reordered = from_edge_dict(g, phi.vertex_colors,
+                               dict(reversed(edge_dict(phi).items())), phi.k)
+    assert reordered.edge_colors == phi.edge_colors
     assert_writes_oracle(g, reordered, coloring_mod.verdict(g, reordered))
+    assert coloring_mod._document_json(g, reordered, {}) == coloring_mod._document_json(g, phi, {})
 
 
 def test_no_vertex():
     g = Graph.build(0, [])
-    assert_writes_oracle(g, TotalColoring((), {}, 0), {"proper": True, "avd": True})
+    assert_writes_oracle(g, TotalColoring((), (), 0, g), {"proper": True, "avd": True})
 
 
 @pytest.mark.parametrize("n, edges", [
@@ -238,7 +240,7 @@ def test_no_vertex():
 def test_vertices_numbered_above_every_colour(n, edges):
     g = Graph.build(n, edges)
     phi = greedy_total(g)
-    top = max(*phi.vertex_colors, *phi.edge_colors.values())
+    top = max(*phi.vertex_colors, *phi.edge_colors)
     assert any(not g.adjacency[v] for v in range(top + 1, n))
     assert_writes_oracle(g, phi, coloring_mod.verdict(g, phi))
 
@@ -247,7 +249,7 @@ def test_mixed_number_types_written_as_json_writes_them():
     # outside the documented domain, but still written exactly: a float
     # equal to an int keeps its own text
     g = path_graph(4)
-    phi = TotalColoring((1.0, 2, 1, 2 ** 64), {(0, 1): 3, (1, 2): 1.0, (2, 3): 2.5}, 2 ** 64)
+    phi = TotalColoring((1.0, 2, 1, 2 ** 64), (3, 1.0, 2.5), 2 ** 64, g)
     assert_writes_oracle(g, phi, {"proper": False, "avd": False})
 
 
@@ -255,13 +257,14 @@ def test_mixed_number_types_written_as_json_writes_them():
        seed=st.integers(0, 2 ** 32), data=st.data())
 @settings(max_examples=60, deadline=None)
 def test_any_colours_any_order(n, p, seed, data):
-    # the writer verifies nothing: any ints, in any key order, are written
-    # exactly as the dict oracle writes them
+    # the writer verifies nothing: any ints, from the dict form in any key
+    # order, are written exactly as the dict oracle writes them
     g = random_gnp(n, p, seed)
     colour = st.one_of(st.integers(-5, 40), st.integers(2 ** 62, 2 ** 66),
                        st.just(10 ** 30))
     vertex_colors = tuple(data.draw(st.lists(colour, min_size=n, max_size=n)))
     keys = data.draw(st.permutations(g.edges))
     edge_colors = {e: data.draw(colour) for e in keys}
-    phi = TotalColoring(vertex_colors, edge_colors, data.draw(colour))
+    phi = from_edge_dict(g, vertex_colors, edge_colors, data.draw(colour))
+    assert edge_dict(phi) == edge_colors
     assert_writes_oracle(g, phi, {"proper": False, "avd": False})

@@ -18,7 +18,7 @@ from avdtotal import (BadEvent, EdgeSelection, Graph, PipelineParams,
 from avdtotal import graphs
 from avdtotal.highdeg import _BulkCheck, _PatchCheck, _restricted
 
-from helpers import (hub_graph, mask_of, naive_color_set,
+from helpers import (edge_dict, from_edge_dict, hub_graph, mask_of, naive_color_set,
                      reference_bulk_events, reference_bulk_first_round,
                      reference_find_bulk_deletion, reference_find_patch_deletion,
                      reference_forced, reference_patch_events,
@@ -37,8 +37,8 @@ def two_hub_fixture():
     """
     edges = [(0, 1)] + [(0, a) for a in range(2, 8)] + [(1, b) for b in range(8, 14)]
     g = Graph.build(14, edges)
-    phi = TotalColoring(
-        (1, 2, 4, 2, 2, 2, 2, 2, 3, 1, 1, 1, 1, 1),
+    phi = from_edge_dict(
+        g, (1, 2, 4, 2, 2, 2, 2, 2, 3, 1, 1, 1, 1, 1),
         {(0, 1): 3, (0, 2): 2, (0, 3): 4, (0, 4): 5, (0, 5): 6, (0, 6): 7,
          (0, 7): 8, (1, 8): 1, (1, 9): 4, (1, 10): 5, (1, 11): 6, (1, 12): 7,
          (1, 13): 8}, 8)
@@ -61,10 +61,10 @@ def bulk_events(g, phi, sel, params):
 
 def patch_events(g, phi, bulk, patch, light, params):
     """The events find_patch_deletion's own check reports for patch, given
-    to it as an index array over the check's light-vertex edges."""
+    to it as an index array over the rows of the check's pools."""
     check = _PatchCheck(g, phi, bulk, light, params.alpha, params.B)
-    index = {e: i for i, e in enumerate(check.edges)}
-    chosen = np.array([index[e] for e in patch.edges], dtype=np.int64)
+    index = {r: i for i, r in enumerate(check.rows.tolist())}
+    chosen = np.array([index[r] for r in patch.rows], dtype=np.int64)
     return check.events(chosen, np.array(patch.per_vertex_count, dtype=np.int64))
 
 
@@ -84,9 +84,8 @@ def cyclic_clique(n):
     1..n, so two light vertices keep equal sets whenever their patch edges
     carry the same colours."""
     g = complete_graph(n)
-    phi = TotalColoring(
-        tuple((2 * v) % n + 1 for v in range(n)),
-        {(i, j): (i + j) % n + 1 for i in range(n) for j in range(i + 1, n)}, n)
+    phi = TotalColoring(tuple((2 * v) % n + 1 for v in range(n)),
+                        tuple((i + j) % n + 1 for i, j in g.edges), n, g)
     return g, phi
 
 
@@ -490,7 +489,8 @@ class TestFindBulkDeletion:
 
 
 class TestStarSets:
-    """_restricted against naive colour sets minus deleted colours."""
+    """_restricted against naive colour sets minus deleted colours, on rows
+    of the bulk stage's candidates or of the patch stage's pools."""
 
     @given(st.integers(1, 14), st.sampled_from([0.2, 0.5, 0.8]), st.integers(0, 99),
            st.integers(0, 99), st.booleans())
@@ -502,17 +502,18 @@ class TestStarSets:
         if light_list:  # the patch stage's list: the pools of its light vertices
             light = frozenset(v for v in sorted(degree_split(g).high)
                               if rng.random() < 0.5)
-            edges = _PatchCheck(g, phi, EdgeSelection.from_edges(g, []), light,
-                                Fraction(1, 2), 2).edges
+            rows = _PatchCheck(g, phi, EdgeSelection.from_edges(g, []), light,
+                               Fraction(1, 2), 2).rows.tolist()
         else:
-            edges = candidate_edges(g, phi)
+            rows = _BulkCheck(g, phi, 8, 4, Fraction(1, 3)).rows.tolist()
+        colour_of = edge_dict(phi)
         for q_del in (0.3, 0.7):  # a second call starts from the same stars
-            deleted = rng.random(len(edges)) < q_del
-            gone = [e for e, x in zip(edges, deleted.tolist()) if x]
-            masks = _restricted(phi.stars, phi.edge_colors, gone)
+            deleted = rng.random(len(rows)) < q_del
+            gone = [r for r, x in zip(rows, deleted.tolist()) if x]
+            masks = _restricted(phi.stars, g, phi.edge_colors, gone)
             for v in range(g.n):
                 expected = naive_color_set(g, phi, v) - {
-                    phi.edge_colors[e] for e in gone if v in e}
+                    colour_of[g.edges[r]] for r in gone if v in g.edges[r]}
                 assert masks[v] == mask_of(expected)
 
 
@@ -1004,8 +1005,8 @@ def across_words(phi, low, high):
         return c + 63 - low if c < high else c + 127 - high
 
     return TotalColoring(tuple(map(rename, phi.vertex_colors)),
-                         {e: rename(c) for e, c in phi.edge_colors.items()},
-                         rename(phi.k))
+                         tuple(map(rename, phi.edge_colors)),
+                         rename(phi.k), phi.graph)
 
 
 def greedy_across_words(g, data):

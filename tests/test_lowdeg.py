@@ -12,7 +12,7 @@ from avdtotal import (Graph, PipelineParams, TotalColoring, complete_graph,
 
 from avdtotal.lowdeg import _forbidden
 
-from helpers import (colours_of, hub_graph, naive_is_proper,
+from helpers import (colours_of, from_edge_dict, hub_graph, naive_is_proper,
                      reference_distinguish_low_degree)
 
 
@@ -22,8 +22,8 @@ def two_low_clash():
     Vertex 2 has degree 5, so 0 and 1 are low. Hand-verified proper.
     """
     g = Graph.build(8, [(0, 1), (0, 2), (1, 7), (2, 3), (2, 4), (2, 5), (2, 6)])
-    phi = TotalColoring(
-        (2, 3, 4, 2, 1, 1, 1, 1),
+    phi = from_edge_dict(
+        g, (2, 3, 4, 2, 1, 1, 1, 1),
         {(0, 1): 1, (0, 2): 3, (1, 7): 2, (2, 3): 1, (2, 4): 2,
          (2, 5): 5, (2, 6): 6}, 6)
     return g, phi
@@ -49,9 +49,9 @@ class TestForbiddenColors:
     def test_rejects_small_palette(self):
         # the palette check sits in the phase that computes forbidden sets
         g = star_graph(2)
-        squeezed = TotalColoring((1, 2, 2), {(0, 1): 3, (0, 2): 4}, 4)
+        squeezed = TotalColoring((1, 2, 2), (3, 4), 4, g)
         assert distinguish_low_degree(g, squeezed).k == 4  # 4 > max_degree 2
-        tight = TotalColoring((1, 2, 2), {(0, 1): 1, (0, 2): 2}, 2)
+        tight = TotalColoring((1, 2, 2), (1, 2), 2, g)
         with pytest.raises(ValueError):
             distinguish_low_degree(g, tight)
 
@@ -98,7 +98,7 @@ class TestDistinguishLowDegree:
         # K_5 has no low vertex: the phase returns before building masks
         g = complete_graph(5)
         seed = greedy_total(g)
-        phi = TotalColoring(seed.vertex_colors, seed.edge_colors, seed.k)
+        phi = TotalColoring(seed.vertex_colors, seed.edge_colors, seed.k, g)
         assert distinguish_low_degree(g, phi) is phi
         assert "stars" not in vars(phi)
 
@@ -119,7 +119,7 @@ class TestDistinguishLowDegree:
 
     def test_rejects_small_palette(self):
         g = star_graph(2)
-        phi = TotalColoring((1, 2, 2), {(0, 1): 2, (0, 2): 1}, 2)
+        phi = TotalColoring((1, 2, 2), (2, 1), 2, g)
         with pytest.raises(ValueError):
             distinguish_low_degree(g, phi)
 

@@ -20,15 +20,16 @@ from avdtotal import (EdgeSelection, Graph, PipelineParams, TotalColoring, cli,
                       run_pipeline, star_graph, to_document, verdict, violations,
                       vizing_color)
 
-from helpers import connected_graphs, hub_graph, reference_repair_fallback
+from helpers import (connected_graphs, edge_dict, from_edge_dict, hub_graph,
+                     reference_repair_fallback)
 from test_golden import CASES as GOLDEN_CASES
 
 
 def two_hub_graph():
     edges = [(0, 1)] + [(0, a) for a in range(2, 8)] + [(1, b) for b in range(8, 14)]
     g = Graph.build(14, edges)
-    phi = TotalColoring(
-        (1, 2, 4, 2, 2, 2, 2, 2, 3, 1, 1, 1, 1, 1),
+    phi = from_edge_dict(
+        g, (1, 2, 4, 2, 2, 2, 2, 2, 3, 1, 1, 1, 1, 1),
         {(0, 1): 3, (0, 2): 2, (0, 3): 4, (0, 4): 5, (0, 5): 6, (0, 6): 7,
          (0, 7): 8, (1, 8): 1, (1, 9): 4, (1, 10): 5, (1, 11): 6, (1, 12): 7,
          (1, 13): 8}, 8)
@@ -38,9 +39,8 @@ def two_hub_graph():
 def cyclic_k5():
     # every vertex sees all of 1..5, so every adjacent pair clashes
     g = complete_graph(5)
-    phi = TotalColoring(
-        tuple((2 * v) % 5 + 1 for v in range(5)),
-        {(i, j): (i + j) % 5 + 1 for i in range(5) for j in range(i + 1, 5)}, 5)
+    phi = TotalColoring(tuple((2 * v) % 5 + 1 for v in range(5)),
+                        tuple((i + j) % 5 + 1 for i, j in g.edges), 5, g)
     return g, phi
 
 
@@ -59,18 +59,19 @@ class TestRecolorUnion:
         g, phi = two_hub_graph()
         picked = [(0, 2), (0, 3), (1, 8)]
         out = recolour(g, phi, picked[:2], picked[2:])
+        new, old = edge_dict(out), edge_dict(phi)
         for e in picked:
-            assert out.edge_colors[e] > phi.k
+            assert new[e] > phi.k
         for e in g.edges:
             if e not in picked:
-                assert out.edge_colors[e] == phi.edge_colors[e]
+                assert new[e] == old[e]
         assert out.vertex_colors == phi.vertex_colors
         assert verdict(g, out)["proper"]
 
     def test_growth_matches_union_edge_coloring(self):
         g, phi = two_hub_graph()
         out = recolour(g, phi, g.edges, [])
-        used = {out.edge_colors[e] - phi.k for e in g.edges}
+        used = {c - phi.k for c in out.edge_colors}
         assert out.k - phi.k == max(used)
         assert min(used) >= 1
 
@@ -121,7 +122,7 @@ class TestRecolorUnion:
         empty = EdgeSelection.from_edges(g, [])
 
         def peak(k):
-            phi = TotalColoring(seed.vertex_colors, seed.edge_colors, k)
+            phi = TotalColoring(seed.vertex_colors, seed.edge_colors, k, g)
             phi.stars  # built before tracing, as run_pipeline's check does
             tracemalloc.start()
             try:
@@ -153,7 +154,7 @@ class TestRecolorUnion:
         union = [e for e in g.edges if e in set(chosen)]
         sub = vizing_color(Graph.build(g.n, union))
         assert sub.k == max(Counter(chain.from_iterable(union)).values()) + 1
-        assert {e: c - phi.k for e, c in out.edge_colors.items() if c > phi.k} == sub.colors
+        assert {e: c - phi.k for e, c in edge_dict(out).items() if c > phi.k} == sub.colors
         assert out.k == phi.k + max(sub.colors.values())
 
     def test_selection_from_another_graph_is_refused(self):
@@ -205,7 +206,7 @@ def stage_selections(g, phi, params):
 
 
 def assert_same_recolour(a, b):
-    assert list(a.edge_colors.items()) == list(b.edge_colors.items())
+    assert a.edge_colors == b.edge_colors and a.graph == b.graph
     assert (a.stars, a.k, a.vertex_colors) == (b.stars, b.k, b.vertex_colors)
 
 
@@ -245,7 +246,7 @@ class TestRowHandOff:
         assert len(bulk.rows) == 4 and len(g.edges) == 6
         out = recolor_union(g, phi, bulk, patch.selection)
         assert_same_recolour(out, recolour(g, phi, bulk.edges, []))
-        assert {e for e in g.edges if out.edge_colors[e] > phi.k} == bulk.edges
+        assert {e for e, c in edge_dict(out).items() if c > phi.k} == bulk.edges
 
     def test_pipeline_builds_no_tuple_set_and_no_fan_index(self, monkeypatch):
         def refuse(*args):
@@ -259,6 +260,21 @@ class TestRowHandOff:
         out, report = run_pipeline(g)
         assert report.fresh_palette_size > 0
         assert_same_recolour(out, expected)
+
+    def test_patch_stage_reads_no_edge_set(self, monkeypatch):
+        # the patch pools and the bulk edges cleared at light vertices are
+        # rows, so no selection's edge set is read even where vertices are light
+        g = hub_graph(0, 200, 3, 3)
+        params = PipelineParams(lam=3.0, m=5, d=1, seed=0)
+        bulk, patch = stage_selections(g, greedy_total(g), params)
+        assert light_vertices(g, bulk, params.m) and patch.selection.rows
+        expected = run_pipeline(g, params=params)[0]
+
+        def refuse(selection):
+            raise AssertionError("the run built an edge set")
+
+        monkeypatch.setattr(EdgeSelection, "edges", property(refuse))
+        assert_same_recolour(run_pipeline(g, params=params)[0], expected)
 
 
 class TestRepairFallback:
@@ -448,7 +464,7 @@ class TestRunPipeline:
 
     def test_rejects_improper_input(self):
         g = cycle_graph(4)
-        bad = TotalColoring((1, 1, 1, 1), {e: 2 for e in g.edges}, 2)
+        bad = TotalColoring((1, 1, 1, 1), (2,) * len(g.edges), 2, g)
         with pytest.raises(ValueError):
             run_pipeline(g, bad)
 
@@ -456,7 +472,7 @@ class TestRunPipeline:
         def clash(g, phi):
             vertex_colors = list(phi.vertex_colors)
             vertex_colors[1] = vertex_colors[0]
-            return TotalColoring(tuple(vertex_colors), phi.edge_colors, phi.k)
+            return TotalColoring(tuple(vertex_colors), phi.edge_colors, phi.k, g)
 
         monkeypatch.setattr("avdtotal.pipeline.distinguish_low_degree", clash)
         with pytest.raises(RuntimeError, match="vertex-vertex"):
@@ -482,7 +498,7 @@ class TestRunPipeline:
 
         def hide(g, phi):
             out = TotalColoring(clashing.vertex_colors, clashing.edge_colors,
-                                clashing.k)
+                                clashing.k, g)
             object.__setattr__(out, "stars", tuple(1 << v for v in range(g.n)))
             return out
 
@@ -616,7 +632,7 @@ class TestCollectorPause:
         assert gc.isenabled() is enabled
         to_document(g, out)
         assert gc.isenabled() is enabled
-        bad = TotalColoring((1, 1, 2, 2, 3), out.edge_colors, out.k)
+        bad = TotalColoring((1, 1, 2, 2, 3), out.edge_colors, out.k, g)
         with pytest.raises(ValueError, match="colouring is not proper"):
             run_pipeline(g, bad)
         assert gc.isenabled() is enabled
@@ -656,8 +672,8 @@ class TestOneVerifierPass:
         """Colourings of g that the pipeline never accepted, by name."""
         out, _ = run_pipeline(g)
         return {
-            "hand_built": TotalColoring(out.vertex_colors, dict(out.edge_colors), out.k),
-            "improper": TotalColoring((1,) * g.n, out.edge_colors, out.k),
+            "hand_built": TotalColoring(out.vertex_colors, out.edge_colors, out.k, g),
+            "improper": TotalColoring((1,) * g.n, out.edge_colors, out.k, g),
             "replaced": dataclasses.replace(out),
             "greedy": greedy_total(g),
         }

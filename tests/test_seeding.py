@@ -34,7 +34,7 @@ class TestGreedy:
         phi = greedy_total(g)
         assert naive_is_proper(g, phi)
         assert phi.vertex_colors == (1, 2, 1, 2)
-        assert phi.edge_colors == {(0, 1): 3, (1, 2): 4, (2, 3): 3}
+        assert phi.edge_colors == (3, 4, 3) and phi.graph is g
 
     def test_star_palette(self):
         # centre + 3 leaf edges + leaf colours: greedy needs 5 distinct
@@ -73,7 +73,7 @@ class TestCarriedStars:
     def assert_carries_fresh_masks(g):
         phi = greedy_total(g)
         assert "stars" in vars(phi)  # set by the seeder, not built on reading
-        fresh = TotalColoring(phi.vertex_colors, dict(phi.edge_colors), phi.k)
+        fresh = TotalColoring(phi.vertex_colors, phi.edge_colors, phi.k, g)
         assert phi.stars == coloring._closed_stars(fresh)
 
     def test_connected_graphs_up_to_five_vertices(self):
@@ -101,13 +101,13 @@ class TestImport:
 
     def test_import_improper_flags_false(self):
         g = path_graph(2)
-        phi = TotalColoring((1, 1), {(0, 1): 2}, 2)
+        phi = TotalColoring((1, 1), (2,), 2, g)
         check_total(g, phi)
         assert verdict(g, phi) == {"proper": False, "avd": False}
 
     def test_import_rejects_shape_mismatch(self):
         g = path_graph(3)
-        phi = TotalColoring((1, 2), {(0, 1): 3}, 3)
+        phi = TotalColoring((1, 2), (3,), 3, g)
         with pytest.raises(ValueError):
             check_total(g, phi)
         with pytest.raises(ValueError):
