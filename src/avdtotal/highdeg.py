@@ -15,8 +15,9 @@ cap, a fixed draw, or the forced floor, a lower bound on every round's
 event count; failure is a returned value, never an error. Rounds hold
 their draws as edge indices; only the returned round becomes an
 EdgeSelection, which holds the ascending rows of ``g.edges`` it selects and
-names g, so ``pipeline.recolor_union`` reads the union from rows and no
-edge tuple is looked up.
+names g, and derives its per-vertex counts from those rows, so
+``pipeline.recolor_union`` reads the union from rows and no edge tuple is
+looked up.
 
 The bulk stage runs on arrays from start to finish, with no Python loop
 over edges: its candidates, pairs and neighbour lists are columns of
@@ -107,23 +108,38 @@ class PipelineParams:
 
 @dataclass(frozen=True)
 class EdgeSelection:
-    """A subset of a graph's edges with per-vertex incidence counts.
+    """A subset of a graph's edges, held as rows of its edge list.
 
-    ``rows`` are the ascending rows of ``graph.edges`` it holds; ``graph``
-    is the graph it was made on, left out of equality and repr. ``edges``,
-    the set of those edge tuples, is built on its first read. The
-    constructor checks nothing: ``recolor_union`` and the patch stage
-    refuse a selection without one count per vertex, and ``recolor_union``
-    one whose rows do not ascend strictly within ``graph.edges``.
+    ``rows`` are the rows of ``graph.edges`` it holds; ``graph`` is the
+    graph it was made on, left out of equality and repr. The constructor
+    takes the rows as a sequence or array of integers, stores them as a
+    tuple, and raises ValueError unless they ascend strictly within
+    ``0..len(graph.edges) - 1``, so every reader takes them as they are;
+    TypeError unless graph is a Graph. Everything else is derived from the
+    rows on its first read: ``edges``, the set of those edge tuples, and
+    ``per_vertex_count``, the number of them at each vertex of the graph.
     """
 
     rows: tuple[int, ...]
-    per_vertex_count: tuple[int, ...]
     graph: Graph = field(compare=False, repr=False)
+
+    def __post_init__(self):
+        if not isinstance(self.graph, Graph):
+            raise TypeError(f"a selection is made on a Graph, not {self.graph!r}")
+        rows, m = np.asarray(self.rows), len(self.graph.edges)
+        if rows.size and (rows.ndim != 1 or rows.dtype.kind not in "iu" or rows[0] < 0
+                          or rows[-1] >= m or (rows[1:] <= rows[:-1]).any()):
+            raise ValueError(f"selection rows must ascend strictly within 0..{m - 1}")
+        object.__setattr__(self, "rows", tuple(rows.tolist()))
 
     @cached_property
     def edges(self) -> frozenset[Edge]:
         return frozenset(map(self.graph.edges.__getitem__, self.rows))
+
+    @cached_property
+    def per_vertex_count(self) -> tuple[int, ...]:
+        ends = self.graph._ends[np.fromiter(self.rows, dtype=np.int64, count=len(self.rows))]
+        return tuple(np.bincount(ends.ravel(), minlength=self.graph.n).tolist())
 
     @classmethod
     def from_edges(cls, g: Graph, edges) -> "EdgeSelection":
@@ -136,18 +152,14 @@ class EdgeSelection:
         rows = _edge_rows(g, pairs)
         if (rows < 0).any():
             raise ValueError(f"selected edge {pairs[int(np.argmin(rows))]} is not in the graph")
-        counts = np.bincount(g._ends[rows].ravel(), minlength=g.n)
-        return cls(tuple(rows.tolist()), tuple(counts.tolist()), g)
+        return cls(rows, g)
 
 
 def _require_on(g: Graph, selection: EdgeSelection) -> None:
     """ValueError unless selection is an EdgeSelection made on a graph
-    equal to g, with one ``per_vertex_count`` entry per vertex of g."""
+    equal to g."""
     if getattr(selection, "graph", None) != g:
         raise ValueError("the selection was not made on this graph")
-    if len(selection.per_vertex_count) != g.n:
-        raise ValueError(f"per_vertex_count has {len(selection.per_vertex_count)} "
-                         f"entries, not one per vertex of n={g.n}")
 
 
 @dataclass(frozen=True)
@@ -175,37 +187,36 @@ class SelectionResult:
 
 
 def _resample(g: Graph, rows: np.ndarray,
-              evaluate: Callable[[], tuple[np.ndarray, np.ndarray, list[BadEvent]]],
+              evaluate: Callable[[], tuple[np.ndarray, list[BadEvent]]],
               resample: Callable[[list[BadEvent]], None],
               params: PipelineParams, fixed: bool, floor: int) -> SelectionResult:
     """The round loop of both stages.
 
     evaluate() checks the current draw: it returns the draw's indices into
-    the stage's edges, its per-vertex counts and its bad events; rows[i] is
-    the row of ``g.edges`` holding the stage's edge i. The first round
-    without events is returned; otherwise the earliest round with the
-    fewest events is, once the search stops: at the round cap, the stall
-    cap, a fixed draw, or the forced floor. floor is a lower bound on every
-    round's event count, so a best round that reaches it can never be
-    replaced. Every other round ends with resample(events). Only the
-    returned round becomes an EdgeSelection, its rows sorted.
+    the stage's edges and its bad events; rows[i] is the row of ``g.edges``
+    holding the stage's edge i. The first round without events is
+    returned; otherwise the earliest round with the fewest events is, once
+    the search stops: at the round cap, the stall cap, a fixed draw, or the
+    forced floor. floor is a lower bound on every round's event count, so a
+    best round that reaches it can never be replaced. Every other round
+    ends with resample(events). Only the returned round becomes an
+    EdgeSelection, of its rows sorted; its counts are derived from them.
     """
-    best: tuple[np.ndarray, np.ndarray, tuple[BadEvent, ...]] | None = None
+    best: tuple[np.ndarray, tuple[BadEvent, ...]] | None = None
     rounds = stall = 0
     while True:
-        indices, counts, violations = evaluate()
+        indices, violations = evaluate()
         rounds += 1
-        if best is None or len(violations) < len(best[2]):
-            best = (indices, counts, tuple(violations))
+        if best is None or len(violations) < len(best[1]):
+            best = (indices, tuple(violations))
             stall = 0
         else:
             stall += 1
         if (not violations or rounds >= params.max_rounds
-                or stall >= params.stall_rounds or fixed or len(best[2]) <= floor):
-            indices, counts, violations = best
-            selection = EdgeSelection(tuple(np.sort(rows[indices]).tolist()),
-                                      tuple(counts.tolist()), g)
-            return SelectionResult(selection, not violations, rounds, violations)
+                or stall >= params.stall_rounds or fixed or len(best[1]) <= floor):
+            indices, violations = best
+            return SelectionResult(EdgeSelection(np.sort(rows[indices]), g),
+                                   not violations, rounds, violations)
         resample(violations)
 
 
@@ -352,8 +363,7 @@ def find_bulk_deletion(g: Graph, phi: TotalColoring,
         counts = endpoint_counts(np.flatnonzero(mask))
         keep = mask & (counts[cu] <= resolved.M) & (counts[cv] <= resolved.M)
         kept = np.flatnonzero(keep)
-        deg_sel = endpoint_counts(kept)
-        return kept, deg_sel, check.events(keep, deg_sel)
+        return kept, check.events(keep, endpoint_counts(kept))
 
     closed: list[np.ndarray] = []
 
@@ -397,7 +407,7 @@ def find_bulk_deletion(g: Graph, phi: TotalColoring,
 
 def light_vertices(g: Graph, selection: EdgeSelection, m: int) -> frozenset[int]:
     """High vertices holding fewer than m selected edges; ValueError unless
-    selection was made on a graph equal to g, with a count per vertex."""
+    selection was made on a graph equal to g."""
     _require_on(g, selection)
     return frozenset(v for v in degree_split(g).high
                      if selection.per_vertex_count[v] < m)
@@ -511,7 +521,7 @@ def find_patch_deletion(g: Graph, phi: TotalColoring, bulk: EdgeSelection,
     def evaluate():
         chosen = picks.ravel().copy()
         counts = np.bincount(ends[chosen].ravel(), minlength=g.n)
-        return chosen, counts, check.events(chosen, counts)
+        return chosen, check.events(chosen, counts)
 
     def resample(violations: list[BadEvent]) -> None:
         redraw = dict.fromkeys(row[x] for event in violations for w in event.witness

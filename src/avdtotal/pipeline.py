@@ -72,31 +72,28 @@ def recolor_union(g: Graph, phi: TotalColoring, bulk: EdgeSelection,
     phi must be a proper total colouring of g.
 
     bulk and patch must each be an EdgeSelection made on a graph equal to
-    g, with one count per vertex and strictly ascending rows of ``g.edges``,
-    else ValueError; pairs become one through
-    ``EdgeSelection.from_edges(g, pairs)``. The union is a mask over the
-    selections' rows of ``g.edges``, so it is sorted and valid, and goes to
-    the edge colourer as a list with its maximum degree, counted over the
-    matching rows of ``g._ends``; no Graph of it is built. One loop over
-    the union's rows writes the fresh colours into a list copy of
-    ``phi.edge_colors`` and swaps the old and new colour bits of each union
-    edge at both ends in a copy of ``phi.stars``; the result carries both.
+    g, else ValueError; pairs become one through
+    ``EdgeSelection.from_edges(g, pairs)``, and its constructor has checked
+    its rows. The union is a mask over the selections' rows of ``g.edges``,
+    so it is sorted, and goes to the edge colourer as a list with its
+    maximum degree, counted over the matching rows of ``g._ends``; no Graph
+    of it is built. The colourer's list gives item i to the union's edge i,
+    so one loop over the rows, the union and that list writes the fresh
+    colours into a list copy of ``phi.edge_colors`` and swaps the old and
+    new colour bits of each union edge at both ends in a copy of
+    ``phi.stars``; the result carries both.
     """
-    m = len(g.edges)
-    inside = np.zeros(m, dtype=bool)
+    inside = np.zeros(len(g.edges), dtype=bool)
     for selection in (bulk, patch):
         _require_on(g, selection)
-        rows = np.array(selection.rows, dtype=np.int64)
-        if rows.size and (rows[0] < 0 or rows[-1] >= m or (rows[1:] <= rows[:-1]).any()):
-            raise ValueError(f"selection rows must ascend strictly within 0..{m - 1}")
-        inside[rows] = True
+        inside[np.fromiter(selection.rows, dtype=np.int64, count=len(selection.rows))] = True
     rows = np.flatnonzero(inside).tolist()
     if not rows:
         return phi
     union = list(map(g.edges.__getitem__, rows))
     union_degree = int(np.bincount(g._ends[inside].ravel()).max())
     sub_colors = _color_edges(g.n, union, union_degree)
-    k = phi.k + max(sub_colors.values())
+    k = phi.k + max(sub_colors)
     # phi is proper and the new colours are above its palette, so each old
     # bit is set once at each end and each new bit not at all; the fresh
     # bits are shifted once per colour, not twice per edge, into a table
@@ -104,9 +101,7 @@ def recolor_union(g: Graph, phi: TotalColoring, bulk: EdgeSelection,
     edge_colors = list(phi.edge_colors)
     stars = list(phi.stars)
     fresh = [1 << c for c in range(phi.k, k + 1)]  # fresh[c]: colour phi.k + c
-    for r, e in zip(rows, union):
-        c = sub_colors[e]
-        u, v = e
+    for r, (u, v), c in zip(rows, union, sub_colors):
         flip = 1 << edge_colors[r] | fresh[c]
         edge_colors[r] = c + phi.k
         stars[u] ^= flip

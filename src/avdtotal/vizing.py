@@ -12,36 +12,38 @@ colour. On the unions ``run_pipeline`` recolours, almost every edge is
 coloured by first-fit; a star K_{1,N} gives leaf i colour i.
 
 The loop is the private ``_color_edges``, which takes a sorted edge list
-and its maximum degree instead of a Graph. ``vizing_color(g)`` passes
-g's edges; ``pipeline.recolor_union`` passes the edges of ``g.edges`` at
-the rows its two selections hold, in row order, so no Graph of the union
-is built or validated. Colours are keyed by the edge tuples passed in.
+and its maximum degree instead of a Graph, and returns a list of colours
+whose item i is the colour of the i-th edge passed in. ``vizing_color(g)``
+passes g's edges; ``pipeline.recolor_union`` passes the edges of
+``g.edges`` at the rows its two selections hold, in row order, and writes
+the colours back by row, so no Graph of the union is built or validated.
 
 Colour sets are per-vertex bitmasks. Only fans and path walks need the
-far endpoint of a coloured edge, so the fan index, one dict per vertex
-from colour to far endpoint, is built from the colours so far when the
-first edge needs a fan, and kept current from then on. A colouring that
-reaches no fan has no slots until the first fan: a star K_{1,N}, or the
-union ``run_pipeline`` recolours on ``random_gnp(5000, 0.004, 0)``, keeps
-only the bitmasks and the colours. Once built, slots are overwritten in
-place and never deleted; a slot whose colour bit is clear is stale and
-never read. A vertex holds one slot per colour its edges have had since
-the index was built, so slot memory is bounded by the colour assignments
-made, not by n times the palette size.
+edge of a given colour at a vertex, so the fan index, one dict per vertex
+from colour to that edge's position in the list, is built from the
+colours so far when the first edge needs a fan, and kept current from
+then on; the far endpoint is read from the edge at that position. A
+colouring that reaches no fan has no slots until the first fan: a star
+K_{1,N}, or the union ``run_pipeline`` recolours on ``random_gnp(5000,
+0.004, 0)``, keeps only the bitmasks and the colours. Once built, slots
+are overwritten in place and never deleted; a slot whose colour bit is
+clear is stale and never read. A vertex holds one slot per colour its
+edges have had since the index was built, so slot memory is bounded by
+the colour assignments made, not by n times the palette size.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import chain
 
 from .graphs import Edge, Graph
 
 
 @dataclass(frozen=True)
 class EdgeColoring:
-    """Proper assignment of colours 1..k to edges."""
+    """Proper assignment of colours 1..k to edges; ``colors`` iterates in
+    ``g.edges`` order."""
 
     colors: dict[Edge, int]
     k: int
@@ -49,60 +51,62 @@ class EdgeColoring:
 
 def vizing_color(g: Graph) -> EdgeColoring:
     """Proper edge colouring of g using at most max_degree + 1 colours."""
-    return EdgeColoring(colors=_color_edges(g.n, g.edges, g.max_degree),
-                        k=g.max_degree + 1)
+    return EdgeColoring(dict(zip(g.edges, _color_edges(g.n, g.edges, g.max_degree))),
+                        g.max_degree + 1)
 
 
-def _color_edges(n: int, edges: Sequence[Edge], max_degree: int) -> dict[Edge, int]:
-    """Colours 1..max_degree + 1 for edges, keyed by the given tuples.
+def _color_edges(n: int, edges: Sequence[Edge], max_degree: int) -> list[int]:
+    """Colours 1..max_degree + 1 for edges; item i colours ``edges[i]``.
 
     edges must be sorted, distinct pairs u < v of vertices below n, and
     max_degree their maximum degree; nothing here checks that. Passing
     ``g.edges`` and ``g.max_degree`` colours g as ``vizing_color`` does.
     """
     k = max_degree + 1
-    color: dict[Edge, int] = {}
+    color: list[int] = []
     # used[x] has bit col set for each colour on an edge at x, and bit 0
     # always, so the lowest zero bit is the smallest free colour
     used = [1] * n
     # first-fit alone, the lowest colour free at both ends, until an edge
     # finds none within the palette
-    pending = iter(edges)
-    for e in pending:
-        u, v = e
+    for u, v in edges:
         m = used[u] | used[v]
         bit = ~m & (m + 1)
         col = bit.bit_length() - 1
         if col > k:
             break
-        color[e] = col
+        color.append(col)
         used[u] |= bit
         used[v] |= bit
     else:
         return color
     # the fan index, kept current from here on. at[x][col] is read only
     # while bit col of used[x] is set, so stale slots stay
-    at = _fan_index(n, color)
+    at = _fan_index(n, edges, color)
 
-    # the edge that needed the fan first, then the rest
-    for e in chain((e,), pending):
-        u, v = e
+    # the edge that needed the fan first, then the rest; each appends its
+    # colour, which later fans and paths rewrite by position
+    for i in range(len(color), len(edges)):
+        u, v = edges[i]
         at_u = at[u]
         # the lowest colour free at both ends, when the palette has one
         m = used[u] | used[v]
         bit = ~m & (m + 1)
         col = bit.bit_length() - 1
         if col <= k:
-            color[e] = col
-            at_u[col] = v
-            at[v][col] = u
+            color.append(col)
+            at_u[col] = at[v][col] = i
             used[u] |= bit
             used[v] |= bit
             continue
         # maximal fan around u starting at v: each next edge's colour is
         # free at the previous fan vertex and not yet in the fan; smallest
-        # such colour each step. fan_cols[j] is the colour of edge u-fan[j]
+        # such colour each step. fan_cols[j] is the colour of edge
+        # edges[fan_pos[j]], which joins u to fan[j]. Edge i holds colour 0
+        # until the rotation gives it one
+        color.append(0)
         fan = [v]
+        fan_pos = [i]
         fan_cols = [0]
         last = v
         avail = used[u]  # colours at u not yet in the fan (and bit 0)
@@ -112,8 +116,11 @@ def _color_edges(n: int, edges: Sequence[Edge], max_degree: int) -> dict[Edge, i
                 break
             bit = m & -m
             col = bit.bit_length() - 1
-            last = at_u[col]
+            j = at_u[col]
+            x, y = edges[j]
+            last = x ^ y ^ u
             fan.append(last)
+            fan_pos.append(j)
             fan_cols.append(col)
             avail ^= bit
 
@@ -132,21 +139,22 @@ def _color_edges(n: int, edges: Sequence[Edge], max_degree: int) -> dict[Edge, i
             path = []
             cur, want = u, d
             while used[cur] >> want & 1:
-                cur = at[cur][want]
-                path.append(cur)
+                j = at[cur][want]
+                x, y = edges[j]
+                cur ^= x ^ y
+                path.append(j)
                 want ^= swap
-            x, new = u, c
-            for y in path:
-                at[x][new] = y
-                at[y][new] = x
-                color[(x, y) if x < y else (y, x)] = new
-                x = y
+            new = c
+            for j in path:
+                x, y = edges[j]
+                at[x][new] = at[y][new] = j
+                color[j] = new
                 new ^= swap
             # inner path vertices keep both colours; each end swaps one
             # for the other
             both = 1 << c | 1 << d
             used[u] ^= both
-            used[x] ^= both
+            used[cur] ^= both
             # the inversion turned u's d edge into a c edge; no other edge
             # at u changed. At w_idx = 0 the rotation reads no fan colour
             if not avail >> d & 1:
@@ -165,32 +173,27 @@ def _color_edges(n: int, edges: Sequence[Edge], max_degree: int) -> dict[Edge, i
                 raise RuntimeError(f"no fan prefix of edge ({u}, {v}) can take colour {d}")
 
         used[u] |= 1 << d
-        # rotate: u-fan[i] takes the colour of u-fan[i + 1] for i < w_idx
-        # and u-fan[w_idx] takes d, so at w_idx = 0 uv itself takes d. The
-        # moved keys are deleted, then inserted in fan order, which fixes
-        # the order of ``color``
+        # rotate: u-fan[j] takes the colour of u-fan[j + 1] for j < w_idx
+        # and u-fan[w_idx] takes d, so at w_idx = 0 uv itself takes d
         new_cols = fan_cols[1:w_idx + 1]
         new_cols.append(d)
-        for x in fan[1:w_idx + 1]:
-            del color[(u, x) if u < x else (x, u)]
-        for i, x in enumerate(fan[:w_idx + 1]):
-            col = new_cols[i]
-            color[(u, x) if u < x else (x, u)] = col
-            at_u[col] = x
-            at[x][col] = u
-            if i:
-                used[x] ^= 1 << fan_cols[i] | 1 << col
+        for j, x in enumerate(fan[:w_idx + 1]):
+            col = new_cols[j]
+            color[fan_pos[j]] = col
+            at_u[col] = at[x][col] = fan_pos[j]
+            if j:
+                used[x] ^= 1 << fan_cols[j] | 1 << col
             else:
                 used[x] |= 1 << col
 
     return color
 
 
-def _fan_index(n: int, color: dict[Edge, int]) -> list[dict[int, int]]:
+def _fan_index(n: int, edges: Sequence[Edge], color: list[int]) -> list[dict[int, int]]:
     """For each vertex x below n, a dict from the colour of each edge at x
-    in color to that edge's far endpoint; for fans and path walks."""
+    to that edge's position in edges, over the positions color covers;
+    for fans and path walks."""
     at: list[dict[int, int]] = [{} for _ in range(n)]
-    for (x, y), col in color.items():
-        at[x][col] = y
-        at[y][col] = x
+    for j, ((x, y), col) in enumerate(zip(edges, color)):
+        at[x][col] = at[y][col] = j
     return at

@@ -1,8 +1,10 @@
 """Colour sets, verifiers, and the JSON document round trip."""
 
+import importlib.util
 import random
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +24,17 @@ from helpers import (edge_dict, from_edge_dict, mask_of, naive_color_set, naive_
                      used_colours)
 
 P3 = path_graph(3)
+
+
+def _load_oracle():
+    spec = importlib.util.spec_from_file_location(
+        "bench_oracle", Path(__file__).resolve().parents[1] / "benchmarks" / "oracle.py")
+    oracle = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(oracle)
+    return oracle
+
+
+ORACLE = _load_oracle()
 
 
 def p3_coloring():
@@ -378,6 +391,37 @@ class TestViolations:
         assert [v for v in found if v.kind != "undistinguished-pair"] == improper
         assert verdict(g, phi) == {"proper": naive_is_proper(g, phi),
                                    "avd": naive_is_avd(g, phi)}
+
+    @given(st.integers(1, 10), st.floats(0.0, 1.0), st.integers(0, 2 ** 32 - 1),
+           st.integers(0, 3), st.integers(0, 3), st.randoms(use_true_random=False))
+    @settings(max_examples=200, deadline=None)
+    def test_verdicts_agree_with_the_benchmark_oracle(self, n, q, seed, spare, changes,
+                                                       rnd):
+        # benchmarks/oracle.check_document shares no code with the package.
+        # The colours are drawn from 1..k, all of them at changes = 3, else
+        # changes of them over the greedy colouring, so some are proper
+        g = random_gnp(n, q, seed)
+        base = greedy_total(g)
+        k = base.k + spare
+        vertex_colors, edge_colors = list(base.vertex_colors), list(base.edge_colors)
+        picks = (range(n + len(g.edges)) if changes == 3
+                 else rnd.sample(range(n + len(g.edges)), min(changes, n + len(g.edges))))
+        for i in picks:
+            colours = vertex_colors if i < n else edge_colors
+            colours[i if i < n else i - n] = rnd.randint(1, k)
+        phi = TotalColoring(tuple(vertex_colors), tuple(edge_colors), k, g)
+        found = violations(g, phi)
+        # the document claims both flags, with a report that accounts for
+        # the palette, so the oracle's only complaints are about the colours
+        doc = coloring._document_body(g, phi, {"proper": True, "avd": True})
+        doc["report"] = {"input_k": k, "final_k": k, "fresh_palette_size": 0,
+                         "fallback_repairs": 0, "verified": {"proper": True, "avd": True}}
+        problems = ORACLE.check_document(g.n, list(g.edges), doc)
+        assert set(problems) <= {"colouring is not a proper total colouring",
+                                 "adjacent vertices share a colour set"}
+        assert coloring._proper(found) == (
+            "colouring is not a proper total colouring" not in problems)
+        assert (not found) == (not problems)
 
     @pytest.mark.parametrize("fault", ["vertex-edge", "vertex-vertex"])
     def test_single_fresh_fault_is_the_only_witness(self, fault):

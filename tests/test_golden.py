@@ -24,6 +24,11 @@ they were recorded before deletion-stage selections became rows of
 0.01, 0)`` with 19 675 edges, written as DIMACS; it was recorded before the
 colouring-document writer, the verifier's colour reader and the equal-mask
 scans became array passes.
+
+``edge-color --json`` digests pin the edge colourer's own output on two of
+the same inputs, recorded before its colours became a list by edge
+position: ``dense_graph6``'s colouring builds 117 Misra-Gries fans and
+inverts 100 paths, and first-fit alone colours ``gnp_dimacs``.
 """
 
 import hashlib
@@ -120,6 +125,15 @@ SELECT_DIGESTS = {
         (1, "23b79c0ee6710aeb0e25fd2e01efa52bd9fb647bd480aeb38d93b99d4a72401b"),
 }
 
+# case: (flags, SHA-256 of stdout); edge-color takes the input format alone
+EDGE_COLOR_DIGESTS = {
+    "dense_graph6":
+        ([], "e502de08f7a636858b0fccd6280c92b00dc89f1b508a77db38aa3891c2d982d2"),
+    "gnp_dimacs":
+        (["--format", "dimacs"],
+         "260ddacd4ad84c48edf9addd51b9bcf16094626c33e32f3156fd5e7306211fe1"),
+}
+
 # the color cases keep their bare case names as ids
 PINNED = ([pytest.param("color", name, id=name) for name in sorted(CASES)]
           + [pytest.param(command, name, id=f"{command}-{name}")
@@ -144,3 +158,12 @@ def test_color_json_bytes(command, name, tmp_path, capsys):
         assert report["e1_rounds"] > 1
     if name == "sparse_dimacs":
         assert report["p"] == 1.0
+
+
+@pytest.mark.parametrize("name", sorted(EDGE_COLOR_DIGESTS))
+def test_edge_color_json_bytes(name, tmp_path, capsys):
+    flags, digest = EDGE_COLOR_DIGESTS[name]
+    path = tmp_path / "graph.in"
+    path.write_text(CASES[name][0]())
+    assert cli.main(["edge-color", "--json", "--in", str(path), *flags]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest

@@ -2,6 +2,7 @@
 
 import math
 import re
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 
@@ -265,6 +266,38 @@ class TestEdgeSelection:
         # the graph
         assert s == EdgeSelection.from_edges(Graph.build(5, g.edges), [(1, 3), (0, 4)])
         assert "edges" not in repr(s) and "graph" not in repr(s)
+
+    @pytest.mark.parametrize("rows", [(1.5,), (True,), ("0",), ((0, 1),), (2 ** 70,),
+                                      np.array([0.0])])
+    def test_rows_must_be_integers(self, rows):
+        with pytest.raises(ValueError,
+                           match=r"^selection rows must ascend strictly within 0\.\.5$"):
+            EdgeSelection(rows, star_graph(6))
+
+    def test_rows_take_an_array_and_store_ints(self):
+        g = star_graph(6)
+        s = EdgeSelection(np.array([0, 2], dtype=np.int32), g)
+        assert s.rows == (0, 2) and all(type(r) is int for r in s.rows)
+        assert s == EdgeSelection.from_edges(g, [(0, 1), (0, 3)])
+        with pytest.raises(TypeError, match="^a selection is made on a Graph, not 6$"):
+            EdgeSelection((0,), 6)
+
+    @given(st.integers(6, 80), st.sampled_from([0.05, 0.2, 0.5]),
+           st.integers(0, 2 ** 32 - 1), st.booleans(), st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_stage_counts_are_a_counter_over_the_edges(self, n, q, seed, hubs, low_m):
+        # the counts of both stages' selections, derived from their rows,
+        # are those of the edges they hold
+        g = hub_graph(seed, n, 3, 3) if hubs else random_gnp(n, q, seed)
+        phi = greedy_total(g)
+        params = (PipelineParams(lam=3.0, m=5, d=1, seed=seed) if low_m
+                  else PipelineParams(seed=seed))
+        bulk = find_bulk_deletion(g, phi, params).selection
+        light = light_vertices(g, bulk, params.m)
+        patch = find_patch_deletion(g, phi, bulk, light, params).selection
+        for selection in (bulk, patch):
+            counter = Counter(v for e in selection.edges for v in e)
+            assert selection.per_vertex_count == tuple(counter[v] for v in range(g.n))
 
     def test_bad_event_kind_validated(self):
         with pytest.raises(ValueError):

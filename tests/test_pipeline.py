@@ -170,32 +170,31 @@ class TestRecolorUnion:
 
     @pytest.mark.parametrize("rows", [(-1,), (2, 0), (9,), (1, 1), (0, 4)])
     def test_rows_must_ascend_within_the_edges(self, rows):
-        # star_graph(4) has the four rows 0..3
+        # star_graph(4) has the four rows 0..3; the constructor refuses the
+        # rows, so no selection holding them reaches recolor_union
         g = star_graph(4)
         phi = greedy_total(g)
-        bad = EdgeSelection(rows, (0,) * g.n, g)
-        none = EdgeSelection.from_edges(g, [])
-        for bulk, patch in ((bad, none), (none, bad)):
-            with pytest.raises(ValueError,
-                               match=r"^selection rows must ascend strictly within 0\.\.3$"):
-                recolor_union(g, phi, bulk, patch)
+        with pytest.raises(ValueError,
+                           match=r"^selection rows must ascend strictly within 0\.\.3$"):
+            EdgeSelection(rows, g)
         # the same rows made valid are recoloured, and the result is proper
-        ok = EdgeSelection(tuple(sorted({r % 4 for r in rows})), (0,) * g.n, g)
-        out = recolor_union(g, phi, ok, none)
+        ok = EdgeSelection(tuple(sorted({r % 4 for r in rows})), g)
+        out = recolor_union(g, phi, ok, EdgeSelection.from_edges(g, []))
         assert out.k > phi.k and coloring._proper(violations(g, out))
 
     @pytest.mark.parametrize("size", [0, 4, 6])
-    def test_count_per_vertex(self, size):
+    def test_count_cannot_be_passed_in(self, size):
+        # the counts are derived from the rows, so none can disagree with them
         g = star_graph(4)
-        phi = greedy_total(g)
-        bad = EdgeSelection((0,), (1,) * size, g)
-        none = EdgeSelection.from_edges(g, [])
-        message = f"^per_vertex_count has {size} entries, not one per vertex of n=5$"
-        for bulk, patch in ((bad, none), (none, bad)):
-            with pytest.raises(ValueError, match=message):
-                recolor_union(g, phi, bulk, patch)
-        with pytest.raises(ValueError, match=message):
-            light_vertices(g, bad, 8)
+        assert [f.name for f in dataclasses.fields(EdgeSelection)] == ["rows", "graph"]
+        with pytest.raises(TypeError):
+            EdgeSelection((0,), (1,) * size, g)
+        with pytest.raises(TypeError):
+            EdgeSelection((0,), g, per_vertex_count=(1,) * size)
+        selection = EdgeSelection((0,), g)
+        with pytest.raises(TypeError):
+            dataclasses.replace(selection, per_vertex_count=(1,) * size)
+        assert selection.per_vertex_count == (1, 1, 0, 0, 0)
 
 
 def stage_selections(g, phi, params):

@@ -133,10 +133,17 @@ def test_tracer_probes_read_real_results():
         before = trace.mark()
         avdtotal.run_pipeline(gnp)
         in_pipeline = trace.summary(before)
+        # the vizing probe reads the edge colouring's dict of colours
+        before = trace.mark()
+        edge_coloring = avdtotal.vizing_color(gnp)
+        in_vizing = trace.summary(before)
     finally:
         trace.uninstall()
     assert light and bulk.selection.rows and patch.selection.rows
     assert trace.counts["trace.probe_errors"] == 0
+    assert in_vizing["vizing.vizing_color_calls"] == 1
+    assert in_vizing["vizing.edges"] == len(gnp.edges)
+    assert in_vizing["vizing.fresh_colors"] == max(edge_coloring.colors.values())
     assert trace.counts["highdeg.bulk_rounds"] > 0 and trace.counts["highdeg.patch_rounds"] > 0
     # the same run untraced: the stages' selections inside run_pipeline
     params = avdtotal.PipelineParams()

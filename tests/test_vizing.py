@@ -83,8 +83,8 @@ class TestVizing:
 def assert_matches_reference(g):
     ec, ref = vizing_color(g), reference_vizing_color(g)
     assert ec.k == ref.k
-    # same colours, and the dict filled in the same order
-    assert list(ec.colors.items()) == list(ref.colors.items())
+    # the reference's colours, iterated in g.edges order
+    assert ec.colors == ref.colors and list(ec.colors) == list(g.edges)
 
 
 class TestAgainstReference:
@@ -109,7 +109,8 @@ class TestAgainstReference:
     def test_pipeline_union_subgraphs(self, g, monkeypatch):
         """The recolour hands the union to the colouring loop as an edge
         list; every union it colours is a valid graph's sorted edges with
-        their true maximum degree, coloured as the reference colours it."""
+        their true maximum degree, coloured as the reference colours it,
+        item i of the colour list colouring edge i."""
         unions = []
 
         def capture(n, edges, max_degree):
@@ -123,7 +124,8 @@ class TestAgainstReference:
         for n, edges, max_degree, colors in unions:
             sub = Graph.build(n, edges)
             assert list(sub.edges) == edges and sub.max_degree == max_degree
-            assert list(colors.items()) == list(reference_vizing_color(sub).colors.items())
+            assert len(colors) == len(edges)
+            assert dict(zip(edges, colors)) == reference_vizing_color(sub).colors
 
 
 def first_fit_gets_stuck(g):
@@ -214,7 +216,7 @@ class TestSlotMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert list(colors.values()) == list(range(1, 301))
+        assert colors == list(range(1, 301))
         assert peak < n * sys.getsizeof({})
 
     def test_fan_index_built_once_at_the_first_fan(self, monkeypatch):
@@ -224,9 +226,9 @@ class TestSlotMemory:
         built = []
         original = vizing._fan_index
 
-        def counting(n, color):
-            built.append(list(color))
-            return original(n, color)
+        def counting(n, edges, color):
+            built.append(list(edges[:len(color)]))
+            return original(n, edges, color)
 
         monkeypatch.setattr(vizing, "_fan_index", counting)
         vizing_color(complete_graph(4))
@@ -234,6 +236,12 @@ class TestSlotMemory:
         g = complete_graph(5)
         assert vizing_color(g) == reference_vizing_color(g)
         assert built == [list(g.edges[:8])]
+
+    def test_fan_index_holds_positions(self):
+        # each colour at a vertex names the position of its edge in the
+        # list, whose far endpoint the fan reads from that edge
+        edges = [(0, 1), (0, 2), (1, 2)]
+        assert vizing._fan_index(4, edges, [1, 2]) == [{1: 0, 2: 1}, {1: 0}, {2: 1}, {}]
 
 
 class TestEdgePropernessViolations:
