@@ -419,6 +419,15 @@ _GNP_CHUNK = 1 << 15
 _GNP_RUN = 16
 
 
+def _seed(seed) -> int:
+    """A generator's seed as an int; ValueError naming it unless it is a
+    non-negative integer, refused before any draw."""
+    seed = _integer("seed", seed)
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
+    return seed
+
+
 def _generator_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
 
@@ -433,7 +442,8 @@ def _usable_cores() -> int:
 
 def random_gnp(n: int, p: float, seed: int) -> Graph:
     """Erdos-Renyi draw; deterministic for a fixed (n, p, seed). p is any
-    real number in [0, 1] (an int, float or Fraction, say), bool excluded.
+    real number in [0, 1] (an int, float or Fraction, say), bool excluded;
+    seed is a non-negative integer, at every p.
 
     Pair k of the lexicographic order gets the k-th double of
     ``_generator_rng(seed).random``, and is an edge when that double is
@@ -442,7 +452,7 @@ def random_gnp(n: int, p: float, seed: int) -> Graph:
     concurrently on the usable cores. The output depends on neither chunk
     size nor core count. p = 0 and p = 1 draw nothing.
     """
-    n, seed = _integer("n", n), _integer("seed", seed)
+    n, seed = _integer("n", n), _seed(seed)
     if n < 0:
         raise ValueError("vertex count must be non-negative")
     if isinstance(p, bool) or not isinstance(p, numbers.Real):
@@ -500,19 +510,19 @@ def random_regular(n: int, d: int, seed: int) -> Graph:
     *Generating random regular graphs quickly*, CPC 8, 1999); deterministic
     for a fixed (n, d, seed).
 
-    Requires 0 <= d < n and even n*d. Each step joins two free stubs drawn
-    uniformly, rejecting a loop or a repeated edge, and the pairing restarts
-    only when no two free stubs can be joined. Above d = (n-1)/2 it draws
-    the complement's (n-1-d)-regular graph instead. K_n is the only
-    (n-1)-regular graph on n labelled vertices, so d = n-1 returns
-    complete_graph(n).
+    Requires 0 <= d < n, even n*d and a non-negative seed. Each step joins
+    two free stubs drawn uniformly, rejecting a loop or a repeated edge, and
+    the pairing restarts only when no two free stubs can be joined. Above
+    d = (n-1)/2 it draws the complement's (n-1-d)-regular graph instead.
+    K_n is the only (n-1)-regular graph on n labelled vertices, so d = n-1
+    returns complete_graph(n).
 
     The pairing costs one Python step per stub pair, n*min(d, n-1-d)/2 of
     them plus the rejected draws, so it takes seconds near d = (n-1)/2: on
     one 2-core Xeon core with Python 3.11, (1000, 12, 0) took 0.015 s,
     (1000, 250, 0) 0.56 s, and (1000, 499, 0) and (1000, 500, 0) 1.8-2.0 s.
     """
-    n, d, seed = _integer("n", n), _integer("d", d), _integer("seed", seed)
+    n, d, seed = _integer("n", n), _integer("d", d), _seed(seed)
     if not 0 <= d < n:
         raise ValueError("need 0 <= d < n")
     if (n * d) % 2:

@@ -19,10 +19,16 @@ names g, and derives its per-vertex counts from those rows, so
 ``pipeline.recolor_union`` reads the union from rows and no edge tuple is
 looked up.
 
+A_pair and B2_pair are one test, ``_close``: whether two restricted
+colour sets, the colour sets left once the removed edges stop counting,
+differ in fewer than d colours; B2_pair is d = 1. It reads only the pairs'
+vertices, their masks held as rows of 64-bit words. A_pair removes the
+selected candidate edges; B2_pair removes the bulk edges at light
+vertices, fixed for the search, and the round's patch edges.
+
 The bulk stage runs on arrays from start to finish, with no Python loop
 over edges: its candidates, pairs and neighbour lists are columns of
-``g._ends``, it tests A_pair on the hot pairs' colour sets held as rows of
-64-bit words, and its redraw orders the indicators by where their ends
+``g._ends``, and its redraw orders the indicators by where their ends
 first occur among the witnesses' closed neighbourhoods.
 """
 
@@ -32,7 +38,7 @@ import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -223,24 +229,42 @@ def _resample(g: Graph, rows: np.ndarray,
 # ---------------------------------------------------------------------------
 # bulk stage
 
-def _restricted(stars: Sequence[int], g: Graph, colors: Sequence[int],
-                rows: Iterable[int]) -> list[int]:
-    """A copy of the closed-star masks stars with the colour of the edge at
-    each of rows, distinct rows of ``g.edges`` whose colours are colors,
-    cleared at both ends: one XOR each, since a proper colouring sets each
-    colour of a closed star exactly once."""
-    masks = list(stars)
-    edges = g.edges
-    for r in rows:
-        bit = 1 << colors[r]
-        u, v = edges[r]
-        masks[u] ^= bit
-        masks[v] ^= bit
-    return masks
-
-
 # the number of set bits in each byte value
 _POPCOUNT = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
+
+
+def _close(stars: Sequence[int], pairs: np.ndarray, ends: np.ndarray,
+           colours: np.ndarray, removed: np.ndarray, d: int) -> list[tuple[int, int]]:
+    """The pairs, rows of pairs and at least one, whose restricted colour
+    sets differ in fewer than d colours, in row order. The removed edges
+    are the distinct edges with endpoints the rows of ends and colours
+    colours at which the boolean array removed is True.
+
+    stars are the closed-star masks of a proper total colouring, which sets
+    each colour of a closed star exactly once, so one XOR per end clears a
+    removed edge's colour. Only the pairs' vertices are read: their masks
+    become rows of 64-bit words, the removed colours are cleared from them
+    with one ``bitwise_xor.at`` per endpoint column, and a byte popcount
+    table counts the colours each pair's rows differ in.
+    """
+    slot = np.full(len(stars), -1, dtype=np.int32)
+    slot[pairs] = 0
+    hot = np.flatnonzero(slot == 0)
+    slot[hot] = np.arange(hot.size)
+    masks = list(map(stars.__getitem__, hot.tolist()))
+    size = 8 * ((max(masks).bit_length() + 63) // 64)
+    bits = np.frombuffer(bytearray(b"".join(x.to_bytes(size, "little") for x in masks)),
+                         dtype="<u8").reshape(hot.size, -1)
+    for column in ends.T:
+        at = slot[column]
+        take = removed & (at >= 0)
+        c = colours[take]
+        np.bitwise_xor.at(bits, (at[take], c >> 6),
+                          np.uint64(1) << (c & 63).astype(np.uint64))
+    at = slot[pairs]
+    differ = bits[at[:, 0]] ^ bits[at[:, 1]]
+    close = _POPCOUNT[differ.view(np.uint8)].sum(axis=1) < d
+    return list(zip(*pairs[close].T.tolist()))
 
 
 class _BulkCheck:
@@ -257,10 +281,7 @@ class _BulkCheck:
     per-vertex counts. A_pair can only fire at an edge joining
     equal-degree high vertices, so those edges' endpoints, ``pair_ends``,
     are sliced up front. Only the pairs a selection count makes hot are
-    tested: the closed-star masks of their endpoints become rows of 64-bit
-    words, the selected edges' colours are cleared from them with one
-    ``bitwise_xor.at`` per endpoint column, and a byte popcount table
-    counts the colours each pair's rows differ in. B_vertex counts
+    tested, by ``_close`` with the selected edges removed. B_vertex counts
     under-selected neighbours of every high vertex with one bincount over
     the (``owner``, ``neighbours``) pairs, one per edge end at a high
     vertex.
@@ -297,39 +318,16 @@ class _BulkCheck:
                             minlength=self.g.n)
         return self.high[under[self.high] > self.limit].tolist()
 
-    def _close(self, pu: np.ndarray, pv: np.ndarray, selected: np.ndarray) -> np.ndarray:
-        """Which of the pairs (pu[i], pv[i]) have restricted colour sets
-        differing in fewer than d colours."""
-        slot = np.full(self.g.n, -1, dtype=np.int32)
-        slot[pu] = slot[pv] = 0
-        hot = np.flatnonzero(slot == 0)
-        slot[hot] = np.arange(hot.size)
-        stars = self.phi.stars
-        masks = list(map(stars.__getitem__, hot.tolist()))
-        size = 8 * ((max(masks).bit_length() + 63) // 64)
-        bits = np.frombuffer(bytearray(b"".join(x.to_bytes(size, "little") for x in masks)),
-                             dtype="<u8").reshape(hot.size, -1)
-        if self._colours is None:
-            self._colours = np.fromiter(self.phi.edge_colors, dtype=np.int64,
-                                        count=len(self.g.edges))[self.rows]
-        for column in self.ends.T:
-            at = slot[column]
-            take = selected & (at >= 0)
-            c = self._colours[take]
-            np.bitwise_xor.at(bits, (at[take], c >> 6),
-                              np.uint64(1) << (c & 63).astype(np.uint64))
-        differ = bits[slot[pu]] ^ bits[slot[pv]]
-        return _POPCOUNT[differ.view(np.uint8)].sum(axis=1) < self.d
-
     def events(self, selected: np.ndarray, deg_sel: np.ndarray) -> list[BadEvent]:
         events: list[BadEvent] = []
-        pu, pv = self.pair_ends[:, 0], self.pair_ends[:, 1]
-        hot = (deg_sel[pu] >= self.m) | (deg_sel[pv] >= self.m)
+        hot = (deg_sel[self.pair_ends] >= self.m).any(axis=1)
         if hot.any():
-            pu, pv = pu[hot], pv[hot]
-            close = self._close(pu, pv, selected)
-            events = [BadEvent("A_pair", pair)
-                      for pair in zip(pu[close].tolist(), pv[close].tolist())]
+            if self._colours is None:
+                self._colours = np.fromiter(self.phi.edge_colors, dtype=np.int64,
+                                            count=len(self.g.edges))[self.rows]
+            events = [BadEvent("A_pair", pair) for pair in _close(
+                self.phi.stars, self.pair_ends[hot], self.ends, self._colours, selected,
+                self.d)]
         events.extend(BadEvent("B_vertex", (v,)) for v in self._starved(deg_sel))
         return events
 
@@ -407,8 +405,9 @@ def find_bulk_deletion(g: Graph, phi: TotalColoring,
 
 def light_vertices(g: Graph, selection: EdgeSelection, m: int) -> frozenset[int]:
     """High vertices holding fewer than m selected edges; ValueError unless
-    selection was made on a graph equal to g."""
+    selection was made on a graph equal to g and m is an integer."""
     _require_on(g, selection)
+    m = _integer("m", m)
     return frozenset(v for v in degree_split(g).high
                      if selection.per_vertex_count[v] < m)
 
@@ -428,18 +427,20 @@ class _PatchCheck:
     ascending neighbour. So a light vertex holds exactly B patch edges, and
     A2_overload can fire only at the ``heavy`` pool endpoints. The rows of
     every edge at a light vertex come from one ``graphs._edge_rows``
-    lookup; the bulk edges among them are cleared from ``stars`` once, and
-    each check clears its patch edges from a copy.
+    lookup. B2_pair is ``_close`` at d = 1 on ``light_pairs``. Its
+    ``removable`` edges, as endpoints and colours, are the bulk edges at
+    light vertices, the first ``cleared`` of them and removed in every
+    round, then the pools' edges in ``rows`` order, removed when chosen.
     """
 
     def __init__(self, g: Graph, phi: TotalColoring, bulk: EdgeSelection,
                  light: frozenset[int], alpha: Fraction, B: int):
-        self.B, self.g, self.colors = B, g, phi.edge_colors
+        self.B, self.phi = B, phi
         # degrees are integers, so degree > alpha*max_degree iff degree > floor
         limit = math.floor(alpha * g.max_degree)
         self.order = sorted(light)
-        self.light_pairs = [(u, w) for u in self.order for w in g.adjacency[u]
-                            if u < w and w in light]
+        self.light_pairs = np.array([(u, w) for u in self.order for w in g.adjacency[u]
+                                     if u < w and w in light], dtype=np.int64).reshape(-1, 2)
         # the row of each edge at a light vertex, in the order visited below
         at = iter(_edge_rows(g, [(u, w) if u < w else (w, u) for u in self.order
                                  for w in g.adjacency[u]]).tolist())
@@ -463,17 +464,20 @@ class _PatchCheck:
             self.pools.append(np.arange(start, len(rows), dtype=np.int64))
         self.rows = np.array(rows, dtype=np.int64)
         self.heavy = np.array(sorted(heavy), dtype=np.int64)
-        self.stars = _restricted(phi.stars, g, self.colors, cleared)
+        removable = sorted(cleared) + rows
+        self.cleared = len(cleared)
+        self.removable = (g._ends[removable], np.array(
+            [phi.edge_colors[r] for r in removable], dtype=np.int64))
 
     def events(self, chosen: np.ndarray, counts: np.ndarray) -> list[BadEvent]:
         heavy = self.heavy
         events = [BadEvent("A2_overload", (v,))
                   for v in heavy[counts[heavy] >= self.B].tolist()]
-        if self.light_pairs:
-            restricted = _restricted(self.stars, self.g, self.colors,
-                                     self.rows[chosen].tolist())
-            events.extend(BadEvent("B2_pair", (u, v)) for u, v in self.light_pairs
-                          if restricted[u] == restricted[v])
+        if self.light_pairs.size:
+            removed = np.arange(len(self.removable[1])) < self.cleared
+            removed[self.cleared + chosen] = True
+            events.extend(BadEvent("B2_pair", pair) for pair in _close(
+                self.phi.stars, self.light_pairs, *self.removable, removed, 1))
         return events
 
 

@@ -770,6 +770,12 @@ class TestGenerators:
         (random_gnp, (-1, 0.5, 0), "vertex count must be non-negative"),
         (random_gnp, (5, 1.5, 0), r"edge probability must lie in \[0, 1\]"),
         (random_regular, (5, 5, 0), "need 0 <= d < n"),
+        # a negative seed ran at p = 0 or 1 and at d = n - 1, and escaped
+        # as numpy's unnamed error where a draw was made
+        (random_gnp, (5, 1.0, -1), "seed must be non-negative, got -1"),
+        (random_gnp, (5, 0.5, -1), "seed must be non-negative, got -1"),
+        (random_regular, (6, 5, -1), "seed must be non-negative, got -1"),
+        (random_regular, (6, 2, -1), "seed must be non-negative, got -1"),
     ]
 
     @pytest.mark.parametrize("make, args, message", OUT_OF_DOMAIN,

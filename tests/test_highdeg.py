@@ -17,9 +17,9 @@ from avdtotal import (BadEvent, EdgeSelection, Graph, PipelineParams,
                       find_patch_deletion, greedy_total, light_vertices,
                       random_gnp, run_pipeline, star_graph, substream)
 from avdtotal import graphs
-from avdtotal.highdeg import _BulkCheck, _PatchCheck, _restricted
+from avdtotal.highdeg import _BulkCheck, _PatchCheck, _close
 
-from helpers import (edge_dict, from_edge_dict, hub_graph, mask_of, naive_color_set,
+from helpers import (edge_dict, from_edge_dict, hub_graph, naive_color_set,
                      reference_bulk_events, reference_bulk_first_round,
                      reference_find_bulk_deletion, reference_find_patch_deletion,
                      reference_forced, reference_patch_events,
@@ -521,11 +521,30 @@ class TestFindBulkDeletion:
         assert res.success and res.selection.edges == frozenset()
 
 
-class TestStarSets:
-    """_restricted against naive colour sets minus deleted colours, on rows
-    of the bulk stage's candidates or of the patch stage's pools."""
+def assert_close_matches_naive(g, phi, rows, rng):
+    """``_close`` on every pair of vertices of g against naive colour sets
+    minus the removed colours, at d = 1 (B2_pair) and at the bulk stage's
+    d, twice: each time with a random subset of rows, rows of g.edges,
+    removed."""
+    pairs = np.column_stack(np.triu_indices(g.n, 1))
+    colour_of = edge_dict(phi)
+    ends = np.array([g.edges[r] for r in rows], dtype=np.int64).reshape(-1, 2)
+    colours = np.array([colour_of[g.edges[r]] for r in rows], dtype=np.int64)
+    for q_del in (0.3, 0.7):
+        removed = rng.random(len(rows)) < q_del
+        gone = [g.edges[r] for r, x in zip(rows, removed.tolist()) if x]
+        sets = [naive_color_set(g, phi, v) - {colour_of[e] for e in gone if v in e}
+                for v in range(g.n)]
+        for d in (1, PipelineParams().d):
+            assert _close(phi.stars, pairs, ends, colours, removed, d) == [
+                (u, v) for u, v in pairs.tolist() if len(sets[u] ^ sets[v]) < d]
 
-    @given(st.integers(1, 14), st.sampled_from([0.2, 0.5, 0.8]), st.integers(0, 99),
+
+class TestStarSets:
+    """_close, the restricted colour-set test of both stages, on rows of the
+    bulk stage's candidates or of the patch stage's pools."""
+
+    @given(st.integers(2, 14), st.sampled_from([0.2, 0.5, 0.8]), st.integers(0, 99),
            st.integers(0, 99), st.booleans())
     @settings(max_examples=120, deadline=None)
     def test_masks_at_every_vertex(self, n, q, seed, draw_seed, light_list):
@@ -539,15 +558,20 @@ class TestStarSets:
                                Fraction(1, 2), 2).rows.tolist()
         else:
             rows = _BulkCheck(g, phi, 8, 4, Fraction(1, 3)).rows.tolist()
-        colour_of = edge_dict(phi)
-        for q_del in (0.3, 0.7):  # a second call starts from the same stars
-            deleted = rng.random(len(rows)) < q_del
-            gone = [r for r, x in zip(rows, deleted.tolist()) if x]
-            masks = _restricted(phi.stars, g, phi.edge_colors, gone)
-            for v in range(g.n):
-                expected = naive_color_set(g, phi, v) - {
-                    colour_of[g.edges[r]] for r in gone if v in g.edges[r]}
-                assert masks[v] == mask_of(expected)
+        assert_close_matches_naive(g, phi, rows, rng)
+
+    def test_masks_across_words(self):
+        # first-fit colours K_64 with 1..127, so a mask spans two 64-bit
+        # words; K_40's greedy palette, 1..63, still fits in one
+        g = complete_graph(64)
+        phi = greedy_total(g)
+        assert phi.k == 127
+        rng = np.random.Generator(np.random.Philox(0))
+        light = frozenset(range(0, 64, 3))
+        for rows in (_BulkCheck(g, phi, 8, 4, Fraction(1, 3)).rows.tolist(),
+                     _PatchCheck(g, phi, EdgeSelection.from_edges(g, []), light,
+                                 Fraction(1, 2), 2).rows.tolist()):
+            assert_close_matches_naive(g, phi, rows, rng)
 
 
 class TestLightVertices:
@@ -566,6 +590,13 @@ class TestLightVertices:
         g = star_graph(5)
         light = light_vertices(g, EdgeSelection.from_edges(g, []), 5)
         assert light == frozenset({0})
+
+    @pytest.mark.parametrize("m", [2.5, True, "3", None], ids=repr)
+    def test_rejects_non_integer_m(self, m):
+        # 2.5 and True ran as thresholds, and "3" and None escaped as TypeError
+        g, _ = two_hub_fixture()
+        with pytest.raises(ValueError, match="^m must be an integer"):
+            light_vertices(g, EdgeSelection.from_edges(g, []), m)
 
 
 class TestSamplePatch:
@@ -1139,8 +1170,12 @@ class TestPatchSearchAgainstReference:
              frozenset({0}), PipelineParams(m=5, d=1, B=4)),
             (*unselected(cycle_graph(5), greedy_total(cycle_graph(5))),
              frozenset(range(5)), PipelineParams(m=5, d=1)),
+            # K_65's cyclic colouring uses 1..65, so each colour set spans
+            # two 64-bit words
+            (*unselected(*cyclic_clique(65)), frozenset(range(0, 65, 2)),
+             PipelineParams(m=5, d=1, seed=2, max_rounds=3)),
         ]
-        success, stalled, capped, forced, infeasible = (
+        success, stalled, capped, forced, infeasible, two_words = (
             assert_patch_search_matches_reference(*case) for case in cases)
         assert success.success and success.rounds == 4
         assert not stalled.success and stalled.rounds == 6
@@ -1148,6 +1183,7 @@ class TestPatchSearchAgainstReference:
         assert not capped.success and capped.rounds == 5
         assert forced.success and forced.rounds == 1
         assert infeasible.infeasible_vertex == 0 and infeasible.rounds == 0
+        assert [e.kind for e in two_words.violations].count("B2_pair") == 2
 
 
 def assert_rows_match(g, selection):
