@@ -33,11 +33,10 @@ from pathlib import Path
 
 from . import bounds as bounds_mod
 from .bounds import DomainError
-from .coloring import (DocumentError, TotalColoring, _collector_paused, _document_json,
-                       _emit, _proper, _require_proper, from_document, verdict,
-                       violations)
+from .coloring import (DocumentError, TotalColoring, _document_json, _emit, _proper,
+                       _require_proper, from_document, verdict, violations)
 from .exact import check_conjecture, chi_at_exact, chi_prime_exact, chi_total_exact
-from .graphs import Graph, Graph6Error, parse_dimacs, parse_graph6
+from .graphs import Graph, Graph6Error, _collector_paused, parse_dimacs, parse_graph6
 from .highdeg import (PipelineParams, find_bulk_deletion, find_patch_deletion,
                       light_vertices)
 from .lowdeg import distinguish_low_degree

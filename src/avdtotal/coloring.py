@@ -31,16 +31,14 @@ from __future__ import annotations
 
 import array
 import functools
-import gc
 import itertools
 import json
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
-from .graphs import Edge, Graph, _edge_rows, normalize_edge
+from .graphs import Edge, Graph, _collector_paused, _edge_rows, normalize_edge
 
 
 @dataclass(frozen=True)
@@ -313,23 +311,6 @@ def verdict(g: Graph, phi: TotalColoring) -> dict[str, bool]:
     """Recomputed {proper, avd} flags; avd is False whenever properness fails."""
     found = violations(g, phi)
     return {"proper": _proper(found), "avd": not found}
-
-
-@contextmanager
-def _collector_paused():
-    """Run the body with the cyclic garbage collector off, then restore its
-    state; as a decorator, ``@_collector_paused()``, around each call. A
-    solve or a command builds large containers but no reference cycles, so
-    reference counting frees them, and collector passes would only walk
-    them; ``TestCollectorPause`` in ``tests/test_cli.py`` and
-    ``tests/test_pipeline.py`` pins both facts."""
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if enabled:
-            gc.enable()
 
 
 def _mark_accepted(g: Graph, phi: TotalColoring) -> None:

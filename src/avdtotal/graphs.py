@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import itertools
 import math
 import numbers
@@ -9,6 +10,7 @@ import operator
 import os
 import re
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -104,9 +106,10 @@ class Graph:
 
     @cached_property
     def _split(self) -> DegreeSplit:
-        low = frozenset(v for v in range(self.n)
-                        if 2 * self.degree(v) <= self.max_degree)
-        return DegreeSplit(low=low, high=frozenset(range(self.n)) - low)
+        degrees = np.fromiter(map(len, self.adjacency), dtype=np.int64, count=self.n)
+        low = 2 * degrees <= self.max_degree
+        return DegreeSplit(low=frozenset(np.flatnonzero(low).tolist()),
+                           high=frozenset(np.flatnonzero(~low).tolist()))
 
     @cached_property
     def _ends(self) -> np.ndarray:
@@ -137,10 +140,34 @@ def _assemble(n: int, ordered: tuple[Edge, ...]) -> Graph:
                  max_degree=max(map(len, adj), default=0))
 
 
+@contextmanager
+def _collector_paused():
+    """Run the body with the cyclic garbage collector off, then restore its
+    state; as a decorator, ``@_collector_paused()``, around each call. The
+    one copy lives here, in the module every other module imports. Its
+    users build large containers but no reference cycles, so reference
+    counting frees them, and collector passes would only walk them:
+    ``_from_ends``, which assembles the graphs of ``random_gnp`` and
+    ``parse_dimacs``'s array reader; ``coloring.to_document``;
+    ``pipeline.run_pipeline``; and ``cli.main``, around each command.
+    ``TestCollectorPause`` in ``tests/test_graphs.py``, ``tests/test_cli.py``
+    and ``tests/test_pipeline.py`` pins both facts."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
+@_collector_paused()
 def _from_ends(n: int, ends: np.ndarray) -> Graph:
     """``_assemble`` of the edges in the (m, 2) int64 array ends, which must
     meet its conditions row by row, with ``_ends`` set to ends, made
-    read-only."""
+    read-only; with the cyclic collector paused, since its edge tuples and
+    adjacency lists, one container per edge and per vertex, would otherwise
+    set off collector passes that find nothing to free."""
     g = _assemble(n, tuple(zip(ends[:, 0].tolist(), ends[:, 1].tolist())))
     ends.flags.writeable = False
     object.__setattr__(g, "_ends", ends)
@@ -287,7 +314,8 @@ def parse_dimacs(text: str) -> Graph:
     text. The array reader takes a text of comment or empty lines, the
     problem line and then only edge records, each single-spaced, with
     endpoints of at most 18 digits, in range and never equal: it reads
-    every endpoint in one numpy call, with no Python step per line. Every
+    every endpoint in one numpy call, with no Python step per line, and
+    assembles the graph with the cyclic collector paused. Every
     other text, and every text that breaks a rule, goes to the line reader
     ``_parse_dimacs_lines``, the one place that names a fault and its line.
     """
@@ -450,7 +478,9 @@ def random_gnp(n: int, p: float, seed: int) -> Graph:
     below p. The doubles are never formed: each raw Philox word is compared
     with an exact integer threshold, in chunks whose runs are drawn
     concurrently on the usable cores. The output depends on neither chunk
-    size nor core count. p = 0 and p = 1 draw nothing.
+    size nor core count. p = 0 and p = 1 draw nothing. The graph is
+    assembled from the drawn endpoint arrays with the cyclic collector
+    paused (``_from_ends``).
     """
     n, seed = _integer("n", n), _seed(seed)
     if n < 0:

@@ -405,9 +405,12 @@ def find_bulk_deletion(g: Graph, phi: TotalColoring,
 
 def light_vertices(g: Graph, selection: EdgeSelection, m: int) -> frozenset[int]:
     """High vertices holding fewer than m selected edges; ValueError unless
-    selection was made on a graph equal to g and m is an integer."""
+    selection was made on a graph equal to g and m is an integer of at
+    least 1."""
     _require_on(g, selection)
     m = _integer("m", m)
+    if m < 1:
+        raise ValueError(f"m must be at least 1, got {m}")
     return frozenset(v for v in degree_split(g).high
                      if selection.per_vertex_count[v] < m)
 

@@ -17,9 +17,9 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .coloring import (TotalColoring, _collector_paused, _equal_mask_rows,
-                       _mark_accepted, _require_proper, _with_stars, violations)
-from .graphs import Graph, _edge_rows, normalize_edge
+from .coloring import (TotalColoring, _equal_mask_rows, _mark_accepted,
+                       _require_proper, _with_stars, violations)
+from .graphs import Graph, _collector_paused, _edge_rows, normalize_edge
 from .highdeg import (EdgeSelection, PipelineParams, _require_on,
                       find_bulk_deletion, find_patch_deletion, light_vertices)
 from .lowdeg import distinguish_low_degree

@@ -1,6 +1,7 @@
 """Graph container, formats, generators, and the degree split."""
 
 import dataclasses
+import gc
 import hashlib
 import itertools
 import json
@@ -232,6 +233,90 @@ class TestDegreeSplit:
             assert 2 * g.degree(v) <= g.max_degree
         for v in split.high:
             assert 2 * g.degree(v) > g.max_degree
+
+    def test_matches_definition(self):
+        # the split comes from one array of degrees; its sets hold ints
+        graphs = [g for n in range(1, 7) for g in connected_graphs(n)]
+        graphs += [Graph.build(0, []), Graph.build(4, []), random_gnp(5000, 0.004, 2001)]
+        graphs += [random_gnp(n, p, s) for n, p in [(40, 0.1), (300, 0.5)] for s in (2001, 3001)]
+        for g in graphs:
+            split = degree_split(g)
+            assert split.low == {v for v in range(g.n) if 2 * g.degree(v) <= g.max_degree}
+            assert split.high == frozenset(range(g.n)) - split.low
+            assert {type(v) for v in split.low | split.high} <= {int}
+
+
+class TestCollectorPause:
+    """``random_gnp`` and ``parse_dimacs``'s array reader assemble their
+    graphs in ``_from_ends`` with the cyclic collector paused: the graph
+    holds no reference cycles, and each call hands the collector back as it
+    found it."""
+
+    # (n, p, seed, cores): one run of chunks, and two runs on two threads
+    GNP = [(300, 0.5, 2001, 1), (1100, 0.01, 3, 2)]
+    DIMACS = "c array path\np edge 6 5\ne 1 2\ne 6 3\ne 2 1\ne 4 5\ne 5 6\n"
+
+    @pytest.fixture(autouse=True)
+    def restore_collector(self):
+        enabled = gc.isenabled()
+        yield
+        (gc.enable if enabled else gc.disable)()
+
+    @pytest.fixture
+    def builders(self, monkeypatch):
+        """The array-built inputs by name, each a call that makes its graph;
+        the DIMACS text must take the array reader."""
+
+        def refuse(text):
+            raise AssertionError("the line reader was called")
+
+        monkeypatch.setattr(graphs_mod, "_parse_dimacs_lines", refuse)
+
+        def gnp(n, p, seed, cores):
+            def build():
+                monkeypatch.setattr(graphs_mod, "_usable_cores", lambda: cores)
+                return random_gnp(n, p, seed)
+            return build
+
+        calls = {f"gnp-{args[0]}": gnp(*args) for args in self.GNP}
+        calls["dimacs"] = lambda: parse_dimacs(self.DIMACS)
+        return calls
+
+    @pytest.mark.parametrize("name", ["gnp-300", "gnp-1100", "dimacs"])
+    def test_builds_leave_no_cycles(self, name, builders):
+        # a first call makes numpy's lazy imports (np.unique imports
+        # numpy.ma), whose module objects do form cycles, once per process
+        builders[name]()
+        gc.disable()
+        gc.collect()
+        g = builders[name]()
+        assert g.edges and gc.collect() == 0
+        del g
+        assert gc.collect() == 0
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+    def test_state_restored(self, enabled, builders, monkeypatch):
+        during = []
+        assemble = graphs_mod._assemble
+
+        def recording(n, ordered):
+            during.append(gc.isenabled())
+            if n == 7:
+                raise RuntimeError("assembly failed")
+            return assemble(n, ordered)
+
+        monkeypatch.setattr(graphs_mod, "_assemble", recording)
+        (gc.enable if enabled else gc.disable)()
+        for name in ["gnp-300", "gnp-1100", "dimacs"]:
+            builders[name]()
+            assert gc.isenabled() is enabled
+        with pytest.raises(RuntimeError, match="assembly failed"):
+            random_gnp(7, 0.5, 0)
+        assert gc.isenabled() is enabled
+        with pytest.raises(ValueError, match="seed must be non-negative"):
+            random_gnp(7, 0.5, -1)
+        assert gc.isenabled() is enabled
+        assert during == [False] * 4
 
 
 class TestGraph6:

@@ -598,6 +598,14 @@ class TestLightVertices:
         with pytest.raises(ValueError, match="^m must be an integer"):
             light_vertices(g, EdgeSelection.from_edges(g, []), m)
 
+    @pytest.mark.parametrize("m", [0, -1])
+    def test_rejects_m_below_one(self, m):
+        # no vertex holds fewer than 0 edges, so m = 0 or -1 returned an
+        # empty light set and skipped the patch stage without an error
+        g = star_graph(5)
+        with pytest.raises(ValueError, match=f"^m must be at least 1, got {m}$"):
+            light_vertices(g, EdgeSelection.from_edges(g, []), m)
+
 
 class TestSamplePatch:
     def test_draws_exactly_b_per_light_vertex(self):

@@ -1,8 +1,11 @@
 """Properties of the library source itself."""
 
 import ast
+import hashlib
 import importlib.util
 import json
+import shutil
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -180,3 +183,34 @@ def test_bench_trajectory_rows(tmp_path, monkeypatch):
     (tmp_path / "BENCH_x.json").write_text("{}")
     assert recorder.earlier_rows(40) == recorder.REANCHOR_ROWS
     assert recorder.earlier_rows(45) == []
+
+
+@pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
+def test_bench_record_dirty_flag(tmp_path, monkeypatch):
+    # dirty compares run.py's src_digest, the sha256 of src/avdtotal/*.py
+    # joined in sorted path order, with the same digest over HEAD's files
+    recorder = _load_recorder()
+    monkeypatch.setattr(recorder, "ROOT", tmp_path)
+    # git must not find a repository above tmp_path
+    monkeypatch.setenv("GIT_CEILING_DIRECTORIES", str(tmp_path.parent))
+    src = tmp_path / "src" / "avdtotal"
+    src.mkdir(parents=True)
+    (src / "graphs.py").write_text("x = 1\n")
+    (src / "__init__.py").write_text('"""package"""\n')
+    (src / "notes.txt").write_text("not source\n")
+
+    def src_digest():
+        text = "".join(p.read_text() for p in sorted(src.glob("*.py")))
+        return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+    assert recorder.dirty(src_digest()) is None
+    git = ["git", "-c", "user.name=t", "-c", "user.email=t@example.com",
+           "-c", "commit.gpgsign=false"]
+    for args in (["init", "-q"], ["add", "-A"], ["commit", "-q", "-m", "source"]):
+        subprocess.run(git + args, cwd=tmp_path, check=True)
+    assert recorder.dirty(src_digest()) is False
+    (src / "graphs.py").write_text("x = 2\n")
+    assert recorder.dirty(src_digest()) is True
+    (src / "graphs.py").write_text("x = 1\n")
+    (src / "notes.txt").write_text("edited, but not source\n")
+    assert recorder.dirty(src_digest()) is False

@@ -9,8 +9,10 @@ FILE). The file holds run.py's version stamp, and for each workload its
 output digests. The first point of the trajectory, the one with no
 ``BENCH_*.json`` of a smaller number beside it, also carries the labelled
 rows of ROADMAP.md's re-anchor tables under ``earlier``. The stamp's
-``git_sha`` is the checked-out HEAD, so uncommitted source is told apart
-by ``src_digest``.
+``git_sha`` is the checked-out HEAD, and ``dirty`` tells whether the
+source measured was HEAD's: it is true when the stamp's ``src_digest``
+differs from the same digest over HEAD's ``src/avdtotal/*.py``, read with
+``git show``, and null when git cannot read HEAD.
 
 Exits 1 unless every workload is correct with ``verified_frac`` 1.
 """
@@ -18,6 +20,7 @@ Exits 1 unless every workload is correct with ``verified_frac`` 1.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import re
 import subprocess
@@ -71,6 +74,32 @@ def run_workload(name: str, seed: int, seconds: float) -> tuple[dict, dict]:
     return json.loads(info), json.loads(result)
 
 
+def head_src_digest() -> str | None:
+    """run.py's ``src_digest`` over HEAD's ``src/avdtotal/*.py``: the first
+    16 hex digits of the sha256 of the files' text, joined in sorted path
+    order; None when git cannot read HEAD."""
+
+    def git(*args: str) -> str:
+        return subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True,
+                              check=True).stdout
+
+    try:
+        names = sorted(name for name in git("ls-tree", "--name-only", "HEAD",
+                                            "src/avdtotal/").splitlines()
+                       if name.endswith(".py"))
+        text = "".join(git("show", f"HEAD:./{name}") for name in names)
+    except (OSError, subprocess.CalledProcessError):
+        return None
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def dirty(src_digest: str) -> bool | None:
+    """Whether src_digest, run.py's digest of the source it ran, is not
+    HEAD's; None when git cannot read HEAD."""
+    head = head_src_digest()
+    return None if head is None else src_digest != head
+
+
 def earlier_rows(number: int) -> list[dict]:
     """The re-anchor table rows when no ``BENCH_*.json`` with a smaller
     number exists, so that the first point carries them; else none, as the
@@ -104,7 +133,8 @@ def main(argv=None) -> int:
               f"elements_per_s={metrics['elements_per_s']:.0f}")
 
     record = {"number": args.number, "seed": args.seed, "seconds": args.seconds, "trace": 0,
-              "stamp": stamp, "workloads": runs, "earlier": earlier_rows(args.number)}
+              "stamp": stamp, "dirty": dirty(stamp["src_digest"]), "workloads": runs,
+              "earlier": earlier_rows(args.number)}
     out = args.out or ROOT / f"BENCH_{args.number}.json"
     out.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
     print(f"wrote {out}")
