@@ -398,9 +398,8 @@ def _lookup(values: np.ndarray | Sequence) -> tuple[Sequence, np.ndarray]:
     The table of an int64 array, or of a sequence of integers within
     int64, holds its distinct values, ascending: indexed through a mask
     over their range when that is at most twice their number, else through
-    ``np.unique``, so the work follows the values present, never their
-    size. Any other sequence, such as one with ints beyond int64, is its
-    own table.
+    a sort, so the work follows the values present, never their size. Any
+    other sequence, such as one with ints beyond int64, is its own table.
     """
     if not isinstance(values, np.ndarray):
         exact = _int64(values)
@@ -412,8 +411,15 @@ def _lookup(values: np.ndarray | Sequence) -> tuple[Sequence, np.ndarray]:
     low = int(values.min())
     span = int(values.max()) - low + 1
     if span > 2 * values.size:
-        distinct, index = np.unique(values, return_inverse=True)
-        return distinct.tolist(), index
+        # np.unique(values, return_inverse=True), without the numpy.ma
+        # import it makes: a value opens a new table entry where it differs
+        # from the one sorted before it
+        order = np.argsort(values, kind="stable")
+        ranked = values[order]
+        new = np.append(True, ranked[1:] != ranked[:-1])
+        index = np.empty_like(order)
+        index[order] = np.cumsum(new) - 1
+        return ranked[new].tolist(), index
     seen = np.zeros(span, dtype=bool)
     seen[values - low] = True
     return (np.flatnonzero(seen) + low).tolist(), (np.cumsum(seen) - 1)[values - low]

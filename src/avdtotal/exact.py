@@ -23,7 +23,10 @@ take (any of 1..k the partial colouring allows) that would give v the set
 of such a w is ruled out, and if none is left the subtree is cut. The cut
 subtree holds no distinguishing completion, and the order of positions and
 colours is unchanged, so the search returns the same first colouring, or
-None.
+None. ``_plan`` lays out a total colouring's steps: the elements in
+``_total_order``, one sort on a packed int key each, and in distinguishing
+mode each step's pairs and look-ahead checks, from one pass over that
+order that records every closed star's last and second-last positions.
 
 ``chi_at_exact`` starts its scan at max_degree + 2 when an edge joins two
 maximum-degree vertices and at max_degree + 1 otherwise (Zhang et al.,
@@ -55,7 +58,7 @@ def _search(steps: list[tuple], n: int, k: int) -> list[int] | None:
     (v, v) for vertex v and (u, v) for edge uv; the vertex neighbours whose
     colours e must avoid, () for an edge; the vertex pairs whose masks must
     differ once e is coloured; and the look-ahead checks of
-    ``_twin_checks``. Vertex and edge steps share one candidate loop, and
+    ``_plan``. Vertex and edge steps share one candidate loop, and
     each node restores the two masks and e's bit once, after its loop. The
     result lists the colour of each id.
     """
@@ -151,48 +154,74 @@ def _total_order(g: Graph) -> list[int]:
     conflict count (2 deg(v) for a vertex, deg(u) + deg(v) for an edge uv):
     ties keep the listed order, so closed stars tend to complete early for
     the distinguishing prune. One sort does both: the adjacency lists are
-    ascending, so vertex v's key (-2 deg v, v, -1) and edge uv's key
-    (-deg u - deg v, v, u), u < v, break ties in the listed order.
+    ascending, so the key (-conflicts, v, u) of edge uv, u < v, and
+    (-conflicts, v, -1) of vertex v break ties in the listed order. Each
+    key is packed into one int, -conflicts * n(n + 1) + v(n + 1) + u + 1.
     """
     n, adj = g.n, g.adjacency
-    keys = [(-2 * len(adj[v]), v, -1, v) for v in range(n)]
-    keys += [(-len(adj[u]) - len(adj[v]), v, u, n + j)
-             for j, (u, v) in enumerate(g.edges)]
-    return [key[3] for key in sorted(keys)]
+    base = n + 1
+    span = n * base
+    keys = [v * base - 2 * len(adj[v]) * span for v in range(n)]
+    keys += [v * base + u + 1 - (len(adj[u]) + len(adj[v])) * span
+             for u, v in g.edges]
+    return sorted(range(len(keys)), key=keys.__getitem__)
 
 
-def _twin_checks(g: Graph, ends: list[tuple[int, ...]],
-                 star_at: list[list[int]], done_at: list[int]) -> list[list[tuple]]:
-    """The look-ahead checks of each search position.
+def _plan(g: Graph, distinguishing: bool) -> list[tuple]:
+    """The steps of ``_search`` for a total colouring of g, in
+    ``_total_order``; with the pairs and look-ahead checks of the
+    distinguishing search when asked.
 
-    Between its second-last and last star positions a vertex v has one
-    uncoloured star element f. Under ``_total_order`` v precedes every edge
-    to a neighbour of equal or smaller degree, so f is v itself only when
-    v has no equal-degree neighbour, and a vertex with one has f = vy for
-    a neighbour y. A check (v, y, twins) at position i lists the
+    One pass records each closed star's last and second-last positions.
+    A vertex v's pairs go to its last position: its neighbours whose stars
+    are complete there, each pair once; equal masks of complete stars imply
+    equal degrees, since a proper colouring gives a star deg + 1 colours.
+
+    Between its second-last and last positions v has one uncoloured star
+    element f. Under ``_total_order`` v precedes every edge to a neighbour
+    of equal or smaller degree, so f is v itself only when v has no
+    equal-degree neighbour, and a vertex with one has f = vy for a
+    neighbour y. A check (v, y, twins) at position i lists the
     equal-degree neighbours w of v whose stars are complete by i; f's
     colour must avoid ``smask[v] | smask[y]``. A check is listed only where
     what it reads can change: v enters the one-left state, a twin
     completes, or the element coloured touches y.
     """
-    adj = g.adjacency
-    checks: list[list[tuple]] = [[] for _ in ends]
-    for v in range(g.n):
-        last = done_at[v]
-        twins = [w for w in adj[v]
-                 if len(adj[w]) == len(adj[v]) and done_at[w] < last]
+    n, edges, adj = g.n, g.edges, g.adjacency
+    order = _total_order(g)
+    # each element's two closed stars, and the neighbours whose vertex
+    # colours it must avoid, () for an edge
+    stars = [(e, e) if e < n else edges[e - n] for e in order]
+    nbrs = [adj[e] if e < n else () for e in order]
+    if not distinguishing:
+        return [(e, uv, vn, [], ()) for e, uv, vn in zip(order, stars, nbrs)]
+    # a vertex's own position (v, v) counts twice, so second[v] is wrong
+    # only where v ends its star, and then v has no equal-degree neighbour
+    # and second[v] is not read
+    last, second = [0] * n, [0] * n
+    for i, (u, v) in enumerate(stars):
+        second[u], last[u] = last[u], i
+        second[v], last[v] = last[v], i
+    # positions with no pairs or no checks share one empty list, which
+    # nothing mutates; a position that gets some is given a new list
+    none: list[tuple] = []
+    pairs, checks = [none] * len(order), [none] * len(order)
+    for v, vn in enumerate(adj):
+        i = last[v]
+        pairs[i] = pairs[i] + [(v, w) for w in vn
+                               if last[w] < i or last[w] == i and v < w]
+        d = len(vn)
+        twins = [w for w in vn if last[w] < i and len(adj[w]) == d]
         if not twins:
             continue
-        first = star_at[v][-2]
-        a, b = ends[last]
-        y = a if b == v else b
-        moved = [i for i in range(first + 1, last) if y in ends[i]]
-        at = {first, *moved, *(done_at[w] for w in twins if done_at[w] > first)}
-        for i in sorted(at):
-            ready = [w for w in twins if done_at[w] <= i]
+        first, y = second[v], sum(stars[i]) - v  # v's last element is vy
+        moved = [p for p in range(first + 1, i) if y in stars[p]]
+        late = [last[w] for w in twins if last[w] > first]
+        for p in sorted({first, *moved, *late}):
+            ready = [w for w in twins if last[w] <= p]
             if ready:
-                checks[i].append((v, y, ready))
-    return checks
+                checks[p] = checks[p] + [(v, y, ready)]
+    return list(zip(order, stars, nbrs, pairs, checks))
 
 
 def _last_colour_left(ahead: list[tuple], smask: list[int], palette: int) -> bool:
@@ -239,34 +268,10 @@ def find_total_coloring(g: Graph, k: int,
         return None
     if distinguishing and _parity_count_excludes(g, k):
         return None
-    n, edges, adj = g.n, g.edges, g.adjacency
-    order = _total_order(g)
-    ends = [(e,) if e < n else edges[e - n] for e in order]
-    # search positions of each closed star's elements, in order
-    star_at: list[list[int]] = [[] for _ in range(n)]
-    for i, touched in enumerate(ends):
-        for v in touched:
-            star_at[v].append(i)
-    done_at = [at[-1] if at else 0 for at in star_at]
-    checks = (_twin_checks(g, ends, star_at, done_at) if distinguishing
-              else [()] * t)
-    steps = []
-    for i, e in enumerate(order):
-        pairs = []
-        if distinguishing:
-            # stars completed here against neighbours' completed stars
-            # (each pair once); equal masks of complete stars imply equal
-            # degrees, since a proper colouring gives a star deg + 1 colours
-            for v in ends[i]:
-                if done_at[v] == i:
-                    pairs += [(v, w) for w in adj[v]
-                              if done_at[w] < i or (done_at[w] == i and v < w)]
-        stars = (e, e) if e < n else ends[i]
-        steps.append((e, stars, adj[e] if e < n else (), pairs, checks[i]))
-    color = _search(steps, n, k)
+    color = _search(_plan(g, distinguishing), g.n, k)
     if color is None:
         return None
-    return TotalColoring(tuple(color[:n]), tuple(color[n:]), k, g)
+    return TotalColoring(tuple(color[:g.n]), tuple(color[g.n:]), k, g)
 
 
 def _parity_count_excludes(g: Graph, k: int) -> bool:
@@ -391,10 +396,13 @@ def check_conjecture(lines: Iterable[str]) -> ConjectureReport:
     """Evaluate chi_at <= max_degree + 3 on a stream of graph6 lines.
 
     Blank lines are skipped. Capacity and parse failures name the offending
-    line number.
+    line number, and so does the TypeError that refuses a line that is not
+    a str.
     """
     records: list[GraphRecord] = []
     for lineno, raw in enumerate(lines, start=1):
+        if not isinstance(raw, str):
+            raise TypeError(f"line {lineno}: expected a str, got {type(raw).__name__}")
         text = raw.strip()
         if not text:
             continue

@@ -25,10 +25,14 @@ _G6_LOW = 63
 # for n up to the bound
 _G6_SIZES = (("", 1, 62), ("~", 3, 258047), ("~~", 6, (1 << 36) - 1))
 _G6_OUTSIDE = re.compile("[^?-~]")  # the alphabet is chr(63) .. chr(126)
-_G6_SET = re.compile("[^?]")  # "?" is 0, every other character sets a bit
-# a six-bit value's set bits as offsets from its most significant bit, and
+# each graph6 character's set bits, as offsets from its most significant
+# bit; and a str.translate table that turns every character but "?", the
+# zero value, into "1", which lies outside the alphabet, so that
+# str.find("1") finds exactly the characters that set a bit
+_G6_BITS = {chr(v + _G6_LOW): tuple(b for b in range(6) if v >> 5 - b & 1)
+            for v in range(64)}
+_G6_MARKS = dict.fromkeys(range(_G6_LOW + 1, _G6_LOW + 64), "1")
 # each value's graph6 character
-_G6_BITS = tuple(tuple(b for b in range(6) if v >> 5 - b & 1) for v in range(64))
 _G6_CHARS = bytes(b + _G6_LOW & 255 for b in range(256))
 
 
@@ -239,8 +243,9 @@ def parse_graph6(text: str) -> Graph:
     # "~" opens an extended header, "~~" the longer one; n is read from
     # the six-bit bytes after it
     marker = "~~" if s.startswith("~~") else "~" if s[0] == "~" else ""
-    count = next(c for m, c, _ in _G6_SIZES if m == marker)
-    size = s[len(marker):len(marker) + count]
+    _, count, _ = _G6_SIZES[len(marker)]
+    offset = len(marker) + count
+    size = s[len(marker):offset]
     if len(size) < count:
         raise Graph6Error(f"truncated extended size header: expected {count} "
                           f"bytes after {marker!r}, found {len(size)}", start)
@@ -249,7 +254,6 @@ def parse_graph6(text: str) -> Graph:
         n = n << 6 | ord(ch) - _G6_LOW
     nbits = n * (n - 1) // 2
     nbytes = (nbits + 5) // 6
-    offset = len(marker) + count
     body = s[offset:]
     if len(body) < nbytes:
         raise Graph6Error(
@@ -260,19 +264,23 @@ def parse_graph6(text: str) -> Graph:
     # bit j(j - 1)/2 + i stands for the pair i < j, so the set bits, read
     # in order, walk the columns j upwards; padding bits past nbits are
     # ignored. Each row i collects its j ascending, so the rows read in
-    # order give the edges sorted.
+    # order give the edges sorted. One translate marks the body's nonzero
+    # characters, and str.find steps from one to the next.
     rows: list[list[int]] = [[] for _ in range(n)]
     j, column = 1, 0  # column j holds the bits column .. column + j - 1
-    for byte in _G6_SET.finditer(body):
-        for bit in _G6_BITS[ord(byte.group()) - _G6_LOW]:
-            index = 6 * byte.start() + bit
+    marks = body.translate(_G6_MARKS)
+    at = marks.find("1")
+    while at >= 0:
+        for bit in _G6_BITS[body[at]]:
+            index = 6 * at + bit
             if index >= nbits:
                 break
             while index >= column + j:
                 column += j
                 j += 1
             rows[index - column].append(j)
-    return _assemble(n, tuple((i, j) for i, row in enumerate(rows) for j in row))
+        at = marks.find("1", at + 1)
+    return _assemble(n, tuple([(i, j) for i, row in enumerate(rows) for j in row]))
 
 
 def write_graph6(g: Graph) -> str:
@@ -328,7 +336,10 @@ def parse_dimacs(text: str) -> Graph:
             lo, hi = np.minimum(u, v), np.maximum(u, v)
             keys = lo * n + hi
             if (keys[1:] <= keys[:-1]).any():
-                lo, hi = np.divmod(np.unique(keys), n)
+                # sorted, each key kept where it differs from the one before:
+                # np.unique's answer, without the numpy.ma import it makes
+                keys = np.sort(keys)
+                lo, hi = np.divmod(keys[np.append(True, keys[1:] != keys[:-1])], n)
             return _from_ends(n, np.column_stack((lo, hi)))
     return _parse_dimacs_lines(text)
 

@@ -847,3 +847,53 @@ def _reference_total_structure(g: Graph) -> tuple[list[list[int]], list[int]]:
                 counter += 1
     order = sorted(range(len(conflict)), key=lambda e: (-len(conflict[e]), rank[e]))
     return conflict, order
+
+
+def reference_search_plan(g: Graph, distinguishing: bool) -> list[tuple]:
+    """The total-colouring search's steps as the library built them before
+    its one-pass plan: the search order sorted on 4-tuple keys, each closed
+    star's list of positions, the look-ahead checks gathered per vertex
+    with a scan of the positions between its last two star elements, and
+    the pairs gathered per position. The library's plan must equal it step
+    by step, for either mode."""
+    n, edges, adj = g.n, g.edges, g.adjacency
+    keys = [(-2 * len(adj[v]), v, -1, v) for v in range(n)]
+    keys += [(-len(adj[u]) - len(adj[v]), v, u, n + j)
+             for j, (u, v) in enumerate(edges)]
+    order = [key[3] for key in sorted(keys)]
+    t = len(order)
+    ends = [(e,) if e < n else edges[e - n] for e in order]
+    star_at: list[list[int]] = [[] for _ in range(n)]
+    for i, touched in enumerate(ends):
+        for v in touched:
+            star_at[v].append(i)
+    done_at = [at[-1] if at else 0 for at in star_at]
+    checks: list = [()] * t
+    if distinguishing:
+        checks = [[] for _ in range(t)]
+        for v in range(n):
+            last = done_at[v]
+            twins = [w for w in adj[v]
+                     if len(adj[w]) == len(adj[v]) and done_at[w] < last]
+            if not twins:
+                continue
+            first = star_at[v][-2]
+            a, b = ends[last]
+            y = a if b == v else b
+            moved = [i for i in range(first + 1, last) if y in ends[i]]
+            at = {first, *moved, *(done_at[w] for w in twins if done_at[w] > first)}
+            for i in sorted(at):
+                ready = [w for w in twins if done_at[w] <= i]
+                if ready:
+                    checks[i].append((v, y, ready))
+    steps = []
+    for i, e in enumerate(order):
+        pairs = []
+        if distinguishing:
+            for v in ends[i]:
+                if done_at[v] == i:
+                    pairs += [(v, w) for w in adj[v]
+                              if done_at[w] < i or (done_at[w] == i and v < w)]
+        stars = (e, e) if e < n else ends[i]
+        steps.append((e, stars, adj[e] if e < n else (), pairs, checks[i]))
+    return steps

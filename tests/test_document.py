@@ -11,6 +11,10 @@ write colourings, recorded before the writer existed.
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -268,3 +272,33 @@ def test_any_colours_any_order(n, p, seed, data):
     phi = from_edge_dict(g, vertex_colors, edge_colors, data.draw(colour))
     assert edge_dict(phi) == edge_colors
     assert_writes_oracle(g, phi, {"proper": False, "avd": False})
+
+
+# a fresh interpreter: the DIMACS reader on an unsorted edge list, then the
+# writer on a colouring whose colours span over twice their count, so both
+# take their sorting paths
+FIRST_CALLS = """
+import json, sys
+from avdtotal import TotalColoring, parse_dimacs
+from avdtotal.coloring import _document_json
+g = parse_dimacs("p edge 3 2\\ne 2 3\\ne 1 2\\n")
+phi = TotalColoring((1, 3, 1), (2, 100), 100, g)
+doc = json.loads(_document_json(g, phi, {}))
+print(json.dumps([g.edges, doc["edge_colors"], "numpy.ma" in sys.modules]))
+"""
+
+
+def test_sorting_paths_leave_numpy_ma_unimported():
+    # np.unique imports numpy.ma on its first call in a process: about
+    # 10 ms, and a few hundred objects left for the cyclic collector
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(root / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run([sys.executable, "-c", FIRST_CALLS], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    edges, colours, imported = json.loads(proc.stdout)
+    assert edges == [[0, 1], [1, 2]]
+    assert colours == [{"c": 2, "u": 0, "v": 1}, {"c": 100, "u": 1, "v": 2}]
+    assert imported is False

@@ -4,6 +4,7 @@ import gc
 import json
 import time
 import tracemalloc
+from collections import defaultdict
 from pathlib import Path
 
 import pytest
@@ -17,9 +18,18 @@ from avdtotal import (CapacityError, Graph, Graph6Error, check_conjecture,
                       normalize_edge, parse_graph6, path_graph, random_gnp, star_graph,
                       verdict, write_graph6)
 
-from helpers import (_reference_backtrack, _reference_total_structure,
-                     connected_graphs, enumerate_total_colorings, naive_is_avd,
-                     naive_is_proper, reference_find_total_coloring)
+from helpers import (_connected, _reference_backtrack, _reference_total_structure,
+                     canonical_form, connected_graphs, enumerate_total_colorings,
+                     naive_is_avd, naive_is_proper, reference_find_total_coloring,
+                     reference_search_plan)
+
+# every connected graph on 7 vertices, one per isomorphism class, as
+# tools/write_corpus.py writes it
+CORPUS_7 = Path(__file__).resolve().parent / "data" / "connected_7.g6"
+
+
+def corpus_7():
+    return [parse_graph6(line) for line in CORPUS_7.read_text().splitlines()]
 
 
 def assert_edge_coloring_matches_reference(g, ks):
@@ -255,6 +265,35 @@ class TestTotalOrder:
                 assert exact._total_order(g) == _reference_total_structure(g)[1]
 
 
+def assert_plan_matches_reference(g):
+    for distinguishing in (False, True):
+        assert exact._plan(g, distinguishing) == reference_search_plan(g, distinguishing), \
+            (write_graph6(g), distinguishing)
+
+
+class TestSearchPlan:
+    """The one-pass plan holds the steps of the per-position reference, in order:
+    the same elements, stars, neighbours, pairs and look-ahead checks."""
+
+    def test_connected_graphs_up_to_6(self):
+        for g in atlas():
+            assert_plan_matches_reference(g)
+
+    def test_corpus_7(self):
+        for g in corpus_7():
+            assert_plan_matches_reference(g)
+
+    @pytest.mark.parametrize("n", range(1, 14))
+    def test_random_gnp(self, n):
+        for p in (0.2, 0.5, 0.8):
+            for seed in range(4):
+                assert_plan_matches_reference(random_gnp(n, p, seed))
+
+    def test_edgeless_and_empty(self):
+        for n in range(4):
+            assert_plan_matches_reference(Graph.build(n, []))
+
+
 def assert_vertex_last_has_no_twin(g):
     """The look-ahead's precondition: where a vertex is the last element of
     its own closed star under ``_total_order``, no neighbour has its degree."""
@@ -457,6 +496,53 @@ class TestConjectureScan:
     def test_capacity_error_names_line(self):
         with pytest.raises(CapacityError, match="line 1"):
             check_conjecture([write_graph6(complete_graph(10))])
+
+    @pytest.mark.parametrize("line", [None, 3, b"D~{"], ids=["None", "int", "bytes"])
+    def test_non_str_line_names_line(self, line):
+        # None and 3 raised AttributeError from strip, and bytes a TypeError
+        # from startswith; neither named the line
+        with pytest.raises(TypeError, match=f"^line 3: expected a str, got "
+                                             f"{type(line).__name__}$"):
+            check_conjecture(["C~", "", line])
+
+
+def refinement_hash(g):
+    """Colour refinement from the degrees, n rounds: a vertex's new colour
+    hashes its colour and its neighbours' sorted colours. Isomorphic graphs
+    get equal sorted colour lists."""
+    colour = [len(nbrs) for nbrs in g.adjacency]
+    for _ in range(g.n):
+        colour = [hash((colour[v], tuple(sorted(colour[w] for w in nbrs))))
+                  for v, nbrs in enumerate(g.adjacency)]
+    return tuple(sorted(colour))
+
+
+class TestCorpus7:
+    """``tests/data/connected_7.g6``: one line per connected graph on 7
+    vertices up to isomorphism."""
+
+    def test_count(self):
+        graphs = corpus_7()
+        # 853 classes of connected graphs on 7 vertices (OEIS A001349)
+        assert len(graphs) == 853
+        assert all(g.n == 7 and _connected(g) for g in graphs)
+
+    def test_pairwise_non_isomorphic(self):
+        # canonical forms cost 7! relabellings each, so they are compared
+        # only inside a bucket of equal degree sequences and refinement hashes
+        buckets = defaultdict(list)
+        for g in corpus_7():
+            buckets[tuple(sorted(map(len, g.adjacency))), refinement_hash(g)].append(g)
+        shared = [group for group in buckets.values() if len(group) > 1]
+        for group in shared:
+            forms = {canonical_form(g.n, frozenset(g.edges)) for g in group}
+            assert len(forms) == len(group), [write_graph6(g) for g in group]
+
+    def test_conjecture_scan(self):
+        report = check_conjecture(CORPUS_7.read_text().splitlines())
+        assert len(report.records) == 853 and report.violations == ()
+        assert [(r.graph6, r.delta, r.chi_at) for r in report.tight] == [("F~~~w", 6, 9)]
+        assert parse_graph6("F~~~w") == complete_graph(7)
 
 
 class TestNoReferenceCycles:

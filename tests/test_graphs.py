@@ -284,8 +284,8 @@ class TestCollectorPause:
 
     @pytest.mark.parametrize("name", ["gnp-300", "gnp-1100", "dimacs"])
     def test_builds_leave_no_cycles(self, name, builders):
-        # a first call makes numpy's lazy imports (np.unique imports
-        # numpy.ma), whose module objects do form cycles, once per process
+        # a first call makes any lazy imports of numpy's, whose module
+        # objects do form cycles, once per process
         builders[name]()
         gc.disable()
         gc.collect()
@@ -429,6 +429,33 @@ class TestGraph6:
         # the bits past n(n - 1)/2 that fill the last character
         assert parse_graph6("B~") == complete_graph(3)
         assert parse_graph6("~??~" + "~" * 326) == complete_graph(63)
+
+    @pytest.mark.parametrize("n", range(71))
+    def test_round_trip_every_size(self, n):
+        # every n up to 70, across the one-byte header's last size, 62
+        full = Graph.build(n, itertools.combinations(range(n), 2))
+        for g in (random_gnp(n, 0.5, n), full, random_gnp(n, 0.1, n)):
+            text = graphs_mod._g6_header(n) + reference_graph6_body(n, g.edges)
+            assert write_graph6(g) == text
+            assert parse_graph6(text) == g
+
+    @pytest.mark.parametrize("n", [n for n in range(2, 71) if n * (n - 1) // 2 % 6])
+    def test_padding_bits_set_read_as_clear(self, n):
+        g = random_gnp(n, 0.5, n)
+        text = write_graph6(g)
+        # the last character's low bits past n(n - 1)/2, all set
+        pad = -(n * (n - 1) // 2) % 6
+        padded = text[:-1] + chr((ord(text[-1]) - 63 | (1 << pad) - 1) + 63)
+        assert padded != text and parse_graph6(padded) == g
+
+    def test_long_body_ends(self):
+        # a body of 3317 characters whose set bits are its first and last
+        # (bits 0 and 19 899) and two between, far from either end
+        n = 200
+        g = Graph.build(n, [(0, 1), (0, 199), (100, 150), (198, 199)])
+        text = graphs_mod._g6_header(n) + reference_graph6_body(n, g.edges)
+        assert len(text) == 4 + 3317 and write_graph6(g) == text
+        assert parse_graph6(text) == g
 
     def test_large_round_trip(self):
         # both directions walked all n(n - 1)/2 pairs in Python: about 13 s
