@@ -35,6 +35,12 @@ Ser. A 48, 2005): with max_degree + 1 colours both closed stars hold the
 whole palette. On a regular graph of odd order a parity count can rule
 out max_degree + 2 as well (``_parity_count_excludes``), which settles
 K3, K5 and K7 without a search at that k.
+
+``chi_at_exact`` and ``chi_total_exact`` share one least-k scan, which
+decides each k by value: it checks the element guard and builds the plan
+once per graph, skips a k the parity count rules out, and takes the first
+k at which ``_search`` succeeds, building no colouring. Each k is decided
+as ``find_total_coloring`` decides it, so the values are the same.
 """
 
 from __future__ import annotations
@@ -259,9 +265,7 @@ def find_total_coloring(g: Graph, k: int,
     the same order, and returns the same first colouring.
     """
     k = _integer("k", k)
-    t = g.n + len(g.edges)
-    if t > ELEMENT_GUARD:
-        raise CapacityError(f"{t} elements exceed the search guard {ELEMENT_GUARD}")
+    t = _guarded_elements(g)
     if k < 0:
         raise ValueError("k must be non-negative")
     if t and k < (_chi_at_lower_bound(g) if distinguishing else g.max_degree + 1):
@@ -318,11 +322,27 @@ def _has_independent_set(nbr: list[int], free: int, size: int) -> bool:
     return False
 
 
+def _guarded_elements(g: Graph) -> int:
+    """g's element count, n + m; a CapacityError above ``ELEMENT_GUARD``."""
+    t = g.n + len(g.edges)
+    if t > ELEMENT_GUARD:
+        raise CapacityError(f"{t} elements exceed the search guard {ELEMENT_GUARD}")
+    return t
+
+
 def _least_k(g: Graph, ks: range, distinguishing: bool) -> int:
     """The least k in ks for which find_total_coloring finds a colouring;
-    ks must contain the answer."""
+    ks must start at or above the mode's degree lower bound, below which
+    find_total_coloring exits without a search, and contain the answer.
+
+    Each k is decided as find_total_coloring decides it, by value: the plan
+    is built once for every k, and no colouring is built.
+    """
+    _guarded_elements(g)
+    steps = _plan(g, distinguishing)
     for k in ks:
-        if find_total_coloring(g, k, distinguishing) is not None:
+        if not (distinguishing and _parity_count_excludes(g, k)) and \
+                _search(steps, g.n, k) is not None:
             return k
     raise AssertionError(f"no colouring with at most {ks[-1]} colours")
 

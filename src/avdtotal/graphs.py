@@ -309,6 +309,9 @@ DIMACS_MAX_VERTICES = 1_000_000
 _DIMACS_PLAIN = re.compile(
     r"(?:c[^\n]*\n|\n)*p edge ([0-9]+) [0-9]+((?:\ne [0-9]{1,18} [0-9]{1,18})*)")
 
+# the line boundaries of str.splitlines besides "\n"
+_OTHER_LINE_BREAKS = "\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+
 
 def parse_dimacs(text: str) -> Graph:
     """Read DIMACS colouring format: one ``p edge n m`` line, ``e u v`` lines
@@ -323,11 +326,17 @@ def parse_dimacs(text: str) -> Graph:
     problem line and then only edge records, each single-spaced, with
     endpoints of at most 18 digits, in range and never equal: it reads
     every endpoint in one numpy call, with no Python step per line, and
-    assembles the graph with the cyclic collector paused. Every
+    assembles the graph with the cyclic collector paused. A text whose
+    only line boundary is "\n" is matched as it stands; only one with
+    another ``str.splitlines`` boundary is split and rejoined first. Every
     other text, and every text that breaks a rule, goes to the line reader
     ``_parse_dimacs_lines``, the one place that names a fault and its line.
     """
-    plain = _DIMACS_PLAIN.fullmatch("\n".join(text.splitlines()))
+    if any(c in text for c in _OTHER_LINE_BREAKS):
+        plain = _DIMACS_PLAIN.fullmatch("\n".join(text.splitlines()))
+    else:
+        # that join would be the text less one final "\n": match up to it
+        plain = _DIMACS_PLAIN.fullmatch(text, 0, len(text) - text.endswith("\n"))
     if plain is not None and (n := _vertex_count(plain[1])) <= DIMACS_MAX_VERTICES:
         ends = np.fromstring(plain[2].replace("e", " "), np.int64, sep=" ").reshape(-1, 2) - 1
         u, v = ends[:, 0], ends[:, 1]

@@ -18,7 +18,8 @@ import numpy as np
 
 from avdtotal import (BadEvent, Edge, EdgeColoring, EdgeSelection, Graph,
                       PipelineParams, SelectionResult, TotalColoring, Violation,
-                      check_total, normalize_edge, random_gnp, substream)
+                      check_total, find_total_coloring, normalize_edge, random_gnp,
+                      substream)
 from avdtotal.graphs import _edge_rows
 
 
@@ -788,6 +789,18 @@ def reference_find_total_coloring(g: Graph, k: int,
     if result is None:
         return None
     return TotalColoring(tuple(result[: g.n]), tuple(result[g.n:]), k, g)
+
+
+def reference_least_k(g: Graph, ks: range, distinguishing: bool) -> int:
+    """The least-k scan the library ran before it decided each k by value:
+    ``find_total_coloring`` at each k of ks in turn, its guards, exits and
+    plan all run again at every k, and its first colouring built and
+    dropped. ``chi_total_exact`` and ``chi_at_exact`` must return what it
+    returns on their ranges."""
+    for k in ks:
+        if find_total_coloring(g, k, distinguishing) is not None:
+            return k
+    raise AssertionError(f"no colouring with at most {ks[-1]} colours")
 
 
 def _reference_backtrack(t, conflict, order, k, on_assign=None, on_unassign=None,

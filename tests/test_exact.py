@@ -21,11 +21,13 @@ from avdtotal import (CapacityError, Graph, Graph6Error, check_conjecture,
 from helpers import (_connected, _reference_backtrack, _reference_total_structure,
                      canonical_form, connected_graphs, enumerate_total_colorings,
                      naive_is_avd, naive_is_proper, reference_find_total_coloring,
-                     reference_search_plan)
+                     reference_least_k, reference_search_plan)
 
 # every connected graph on 7 vertices, one per isomorphism class, as
 # tools/write_corpus.py writes it
 CORPUS_7 = Path(__file__).resolve().parent / "data" / "connected_7.g6"
+# the exact_small workload's graph6 inputs with their recorded chi_at values
+EXACT_SMALL = Path(__file__).resolve().parents[1] / "benchmarks" / "data" / "exact_small.json"
 
 
 def corpus_7():
@@ -250,6 +252,63 @@ class TestAgainstReference:
         assert_matches_reference(g, [6])
 
 
+def assert_chis_match_reference(g):
+    t = g.n + len(g.edges)
+    assert chi_total_exact(g) == reference_least_k(
+        g, range(g.max_degree + 1, 2 * g.max_degree + 2), False), write_graph6(g)
+    assert chi_at_exact(g) == reference_least_k(
+        g, range(exact._chi_at_lower_bound(g), t + 1), True), write_graph6(g)
+
+
+class TestLeastKByValue:
+    """The least-k scan plans once and decides each k by the bare search;
+    χ_T and χ_AT are those of find_total_coloring at each k in turn."""
+
+    def test_connected_graphs_up_to_6(self):
+        for g in atlas():
+            assert_chis_match_reference(g)
+
+    def test_corpus_7(self):
+        for g in corpus_7():
+            assert_chis_match_reference(g)
+
+    def test_exact_small_random_graphs(self):
+        # the twelve random_gnp(12, 0.35) graphs of the exact_small workload
+        data = json.loads(EXACT_SMALL.read_text())["gnp12_p035_seeds_0_to_11"]
+        assert [line for line, _ in data] == \
+            [write_graph6(random_gnp(12, 0.35, s)) for s in range(12)]
+        for line, _ in data:
+            assert_chis_match_reference(parse_graph6(line))
+
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_random_gnp(self, n):
+        for p in (0.3, 0.5, 0.7):
+            for seed in range(4):
+                assert_chis_match_reference(random_gnp(n, p, seed))
+
+    def test_one_plan_and_one_bound_per_graph(self, monkeypatch):
+        # K5 plus a pendant vertex: the bound is 6, and χ_AT = 7 after a
+        # failed search at 6; the scan of find_total_coloring calls planned
+        # twice and computed the bound three times
+        calls = defaultdict(int)
+        for name in ("_plan", "_chi_at_lower_bound", "_search"):
+            def counted(*args, _name=name, _f=getattr(exact, name)):
+                calls[_name] += 1
+                return _f(*args)
+            monkeypatch.setattr(exact, name, counted)
+        assert chi_at_exact(parse_graph6("E~|?")) == 7
+        assert calls == {"_plan": 1, "_chi_at_lower_bound": 1, "_search": 2}
+
+    @pytest.mark.parametrize("chi", [chi_at_exact, chi_total_exact],
+                             ids=["chi_at", "chi_total"])
+    def test_guard_error_unchanged(self, chi):
+        g = path_graph(21)  # 41 elements
+        for scan in (chi, lambda g: reference_least_k(g, range(1, 42), chi is chi_at_exact)):
+            with pytest.raises(CapacityError) as exc:
+                scan(g)
+            assert str(exc.value) == "41 elements exceed the search guard 40"
+
+
 class TestTotalOrder:
     """The one-sort search order is the reference's listed, stably sorted one."""
 
@@ -453,8 +512,7 @@ class TestParityExit:
         assert time.perf_counter() - start < 1.0
 
     def test_exact_small_corpus_values_unchanged(self):
-        data = json.loads((Path(__file__).resolve().parents[1]
-                           / "benchmarks" / "data" / "exact_small.json").read_text())
+        data = json.loads(EXACT_SMALL.read_text())
         recorded = data["connected_up_to_6"] + data["gnp12_p035_seeds_0_to_11"]
         assert len(recorded) == 155
         assert [chi_at_exact(parse_graph6(line)) for line, _ in recorded] == \

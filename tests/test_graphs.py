@@ -5,7 +5,9 @@ import gc
 import hashlib
 import itertools
 import json
+import random
 import re
+import sys
 import time
 from fractions import Fraction
 
@@ -661,6 +663,81 @@ class TestDimacs:
                     ends.tolist() == [list(e) for e in g.edges])
 
         assert read(parse_dimacs) == read(graphs_mod._parse_dimacs_lines)
+
+
+class TestDimacsJoinedForm:
+    """The array reader's regex sees "\n".join(text.splitlines()), built only
+    when the text has a line boundary besides "\n"; a text broken by "\n"
+    alone is matched in place, less one final "\n"."""
+
+    # a plain text, and the pieces an edit puts in: every kind of line break
+    # the reader must handle, and the characters of its records
+    PLAIN = "c a path\np edge 5 4\ne 1 2\ne 2 3\ne 3 4\ne 4 5\n"
+    PIECES = ["\n", "\r\n", "\r", "\x85", "\u2028", "\x0c", " ", "e", "p", "c",
+              "0", "1", "3", "6"]
+
+    @staticmethod
+    def read(text):
+        try:
+            g = parse_dimacs(text)
+        except DimacsError as exc:
+            return str(exc)
+        return (g.n, g.edges, g.adjacency, g._ends.tolist())
+
+    def edits(self, trials):
+        rng = random.Random(0)
+        for _ in range(trials):
+            chars = list(self.PLAIN)
+            for _ in range(rng.randint(1, 3)):
+                at = rng.randrange(len(chars) + 1)
+                if rng.random() < 0.5 or at == len(chars):
+                    chars.insert(at, rng.choice(self.PIECES))
+                elif rng.random() < 0.5:
+                    del chars[at]
+                else:
+                    chars[at] = rng.choice(self.PIECES)
+            yield "".join(chars)
+
+    @pytest.fixture
+    def matched(self, monkeypatch):
+        """The strings the array reader's regex is asked to match."""
+        seen = []
+        plain = graphs_mod._DIMACS_PLAIN
+
+        class Spy:
+            def fullmatch(self, string, pos=0, endpos=sys.maxsize):
+                seen.append(string[pos:endpos])
+                return plain.fullmatch(string, pos, endpos)
+
+        monkeypatch.setattr(graphs_mod, "_DIMACS_PLAIN", Spy())
+        return seen
+
+    @pytest.mark.parametrize("text", [
+        PLAIN, PLAIN[:-1], PLAIN + "\n", PLAIN.replace("\n", "\r\n"),
+        PLAIN.replace("\n", "\x85"), PLAIN.replace("\n", "\u2028"),
+        PLAIN.replace("\ne 3", "\u2029e 3"), "", "\n", "p edge 2 1\ne 1 2\r"],
+        ids=["plain", "no-final-newline", "blank-last-line", "crlf", "nel",
+             "line-separator", "one-paragraph-separator", "empty", "newline", "final-cr"])
+    def test_cases_match_the_joined_form(self, text, matched):
+        got = self.read(text)
+        assert matched == ["\n".join(text.splitlines())]
+        assert got == self.read("\n".join(text.splitlines()))
+
+    def test_random_edits_match_the_joined_form(self, matched):
+        for text in self.edits(3000):
+            matched.clear()
+            got = self.read(text)
+            joined = "\n".join(text.splitlines())
+            assert matched == [joined], text
+            assert got == self.read(joined), text
+
+    def test_plain_text_reaches_the_array_reader(self, monkeypatch):
+        def refuse(text):
+            raise AssertionError("plain text reached the line reader")
+
+        monkeypatch.setattr(graphs_mod, "_parse_dimacs_lines", refuse)
+        for text in (self.PLAIN, self.PLAIN[:-1], self.PLAIN.replace("\n", "\x85")):
+            assert parse_dimacs(text).edges == ((0, 1), (1, 2), (2, 3), (3, 4))
 
 
 class TestDimacsVertexCap:

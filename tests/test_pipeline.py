@@ -2,10 +2,12 @@
 
 import dataclasses
 import gc
+import importlib.util
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from itertools import chain
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -580,6 +582,30 @@ class TestPaletteBound:
         for n in range(1, 7):
             for g in connected_graphs(n):
                 self.readmitted(g)
+
+
+class TestQualityFloor:
+    """How far ``run_pipeline`` (seed 0) lands above exact χ_AT on the small
+    corpora, through the figures ``tools/record_bench.py`` records: a change
+    that spends more colours there fails."""
+
+    # per corpus: graphs, and the least hits, most total excess and most
+    # worst excess, as measured when the floor was set
+    FLOOR = {"connected_up_to_6": (142, 52, 219, 7), "connected_7": (853, 287, 2095, 8)}
+
+    def test_chi_excess_within_floor(self):
+        spec = importlib.util.spec_from_file_location(
+            "record_bench", Path(__file__).resolve().parents[1] / "tools" / "record_bench.py")
+        recorder = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(recorder)
+        figures = recorder.chi_excess()
+        assert set(figures) == set(self.FLOOR)
+        for name, (graphs, hits, total, worst) in self.FLOOR.items():
+            got = figures[name]
+            assert got["graphs"] == graphs, name
+            assert got["hits"] >= hits and got["total_excess"] <= total, (name, got)
+            assert got["worst_excess"] <= worst, (name, got)
+            assert got["mean_excess"] == round(got["total_excess"] / graphs, 4)
 
 
 class TestCollectorPause:

@@ -6,13 +6,16 @@ Runs ``benchmarks/run.py --trace 0`` on each of the four workloads, one
 process each, and writes ``BENCH_<N>.json`` at the repository root (or
 FILE). The file holds run.py's version stamp, and for each workload its
 ``correct`` flag, the six end-to-end metrics of BENCHMARK.json and the
-output digests. The first point of the trajectory, the one with no
-``BENCH_*.json`` of a smaller number beside it, also carries the labelled
-rows of ROADMAP.md's re-anchor tables under ``earlier``. The stamp's
-``git_sha`` is the checked-out HEAD, and ``dirty`` tells whether the
-source measured was HEAD's: it is true when the stamp's ``src_digest``
-differs from the same digest over HEAD's ``src/avdtotal/*.py``, read with
-``git show``, and null when git cannot read HEAD.
+output digests. Under ``chi_excess`` it carries, for the two small corpora
+of connected graphs, how far ``run_pipeline`` at ``PipelineParams(seed=0)``
+lands above exact χ_AT (see ``chi_excess``). The first point of the
+trajectory, the one with no ``BENCH_*.json`` of a smaller number beside
+it, also carries the labelled rows of ROADMAP.md's re-anchor tables under
+``earlier``. The stamp's ``git_sha`` is the checked-out HEAD, and
+``dirty`` tells whether the source measured was HEAD's: it is true when
+the stamp's ``src_digest`` differs from the same digest over HEAD's
+``src/avdtotal/*.py``, read with ``git show``, and null when git cannot
+read HEAD.
 
 Exits 1 unless every workload is correct with ``verified_frac`` 1.
 """
@@ -28,6 +31,10 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+
+from avdtotal import PipelineParams, chi_at_exact, parse_graph6, run_pipeline  # noqa: E402
+
 WORKLOADS = ("dense_gnp", "sparse_cli", "hub_skewed", "exact_small")
 
 # the re-anchor tables of ROADMAP.md, `benchmarks/run.py --seed 2001
@@ -100,6 +107,31 @@ def dirty(src_digest: str) -> bool | None:
     return None if head is None else src_digest != head
 
 
+def chi_excess() -> dict:
+    """Per corpus, how far ``run_pipeline`` (seed 0) lands above χ_AT: the
+    graphs, the hits (final k equal to χ_AT), and the total, mean and worst
+    excess of final k over χ_AT. ``connected_up_to_6`` is every connected
+    graph with an edge on at most 6 vertices, with the χ_AT values recorded
+    in ``benchmarks/data/exact_small.json``; ``connected_7`` is the 853
+    graphs of ``tests/data/connected_7.g6``, with ``chi_at_exact``'s."""
+    atlas = json.loads((ROOT / "benchmarks" / "data" / "exact_small.json").read_text())
+    corpus_7 = (ROOT / "tests" / "data" / "connected_7.g6").read_text().splitlines()
+    corpora = {
+        "connected_up_to_6": [(parse_graph6(line), chi)
+                              for line, chi in atlas["connected_up_to_6"]],
+        "connected_7": [(g, chi_at_exact(g)) for g in map(parse_graph6, corpus_7)],
+    }
+    figures = {}
+    for name, graphs in corpora.items():
+        excess = [run_pipeline(g, params=PipelineParams(seed=0))[1].final_k - chi
+                  for g, chi in graphs if g.edges]
+        figures[name] = {"graphs": len(excess), "hits": excess.count(0),
+                         "total_excess": sum(excess),
+                         "mean_excess": round(sum(excess) / len(excess), 4),
+                         "worst_excess": max(excess)}
+    return figures
+
+
 def earlier_rows(number: int) -> list[dict]:
     """The re-anchor table rows when no ``BENCH_*.json`` with a smaller
     number exists, so that the first point carries them; else none, as the
@@ -134,7 +166,7 @@ def main(argv=None) -> int:
 
     record = {"number": args.number, "seed": args.seed, "seconds": args.seconds, "trace": 0,
               "stamp": stamp, "dirty": dirty(stamp["src_digest"]), "workloads": runs,
-              "earlier": earlier_rows(args.number)}
+              "chi_excess": chi_excess(), "earlier": earlier_rows(args.number)}
     out = args.out or ROOT / f"BENCH_{args.number}.json"
     out.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
     print(f"wrote {out}")
