@@ -24,6 +24,13 @@ whose two sums match against the exact colour sets, so the verdict never
 rests on the hash. ``_equal_mask_rows``, the phases' scan for edges whose
 endpoints have equal masks, confirms its hash matches in the same way.
 
+``_move_forbidden`` is the one local-move check: read from the masks, the
+colours that a single vertex or a single edge may not take when it alone
+is recoloured, because the colouring would turn improper or a changed
+vertex would copy a neighbour's colour set. The vertex case picks the
+low-degree phase's colours; the edge case refuses every colour to an edge
+whose two ends have equal sets, which no recolour of that edge can mend.
+
 The document writer ``_document_json`` joins its JSON text once, from
 token tables over the vertices and colours present."""
 
@@ -297,6 +304,41 @@ def _equal_mask_rows(g: Graph, masks: Sequence[int]) -> list[int]:
     rows = np.flatnonzero(hashes[ends[:, 0]] == hashes[ends[:, 1]])
     return [r for r, (u, v) in zip(rows.tolist(), ends[rows].tolist())
             if masks[u] == masks[v]]
+
+
+def _move_forbidden(g: Graph, masks: Sequence[int], vertex_colors: Sequence[int],
+                    ends: tuple[int, ...], old: int) -> int:
+    """The mask of the colours c such that recolouring one element of a
+    proper colouring of g, and nothing else, to c leaves the colouring
+    improper or gives an end of the element a neighbour's colour set; masks
+    holds every vertex's closed-star mask.
+
+    The element is the vertex u when ends is (u,), the edge uw when ends
+    is (u, w); old is its colour now, so c = old keeps the colouring as it
+    is. Each end x then holds base | 1 << c, base being ``S[x]`` without
+    old. A vertex may not take an edge colour at u or a neighbour's vertex
+    colour, an edge no colour of ``S[u] | S[w]`` but old, and neither a c
+    that makes an end's mask a neighbour's. The ends of an edge get equal
+    masks exactly when they have them now, and then every colour is
+    forbidden: -1, with every bit set.
+    """
+    if len(ends) == 2 and masks[ends[0]] == masks[ends[1]]:
+        return -1
+    out = 0
+    for x in ends:
+        base = masks[x] ^ 1 << old
+        out |= base
+        # forbid each c for which base | 1 << c is a neighbour's mask; a
+        # mask one bit off base is that or base less a bit already in out,
+        # and an edge's other end is one only when the ends' masks are equal
+        for y in g.adjacency[x]:
+            extra = masks[y] ^ base
+            if extra.bit_count() == 1:
+                out |= extra
+    if len(ends) == 1:
+        for y in g.adjacency[ends[0]]:
+            out |= 1 << vertex_colors[y]
+    return out
 
 
 def _proper(found: list[Violation]) -> bool:

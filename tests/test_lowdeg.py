@@ -10,9 +10,10 @@ from avdtotal import (Graph, PipelineParams, TotalColoring, complete_graph,
                       random_gnp, recolor_union, star_graph, verdict,
                       violations)
 
-from avdtotal.lowdeg import _forbidden
+from avdtotal.coloring import _move_forbidden
 
-from helpers import (colours_of, from_edge_dict, hub_graph, naive_is_proper,
+from helpers import (colours_of, connected_graphs, from_edge_dict, hub_graph,
+                     naive_color_set, naive_is_proper,
                      reference_distinguish_low_degree)
 
 
@@ -31,8 +32,24 @@ def two_low_clash():
 
 def forbidden(g, phi, u):
     """The forbidden set distinguish_low_degree computes for u, read from
-    the mask _forbidden returns."""
-    return colours_of(_forbidden(g, list(phi.vertex_colors), phi.stars, u))
+    the mask of the vertex case of _move_forbidden."""
+    return colours_of(_move_forbidden(g, phi.stars, phi.vertex_colors, (u,),
+                                      phi.vertex_colors[u]))
+
+
+def naive_move_allowed(g, phi, ends, c):
+    """Whether recolouring the vertex (u,) or the edge (u, w) of phi to c
+    leaves a proper colouring in which each of ends has a colour set,
+    recomputed from scratch, unlike every neighbour's."""
+    vcols, ecols = list(phi.vertex_colors), list(phi.edge_colors)
+    if len(ends) == 1:
+        vcols[ends[0]] = c
+    else:
+        ecols[g.edges.index(ends)] = c
+    moved = TotalColoring(tuple(vcols), tuple(ecols), phi.k, g)
+    return naive_is_proper(g, moved) and all(
+        naive_color_set(g, moved, x) != naive_color_set(g, moved, y)
+        for x in ends for y in g.adjacency[x])
 
 
 class TestForbiddenColors:
@@ -65,6 +82,25 @@ class TestForbiddenColors:
         g, phi = two_low_clash()
         for u in sorted(degree_split(g).low):
             assert len(forbidden(g, phi, u)) <= 2 * g.degree(u)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_agrees_with_naive_recompute(self, n):
+        # every recolour of one vertex or one edge to each colour in
+        # 1..k+2, its own included, on each graph's greedy colouring and on
+        # the one run_pipeline hands to this phase
+        outcomes = set()
+        for g in connected_graphs(n):
+            for phi in (greedy_total(g), pipeline_state(g, 0)):
+                elements = [*(((u,), c) for u, c in enumerate(phi.vertex_colors)),
+                            *zip(g.edges, phi.edge_colors)]
+                for ends, old in elements:
+                    bad = _move_forbidden(g, phi.stars, phi.vertex_colors, ends, old)
+                    for c in range(1, phi.k + 3):
+                        allowed = naive_move_allowed(g, phi, ends, c)
+                        assert (not bad >> c & 1) == allowed, (g.edges, phi, ends, c)
+                        outcomes.add((len(ends), allowed))
+        # with an edge, both cases are both allowed and refused somewhere
+        assert n == 1 or outcomes == {(1, True), (1, False), (2, True), (2, False)}
 
 
 class TestDistinguishLowDegree:
@@ -104,17 +140,17 @@ class TestDistinguishLowDegree:
 
     def test_visits_only_low_vertices_clashing_on_entry(self, monkeypatch):
         # of the low vertices 0, 1, 3 .. 7 only 0 and 1 share a set, and
-        # recolouring 0 settles 1, so _forbidden runs once
+        # recolouring 0 settles 1, so the check runs once, for a vertex
         g, phi = two_low_clash()
         visited = []
 
-        def spy(g, vertex_colors, masks, u):
-            visited.append(u)
-            return _forbidden(g, vertex_colors, masks, u)
+        def spy(g, masks, vertex_colors, ends, old):
+            visited.append(ends)
+            return _move_forbidden(g, masks, vertex_colors, ends, old)
 
-        monkeypatch.setattr("avdtotal.lowdeg._forbidden", spy)
+        monkeypatch.setattr("avdtotal.lowdeg._move_forbidden", spy)
         out = distinguish_low_degree(g, phi)
-        assert visited == [0]
+        assert visited == [(0,)]
         assert out == reference_distinguish_low_degree(g, phi)
 
     def test_rejects_small_palette(self):

@@ -168,21 +168,23 @@ def _load_recorder():
     return recorder
 
 
-def test_bench_trajectory_rows(tmp_path, monkeypatch):
-    # the re-anchor rows name the four workloads and declared metrics only,
-    # and go to the first point of the trajectory alone
+def test_bench_quality_floor():
+    # within_floor holds chi_excess figures to FLOOR: the floor itself
+    # passes; a graph more or fewer, a hit fewer, a colour more in total or
+    # at worst, or a corpus missing, fails
     recorder = _load_recorder()
-    declared = {m["name"] for m in
-                json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
-    for row in recorder.REANCHOR_ROWS:
-        assert set(row["workloads"]) == set(recorder.WORKLOADS)
-        assert all(set(m) <= declared for m in row["workloads"].values())
-    monkeypatch.setattr(recorder, "ROOT", tmp_path)
-    assert recorder.earlier_rows(40) == recorder.REANCHOR_ROWS
-    (tmp_path / "BENCH_40.json").write_text("{}")
-    (tmp_path / "BENCH_x.json").write_text("{}")
-    assert recorder.earlier_rows(40) == recorder.REANCHOR_ROWS
-    assert recorder.earlier_rows(45) == []
+    at_floor = {name: {"graphs": graphs, "hits": hits, "total_excess": total,
+                       "worst_excess": worst}
+                for name, (graphs, hits, total, worst) in recorder.FLOOR.items()}
+    assert recorder.within_floor(at_floor)
+    for name in at_floor:
+        for key, step in (("graphs", 1), ("graphs", -1), ("hits", -1),
+                          ("total_excess", 1), ("worst_excess", 1)):
+            worse = {other: dict(figures) for other, figures in at_floor.items()}
+            worse[name][key] += step
+            assert not recorder.within_floor(worse), (name, key, step)
+        assert not recorder.within_floor({other: figures for other, figures
+                                          in at_floor.items() if other != name})
 
 
 @pytest.mark.skipif(shutil.which("git") is None, reason="needs git")

@@ -8,14 +8,12 @@ FILE). The file holds run.py's version stamp, and for each workload its
 ``correct`` flag, the six end-to-end metrics of BENCHMARK.json and the
 output digests. Under ``chi_excess`` it carries, for the two small corpora
 of connected graphs, how far ``run_pipeline`` at ``PipelineParams(seed=0)``
-lands above exact χ_AT (see ``chi_excess``). The first point of the
-trajectory, the one with no ``BENCH_*.json`` of a smaller number beside
-it, also carries the labelled rows of ROADMAP.md's re-anchor tables under
-``earlier``. The stamp's ``git_sha`` is the checked-out HEAD, and
-``dirty`` tells whether the source measured was HEAD's: it is true when
-the stamp's ``src_digest`` differs from the same digest over HEAD's
-``src/avdtotal/*.py``, read with ``git show``, and null when git cannot
-read HEAD.
+lands above exact χ_AT (see ``chi_excess``); ``within_floor`` tells
+whether those figures keep to the quality floor ``FLOOR``. The stamp's
+``git_sha`` is the checked-out HEAD, and ``dirty`` tells whether the
+source measured was HEAD's: it is true when the stamp's ``src_digest``
+differs from the same digest over HEAD's ``src/avdtotal/*.py``, read
+with ``git show``, and null when git cannot read HEAD.
 
 Exits 1 unless every workload is correct with ``verified_frac`` 1.
 """
@@ -25,7 +23,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import re
 import subprocess
 import sys
 from pathlib import Path
@@ -37,38 +34,9 @@ from avdtotal import PipelineParams, chi_at_exact, parse_graph6, run_pipeline  #
 
 WORKLOADS = ("dense_gnp", "sparse_cli", "hub_skewed", "exact_small")
 
-# the re-anchor tables of ROADMAP.md, `benchmarks/run.py --seed 2001
-# --seconds 8 --trace 0` on two cores: the figures at 98ce8cc are the
-# bracketed ones of the Baseline table measured at 7a1d34e, which records no
-# setup_s for them
-REANCHOR_ROWS = [
-    {"label": "re-anchor at 98ce8cc", "git_sha": "98ce8cc", "seed": 2001, "seconds": 8,
-     "source": "ROADMAP.md Baseline table, bracketed figures",
-     "workloads": {
-         "dense_gnp": {"elements_per_s": 353100, "graph_s_max": 0.069,
-                       "palette_growth": 113.3, "peak_rss_mb": 71},
-         "sparse_cli": {"elements_per_s": 182700, "graph_s_max": 0.30,
-                        "palette_growth": 41.0, "peak_rss_mb": 92},
-         "hub_skewed": {"elements_per_s": 424800, "graph_s_max": 0.027,
-                        "palette_growth": 58.7, "peak_rss_mb": 54},
-         "exact_small": {"elements_per_s": 112700, "graph_s_max": 0.0016,
-                         "palette_growth": 1.51, "peak_rss_mb": 40}}},
-    {"label": "re-anchor at 7a1d34e", "git_sha": "7a1d34e", "seed": 2001, "seconds": 8,
-     "source": "ROADMAP.md Baseline table; every run correct, verified_frac 1.0",
-     "workloads": {
-         "dense_gnp": {"elements_per_s": 424100, "graph_s_max": 0.058,
-                       "palette_growth": 113.3, "peak_rss_mb": 65, "setup_s": 0.022,
-                       "verified_frac": 1.0},
-         "sparse_cli": {"elements_per_s": 273400, "graph_s_max": 0.20,
-                        "palette_growth": 41.0, "peak_rss_mb": 92, "setup_s": 0.155,
-                        "verified_frac": 1.0},
-         "hub_skewed": {"elements_per_s": 484400, "graph_s_max": 0.024,
-                        "palette_growth": 58.7, "peak_rss_mb": 53, "setup_s": 0.089,
-                        "verified_frac": 1.0},
-         "exact_small": {"elements_per_s": 135400, "graph_s_max": 0.0015,
-                         "palette_growth": 1.51, "peak_rss_mb": 40, "setup_s": 0.003,
-                         "verified_frac": 1.0}}},
-]
+# per corpus of ``chi_excess``: the graphs, and the least hits, most total
+# excess and most worst excess, as measured when the floor was set
+FLOOR = {"connected_up_to_6": (142, 52, 219, 7), "connected_7": (853, 287, 2095, 8)}
 
 
 def run_workload(name: str, seed: int, seconds: float) -> tuple[dict, dict]:
@@ -132,13 +100,14 @@ def chi_excess() -> dict:
     return figures
 
 
-def earlier_rows(number: int) -> list[dict]:
-    """The re-anchor table rows when no ``BENCH_*.json`` with a smaller
-    number exists, so that the first point carries them; else none, as the
-    earlier points are their own files."""
-    found = [int(m.group(1)) for path in ROOT.glob("BENCH_*.json")
-             if (m := re.fullmatch(r"BENCH_(\d+)\.json", path.name))]
-    return [] if any(other < number for other in found) else REANCHOR_ROWS
+def within_floor(figures: dict) -> bool:
+    """Whether ``chi_excess`` figures cover exactly the corpora of ``FLOOR``,
+    each with its number of graphs, at least its hits, and at most its total
+    and its worst excess."""
+    return set(figures) == set(FLOOR) and all(
+        figures[name]["graphs"] == graphs and figures[name]["hits"] >= hits
+        and figures[name]["total_excess"] <= total and figures[name]["worst_excess"] <= worst
+        for name, (graphs, hits, total, worst) in FLOOR.items())
 
 
 def main(argv=None) -> int:
@@ -166,7 +135,7 @@ def main(argv=None) -> int:
 
     record = {"number": args.number, "seed": args.seed, "seconds": args.seconds, "trace": 0,
               "stamp": stamp, "dirty": dirty(stamp["src_digest"]), "workloads": runs,
-              "chi_excess": chi_excess(), "earlier": earlier_rows(args.number)}
+              "chi_excess": chi_excess()}
     out = args.out or ROOT / f"BENCH_{args.number}.json"
     out.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
     print(f"wrote {out}")
