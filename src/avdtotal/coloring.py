@@ -406,7 +406,8 @@ def _document_json(g: Graph, phi: TotalColoring, verified: dict[str, bool],
     its ``report`` field unless None, written as text by one join.
 
     The three arrays are written from token tables: each vertex that ends
-    an edge, and each colour present, is turned into text once, in the
+    an edge, and each colour present, is turned into text once (once per
+    occurrence when ``_lookup`` finds the values sparse), in the
     strings ``'{"c": c, "u": '``, ``'u, "v": '``, ``'v}, '``, ``'[u, '``,
     ``'v], '`` and ``'c, '``; the tables are indexed by the rows of
     ``g._ends``, by the edge colours in ``g.edges`` order and by the
@@ -438,33 +439,23 @@ def _lookup(values: np.ndarray | Sequence) -> tuple[Sequence, np.ndarray]:
     values an int64 array or a sequence.
 
     The table of an int64 array, or of a sequence of integers within
-    int64, holds its distinct values, ascending: indexed through a mask
-    over their range when that is at most twice their number, else through
-    a sort, so the work follows the values present, never their size. Any
-    other sequence, such as one with ints beyond int64, is its own table.
+    int64, whose range is at most twice their number holds its distinct
+    values, ascending, indexed through a mask over that range; a wider
+    range makes the values, as ints, their own table, so the work follows
+    the values present, never their size. Any other sequence, such as one
+    with ints beyond int64, is its own table.
     """
-    if not isinstance(values, np.ndarray):
-        exact = _int64(values)
-        if exact is None:
-            return values, np.arange(len(values))
-        values = exact
-    if not values.size:
-        return [], values
-    low = int(values.min())
-    span = int(values.max()) - low + 1
-    if span > 2 * values.size:
-        # np.unique(values, return_inverse=True), without the numpy.ma
-        # import it makes: a value opens a new table entry where it differs
-        # from the one sorted before it
-        order = np.argsort(values, kind="stable")
-        ranked = values[order]
-        new = np.append(True, ranked[1:] != ranked[:-1])
-        index = np.empty_like(order)
-        index[order] = np.cumsum(new) - 1
-        return ranked[new].tolist(), index
-    seen = np.zeros(span, dtype=bool)
-    seen[values - low] = True
-    return (np.flatnonzero(seen) + low).tolist(), (np.cumsum(seen) - 1)[values - low]
+    exact = values if isinstance(values, np.ndarray) else _int64(values)
+    if exact is None:
+        return values, np.arange(len(values))
+    if exact.size:
+        low = int(exact.min())
+        span = int(exact.max()) - low + 1
+        if span <= 2 * exact.size:
+            seen = np.zeros(span, dtype=bool)
+            seen[exact - low] = True
+            return (np.flatnonzero(seen) + low).tolist(), (np.cumsum(seen) - 1)[exact - low]
+    return exact.tolist(), np.arange(exact.size)
 
 
 def _names(values: list) -> np.ndarray:

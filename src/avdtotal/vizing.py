@@ -18,6 +18,13 @@ passes g's edges; ``pipeline.recolor_union`` passes the edges of
 ``g.edges`` at the rows its two selections hold, in row order, and writes
 the colours back by row, so no Graph of the union is built or validated.
 
+First-fit is the private ``_first_fit``, which colours the edges an
+iterator yields until one has no colour within a limit, and returns that
+edge. ``_color_edges`` keeps one iterator over its list and
+alternates first-fit runs, at limit max_degree + 1, with one fan step for
+each edge a run stops at; ``seeding.greedy_total``'s edge pass is one run
+at limit 2*max_degree + 1 from its closed-star masks.
+
 Colour sets are per-vertex bitmasks. Only fans and path walks need the
 edge of a given colour at a vertex, so the fan index, one dict per vertex
 from colour to that edge's position in the list, is built from the
@@ -34,7 +41,7 @@ the colour assignments made, not by n times the palette size.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 from .graphs import Edge, Graph
@@ -67,38 +74,22 @@ def _color_edges(n: int, edges: Sequence[Edge], max_degree: int) -> list[int]:
     # used[x] has bit col set for each colour on an edge at x, and bit 0
     # always, so the lowest zero bit is the smallest free colour
     used = [1] * n
-    # first-fit alone, the lowest colour free at both ends, until an edge
-    # finds none within the palette
-    for u, v in edges:
-        m = used[u] | used[v]
-        bit = ~m & (m + 1)
-        col = bit.bit_length() - 1
-        if col > k:
-            break
-        color.append(col)
-        used[u] |= bit
-        used[v] |= bit
-    else:
+    # one iterator over the edges: each first-fit run goes on where the
+    # last stopped, at the edge after the one that needed a fan
+    rest = iter(edges)
+    stop = _first_fit(rest, used, k, color)
+    if stop is None:
         return color
     # the fan index, kept current from here on. at[x][col] is read only
     # while bit col of used[x] is set, so stale slots stay
     at = _fan_index(n, edges, color)
 
-    # the edge that needed the fan first, then the rest; each appends its
-    # colour, which later fans and paths rewrite by position
-    for i in range(len(color), len(edges)):
-        u, v = edges[i]
+    # each edge that needs a fan appends its colour, which later fans and
+    # paths rewrite by position; then first-fit runs to the next such edge
+    while stop is not None:
+        u, v = stop
+        i = len(color)
         at_u = at[u]
-        # the lowest colour free at both ends, when the palette has one
-        m = used[u] | used[v]
-        bit = ~m & (m + 1)
-        col = bit.bit_length() - 1
-        if col <= k:
-            color.append(col)
-            at_u[col] = at[v][col] = i
-            used[u] |= bit
-            used[v] |= bit
-            continue
         # maximal fan around u starting at v: each next edge's colour is
         # free at the previous fan vertex and not yet in the fan; smallest
         # such colour each step. fan_cols[j] is the colour of edge
@@ -186,7 +177,36 @@ def _color_edges(n: int, edges: Sequence[Edge], max_degree: int) -> list[int]:
             else:
                 used[x] |= 1 << col
 
+        # the next run; later fans and paths read its colours by position
+        start = len(color)
+        stop = _first_fit(rest, used, k, color)
+        for j in range(start, len(color)):
+            x, y = edges[j]
+            at[x][color[j]] = at[y][color[j]] = j
+
     return color
+
+
+def _first_fit(edges: Iterator[Edge], masks: list[int], limit: int,
+               color: list[int]) -> Edge | None:
+    """Appends to color the first-fit colour of each edge uv that edges
+    yields: the lowest colour whose bit is clear in ``masks[u] | masks[v]``,
+    whose bit it then sets in both. Bit 0 must be set in every mask, so
+    each colour is at least 1.
+
+    Stops at the first edge with no colour within 1..limit and returns it,
+    with masks as they were at that edge; returns None once edges is spent.
+    """
+    for u, v in edges:
+        m = masks[u] | masks[v]
+        bit = ~m & (m + 1)
+        col = bit.bit_length() - 1
+        if col > limit:
+            return u, v
+        color.append(col)
+        masks[u] |= bit
+        masks[v] |= bit
+    return None
 
 
 def _fan_index(n: int, edges: Sequence[Edge], color: list[int]) -> list[dict[int, int]]:

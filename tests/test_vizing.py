@@ -11,9 +11,9 @@ import avdtotal.pipeline as pipeline
 import avdtotal.vizing as vizing
 from avdtotal import (EdgeColoring, Graph, PipelineParams, Violation,
                       complete_bipartite_graph, complete_graph, cycle_graph,
-                      normalize_edge, path_graph, random_gnp, run_pipeline,
-                      star_graph, violations, vizing_color)
-from avdtotal.vizing import _color_edges
+                      greedy_total, normalize_edge, path_graph, random_gnp,
+                      run_pipeline, star_graph, violations, vizing_color)
+from avdtotal.vizing import _color_edges, _first_fit
 
 from helpers import (connected_graphs, hub_graph, reference_vizing_color,
                      with_private_vertex_colours)
@@ -242,6 +242,84 @@ class TestSlotMemory:
         # list, whose far endpoint the fan reads from that edge
         edges = [(0, 1), (0, 2), (1, 2)]
         assert vizing._fan_index(4, edges, [1, 2]) == [{1: 0, 2: 1}, {1: 0}, {2: 1}, {}]
+
+
+def naive_first_fit(edges, masks, limit):
+    """The stop edge (None when every edge fits), the colours before it and
+    the masks after them, counting colours up from 1 in sets of bits."""
+    masks = list(masks)
+    colours = []
+    for u, v in edges:
+        free = [c for c in range(1, limit + 1) if not (masks[u] | masks[v]) >> c & 1]
+        if not free:
+            return (u, v), colours, masks
+        colours.append(free[0])
+        masks[u] |= 1 << free[0]
+        masks[v] |= 1 << free[0]
+    return None, colours, masks
+
+
+def first_fit_limits(run):
+    """The limit of each ``_first_fit`` call that run() makes, found by the
+    kernel's code object, so a caller that bound the name early counts."""
+    limits = []
+    code = _first_fit.__code__
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is code:
+            limits.append(frame.f_locals["limit"])
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        run()
+    finally:
+        sys.setprofile(previous)
+    return limits
+
+
+class TestFirstFit:
+    """The one first-fit edge pass, which the edge colourer and the greedy
+    seed both run."""
+
+    @given(st.integers(2, 12), st.floats(0.0, 1.0), st.integers(0, 999),
+           st.integers(1, 8), st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_matches_naive_first_fit(self, n, p, seed, limit, data):
+        g = random_gnp(n, p, seed)
+        start = [1 | m for m in data.draw(
+            st.lists(st.integers(0, 2 ** (limit + 2) - 1), min_size=n, max_size=n))]
+        stop, colours, masks = naive_first_fit(g.edges, start, limit)
+        edges = iter(g.edges)
+        got, color = list(start), [7]
+        assert _first_fit(edges, got, limit, color) == stop
+        # colours are appended, the masks hold the prefix's bits and no
+        # more, and the iterator goes on at the edge after the stop
+        assert color == [7] + colours and got == masks
+        after = len(colours) + 1
+        assert next(edges, None) == (g.edges[after] if after < len(g.edges) else None)
+
+    def test_greedy_seed_and_edge_colourer_reach_it(self):
+        g = complete_graph(5)
+        assert first_fit_limits(lambda: greedy_total(g)) == [2 * g.max_degree + 1]
+        # K_5 first-fits eight edges, then alternates fans and runs
+        limits = first_fit_limits(lambda: _color_edges(g.n, g.edges, g.max_degree))
+        assert len(limits) > 1 and set(limits) == {g.max_degree + 1}
+
+    def test_fan_index_built_at_most_once_on_a_fan_heavy_graph(self, monkeypatch):
+        g = random_gnp(300, 0.5, 2001)
+        built = []
+        original = vizing._fan_index
+
+        def counting(n, edges, color):
+            built.append(len(color))
+            return original(n, edges, color)
+
+        monkeypatch.setattr(vizing, "_fan_index", counting)
+        colors = _color_edges(g.n, g.edges, g.max_degree)
+        assert len(built) == 1
+        reference = reference_vizing_color(g).colors
+        assert colors == [reference[e] for e in g.edges]
 
 
 class TestEdgePropernessViolations:
